@@ -27,7 +27,7 @@ from .model import (
     SpatialDataset,
 )
 from .multi_venue import mags_solve, sfgp_solve, ssp_solve
-from .oracle import brute_force
+from .oracle import OracleBudgetError, brute_force
 from .pruning import PruneConfig
 from .single_venue import ssgmerge_solve, ssgs_solve
 
@@ -419,7 +419,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         report, code = run_query(args)
         print(json.dumps(report, sort_keys=True))
         return code
-    except (DatasetError, ValueError, OSError) as exc:
+    except (DatasetError, ValueError, OSError, OracleBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

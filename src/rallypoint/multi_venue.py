@@ -7,14 +7,24 @@ co-traversing the member R-tree and the venue ball tree. Venue bookkeeping is
 split in two: the ordering universe shrinks only through radius violations
 (so toggling prune rules never changes the member extraction order), while
 the solution set additionally shrinks through the distance-bound rules.
+
+Both co-traversals (the srdo seed and each adaptive selection) run on one
+best-first queue of (R-tree entry, ball) pairs, ``_PairQueue``: each pair is
+pushed once, when the later of its two sides enters the frontier, and pairs
+with an expanded side are dropped lazily when popped. An adaptive selection
+restarts from the roots every time, but reads entry-to-ball lower bounds from
+a table kept for the whole search and the group's summed bound to each ball
+from a table kept for the search frame; the ball-level distance bounds take
+their frontier minimum from the same tables.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from .balltree import Balltree, BalltreeNode, mindist_mbr_ball, mindist_point_ball
 from .graph import core_decompose
@@ -94,6 +104,137 @@ class _VenueState:
     sums: Dict[VenueId, float]
 
 
+class _PairQueue:
+    """Best-first queue over (R-tree entry, ball) pairs for one co-traversal
+    of the member R-tree and the venue ball tree.
+
+    R-tree entries are ``("n", node)`` or ``("m", member, loc)``. A pair's key
+    is ``(f + g, kind, rkey, bkey)``: ``f`` is the ball's cost, ``g`` the
+    entry-to-ball lower bound, ``kind`` is 1 for a (member, venue) pair, and
+    ``rkey``/``bkey`` order members by degree then id and nodes by node id.
+    Keys are unique, so pops follow the argmin of the whole live frontier
+    product. Each pair is pushed once, when the later of its two sides enters
+    the frontier; a pair whose entry or ball has been expanded since is
+    dropped when popped.
+
+    ``ball_cost(node)`` gives ``f``, or None to keep the ball out of the
+    frontier. Pairs with ``g > limit`` or a member in ``skip`` are never
+    pushed, but their sides stay in the frontier. ``g_memo`` maps a ball's
+    node id to ``{entry id: g}``, where an entry id is the R-tree node or the
+    member; callers may share it between traversals of the same indexes.
+    """
+
+    def __init__(
+        self,
+        rtree: Rtree,
+        ball_root: BalltreeNode,
+        pool: Set[MemberId],
+        degree_of: Dict[MemberId, int],
+        ball_cost: Callable[[BalltreeNode], Optional[float]],
+        *,
+        limit: float = math.inf,
+        skip: Set[MemberId] = frozenset(),
+        g_memo: Optional[Dict[int, Dict[object, float]]] = None,
+    ):
+        self.pool = pool
+        self.degree_of = degree_of
+        self.ball_cost = ball_cost
+        self.limit = limit
+        self.skip = skip
+        self.g_memo = {} if g_memo is None else g_memo
+        # The live frontier. Entries: entry id -> (entry id, rkey, entry).
+        # Balls: node id -> (node, f, bkey, g row), in insertion order, which
+        # fixes the order of the ball checks.
+        self.live_r: Dict[object, tuple] = {}
+        self.live_b: Dict[int, tuple] = {}
+        self.heap: List[tuple] = []
+        self._add_balls([ball_root])
+        if rtree.root is not None:
+            self._add_entries([("n", rtree.root)])
+
+    def _push_pairs(self, entries, balls) -> None:
+        heap, limit, skip = self.heap, self.limit, self.skip
+        for bnode, f, bkey, row in balls:
+            for rid, rkey, rentry in entries:
+                g = row.get(rid)
+                if g is None:
+                    if rentry[0] == "m":
+                        g = mindist_point_ball(rentry[2], bnode.ball)
+                    else:
+                        g = mindist_mbr_ball(rentry[1].mbr, bnode.ball)
+                    row[rid] = g
+                if g <= limit and rid not in skip:
+                    kind = 1 if rkey[0] == 1 and bkey[0] == 1 else 0
+                    heapq.heappush(heap, (f + g, kind, rkey, bkey, rentry, bnode))
+
+    def _add_entries(self, rentries: List[tuple]) -> None:
+        added = []
+        for rentry in rentries:
+            rid = rentry[1]
+            if rentry[0] == "m":
+                rkey = (1, -self.degree_of.get(rid, 0), rid)
+            else:
+                rkey = (0, rid.node_id, 0)
+            self.live_r[rid] = (rid, rkey, rentry)
+            added.append(self.live_r[rid])
+        self._push_pairs(added, self.live_b.values())
+
+    def _add_balls(self, bnodes: List[BalltreeNode]) -> None:
+        added = []
+        for bnode in bnodes:
+            f = self.ball_cost(bnode)
+            if f is None:
+                continue
+            bkey = (1, bnode.venue) if bnode.is_leaf else (0, bnode.node_id)
+            row = self.g_memo.get(bnode.node_id)
+            if row is None:
+                row = self.g_memo[bnode.node_id] = {}
+            self.live_b[bnode.node_id] = (bnode, f, bkey, row)
+            added.append(self.live_b[bnode.node_id])
+        self._push_pairs(self.live_r.values(), added)
+
+    def pop(self):
+        """Next live pair as ``(key, entry, ball)``, or None when none is left."""
+        heap = self.heap
+        while heap:
+            item = heapq.heappop(heap)
+            rentry, bnode = item[4], item[5]
+            if rentry[1] in self.live_r and bnode.node_id in self.live_b:
+                return item[:4], rentry, bnode
+        return None
+
+    def expand(self, rentry: tuple, bnode: BalltreeNode) -> None:
+        """Replace the popped pair's R-tree node and internal ball by their
+        children; members join only if they are in the pool."""
+        new_entries: List[tuple] = []
+        if rentry[0] == "n":
+            node = rentry[1]
+            del self.live_r[node]
+            if node.is_leaf:
+                new_entries = [("m", m, loc) for m, loc in node.entries if m in self.pool]
+            else:
+                new_entries = [("n", child) for child in node.children]
+        if not bnode.is_leaf:
+            del self.live_b[bnode.node_id]
+        # New entries pair with the surviving balls, then new balls with
+        # every live entry: each new pair is pushed exactly once.
+        self._add_entries(new_entries)
+        if not bnode.is_leaf:
+            self._add_balls(bnode.children)
+
+    def frontier_bound(self, bnode: BalltreeNode) -> float:
+        """Smallest ``g`` from any live entry to the live ball ``bnode``.
+
+        Called between a pop and its expansion, when the popped entry is
+        still live, so the frontier is never empty."""
+        row = self.live_b[bnode.node_id][3]
+        return min(map(row.__getitem__, self.live_r))
+
+    def ball_cost_of(self, bnode: BalltreeNode) -> float:
+        """``f`` of the live ball ``bnode``."""
+        return self.live_b[bnode.node_id][1]
+
+
 def srdo_seed(
     rtree: Rtree,
     balltree: Balltree,
@@ -105,47 +246,34 @@ def srdo_seed(
     Member/venue lower bounds come from MBR-to-ball distances, so mutually
     distant subtrees are never opened. Ties prefer higher member degree, then
     ascending ids. Returns None when either side is empty.
+
+    The search covers every venue indexed in ``balltree``, not only those of
+    a query, so the pair's venue may lie outside the query's venue set.
     """
     if not pool or rtree.root is None:
         return None
-    degree_of = degree_of or {}
-    u_r: List[tuple] = [("n", rtree.root)]
-    u_b: List[BalltreeNode] = [balltree.root]
-
+    queue = _PairQueue(rtree, balltree.root, pool, degree_of or {}, lambda node: 0.0)
+    # A ball's bound is computed in floating point and can exceed the computed
+    # distance of a pair it covers by a few ulps, which could hide a pair tying
+    # with the first (member, venue) pair popped. Popping on through a window
+    # far wider than that error finds every such pair; (member, venue) keys
+    # order exactly as (distance, -degree, member, venue).
+    scale = balltree.root.ball.radius
+    best_key = best_pair = None
     while True:
-        best_key = None
-        best_pair = None
-        for rentry in u_r:
-            for bnode in u_b:
-                if rentry[0] == "m":
-                    g = mindist_point_ball(rentry[2], bnode.ball)
-                    rkey = (1, -degree_of.get(rentry[1], 0), rentry[1])
-                else:
-                    g = mindist_mbr_ball(rentry[1].mbr, bnode.ball)
-                    rkey = (0, rentry[1].node_id, 0)
-                kind = 1 if (rentry[0] == "m" and bnode.is_leaf) else 0
-                bkey = (1, bnode.venue) if bnode.is_leaf else (0, bnode.node_id)
-                key = (g, kind, rkey, bkey)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best_pair = (rentry, bnode)
-        if best_pair is None:
-            return None
-        rentry, bnode = best_pair
-        if rentry[0] == "m" and bnode.is_leaf:
-            return (rentry[1], bnode.venue, best_key[0])
-        if rentry[0] == "n":
-            u_r.remove(rentry)
-            node = rentry[1]
-            if node.is_leaf:
-                for member, loc in node.entries:
-                    if member in pool:
-                        u_r.append(("m", member, loc))
-            else:
-                u_r.extend(("n", child) for child in node.children)
-        if not bnode.is_leaf:
-            u_b.remove(bnode)
-            u_b.extend(bnode.children)
+        popped = queue.pop()
+        if popped is None:
+            break
+        key, rentry, bnode = popped
+        if best_key is not None and key[0] > best_key[0] + 1e-9 * (best_key[0] + scale):
+            break
+        if key[1] == 0:
+            queue.expand(rentry, bnode)
+        elif best_key is None or key < best_key:
+            best_key, best_pair = key, (rentry[1], bnode.venue)
+    if best_key is None:
+        return None
+    return (best_pair[0], best_pair[1], best_key[0])
 
 
 class _MultiVenueSearch:
@@ -184,6 +312,9 @@ class _MultiVenueSearch:
         self.member_loc = data.member_locations
         self.venue_loc = data.venue_locations
         self.degree_of = {v: graph.degree(v) for v in graph.vertices}
+        # Entry-to-ball lower bounds depend only on the indexes: one table
+        # serves every co-traversal of this search (see ``_PairQueue``).
+        self.g_memo: Dict[int, Dict[object, float]] = {}
 
     # -- top level ---------------------------------------------------------
 
@@ -213,67 +344,60 @@ class _MultiVenueSearch:
         visited: Set[MemberId],
         vstate: _VenueState,
         pairwise_sum: float,
+        ball_costs: Dict[int, Optional[float]],
     ) -> Optional[MemberId]:
         """One co-traversal of the member R-tree and venue ball tree, returning
         the member of the (member, venue) pair minimizing the grown group's
         total distance to the venue. Ball-level distance bounds are evaluated
         on every popped ball and mark hopeless venues as unusable for
         solutions (the traversal itself keeps using the radius-only universe,
-        so extraction order is independent of the prune toggles)."""
+        so extraction order is independent of the prune toggles).
+
+        ``ball_costs`` memoises, per ball, the prefix's summed distance lower
+        bound (None for a ball with no venue left in the radius universe);
+        both inputs are fixed within one frame, so the caller keeps one table
+        per frame."""
         if not vstate.order_alive:
             return None
         if all(m in visited for m in remaining):
             return None
-        t = self.query.t
         pool_set = set(remaining)
         prefix_locs = [self.member_loc[v] for v in prefix]
 
-        u_r: List[tuple] = [("n", self.rtree.root)] if self.rtree.root else []
-        u_b: List[tuple] = []
+        def ball_cost(node: BalltreeNode) -> Optional[float]:
+            if node.node_id not in ball_costs:
+                if any(q in vstate.order_alive for q in node.venue_ids):
+                    cost = sum(mindist_point_ball(loc, node.ball) for loc in prefix_locs)
+                else:
+                    cost = None
+                ball_costs[node.node_id] = cost
+            return ball_costs[node.node_id]
 
-        def push_ball(node: BalltreeNode) -> None:
-            if not any(q in vstate.order_alive for q in node.venue_ids):
-                return
-            f = sum(mindist_point_ball(loc, node.ball) for loc in prefix_locs)
-            u_b.append((node, f))
-
-        push_ball(self.balltree.root)
+        queue = _PairQueue(
+            self.rtree,
+            self.balltree.root,
+            pool_set,
+            self.degree_of,
+            ball_cost,
+            limit=self.query.t,
+            skip=visited,
+            g_memo=self.g_memo,
+        )
         checked_balls: Set[int] = set()
 
         while True:
-            best_key = None
-            best_pair = None
-            for bnode, f in u_b:
-                for rentry in u_r:
-                    if rentry[0] == "m":
-                        g = mindist_point_ball(rentry[2], bnode.ball)
-                    else:
-                        g = mindist_mbr_ball(rentry[1].mbr, bnode.ball)
-                    if g > t:
-                        continue
-                    if rentry[0] == "m" and rentry[1] in visited:
-                        continue
-                    if rentry[0] == "m":
-                        rkey = (1, -self.degree_of.get(rentry[1], 0), rentry[1])
-                    else:
-                        rkey = (0, rentry[1].node_id, 0)
-                    kind = 1 if (rentry[0] == "m" and bnode.is_leaf) else 0
-                    bkey = (1, bnode.venue) if bnode.is_leaf else (0, bnode.node_id)
-                    key = (f + g, kind, rkey, bkey)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best_pair = (rentry, bnode, f)
-            if best_pair is None:
+            popped = queue.pop()
+            if popped is None:
                 return None
-            rentry, bnode, f = best_pair
+            key, rentry, bnode = popped
 
             if bnode.node_id not in checked_balls:
                 checked_balls.add(bnode.node_id)
                 self._ball_lemma_checks(
-                    bnode, prefix, prefix_locs, remaining, u_r, u_b, vstate, pairwise_sum
+                    bnode, prefix, prefix_locs, remaining, queue, vstate, pairwise_sum
                 )
 
-            if best_key[1] == 1:
+            if key[1] == 1:
                 member, venue = rentry[1], bnode.venue
                 if self.audit is not None:
                     self.audit.selections.append(
@@ -283,41 +407,11 @@ class _MultiVenueSearch:
                             venues=tuple(sorted(vstate.order_alive)),
                             member=member,
                             venue=venue,
-                            score=best_key[0],
+                            score=key[0],
                         )
                     )
                 return member
-            if rentry[0] == "n":
-                u_r.remove(rentry)
-                node = rentry[1]
-                if node.is_leaf:
-                    for member, loc in node.entries:
-                        if member in pool_set:
-                            u_r.append(("m", member, loc))
-                else:
-                    u_r.extend(("n", child) for child in node.children)
-            if not bnode.is_leaf:
-                u_b.remove((bnode, f))
-                for child in bnode.children:
-                    push_ball(child)
-
-    def _frontier_bound(self, u_r: List[tuple], target: BalltreeNode, pool: Sequence[MemberId]) -> float:
-        """Lower bound on the distance from any remaining candidate to the ball."""
-        best = math.inf
-        for rentry in u_r:
-            if rentry[0] == "m":
-                g = mindist_point_ball(rentry[2], target.ball)
-            else:
-                g = mindist_mbr_ball(rentry[1].mbr, target.ball)
-            if g < best:
-                best = g
-        if math.isinf(best):
-            # Traversal frontier exhausted; fall back to the exact pool minimum.
-            best = min(
-                (mindist_point_ball(self.member_loc[v], target.ball) for v in pool),
-                default=math.inf,
-            )
-        return best
+            queue.expand(rentry, bnode)
 
     def _ball_lemma_checks(
         self,
@@ -325,8 +419,7 @@ class _MultiVenueSearch:
         prefix: List[MemberId],
         prefix_locs: List[Location],
         pool: Sequence[MemberId],
-        u_r: List[tuple],
-        u_b: List[tuple],
+        queue: _PairQueue,
         vstate: _VenueState,
         pairwise_sum: float,
     ) -> None:
@@ -336,32 +429,30 @@ class _MultiVenueSearch:
 
         if cfg.outer_triangle:
             sums_x = [distance(loc, bx.ball.center) for loc in prefix_locs]
-            for bnode, _ in u_b:
+            for bnode, *_ in queue.live_b.values():
                 if bnode.node_id == bx.node_id:
                     continue
-                frontier = self._frontier_bound(u_r, bnode, pool)
                 bound = outer_triangle_ball_bound(
                     sums_x,
                     distance(bx.ball.center, bnode.ball.center),
                     bnode.ball.radius,
                     p,
-                    frontier,
+                    queue.frontier_bound(bnode),
                 )
                 self._record_bound(PRUNE_OUTER_TRIANGLE, bound, prefix, pool, bnode.venue_ids)
                 if bound >= self.best_total:
                     self._kill_venues(bnode.venue_ids, vstate, PRUNE_OUTER_TRIANGLE)
 
         if cfg.inner_triangle and n >= 2:
-            frontier = self._frontier_bound(u_r, bx, pool)
+            frontier = queue.frontier_bound(bx)
             bound = inner_triangle_bound(pairwise_sum, n, p, bx.ball.radius, frontier)
             self._record_bound(PRUNE_INNER_TRIANGLE, bound, prefix, pool, bx.venue_ids)
             if bound >= self.best_total:
                 self._kill_venues(bx.venue_ids, vstate, PRUNE_INNER_TRIANGLE)
 
         if cfg.ball_distance:
-            frontier = self._frontier_bound(u_r, bx, pool)
-            summed = sum(mindist_point_ball(loc, bx.ball) for loc in prefix_locs)
-            bound = ball_distance_bound(summed, n, p, frontier)
+            frontier = queue.frontier_bound(bx)
+            bound = ball_distance_bound(queue.ball_cost_of(bx), n, p, frontier)
             self._record_bound(PRUNE_BALL_DISTANCE, bound, prefix, pool, bx.venue_ids)
             if bound >= self.best_total:
                 self._kill_venues(bx.venue_ids, vstate, PRUNE_BALL_DISTANCE)
@@ -401,6 +492,7 @@ class _MultiVenueSearch:
         cfg = self.config
         remaining = list(pool)
         visited: Set[MemberId] = set()
+        ball_costs: Dict[int, Optional[float]] = {}
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
         # completion bounds. Computed once per frame; the pool only shrinks
@@ -421,7 +513,9 @@ class _MultiVenueSearch:
             if self.static_order is not None:
                 u = self._select_static(remaining, visited)
             else:
-                u = self._select_adaptive(prefix, remaining, visited, vstate, pairwise_sum)
+                u = self._select_adaptive(
+                    prefix, remaining, visited, vstate, pairwise_sum, ball_costs
+                )
             if u is None:
                 if not visited:
                     break
@@ -686,27 +780,31 @@ def mags_solve(
 
     solution = None
     if pool and alive and indexes.venues is not None:
-        degree_of = {v: work_graph.degree(v) for v in work_graph.vertices}
-        seed = srdo_seed(indexes.members, indexes.venues, set(pool), degree_of)
-        if seed is not None and seed[2] <= query.t:
-            if ordering == "srdo":
+        search = None
+        if ordering == "srdo":
+            degree_of = {v: work_graph.degree(v) for v in work_graph.vertices}
+            seed = srdo_seed(indexes.members, indexes.venues, set(pool), degree_of)
+            if seed is not None and seed[2] <= query.t:
                 order = _static_order_towards(pool, seed[1], data, degree_of)
                 search = _MultiVenueSearch(
                     query, work_graph, data, pool, alive, config, stats, static_order=order
                 )
-            else:
-                search = _MultiVenueSearch(
-                    query,
-                    work_graph,
-                    data,
-                    pool,
-                    alive,
-                    config,
-                    stats,
-                    rtree=indexes.members,
-                    balltree=indexes.venues,
-                    audit=audit,
-                )
+        else:
+            # Every pool member lies within t of an alive venue, so apdo
+            # always has a pair to start from; it needs no seed.
+            search = _MultiVenueSearch(
+                query,
+                work_graph,
+                data,
+                pool,
+                alive,
+                config,
+                stats,
+                rtree=indexes.members,
+                balltree=indexes.venues,
+                audit=audit,
+            )
+        if search is not None:
             search.run()
             if search.best_group is not None:
                 solution = (search.best_group, search.best_venue, search.best_total)

@@ -103,6 +103,23 @@ def test_run_query_bad_k_exit_1(tiny_dataset):
     assert "error" in proc.stderr
 
 
+def test_oracle_over_budget_is_a_clean_error(tmp_path):
+    # C(60, 10) combinations far exceed the oracle's enumeration budget.
+    members = write(tmp_path / "members.csv", "".join(f"m{i},{i},0\n" for i in range(60)))
+    edges = write(tmp_path / "edges.csv", "m0,m1\n")
+    venues = write(tmp_path / "venues.csv", "q,0,0\n")
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "oracle", "--p", "10", "--k", "9", "--t", "1000",
+        ]
+    )
+    assert proc.returncode == 1
+    last = proc.stderr.strip().splitlines()[-1]
+    assert last.startswith("error: ") and "budget" in last
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_query_deterministic_output(tiny_dataset):
     members, edges, venues = tiny_dataset
     args = [

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -112,6 +113,42 @@ def test_srdo_seed_matches_scan():
         )
         assert got[2] == pytest.approx(expected[0], abs=1e-12)
         assert (got[0], got[1]) == (expected[1], expected[2])
+
+
+def _check_seed_against_scan(members, venues, degree_of, pool, fanout=16):
+    idx = build_indexes(SpatialDataset(members, venues), fanout)
+    got = srdo_seed(idx.members, idx.venues, pool, degree_of)
+    d, _, m, q = min(
+        (distance(members[m], venues[q]), -degree_of.get(m, 0), m, q)
+        for m in sorted(pool)
+        for q in venues
+    )
+    assert got == (m, q, d)
+
+
+def test_srdo_seed_tie_breaks_match_scan():
+    # q1 and q2 share a spot at sqrt(2) from member 1. The ball over {q0, q1}
+    # bounds member 1's distance by 1.4142135623730954, a few ulps above the
+    # pair's own distance, yet (1, q1) must still win the tie with (1, q2).
+    _check_seed_against_scan(
+        {0: Location(0, 6), 1: Location(5, 6)},
+        {"q0": Location(1, 2), "q1": Location(4, 5), "q2": Location(4, 5), "q3": Location(6, 0)},
+        {0: 1, 1: 1},
+        {0, 1},
+    )
+    # Integer grid with members sharing spots and degrees: distances tie
+    # often, so the order by degree, then member, then venue decides.
+    rng = random.Random(21)
+    for trial in range(300):
+        spots = [Location(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 8))]
+        members = {i: rng.choice(spots) for i in range(rng.randint(1, 30))}
+        venues = {
+            f"q{j}": Location(rng.randint(0, 6), rng.randint(0, 6))
+            for j in range(rng.randint(1, 12))
+        }
+        degree_of = {m: rng.randint(0, 3) for m in members if rng.random() < 0.8}
+        pool = set(rng.sample(sorted(members), rng.randint(1, len(members))))
+        _check_seed_against_scan(members, venues, degree_of, pool, rng.choice([2, 4, 16]))
 
 
 def test_apdo_reference_switches(srdo_instance):
@@ -276,3 +313,257 @@ def test_core_preprocess_preserves_optimum():
         plain = mags_solve(query, graph, data, ordering="apdo")
         pre = mags_solve(query, graph, data, ordering="apdo", core_preprocess=True)
         assert _total(plain) == _total(pre)
+
+
+# --- pinned search trees ----------------------------------------------------
+
+
+def _digest(records):
+    return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
+
+
+def _search_record(seed, ordering):
+    graph, data, query = make_query_instance(8500 + seed, q_range=(2, 5))
+    stats, audit = SearchStats(), MagsAudit()
+    sol = mags_solve(query, graph, data, ordering=ordering, stats=stats, audit=audit)
+    answer = None if sol is None else (sol.group, sol.venue, round(sol.total_distance, 9))
+    return (
+        answer,
+        (stats.explored_states, stats.generated_states, stats.theta_escalations),
+        dict(sorted(stats.pruned.items())),
+        (len(audit.selections), _digest(audit.selections)),
+        (len(audit.bounds), _digest(audit.bounds)),
+    )
+
+
+# Answer, (explored, generated, theta escalations), prune counters, and the
+# count and digest of the audited selections and bounds. Any change to the
+# candidate selection or the ball-level bounds that alters the search tree
+# shows up here.
+PINNED_SEARCHES = {
+    (0, "srdo"): (
+        None,
+        (100, 570, 203),
+        {"member_familiarity": 462, "pool_familiarity": 8, "venue_radius": 79},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (1, "srdo"): (
+        None,
+        (1, 4, 2),
+        {"member_familiarity": 2, "pool_familiarity": 1},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (2, "srdo"): (
+        ((2, 3, 4, 9), "q1", 74.224006151),
+        (22, 35, 0),
+        {"venue_distance": 62, "venue_radius": 28},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (3, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (4, "srdo"): (
+        ((1, 2, 3, 4), "q2", 76.678454048),
+        (13, 17, 0),
+        {"venue_distance": 11, "venue_radius": 2},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (5, "srdo"): (
+        ((2, 4, 6), "q0", 61.466951292),
+        (11, 25, 0),
+        {"venue_distance": 61, "venue_radius": 7},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (6, "srdo"): (
+        ((2, 5, 7), "q1", 53.458484028),
+        (7, 12, 0),
+        {"member_familiarity": 1, "venue_distance": 8},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (7, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (8, "srdo"): (
+        ((4, 6, 7, 9, 10), "q0", 139.787053891),
+        (41, 104, 0),
+        {"venue_distance": 178, "venue_radius": 21},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (9, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (10, "srdo"): (
+        ((0, 1, 5), "q0", 41.560999576),
+        (8, 15, 0),
+        {"venue_distance": 32, "venue_radius": 3},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (11, "srdo"): (
+        ((2, 6, 10), "q1", 49.379992693),
+        (11, 19, 0),
+        {"member_familiarity": 2, "venue_distance": 7, "venue_radius": 9},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (12, "srdo"): (
+        ((1, 5, 6, 9), "q1", 66.532390954),
+        (14, 32, 0),
+        {"venue_distance": 49},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (13, "srdo"): (
+        ((0, 1, 2, 5, 6), "q1", 159.804164319),
+        (5, 5, 0),
+        {},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (14, "srdo"): (
+        ((2, 3, 12), "q2", 43.801634625),
+        (6, 9, 0),
+        {"venue_distance": 7},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (15, "srdo"): (
+        ((2, 6, 8), "q0", 91.108967891),
+        (15, 50, 7),
+        {"member_familiarity": 15, "venue_distance": 6, "venue_radius": 33},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (16, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (17, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (18, "srdo"): (
+        ((1, 3, 13), "q2", 61.69316095),
+        (20, 92, 2),
+        {"member_familiarity": 2, "venue_distance": 13, "venue_radius": 83},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (19, "srdo"): (
+        ((1, 4, 5, 6, 7), "q3", 115.976489005),
+        (5, 5, 0),
+        {},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (0, "apdo"): (
+        None,
+        (102, 581, 202),
+        {"member_familiarity": 469, "pool_familiarity": 10, "venue_radius": 81},
+        (1927, "a59f674a9931c893"),
+        (9150, "57781adce8b864e4"),
+    ),
+    (1, "apdo"): (
+        None,
+        (1, 4, 2),
+        {"member_familiarity": 2, "pool_familiarity": 1},
+        (12, "eb117390dcba51c5"),
+        (36, "f68d7ed138cd8303"),
+    ),
+    (2, "apdo"): (
+        ((2, 3, 4, 9), "q1", 74.224006151),
+        (10, 13, 0),
+        {"ball_distance": 4, "outer_triangle": 8, "venue_distance": 17, "venue_radius": 8},
+        (13, "75bbcdc7a95f5da8"),
+        (148, "07af7c3e574d729c"),
+    ),
+    (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (4, "apdo"): (
+        ((1, 2, 3, 4), "q2", 76.678454048),
+        (6, 9, 0),
+        {"ball_distance": 3, "outer_triangle": 1, "venue_distance": 4, "venue_radius": 1},
+        (9, "2c378392a4205ca3"),
+        (48, "2ac10600acdbf339"),
+    ),
+    (5, "apdo"): (
+        ((2, 4, 6), "q0", 61.466951292),
+        (5, 7, 0),
+        {"ball_distance": 1, "outer_triangle": 5, "venue_distance": 6, "venue_radius": 1},
+        (7, "756af3fbf95bb3fd"),
+        (32, "17ef50b1aa8ab5df"),
+    ),
+    (6, "apdo"): (
+        ((2, 5, 7), "q1", 53.458484028),
+        (5, 9, 0),
+        {"ball_distance": 3, "member_familiarity": 1, "venue_distance": 5},
+        (9, "dadfb063d62c6c64"),
+        (24, "8f295df71023c02a"),
+    ),
+    (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (8, "apdo"): (
+        ((4, 6, 7, 9, 10), "q0", 139.787053891),
+        (17, 35, 0),
+        {"ball_distance": 3, "inner_triangle": 3, "outer_triangle": 11, "venue_distance": 30, "venue_radius": 1},
+        (35, "da0cab3813e80c16"),
+        (243, "44bafe46a9609aea"),
+    ),
+    (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (10, "apdo"): (
+        ((0, 1, 5), "q0", 41.560999576),
+        (6, 8, 0),
+        {"outer_triangle": 6, "venue_distance": 6},
+        (8, "36194d23b709d546"),
+        (51, "00457bb6735a3588"),
+    ),
+    (11, "apdo"): (
+        ((2, 6, 10), "q1", 49.379992693),
+        (10, 15, 1),
+        {"ball_distance": 3, "member_familiarity": 1, "outer_triangle": 2, "venue_distance": 8, "venue_radius": 1},
+        (15, "2fd37f6ec2cb3134"),
+        (96, "75da4fc0dbc8db16"),
+    ),
+    (12, "apdo"): (
+        ((1, 5, 6, 9), "q1", 66.532390954),
+        (10, 15, 0),
+        {"ball_distance": 2, "inner_triangle": 1, "outer_triangle": 4, "venue_distance": 12},
+        (15, "b42c1b6faa06a756"),
+        (55, "e5a318bad391ea7a"),
+    ),
+    (13, "apdo"): (
+        ((0, 1, 2, 5, 6), "q1", 159.804164319),
+        (5, 5, 0),
+        {},
+        (5, "a9d8d3a0663a16d9"),
+        (24, "a45d2162283269c3"),
+    ),
+    (14, "apdo"): (
+        ((2, 3, 12), "q2", 43.801634625),
+        (3, 5, 0),
+        {"ball_distance": 2, "venue_distance": 3},
+        (5, "994b6ba3d9168d95"),
+        (18, "09f4f4ead75f8a23"),
+    ),
+    (15, "apdo"): (
+        ((2, 6, 8), "q0", 91.108967891),
+        (6, 15, 6),
+        {"ball_distance": 2, "member_familiarity": 7, "outer_triangle": 2, "venue_distance": 3, "venue_radius": 2},
+        (22, "23b2fe0dcc70365f"),
+        (86, "53bb037b48f2b6c1"),
+    ),
+    (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (18, "apdo"): (
+        ((1, 3, 13), "q2", 61.69316095),
+        (6, 9, 2),
+        {"ball_distance": 1, "member_familiarity": 1, "outer_triangle": 3, "venue_distance": 3, "venue_radius": 4},
+        (9, "db122fd18e024a84"),
+        (77, "c2b6843f7819368a"),
+    ),
+    (19, "apdo"): (
+        ((1, 4, 5, 6, 7), "q3", 115.976489005),
+        (5, 5, 0),
+        {},
+        (5, "488d13b84d44f117"),
+        (32, "f7bdbffa5a7ef441"),
+    ),
+}
+
+
+@pytest.mark.parametrize("seed, ordering", sorted(PINNED_SEARCHES))
+def test_search_tree_is_pinned(seed, ordering):
+    assert _search_record(seed, ordering) == PINNED_SEARCHES[(seed, ordering)]
