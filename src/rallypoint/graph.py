@@ -15,12 +15,6 @@ class DegreePartition:
     classes: Tuple[FrozenSet[MemberId], ...]
     class_degrees: Tuple[int, ...]
 
-    def class_index_of(self, v: MemberId) -> int:
-        for i, cls in enumerate(self.classes):
-            if v in cls:
-                return i
-        raise KeyError(v)
-
 
 def core_decompose(graph: SocialGraph, p: int, k: int) -> SocialGraph:
     """Maximal subgraph in which every vertex keeps at least ``p - k - 1`` neighbors.
@@ -100,11 +94,6 @@ def is_threshold_graph(graph: SocialGraph) -> bool:
             if (v in neighbors) != required:
                 return False
     return True
-
-
-def threshold_pair_property_holds(graph: SocialGraph) -> bool:
-    """Exhaustive pairwise check of the degree-class adjacency characterization."""
-    return is_threshold_graph(graph)
 
 
 def surviving_top_classes(graph: SocialGraph, core: SocialGraph) -> bool:

@@ -257,10 +257,13 @@ def familiarity_ok(
     k: int,
     mode: FamiliarityMode,
     graph: SocialGraph,
+    edges: Optional[int] = None,
 ) -> bool:
     """Whether the stranger budget ``k`` holds for ``group`` under ``mode``.
 
-    Uses integer arithmetic throughout so boundary cases are exact.
+    ``edges`` is the group's internal edge count when the caller already
+    knows it; average mode then skips counting. Uses integer arithmetic
+    throughout so boundary cases are exact.
     """
     members = set(group)
     n = len(members)
@@ -268,9 +271,10 @@ def familiarity_ok(
         return True
     if mode is FamiliarityMode.PER_VERTEX:
         return all(n - 1 - len(graph.neighbors(v) & members) <= k for v in members)
+    if edges is None:
+        edges = internal_edge_count(members, graph)
     # average mode: mean stranger count <= k  <=>  n*(n-1) - 2*E(group) <= k*n
-    total_unfamiliar = n * (n - 1) - 2 * internal_edge_count(members, graph)
-    return total_unfamiliar <= k * n
+    return n * (n - 1) - 2 * edges <= k * n
 
 
 def is_feasible(
@@ -294,8 +298,3 @@ def is_feasible(
 def total_distance(group: Iterable[MemberId], venue: VenueId, data: SpatialDataset) -> float:
     venue_loc = data.venue_locations[venue]
     return sum(distance(data.member_locations[v], venue_loc) for v in sorted(set(group)))
-
-
-def solution_sort_key(total: float, group: Iterable[MemberId], venue: VenueId):
-    """Comparison key for equal-quality solutions: distance, then member ids, then venue."""
-    return (total, tuple(sorted(group)), venue)

@@ -16,6 +16,16 @@ restarts from the roots every time, but reads entry-to-ball lower bounds from
 a table kept for the whole search and the group's summed bound to each ball
 from a table kept for the search frame; the ball-level distance bounds take
 their frontier minimum from the same tables.
+
+A search also keeps, for its whole run, every pool member's distance to every
+alive venue, the set of alive venues within the radius of each member, and
+each venue's pool sorted by distance. A search frame carries its prefix's
+internal edge count, so the admission test is an integer comparison
+(``admission_edges``), and reads the smallest remaining candidate distance to
+each venue off the sorted pools. With a static order, a cursor into the
+frame's remaining candidates marks how far the current ``theta`` has tried
+them: it advances on a rejection, stays put on an admission and returns to
+the front when ``theta`` escalates.
 """
 
 from __future__ import annotations
@@ -61,7 +71,9 @@ from .pruning import (
     pool_familiarity_prune,
 )
 from .rtree import Rtree
-from .single_venue import run_single_venue_search, sso_admits
+# ``sso_admits`` is re-exported; the engine below applies the same test
+# through ``admission_edges`` on the edge count it carries.
+from .single_venue import admission_edges, run_single_venue_search, sso_admits
 
 
 @dataclass(frozen=True)
@@ -97,7 +109,8 @@ class MagsAudit:
 @dataclass
 class _VenueState:
     """Per-search-state venue bookkeeping; children get copies, so backtracking
-    restores the parent state for free."""
+    restores the parent state for free. ``sums`` holds the group's total
+    distance to each venue of ``sol_alive``."""
 
     order_alive: FrozenSet[VenueId]
     sol_alive: Set[VenueId]
@@ -315,6 +328,17 @@ class _MultiVenueSearch:
         # Entry-to-ball lower bounds depend only on the indexes: one table
         # serves every co-traversal of this search (see ``_PairQueue``).
         self.g_memo: Dict[int, Dict[object, float]] = {}
+        # Member-to-venue distances, per venue the pool in nondecreasing
+        # distance, and per admitted member the alive venues within the
+        # radius (filled in on the member's first admission).
+        self.venue_dist: Dict[MemberId, Dict[VenueId, float]] = {}
+        for v in pool:
+            v_loc = self.member_loc[v]
+            self.venue_dist[v] = {q: distance(v_loc, self.venue_loc[q]) for q in alive_venues}
+        self.in_radius: Dict[MemberId, FrozenSet[VenueId]] = {}
+        self.by_distance: Dict[VenueId, List[MemberId]] = {
+            q: sorted(pool, key=lambda v: self.venue_dist[v][q]) for q in alive_venues
+        }
 
     # -- top level ---------------------------------------------------------
 
@@ -330,12 +354,9 @@ class _MultiVenueSearch:
             pool = list(self.static_order)
         else:
             pool = list(self.pool)
-        self._frame([], set(), pool, vstate, 0.0, self.root_theta)
+        self._frame([], set(), 0, pool, vstate, 0.0, self.root_theta)
 
     # -- candidate selection -----------------------------------------------
-
-    def _select_static(self, remaining: List[MemberId], visited: Set[MemberId]):
-        return next((u for u in remaining if u not in visited), None)
 
     def _select_adaptive(
         self,
@@ -482,6 +503,7 @@ class _MultiVenueSearch:
         self,
         prefix: List[MemberId],
         prefix_set: Set[MemberId],
+        prefix_edges: int,
         pool: List[MemberId],
         vstate: _VenueState,
         pairwise_sum: float,
@@ -490,28 +512,37 @@ class _MultiVenueSearch:
         p = self.query.p
         k = self.query.k
         cfg = self.config
+        static = self.static_order is not None
+        neighbors = self.graph.neighbors
         remaining = list(pool)
         visited: Set[MemberId] = set()
+        # Static order: remaining[:cursor] has been tried at this theta.
+        cursor = 0
+        need = admission_edges(len(prefix) + 1, theta, p)
         ball_costs: Dict[int, Optional[float]] = {}
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
         # completion bounds. Computed once per frame; the pool only shrinks
         # afterwards, so the cached value stays a valid lower bound.
+        remaining_set = set(remaining)
         pool_dmin: Dict[VenueId, float] = {}
-        for q in vstate.order_alive:
-            qloc = self.venue_loc[q]
-            pool_dmin[q] = min(
-                (distance(self.member_loc[v], qloc) for v in remaining),
-                default=math.inf,
-            )
+        for q in vstate.sol_alive:
+            first = next((v for v in self.by_distance[q] if v in remaining_set), None)
+            pool_dmin[q] = math.inf if first is None else self.venue_dist[first][q]
 
+        # The venue-distance check only turns false after the incumbent
+        # improves or a venue leaves ``sol_alive``; until then a passed check
+        # is not repeated.
+        viable_at = None
         while len(prefix) + len(remaining) >= p:
-            if cfg.venue_distance and not self._any_venue_viable(prefix, vstate, pool_dmin):
-                self.stats.bump(PRUNE_VENUE_DISTANCE)
-                break
+            if cfg.venue_distance and viable_at != (self.best_total, len(vstate.sol_alive)):
+                if not self._any_venue_viable(prefix, vstate, pool_dmin):
+                    self.stats.bump(PRUNE_VENUE_DISTANCE)
+                    break
+                viable_at = (self.best_total, len(vstate.sol_alive))
 
-            if self.static_order is not None:
-                u = self._select_static(remaining, visited)
+            if static:
+                u = remaining[cursor] if cursor < len(remaining) else None
             else:
                 u = self._select_adaptive(
                     prefix, remaining, visited, vstate, pairwise_sum, ball_costs
@@ -522,21 +553,24 @@ class _MultiVenueSearch:
                 if theta < p - 1:
                     theta += 1
                     self.stats.theta_escalations += 1
+                    need = admission_edges(len(prefix) + 1, theta, p)
                 visited.clear()
+                cursor = 0
                 continue
             visited.add(u)
 
-            if not sso_admits(prefix, u, theta, p, self.graph):
+            child_edges = prefix_edges + len(neighbors(u) & prefix_set)
+            if child_edges < need:
+                cursor += 1
                 continue
 
             remaining.remove(u)
-            child = prefix + [u]
-            child_set = prefix_set | {u}
             self.stats.generated_states += 1
 
-            cvstate = self._child_venue_state(u, len(child), vstate, pool_dmin)
+            cvstate = self._child_venue_state(u, len(prefix) + 1, vstate, pool_dmin)
             if not cvstate.sol_alive:
                 continue
+            child = prefix + [u]
 
             if self.query.familiarity_mode is FamiliarityMode.PER_VERTEX:
                 if cfg.member_familiarity and member_familiarity_prune(child, k, self.graph):
@@ -556,15 +590,18 @@ class _MultiVenueSearch:
 
             if len(child) == p:
                 self.stats.explored_states += 1
-                self._evaluate_leaf(child, cvstate)
+                self._evaluate_leaf(child, child_edges, cvstate)
                 continue
 
-            u_loc = self.member_loc[u]
-            child_pairwise = pairwise_sum + sum(
-                distance(self.member_loc[s], u_loc) for s in prefix
-            )
+            # Only the adaptive ball checks read the pairwise sum.
+            child_pairwise = pairwise_sum
+            if not static:
+                u_loc = self.member_loc[u]
+                child_pairwise += sum(distance(self.member_loc[s], u_loc) for s in prefix)
             self.stats.explored_states += 1
-            self._frame(child, child_set, remaining, cvstate, child_pairwise, theta)
+            self._frame(
+                child, prefix_set | {u}, child_edges, remaining, cvstate, child_pairwise, theta
+            )
 
     def _any_venue_viable(
         self, prefix: List[MemberId], vstate: _VenueState, pool_dmin: Dict[VenueId, float]
@@ -585,38 +622,38 @@ class _MultiVenueSearch:
         vstate: _VenueState,
         pool_dmin: Dict[VenueId, float],
     ) -> _VenueState:
-        u_loc = self.member_loc[u]
-        t = self.query.t
         p = self.query.p
-        order2 = set()
+        row = self.venue_dist[u]
+        in_radius = self.in_radius.get(u)
+        if in_radius is None:
+            t = self.query.t
+            in_radius = self.in_radius[u] = frozenset([q for q, d in row.items() if d <= t])
+        out_of_radius = 0
         sums2: Dict[VenueId, float] = {}
-        for q in vstate.order_alive:
-            d = distance(u_loc, self.venue_loc[q])
-            if d > t:
-                if q in vstate.sol_alive:
-                    self.stats.bump(PRUNE_VENUE_RADIUS)
-                continue
-            order2.add(q)
-            sums2[q] = vstate.sums[q] + d
-        sol2 = set()
         for q in vstate.sol_alive:
-            if q not in order2:
+            if q not in in_radius:
+                out_of_radius += 1
                 continue
+            total = vstate.sums[q] + row[q]
             if self.config.venue_distance and distance_prune(
-                sums2[q], child_size, p, pool_dmin.get(q, math.inf), self.best_total
+                total, child_size, p, pool_dmin.get(q, math.inf), self.best_total
             ):
                 self.stats.bump(PRUNE_VENUE_DISTANCE)
                 continue
-            sol2.add(q)
-        return _VenueState(order_alive=frozenset(order2), sol_alive=sol2, sums=sums2)
+            sums2[q] = total
+        if out_of_radius:
+            self.stats.bump(PRUNE_VENUE_RADIUS, out_of_radius)
+        return _VenueState(
+            order_alive=vstate.order_alive & in_radius, sol_alive=set(sums2), sums=sums2
+        )
 
-    def _evaluate_leaf(self, group: List[MemberId], vstate: _VenueState) -> None:
+    def _evaluate_leaf(self, group: List[MemberId], edges: int, vstate: _VenueState) -> None:
         if not vstate.sol_alive:
             return
         best_here = min(vstate.sol_alive, key=lambda q: (vstate.sums[q], q))
         total = vstate.sums[best_here]
         if total < self.best_total and familiarity_ok(
-            group, self.query.k, self.query.familiarity_mode, self.graph
+            group, self.query.k, self.query.familiarity_mode, self.graph, edges
         ):
             self.best_total = total
             self.best_group = tuple(sorted(group))

@@ -7,6 +7,15 @@ relaxation level ``theta``; rejected candidates are merely deferred and come
 back whenever ``theta`` escalates, so no group is ever lost to the ordering.
 An expanded candidate is excluded from the rest of its frame, which yields
 each candidate set exactly once.
+
+Each search frame carries the state its children would otherwise recompute:
+the prefix's internal edge count, so admitting a candidate costs one
+neighbourhood intersection with the prefix and an integer comparison against
+the frame's edge threshold (``admission_edges``), and a cursor into the
+frame's remaining candidates. Every candidate before the cursor has been
+tried at the current ``theta``: the cursor advances on a rejection, stays put
+on an admission (the admitted candidate leaves the list) and returns to the
+front when ``theta`` escalates.
 """
 
 from __future__ import annotations
@@ -52,10 +61,19 @@ def sso_admits(
     members = set(group)
     if candidate in members:
         raise ValueError(f"candidate {candidate!r} is already in the group")
-    size = len(members) + 1
     edges = internal_edge_count(members, graph) + len(graph.neighbors(candidate) & members)
-    # 2E/size >= size - theta*size/(p-1) - 1, scaled by size*(p-1) > 0
-    return 2 * edges * (p - 1) >= size * size * (p - 1) - theta * size * size - size * (p - 1)
+    return edges >= admission_edges(len(members) + 1, theta, p)
+
+
+def admission_edges(size: int, theta: int, p: int) -> int:
+    """Fewest internal edges a grown group of ``size`` members needs to pass
+    the admission test at relaxation level ``theta`` (``sso_admits``)."""
+    if p == 1:
+        return 0
+    # 2E/size >= size - theta*size/(p-1) - 1, scaled by size*(p-1) > 0,
+    # then solved for the integer E.
+    scaled = size * size * (p - 1) - theta * size * size - size * (p - 1)
+    return -(-scaled // (2 * (p - 1)))
 
 
 class _StopSearch(Exception):
@@ -103,14 +121,16 @@ class _SingleVenueSearch:
 
     def run(self) -> SearchState:
         try:
-            self._frame([], set(), 0.0, self.order, self.state.theta)
+            self._frame([], set(), 0, 0.0, self.order, self.state.theta)
         except _StopSearch:
             pass
         return self.state
 
-    def _leaf_feasible(self, group: Sequence[MemberId]) -> bool:
+    def _leaf_feasible(self, group: Sequence[MemberId], edges: int) -> bool:
         # Radius holds by construction: the pool is the in-range set.
-        return familiarity_ok(group, self.query.k, self.query.familiarity_mode, self.graph)
+        return familiarity_ok(
+            group, self.query.k, self.query.familiarity_mode, self.graph, edges
+        )
 
     def _check_budget(self) -> None:
         if self.budget is not None and self.stats.generated_states >= self.budget:
@@ -120,40 +140,41 @@ class _SingleVenueSearch:
         self,
         prefix: List[MemberId],
         prefix_set: set,
+        prefix_edges: int,
         cur_dist: float,
         pool: List[Tuple[float, MemberId]],
         theta: int,
     ) -> None:
         p = self.query.p
         state = self.state
+        neighbors = self.graph.neighbors
         remaining = list(pool)
-        visited: set = set()
+        # remaining[:cursor] has been tried at this theta. The list is never
+        # empty here: len(prefix) < p.
+        cursor = 0
+        need = admission_edges(len(prefix) + 1, theta, p)
 
         while len(prefix) + len(remaining) >= p:
-            if (
-                self.config.distance
-                and remaining
-                and distance_prune(cur_dist, len(prefix), p, remaining[0][0], state.best_total)
+            if self.config.distance and distance_prune(
+                cur_dist, len(prefix), p, remaining[0][0], state.best_total
             ):
                 self.stats.bump(PRUNE_DISTANCE)
                 break
 
-            pick = next(((d, u) for d, u in remaining if u not in visited), None)
-            if pick is None:
-                if not visited:
-                    break
+            if cursor == len(remaining):
                 if theta < p - 1:
                     theta += 1
                     self.stats.theta_escalations += 1
-                visited.clear()
+                    need = admission_edges(len(prefix) + 1, theta, p)
+                cursor = 0
                 continue
-            d_u, u = pick
-            visited.add(u)
-
-            if not sso_admits(prefix, u, theta, p, self.graph):
+            d_u, u = remaining[cursor]
+            child_edges = prefix_edges + len(neighbors(u) & prefix_set)
+            if child_edges < need:
+                cursor += 1
                 continue
 
-            remaining.remove(pick)
+            del remaining[cursor]
             child = prefix + [u]
             child_set = prefix_set | {u}
             child_dist = cur_dist + d_u
@@ -163,7 +184,7 @@ class _SingleVenueSearch:
                 if self.harvest is not None:
                     self.harvest(child, child_dist)
                 self.stats.explored_states += 1
-                if child_dist < state.best_total and self._leaf_feasible(child):
+                if child_dist < state.best_total and self._leaf_feasible(child, child_edges):
                     state.best_total = child_dist
                     state.best_group = tuple(sorted(child))
                 self._check_budget()
@@ -187,7 +208,7 @@ class _SingleVenueSearch:
 
             self.stats.explored_states += 1
             self._check_budget()
-            self._frame(child, child_set, child_dist, remaining, theta)
+            self._frame(child, child_set, child_edges, child_dist, remaining, theta)
 
 
 def candidate_order(
@@ -197,11 +218,15 @@ def candidate_order(
     venue,
     indexes: Optional[Indexes],
 ) -> List[Tuple[float, MemberId]]:
-    """In-range candidates sorted by (distance to venue, id)."""
+    """In-range graph vertices sorted by (distance to venue, id).
+
+    Located members that are not graph vertices are skipped."""
     rtree = indexes.members if indexes is not None else build_indexes(data).members
     center = data.venue_locations[venue]
     in_range = rtree.range_query(center, query.t)
-    return sorted((distance(data.member_locations[m], center), m) for m in in_range)
+    return sorted(
+        (distance(data.member_locations[m], center), m) for m in in_range if m in graph
+    )
 
 
 def run_single_venue_search(

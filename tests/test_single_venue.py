@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -12,11 +13,14 @@ from rallypoint import (
     SpatialDataset,
     brute_force,
     is_feasible,
+    mags_solve,
     merge_prune,
     merge_rank,
     minimal_order_theta,
+    sfgp_solve,
     ssgmerge_solve,
     ssgs_solve,
+    ssp_solve,
     sso_admits,
 )
 from rallypoint.single_venue import MergeQueues, _QueueEntry
@@ -147,6 +151,32 @@ def test_ssgs_explored_monotone_under_pruning():
             assert on.explored_states <= off.explored_states
 
 
+def test_located_non_vertex_is_not_a_candidate():
+    # x has a location next to the venue but no vertex in the graph.
+    graph = SocialGraph("abc", [("a", "b"), ("a", "c"), ("b", "c")])
+    members = {
+        "a": Location(1.0, 0.0),
+        "b": Location(2.0, 0.0),
+        "c": Location(3.0, 0.0),
+        "x": Location(0.5, 0.0),
+    }
+    data = SpatialDataset(members, {"q": Location(0.0, 0.0)})
+    query = Query(p=3, k=0, t=10.0, venues=("q",))
+    oracle = brute_force(query, graph, data)
+    assert oracle.group == ("a", "b", "c")
+    solutions = [
+        ssgs_solve(query, graph, data),
+        ssp_solve(query, graph, data),
+        ssgmerge_solve(query, graph, data),
+        sfgp_solve(query, graph, data),
+        mags_solve(query, graph, data, ordering="srdo"),
+        mags_solve(query, graph, data, ordering="apdo"),
+    ]
+    for sol in solutions:
+        assert (sol.group, sol.venue) == (oracle.group, oracle.venue)
+        assert sol.total_distance == pytest.approx(oracle.total_distance, abs=1e-9)
+
+
 # --- merge machinery ------------------------------------------------------
 
 
@@ -237,3 +267,147 @@ def test_ssgmerge_budget_is_respected(g1_instance, g1_query):
     stats = SearchStats()
     ssgmerge_solve(g1_query, graph, data, w=3, lam=5, stats=stats)
     assert stats.generated_states <= 3
+
+
+# --- pinned search trees ----------------------------------------------------
+
+
+def _pinned_record(seed, solver):
+    multi = solver in ("ssp", "sfgp")
+    graph, data, query = make_query_instance(
+        9300 + seed, n_range=(20, 40), p_range=(4, 6), q_range=(2, 5) if multi else (1, 1)
+    )
+    stats = SearchStats()
+    if solver == "ssp":
+        sol = ssp_solve(query, graph, data, stats=stats)
+    elif solver == "sfgp":
+        sol = sfgp_solve(query, graph, data, stats=stats)
+    elif solver == "ssgmerge":
+        sol = ssgmerge_solve(query, graph, data, w=25, lam=6, stats=stats)
+    else:
+        mode = {
+            "ssgs-avg": FamiliarityMode.AVERAGE,
+            "ssgs-per-vertex": FamiliarityMode.PER_VERTEX,
+        }[solver]
+        query = dataclasses.replace(query, familiarity_mode=mode)
+        sol = ssgs_solve(query, graph, data, stats=stats)
+    answer = None if sol is None else (sol.group, sol.venue, round(sol.total_distance, 9))
+    return (
+        answer,
+        (stats.explored_states, stats.generated_states, stats.theta_escalations),
+        dict(sorted(stats.pruned.items())),
+    )
+
+
+# Answer, (explored, generated, theta escalations) and prune counters of the
+# static-order engines: ssgs in both familiarity modes, ssp, sfgp, and
+# ssgmerge with a budget small enough that its harvest order matters. Any
+# change to the candidate order, the admission test or a prune rule that
+# alters a search tree shows up here.
+PINNED_STATIC_SEARCHES = {
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (142, 1772, 268), {'member_familiarity': 766, 'pool_familiarity': 3, 'venue_distance': 1826, 'venue_radius': 199}),
+    (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (25, 25, 3), {'distance': 1, 'merge': 1}),
+    (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (884, 1023, 145), {'avg_familiarity': 27, 'distance': 259}),
+    (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (884, 1023, 145), {'avg_familiarity': 27, 'distance': 259}),
+    (0, 'ssp'): (((12, 16, 17, 18), 'q2', 146.838995179), (3626, 4120, 559), {'avg_familiarity': 116, 'distance': 948}),
+    (1, 'sfgp'): (None, (0, 0, 0), {}),
+    (1, 'ssgmerge'): (None, (0, 0, 0), {}),
+    (1, 'ssgs-avg'): (None, (0, 0, 0), {}),
+    (1, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
+    (1, 'ssp'): (None, (0, 0, 0), {}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (56, 427, 20), {'member_familiarity': 37, 'pool_familiarity': 1, 'venue_distance': 426, 'venue_radius': 210}),
+    (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (25, 25, 3), {'distance': 3, 'merge': 3}),
+    (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (123, 144, 19), {'avg_familiarity': 13, 'distance': 35}),
+    (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (123, 144, 19), {'avg_familiarity': 13, 'distance': 35}),
+    (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (148, 237, 34), {'avg_familiarity': 40, 'distance': 82}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (213, 3634, 286), {'member_familiarity': 582, 'venue_distance': 3550, 'venue_radius': 182}),
+    (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 1), {'distance': 1, 'merge': 1}),
+    (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (1342, 1876, 204), {'avg_familiarity': 31, 'distance': 680}),
+    (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (1342, 1876, 204), {'avg_familiarity': 31, 'distance': 680}),
+    (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (1580, 2390, 243), {'avg_familiarity': 41, 'distance': 980}),
+    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 162, 8), {'member_familiarity': 1, 'venue_distance': 539, 'venue_radius': 26}),
+    (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
+    (4, 'ssgs-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
+    (4, 'ssgs-per-vertex'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
+    (4, 'ssp'): (((5, 20, 27, 35), 'q0', 23.665987049), (5, 10, 0), {'distance': 14}),
+    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (172, 867, 0), {'venue_distance': 716, 'venue_radius': 547}),
+    (5, 'ssgmerge'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
+    (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
+    (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
+    (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (23, 33, 0), {'distance': 29}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (63, 396, 14), {'member_familiarity': 15, 'venue_distance': 78, 'venue_radius': 409}),
+    (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9, 'merge': 15}),
+    (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9}),
+    (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (9, 15, 0), {'avg_familiarity': 2, 'distance': 9}),
+    (6, 'ssp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (34, 57, 2), {'avg_familiarity': 8, 'distance': 28}),
+    (7, 'sfgp'): (None, (0, 0, 0), {}),
+    (7, 'ssgmerge'): (None, (0, 0, 0), {}),
+    (7, 'ssgs-avg'): (None, (0, 0, 0), {}),
+    (7, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
+    (7, 'ssp'): (None, (0, 0, 0), {}),
+    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (38, 95, 0), {'venue_distance': 285, 'venue_radius': 84}),
+    (8, 'ssgmerge'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
+    (8, 'ssgs-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
+    (8, 'ssgs-per-vertex'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
+    (8, 'ssp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (6, 10, 0), {'distance': 14}),
+    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (11, 21, 0), {'venue_distance': 10, 'venue_radius': 13}),
+    (9, 'ssgmerge'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
+    (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
+    (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
+    (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (5, 7, 0), {'distance': 3}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (158, 810, 79), {'member_familiarity': 47, 'pool_familiarity': 4, 'venue_distance': 818, 'venue_radius': 46}),
+    (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (25, 25, 1), {}),
+    (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (45, 177, 12), {'avg_familiarity': 2, 'distance': 144}),
+    (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (45, 177, 12), {'avg_familiarity': 2, 'distance': 144}),
+    (10, 'ssp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (151, 621, 38), {'avg_familiarity': 5, 'distance': 513}),
+    (11, 'sfgp'): (None, (0, 0, 0), {}),
+    (11, 'ssgmerge'): (None, (0, 0, 0), {}),
+    (11, 'ssgs-avg'): (None, (0, 0, 0), {}),
+    (11, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
+    (11, 'ssp'): (None, (0, 0, 0), {}),
+    (12, 'sfgp'): (None, (0, 0, 0), {}),
+    (12, 'ssgmerge'): (None, (0, 0, 0), {}),
+    (12, 'ssgs-avg'): (None, (0, 0, 0), {}),
+    (12, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
+    (12, 'ssp'): (None, (0, 0, 0), {}),
+    (13, 'sfgp'): (None, (0, 0, 0), {}),
+    (13, 'ssgmerge'): (None, (0, 0, 0), {}),
+    (13, 'ssgs-avg'): (None, (0, 0, 0), {}),
+    (13, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
+    (13, 'ssp'): (None, (0, 0, 0), {}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (309, 2721, 222), {'member_familiarity': 642, 'pool_familiarity': 3, 'venue_distance': 420, 'venue_radius': 1460}),
+    (14, 'ssgmerge'): (None, (23, 25, 3), {'avg_familiarity': 2}),
+    (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (96, 161, 35), {'avg_familiarity': 64, 'distance': 2}),
+    (14, 'ssgs-per-vertex'): (None, (101, 165, 36), {'avg_familiarity': 64}),
+    (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (1345, 1852, 341), {'avg_familiarity': 394, 'distance': 218}),
+    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 173, 0), {'venue_distance': 160, 'venue_radius': 111}),
+    (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
+    (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
+    (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
+    (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 15, 0), {'distance': 16}),
+    (16, 'sfgp'): (None, (136, 756, 89), {'member_familiarity': 196, 'pool_familiarity': 10, 'venue_radius': 423}),
+    (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
+    (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
+    (16, 'ssgs-per-vertex'): (None, (0, 2, 0), {'avg_familiarity': 2}),
+    (16, 'ssp'): (None, (140, 213, 32), {'avg_familiarity': 73}),
+    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (205, 549, 0), {'member_familiarity': 4, 'venue_distance': 601, 'venue_radius': 327}),
+    (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
+    (17, 'ssgs-avg'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
+    (17, 'ssgs-per-vertex'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
+    (17, 'ssp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (20, 34, 0), {'distance': 36}),
+    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (23, 65, 0), {'venue_distance': 63, 'venue_radius': 23}),
+    (18, 'ssgmerge'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
+    (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
+    (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
+    (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 6, 0), {'distance': 7}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (71, 863, 120), {'member_familiarity': 421, 'pool_familiarity': 4, 'venue_distance': 340, 'venue_radius': 54}),
+    (19, 'ssgmerge'): (None, (23, 25, 4), {'avg_familiarity': 2}),
+    (19, 'ssgs-avg'): (None, (240, 351, 63), {'avg_familiarity': 111}),
+    (19, 'ssgs-per-vertex'): (None, (240, 351, 63), {'avg_familiarity': 111}),
+    (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (1125, 1312, 216), {'avg_familiarity': 126, 'distance': 223}),
+}
+
+
+@pytest.mark.parametrize("seed, solver", sorted(PINNED_STATIC_SEARCHES))
+def test_static_search_tree_is_pinned(seed, solver):
+    assert _pinned_record(seed, solver) == PINNED_STATIC_SEARCHES[(seed, solver)]
