@@ -26,6 +26,18 @@ each venue off the sorted pools. With a static order, a cursor into the
 frame's remaining candidates marks how far the current ``theta`` has tried
 them: it advances on a rejection, stays put on an admission and returns to
 the front when ``theta`` escalates.
+
+A frame may also carry its pool's acquaintance counts: the pool degree table
+(each remaining candidate's acquaintances among the remaining candidates),
+the crossing count (prefix-to-remaining edges) and the table's sum (twice
+the pool's internal edge count). They are updated as each generated
+candidate leaves the pool and copied into child frames, and the familiarity
+rules read them instead of intersecting the pool: the average rule reads
+the table and the crossing count, the per-vertex pool rule the sum. A frame
+keeps them only when a child of it can fire a rule that reads them: in
+average mode, every frame while the average rule is on; in per-vertex mode,
+frames whose children leave at least ``k + 2`` slots open, while the pool
+rule is on. That depends only on ``p``, ``k`` and the depth.
 """
 
 from __future__ import annotations
@@ -65,9 +77,11 @@ from .pruning import (
     avg_familiarity_prune,
     ball_distance_bound,
     distance_prune,
+    drop_from_pool,
     inner_triangle_bound,
     member_familiarity_prune,
     outer_triangle_ball_bound,
+    pool_degrees,
     pool_familiarity_prune,
 )
 from .rtree import Rtree
@@ -354,7 +368,21 @@ class _MultiVenueSearch:
             pool = list(self.static_order)
         else:
             pool = list(self.pool)
-        self._frame([], set(), 0, pool, vstate, 0.0, self.root_theta)
+        pool_deg, degree_sum = None, None
+        if self._keeps_pool_counts(0):
+            pool_deg = pool_degrees(pool, self.graph)
+            degree_sum = sum(pool_deg.values())
+        self._frame([], set(), 0, pool, vstate, 0.0, self.root_theta, pool_deg, 0, degree_sum)
+
+    def _keeps_pool_counts(self, size: int) -> bool:
+        """Whether a frame whose prefix has ``size`` members keeps pool counts:
+        only when a rule that reads them can fire on one of its children."""
+        query = self.query
+        if query.familiarity_mode is FamiliarityMode.PER_VERTEX:
+            # The pool rule reads them only with k + 2 or more slots left
+            # after the child (``pool_familiarity_prune``).
+            return self.config.pool_familiarity and query.p - (size + 1) >= query.k + 2
+        return self.config.avg_familiarity
 
     # -- candidate selection -----------------------------------------------
 
@@ -508,13 +536,22 @@ class _MultiVenueSearch:
         vstate: _VenueState,
         pairwise_sum: float,
         theta: int,
+        pool_deg: Optional[Dict[MemberId, int]],
+        cross: int,
+        degree_sum: Optional[int],
     ) -> None:
         p = self.query.p
         k = self.query.k
         cfg = self.config
         static = self.static_order is not None
-        neighbors = self.graph.neighbors
+        graph = self.graph
+        neighbors = graph.neighbors
         remaining = list(pool)
+        # ``pool_deg`` is the pool degree table of ``remaining``, ``cross`` the
+        # number of prefix-to-remaining edges and ``degree_sum`` the sum of
+        # the table, when this frame keeps them; otherwise ``pool_deg`` and
+        # ``degree_sum`` are None.
+        copy_counts = self._keeps_pool_counts(len(prefix) + 1)
         visited: Set[MemberId] = set()
         # Static order: remaining[:cursor] has been tried at this theta.
         cursor = 0
@@ -566,6 +603,10 @@ class _MultiVenueSearch:
 
             remaining.remove(u)
             self.stats.generated_states += 1
+            if pool_deg is not None:
+                deg_u = drop_from_pool(pool_deg, u, graph)
+                cross -= child_edges - prefix_edges
+                degree_sum -= 2 * deg_u
 
             cvstate = self._child_venue_state(u, len(prefix) + 1, vstate, pool_dmin)
             if not cvstate.sol_alive:
@@ -573,18 +614,17 @@ class _MultiVenueSearch:
             child = prefix + [u]
 
             if self.query.familiarity_mode is FamiliarityMode.PER_VERTEX:
-                if cfg.member_familiarity and member_familiarity_prune(child, k, self.graph):
+                if cfg.member_familiarity and member_familiarity_prune(child, k, graph):
                     self.stats.bump(PRUNE_MEMBER_FAMILIARITY)
                     continue
                 if cfg.pool_familiarity and pool_familiarity_prune(
-                    child, remaining, p, k, self.graph
+                    child, remaining, p, k, graph, degree_sum
                 ):
                     self.stats.bump(PRUNE_POOL_FAMILIARITY)
                     continue
-            else:
-                if cfg.avg_familiarity and avg_familiarity_prune(
-                    child, remaining, p, k, self.graph
-                ):
+            elif cfg.avg_familiarity:
+                counts = (2 * child_edges, max(pool_deg.values(), default=0), cross + deg_u)
+                if avg_familiarity_prune(child, pool_deg, p, k, graph, counts):
                     self.stats.bump(PRUNE_AVG_FAMILIARITY)
                     continue
 
@@ -599,8 +639,18 @@ class _MultiVenueSearch:
                 u_loc = self.member_loc[u]
                 child_pairwise += sum(distance(self.member_loc[s], u_loc) for s in prefix)
             self.stats.explored_states += 1
+            child_counts = (None, 0, None)
+            if copy_counts:
+                child_counts = (dict(pool_deg), cross + deg_u, degree_sum)
             self._frame(
-                child, prefix_set | {u}, child_edges, remaining, cvstate, child_pairwise, theta
+                child,
+                prefix_set | {u},
+                child_edges,
+                remaining,
+                cvstate,
+                child_pairwise,
+                theta,
+                *child_counts,
             )
 
     def _any_venue_viable(

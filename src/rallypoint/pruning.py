@@ -4,13 +4,22 @@ Every ``*_prune`` predicate returns True when the search may safely skip the
 state it describes. The familiarity rules reduce to exact integer
 comparisons; the distance rules compare a lower bound on completion cost
 (exposed separately as ``*_bound`` for auditing) against the incumbent.
+
+The pool rules are defined on sets and count acquaintances from scratch. The
+depth-first engines instead carry the counts in their search frames and pass
+them in: a pool degree table ``{m: |N(m) & pool|}`` (built by
+``pool_degrees`` and kept current by ``drop_from_pool``), the number of
+prefix-to-pool edges (the crossing count) and the sum of the table's values
+(twice the pool's internal edge count). Each rule then costs integer
+arithmetic. A frame keeps these counts only when a child of it can fire a
+rule that reads them; see the engines' module docstrings.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
 
 from .model import MemberId, SocialGraph
 
@@ -53,27 +62,59 @@ def completion_term(slots: int, unit_bound: float) -> float:
     return slots * unit_bound
 
 
+def pool_degrees(pool: Iterable[MemberId], graph: SocialGraph) -> Dict[MemberId, int]:
+    """Pool degree table: each pool member's number of acquaintances in the pool."""
+    pool_set = set(pool)
+    return {v: len(graph.neighbors(v) & pool_set) for v in pool_set}
+
+
+def drop_from_pool(pool_deg: Dict[MemberId, int], u: MemberId, graph: SocialGraph) -> int:
+    """Remove ``u`` from a pool degree table in place; returns ``u``'s entry,
+    its number of acquaintances among the members left."""
+    degree = pool_deg.pop(u)
+    for w in graph.neighbors(u).intersection(pool_deg):
+        pool_deg[w] -= 1
+    return degree
+
+
+def familiarity_counts(
+    group: Iterable[MemberId], pool: Iterable[MemberId], graph: SocialGraph
+) -> Tuple[int, int, int]:
+    """``(2 * edges inside group, largest pool degree, group-to-pool edges)``,
+    counted from sets: what ``avg_familiarity_prune`` reads."""
+    inside = set(group)
+    pool_set = set(pool)
+    return (
+        sum(len(graph.neighbors(v) & inside) for v in inside),
+        max((len(graph.neighbors(v) & pool_set) for v in pool_set), default=0),
+        sum(len(graph.neighbors(v) & pool_set) for v in inside),
+    )
+
+
 def avg_familiarity_prune(
     group: Sequence[MemberId],
-    pool: Iterable[MemberId],
+    pool: Collection[MemberId],
     p: int,
     k: int,
     graph: SocialGraph,
+    counts: Optional[Tuple[int, int, int]] = None,
 ) -> bool:
     """True when no completion of ``group`` from ``pool`` can reach the required
     average acquaintance level of ``p - k - 1``.
 
     The upper bound counts edges inside the group, an optimistic estimate of
     edges among the picked pool members, and all group-to-pool edges.
+
+    ``counts`` is ``familiarity_counts(group, pool, graph)`` when the caller
+    already holds it; ``group`` must then have no repeated member, and
+    ``pool`` is read only for emptiness.
     """
-    inside = set(group)
-    n = len(inside)
-    pool_set = set(pool)
-    if n < p and not pool_set:
+    if counts is None:
+        group, pool = set(group), set(pool)
+    n = len(group)
+    if n < p and not pool:
         return True
-    sum_internal = sum(len(graph.neighbors(v) & inside) for v in inside)
-    max_pool = max((len(graph.neighbors(v) & pool_set) for v in pool_set), default=0)
-    crossing = sum(len(graph.neighbors(v) & pool_set) for v in inside)
+    sum_internal, max_pool, crossing = counts or familiarity_counts(group, pool, graph)
     return sum_internal + (p - n) * max_pool + 2 * crossing < p * (p - k - 1)
 
 
@@ -112,14 +153,19 @@ def pool_familiarity_prune(
     p: int,
     k: int,
     graph: SocialGraph,
+    pool_degree_sum: Optional[int] = None,
 ) -> bool:
-    """True when the pool is socially too sparse to finish the group (per-vertex mode)."""
+    """True when the pool is socially too sparse to finish the group (per-vertex mode).
+
+    ``pool_degree_sum`` is the sum of ``pool_degrees(pool, graph)`` when the
+    caller already holds it; ``pool`` is then not read.
+    """
     n = len(set(group))
     slots = p - n
     if slots <= 0 or slots - k - 1 <= 0:
         return False
-    pool_set = set(pool)
-    pool_degree_sum = sum(len(graph.neighbors(v) & pool_set) for v in pool_set)
+    if pool_degree_sum is None:
+        pool_degree_sum = sum(pool_degrees(pool, graph).values())
     return pool_degree_sum < slots * (slots - k - 1)
 
 

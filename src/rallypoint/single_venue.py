@@ -16,6 +16,18 @@ frame's remaining candidates. Every candidate before the cursor has been
 tried at the current ``theta``: the cursor advances on a rejection, stays put
 on an admission (the admitted candidate leaves the list) and returns to the
 front when ``theta`` escalates.
+
+A frame also carries its pool's acquaintance counts: the pool degree table
+(each remaining candidate's acquaintances among the remaining candidates)
+and the crossing count (prefix-to-remaining edges). When a candidate is
+expanded it leaves the table, its acquaintances' entries drop by one and the
+crossing count drops by the candidate's edges into the prefix; the average
+familiarity rule then reads the counts instead of intersecting the pool
+(``avg_familiarity_prune``). Only frames whose children are not leaves
+(prefix shorter than ``p - 1``) keep the counts, and only while that rule is
+on; each such child frame gets its own copy of the table. The distance check
+at the head of the frame's loop is repeated only after the smallest
+remaining distance or the incumbent has changed.
 """
 
 from __future__ import annotations
@@ -40,7 +52,13 @@ from .model import (
     familiarity_ok,
     internal_edge_count,
 )
-from .pruning import PruneConfig, avg_familiarity_prune, distance_prune
+from .pruning import (
+    PruneConfig,
+    avg_familiarity_prune,
+    distance_prune,
+    drop_from_pool,
+    pool_degrees,
+)
 
 
 def sso_admits(
@@ -120,8 +138,11 @@ class _SingleVenueSearch:
         self.budget = budget
 
     def run(self) -> SearchState:
+        pool_deg = None
+        if self._keeps_pool_counts(0):
+            pool_deg = pool_degrees([m for _, m in self.order], self.graph)
         try:
-            self._frame([], set(), 0, 0.0, self.order, self.state.theta)
+            self._frame([], set(), 0, 0.0, self.order, self.state.theta, pool_deg, 0)
         except _StopSearch:
             pass
         return self.state
@@ -131,6 +152,11 @@ class _SingleVenueSearch:
         return familiarity_ok(
             group, self.query.k, self.query.familiarity_mode, self.graph, edges
         )
+
+    def _keeps_pool_counts(self, size: int) -> bool:
+        # Only the average-familiarity rule reads the counts, and it runs on
+        # every child that is not a leaf.
+        return self.config.avg_familiarity and size < self.query.p - 1
 
     def _check_budget(self) -> None:
         if self.budget is not None and self.stats.generated_states >= self.budget:
@@ -144,28 +170,38 @@ class _SingleVenueSearch:
         cur_dist: float,
         pool: List[Tuple[float, MemberId]],
         theta: int,
+        pool_deg: Optional[Dict[MemberId, int]],
+        cross: int,
     ) -> None:
         p = self.query.p
         state = self.state
-        neighbors = self.graph.neighbors
+        graph = self.graph
+        neighbors = graph.neighbors
+        size = len(prefix)
+        leaf_children = size + 1 == p
         remaining = list(pool)
         # remaining[:cursor] has been tried at this theta. The list is never
-        # empty here: len(prefix) < p.
+        # empty here: size < p.
         cursor = 0
-        need = admission_edges(len(prefix) + 1, theta, p)
+        need = admission_edges(size + 1, theta, p)
+        # ``pool_deg`` is the pool degree table of ``remaining`` and ``cross``
+        # the number of prefix-to-remaining edges, when this frame keeps them.
+        copy_counts = self._keeps_pool_counts(size + 1)
+        # A passed distance check is repeated only after its inputs change.
+        viable_at = None
 
-        while len(prefix) + len(remaining) >= p:
-            if self.config.distance and distance_prune(
-                cur_dist, len(prefix), p, remaining[0][0], state.best_total
-            ):
-                self.stats.bump(PRUNE_DISTANCE)
-                break
+        while size + len(remaining) >= p:
+            if self.config.distance and viable_at != (remaining[0][0], state.best_total):
+                if distance_prune(cur_dist, size, p, remaining[0][0], state.best_total):
+                    self.stats.bump(PRUNE_DISTANCE)
+                    break
+                viable_at = (remaining[0][0], state.best_total)
 
             if cursor == len(remaining):
                 if theta < p - 1:
                     theta += 1
                     self.stats.theta_escalations += 1
-                    need = admission_edges(len(prefix) + 1, theta, p)
+                    need = admission_edges(size + 1, theta, p)
                 cursor = 0
                 continue
             d_u, u = remaining[cursor]
@@ -176,11 +212,10 @@ class _SingleVenueSearch:
 
             del remaining[cursor]
             child = prefix + [u]
-            child_set = prefix_set | {u}
             child_dist = cur_dist + d_u
             self.stats.generated_states += 1
 
-            if len(child) == p:
+            if leaf_children:
                 if self.harvest is not None:
                     self.harvest(child, child_dist)
                 self.stats.explored_states += 1
@@ -190,17 +225,19 @@ class _SingleVenueSearch:
                 self._check_budget()
                 continue
 
-            pool_ids = [m for _, m in remaining]
-            if self.config.avg_familiarity and avg_familiarity_prune(
-                child, pool_ids, p, self.query.k, self.graph
-            ):
-                self.stats.bump(PRUNE_AVG_FAMILIARITY)
-                self._check_budget()
-                continue
+            # The table is kept exactly where the average rule runs.
+            if pool_deg is not None:
+                deg_u = drop_from_pool(pool_deg, u, graph)
+                cross -= child_edges - prefix_edges
+                counts = (2 * child_edges, max(pool_deg.values(), default=0), cross + deg_u)
+                if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
+                    self.stats.bump(PRUNE_AVG_FAMILIARITY)
+                    self._check_budget()
+                    continue
             if self.harvest is not None:
                 self.harvest(child, child_dist)
             if self.config.distance and distance_prune(
-                child_dist, len(child), p, remaining[0][0], state.best_total
+                child_dist, size + 1, p, remaining[0][0], state.best_total
             ):
                 self.stats.bump(PRUNE_DISTANCE)
                 self._check_budget()
@@ -208,7 +245,10 @@ class _SingleVenueSearch:
 
             self.stats.explored_states += 1
             self._check_budget()
-            self._frame(child, child_set, child_edges, child_dist, remaining, theta)
+            child_counts = (dict(pool_deg), cross + deg_u) if copy_counts else (None, 0)
+            self._frame(
+                child, prefix_set | {u}, child_edges, child_dist, remaining, theta, *child_counts
+            )
 
 
 def candidate_order(

@@ -1,0 +1,144 @@
+"""The pool counts the search frames carry equal the counts taken from sets.
+
+The familiarity predicates are patched in the engines' namespaces. Each
+patched call recounts from sets (the frame's ``remaining`` candidates are
+read off the calling frame), asserts that the carried counts match, and
+returns the set-based verdict, so the search itself never depends on the
+carried counts. Every exact solver, in both familiarity modes, must still
+equal brute force.
+"""
+
+import random
+import sys
+
+import pytest
+
+from rallypoint import (
+    FamiliarityMode,
+    Location,
+    Query,
+    SocialGraph,
+    SpatialDataset,
+    brute_force,
+    is_feasible,
+    mags_solve,
+    sfgp_solve,
+    ssgs_solve,
+    ssp_solve,
+)
+from rallypoint import multi_venue, pruning, single_venue
+from rallypoint.generator import _configuration_edges, radius_for_quantile, random_instance
+from rallypoint.pruning import familiarity_counts, pool_degrees
+
+TOL = 1e-9
+
+
+def _frame_remaining(ids_of):
+    """The calling search frame's remaining candidate ids."""
+    return set(ids_of(sys._getframe(2).f_locals["remaining"]))
+
+
+@pytest.fixture
+def checked_counts(monkeypatch):
+    """Patch the pool predicates; returns how many carried counts were checked."""
+    checked = {"avg": 0, "pool": 0}
+    original_avg = pruning.avg_familiarity_prune
+    original_pool = pruning.pool_familiarity_prune
+
+    def avg_checker(ids_of):
+        def check(group, pool, p, k, graph, counts=None):
+            remaining = _frame_remaining(ids_of)
+            assert counts is not None
+            assert pool == pool_degrees(remaining, graph)
+            assert counts == familiarity_counts(group, remaining, graph)
+            verdict = original_avg(group, remaining, p, k, graph)
+            assert original_avg(group, pool, p, k, graph, counts) == verdict
+            checked["avg"] += 1
+            return verdict
+
+        return check
+
+    def pool_check(group, pool, p, k, graph, pool_degree_sum=None):
+        remaining = _frame_remaining(list)
+        slots = p - len(group)
+        if slots - k - 1 > 0:
+            assert pool_degree_sum == sum(pool_degrees(remaining, graph).values())
+            table = sys._getframe(1).f_locals["pool_deg"]
+            assert table == pool_degrees(remaining, graph)
+            checked["pool"] += 1
+        return original_pool(group, remaining, p, k, graph)
+
+    ssgs_ids = lambda remaining: [m for _, m in remaining]  # noqa: E731
+    monkeypatch.setattr(single_venue, "avg_familiarity_prune", avg_checker(ssgs_ids))
+    monkeypatch.setattr(multi_venue, "avg_familiarity_prune", avg_checker(list))
+    monkeypatch.setattr(multi_venue, "pool_familiarity_prune", pool_check)
+    return checked
+
+
+def _gnp_instance(rng, seed):
+    edge_prob = rng.choice([0.3, 0.5, 0.7])
+    return random_instance(seed, rng.randint(8, 16), rng.randint(1, 4), edge_prob)
+
+
+def _power_law_instance(rng, seed):
+    return random_instance(seed, rng.randint(8, 16), rng.randint(1, 4), power_exponent=2.2)
+
+
+def _grid_instance(rng, seed):
+    """Integer coordinates on a 4 x 4 grid: many members and venues share a
+    spot, so distances tie and some are zero."""
+    n = rng.randint(8, 16)
+    members = list(range(n))
+    graph = SocialGraph(members, _configuration_edges(rng, members, 2.0))
+    spot = lambda: Location(float(rng.randint(0, 3)), float(rng.randint(0, 3)))  # noqa: E731
+    venues = {f"q{j}": spot() for j in range(rng.randint(1, 4))}
+    return graph, SpatialDataset({m: spot() for m in members}, venues)
+
+
+def _queries(rng, graph, data, mode):
+    n = len(graph.vertices)
+    p = rng.randint(1, min(6, n))
+    k = rng.randint(0, p - 1)
+    t = radius_for_quantile(graph, data, rng.choice([0.2, 0.5, 0.8, 1.0]))
+    venues = tuple(sorted(data.venue_locations))
+    yield Query(p, k, t, venues, mode)
+    if len(venues) > 1:
+        yield Query(p, k, t, venues[:1], mode)
+
+
+def _exact_solvers(query):
+    solvers = {
+        "ssp": ssp_solve,
+        "sfgp": sfgp_solve,
+        "mags-srdo": lambda q, g, d: mags_solve(q, g, d, ordering="srdo"),
+        "mags-apdo": lambda q, g, d: mags_solve(q, g, d, ordering="apdo"),
+    }
+    if query.is_single_venue:
+        solvers["ssgs"] = ssgs_solve
+    return solvers
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "make_instance",
+    [_gnp_instance, _power_law_instance, _grid_instance],
+    ids=["gnp", "power-law", "grid"],
+)
+def test_carried_pool_counts_match_sets(checked_counts, make_instance, mode):
+    rng = random.Random(f"{make_instance.__name__}-{mode.value}")
+    for seed in range(40):
+        graph, data = make_instance(rng, 5100 + seed)
+        for query in _queries(rng, graph, data, mode):
+            oracle = brute_force(query, graph, data)
+            for name, solver in _exact_solvers(query).items():
+                sol = solver(query, graph, data)
+                where = f"seed {seed}, {name}, {query}"
+                if not oracle.found:
+                    assert sol is None, where
+                    continue
+                assert sol is not None, where
+                assert abs(sol.total_distance - oracle.total_distance) <= TOL, where
+                assert is_feasible(sol.group, sol.venue, query, graph, data), where
+    assert checked_counts["avg"] > 0
+    if mode is FamiliarityMode.PER_VERTEX:
+        assert checked_counts["pool"] > 0
