@@ -257,13 +257,12 @@ def familiarity_ok(
     k: int,
     mode: FamiliarityMode,
     graph: SocialGraph,
-    edges: Optional[int] = None,
 ) -> bool:
     """Whether the stranger budget ``k`` holds for ``group`` under ``mode``.
 
-    ``edges`` is the group's internal edge count when the caller already
-    knows it; average mode then skips counting. Uses integer arithmetic
-    throughout so boundary cases are exact.
+    Uses integer arithmetic throughout so boundary cases are exact. The
+    search engines decide average mode at a leaf from the edge count they
+    carry (``average_familiarity_edges``) instead of calling this.
     """
     members = set(group)
     n = len(members)
@@ -271,10 +270,15 @@ def familiarity_ok(
         return True
     if mode is FamiliarityMode.PER_VERTEX:
         return all(n - 1 - len(graph.neighbors(v) & members) <= k for v in members)
-    if edges is None:
-        edges = internal_edge_count(members, graph)
-    # average mode: mean stranger count <= k  <=>  n*(n-1) - 2*E(group) <= k*n
-    return n * (n - 1) - 2 * edges <= k * n
+    return internal_edge_count(members, graph) >= average_familiarity_edges(n, k)
+
+
+def average_familiarity_edges(n: int, k: int) -> int:
+    """Fewest internal edges a group of ``n`` distinct members needs to keep
+    the average stranger budget ``k`` (``familiarity_ok`` in average mode)."""
+    # mean stranger count <= k  <=>  n*(n-1) - 2*E <= k*n, solved for the
+    # integer E.
+    return -(-(n * (n - 1) - k * n) // 2)
 
 
 def is_feasible(

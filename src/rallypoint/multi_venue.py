@@ -8,24 +8,35 @@ split in two: the ordering universe shrinks only through radius violations
 (so toggling prune rules never changes the member extraction order), while
 the solution set additionally shrinks through the distance-bound rules.
 
-Both co-traversals (the srdo seed and each adaptive selection) run on one
-best-first queue of (R-tree entry, ball) pairs, ``_PairQueue``: each pair is
-pushed once, when the later of its two sides enters the frontier, and pairs
-with an expanded side are dropped lazily when popped. An adaptive selection
-restarts from the roots every time, but reads entry-to-ball lower bounds from
-a table kept for the whole search and the group's summed bound to each ball
-from a table kept for the search frame; the ball-level distance bounds take
-their frontier minimum from the same tables.
+The srdo seed, the closest (member, venue) pair over every indexed venue,
+is one exact scan of the pool's R-tree entries against the ball tree's
+leaves, so ties break on exact distances with no floating-point window and
+the indexes keep no per-query state. The scan costs one distance per
+(member, venue) pair; with a few dozen of each, that is less than a
+best-first co-traversal spends on lower bounds.
+
+Each adaptive (apdo) selection co-traverses the member R-tree and the venue
+ball tree on a best-first queue of (R-tree entry, ball) pairs,
+``_PairQueue``: each pair is pushed once, when the later of its two sides
+enters the frontier, and pairs with an expanded side are dropped lazily when
+popped. A selection restarts from the roots every time, but reads
+entry-to-ball lower bounds from a table kept for the whole search and the
+group's summed bound to each ball from a table kept for the search frame; the
+ball-level distance bounds take their frontier minimum from the same tables.
 
 A search also keeps, for its whole run, every pool member's distance to every
 alive venue, the set of alive venues within the radius of each member, and
 each venue's pool sorted by distance. A search frame carries its prefix's
 internal edge count, so the admission test is an integer comparison
-(``admission_edges``), and reads the smallest remaining candidate distance to
-each venue off the sorted pools. With a static order, a cursor into the
-frame's remaining candidates marks how far the current ``theta`` has tried
-them: it advances on a rejection, stays put on an admission and returns to
-the front when ``theta`` escalates.
+(``admission_edges``), as is the average-mode familiarity test at a leaf, and
+reads the smallest remaining candidate distance to each venue off the sorted
+pools. With a static order, a cursor into the frame's remaining candidates
+marks how far the current ``theta`` has tried them: it advances on a
+rejection, stays put on an admission and returns to the front when ``theta``
+escalates. An admitted candidate with no solution venue within its radius
+is counted and dropped before any child venue state is built. Solution
+venues are visited in the query's venue order, never in set order, so the
+work done does not depend on the string hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates),
@@ -46,7 +57,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .balltree import Balltree, BalltreeNode, mindist_mbr_ball, mindist_point_ball
 from .graph import core_decompose
@@ -69,6 +80,7 @@ from .model import (
     Solution,
     SpatialDataset,
     VenueId,
+    average_familiarity_edges,
     distance,
     familiarity_ok,
 )
@@ -123,17 +135,17 @@ class MagsAudit:
 @dataclass
 class _VenueState:
     """Per-search-state venue bookkeeping; children get copies, so backtracking
-    restores the parent state for free. ``sums`` holds the group's total
-    distance to each venue of ``sol_alive``."""
+    restores the parent state for free. ``order_alive`` is the ordering
+    universe; ``sums`` maps each venue still usable for a solution to the
+    group's total distance to it, in the query's venue order."""
 
     order_alive: FrozenSet[VenueId]
-    sol_alive: Set[VenueId]
     sums: Dict[VenueId, float]
 
 
 class _PairQueue:
-    """Best-first queue over (R-tree entry, ball) pairs for one co-traversal
-    of the member R-tree and the venue ball tree.
+    """Best-first queue over (R-tree entry, ball) pairs for one adaptive
+    co-traversal of the member R-tree and the venue ball tree.
 
     R-tree entries are ``("n", node)`` or ``("m", member, loc)``. A pair's key
     is ``(f + g, kind, rkey, bkey)``: ``f`` is the ball's cost, ``g`` the
@@ -148,7 +160,7 @@ class _PairQueue:
     frontier. Pairs with ``g > limit`` or a member in ``skip`` are never
     pushed, but their sides stay in the frontier. ``g_memo`` maps a ball's
     node id to ``{entry id: g}``, where an entry id is the R-tree node or the
-    member; callers may share it between traversals of the same indexes.
+    member; a search shares it between all its traversals.
     """
 
     def __init__(
@@ -159,16 +171,16 @@ class _PairQueue:
         degree_of: Dict[MemberId, int],
         ball_cost: Callable[[BalltreeNode], Optional[float]],
         *,
-        limit: float = math.inf,
-        skip: Set[MemberId] = frozenset(),
-        g_memo: Optional[Dict[int, Dict[object, float]]] = None,
+        limit: float,
+        skip: Set[MemberId],
+        g_memo: Dict[int, Dict[object, float]],
     ):
         self.pool = pool
         self.degree_of = degree_of
         self.ball_cost = ball_cost
         self.limit = limit
         self.skip = skip
-        self.g_memo = {} if g_memo is None else g_memo
+        self.g_memo = g_memo
         # The live frontier. Entries: entry id -> (entry id, rkey, entry).
         # Balls: node id -> (node, f, bkey, g row), in insertion order, which
         # fixes the order of the ball checks.
@@ -268,39 +280,43 @@ def srdo_seed(
     pool: Set[MemberId],
     degree_of: Optional[Dict[MemberId, int]] = None,
 ) -> Optional[Tuple[MemberId, VenueId, float]]:
-    """Globally closest (member, venue) pair, via best-first co-traversal.
+    """Globally closest (member, venue) pair as ``(member, venue, distance)``.
 
-    Member/venue lower bounds come from MBR-to-ball distances, so mutually
-    distant subtrees are never opened. Ties prefer higher member degree, then
-    ascending ids. Returns None when either side is empty.
+    Pairs order by ``(distance, -degree, member, venue)``: ties prefer higher
+    member degree, then ascending ids. Only pool members indexed in ``rtree``
+    count. Returns None when no pool member is indexed.
 
     The search covers every venue indexed in ``balltree``, not only those of
-    a query, so the pair's venue may lie outside the query's venue set.
+    a query, so the pair's venue may lie outside the query's venue set. It is
+    one exact scan of the pool's R-tree entries against the ball tree's
+    leaves, with the same key as ``sfgp``'s seed.
     """
-    if not pool or rtree.root is None:
+    if rtree.root is None:
         return None
-    queue = _PairQueue(rtree, balltree.root, pool, degree_of or {}, lambda node: 0.0)
-    # A ball's bound is computed in floating point and can exceed the computed
-    # distance of a pair it covers by a few ulps, which could hide a pair tying
-    # with the first (member, venue) pair popped. Popping on through a window
-    # far wider than that error finds every such pair; (member, venue) keys
-    # order exactly as (distance, -degree, member, venue).
-    scale = balltree.root.ball.radius
-    best_key = best_pair = None
-    while True:
-        popped = queue.pop()
-        if popped is None:
-            break
-        key, rentry, bnode = popped
-        if best_key is not None and key[0] > best_key[0] + 1e-9 * (best_key[0] + scale):
-            break
-        if key[1] == 0:
-            queue.expand(rentry, bnode)
-        elif best_key is None or key < best_key:
-            best_key, best_pair = key, (rentry[1], bnode.venue)
-    if best_key is None:
+    members = [(m, loc) for m, loc in rtree.points_under(rtree.root) if m in pool]
+    venues = [(leaf.venue, leaf.ball.center) for leaf in balltree.leaves()]
+    return _closest_pair(members, venues, degree_of or {})
+
+
+def _closest_pair(
+    members: Iterable[Tuple[MemberId, Location]],
+    venues: Sequence[Tuple[VenueId, Location]],
+    degree_of: Dict[MemberId, int],
+) -> Optional[Tuple[MemberId, VenueId, float]]:
+    """Closest (member, venue) pair as ``(member, venue, distance)``, by the
+    key ``(distance, -degree, member, venue)``."""
+    best = None
+    for m, m_loc in members:
+        for q, q_loc in venues:
+            d = distance(m_loc, q_loc)
+            # Only a pair at most as far as the best one can beat it.
+            if best is None or d <= best[0]:
+                key = (d, -degree_of.get(m, 0), m, q)
+                if best is None or key < best:
+                    best = key
+    if best is None:
         return None
-    return (best_pair[0], best_pair[1], best_key[0])
+    return (best[2], best[3], best[0])
 
 
 class _MultiVenueSearch:
@@ -315,6 +331,7 @@ class _MultiVenueSearch:
         alive_venues: List[VenueId],
         config: PruneConfig,
         stats: SearchStats,
+        degree_of: Dict[MemberId, int],
         *,
         rtree: Optional[Rtree] = None,
         balltree: Optional[Balltree] = None,
@@ -338,7 +355,11 @@ class _MultiVenueSearch:
         self.best_venue: Optional[VenueId] = None
         self.member_loc = data.member_locations
         self.venue_loc = data.venue_locations
-        self.degree_of = {v: graph.degree(v) for v in graph.vertices}
+        self.degree_of = degree_of
+        # Fewest internal edges a leaf group needs in average mode.
+        self.leaf_edges = None
+        if query.familiarity_mode is FamiliarityMode.AVERAGE:
+            self.leaf_edges = average_familiarity_edges(query.p, query.k)
         # Entry-to-ball lower bounds depend only on the indexes: one table
         # serves every co-traversal of this search (see ``_PairQueue``).
         self.g_memo: Dict[int, Dict[object, float]] = {}
@@ -361,7 +382,6 @@ class _MultiVenueSearch:
             return
         vstate = _VenueState(
             order_alive=frozenset(self.alive_venues),
-            sol_alive=set(self.alive_venues),
             sums={q: 0.0 for q in self.alive_venues},
         )
         if self.static_order is not None:
@@ -520,9 +540,10 @@ class _MultiVenueSearch:
             )
 
     def _kill_venues(self, venue_ids, vstate: _VenueState, rule: str) -> None:
-        doomed = vstate.sol_alive.intersection(venue_ids)
+        doomed = [q for q in venue_ids if q in vstate.sums]
         if doomed:
-            vstate.sol_alive -= doomed
+            for q in doomed:
+                del vstate.sums[q]
             self.stats.bump(rule, len(doomed))
 
     # -- search frames -------------------------------------------------------
@@ -543,43 +564,48 @@ class _MultiVenueSearch:
         p = self.query.p
         k = self.query.k
         cfg = self.config
+        stats = self.stats
         static = self.static_order is not None
+        per_vertex = self.query.familiarity_mode is FamiliarityMode.PER_VERTEX
         graph = self.graph
         neighbors = graph.neighbors
+        size = len(prefix)
         remaining = list(pool)
+        left = len(remaining)
         # ``pool_deg`` is the pool degree table of ``remaining``, ``cross`` the
         # number of prefix-to-remaining edges and ``degree_sum`` the sum of
         # the table, when this frame keeps them; otherwise ``pool_deg`` and
         # ``degree_sum`` are None.
-        copy_counts = self._keeps_pool_counts(len(prefix) + 1)
+        copy_counts = self._keeps_pool_counts(size + 1)
         visited: Set[MemberId] = set()
         # Static order: remaining[:cursor] has been tried at this theta.
         cursor = 0
-        need = admission_edges(len(prefix) + 1, theta, p)
+        need = admission_edges(size + 1, theta, p)
         ball_costs: Dict[int, Optional[float]] = {}
+        in_radius_of = self.in_radius
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
         # completion bounds. Computed once per frame; the pool only shrinks
         # afterwards, so the cached value stays a valid lower bound.
         remaining_set = set(remaining)
         pool_dmin: Dict[VenueId, float] = {}
-        for q in vstate.sol_alive:
+        for q in vstate.sums:
             first = next((v for v in self.by_distance[q] if v in remaining_set), None)
             pool_dmin[q] = math.inf if first is None else self.venue_dist[first][q]
 
         # The venue-distance check only turns false after the incumbent
-        # improves or a venue leaves ``sol_alive``; until then a passed check
-        # is not repeated.
+        # improves or a venue leaves the solution universe; until then a
+        # passed check is not repeated.
         viable_at = None
-        while len(prefix) + len(remaining) >= p:
-            if cfg.venue_distance and viable_at != (self.best_total, len(vstate.sol_alive)):
-                if not self._any_venue_viable(prefix, vstate, pool_dmin):
-                    self.stats.bump(PRUNE_VENUE_DISTANCE)
+        while size + left >= p:
+            if cfg.venue_distance and viable_at != (self.best_total, len(vstate.sums)):
+                if not self._any_venue_viable(size, vstate, pool_dmin):
+                    stats.bump(PRUNE_VENUE_DISTANCE)
                     break
-                viable_at = (self.best_total, len(vstate.sol_alive))
+                viable_at = (self.best_total, len(vstate.sums))
 
             if static:
-                u = remaining[cursor] if cursor < len(remaining) else None
+                u = remaining[cursor] if cursor < left else None
             else:
                 u = self._select_adaptive(
                     prefix, remaining, visited, vstate, pairwise_sum, ball_costs
@@ -589,8 +615,8 @@ class _MultiVenueSearch:
                     break
                 if theta < p - 1:
                     theta += 1
-                    self.stats.theta_escalations += 1
-                    need = admission_edges(len(prefix) + 1, theta, p)
+                    stats.theta_escalations += 1
+                    need = admission_edges(size + 1, theta, p)
                 visited.clear()
                 cursor = 0
                 continue
@@ -601,35 +627,48 @@ class _MultiVenueSearch:
                 cursor += 1
                 continue
 
-            remaining.remove(u)
-            self.stats.generated_states += 1
+            if static:
+                del remaining[cursor]
+            else:
+                remaining.remove(u)
+            left -= 1
+            stats.generated_states += 1
             if pool_deg is not None:
                 deg_u = drop_from_pool(pool_deg, u, graph)
                 cross -= child_edges - prefix_edges
                 degree_sum -= 2 * deg_u
 
-            cvstate = self._child_venue_state(u, len(prefix) + 1, vstate, pool_dmin)
-            if not cvstate.sol_alive:
+            # A candidate with no solution venue in its radius has no child
+            # venue state to build: every venue fails the radius test.
+            in_radius = in_radius_of.get(u)
+            if in_radius is None:
+                in_radius = self._fill_in_radius(u)
+            if vstate.sums.keys().isdisjoint(in_radius):
+                if vstate.sums:
+                    stats.bump(PRUNE_VENUE_RADIUS, len(vstate.sums))
+                continue
+            cvstate = self._child_venue_state(u, in_radius, size + 1, vstate, pool_dmin)
+            if not cvstate.sums:
                 continue
             child = prefix + [u]
 
-            if self.query.familiarity_mode is FamiliarityMode.PER_VERTEX:
+            if per_vertex:
                 if cfg.member_familiarity and member_familiarity_prune(child, k, graph):
-                    self.stats.bump(PRUNE_MEMBER_FAMILIARITY)
+                    stats.bump(PRUNE_MEMBER_FAMILIARITY)
                     continue
                 if cfg.pool_familiarity and pool_familiarity_prune(
                     child, remaining, p, k, graph, degree_sum
                 ):
-                    self.stats.bump(PRUNE_POOL_FAMILIARITY)
+                    stats.bump(PRUNE_POOL_FAMILIARITY)
                     continue
             elif cfg.avg_familiarity:
                 counts = (2 * child_edges, max(pool_deg.values(), default=0), cross + deg_u)
                 if avg_familiarity_prune(child, pool_deg, p, k, graph, counts):
-                    self.stats.bump(PRUNE_AVG_FAMILIARITY)
+                    stats.bump(PRUNE_AVG_FAMILIARITY)
                     continue
 
-            if len(child) == p:
-                self.stats.explored_states += 1
+            if size + 1 == p:
+                stats.explored_states += 1
                 self._evaluate_leaf(child, child_edges, cvstate)
                 continue
 
@@ -638,7 +677,7 @@ class _MultiVenueSearch:
             if not static:
                 u_loc = self.member_loc[u]
                 child_pairwise += sum(distance(self.member_loc[s], u_loc) for s in prefix)
-            self.stats.explored_states += 1
+            stats.explored_states += 1
             child_counts = (None, 0, None)
             if copy_counts:
                 child_counts = (dict(pool_deg), cross + deg_u, degree_sum)
@@ -654,37 +693,40 @@ class _MultiVenueSearch:
             )
 
     def _any_venue_viable(
-        self, prefix: List[MemberId], vstate: _VenueState, pool_dmin: Dict[VenueId, float]
+        self, size: int, vstate: _VenueState, pool_dmin: Dict[VenueId, float]
     ) -> bool:
-        n = len(prefix)
         p = self.query.p
-        for q in vstate.sol_alive:
-            if not distance_prune(
-                vstate.sums[q], n, p, pool_dmin.get(q, math.inf), self.best_total
-            ):
+        for q, total in vstate.sums.items():
+            if not distance_prune(total, size, p, pool_dmin.get(q, math.inf), self.best_total):
                 return True
         return False
+
+    def _fill_in_radius(self, u: MemberId) -> FrozenSet[VenueId]:
+        """Alive venues within the query radius of ``u``, stored in
+        ``in_radius`` for the rest of the search."""
+        t = self.query.t
+        in_radius = self.in_radius[u] = frozenset(
+            [q for q, d in self.venue_dist[u].items() if d <= t]
+        )
+        return in_radius
 
     def _child_venue_state(
         self,
         u: MemberId,
+        in_radius: FrozenSet[VenueId],
         child_size: int,
         vstate: _VenueState,
         pool_dmin: Dict[VenueId, float],
     ) -> _VenueState:
         p = self.query.p
         row = self.venue_dist[u]
-        in_radius = self.in_radius.get(u)
-        if in_radius is None:
-            t = self.query.t
-            in_radius = self.in_radius[u] = frozenset([q for q, d in row.items() if d <= t])
         out_of_radius = 0
         sums2: Dict[VenueId, float] = {}
-        for q in vstate.sol_alive:
+        for q, total in vstate.sums.items():
             if q not in in_radius:
                 out_of_radius += 1
                 continue
-            total = vstate.sums[q] + row[q]
+            total += row[q]
             if self.config.venue_distance and distance_prune(
                 total, child_size, p, pool_dmin.get(q, math.inf), self.best_total
             ):
@@ -693,18 +735,21 @@ class _MultiVenueSearch:
             sums2[q] = total
         if out_of_radius:
             self.stats.bump(PRUNE_VENUE_RADIUS, out_of_radius)
-        return _VenueState(
-            order_alive=vstate.order_alive & in_radius, sol_alive=set(sums2), sums=sums2
-        )
+        return _VenueState(order_alive=vstate.order_alive & in_radius, sums=sums2)
 
     def _evaluate_leaf(self, group: List[MemberId], edges: int, vstate: _VenueState) -> None:
-        if not vstate.sol_alive:
+        sums = vstate.sums
+        if not sums:
             return
-        best_here = min(vstate.sol_alive, key=lambda q: (vstate.sums[q], q))
-        total = vstate.sums[best_here]
-        if total < self.best_total and familiarity_ok(
-            group, self.query.k, self.query.familiarity_mode, self.graph, edges
-        ):
+        best_here = min(sums, key=lambda q: (sums[q], q))
+        total = sums[best_here]
+        if total >= self.best_total:
+            return
+        if self.leaf_edges is not None:
+            feasible = edges >= self.leaf_edges
+        else:
+            feasible = familiarity_ok(group, self.query.k, self.query.familiarity_mode, self.graph)
+        if feasible:
             self.best_total = total
             self.best_group = tuple(sorted(group))
             self.best_venue = best_here
@@ -776,17 +821,8 @@ def _closest_pair_scan(
     data: SpatialDataset,
     degree_of: Dict[MemberId, int],
 ) -> Optional[Tuple[MemberId, VenueId, float]]:
-    best = None
-    best_key = None
-    for v in pool:
-        v_loc = data.member_locations[v]
-        for q in venues:
-            d = distance(v_loc, data.venue_locations[q])
-            key = (d, -degree_of.get(v, 0), v, q)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (v, q, d)
-    return best
+    members = ((v, data.member_locations[v]) for v in pool)
+    return _closest_pair(members, [(q, data.venue_locations[q]) for q in venues], degree_of)
 
 
 def _static_order_towards(
@@ -824,12 +860,12 @@ def sfgp_solve(
 
     solution = None
     if pool and alive:
-        degree_of = {v: work_graph.degree(v) for v in work_graph.vertices}
+        degree_of = {v: work_graph.degree(v) for v in pool}
         seed = _closest_pair_scan(pool, alive, data, degree_of)
         if seed is not None and seed[2] <= query.t:
             order = _static_order_towards(pool, seed[1], data, degree_of)
             search = _MultiVenueSearch(
-                query, work_graph, data, pool, alive, config, stats, static_order=order
+                query, work_graph, data, pool, alive, config, stats, degree_of, static_order=order
             )
             search.run()
             if search.best_group is not None:
@@ -868,13 +904,14 @@ def mags_solve(
     solution = None
     if pool and alive and indexes.venues is not None:
         search = None
+        # Only pool members are ever ranked by degree.
+        degree_of = {v: work_graph.degree(v) for v in pool}
         if ordering == "srdo":
-            degree_of = {v: work_graph.degree(v) for v in work_graph.vertices}
             seed = srdo_seed(indexes.members, indexes.venues, set(pool), degree_of)
             if seed is not None and seed[2] <= query.t:
                 order = _static_order_towards(pool, seed[1], data, degree_of)
                 search = _MultiVenueSearch(
-                    query, work_graph, data, pool, alive, config, stats, static_order=order
+                    query, work_graph, data, pool, alive, config, stats, degree_of, static_order=order
                 )
         else:
             # Every pool member lies within t of an alive venue, so apdo
@@ -887,6 +924,7 @@ def mags_solve(
                 alive,
                 config,
                 stats,
+                degree_of,
                 rtree=indexes.members,
                 balltree=indexes.venues,
                 audit=audit,

@@ -12,10 +12,11 @@ Each search frame carries the state its children would otherwise recompute:
 the prefix's internal edge count, so admitting a candidate costs one
 neighbourhood intersection with the prefix and an integer comparison against
 the frame's edge threshold (``admission_edges``), and a cursor into the
-frame's remaining candidates. Every candidate before the cursor has been
-tried at the current ``theta``: the cursor advances on a rejection, stays put
-on an admission (the admitted candidate leaves the list) and returns to the
-front when ``theta`` escalates.
+frame's remaining candidates. The same count decides the average-mode
+familiarity test at a leaf (``average_familiarity_edges``). Every candidate
+before the cursor has been tried at the current ``theta``: the cursor
+advances on a rejection, stays put on an admission (the admitted candidate
+leaves the list) and returns to the front when ``theta`` escalates.
 
 A frame also carries its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates)
@@ -39,6 +40,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .indexes import Indexes, build_indexes
 from .model import (
+    FamiliarityMode,
     MemberId,
     PRUNE_AVG_FAMILIARITY,
     PRUNE_DISTANCE,
@@ -48,6 +50,7 @@ from .model import (
     SocialGraph,
     Solution,
     SpatialDataset,
+    average_familiarity_edges,
     distance,
     familiarity_ok,
     internal_edge_count,
@@ -136,6 +139,10 @@ class _SingleVenueSearch:
         self.state = SearchState(theta=min(query.k, query.p - 1), best_total=initial_best)
         self.harvest = harvest
         self.budget = budget
+        # Fewest internal edges a leaf group needs in average mode.
+        self.leaf_edges = None
+        if query.familiarity_mode is FamiliarityMode.AVERAGE:
+            self.leaf_edges = average_familiarity_edges(query.p, query.k)
 
     def run(self) -> SearchState:
         pool_deg = None
@@ -148,10 +155,11 @@ class _SingleVenueSearch:
         return self.state
 
     def _leaf_feasible(self, group: Sequence[MemberId], edges: int) -> bool:
-        # Radius holds by construction: the pool is the in-range set.
-        return familiarity_ok(
-            group, self.query.k, self.query.familiarity_mode, self.graph, edges
-        )
+        # Radius holds by construction: the pool is the in-range set. In
+        # average mode the carried edge count decides.
+        if self.leaf_edges is not None:
+            return edges >= self.leaf_edges
+        return familiarity_ok(group, self.query.k, self.query.familiarity_mode, self.graph)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         # Only the average-familiarity rule reads the counts, and it runs on

@@ -15,7 +15,7 @@ from rallypoint import (
     is_feasible,
     unfamiliar_count,
 )
-from rallypoint.model import internal_edge_count
+from rallypoint.model import average_familiarity_edges, internal_edge_count
 
 
 def test_distance_345_triangle():
@@ -164,3 +164,13 @@ def test_per_vertex_implies_average(g1):
         for k in range(size):
             if familiarity_ok(group, k, FamiliarityMode.PER_VERTEX, g1):
                 assert familiarity_ok(group, k, FamiliarityMode.AVERAGE, g1)
+
+
+def test_average_familiarity_edges_is_the_average_mode_inequality():
+    # The engines decide average-mode leaves by comparing their carried edge
+    # count with this threshold instead of calling familiarity_ok.
+    for n in range(1, 9):
+        for k in range(n):
+            for edges in range(n * (n - 1) // 2 + 1):
+                expected = n * (n - 1) - 2 * edges <= k * n
+                assert (edges >= average_familiarity_edges(n, k)) == expected

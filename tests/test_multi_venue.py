@@ -1,5 +1,10 @@
 import hashlib
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,8 @@ from rallypoint import (
     ssgs_solve,
     ssp_solve,
 )
+
+from rallypoint.model import PRUNE_VENUE_RADIUS
 
 from conftest import make_query_instance
 
@@ -115,15 +122,19 @@ def test_srdo_seed_matches_scan():
         assert (got[0], got[1]) == (expected[1], expected[2])
 
 
-def _check_seed_against_scan(members, venues, degree_of, pool, fanout=16):
-    idx = build_indexes(SpatialDataset(members, venues), fanout)
-    got = srdo_seed(idx.members, idx.venues, pool, degree_of)
+def _seed_by_scan(members, venues, degree_of, pool):
     d, _, m, q = min(
         (distance(members[m], venues[q]), -degree_of.get(m, 0), m, q)
         for m in sorted(pool)
         for q in venues
     )
-    assert got == (m, q, d)
+    return (m, q, d)
+
+
+def _check_seed_against_scan(members, venues, degree_of, pool, fanout=16):
+    idx = build_indexes(SpatialDataset(members, venues), fanout)
+    got = srdo_seed(idx.members, idx.venues, pool, degree_of)
+    assert got == _seed_by_scan(members, venues, degree_of, pool)
 
 
 def test_srdo_seed_tie_breaks_match_scan():
@@ -149,6 +160,129 @@ def test_srdo_seed_tie_breaks_match_scan():
         degree_of = {m: rng.randint(0, 3) for m in members if rng.random() < 0.8}
         pool = set(rng.sample(sorted(members), rng.randint(1, len(members))))
         _check_seed_against_scan(members, venues, degree_of, pool, rng.choice([2, 4, 16]))
+
+
+def test_srdo_seed_many_pools_on_one_index():
+    # Many pools against one index, which keeps no state between seeds.
+    # Integer spots make members share locations and venues tie in distance.
+    rng = random.Random(34)
+    for trial in range(40):
+        spots = [Location(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 10))]
+        members = {i: rng.choice(spots) for i in range(rng.randint(1, 40))}
+        venues = {
+            f"q{j}": Location(rng.randint(0, 5), rng.randint(0, 5))
+            for j in range(rng.randint(1, 12))
+        }
+        idx = build_indexes(SpatialDataset(members, venues), rng.choice([2, 4, 16]))
+        for _ in range(25):
+            degree_of = {m: rng.randint(0, 3) for m in members if rng.random() < 0.8}
+            pool = set(rng.sample(sorted(members), rng.randint(1, len(members))))
+            got = srdo_seed(idx.members, idx.venues, pool, degree_of)
+            assert got == _seed_by_scan(members, venues, degree_of, pool)
+    # Four venues at distance 5 from the shared spot of members 0 and 1, two
+    # of them on one spot: the smallest venue id wins, and the degree then
+    # the member id decide between the members.
+    members = {0: Location(0, 0), 1: Location(0, 0), 2: Location(9, 9)}
+    venues = {
+        "q3": Location(3, 4),
+        "q1": Location(4, 3),
+        "q2": Location(-5, 0),
+        "q0": Location(0, -5),
+        "q4": Location(0, -5),
+    }
+    idx = build_indexes(SpatialDataset(members, venues))
+    assert srdo_seed(idx.members, idx.venues, {0, 1, 2}) == (0, "q0", 5.0)
+    assert srdo_seed(idx.members, idx.venues, {0, 1, 2}, {1: 2}) == (1, "q0", 5.0)
+    # Member 2 is sqrt(61) from both q3 and q1; member 5 is not indexed.
+    assert srdo_seed(idx.members, idx.venues, {2, 5}) == (2, "q1", math.sqrt(61))
+    assert srdo_seed(idx.members, idx.venues, {5}) is None
+
+
+def test_srdo_seed_reads_only_its_own_indexes():
+    near = build_indexes(
+        SpatialDataset(
+            {"a": Location(0, 0), "b": Location(4, 0)},
+            {"x": Location(1, 0), "y": Location(9, 0)},
+        )
+    )
+    far = build_indexes(
+        SpatialDataset(
+            {"a": Location(10, 0), "b": Location(-1, 0)},
+            {"x": Location(6, 0), "y": Location(-1, 0)},
+        )
+    )
+    # Alternate between two live indexes over the same ids.
+    for _ in range(2):
+        assert srdo_seed(near.members, near.venues, {"a", "b"}) == ("a", "x", 1.0)
+        assert srdo_seed(far.members, far.venues, {"a", "b"}) == ("b", "y", 0.0)
+    # Indexes that are dropped and rebuilt over new data answer from their
+    # own data only.
+    for i in range(1, 40):
+        idx = build_indexes(SpatialDataset({"m": Location(0, 0)}, {"q": Location(i, 0)}))
+        assert srdo_seed(idx.members, idx.venues, {"m"}) == ("m", "q", float(i))
+
+
+def test_srdo_candidates_out_of_every_live_venue_radius():
+    # q1 hosts a and b, q2 hosts c and d, 10 apart; t = 1 and the graph is
+    # complete, so every candidate is admitted. Seed (a, q1), order a, b, d,
+    # c. Once the prefix holds a or b only q1 is live, so d and c are
+    # generated but reach no live venue; likewise q1 is dropped after d.
+    graph = SocialGraph("abcd", [(u, v) for u in "abcd" for v in "abcd" if u < v])
+    data = SpatialDataset(
+        {"a": Location(0, 0), "b": Location(1, 0), "c": Location(10, 0), "d": Location(9, 0)},
+        {"q1": Location(0, 0), "q2": Location(10, 0)},
+    )
+    query = Query(p=2, k=0, t=1.0, venues=("q1", "q2"))
+    stats = SearchStats()
+    sol = mags_solve(
+        query, graph, data, ordering="srdo", config=PruneConfig(venue_distance=False), stats=stats
+    )
+    assert (sol.group, sol.venue, sol.total_distance) == (("a", "b"), "q1", 1.0)
+    # Root: a, b, d, c generated (c has no partner left). Under a: b, d, c;
+    # under b: d, c; under d: c.
+    assert stats.generated_states == 9
+    # Root children a, b (leaf-less frames) and d, plus leaves (a, b), (d, c).
+    assert stats.explored_states == 5
+    # q2 out of radius for a and b, q1 for d at the root; the dead candidates
+    # d and c under a and under b each miss the one live venue.
+    assert stats.pruned == {PRUNE_VENUE_RADIUS: 7}
+
+
+# The work of one srdo search over string venue ids, counted in a fresh
+# interpreter so that the string hash seed can vary.
+HASH_SEED_CHILD = """
+import sys
+sys.path[:0] = [{src!r}, {tests!r}]
+import rallypoint.multi_venue as mv
+from conftest import make_query_instance
+calls = 0
+prune = mv.distance_prune
+def counting(*args):
+    global calls
+    calls += 1
+    return prune(*args)
+mv.distance_prune = counting
+for seed in range(10):
+    graph, data, query = make_query_instance(seed, n_range=(20, 30), p_range=(3, 5), q_range=(4, 8))
+    mv.mags_solve(query, graph, data, ordering="srdo")
+print(calls)
+"""
+
+
+def test_srdo_work_does_not_depend_on_the_hash_seed():
+    here = Path(__file__).resolve().parent
+    code = HASH_SEED_CHILD.format(src=str(here.parent / "src"), tests=str(here))
+
+    def calls(hash_seed):
+        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        return int(out.stdout.split()[-1])
+
+    first = calls(0)
+    assert first > 0
+    assert calls(1) == first
 
 
 def test_apdo_reference_switches(srdo_instance):
