@@ -1,10 +1,10 @@
-"""Venue sets: four exact strategies, one answer.
+"""Venue sets: three exact strategies, one answer.
 
 With several candidate venues the solver must pick the venue and the group
-together. This script runs the sequential baseline, the joint search tree
-with a fixed reference venue, and the index-driven search with both ordering
-strategies on the same instances, confirms they agree with brute force, and
-compares how much of the search space each one touches.
+together. This script runs the sequential baseline and the joint search with
+both ordering strategies (a fixed reference venue, and adaptive selection
+over the spatial indexes) on the same instances, confirms they agree with
+brute force, and compares how much of the search space each one touches.
 """
 
 import time
@@ -15,14 +15,12 @@ from rallypoint import (
     SearchStats,
     brute_force,
     mags_solve,
-    sfgp_solve,
     ssp_solve,
 )
 from rallypoint.generator import radius_for_quantile, random_instance
 
 SOLVERS = {
     "ssp      ": lambda q, g, d, st: ssp_solve(q, g, d, stats=st),
-    "sfgp     ": lambda q, g, d, st: sfgp_solve(q, g, d, stats=st),
     "mags-srdo": lambda q, g, d, st: mags_solve(q, g, d, ordering="srdo", stats=st),
     "mags-apdo": lambda q, g, d, st: mags_solve(q, g, d, ordering="apdo", stats=st),
 }
@@ -47,7 +45,7 @@ for seed in range(30):
     assert answers == {expected}, (seed, answers, expected)
     agreements += 1
 
-print(f"all four solvers matched brute force on {agreements} instances\n")
+print(f"all three solvers matched brute force on {agreements} instances\n")
 print("search effort (explored states, total across instances):")
 for name in SOLVERS:
     print(f"  {name} explored {totals[name]:6d} states in {elapsed[name]*1000:7.1f} ms")

@@ -1,8 +1,8 @@
 """The two spatial indexes behind the solvers.
 
-Members live in an R-tree (bulk-loaded, static): it answers radius queries
-and streams members in nondecreasing distance, which drives the candidate
-ordering. Venues live in a ball tree: every node is a ball covering its
+Members live in an R-tree (bulk-loaded, static): it answers the radius
+queries that gather each venue's candidates, and its node boxes bound the
+distance to every member below them. Venues live in a ball tree: every node is a ball covering its
 subtree, so center-distance-minus-radius lower-bounds the distance to any
 venue inside, letting whole venue clusters be discarded at once.
 """
@@ -25,12 +25,6 @@ tree = build_rtree(members, max_fanout=16)
 center = Location(50, 50)
 nearby = tree.range_query(center, 10.0)
 print(f"{len(nearby)} members within 10 units of the center")
-
-browse = tree.distance_browse(center)
-print("five nearest, incrementally:")
-for _ in range(5):
-    member, d = next(browse)
-    print(f"  member {member:3d} at {d:6.3f}")
 
 # The node bounds never overshoot: that is what makes pruning safe.
 worst_gap = 0.0

@@ -36,7 +36,6 @@ from .multi_venue import (
     MagsAudit,
     SelectionRecord,
     mags_solve,
-    sfgp_solve,
     srdo_seed,
     ssp_solve,
 )
@@ -52,7 +51,6 @@ from .pruning import (
     member_familiarity_prune,
     outer_triangle_ball_bound,
     outer_triangle_point_bound,
-    outer_triangle_prune_ball,
     outer_triangle_prune_point,
     pool_familiarity_prune,
 )
@@ -123,10 +121,8 @@ __all__ = [
     "minimal_order_theta",
     "outer_triangle_ball_bound",
     "outer_triangle_point_bound",
-    "outer_triangle_prune_ball",
     "outer_triangle_prune_point",
     "pool_familiarity_prune",
-    "sfgp_solve",
     "srdo_seed",
     "ssgmerge_solve",
     "ssgs_solve",

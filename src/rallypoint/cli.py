@@ -26,18 +26,27 @@ from .model import (
     Solution,
     SpatialDataset,
 )
-from .multi_venue import mags_solve, sfgp_solve, ssp_solve
+from .multi_venue import mags_solve, ssp_solve
 from .oracle import OracleBudgetError, brute_force
 from .pruning import PruneConfig
 from .single_venue import ssgmerge_solve, ssgs_solve
 
-ALGORITHMS = ("ssgs", "ssgmerge", "ssp", "sfgp", "mags-srdo", "mags-apdo", "oracle")
+ALGORITHMS = ("ssgs", "ssgmerge", "ssp", "mags-srdo", "mags-apdo", "oracle")
 
 SINGLE_VENUE_ONLY = ("ssgs", "ssgmerge")
 
 
 class DatasetError(ValueError):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, since exit code 2 means
+    that the query has no answer."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _parse_point_file(path: str, kind: str) -> Dict[str, Location]:
@@ -143,8 +152,6 @@ def solve_with(
         )
     if algo == "ssp":
         return ssp_solve(query, graph, data, indexes, config=config, stats=stats)
-    if algo == "sfgp":
-        return sfgp_solve(query, graph, data, indexes, config=config, stats=stats)
     if algo == "mags-srdo":
         return mags_solve(
             query, graph, data, indexes, ordering="srdo", config=config, stats=stats
@@ -194,7 +201,6 @@ def run_query(args: argparse.Namespace) -> Tuple[dict, int]:
     solution = solve_with(
         args.algo, query, graph, data, _prune_config(args.prune), stats, args.w, args.lam
     )
-    elapsed = 0.0 if args.deterministic else stats.elapsed_seconds
     report = {
         "schema": 1,
         "algorithm": args.algo,
@@ -206,13 +212,11 @@ def run_query(args: argparse.Namespace) -> Tuple[dict, int]:
             "venue": str(solution.venue),
             "total_distance": solution.total_distance,
         },
-        "explored_states": stats.explored_states,
-        "generated_states": stats.generated_states,
-        "theta_escalations": stats.theta_escalations,
-        "pruned": dict(sorted(stats.pruned.items())),
-        "elapsed_seconds": elapsed,
+        **stats.as_dict(),
         "seed": args.seed,
     }
+    if args.deterministic:
+        report["elapsed_seconds"] = 0.0
     return report, (0 if solution is not None else 2)
 
 
@@ -336,7 +340,7 @@ def write_csv(rows: List[dict], stream) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rallypoint",
         description="Pick a venue and a socially tight group minimizing total travel.",
     )

@@ -97,7 +97,7 @@ def export_mrgq_model(query: Query, graph: SocialGraph, data: SpatialDataset) ->
     """
     p, k, t = query.p, query.k, query.t
     members = list(graph.vertices)
-    venues = list(dict.fromkeys(query.venues))
+    venues = query.venues
 
     phi = {u: f"phi_u{_token(u)}" for u in members}
     pi = {q: f"pi_q{_token(q)}" for q in venues}

@@ -186,6 +186,11 @@ class Query:
         venues = tuple(self.venues)
         if not venues:
             raise ValueError("query needs at least one venue")
+        seen = set()
+        for q in venues:
+            if q in seen:
+                raise ValueError(f"venue {q!r} is listed more than once")
+            seen.add(q)
         object.__setattr__(self, "venues", venues)
         if self.familiarity_mode is None:
             mode = FamiliarityMode.PER_VERTEX if len(venues) > 1 else FamiliarityMode.AVERAGE

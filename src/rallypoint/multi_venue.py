@@ -8,12 +8,11 @@ split in two: the ordering universe shrinks only through radius violations
 (so toggling prune rules never changes the member extraction order), while
 the solution set additionally shrinks through the distance-bound rules.
 
-The srdo seed, the closest (member, venue) pair over every indexed venue,
-is one exact scan of the pool's R-tree entries against the ball tree's
-leaves, so ties break on exact distances with no floating-point window and
-the indexes keep no per-query state. The scan costs one distance per
-(member, venue) pair; with a few dozen of each, that is less than a
-best-first co-traversal spends on lower bounds.
+The srdo reference venue is the venue of the closest (member, venue) pair
+between the pool and the query's live venues (``srdo_seed``). It is one exact
+scan, one distance per pair, so ties break on exact distances and no index is
+read. Every pool member lies within ``t`` of a live venue, so the pair always
+exists.
 
 Each adaptive (apdo) selection co-traverses the member R-tree and the venue
 ball tree on a best-first queue of (R-tree entry, ball) pairs,
@@ -275,38 +274,21 @@ class _PairQueue:
 
 
 def srdo_seed(
-    rtree: Rtree,
-    balltree: Balltree,
-    pool: Set[MemberId],
-    degree_of: Optional[Dict[MemberId, int]] = None,
-) -> Optional[Tuple[MemberId, VenueId, float]]:
-    """Globally closest (member, venue) pair as ``(member, venue, distance)``.
-
-    Pairs order by ``(distance, -degree, member, venue)``: ties prefer higher
-    member degree, then ascending ids. Only pool members indexed in ``rtree``
-    count. Returns None when no pool member is indexed.
-
-    The search covers every venue indexed in ``balltree``, not only those of
-    a query, so the pair's venue may lie outside the query's venue set. It is
-    one exact scan of the pool's R-tree entries against the ball tree's
-    leaves, with the same key as ``sfgp``'s seed.
-    """
-    if rtree.root is None:
-        return None
-    members = [(m, loc) for m, loc in rtree.points_under(rtree.root) if m in pool]
-    venues = [(leaf.venue, leaf.ball.center) for leaf in balltree.leaves()]
-    return _closest_pair(members, venues, degree_of or {})
-
-
-def _closest_pair(
-    members: Iterable[Tuple[MemberId, Location]],
-    venues: Sequence[Tuple[VenueId, Location]],
+    pool: Iterable[MemberId],
+    live_venues: Sequence[VenueId],
+    data: SpatialDataset,
     degree_of: Dict[MemberId, int],
 ) -> Optional[Tuple[MemberId, VenueId, float]]:
-    """Closest (member, venue) pair as ``(member, venue, distance)``, by the
-    key ``(distance, -degree, member, venue)``."""
+    """Closest (member, venue) pair as ``(member, venue, distance)``, over the
+    pool members and the live venues. Returns None when either is empty.
+
+    Pairs order by ``(distance, -degree, member, venue)``: ties prefer higher
+    member degree, then ascending ids.
+    """
+    venues = [(q, data.venue_locations[q]) for q in live_venues]
     best = None
-    for m, m_loc in members:
+    for m in pool:
+        m_loc = data.member_locations[m]
         for q, q_loc in venues:
             d = distance(m_loc, q_loc)
             # Only a pair at most as far as the best one can beat it.
@@ -772,8 +754,6 @@ def _prepare_instance(
     alive_venues: List[VenueId] = []
     reachable: Set[MemberId] = set()
     for q in query.venues:
-        if q in alive_venues:
-            continue
         in_range = indexes.members.range_query(data.venue_locations[q], query.t)
         in_range &= vertex_set
         # A venue that cannot host even p members can never appear in a solution.
@@ -798,6 +778,7 @@ def ssp_solve(
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
+    indexes = indexes or build_indexes(data)
     best = math.inf
     best_group = None
     best_venue = None
@@ -813,16 +794,6 @@ def ssp_solve(
     if best_group is None:
         return None
     return Solution(best_group, best_venue, best, stats)
-
-
-def _closest_pair_scan(
-    pool: Sequence[MemberId],
-    venues: Sequence[VenueId],
-    data: SpatialDataset,
-    degree_of: Dict[MemberId, int],
-) -> Optional[Tuple[MemberId, VenueId, float]]:
-    members = ((v, data.member_locations[v]) for v in pool)
-    return _closest_pair(members, [(q, data.venue_locations[q]) for q in venues], degree_of)
 
 
 def _static_order_towards(
@@ -841,41 +812,6 @@ def _static_order_towards(
     ]
 
 
-def sfgp_solve(
-    query: Query,
-    graph: SocialGraph,
-    data: SpatialDataset,
-    indexes: Optional[Indexes] = None,
-    *,
-    config: Optional[PruneConfig] = None,
-    stats: Optional[SearchStats] = None,
-) -> Optional[Solution]:
-    """One search tree for all venues: a reference venue fixed up front from
-    the closest member-venue pair guides the ordering, while every venue is
-    tested for radius and distance-bound pruning as the group grows."""
-    config = config or PruneConfig()
-    stats = stats if stats is not None else SearchStats()
-    start = time.perf_counter()
-    indexes, work_graph, pool, alive = _prepare_instance(query, graph, data, indexes, False)
-
-    solution = None
-    if pool and alive:
-        degree_of = {v: work_graph.degree(v) for v in pool}
-        seed = _closest_pair_scan(pool, alive, data, degree_of)
-        if seed is not None and seed[2] <= query.t:
-            order = _static_order_towards(pool, seed[1], data, degree_of)
-            search = _MultiVenueSearch(
-                query, work_graph, data, pool, alive, config, stats, degree_of, static_order=order
-            )
-            search.run()
-            if search.best_group is not None:
-                solution = (search.best_group, search.best_venue, search.best_total)
-    stats.elapsed_seconds = time.perf_counter() - start
-    if solution is None:
-        return None
-    return Solution(solution[0], solution[1], solution[2], stats)
-
-
 def mags_solve(
     query: Query,
     graph: SocialGraph,
@@ -889,8 +825,8 @@ def mags_solve(
     audit: Optional[MagsAudit] = None,
 ) -> Optional[Solution]:
     """Index-driven joint search. ``ordering`` picks the candidate extraction
-    strategy: "srdo" fixes the reference venue from the globally closest
-    member-venue pair; "apdo" re-selects the best (member, venue) pair before
+    strategy: "srdo" fixes the reference venue from the closest pair of a
+    pool member and a live venue (``srdo_seed``); "apdo" re-selects the best (member, venue) pair before
     every insertion and enables the ball-level distance bounds."""
     if ordering not in ("srdo", "apdo"):
         raise ValueError(f"unknown ordering {ordering!r}")
@@ -902,17 +838,16 @@ def mags_solve(
     )
 
     solution = None
-    if pool and alive and indexes.venues is not None:
-        search = None
+    if pool and alive:
         # Only pool members are ever ranked by degree.
         degree_of = {v: work_graph.degree(v) for v in pool}
         if ordering == "srdo":
-            seed = srdo_seed(indexes.members, indexes.venues, set(pool), degree_of)
-            if seed is not None and seed[2] <= query.t:
-                order = _static_order_towards(pool, seed[1], data, degree_of)
-                search = _MultiVenueSearch(
-                    query, work_graph, data, pool, alive, config, stats, degree_of, static_order=order
-                )
+            # The pool and the live venues are not empty, so the seed exists.
+            _, q_ref, _ = srdo_seed(pool, alive, data, degree_of)
+            order = _static_order_towards(pool, q_ref, data, degree_of)
+            search = _MultiVenueSearch(
+                query, work_graph, data, pool, alive, config, stats, degree_of, static_order=order
+            )
         else:
             # Every pool member lies within t of an alive venue, so apdo
             # always has a pair to start from; it needs no seed.
@@ -929,10 +864,9 @@ def mags_solve(
                 balltree=indexes.venues,
                 audit=audit,
             )
-        if search is not None:
-            search.run()
-            if search.best_group is not None:
-                solution = (search.best_group, search.best_venue, search.best_total)
+        search.run()
+        if search.best_group is not None:
+            solution = (search.best_group, search.best_venue, search.best_total)
     stats.elapsed_seconds = time.perf_counter() - start
     if solution is None:
         return None

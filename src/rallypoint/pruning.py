@@ -210,22 +210,6 @@ def outer_triangle_ball_bound(
     return bound + completion_term(p - n, frontier_bound)
 
 
-def outer_triangle_prune_ball(
-    dists_group_to_ref_center: Sequence[float],
-    d_centers: float,
-    target_radius: float,
-    p: int,
-    frontier_bound: float,
-    best: float,
-) -> bool:
-    return (
-        outer_triangle_ball_bound(
-            dists_group_to_ref_center, d_centers, target_radius, p, frontier_bound
-        )
-        >= best
-    )
-
-
 def inner_triangle_bound(
     pairwise_sum: float,
     group_size: int,

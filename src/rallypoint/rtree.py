@@ -1,13 +1,12 @@
 """Static R-tree over member locations.
 
 Bulk-loaded with sort-tile-recursive packing, so the structure is a pure
-function of the input points. Supports radius range queries, exact
-point-to-MBR lower bounds, and best-first incremental distance browsing.
+function of the input points. Supports radius range queries and exact
+point-to-MBR lower bounds.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
@@ -75,7 +74,7 @@ class RtreeNode:
 
 
 class Rtree:
-    """Immutable R-tree; share freely, browse with per-iterator private state."""
+    """Immutable R-tree; share freely."""
 
     def __init__(self, root: Optional[RtreeNode], size: int, fanout: int):
         self.root = root
@@ -120,34 +119,6 @@ class Rtree:
             else:
                 stack.extend(node.children)
         return result
-
-    def distance_browse(self, center: Location) -> Iterator[Tuple[MemberId, float]]:
-        """Yield (member, distance) pairs in nondecreasing distance.
-
-        Equal distances come out in ascending member-id order. The generator
-        is lazy, so early termination and resumption are free.
-        """
-        if self.root is None:
-            return
-        counter = 0
-        # Nodes sort ahead of points at equal keys so tied points are all
-        # discovered before any of them is emitted.
-        heap: List[tuple] = [(0.0, 0, counter, self.root, None)]
-        while heap:
-            key, kind, _, node, payload = heapq.heappop(heap)
-            if kind == 1:
-                yield payload, key
-                continue
-            if node.is_leaf:
-                for member, loc in node.entries:
-                    counter += 1
-                    heapq.heappush(heap, (distance(center, loc), 1, member, None, member))
-            else:
-                for child in node.children:
-                    counter += 1
-                    heapq.heappush(
-                        heap, (mindist_point_mbr(center, child.mbr), 0, counter, child, None)
-                    )
 
 
 def _pack_level(items: Sequence[tuple], fanout: int, key_x, key_y) -> List[List[tuple]]:

@@ -103,6 +103,33 @@ def test_run_query_bad_k_exit_1(tiny_dataset):
     assert "error" in proc.stderr
 
 
+def test_unknown_algo_is_a_usage_error_exit_1(tiny_dataset):
+    members, edges, venues = tiny_dataset
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "bogus", "--p", "3", "--k", "0", "--t", "100",
+        ]
+    )
+    assert proc.returncode == 1
+    assert "bogus" in proc.stderr and proc.stdout == ""
+
+
+def test_missing_required_flag_is_a_usage_error_exit_1(tiny_dataset):
+    members, edges, venues = tiny_dataset
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "ssgs", "--p", "3", "--k", "0",
+        ]
+    )
+    assert proc.returncode == 1
+    assert "--t is required" in proc.stderr and proc.stdout == ""
+    bench = run_cli(["--bench", "--algos", "ssgs", "--p", "3"])
+    assert bench.returncode == 1
+    assert "--bench requires --p and --k" in bench.stderr
+
+
 def test_oracle_over_budget_is_a_clean_error(tmp_path):
     # C(60, 10) combinations far exceed the oracle's enumeration budget.
     members = write(tmp_path / "members.csv", "".join(f"m{i},{i},0\n" for i in range(60)))

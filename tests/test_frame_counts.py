@@ -22,7 +22,6 @@ from rallypoint import (
     brute_force,
     is_feasible,
     mags_solve,
-    sfgp_solve,
     ssgs_solve,
     ssp_solve,
 )
@@ -109,7 +108,6 @@ def _queries(rng, graph, data, mode):
 def _exact_solvers(query):
     solvers = {
         "ssp": ssp_solve,
-        "sfgp": sfgp_solve,
         "mags-srdo": lambda q, g, d: mags_solve(q, g, d, ordering="srdo"),
         "mags-apdo": lambda q, g, d: mags_solve(q, g, d, ordering="apdo"),
     }

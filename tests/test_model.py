@@ -105,6 +105,14 @@ def test_query_validation():
         Query(p=3, k=1, t=1.0, venues=())
 
 
+def test_query_rejects_repeated_venues():
+    with pytest.raises(ValueError, match="'q'"):
+        Query(p=2, k=0, t=1.0, venues=("q", "q"))
+    with pytest.raises(ValueError, match="'r'"):
+        Query(p=2, k=0, t=1.0, venues=("q", "r", "s", "r"))
+    assert Query(p=2, k=0, t=1.0, venues=("q", "r")).venues == ("q", "r")
+
+
 def test_query_default_modes():
     assert Query(p=2, k=0, t=1.0, venues=("q",)).familiarity_mode is FamiliarityMode.AVERAGE
     assert (

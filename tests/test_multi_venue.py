@@ -10,6 +10,7 @@ import pytest
 
 from rallypoint import (
     FamiliarityMode,
+    Indexes,
     Location,
     MagsAudit,
     PruneConfig,
@@ -22,12 +23,12 @@ from rallypoint import (
     distance,
     is_feasible,
     mags_solve,
-    sfgp_solve,
     srdo_seed,
     ssgs_solve,
     ssp_solve,
 )
 
+from rallypoint import multi_venue, single_venue
 from rallypoint.model import PRUNE_VENUE_RADIUS
 
 from conftest import make_query_instance
@@ -55,10 +56,22 @@ def test_ssp_fig4_optimum(fig4_instance):
     assert sol.total_distance == 6.0
 
 
-def test_sfgp_fig4_optimum(fig4_instance):
+def test_ssp_builds_its_indexes_once(fig4_instance, monkeypatch):
     graph, data, query = fig4_instance
-    sol = sfgp_solve(query, graph, data)
+    built = []
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return build_indexes(*args, **kwargs)
+
+    for module in (multi_venue, single_venue):
+        monkeypatch.setattr(module, "build_indexes", counting)
+    sol = ssp_solve(query, graph, data)
     assert (sol.group, sol.venue, sol.total_distance) == (("a", "b", "c"), "q2", 6.0)
+    # One build for the three venues, none when the caller passes indexes.
+    assert len(query.venues) == 3 and len(built) == 1
+    ssp_solve(query, graph, data, build_indexes(data))
+    assert len(built) == 1
 
 
 def test_mags_fig4_optimum(fig4_instance):
@@ -77,8 +90,8 @@ def test_oracle_fig4(fig4_instance):
 def test_all_venues_out_of_reach_returns_none(fig4_instance):
     graph, data, _ = fig4_instance
     query = Query(p=3, k=0, t=0.5, venues=("q1", "q2", "q3"))
-    assert sfgp_solve(query, graph, data) is None
     assert ssp_solve(query, graph, data) is None
+    assert mags_solve(query, graph, data, ordering="srdo") is None
     assert mags_solve(query, graph, data) is None
 
 
@@ -87,17 +100,19 @@ def test_all_venues_out_of_reach_returns_none(fig4_instance):
 
 def test_srdo_seed_fixture(srdo_instance):
     graph, data, query = srdo_instance
-    idx = build_indexes(data)
     degree_of = {v: graph.degree(v) for v in graph.vertices}
-    member, venue, dist = srdo_seed(idx.members, idx.venues, set("abcd"), degree_of)
+    member, venue, dist = srdo_seed("abcd", query.venues, data, degree_of)
     assert (member, venue) == ("d", "q4")
     assert dist == pytest.approx(0.9, abs=1e-9)
+    # Without q4, the closest live venue is q3, 1 from a.
+    assert srdo_seed("abcd", ("q1", "q2", "q3"), data, degree_of) == ("a", "q3", 1.0)
 
 
 def test_srdo_seed_single_pair():
     data = SpatialDataset({"m": Location(0, 0)}, {"q": Location(3, 4)})
-    idx = build_indexes(data)
-    assert srdo_seed(idx.members, idx.venues, {"m"}) == ("m", "q", 5.0)
+    assert srdo_seed(["m"], ["q"], data, {}) == ("m", "q", 5.0)
+    assert srdo_seed([], ["q"], data, {}) is None
+    assert srdo_seed(["m"], [], data, {}) is None
 
 
 def test_srdo_seed_matches_scan():
@@ -112,43 +127,41 @@ def test_srdo_seed_matches_scan():
             for i in range(rng.randint(1, 8))
         }
         data = SpatialDataset(members, venues)
-        idx = build_indexes(data)
-        pool = set(rng.sample(sorted(members), rng.randint(1, len(members))))
-        got = srdo_seed(idx.members, idx.venues, pool)
-        expected = min(
-            (distance(members[m], venues[q]), m, q) for m in sorted(pool) for q in venues
-        )
+        pool = rng.sample(sorted(members), rng.randint(1, len(members)))
+        live = rng.sample(sorted(venues), rng.randint(1, len(venues)))
+        got = srdo_seed(pool, live, data, {})
+        expected = min((distance(members[m], venues[q]), m, q) for m in pool for q in live)
         assert got[2] == pytest.approx(expected[0], abs=1e-12)
         assert (got[0], got[1]) == (expected[1], expected[2])
 
 
-def _seed_by_scan(members, venues, degree_of, pool):
+def _seed_by_scan(members, venues, degree_of, pool, live):
     d, _, m, q = min(
         (distance(members[m], venues[q]), -degree_of.get(m, 0), m, q)
         for m in sorted(pool)
-        for q in venues
+        for q in live
     )
     return (m, q, d)
 
 
-def _check_seed_against_scan(members, venues, degree_of, pool, fanout=16):
-    idx = build_indexes(SpatialDataset(members, venues), fanout)
-    got = srdo_seed(idx.members, idx.venues, pool, degree_of)
-    assert got == _seed_by_scan(members, venues, degree_of, pool)
+def _check_seed_against_scan(members, venues, degree_of, pool, live):
+    got = srdo_seed(pool, live, SpatialDataset(members, venues), degree_of)
+    assert got == _seed_by_scan(members, venues, degree_of, pool, live)
 
 
 def test_srdo_seed_tie_breaks_match_scan():
-    # q1 and q2 share a spot at sqrt(2) from member 1. The ball over {q0, q1}
-    # bounds member 1's distance by 1.4142135623730954, a few ulps above the
-    # pair's own distance, yet (1, q1) must still win the tie with (1, q2).
+    # q1 and q2 share a spot at sqrt(2) from member 1: (1, q1) must win the
+    # tie with (1, q2).
     _check_seed_against_scan(
         {0: Location(0, 6), 1: Location(5, 6)},
         {"q0": Location(1, 2), "q1": Location(4, 5), "q2": Location(4, 5), "q3": Location(6, 0)},
         {0: 1, 1: 1},
         {0, 1},
+        ["q3", "q2", "q1", "q0"],
     )
     # Integer grid with members sharing spots and degrees: distances tie
-    # often, so the order by degree, then member, then venue decides.
+    # often, so the order by degree, then member, then venue decides. Each
+    # check takes a random pool and a random subset of live venues.
     rng = random.Random(21)
     for trial in range(300):
         spots = [Location(rng.randint(0, 6), rng.randint(0, 6)) for _ in range(rng.randint(1, 8))]
@@ -159,12 +172,13 @@ def test_srdo_seed_tie_breaks_match_scan():
         }
         degree_of = {m: rng.randint(0, 3) for m in members if rng.random() < 0.8}
         pool = set(rng.sample(sorted(members), rng.randint(1, len(members))))
-        _check_seed_against_scan(members, venues, degree_of, pool, rng.choice([2, 4, 16]))
+        live = rng.sample(sorted(venues), rng.randint(1, len(venues)))
+        _check_seed_against_scan(members, venues, degree_of, pool, live)
 
 
 def test_srdo_seed_many_pools_on_one_index():
-    # Many pools against one index, which keeps no state between seeds.
-    # Integer spots make members share locations and venues tie in distance.
+    # Many pools and live-venue sets against one dataset. Integer spots make
+    # members share locations and venues tie in distance.
     rng = random.Random(34)
     for trial in range(40):
         spots = [Location(rng.randint(0, 5), rng.randint(0, 5)) for _ in range(rng.randint(1, 10))]
@@ -173,12 +187,11 @@ def test_srdo_seed_many_pools_on_one_index():
             f"q{j}": Location(rng.randint(0, 5), rng.randint(0, 5))
             for j in range(rng.randint(1, 12))
         }
-        idx = build_indexes(SpatialDataset(members, venues), rng.choice([2, 4, 16]))
         for _ in range(25):
             degree_of = {m: rng.randint(0, 3) for m in members if rng.random() < 0.8}
             pool = set(rng.sample(sorted(members), rng.randint(1, len(members))))
-            got = srdo_seed(idx.members, idx.venues, pool, degree_of)
-            assert got == _seed_by_scan(members, venues, degree_of, pool)
+            live = rng.sample(sorted(venues), rng.randint(1, len(venues)))
+            _check_seed_against_scan(members, venues, degree_of, pool, live)
     # Four venues at distance 5 from the shared spot of members 0 and 1, two
     # of them on one spot: the smallest venue id wins, and the degree then
     # the member id decide between the members.
@@ -190,37 +203,39 @@ def test_srdo_seed_many_pools_on_one_index():
         "q0": Location(0, -5),
         "q4": Location(0, -5),
     }
-    idx = build_indexes(SpatialDataset(members, venues))
-    assert srdo_seed(idx.members, idx.venues, {0, 1, 2}) == (0, "q0", 5.0)
-    assert srdo_seed(idx.members, idx.venues, {0, 1, 2}, {1: 2}) == (1, "q0", 5.0)
-    # Member 2 is sqrt(61) from both q3 and q1; member 5 is not indexed.
-    assert srdo_seed(idx.members, idx.venues, {2, 5}) == (2, "q1", math.sqrt(61))
-    assert srdo_seed(idx.members, idx.venues, {5}) is None
+    data = SpatialDataset(members, venues)
+    assert srdo_seed({0, 1, 2}, list(venues), data, {}) == (0, "q0", 5.0)
+    assert srdo_seed({0, 1, 2}, list(venues), data, {1: 2}) == (1, "q0", 5.0)
+    assert srdo_seed({0, 1}, ["q4", "q3", "q2"], data, {}) == (0, "q2", 5.0)
+    # Member 2 is sqrt(61) from both q3 and q1.
+    assert srdo_seed({2}, list(venues), data, {}) == (2, "q1", math.sqrt(61))
 
 
 def test_srdo_seed_reads_only_its_own_indexes():
-    near = build_indexes(
-        SpatialDataset(
-            {"a": Location(0, 0), "b": Location(4, 0)},
-            {"x": Location(1, 0), "y": Location(9, 0)},
-        )
+    near = SpatialDataset(
+        {"a": Location(0, 0), "b": Location(4, 0)},
+        {"x": Location(1, 0), "y": Location(9, 0)},
     )
-    far = build_indexes(
-        SpatialDataset(
-            {"a": Location(10, 0), "b": Location(-1, 0)},
-            {"x": Location(6, 0), "y": Location(-1, 0)},
-        )
+    far = SpatialDataset(
+        {"a": Location(10, 0), "b": Location(-1, 0)},
+        {"x": Location(6, 0), "y": Location(-1, 0)},
     )
-    # Alternate between two live indexes over the same ids.
+    # Alternate between two datasets over the same ids: the seed answers
+    # from the locations it is given only.
     for _ in range(2):
-        assert srdo_seed(near.members, near.venues, {"a", "b"}) == ("a", "x", 1.0)
-        assert srdo_seed(far.members, far.venues, {"a", "b"}) == ("b", "y", 0.0)
-    # Indexes that are dropped and rebuilt over new data answer from their
-    # own data only.
-    for i in range(1, 40):
-        idx = build_indexes(SpatialDataset({"m": Location(0, 0)}, {"q": Location(i, 0)}))
-        assert srdo_seed(idx.members, idx.venues, {"m"}) == ("m", "q", float(i))
-
+        assert srdo_seed({"a", "b"}, ["x", "y"], near, {}) == ("a", "x", 1.0)
+        assert srdo_seed({"a", "b"}, ["x", "y"], far, {}) == ("b", "y", 0.0)
+    # mags-srdo reads the members' R-tree and no ball tree: without one it
+    # finds the same answer with the same search tree.
+    for seed in range(40):
+        graph, data, query = make_query_instance(seed, q_range=(2, 5))
+        full = build_indexes(data)
+        runs = []
+        for idx in (full, Indexes(members=full.members, venues=None)):
+            stats = SearchStats()
+            sol = mags_solve(query, graph, data, idx, ordering="srdo", stats=stats)
+            runs.append((_total(sol), stats.explored_states, stats.generated_states, stats.pruned))
+        assert runs[0] == runs[1]
 
 def test_srdo_candidates_out_of_every_live_venue_radius():
     # q1 hosts a and b, q2 hosts c and d, 10 apart; t = 1 and the graph is
@@ -329,7 +344,6 @@ def test_all_solvers_agree_with_oracle():
         expected = None if not oracle.found else round(oracle.total_distance, 9)
         sols = {
             "ssp": ssp_solve(query, graph, data),
-            "sfgp": sfgp_solve(query, graph, data),
             "mags-srdo": mags_solve(query, graph, data, ordering="srdo"),
             "mags-apdo": mags_solve(query, graph, data, ordering="apdo"),
         }
@@ -352,7 +366,6 @@ def test_average_mode_agreement():
         oracle = brute_force(query, graph, data)
         for solver in (
             ssp_solve,
-            sfgp_solve,
             lambda q, g, d: mags_solve(q, g, d, ordering="srdo"),
             lambda q, g, d: mags_solve(q, g, d, ordering="apdo"),
         ):
@@ -385,7 +398,6 @@ def test_p1_all_solvers_pick_closest_pair():
     )
     for solver in (
         ssp_solve,
-        sfgp_solve,
         lambda q, g, d: mags_solve(q, g, d, ordering="srdo"),
         lambda q, g, d: mags_solve(q, g, d, ordering="apdo"),
     ):
@@ -499,8 +511,8 @@ PINNED_SEARCHES = {
     (3, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (13, 17, 0),
-        {"venue_distance": 11, "venue_radius": 2},
+        (8, 10, 0),
+        {"venue_distance": 9, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),

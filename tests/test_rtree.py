@@ -21,7 +21,6 @@ def test_single_point_tree():
 def test_empty_tree_queries():
     tree = build_rtree({})
     assert tree.range_query(Location(0, 0), 10.0) == set()
-    assert list(tree.distance_browse(Location(0, 0))) == []
 
 
 def test_containment_invariant_holds():
@@ -69,46 +68,6 @@ def test_range_query_matches_linear_scan():
         radius = dists[len(dists) // 2]
         expected = {m for m, loc in pts.items() if distance(center, loc) <= radius}
         assert tree.range_query(center, radius) == expected
-
-
-def test_distance_browse_collinear_order():
-    pts = {1: Location(1, 0), 2: Location(2, 0), 3: Location(3, 0)}
-    tree = build_rtree(pts)
-    assert [m for m, _ in tree.distance_browse(Location(0, 0))] == [1, 2, 3]
-
-
-def test_distance_browse_tie_order_ascending_id():
-    pts = {3: Location(0, 1), 1: Location(1, 0), 2: Location(-1, 0)}
-    tree = build_rtree(pts)
-    assert [m for m, _ in tree.distance_browse(Location(0, 0))] == [1, 2, 3]
-
-
-def test_distance_browse_matches_sort():
-    rng = random.Random(4)
-    for trial in range(60):
-        pts = random_points(rng, 100)
-        tree = build_rtree(pts, max_fanout=rng.choice([4, 16]))
-        center = Location(rng.uniform(0, 100), rng.uniform(0, 100))
-        got = list(tree.distance_browse(center))
-        assert sorted(m for m, _ in got) == sorted(pts)
-        dists = [d for _, d in got]
-        assert dists == sorted(dists)
-        expected = sorted((distance(center, loc), m) for m, loc in pts.items())
-        assert [(d, m) for m, d in got] == expected
-
-
-def test_distance_browse_supports_early_stop_and_resume():
-    rng = random.Random(5)
-    pts = random_points(rng, 40)
-    tree = build_rtree(pts)
-    center = Location(50, 50)
-    it = tree.distance_browse(center)
-    first = [next(it) for _ in range(5)]
-    rest = list(it)
-    assert len(first) + len(rest) == 40
-    assert first + rest == list(tree.distance_browse(center))
-    with pytest.raises(StopIteration):
-        next(it)
 
 
 def test_mindist_point_inside_mbr_is_zero():
