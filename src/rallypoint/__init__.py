@@ -44,20 +44,16 @@ from .pruning import (
     PruneConfig,
     avg_familiarity_prune,
     ball_distance_bound,
-    ball_distance_prune,
     distance_prune,
     inner_triangle_bound,
-    inner_triangle_prune,
     member_familiarity_prune,
     outer_triangle_ball_bound,
     outer_triangle_point_bound,
-    outer_triangle_prune_point,
     pool_familiarity_prune,
 )
 from .rtree import Mbr, Rtree, build_rtree, mindist_point_mbr
 from .single_venue import (
     MergeQueues,
-    SearchState,
     merge_prune,
     merge_rank,
     minimal_order_theta,
@@ -84,7 +80,6 @@ __all__ = [
     "PruneConfig",
     "Query",
     "Rtree",
-    "SearchState",
     "SearchStats",
     "SelectionRecord",
     "SocialGraph",
@@ -93,7 +88,6 @@ __all__ = [
     "avg_acquainted",
     "avg_familiarity_prune",
     "ball_distance_bound",
-    "ball_distance_prune",
     "brute_force",
     "build_balltree",
     "build_indexes",
@@ -108,7 +102,6 @@ __all__ = [
     "export_ssgq_model",
     "familiarity_ok",
     "inner_triangle_bound",
-    "inner_triangle_prune",
     "is_feasible",
     "is_threshold_graph",
     "mags_solve",
@@ -121,7 +114,6 @@ __all__ = [
     "minimal_order_theta",
     "outer_triangle_ball_bound",
     "outer_triangle_point_bound",
-    "outer_triangle_prune_point",
     "pool_familiarity_prune",
     "srdo_seed",
     "ssgmerge_solve",

@@ -9,10 +9,11 @@ split in two: the ordering universe shrinks only through radius violations
 the solution set additionally shrinks through the distance-bound rules.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
-between the pool and the query's live venues (``srdo_seed``). It is one exact
-scan, one distance per pair, so ties break on exact distances and no index is
-read. Every pool member lies within ``t`` of a live venue, so the pair always
-exists.
+between the pool and the query's live venues (``srdo_seed``), and the static
+order sorts the pool by distance to it. Both read the search's member-to-venue
+distance table (below), so srdo set-up computes each distance once, ties
+break on exact distances and no index is read. Every pool member lies within
+``t`` of a live venue, so the pair always exists.
 
 Each adaptive (apdo) selection co-traverses the member R-tree and the venue
 ball tree on a best-first queue of (R-tree entry, ball) pairs,
@@ -56,9 +57,9 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from .balltree import Balltree, BalltreeNode, mindist_mbr_ball, mindist_point_ball
+from .balltree import BalltreeNode, mindist_mbr_ball, mindist_point_ball
 from .graph import core_decompose
 from .indexes import Indexes, build_indexes
 from .model import (
@@ -82,6 +83,7 @@ from .model import (
     average_familiarity_edges,
     distance,
     familiarity_ok,
+    total_distance,
 )
 from .pruning import (
     PruneConfig,
@@ -274,31 +276,24 @@ class _PairQueue:
 
 
 def srdo_seed(
-    pool: Iterable[MemberId],
-    live_venues: Sequence[VenueId],
-    data: SpatialDataset,
+    venue_dist: Dict[MemberId, Dict[VenueId, float]],
     degree_of: Dict[MemberId, int],
 ) -> Optional[Tuple[MemberId, VenueId, float]]:
-    """Closest (member, venue) pair as ``(member, venue, distance)``, over the
-    pool members and the live venues. Returns None when either is empty.
+    """Closest (member, venue) pair as ``(member, venue, distance)`` in a
+    member-to-venue distance table. Returns None when the table holds no pair.
 
     Pairs order by ``(distance, -degree, member, venue)``: ties prefer higher
     member degree, then ascending ids.
     """
-    venues = [(q, data.venue_locations[q]) for q in live_venues]
-    best = None
-    for m in pool:
-        m_loc = data.member_locations[m]
-        for q, q_loc in venues:
-            d = distance(m_loc, q_loc)
-            # Only a pair at most as far as the best one can beat it.
-            if best is None or d <= best[0]:
-                key = (d, -degree_of.get(m, 0), m, q)
-                if best is None or key < best:
-                    best = key
-    if best is None:
+    rows = venue_dist.items()
+    d_min = min((d for _, row in rows for d in row.values()), default=None)
+    if d_min is None:
         return None
-    return (best[2], best[3], best[0])
+    # Only the pairs at the smallest distance are compared on the full key.
+    _, m, q = min(
+        (-degree_of.get(m, 0), m, q) for m, row in rows for q, d in row.items() if d == d_min
+    )
+    return (m, q, d_min)
 
 
 class _MultiVenueSearch:
@@ -315,22 +310,18 @@ class _MultiVenueSearch:
         stats: SearchStats,
         degree_of: Dict[MemberId, int],
         *,
-        rtree: Optional[Rtree] = None,
-        balltree: Optional[Balltree] = None,
-        static_order: Optional[List[MemberId]] = None,
+        indexes: Indexes,
+        ordering: str,
         audit: Optional[MagsAudit] = None,
     ):
         self.query = query
         self.graph = graph
-        self.data = data
         self.config = config
         self.stats = stats
-        self.rtree = rtree
-        self.balltree = balltree
+        self.indexes = indexes
+        self.static = ordering == "srdo"
         self.audit = audit
-        self.pool = pool
         self.alive_venues = alive_venues
-        self.static_order = static_order
         self.root_theta = min(query.k, query.p - 1)
         self.best_total = math.inf
         self.best_group: Optional[Tuple[MemberId, ...]] = None
@@ -356,6 +347,16 @@ class _MultiVenueSearch:
         self.by_distance: Dict[VenueId, List[MemberId]] = {
             q: sorted(pool, key=lambda v: self.venue_dist[v][q]) for q in alive_venues
         }
+        # The candidates in search order. srdo fixes it once, by distance to
+        # the reference venue: the venue of the table's closest pair, which
+        # exists because a search is built only for a non-empty pool and
+        # non-empty live venues.
+        self.pool = pool
+        if self.static:
+            _, q_ref, _ = srdo_seed(self.venue_dist, degree_of)
+            self.pool = sorted(
+                pool, key=lambda v: (self.venue_dist[v][q_ref], -degree_of.get(v, 0), v)
+            )
 
     # -- top level ---------------------------------------------------------
 
@@ -366,10 +367,7 @@ class _MultiVenueSearch:
             order_alive=frozenset(self.alive_venues),
             sums={q: 0.0 for q in self.alive_venues},
         )
-        if self.static_order is not None:
-            pool = list(self.static_order)
-        else:
-            pool = list(self.pool)
+        pool = list(self.pool)
         pool_deg, degree_sum = None, None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
@@ -425,8 +423,8 @@ class _MultiVenueSearch:
             return ball_costs[node.node_id]
 
         queue = _PairQueue(
-            self.rtree,
-            self.balltree.root,
+            self.indexes.members,
+            self.indexes.venues.root,
             pool_set,
             self.degree_of,
             ball_cost,
@@ -547,7 +545,7 @@ class _MultiVenueSearch:
         k = self.query.k
         cfg = self.config
         stats = self.stats
-        static = self.static_order is not None
+        static = self.static
         per_vertex = self.query.familiarity_mode is FamiliarityMode.PER_VERTEX
         graph = self.graph
         neighbors = graph.neighbors
@@ -783,33 +781,17 @@ def ssp_solve(
     best_group = None
     best_venue = None
     for venue in query.venues:
-        state = run_single_venue_search(
+        search = run_single_venue_search(
             query, graph, data, venue, indexes, config, stats, initial_best=best
         )
-        if state.best_group is not None and state.best_total < best:
-            best = state.best_total
-            best_group = state.best_group
+        if search.best_group is not None and search.best_total < best:
+            best = search.best_total
+            best_group = search.best_group
             best_venue = venue
     stats.elapsed_seconds = time.perf_counter() - start
     if best_group is None:
         return None
-    return Solution(best_group, best_venue, best, stats)
-
-
-def _static_order_towards(
-    pool: Sequence[MemberId],
-    q_ref: VenueId,
-    data: SpatialDataset,
-    degree_of: Dict[MemberId, int],
-) -> List[MemberId]:
-    q_loc = data.venue_locations[q_ref]
-    return [
-        v
-        for _, _, v in sorted(
-            (distance(data.member_locations[v], q_loc), -degree_of.get(v, 0), v)
-            for v in pool
-        )
-    ]
+    return Solution(best_group, best_venue, total_distance(best_group, best_venue, data), stats)
 
 
 def mags_solve(
@@ -837,37 +819,28 @@ def mags_solve(
         query, graph, data, indexes, core_preprocess
     )
 
-    solution = None
+    group = venue = None
     if pool and alive:
-        # Only pool members are ever ranked by degree.
+        # Only pool members are ever ranked by degree. Every pool member lies
+        # within t of an alive venue, so apdo always has a pair to start
+        # from; it needs no seed.
         degree_of = {v: work_graph.degree(v) for v in pool}
-        if ordering == "srdo":
-            # The pool and the live venues are not empty, so the seed exists.
-            _, q_ref, _ = srdo_seed(pool, alive, data, degree_of)
-            order = _static_order_towards(pool, q_ref, data, degree_of)
-            search = _MultiVenueSearch(
-                query, work_graph, data, pool, alive, config, stats, degree_of, static_order=order
-            )
-        else:
-            # Every pool member lies within t of an alive venue, so apdo
-            # always has a pair to start from; it needs no seed.
-            search = _MultiVenueSearch(
-                query,
-                work_graph,
-                data,
-                pool,
-                alive,
-                config,
-                stats,
-                degree_of,
-                rtree=indexes.members,
-                balltree=indexes.venues,
-                audit=audit,
-            )
+        search = _MultiVenueSearch(
+            query,
+            work_graph,
+            data,
+            pool,
+            alive,
+            config,
+            stats,
+            degree_of,
+            indexes=indexes,
+            ordering=ordering,
+            audit=audit,
+        )
         search.run()
-        if search.best_group is not None:
-            solution = (search.best_group, search.best_venue, search.best_total)
+        group, venue = search.best_group, search.best_venue
     stats.elapsed_seconds = time.perf_counter() - start
-    if solution is None:
+    if group is None:
         return None
-    return Solution(solution[0], solution[1], solution[2], stats)
+    return Solution(group, venue, total_distance(group, venue, data), stats)

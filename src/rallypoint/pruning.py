@@ -186,16 +186,6 @@ def outer_triangle_point_bound(
     return bound + completion_term(p - n, d_pool_min)
 
 
-def outer_triangle_prune_point(
-    dists_group_to_ref: Sequence[float],
-    d_ref_to_target: float,
-    p: int,
-    d_pool_min: float,
-    best: float,
-) -> bool:
-    return outer_triangle_point_bound(dists_group_to_ref, d_ref_to_target, p, d_pool_min) >= best
-
-
 def outer_triangle_ball_bound(
     dists_group_to_ref_center: Sequence[float],
     d_centers: float,
@@ -226,19 +216,6 @@ def inner_triangle_bound(
     return bound + completion_term(p - group_size, frontier_bound)
 
 
-def inner_triangle_prune(
-    pairwise_sum: float,
-    group_size: int,
-    p: int,
-    target_radius: float,
-    frontier_bound: float,
-    best: float,
-) -> bool:
-    if group_size < 2:
-        return False
-    return inner_triangle_bound(pairwise_sum, group_size, p, target_radius, frontier_bound) >= best
-
-
 def ball_distance_bound(
     sum_mindist_group_to_ball: float,
     group_size: int,
@@ -247,13 +224,3 @@ def ball_distance_bound(
 ) -> float:
     """Direct ball bound: summed member-to-ball lower bounds plus the frontier term."""
     return sum_mindist_group_to_ball + completion_term(p - group_size, frontier_bound)
-
-
-def ball_distance_prune(
-    sum_mindist_group_to_ball: float,
-    group_size: int,
-    p: int,
-    frontier_bound: float,
-    best: float,
-) -> bool:
-    return ball_distance_bound(sum_mindist_group_to_ball, group_size, p, frontier_bound) >= best

@@ -54,6 +54,7 @@ from .model import (
     distance,
     familiarity_ok,
     internal_edge_count,
+    total_distance,
 )
 from .pruning import (
     PruneConfig,
@@ -101,28 +102,18 @@ class _StopSearch(Exception):
     """Raised to abort the search once a state-generation budget is spent."""
 
 
-@dataclass
-class SearchState:
-    """Mutable search context: the root relaxation level and the incumbent.
+class _SingleVenueSearch:
+    """Depth-first search over groups for one venue.
 
     Each frame works with its own copy of ``theta`` (inherited from its
     parent at recursion time), so escalations deep in one subtree never leak
     into sibling subtrees.
     """
 
-    theta: int
-    best_total: float = math.inf
-    best_group: Optional[Tuple[MemberId, ...]] = None
-
-
-class _SingleVenueSearch:
-    """Depth-first search over groups for one venue."""
-
     def __init__(
         self,
         query: Query,
         graph: SocialGraph,
-        data: SpatialDataset,
         order: List[Tuple[float, MemberId]],
         config: PruneConfig,
         stats: SearchStats,
@@ -132,11 +123,11 @@ class _SingleVenueSearch:
     ):
         self.query = query
         self.graph = graph
-        self.data = data
         self.order = order
         self.config = config
         self.stats = stats
-        self.state = SearchState(theta=min(query.k, query.p - 1), best_total=initial_best)
+        self.best_total = initial_best
+        self.best_group: Optional[Tuple[MemberId, ...]] = None
         self.harvest = harvest
         self.budget = budget
         # Fewest internal edges a leaf group needs in average mode.
@@ -144,15 +135,15 @@ class _SingleVenueSearch:
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
             self.leaf_edges = average_familiarity_edges(query.p, query.k)
 
-    def run(self) -> SearchState:
+    def run(self) -> None:
         pool_deg = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees([m for _, m in self.order], self.graph)
+        root_theta = min(self.query.k, self.query.p - 1)
         try:
-            self._frame([], set(), 0, 0.0, self.order, self.state.theta, pool_deg, 0)
+            self._frame([], set(), 0, 0.0, self.order, root_theta, pool_deg, 0)
         except _StopSearch:
             pass
-        return self.state
 
     def _leaf_feasible(self, group: Sequence[MemberId], edges: int) -> bool:
         # Radius holds by construction: the pool is the in-range set. In
@@ -182,7 +173,6 @@ class _SingleVenueSearch:
         cross: int,
     ) -> None:
         p = self.query.p
-        state = self.state
         graph = self.graph
         neighbors = graph.neighbors
         size = len(prefix)
@@ -199,11 +189,11 @@ class _SingleVenueSearch:
         viable_at = None
 
         while size + len(remaining) >= p:
-            if self.config.distance and viable_at != (remaining[0][0], state.best_total):
-                if distance_prune(cur_dist, size, p, remaining[0][0], state.best_total):
+            if self.config.distance and viable_at != (remaining[0][0], self.best_total):
+                if distance_prune(cur_dist, size, p, remaining[0][0], self.best_total):
                     self.stats.bump(PRUNE_DISTANCE)
                     break
-                viable_at = (remaining[0][0], state.best_total)
+                viable_at = (remaining[0][0], self.best_total)
 
             if cursor == len(remaining):
                 if theta < p - 1:
@@ -227,9 +217,9 @@ class _SingleVenueSearch:
                 if self.harvest is not None:
                     self.harvest(child, child_dist)
                 self.stats.explored_states += 1
-                if child_dist < state.best_total and self._leaf_feasible(child, child_edges):
-                    state.best_total = child_dist
-                    state.best_group = tuple(sorted(child))
+                if child_dist < self.best_total and self._leaf_feasible(child, child_edges):
+                    self.best_total = child_dist
+                    self.best_group = tuple(sorted(child))
                 self._check_budget()
                 continue
 
@@ -245,7 +235,7 @@ class _SingleVenueSearch:
             if self.harvest is not None:
                 self.harvest(child, child_dist)
             if self.config.distance and distance_prune(
-                child_dist, size + 1, p, remaining[0][0], state.best_total
+                child_dist, size + 1, p, remaining[0][0], self.best_total
             ):
                 self.stats.bump(PRUNE_DISTANCE)
                 self._check_budget()
@@ -288,12 +278,13 @@ def run_single_venue_search(
     initial_best: float = math.inf,
     harvest=None,
     budget: Optional[int] = None,
-) -> SearchState:
+) -> _SingleVenueSearch:
+    """Run the search for one venue and return it; its incumbent is
+    ``best_total`` and ``best_group``."""
     order = candidate_order(query, graph, data, venue, indexes)
-    search = _SingleVenueSearch(
-        query, graph, data, order, config, stats, initial_best, harvest, budget
-    )
-    return search.run()
+    search = _SingleVenueSearch(query, graph, order, config, stats, initial_best, harvest, budget)
+    search.run()
+    return search
 
 
 def ssgs_solve(
@@ -311,13 +302,13 @@ def ssgs_solve(
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
-    state = run_single_venue_search(
-        query, graph, data, query.venues[0], indexes, config, stats
-    )
+    venue = query.venues[0]
+    search = run_single_venue_search(query, graph, data, venue, indexes, config, stats)
     stats.elapsed_seconds = time.perf_counter() - start
-    if state.best_group is None:
+    if search.best_group is None:
         return None
-    return Solution(state.best_group, query.venues[0], state.best_total, stats)
+    group = search.best_group
+    return Solution(group, venue, total_distance(group, venue, data), stats)
 
 
 # ---------------------------------------------------------------------------
@@ -460,10 +451,10 @@ def ssgmerge_solve(
         rank = merge_rank(members, query, graph, data)
         queues.insert(_QueueEntry(members, frozenset(members), total, rank))
 
-    state = run_single_venue_search(
+    search = run_single_venue_search(
         query, graph, data, venue, indexes, config, stats, harvest=harvest, budget=w
     )
-    best = state.best_total
+    best = search.best_total
 
     venue_loc = data.venue_locations[venue]
     dist_of = {v: distance(data.member_locations[v], venue_loc) for v in graph.vertices}
@@ -507,4 +498,5 @@ def ssgmerge_solve(
     stats.elapsed_seconds = time.perf_counter() - start
     if answer is None:
         return None
-    return Solution(tuple(sorted(answer.key)), venue, answer.total, stats)
+    group = tuple(sorted(answer.key))
+    return Solution(group, venue, total_distance(group, venue, data), stats)

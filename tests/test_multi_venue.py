@@ -98,21 +98,40 @@ def test_all_venues_out_of_reach_returns_none(fig4_instance):
 # --- seed selection ---------------------------------------------------------
 
 
+def _table(data, pool, live):
+    """Member-to-venue distance table over ``pool`` and ``live``, as a
+    multi-venue search keeps it."""
+    return {m: {q: data.member_venue_distance(m, q) for q in live} for m in pool}
+
+
 def test_srdo_seed_fixture(srdo_instance):
     graph, data, query = srdo_instance
     degree_of = {v: graph.degree(v) for v in graph.vertices}
-    member, venue, dist = srdo_seed("abcd", query.venues, data, degree_of)
+    member, venue, dist = srdo_seed(_table(data, "abcd", query.venues), degree_of)
     assert (member, venue) == ("d", "q4")
     assert dist == pytest.approx(0.9, abs=1e-9)
     # Without q4, the closest live venue is q3, 1 from a.
-    assert srdo_seed("abcd", ("q1", "q2", "q3"), data, degree_of) == ("a", "q3", 1.0)
+    table = _table(data, "abcd", ("q1", "q2", "q3"))
+    assert srdo_seed(table, degree_of) == ("a", "q3", 1.0)
 
 
 def test_srdo_seed_single_pair():
     data = SpatialDataset({"m": Location(0, 0)}, {"q": Location(3, 4)})
-    assert srdo_seed(["m"], ["q"], data, {}) == ("m", "q", 5.0)
-    assert srdo_seed([], ["q"], data, {}) is None
-    assert srdo_seed(["m"], [], data, {}) is None
+    assert srdo_seed(_table(data, ["m"], ["q"]), {}) == ("m", "q", 5.0)
+    assert srdo_seed(_table(data, [], ["q"]), {}) is None
+    assert srdo_seed(_table(data, ["m"], []), {}) is None
+
+
+def test_srdo_seed_reads_only_the_table(monkeypatch):
+    # The seed computes no distance: it reads the table it is given, even
+    # one whose figures no location could produce.
+    def no_distance(*args):
+        raise AssertionError("srdo_seed computed a distance")
+
+    monkeypatch.setattr(multi_venue, "distance", no_distance)
+    table = {"a": {"x": 3.0, "y": 0.5}, "b": {"x": 0.5, "y": 7.0}}
+    assert srdo_seed(table, {}) == ("a", "y", 0.5)
+    assert srdo_seed(table, {"b": 1}) == ("b", "x", 0.5)
 
 
 def test_srdo_seed_matches_scan():
@@ -129,7 +148,7 @@ def test_srdo_seed_matches_scan():
         data = SpatialDataset(members, venues)
         pool = rng.sample(sorted(members), rng.randint(1, len(members)))
         live = rng.sample(sorted(venues), rng.randint(1, len(venues)))
-        got = srdo_seed(pool, live, data, {})
+        got = srdo_seed(_table(data, pool, live), {})
         expected = min((distance(members[m], venues[q]), m, q) for m in pool for q in live)
         assert got[2] == pytest.approx(expected[0], abs=1e-12)
         assert (got[0], got[1]) == (expected[1], expected[2])
@@ -145,7 +164,7 @@ def _seed_by_scan(members, venues, degree_of, pool, live):
 
 
 def _check_seed_against_scan(members, venues, degree_of, pool, live):
-    got = srdo_seed(pool, live, SpatialDataset(members, venues), degree_of)
+    got = srdo_seed(_table(SpatialDataset(members, venues), pool, live), degree_of)
     assert got == _seed_by_scan(members, venues, degree_of, pool, live)
 
 
@@ -204,11 +223,12 @@ def test_srdo_seed_many_pools_on_one_index():
         "q4": Location(0, -5),
     }
     data = SpatialDataset(members, venues)
-    assert srdo_seed({0, 1, 2}, list(venues), data, {}) == (0, "q0", 5.0)
-    assert srdo_seed({0, 1, 2}, list(venues), data, {1: 2}) == (1, "q0", 5.0)
-    assert srdo_seed({0, 1}, ["q4", "q3", "q2"], data, {}) == (0, "q2", 5.0)
+    table = _table(data, {0, 1, 2}, list(venues))
+    assert srdo_seed(table, {}) == (0, "q0", 5.0)
+    assert srdo_seed(table, {1: 2}) == (1, "q0", 5.0)
+    assert srdo_seed(_table(data, {0, 1}, ["q4", "q3", "q2"]), {}) == (0, "q2", 5.0)
     # Member 2 is sqrt(61) from both q3 and q1.
-    assert srdo_seed({2}, list(venues), data, {}) == (2, "q1", math.sqrt(61))
+    assert srdo_seed(_table(data, {2}, list(venues)), {}) == (2, "q1", math.sqrt(61))
 
 
 def test_srdo_seed_reads_only_its_own_indexes():
@@ -221,10 +241,10 @@ def test_srdo_seed_reads_only_its_own_indexes():
         {"x": Location(6, 0), "y": Location(-1, 0)},
     )
     # Alternate between two datasets over the same ids: the seed answers
-    # from the locations it is given only.
+    # from the table it is given only.
     for _ in range(2):
-        assert srdo_seed({"a", "b"}, ["x", "y"], near, {}) == ("a", "x", 1.0)
-        assert srdo_seed({"a", "b"}, ["x", "y"], far, {}) == ("b", "y", 0.0)
+        assert srdo_seed(_table(near, "ab", "xy"), {}) == ("a", "x", 1.0)
+        assert srdo_seed(_table(far, "ab", "xy"), {}) == ("b", "y", 0.0)
     # mags-srdo reads the members' R-tree and no ball tree: without one it
     # finds the same answer with the same search tree.
     for seed in range(40):

@@ -11,8 +11,13 @@ from rallypoint import (
     SpatialDataset,
     brute_force,
     completion_bound_oracle,
+    mags_solve,
+    ssgmerge_solve,
+    ssgs_solve,
+    ssp_solve,
+    total_distance,
 )
-from rallypoint.generator import random_instance
+from rallypoint.generator import radius_for_quantile, random_instance
 
 
 def test_whole_graph_group(g1_instance):
@@ -92,3 +97,37 @@ def test_completion_bound_minimizes_over_venues():
     venues = {"a": Location(10, 0), "b": Location(2, 0)}
     data = SpatialDataset(members, venues)
     assert completion_bound_oracle([0], [], ["a", "b"], 1, data) == 2.0
+
+
+def test_reported_totals_do_not_depend_on_candidate_order():
+    # Every solver reports the total summed in sorted member order, so an
+    # answer with the oracle's group and venue reports the oracle's total
+    # to the last bit, whatever order the search met the members in.
+    single = {
+        "ssgs": ssgs_solve,
+        "ssgmerge": ssgmerge_solve,
+    }
+    multi = {
+        "ssp": ssp_solve,
+        "mags-srdo": lambda *a: mags_solve(*a, ordering="srdo"),
+        "mags-apdo": lambda *a: mags_solve(*a, ordering="apdo"),
+    }
+    matched = 0
+    for seed in range(60):
+        graph, data = random_instance(seed, 14, 3, edge_prob=0.5)
+        t = radius_for_quantile(graph, data, 0.6)
+        venues = tuple(sorted(data.venue_locations))
+        for solvers, query in (
+            (single, Query(p=4, k=1, t=t, venues=venues[:1])),
+            (multi, Query(p=4, k=1, t=t, venues=venues)),
+        ):
+            oracle = brute_force(query, graph, data)
+            for name, solve in solvers.items():
+                sol = solve(query, graph, data)
+                if sol is None:
+                    continue
+                assert sol.total_distance == total_distance(sol.group, sol.venue, data), name
+                if (sol.group, sol.venue) == (oracle.group, oracle.venue):
+                    assert sol.total_distance == oracle.total_distance, (name, seed)
+                    matched += 1
+    assert matched > 200

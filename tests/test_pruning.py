@@ -10,17 +10,14 @@ from rallypoint import (
     SpatialDataset,
     avg_familiarity_prune,
     ball_distance_bound,
-    ball_distance_prune,
     completion_bound_oracle,
     distance,
     distance_prune,
     inner_triangle_bound,
-    inner_triangle_prune,
     member_familiarity_prune,
     mindist_point_ball,
     outer_triangle_ball_bound,
     outer_triangle_point_bound,
-    outer_triangle_prune_point,
     pool_familiarity_prune,
 )
 from rallypoint.pruning import PruneConfig
@@ -101,7 +98,8 @@ def test_pool_familiarity_loose_budget_never(g1):
 
 
 def test_outer_triangle_point_no_incumbent():
-    assert not outer_triangle_prune_point([1.0, 2.0], 50.0, 3, 5.0, math.inf)
+    # A finite bound never reaches an infinite incumbent.
+    assert outer_triangle_point_bound([1.0, 2.0], 50.0, 3, 5.0) < math.inf
 
 
 def test_outer_triangle_point_arithmetic():
@@ -116,8 +114,9 @@ def test_outer_triangle_point_clamp_floor():
 
 
 def test_inner_triangle_inapplicable_below_two():
-    assert not inner_triangle_prune(0.0, 1, 3, 0.0, 100.0, 1.0)
+    # -inf never reaches an incumbent, however small.
     assert inner_triangle_bound(0.0, 1, 3, 0.0, 100.0) == -math.inf
+    assert inner_triangle_bound(0.0, 0, 3, 0.0, 100.0) == -math.inf
 
 
 def test_inner_triangle_coincident_points():
@@ -147,7 +146,8 @@ def test_outer_triangle_ball_radius_zero_matches_point_form():
 
 
 def test_ball_distance_no_incumbent():
-    assert not ball_distance_prune(0.0, 2, 4, 100.0, math.inf)
+    # A finite bound never reaches an infinite incumbent.
+    assert ball_distance_bound(0.0, 2, 4, 100.0) < math.inf
 
 
 def test_ball_distance_group_inside_ball():
