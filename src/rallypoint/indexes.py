@@ -16,6 +16,6 @@ class Indexes:
     venues: Optional[Balltree]
 
 
-def build_indexes(data: SpatialDataset, fanout: int = 16) -> Indexes:
+def build_indexes(data: SpatialDataset) -> Indexes:
     venues = build_balltree(data.venue_locations) if data.venue_locations else None
-    return Indexes(members=build_rtree(data.member_locations, fanout), venues=venues)
+    return Indexes(members=build_rtree(data.member_locations), venues=venues)

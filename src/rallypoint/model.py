@@ -26,17 +26,6 @@ PRUNE_INNER_TRIANGLE = "inner_triangle"
 PRUNE_BALL_DISTANCE = "ball_distance"
 PRUNE_MERGE = "merge"
 
-ALL_PRUNE_RULES = (
-    PRUNE_AVG_FAMILIARITY,
-    PRUNE_DISTANCE,
-    PRUNE_MEMBER_FAMILIARITY,
-    PRUNE_POOL_FAMILIARITY,
-    PRUNE_VENUE_DISTANCE,
-    PRUNE_OUTER_TRIANGLE,
-    PRUNE_INNER_TRIANGLE,
-    PRUNE_BALL_DISTANCE,
-)
-
 
 class FamiliarityMode(Enum):
     """How the stranger budget ``k`` is enforced over a group.

@@ -3,10 +3,16 @@ fixed reference venue, and index-driven search with adaptive venue selection.
 
 All variants share one recursive engine. Candidate members are extracted
 either from a static order toward a reference venue, or adaptively by
-co-traversing the member R-tree and the venue ball tree. Venue bookkeeping is
-split in two: the ordering universe shrinks only through radius violations
-(so toggling prune rules never changes the member extraction order), while
-the solution set additionally shrinks through the distance-bound rules.
+co-traversing the member R-tree and the venue ball tree. A search sets itself
+up from one range query per venue of the query: those alone decide which
+venues are alive (at least ``p`` graph vertices within ``t``), the pool (the
+union of the alive venues' ranges) and, for each pool member, the alive
+venues within its radius. A search frame carries one venue table, ``sums``:
+the venues still usable for a solution, each with the prefix's total distance
+to it. The radius and the distance-bound rules remove venues from it. The
+adaptive traversal ranges over the alive venues within the radius of every
+prefix member, worked out from the prefix, so toggling prune rules never
+changes the member extraction order.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
 between the pool and the query's live venues (``srdo_seed``), and the static
@@ -25,16 +31,15 @@ group's summed bound to each ball from a table kept for the search frame; the
 ball-level distance bounds take their frontier minimum from the same tables.
 
 A search also keeps, for its whole run, every pool member's distance to every
-alive venue, the set of alive venues within the radius of each member, and
-each venue's pool sorted by distance. A search frame carries its prefix's
-internal edge count, so the admission test is an integer comparison
-(``admission_edges``), as is the average-mode familiarity test at a leaf, and
-reads the smallest remaining candidate distance to each venue off the sorted
-pools. With a static order, a cursor into the frame's remaining candidates
+alive venue and each venue's pool sorted by distance. A search frame carries
+its prefix's internal edge count, so the admission test is an integer
+comparison (``admission_edges``), as is the average-mode familiarity test at a
+leaf, and reads the smallest remaining candidate distance to each venue off
+the sorted pools. With a static order, a cursor into the frame's remaining candidates
 marks how far the current ``theta`` has tried them: it advances on a
 rejection, stays put on an admission and returns to the front when ``theta``
 escalates. An admitted candidate with no solution venue within its radius
-is counted and dropped before any child venue state is built. Solution
+is counted and dropped before any child venue table is built. Solution
 venues are visited in the query's venue order, never in set order, so the
 work done does not depend on the string hash seed.
 
@@ -131,17 +136,6 @@ class SelectionRecord:
 class MagsAudit:
     bounds: List[BoundRecord] = field(default_factory=list)
     selections: List[SelectionRecord] = field(default_factory=list)
-
-
-@dataclass
-class _VenueState:
-    """Per-search-state venue bookkeeping; children get copies, so backtracking
-    restores the parent state for free. ``order_alive`` is the ordering
-    universe; ``sums`` maps each venue still usable for a solution to the
-    group's total distance to it, in the query's venue order."""
-
-    order_alive: FrozenSet[VenueId]
-    sums: Dict[VenueId, float]
 
 
 class _PairQueue:
@@ -304,13 +298,10 @@ class _MultiVenueSearch:
         query: Query,
         graph: SocialGraph,
         data: SpatialDataset,
-        pool: List[MemberId],
-        alive_venues: List[VenueId],
+        indexes: Indexes,
         config: PruneConfig,
         stats: SearchStats,
-        degree_of: Dict[MemberId, int],
         *,
-        indexes: Indexes,
         ordering: str,
         audit: Optional[MagsAudit] = None,
     ):
@@ -321,14 +312,11 @@ class _MultiVenueSearch:
         self.indexes = indexes
         self.static = ordering == "srdo"
         self.audit = audit
-        self.alive_venues = alive_venues
-        self.root_theta = min(query.k, query.p - 1)
         self.best_total = math.inf
         self.best_group: Optional[Tuple[MemberId, ...]] = None
         self.best_venue: Optional[VenueId] = None
         self.member_loc = data.member_locations
         self.venue_loc = data.venue_locations
-        self.degree_of = degree_of
         # Fewest internal edges a leaf group needs in average mode.
         self.leaf_edges = None
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
@@ -336,43 +324,61 @@ class _MultiVenueSearch:
         # Entry-to-ball lower bounds depend only on the indexes: one table
         # serves every co-traversal of this search (see ``_PairQueue``).
         self.g_memo: Dict[int, Dict[object, float]] = {}
-        # Member-to-venue distances, per venue the pool in nondecreasing
-        # distance, and per admitted member the alive venues within the
-        # radius (filled in on the member's first admission).
+        # One range query per venue decides every radius fact. A venue is
+        # alive when at least p graph vertices lie within t of it (one with
+        # fewer can never host a group); the pool is the union of the alive
+        # venues' ranges, and each pool member keeps the alive venues whose
+        # range holds it.
+        self.alive_venues: List[VenueId] = []
+        in_radius: Dict[MemberId, List[VenueId]] = {}
+        for q in query.venues:
+            in_range = [
+                m for m in indexes.members.range_query(self.venue_loc[q], query.t) if m in graph
+            ]
+            if len(in_range) >= query.p:
+                self.alive_venues.append(q)
+                for m in in_range:
+                    in_radius.setdefault(m, []).append(q)
+        self.in_radius: Dict[MemberId, FrozenSet[VenueId]] = {
+            m: frozenset(qs) for m, qs in in_radius.items()
+        }
+        pool = sorted(in_radius)
+        # Only pool members are ever ranked by degree.
+        self.degree_of = {v: graph.degree(v) for v in pool}
+        # Member-to-venue distances and, per venue, the pool in nondecreasing
+        # distance.
         self.venue_dist: Dict[MemberId, Dict[VenueId, float]] = {}
         for v in pool:
             v_loc = self.member_loc[v]
-            self.venue_dist[v] = {q: distance(v_loc, self.venue_loc[q]) for q in alive_venues}
-        self.in_radius: Dict[MemberId, FrozenSet[VenueId]] = {}
+            self.venue_dist[v] = {q: distance(v_loc, self.venue_loc[q]) for q in self.alive_venues}
         self.by_distance: Dict[VenueId, List[MemberId]] = {
-            q: sorted(pool, key=lambda v: self.venue_dist[v][q]) for q in alive_venues
+            q: sorted(pool, key=lambda v: self.venue_dist[v][q]) for q in self.alive_venues
         }
         # The candidates in search order. srdo fixes it once, by distance to
         # the reference venue: the venue of the table's closest pair, which
-        # exists because a search is built only for a non-empty pool and
-        # non-empty live venues.
+        # exists whenever a venue is alive. apdo needs no seed: every pool
+        # member lies within t of an alive venue, so it always has a pair to
+        # start from.
         self.pool = pool
-        if self.static:
-            _, q_ref, _ = srdo_seed(self.venue_dist, degree_of)
+        if self.static and self.alive_venues:
+            _, q_ref, _ = srdo_seed(self.venue_dist, self.degree_of)
             self.pool = sorted(
-                pool, key=lambda v: (self.venue_dist[v][q_ref], -degree_of.get(v, 0), v)
+                pool, key=lambda v: (self.venue_dist[v][q_ref], -self.degree_of[v], v)
             )
 
     # -- top level ---------------------------------------------------------
 
     def run(self) -> None:
-        if len(self.pool) < self.query.p or not self.alive_venues:
-            return
-        vstate = _VenueState(
-            order_alive=frozenset(self.alive_venues),
-            sums={q: 0.0 for q in self.alive_venues},
-        )
+        # With no alive venue the pool is empty and the root frame stops at
+        # once.
+        sums = {q: 0.0 for q in self.alive_venues}
         pool = list(self.pool)
         pool_deg, degree_sum = None, None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
             degree_sum = sum(pool_deg.values())
-        self._frame([], set(), 0, pool, vstate, 0.0, self.root_theta, pool_deg, 0, degree_sum)
+        # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
+        self._frame([], set(), 0, pool, sums, 0.0, self.query.k, pool_deg, 0, degree_sum)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool counts:
@@ -391,31 +397,33 @@ class _MultiVenueSearch:
         prefix: List[MemberId],
         remaining: List[MemberId],
         visited: Set[MemberId],
-        vstate: _VenueState,
+        sums: Dict[VenueId, float],
         pairwise_sum: float,
         ball_costs: Dict[int, Optional[float]],
     ) -> Optional[MemberId]:
         """One co-traversal of the member R-tree and venue ball tree, returning
         the member of the (member, venue) pair minimizing the grown group's
         total distance to the venue. Ball-level distance bounds are evaluated
-        on every popped ball and mark hopeless venues as unusable for
-        solutions (the traversal itself keeps using the radius-only universe,
-        so extraction order is independent of the prune toggles).
+        on every popped ball and remove hopeless venues from ``sums``.
+
+        The traversal ranges over the radius universe: the alive venues
+        within ``t`` of every prefix member. It shrinks only through the
+        radius, so extraction order is independent of the prune toggles, and
+        it holds every venue of the frame's ``sums``, so it is never empty.
 
         ``ball_costs`` memoises, per ball, the prefix's summed distance lower
-        bound (None for a ball with no venue left in the radius universe);
-        both inputs are fixed within one frame, so the caller keeps one table
-        per frame."""
-        if not vstate.order_alive:
-            return None
+        bound (None for a ball with no venue in the radius universe); both
+        inputs are fixed within one frame, so the caller keeps one table per
+        frame."""
         if all(m in visited for m in remaining):
             return None
+        universe = set(self.alive_venues).intersection(*map(self.in_radius.__getitem__, prefix))
         pool_set = set(remaining)
         prefix_locs = [self.member_loc[v] for v in prefix]
 
         def ball_cost(node: BalltreeNode) -> Optional[float]:
             if node.node_id not in ball_costs:
-                if any(q in vstate.order_alive for q in node.venue_ids):
+                if any(q in universe for q in node.venue_ids):
                     cost = sum(mindist_point_ball(loc, node.ball) for loc in prefix_locs)
                 else:
                     cost = None
@@ -443,7 +451,7 @@ class _MultiVenueSearch:
             if bnode.node_id not in checked_balls:
                 checked_balls.add(bnode.node_id)
                 self._ball_lemma_checks(
-                    bnode, prefix, prefix_locs, remaining, queue, vstate, pairwise_sum
+                    bnode, prefix, prefix_locs, remaining, queue, sums, pairwise_sum
                 )
 
             if key[1] == 1:
@@ -453,7 +461,7 @@ class _MultiVenueSearch:
                         SelectionRecord(
                             group=tuple(prefix),
                             candidates=tuple(sorted(m for m in pool_set if m not in visited)),
-                            venues=tuple(sorted(vstate.order_alive)),
+                            venues=tuple(sorted(universe)),
                             member=member,
                             venue=venue,
                             score=key[0],
@@ -469,7 +477,7 @@ class _MultiVenueSearch:
         prefix_locs: List[Location],
         pool: Sequence[MemberId],
         queue: _PairQueue,
-        vstate: _VenueState,
+        sums: Dict[VenueId, float],
         pairwise_sum: float,
     ) -> None:
         p = self.query.p
@@ -490,21 +498,21 @@ class _MultiVenueSearch:
                 )
                 self._record_bound(PRUNE_OUTER_TRIANGLE, bound, prefix, pool, bnode.venue_ids)
                 if bound >= self.best_total:
-                    self._kill_venues(bnode.venue_ids, vstate, PRUNE_OUTER_TRIANGLE)
+                    self._kill_venues(bnode.venue_ids, sums, PRUNE_OUTER_TRIANGLE)
 
         if cfg.inner_triangle and n >= 2:
             frontier = queue.frontier_bound(bx)
             bound = inner_triangle_bound(pairwise_sum, n, p, bx.ball.radius, frontier)
             self._record_bound(PRUNE_INNER_TRIANGLE, bound, prefix, pool, bx.venue_ids)
             if bound >= self.best_total:
-                self._kill_venues(bx.venue_ids, vstate, PRUNE_INNER_TRIANGLE)
+                self._kill_venues(bx.venue_ids, sums, PRUNE_INNER_TRIANGLE)
 
         if cfg.ball_distance:
             frontier = queue.frontier_bound(bx)
             bound = ball_distance_bound(queue.ball_cost_of(bx), n, p, frontier)
             self._record_bound(PRUNE_BALL_DISTANCE, bound, prefix, pool, bx.venue_ids)
             if bound >= self.best_total:
-                self._kill_venues(bx.venue_ids, vstate, PRUNE_BALL_DISTANCE)
+                self._kill_venues(bx.venue_ids, sums, PRUNE_BALL_DISTANCE)
 
     def _record_bound(self, rule, bound, prefix, pool, venue_ids) -> None:
         if self.audit is not None and math.isfinite(bound):
@@ -519,11 +527,11 @@ class _MultiVenueSearch:
                 )
             )
 
-    def _kill_venues(self, venue_ids, vstate: _VenueState, rule: str) -> None:
-        doomed = [q for q in venue_ids if q in vstate.sums]
+    def _kill_venues(self, venue_ids, sums: Dict[VenueId, float], rule: str) -> None:
+        doomed = [q for q in venue_ids if q in sums]
         if doomed:
             for q in doomed:
-                del vstate.sums[q]
+                del sums[q]
             self.stats.bump(rule, len(doomed))
 
     # -- search frames -------------------------------------------------------
@@ -534,7 +542,7 @@ class _MultiVenueSearch:
         prefix_set: Set[MemberId],
         prefix_edges: int,
         pool: List[MemberId],
-        vstate: _VenueState,
+        sums: Dict[VenueId, float],
         pairwise_sum: float,
         theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
@@ -552,6 +560,10 @@ class _MultiVenueSearch:
         size = len(prefix)
         remaining = list(pool)
         left = len(remaining)
+        # ``sums`` maps each venue still usable for a solution to the
+        # prefix's total distance to it, in the query's venue order. The
+        # frame owns it: each child gets its own, so backtracking restores
+        # it for free.
         # ``pool_deg`` is the pool degree table of ``remaining``, ``cross`` the
         # number of prefix-to-remaining edges and ``degree_sum`` the sum of
         # the table, when this frame keeps them; otherwise ``pool_deg`` and
@@ -569,26 +581,26 @@ class _MultiVenueSearch:
         # afterwards, so the cached value stays a valid lower bound.
         remaining_set = set(remaining)
         pool_dmin: Dict[VenueId, float] = {}
-        for q in vstate.sums:
+        for q in sums:
             first = next((v for v in self.by_distance[q] if v in remaining_set), None)
             pool_dmin[q] = math.inf if first is None else self.venue_dist[first][q]
 
         # The venue-distance check only turns false after the incumbent
-        # improves or a venue leaves the solution universe; until then a
-        # passed check is not repeated.
+        # improves or a venue leaves ``sums``; until then a passed check is
+        # not repeated.
         viable_at = None
         while size + left >= p:
-            if cfg.venue_distance and viable_at != (self.best_total, len(vstate.sums)):
-                if not self._any_venue_viable(size, vstate, pool_dmin):
+            if cfg.venue_distance and viable_at != (self.best_total, len(sums)):
+                if not self._any_venue_viable(size, sums, pool_dmin):
                     stats.bump(PRUNE_VENUE_DISTANCE)
                     break
-                viable_at = (self.best_total, len(vstate.sums))
+                viable_at = (self.best_total, len(sums))
 
             if static:
                 u = remaining[cursor] if cursor < left else None
             else:
                 u = self._select_adaptive(
-                    prefix, remaining, visited, vstate, pairwise_sum, ball_costs
+                    prefix, remaining, visited, sums, pairwise_sum, ball_costs
                 )
             if u is None:
                 if not visited:
@@ -619,16 +631,16 @@ class _MultiVenueSearch:
                 degree_sum -= 2 * deg_u
 
             # A candidate with no solution venue in its radius has no child
-            # venue state to build: every venue fails the radius test.
-            in_radius = in_radius_of.get(u)
-            if in_radius is None:
-                in_radius = self._fill_in_radius(u)
-            if vstate.sums.keys().isdisjoint(in_radius):
-                if vstate.sums:
-                    stats.bump(PRUNE_VENUE_RADIUS, len(vstate.sums))
+            # venue table to build: every venue fails the radius test. The
+            # adaptive ball checks can empty ``sums`` mid-frame, when the
+            # venue-distance check is off.
+            in_radius = in_radius_of[u]
+            if sums.keys().isdisjoint(in_radius):
+                if sums:
+                    stats.bump(PRUNE_VENUE_RADIUS, len(sums))
                 continue
-            cvstate = self._child_venue_state(u, in_radius, size + 1, vstate, pool_dmin)
-            if not cvstate.sums:
+            child_sums = self._child_sums(u, in_radius, size + 1, sums, pool_dmin)
+            if not child_sums:
                 continue
             child = prefix + [u]
 
@@ -649,7 +661,7 @@ class _MultiVenueSearch:
 
             if size + 1 == p:
                 stats.explored_states += 1
-                self._evaluate_leaf(child, child_edges, cvstate)
+                self._evaluate_leaf(child, child_edges, child_sums)
                 continue
 
             # Only the adaptive ball checks read the pairwise sum.
@@ -666,61 +678,52 @@ class _MultiVenueSearch:
                 prefix_set | {u},
                 child_edges,
                 remaining,
-                cvstate,
+                child_sums,
                 child_pairwise,
                 theta,
                 *child_counts,
             )
 
     def _any_venue_viable(
-        self, size: int, vstate: _VenueState, pool_dmin: Dict[VenueId, float]
+        self, size: int, sums: Dict[VenueId, float], pool_dmin: Dict[VenueId, float]
     ) -> bool:
         p = self.query.p
-        for q, total in vstate.sums.items():
-            if not distance_prune(total, size, p, pool_dmin.get(q, math.inf), self.best_total):
+        for q, total in sums.items():
+            if not distance_prune(total, size, p, pool_dmin[q], self.best_total):
                 return True
         return False
 
-    def _fill_in_radius(self, u: MemberId) -> FrozenSet[VenueId]:
-        """Alive venues within the query radius of ``u``, stored in
-        ``in_radius`` for the rest of the search."""
-        t = self.query.t
-        in_radius = self.in_radius[u] = frozenset(
-            [q for q, d in self.venue_dist[u].items() if d <= t]
-        )
-        return in_radius
-
-    def _child_venue_state(
+    def _child_sums(
         self,
         u: MemberId,
         in_radius: FrozenSet[VenueId],
         child_size: int,
-        vstate: _VenueState,
+        sums: Dict[VenueId, float],
         pool_dmin: Dict[VenueId, float],
-    ) -> _VenueState:
+    ) -> Dict[VenueId, float]:
+        """The child's venue table: the venues of ``sums`` within the radius
+        of ``u`` that survive the venue-distance check, with ``u``'s distance
+        added."""
         p = self.query.p
         row = self.venue_dist[u]
         out_of_radius = 0
-        sums2: Dict[VenueId, float] = {}
-        for q, total in vstate.sums.items():
+        child_sums: Dict[VenueId, float] = {}
+        for q, total in sums.items():
             if q not in in_radius:
                 out_of_radius += 1
                 continue
             total += row[q]
             if self.config.venue_distance and distance_prune(
-                total, child_size, p, pool_dmin.get(q, math.inf), self.best_total
+                total, child_size, p, pool_dmin[q], self.best_total
             ):
                 self.stats.bump(PRUNE_VENUE_DISTANCE)
                 continue
-            sums2[q] = total
+            child_sums[q] = total
         if out_of_radius:
             self.stats.bump(PRUNE_VENUE_RADIUS, out_of_radius)
-        return _VenueState(order_alive=vstate.order_alive & in_radius, sums=sums2)
+        return child_sums
 
-    def _evaluate_leaf(self, group: List[MemberId], edges: int, vstate: _VenueState) -> None:
-        sums = vstate.sums
-        if not sums:
-            return
+    def _evaluate_leaf(self, group: List[MemberId], edges: int, sums: Dict[VenueId, float]) -> None:
         best_here = min(sums, key=lambda q: (sums[q], q))
         total = sums[best_here]
         if total >= self.best_total:
@@ -733,33 +736,6 @@ class _MultiVenueSearch:
             self.best_total = total
             self.best_group = tuple(sorted(group))
             self.best_venue = best_here
-
-
-def _prepare_instance(
-    query: Query,
-    graph: SocialGraph,
-    data: SpatialDataset,
-    indexes: Optional[Indexes],
-    core_preprocess: bool,
-):
-    """Shared setup: optional core trimming, radius-based venue/member filters."""
-    indexes = indexes or build_indexes(data)
-    work_graph = graph
-    if core_preprocess and query.familiarity_mode is FamiliarityMode.PER_VERTEX:
-        work_graph = core_decompose(graph, query.p, query.k)
-    vertex_set = set(work_graph.vertices)
-
-    alive_venues: List[VenueId] = []
-    reachable: Set[MemberId] = set()
-    for q in query.venues:
-        in_range = indexes.members.range_query(data.venue_locations[q], query.t)
-        in_range &= vertex_set
-        # A venue that cannot host even p members can never appear in a solution.
-        if len(in_range) >= query.p:
-            alive_venues.append(q)
-            reachable |= in_range
-    pool = sorted(reachable)
-    return indexes, work_graph, pool, alive_venues
 
 
 def ssp_solve(
@@ -808,38 +784,28 @@ def mags_solve(
 ) -> Optional[Solution]:
     """Index-driven joint search. ``ordering`` picks the candidate extraction
     strategy: "srdo" fixes the reference venue from the closest pair of a
-    pool member and a live venue (``srdo_seed``); "apdo" re-selects the best (member, venue) pair before
-    every insertion and enables the ball-level distance bounds."""
+    pool member and a live venue (``srdo_seed``); "apdo" re-selects the best
+    (member, venue) pair before every insertion and enables the ball-level
+    distance bounds."""
     if ordering not in ("srdo", "apdo"):
         raise ValueError(f"unknown ordering {ordering!r}")
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
-    indexes, work_graph, pool, alive = _prepare_instance(
-        query, graph, data, indexes, core_preprocess
+    if core_preprocess and query.familiarity_mode is FamiliarityMode.PER_VERTEX:
+        graph = core_decompose(graph, query.p, query.k)
+    search = _MultiVenueSearch(
+        query,
+        graph,
+        data,
+        indexes or build_indexes(data),
+        config,
+        stats,
+        ordering=ordering,
+        audit=audit,
     )
-
-    group = venue = None
-    if pool and alive:
-        # Only pool members are ever ranked by degree. Every pool member lies
-        # within t of an alive venue, so apdo always has a pair to start
-        # from; it needs no seed.
-        degree_of = {v: work_graph.degree(v) for v in pool}
-        search = _MultiVenueSearch(
-            query,
-            work_graph,
-            data,
-            pool,
-            alive,
-            config,
-            stats,
-            degree_of,
-            indexes=indexes,
-            ordering=ordering,
-            audit=audit,
-        )
-        search.run()
-        group, venue = search.best_group, search.best_venue
+    search.run()
+    group, venue = search.best_group, search.best_venue
     stats.elapsed_seconds = time.perf_counter() - start
     if group is None:
         return None

@@ -11,7 +11,6 @@ from itertools import combinations
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .model import (
-    FamiliarityMode,
     MemberId,
     Query,
     SocialGraph,
@@ -46,15 +45,14 @@ def brute_force(
     query: Query,
     graph: SocialGraph,
     data: SpatialDataset,
-    mode: Optional[FamiliarityMode] = None,
     budget: int = 10**8,
 ) -> OracleResult:
     """Enumerate every in-radius p-combination per venue and keep the best.
 
-    Ties break toward the lexicographically smallest sorted member list, then
-    the smallest venue id.
+    Only located graph vertices take part. Ties break toward the
+    lexicographically smallest sorted member list, then the smallest venue id.
     """
-    mode = mode or query.familiarity_mode
+    mode = query.familiarity_mode
     p = query.p
 
     per_venue_candidates = {}
@@ -63,8 +61,8 @@ def brute_force(
         venue_loc = data.venue_locations[venue]
         in_range = sorted(
             v
-            for v in graph.vertices
-            if distance(data.member_locations[v], venue_loc) <= query.t
+            for v, loc in data.member_locations.items()
+            if v in graph and distance(loc, venue_loc) <= query.t
         )
         per_venue_candidates[venue] = in_range
         total_work += _combinations_count(len(in_range), p)

@@ -139,9 +139,9 @@ class _SingleVenueSearch:
         pool_deg = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees([m for _, m in self.order], self.graph)
-        root_theta = min(self.query.k, self.query.p - 1)
+        # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
         try:
-            self._frame([], set(), 0, 0.0, self.order, root_theta, pool_deg, 0)
+            self._frame([], set(), 0, 0.0, self.order, self.query.k, pool_deg, 0)
         except _StopSearch:
             pass
 
@@ -324,23 +324,16 @@ def minimal_order_theta(
 ) -> int:
     """Smallest relaxation level (at least ``k``) under which every prefix
     insertion of the group, in stored order, passes the admission test."""
-    if p == 1:
-        return k
     theta = k
     members: set = set()
     edges = 0
     for v in group_in_order:
-        gained = len(graph.neighbors(v) & members)
+        edges += len(graph.neighbors(v) & members)
         members.add(v)
-        edges += gained
-        size = len(members)
-        # theta >= (size^2 - 2*E*size/(p-1)... scaled: exact ceil of
-        # (size^2*(p-1) - 2*E*(p-1) - size*(p-1)) / size^2
-        numerator = size * size * (p - 1) - 2 * edges * (p - 1) - size * (p - 1)
-        if numerator > 0:
-            needed = -((-numerator) // (size * size))
-            theta = max(theta, needed)
-    return min(theta, p - 1)
+        # The test is vacuous at theta = p - 1.
+        while theta < p - 1 and edges < admission_edges(len(members), theta, p):
+            theta += 1
+    return theta
 
 
 def merge_rank(
@@ -366,12 +359,8 @@ def merge_prune(
     """True when even the cheapest way of topping the group up to ``p`` members
     (one per missing slot, each at the smallest member distance present in any
     usable queue) cannot beat the incumbent."""
-    if size >= p:
-        return total >= best
     unit = min((mu_by_size.get(j, math.inf) for j in range(size, p)), default=math.inf)
-    if math.isinf(unit):
-        return True
-    return total + (p - size) * unit >= best
+    return distance_prune(total, size, p, unit, best)
 
 
 @dataclass
@@ -386,7 +375,6 @@ class _QueueEntry:
 class MergeQueues:
     """Per-size queues of intermediate groups plus the trim capacity."""
 
-    p: int
     capacity: int
     queues: Dict[int, Dict[frozenset, _QueueEntry]] = field(default_factory=dict)
 
@@ -444,7 +432,7 @@ def ssgmerge_solve(
     venue = query.venues[0]
     p = query.p
 
-    queues = MergeQueues(p=p, capacity=lam)
+    queues = MergeQueues(capacity=lam)
 
     def harvest(group_in_order: List[MemberId], total: float) -> None:
         members = tuple(group_in_order)
@@ -455,9 +443,8 @@ def ssgmerge_solve(
         query, graph, data, venue, indexes, config, stats, harvest=harvest, budget=w
     )
     best = search.best_total
-
-    venue_loc = data.venue_locations[venue]
-    dist_of = {v: distance(data.member_locations[v], venue_loc) for v in graph.vertices}
+    # Every harvested member is an in-range candidate of the search.
+    dist_of = {m: d for d, m in search.order}
 
     for size in range(1, p):
         queues.trim(size)

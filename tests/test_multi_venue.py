@@ -354,6 +354,70 @@ def test_apdo_selection_equals_scan_argmin():
             assert (rec.member, rec.venue) == (best[2], best[3])
 
 
+# --- search set-up ----------------------------------------------------------
+
+
+def _grid_instance(rng):
+    """Integer-grid instance: members at distance exactly ``t`` of a venue
+    (3-4-5 offsets), located members that are not graph vertices, a graph
+    vertex with no location, and venues with fewer than ``p`` members in
+    range."""
+    t = 5.0
+    venues = {f"q{j}": Location(rng.randint(0, 12), rng.randint(0, 12)) for j in range(4)}
+    members = {}
+    for i in range(rng.randint(6, 14)):
+        if rng.random() < 0.4:
+            q = venues[rng.choice(sorted(venues))]
+            dx, dy = rng.choice([(3, 4), (-4, 3), (5, 0), (0, -5), (-3, -4)])
+            members[i] = Location(q.x + dx, q.y + dy)
+        else:
+            members[i] = Location(rng.randint(-3, 15), rng.randint(-3, 15))
+    vertices = [m for m in members if rng.random() < 0.8] + [99]
+    edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < 0.5]
+    graph = SocialGraph(vertices, edges)
+    query = Query(p=rng.randint(2, 4), k=1, t=t, venues=tuple(sorted(venues)))
+    return graph, SpatialDataset(members, venues), query
+
+
+def test_search_setup_matches_the_distances():
+    rng = random.Random(12)
+    seen = {"at_t": 0, "non_vertex": 0, "dead": 0}
+    for _ in range(200):
+        graph, data, query = _grid_instance(rng)
+        in_range = {
+            q: {
+                m
+                for m in data.member_locations
+                if m in graph and data.member_venue_distance(m, q) <= query.t
+            }
+            for q in query.venues
+        }
+        alive = [q for q in query.venues if len(in_range[q]) >= query.p]
+        pool = set().union(*(in_range[q] for q in alive))
+        in_radius = {m: frozenset(q for q in alive if m in in_range[q]) for m in pool}
+        for q in query.venues:
+            for m in data.member_locations:
+                if data.member_venue_distance(m, q) == query.t and m in in_range[q]:
+                    seen["at_t"] += 1
+                if m not in graph and data.member_venue_distance(m, q) <= query.t:
+                    seen["non_vertex"] += 1
+            seen["dead"] += 0 < len(in_range[q]) < query.p
+        for ordering in ("srdo", "apdo"):
+            search = multi_venue._MultiVenueSearch(
+                query,
+                graph,
+                data,
+                build_indexes(data),
+                PruneConfig(),
+                SearchStats(),
+                ordering=ordering,
+            )
+            assert search.alive_venues == alive
+            assert sorted(search.pool) == sorted(pool)
+            assert search.in_radius == in_radius
+    assert min(seen.values()) > 20, seen
+
+
 # --- solver agreement -------------------------------------------------------
 
 

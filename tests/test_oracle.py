@@ -131,3 +131,41 @@ def test_reported_totals_do_not_depend_on_candidate_order():
                     assert sol.total_distance == oracle.total_distance, (name, seed)
                     matched += 1
     assert matched > 200
+
+
+def test_graph_vertices_without_a_location_take_no_part():
+    # A graph vertex with no location can lie within no radius: every solver
+    # and the oracle leave it out, and still agree on the optimum.
+    single = {
+        "ssgs": ssgs_solve,
+        "ssgmerge": lambda *a: ssgmerge_solve(*a, w=10**9, lam=10**6),
+    }
+    multi = {
+        "ssp": ssp_solve,
+        "mags-srdo": lambda *a: mags_solve(*a, ordering="srdo"),
+        "mags-apdo": lambda *a: mags_solve(*a, ordering="apdo"),
+    }
+    found = 0
+    for seed in range(20):
+        graph, data = random_instance(seed, 12, 3, edge_prob=0.6)
+        t = radius_for_quantile(graph, data, 0.6)
+        rng = random.Random(seed)
+        unlocated = [100, 101]
+        edges = list(graph.edges())
+        edges += [(u, v) for u in unlocated for v in graph.vertices if rng.random() < 0.7]
+        graph = SocialGraph(list(graph.vertices) + unlocated, edges)
+        venues = tuple(sorted(data.venue_locations))
+        for solvers, query in (
+            (single, Query(p=3, k=1, t=t, venues=venues[:1])),
+            (multi, Query(p=3, k=1, t=t, venues=venues)),
+        ):
+            oracle = brute_force(query, graph, data)
+            for name, solve in solvers.items():
+                sol = solve(query, graph, data)
+                if oracle.group is None:
+                    assert sol is None, (name, seed)
+                    continue
+                assert not set(sol.group) & set(unlocated), (name, seed)
+                assert sol.total_distance == pytest.approx(oracle.total_distance, rel=1e-12)
+                found += 1
+    assert found > 50

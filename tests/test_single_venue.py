@@ -201,7 +201,7 @@ def test_merge_prune_cases():
 
 
 def test_merge_queue_trim_keeps_smallest_ranks():
-    queues = MergeQueues(p=3, capacity=2)
+    queues = MergeQueues(capacity=2)
     for i, rank in enumerate([5.0, 1.0, 3.0, 2.0]):
         members = (f"m{i}", f"n{i}")
         queues.insert(_QueueEntry(members, frozenset(members), 1.0, rank))
@@ -212,7 +212,7 @@ def test_merge_queue_trim_keeps_smallest_ranks():
 
 
 def test_merge_queue_dedup_keeps_better_rank():
-    queues = MergeQueues(p=3, capacity=5)
+    queues = MergeQueues(capacity=5)
     queues.insert(_QueueEntry(("x", "y"), frozenset({"x", "y"}), 4.0, 9.0))
     queues.insert(_QueueEntry(("y", "x"), frozenset({"x", "y"}), 4.0, 3.0))
     (entry,) = queues.entries(2)
