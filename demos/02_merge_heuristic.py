@@ -29,8 +29,14 @@ members = {m: Location(float(d), 0.0) for m, d in zip("abcdef", range(1, 7))}
 data = SpatialDataset(members, {"q": Location(0.0, 0.0)})
 query = Query(p=4, k=1, t=100.0, venues=("q",))
 
-print("rank of loose-but-close {a,b,c}: ", merge_rank(("a", "b", "c"), query, graph, data))
-print("rank of tight-but-far   {c,d,e}: ", merge_rank(("c", "d", "e"), query, graph, data))
+
+def rank(group):
+    total = sum(data.member_venue_distance(m, "q") for m in group)
+    return merge_rank(group, total, query, graph)
+
+
+print("rank of loose-but-close {a,b,c}: ", rank(("a", "b", "c")))
+print("rank of tight-but-far   {c,d,e}: ", rank(("c", "d", "e")))
 
 solution = ssgmerge_solve(query, graph, data)
 print("\nmerged answer:", solution.group, "at", solution.total_distance)

@@ -4,22 +4,22 @@ fixed reference venue, and index-driven search with adaptive venue selection.
 All variants share one recursive engine. Candidate members are extracted
 either from a static order toward a reference venue, or adaptively by
 co-traversing the member R-tree and the venue ball tree. A search sets itself
-up from one range query per venue of the query: those alone decide which
-venues are alive (at least ``p`` graph vertices within ``t``), the pool (the
-union of the alive venues' ranges) and, for each pool member, the alive
-venues within its radius. A search frame carries one venue table, ``sums``:
-the venues still usable for a solution, each with the prefix's total distance
-to it. The radius and the distance-bound rules remove venues from it. The
-adaptive traversal ranges over the alive venues within the radius of every
-prefix member, worked out from the prefix, so toggling prune rules never
-changes the member extraction order.
+up from ``candidate_order``, the in-range rule of every exact solver, called
+once per venue of the query. It alone decides which venues are alive (at
+least ``p`` graph vertices within ``t``), the pool (the union of the alive
+venues' candidates) and ``near``: for each pool member, the alive venues
+within its radius and its distance to each. A search frame carries one venue
+table, ``sums``: the venues still usable for a solution, each with the
+prefix's total distance to it. The radius and the distance-bound rules
+remove venues from it. The adaptive traversal ranges over the alive venues
+within the radius of every prefix member, worked out from the prefix, so
+toggling prune rules never changes the member extraction order.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
 between the pool and the query's live venues (``srdo_seed``), and the static
-order sorts the pool by distance to it. Both read the search's member-to-venue
-distance table (below), so srdo set-up computes each distance once, ties
-break on exact distances and no index is read. Every pool member lies within
-``t`` of a live venue, so the pair always exists.
+order sorts the pool by distance to it. Every pool member lies within ``t``
+of a live venue, so the pair always exists and lies in ``near``; ties break
+on exact distances and no index is read.
 
 Each adaptive (apdo) selection co-traverses the member R-tree and the venue
 ball tree on a best-first queue of (R-tree entry, ball) pairs,
@@ -30,30 +30,29 @@ entry-to-ball lower bounds from a table kept for the whole search and the
 group's summed bound to each ball from a table kept for the search frame; the
 ball-level distance bounds take their frontier minimum from the same tables.
 
-A search also keeps, for its whole run, every pool member's distance to every
-alive venue and each venue's pool sorted by distance. A search frame carries
-its prefix's internal edge count, so the admission test is an integer
-comparison (``admission_edges``), as is the average-mode familiarity test at a
-leaf, and reads the smallest remaining candidate distance to each venue off
-the sorted pools. With a static order, a cursor into the frame's remaining candidates
-marks how far the current ``theta`` has tried them: it advances on a
-rejection, stays put on an admission and returns to the front when ``theta``
-escalates. An admitted candidate with no solution venue within its radius
-is counted and dropped before any child venue table is built. Solution
-venues are visited in the query's venue order, never in set order, so the
-work done does not depend on the string hash seed.
+A search keeps each alive venue's candidate order for its whole run. A search
+frame carries its prefix's internal edge count, so the admission test is an
+integer comparison (``admission_edges``), as is the average-mode familiarity
+test at a leaf, and reads the smallest remaining candidate distance to each
+venue off the candidate orders. With a static order, a cursor into the
+frame's remaining candidates marks how far the current ``theta`` has tried
+them: it advances on a rejection, stays put on an admission and returns to
+the front when ``theta`` escalates. A static frame's venues only shrink below
+it, so on entry it drops every candidate with none of them in its radius.
+Solution venues are visited in the query's venue order, never in set order,
+so the work done does not depend on the string hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates),
 the crossing count (prefix-to-remaining edges) and the table's sum (twice
-the pool's internal edge count). They are updated as each generated
-candidate leaves the pool and copied into child frames, and the familiarity
-rules read them instead of intersecting the pool: the average rule reads
-the table and the crossing count, the per-vertex pool rule the sum. A frame
-keeps them only when a child of it can fire a rule that reads them: in
-average mode, every frame while the average rule is on; in per-vertex mode,
-frames whose children leave at least ``k + 2`` slots open, while the pool
-rule is on. That depends only on ``p``, ``k`` and the depth.
+the pool's internal edge count). They are updated as each generated or
+dropped candidate leaves the pool and copied into child frames, and the
+familiarity rules read them instead of intersecting the pool: the average
+rule reads the table and the crossing count, the per-vertex pool rule the
+sum. A frame keeps them only when a child of it can fire a rule that reads
+them: in average mode, every frame while the average rule is on; in
+per-vertex mode, frames whose children leave at least ``k + 2`` slots open,
+while the pool rule is on. That depends only on ``p``, ``k`` and the depth.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .balltree import BalltreeNode, mindist_mbr_ball, mindist_point_ball
 from .graph import core_decompose
@@ -105,7 +104,7 @@ from .pruning import (
 from .rtree import Rtree
 # ``sso_admits`` is re-exported; the engine below applies the same test
 # through ``admission_edges`` on the edge count it carries.
-from .single_venue import admission_edges, run_single_venue_search, sso_admits
+from .single_venue import admission_edges, candidate_order, run_single_venue_search, sso_admits
 
 
 @dataclass(frozen=True)
@@ -270,7 +269,7 @@ class _PairQueue:
 
 
 def srdo_seed(
-    venue_dist: Dict[MemberId, Dict[VenueId, float]],
+    near: Dict[MemberId, Dict[VenueId, float]],
     degree_of: Dict[MemberId, int],
 ) -> Optional[Tuple[MemberId, VenueId, float]]:
     """Closest (member, venue) pair as ``(member, venue, distance)`` in a
@@ -279,7 +278,7 @@ def srdo_seed(
     Pairs order by ``(distance, -degree, member, venue)``: ties prefer higher
     member degree, then ascending ids.
     """
-    rows = venue_dist.items()
+    rows = near.items()
     d_min = min((d for _, row in rows for d in row.values()), default=None)
     if d_min is None:
         return None
@@ -324,36 +323,24 @@ class _MultiVenueSearch:
         # Entry-to-ball lower bounds depend only on the indexes: one table
         # serves every co-traversal of this search (see ``_PairQueue``).
         self.g_memo: Dict[int, Dict[object, float]] = {}
-        # One range query per venue decides every radius fact. A venue is
-        # alive when at least p graph vertices lie within t of it (one with
-        # fewer can never host a group); the pool is the union of the alive
-        # venues' ranges, and each pool member keeps the alive venues whose
-        # range holds it.
+        # One ``candidate_order`` per venue decides every radius fact. A venue
+        # is alive when at least p graph vertices lie within t of it (one
+        # with fewer can never host a group). ``near[m]`` maps each pool
+        # member to the alive venues within its radius and its distance to
+        # each.
         self.alive_venues: List[VenueId] = []
-        in_radius: Dict[MemberId, List[VenueId]] = {}
+        self.by_distance: Dict[VenueId, List[Tuple[float, MemberId]]] = {}
+        self.near: Dict[MemberId, Dict[VenueId, float]] = {}
         for q in query.venues:
-            in_range = [
-                m for m in indexes.members.range_query(self.venue_loc[q], query.t) if m in graph
-            ]
-            if len(in_range) >= query.p:
+            order = candidate_order(query, graph, data, q, indexes)
+            if len(order) >= query.p:
                 self.alive_venues.append(q)
-                for m in in_range:
-                    in_radius.setdefault(m, []).append(q)
-        self.in_radius: Dict[MemberId, FrozenSet[VenueId]] = {
-            m: frozenset(qs) for m, qs in in_radius.items()
-        }
-        pool = sorted(in_radius)
+                self.by_distance[q] = order
+                for d, m in order:
+                    self.near.setdefault(m, {})[q] = d
+        pool = sorted(self.near)
         # Only pool members are ever ranked by degree.
         self.degree_of = {v: graph.degree(v) for v in pool}
-        # Member-to-venue distances and, per venue, the pool in nondecreasing
-        # distance.
-        self.venue_dist: Dict[MemberId, Dict[VenueId, float]] = {}
-        for v in pool:
-            v_loc = self.member_loc[v]
-            self.venue_dist[v] = {q: distance(v_loc, self.venue_loc[q]) for q in self.alive_venues}
-        self.by_distance: Dict[VenueId, List[MemberId]] = {
-            q: sorted(pool, key=lambda v: self.venue_dist[v][q]) for q in self.alive_venues
-        }
         # The candidates in search order. srdo fixes it once, by distance to
         # the reference venue: the venue of the table's closest pair, which
         # exists whenever a venue is alive. apdo needs no seed: every pool
@@ -361,9 +348,10 @@ class _MultiVenueSearch:
         # start from.
         self.pool = pool
         if self.static and self.alive_venues:
-            _, q_ref, _ = srdo_seed(self.venue_dist, self.degree_of)
+            _, q_ref, _ = srdo_seed(self.near, self.degree_of)
+            ref_loc = self.venue_loc[q_ref]
             self.pool = sorted(
-                pool, key=lambda v: (self.venue_dist[v][q_ref], -self.degree_of[v], v)
+                pool, key=lambda v: (distance(self.member_loc[v], ref_loc), -self.degree_of[v], v)
             )
 
     # -- top level ---------------------------------------------------------
@@ -417,7 +405,7 @@ class _MultiVenueSearch:
         frame."""
         if all(m in visited for m in remaining):
             return None
-        universe = set(self.alive_venues).intersection(*map(self.in_radius.__getitem__, prefix))
+        universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
         pool_set = set(remaining)
         prefix_locs = [self.member_loc[v] for v in prefix]
 
@@ -558,8 +546,6 @@ class _MultiVenueSearch:
         graph = self.graph
         neighbors = graph.neighbors
         size = len(prefix)
-        remaining = list(pool)
-        left = len(remaining)
         # ``sums`` maps each venue still usable for a solution to the
         # prefix's total distance to it, in the query's venue order. The
         # frame owns it: each child gets its own, so backtracking restores
@@ -568,22 +554,36 @@ class _MultiVenueSearch:
         # number of prefix-to-remaining edges and ``degree_sum`` the sum of
         # the table, when this frame keeps them; otherwise ``pool_deg`` and
         # ``degree_sum`` are None.
+        if static:
+            # A static frame's venues only shrink below it, so a candidate
+            # with none of them in its radius can join no group here: it
+            # leaves the pool as a generated candidate does.
+            remaining = []
+            for v in pool:
+                if not sums.keys().isdisjoint(self.near[v]):
+                    remaining.append(v)
+                elif pool_deg is not None:
+                    degree_sum -= 2 * drop_from_pool(pool_deg, v, graph)
+                    cross -= len(neighbors(v) & prefix_set)
+        else:
+            remaining = list(pool)
+        left = len(remaining)
         copy_counts = self._keeps_pool_counts(size + 1)
         visited: Set[MemberId] = set()
         # Static order: remaining[:cursor] has been tried at this theta.
         cursor = 0
         need = admission_edges(size + 1, theta, p)
         ball_costs: Dict[int, Optional[float]] = {}
-        in_radius_of = self.in_radius
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
-        # completion bounds. Computed once per frame; the pool only shrinks
-        # afterwards, so the cached value stays a valid lower bound.
+        # completion bounds: a completion at q takes only candidates of q.
+        # Computed once per frame; the pool only shrinks afterwards, so the
+        # cached value stays a valid lower bound.
         remaining_set = set(remaining)
-        pool_dmin: Dict[VenueId, float] = {}
-        for q in sums:
-            first = next((v for v in self.by_distance[q] if v in remaining_set), None)
-            pool_dmin[q] = math.inf if first is None else self.venue_dist[first][q]
+        pool_dmin = {
+            q: next((d for d, v in self.by_distance[q] if v in remaining_set), math.inf)
+            for q in sums
+        }
 
         # The venue-distance check only turns false after the incumbent
         # improves or a venue leaves ``sums``; until then a passed check is
@@ -630,16 +630,7 @@ class _MultiVenueSearch:
                 cross -= child_edges - prefix_edges
                 degree_sum -= 2 * deg_u
 
-            # A candidate with no solution venue in its radius has no child
-            # venue table to build: every venue fails the radius test. The
-            # adaptive ball checks can empty ``sums`` mid-frame, when the
-            # venue-distance check is off.
-            in_radius = in_radius_of[u]
-            if sums.keys().isdisjoint(in_radius):
-                if sums:
-                    stats.bump(PRUNE_VENUE_RADIUS, len(sums))
-                continue
-            child_sums = self._child_sums(u, in_radius, size + 1, sums, pool_dmin)
+            child_sums = self._child_sums(u, size + 1, sums, pool_dmin)
             if not child_sums:
                 continue
             child = prefix + [u]
@@ -696,7 +687,6 @@ class _MultiVenueSearch:
     def _child_sums(
         self,
         u: MemberId,
-        in_radius: FrozenSet[VenueId],
         child_size: int,
         sums: Dict[VenueId, float],
         pool_dmin: Dict[VenueId, float],
@@ -705,11 +695,11 @@ class _MultiVenueSearch:
         of ``u`` that survive the venue-distance check, with ``u``'s distance
         added."""
         p = self.query.p
-        row = self.venue_dist[u]
+        row = self.near[u]
         out_of_radius = 0
         child_sums: Dict[VenueId, float] = {}
         for q, total in sums.items():
-            if q not in in_radius:
+            if q not in row:
                 out_of_radius += 1
                 continue
             total += row[q]

@@ -51,6 +51,7 @@ def brute_force(
 
     Only located graph vertices take part. Ties break toward the
     lexicographically smallest sorted member list, then the smallest venue id.
+    Raises ``ValueError`` for a venue ``data`` does not locate.
     """
     mode = query.familiarity_mode
     p = query.p
@@ -58,7 +59,9 @@ def brute_force(
     per_venue_candidates = {}
     total_work = 0
     for venue in query.venues:
-        venue_loc = data.venue_locations[venue]
+        venue_loc = data.venue_locations.get(venue)
+        if venue_loc is None:
+            raise ValueError(f"venue {venue!r} has no location")
         in_range = sorted(
             v
             for v, loc in data.member_locations.items()

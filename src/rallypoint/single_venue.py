@@ -256,11 +256,15 @@ def candidate_order(
     venue,
     indexes: Optional[Indexes],
 ) -> List[Tuple[float, MemberId]]:
-    """In-range graph vertices sorted by (distance to venue, id).
+    """In-range graph vertices sorted by (distance to venue, id): the one
+    in-range rule of every exact solver.
 
-    Located members that are not graph vertices are skipped."""
+    Located members that are not graph vertices are skipped. Raises
+    ``ValueError`` for a venue ``data`` does not locate."""
+    center = data.venue_locations.get(venue)
+    if center is None:
+        raise ValueError(f"venue {venue!r} has no location")
     rtree = indexes.members if indexes is not None else build_indexes(data).members
-    center = data.venue_locations[venue]
     in_range = rtree.range_query(center, query.t)
     return sorted(
         (distance(data.member_locations[m], center), m) for m in in_range if m in graph
@@ -338,14 +342,13 @@ def minimal_order_theta(
 
 def merge_rank(
     group_in_order: Sequence[MemberId],
+    total: float,
     query: Query,
     graph: SocialGraph,
-    data: SpatialDataset,
 ) -> float:
-    """Queue priority for an intermediate group: tighter and closer is smaller."""
+    """Queue priority for an intermediate group whose member-to-venue
+    distances sum to ``total``: tighter and closer is smaller."""
     theta_bar = minimal_order_theta(group_in_order, query.p, query.k, graph)
-    venue_loc = data.venue_locations[query.venues[0]]
-    total = sum(distance(data.member_locations[v], venue_loc) for v in group_in_order)
     return query.p * query.t * theta_bar + total
 
 
@@ -436,7 +439,7 @@ def ssgmerge_solve(
 
     def harvest(group_in_order: List[MemberId], total: float) -> None:
         members = tuple(group_in_order)
-        rank = merge_rank(members, query, graph, data)
+        rank = merge_rank(members, total, query, graph)
         queues.insert(_QueueEntry(members, frozenset(members), total, rank))
 
     search = run_single_venue_search(
@@ -465,7 +468,7 @@ def ssgmerge_solve(
                 if merge_prune(total, len(union), p, mu, best):
                     stats.bump(PRUNE_MERGE)
                     continue
-                rank = merge_rank(members, query, graph, data)
+                rank = merge_rank(members, total, query, graph)
                 queues.insert(_QueueEntry(members, frozenset(union), total, rank))
                 if len(union) == p and total < best and familiarity_ok(
                     members, query.k, query.familiarity_mode, graph

@@ -175,9 +175,9 @@ def test_criterion_3_arithmetic_anchors(
     graph, data = g1_instance
     mg, md, mq = merge_instance
 
-    # Ranking function values 806 and 412.
-    assert merge_rank(("a", "b", "c"), mq, mg, md) == 806.0
-    assert merge_rank(("c", "d", "e"), mq, mg, md) == 412.0
+    # Ranking function values 806 and 412, for totals 1 + 2 + 3 and 3 + 4 + 5.
+    assert merge_rank(("a", "b", "c"), 6.0, mq, mg) == 806.0
+    assert merge_rank(("c", "d", "e"), 12.0, mq, mg) == 412.0
 
     # Distance bound: 11 + 1*19 = 30 >= 27 prunes.
     assert 11 + 1 * 19 == 30

@@ -24,6 +24,7 @@ from rallypoint import (
     is_feasible,
     mags_solve,
     srdo_seed,
+    ssgmerge_solve,
     ssgs_solve,
     ssp_solve,
 )
@@ -32,6 +33,7 @@ from rallypoint import multi_venue, single_venue
 from rallypoint.model import PRUNE_VENUE_RADIUS
 
 from conftest import make_query_instance
+import test_frame_counts as frame_counts
 
 
 def _total(sol):
@@ -93,6 +95,24 @@ def test_all_venues_out_of_reach_returns_none(fig4_instance):
     assert ssp_solve(query, graph, data) is None
     assert mags_solve(query, graph, data, ordering="srdo") is None
     assert mags_solve(query, graph, data) is None
+
+
+def test_unknown_venue_is_a_value_error(fig4_instance):
+    graph, data, _ = fig4_instance
+    single = Query(p=3, k=0, t=30.0, venues=("zz",))
+    multi = Query(p=3, k=0, t=30.0, venues=("q1", "zz"))
+    solvers = {
+        "ssgs": ssgs_solve,
+        "ssgmerge": ssgmerge_solve,
+        "ssp": ssp_solve,
+        "mags-srdo": lambda q, g, d: mags_solve(q, g, d, ordering="srdo"),
+        "mags-apdo": lambda q, g, d: mags_solve(q, g, d, ordering="apdo"),
+        "brute_force": brute_force,
+    }
+    for name, solver in solvers.items():
+        for query in (single,) if name.startswith("ssg") else (single, multi):
+            with pytest.raises(ValueError, match="venue 'zz'"):
+                solver(query, graph, data)
 
 
 # --- seed selection ---------------------------------------------------------
@@ -260,8 +280,9 @@ def test_srdo_seed_reads_only_its_own_indexes():
 def test_srdo_candidates_out_of_every_live_venue_radius():
     # q1 hosts a and b, q2 hosts c and d, 10 apart; t = 1 and the graph is
     # complete, so every candidate is admitted. Seed (a, q1), order a, b, d,
-    # c. Once the prefix holds a or b only q1 is live, so d and c are
-    # generated but reach no live venue; likewise q1 is dropped after d.
+    # c. Once the prefix holds a or b only q1 is live, so the frames under a
+    # and b drop d and c on entry and never generate them; likewise q1 is
+    # dropped after d.
     graph = SocialGraph("abcd", [(u, v) for u in "abcd" for v in "abcd" if u < v])
     data = SpatialDataset(
         {"a": Location(0, 0), "b": Location(1, 0), "c": Location(10, 0), "d": Location(9, 0)},
@@ -273,14 +294,13 @@ def test_srdo_candidates_out_of_every_live_venue_radius():
         query, graph, data, ordering="srdo", config=PruneConfig(venue_distance=False), stats=stats
     )
     assert (sol.group, sol.venue, sol.total_distance) == (("a", "b"), "q1", 1.0)
-    # Root: a, b, d, c generated (c has no partner left). Under a: b, d, c;
-    # under b: d, c; under d: c.
-    assert stats.generated_states == 9
-    # Root children a, b (leaf-less frames) and d, plus leaves (a, b), (d, c).
+    # Root: a, b, d generated (c has no partner left). Under a: b; under b:
+    # none; under d: c.
+    assert stats.generated_states == 5
+    # Root children a, b and d, plus leaves (a, b), (d, c).
     assert stats.explored_states == 5
-    # q2 out of radius for a and b, q1 for d at the root; the dead candidates
-    # d and c under a and under b each miss the one live venue.
-    assert stats.pruned == {PRUNE_VENUE_RADIUS: 7}
+    # q2 out of radius for a and b, q1 for d, all at the root.
+    assert stats.pruned == {PRUNE_VENUE_RADIUS: 3}
 
 
 # The work of one srdo search over string venue ids, counted in a fresh
@@ -394,7 +414,13 @@ def test_search_setup_matches_the_distances():
         }
         alive = [q for q in query.venues if len(in_range[q]) >= query.p]
         pool = set().union(*(in_range[q] for q in alive))
-        in_radius = {m: frozenset(q for q in alive if m in in_range[q]) for m in pool}
+        near = {
+            m: {q: data.member_venue_distance(m, q) for q in alive if m in in_range[q]}
+            for m in pool
+        }
+        orders = {
+            q: sorted((data.member_venue_distance(m, q), m) for m in in_range[q]) for q in alive
+        }
         for q in query.venues:
             for m in data.member_locations:
                 if data.member_venue_distance(m, q) == query.t and m in in_range[q]:
@@ -414,8 +440,52 @@ def test_search_setup_matches_the_distances():
             )
             assert search.alive_venues == alive
             assert sorted(search.pool) == sorted(pool)
-            assert search.in_radius == in_radius
+            assert search.near == near
+            assert search.by_distance == orders
     assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "make_instance",
+    [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
+    ids=["gnp", "power-law", "grid"],
+)
+def test_static_frames_hold_only_candidates_a_frame_venue_can_take(
+    monkeypatch, make_instance, mode
+):
+    # A static frame's venues only shrink below it, so its candidates must
+    # each have a venue of the frame's ``sums`` within t. Both are read off
+    # the calling frame whenever it builds a child venue table.
+    venue_counts = []
+    original = multi_venue._MultiVenueSearch._child_sums
+
+    def checking(self, u, *args):
+        frame = sys._getframe(1).f_locals
+        if frame["static"]:
+            venues = list(frame["sums"])
+            for m in [u, *frame["remaining"]]:
+                m_loc = self.member_loc[m]
+                assert any(
+                    distance(m_loc, self.venue_loc[q]) <= self.query.t for q in venues
+                ), (m, venues)
+            venue_counts.append(len(venues))
+        return original(self, u, *args)
+
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_child_sums", checking)
+    rng = random.Random(f"static-{make_instance.__name__}-{mode.value}")
+    for seed in range(40):
+        graph, data = make_instance(rng, 5300 + seed)
+        for query in frame_counts._queries(rng, graph, data, mode):
+            oracle = brute_force(query, graph, data)
+            sol = mags_solve(query, graph, data, ordering="srdo")
+            where = f"seed {seed}, {query}"
+            if not oracle.found:
+                assert sol is None, where
+                continue
+            assert abs(sol.total_distance - oracle.total_distance) <= frame_counts.TOL, where
+            assert is_feasible(sol.group, sol.venue, query, graph, data), where
+    assert max(venue_counts) > 1
 
 
 # --- solver agreement -------------------------------------------------------
@@ -595,8 +665,8 @@ PINNED_SEARCHES = {
     (3, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (8, 10, 0),
-        {"venue_distance": 9, "venue_radius": 1},
+        (7, 8, 0),
+        {"venue_distance": 6, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -617,8 +687,8 @@ PINNED_SEARCHES = {
     (7, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (41, 104, 0),
-        {"venue_distance": 178, "venue_radius": 21},
+        (41, 94, 0),
+        {"venue_distance": 178, "venue_radius": 11},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -632,8 +702,8 @@ PINNED_SEARCHES = {
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (11, 19, 0),
-        {"member_familiarity": 2, "venue_distance": 7, "venue_radius": 9},
+        (11, 15, 0),
+        {"member_familiarity": 2, "venue_distance": 4, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -660,8 +730,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (15, 50, 7),
-        {"member_familiarity": 15, "venue_distance": 6, "venue_radius": 33},
+        (15, 30, 6),
+        {"member_familiarity": 14, "venue_distance": 5, "venue_radius": 14},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -669,8 +739,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (20, 92, 2),
-        {"member_familiarity": 2, "venue_distance": 13, "venue_radius": 83},
+        (16, 25, 0),
+        {"member_familiarity": 2, "venue_distance": 10, "venue_radius": 20},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -780,9 +850,9 @@ PINNED_SEARCHES = {
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
         (6, 9, 2),
-        {"ball_distance": 1, "member_familiarity": 1, "outer_triangle": 3, "venue_distance": 3, "venue_radius": 4},
+        {"ball_distance": 1, "member_familiarity": 1, "outer_triangle": 3, "venue_distance": 4, "venue_radius": 4},
         (9, "db122fd18e024a84"),
-        (77, "c2b6843f7819368a"),
+        (73, "5569d1228b81e325"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),

@@ -180,8 +180,9 @@ def test_located_non_vertex_is_not_a_candidate():
 
 def test_merge_rank_anchors(merge_instance):
     graph, data, query = merge_instance
-    assert merge_rank(("a", "b", "c"), query, graph, data) == 806.0
-    assert merge_rank(("c", "d", "e"), query, graph, data) == 412.0
+    # The groups' distances sum to 1 + 2 + 3 and 3 + 4 + 5.
+    assert merge_rank(("a", "b", "c"), 6.0, query, graph) == 806.0
+    assert merge_rank(("c", "d", "e"), 12.0, query, graph) == 412.0
 
 
 def test_merge_rank_floor(merge_instance):
@@ -189,7 +190,7 @@ def test_merge_rank_floor(merge_instance):
     # Tightest possible group: theta_bar stays at k.
     base = minimal_order_theta(("c", "d"), query.p, query.k, graph)
     assert base == query.k
-    assert merge_rank(("c", "d"), query, graph, data) == query.p * query.t * query.k + 7.0
+    assert merge_rank(("c", "d"), 7.0, query, graph) == query.p * query.t * query.k + 7.0
 
 
 def test_merge_prune_cases():
@@ -311,8 +312,8 @@ def _pinned_record(seed, solver):
 # `sfgp_solve`, which built the same tree (seeded on the query's live
 # venues) before it was folded into mags-srdo, and they keep its values.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (142, 1772, 268), {'member_familiarity': 766, 'pool_familiarity': 3, 'venue_distance': 1826, 'venue_radius': 199}),
-    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (1459, 5180, 490), {'avg_familiarity': 751, 'venue_distance': 4725, 'venue_radius': 576}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (142, 1706, 268), {'member_familiarity': 766, 'pool_familiarity': 3, 'venue_distance': 1816, 'venue_radius': 143}),
+    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (1383, 4816, 488), {'avg_familiarity': 811, 'venue_distance': 4665, 'venue_radius': 267}),
     (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (25, 25, 3), {'distance': 1, 'merge': 1}),
     (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (884, 1023, 145), {'avg_familiarity': 27, 'distance': 259}),
     (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (884, 1023, 145), {'avg_familiarity': 27, 'distance': 259}),
@@ -323,32 +324,32 @@ PINNED_STATIC_SEARCHES = {
     (1, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (1, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (1, 'ssp'): (None, (0, 0, 0), {}),
-    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (56, 427, 20), {'member_familiarity': 37, 'pool_familiarity': 1, 'venue_distance': 426, 'venue_radius': 210}),
-    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (36, 176, 7), {'avg_familiarity': 4, 'venue_distance': 216, 'venue_radius': 116}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (56, 370, 20), {'member_familiarity': 37, 'pool_familiarity': 1, 'venue_distance': 419, 'venue_radius': 159}),
+    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (35, 156, 7), {'avg_familiarity': 5, 'venue_distance': 211, 'venue_radius': 100}),
     (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (25, 25, 3), {'distance': 3, 'merge': 3}),
     (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (123, 144, 19), {'avg_familiarity': 13, 'distance': 35}),
     (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (123, 144, 19), {'avg_familiarity': 13, 'distance': 35}),
     (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (148, 237, 34), {'avg_familiarity': 40, 'distance': 82}),
-    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (213, 3634, 286), {'member_familiarity': 582, 'venue_distance': 3550, 'venue_radius': 182}),
-    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (1138, 5626, 449), {'avg_familiarity': 176, 'venue_distance': 5229, 'venue_radius': 269}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (213, 3574, 283), {'member_familiarity': 582, 'venue_distance': 3547, 'venue_radius': 125}),
+    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (1137, 5518, 446), {'avg_familiarity': 177, 'venue_distance': 5224, 'venue_radius': 165}),
     (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 1), {'distance': 1, 'merge': 1}),
     (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (1342, 1876, 204), {'avg_familiarity': 31, 'distance': 680}),
     (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (1342, 1876, 204), {'avg_familiarity': 31, 'distance': 680}),
     (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (1580, 2390, 243), {'avg_familiarity': 41, 'distance': 980}),
-    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 162, 8), {'member_familiarity': 1, 'venue_distance': 539, 'venue_radius': 26}),
-    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 162, 8), {'avg_familiarity': 1, 'venue_distance': 539, 'venue_radius': 26}),
+    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 159, 8), {'member_familiarity': 1, 'venue_distance': 538, 'venue_radius': 24}),
+    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 159, 8), {'avg_familiarity': 1, 'venue_distance': 538, 'venue_radius': 24}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
     (4, 'ssgs-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
     (4, 'ssgs-per-vertex'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
     (4, 'ssp'): (((5, 20, 27, 35), 'q0', 23.665987049), (5, 10, 0), {'distance': 14}),
-    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (172, 867, 0), {'venue_distance': 716, 'venue_radius': 547}),
-    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (172, 867, 0), {'venue_distance': 716, 'venue_radius': 547}),
+    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (169, 512, 0), {'venue_distance': 603, 'venue_radius': 187}),
+    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (169, 512, 0), {'venue_distance': 603, 'venue_radius': 187}),
     (5, 'ssgmerge'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
     (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
     (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
     (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (23, 33, 0), {'distance': 29}),
-    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (63, 396, 14), {'member_familiarity': 15, 'venue_distance': 78, 'venue_radius': 409}),
-    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (50, 246, 8), {'avg_familiarity': 3, 'venue_distance': 78, 'venue_radius': 283}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (50, 83, 4), {'member_familiarity': 8, 'pool_familiarity': 1, 'venue_distance': 52, 'venue_radius': 64}),
+    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (38, 68, 3), {'avg_familiarity': 4, 'venue_distance': 53, 'venue_radius': 66}),
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9, 'merge': 15}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (9, 15, 0), {'avg_familiarity': 2, 'distance': 9}),
@@ -359,20 +360,20 @@ PINNED_STATIC_SEARCHES = {
     (7, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (7, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (7, 'ssp'): (None, (0, 0, 0), {}),
-    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (38, 95, 0), {'venue_distance': 285, 'venue_radius': 84}),
-    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (38, 95, 0), {'venue_distance': 285, 'venue_radius': 84}),
+    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (38, 94, 0), {'venue_distance': 283, 'venue_radius': 84}),
+    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (38, 94, 0), {'venue_distance': 283, 'venue_radius': 84}),
     (8, 'ssgmerge'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
     (8, 'ssgs-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
     (8, 'ssgs-per-vertex'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
     (8, 'ssp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (6, 10, 0), {'distance': 14}),
-    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (11, 21, 0), {'venue_distance': 10, 'venue_radius': 13}),
-    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (11, 21, 0), {'venue_distance': 10, 'venue_radius': 13}),
+    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (8, 11, 0), {'venue_distance': 3, 'venue_radius': 6}),
+    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (8, 11, 0), {'venue_distance': 3, 'venue_radius': 6}),
     (9, 'ssgmerge'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (5, 7, 0), {'distance': 3}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (158, 810, 79), {'member_familiarity': 47, 'pool_familiarity': 4, 'venue_distance': 818, 'venue_radius': 46}),
-    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (131, 705, 62), {'avg_familiarity': 20, 'venue_distance': 768, 'venue_radius': 45}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (157, 790, 79), {'member_familiarity': 47, 'pool_familiarity': 4, 'venue_distance': 816, 'venue_radius': 29}),
+    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (130, 683, 62), {'avg_familiarity': 20, 'venue_distance': 764, 'venue_radius': 28}),
     (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (25, 25, 1), {}),
     (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (45, 177, 12), {'avg_familiarity': 2, 'distance': 144}),
     (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (45, 177, 12), {'avg_familiarity': 2, 'distance': 144}),
@@ -395,38 +396,38 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (13, 'ssp'): (None, (0, 0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (309, 2721, 222), {'member_familiarity': 642, 'pool_familiarity': 3, 'venue_distance': 420, 'venue_radius': 1460}),
-    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (485, 1878, 148), {'avg_familiarity': 96, 'venue_distance': 577, 'venue_radius': 915}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (241, 969, 157), {'member_familiarity': 468, 'pool_familiarity': 23, 'venue_distance': 261, 'venue_radius': 52}),
+    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (322, 802, 107), {'avg_familiarity': 178, 'venue_distance': 373, 'venue_radius': 29}),
     (14, 'ssgmerge'): (None, (23, 25, 3), {'avg_familiarity': 2}),
     (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (96, 161, 35), {'avg_familiarity': 64, 'distance': 2}),
     (14, 'ssgs-per-vertex'): (None, (101, 165, 36), {'avg_familiarity': 64}),
     (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (1345, 1852, 341), {'avg_familiarity': 394, 'distance': 218}),
-    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 173, 0), {'venue_distance': 160, 'venue_radius': 111}),
-    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 173, 0), {'venue_distance': 160, 'venue_radius': 111}),
+    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 120, 0), {'venue_distance': 147, 'venue_radius': 45}),
+    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 120, 0), {'venue_distance': 147, 'venue_radius': 45}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 15, 0), {'distance': 16}),
-    (16, 'sfgp'): (None, (136, 756, 89), {'member_familiarity': 196, 'pool_familiarity': 10, 'venue_radius': 423}),
-    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (173, 661, 66), {'avg_familiarity': 51, 'venue_distance': 93, 'venue_radius': 384}),
+    (16, 'sfgp'): (None, (63, 157, 37), {'member_familiarity': 83, 'pool_familiarity': 11, 'venue_radius': 9}),
+    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (72, 163, 20), {'avg_familiarity': 63, 'venue_distance': 37, 'venue_radius': 9}),
     (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-per-vertex'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssp'): (None, (140, 213, 32), {'avg_familiarity': 73}),
-    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (205, 549, 0), {'member_familiarity': 4, 'venue_distance': 601, 'venue_radius': 327}),
-    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (181, 422, 0), {'venue_distance': 515, 'venue_radius': 275}),
+    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (205, 437, 0), {'member_familiarity': 4, 'venue_distance': 586, 'venue_radius': 203}),
+    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (181, 353, 0), {'venue_distance': 508, 'venue_radius': 197}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
     (17, 'ssgs-avg'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
     (17, 'ssgs-per-vertex'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
     (17, 'ssp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (20, 34, 0), {'distance': 36}),
-    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (23, 65, 0), {'venue_distance': 63, 'venue_radius': 23}),
-    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (23, 65, 0), {'venue_distance': 63, 'venue_radius': 23}),
+    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (23, 57, 0), {'venue_distance': 59, 'venue_radius': 18}),
+    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (23, 57, 0), {'venue_distance': 59, 'venue_radius': 18}),
     (18, 'ssgmerge'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 6, 0), {'distance': 7}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (71, 863, 120), {'member_familiarity': 421, 'pool_familiarity': 4, 'venue_distance': 340, 'venue_radius': 54}),
-    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (827, 2278, 234), {'avg_familiarity': 364, 'venue_distance': 962, 'venue_radius': 170}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (71, 803, 120), {'member_familiarity': 415, 'pool_familiarity': 4, 'venue_distance': 326, 'venue_radius': 14}),
+    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (782, 2050, 229), {'avg_familiarity': 375, 'venue_distance': 920, 'venue_radius': 14}),
     (19, 'ssgmerge'): (None, (23, 25, 4), {'avg_familiarity': 2}),
     (19, 'ssgs-avg'): (None, (240, 351, 63), {'avg_familiarity': 111}),
     (19, 'ssgs-per-vertex'): (None, (240, 351, 63), {'avg_familiarity': 111}),
@@ -439,8 +440,8 @@ PINNED_STATIC_SEARCHES = {
     (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (1, 1, 0), {'venue_distance': 1}),
     (21, 'ssgs-avg'): (((34,), 'q0', 11.684118247), (1, 1, 0), {'distance': 1}),
     (21, 'ssp'): (((3,), 'q1', 3.262545111), (2, 2, 0), {'distance': 2}),
-    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (8, 75, 3), {'member_familiarity': 4, 'venue_distance': 92, 'venue_radius': 32}),
-    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (12, 75, 3), {'venue_distance': 92, 'venue_radius': 32}),
+    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (8, 68, 3), {'member_familiarity': 4, 'venue_distance': 92, 'venue_radius': 25}),
+    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (12, 68, 3), {'venue_distance': 92, 'venue_radius': 25}),
     (22, 'ssgs-avg'): (((5, 8), 'q0', 25.407493745), (2, 2, 0), {'distance': 2}),
     (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (19, 20, 2), {'distance': 7}),
     (23, 'sfgp'): (((25,), 'q4', 5.405877277), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
@@ -463,48 +464,48 @@ PINNED_STATIC_SEARCHES = {
     (27, 'mags-srdo-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 2}),
     (27, 'ssgs-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {}),
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'distance': 2}),
-    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (11, 36, 3), {'member_familiarity': 1, 'venue_distance': 26, 'venue_radius': 37}),
-    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (9, 33, 1), {'avg_familiarity': 2, 'venue_distance': 24, 'venue_radius': 37}),
+    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (11, 27, 3), {'member_familiarity': 1, 'venue_distance': 25, 'venue_radius': 29}),
+    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (9, 24, 1), {'avg_familiarity': 2, 'venue_distance': 23, 'venue_radius': 29}),
     (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (24, 31, 6), {'avg_familiarity': 6, 'distance': 3}),
     (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (33, 47, 9), {'avg_familiarity': 11, 'distance': 11}),
     (29, 'sfgp'): (((17,), 'q3', 8.350594287), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1, 0), {'distance': 1}),
     (29, 'ssp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'distance': 5}),
-    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (14, 171, 2), {'member_familiarity': 5, 'venue_distance': 186, 'venue_radius': 59}),
-    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (18, 171, 2), {'avg_familiarity': 1, 'venue_distance': 186, 'venue_radius': 59}),
+    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (14, 156, 2), {'member_familiarity': 5, 'venue_distance': 185, 'venue_radius': 45}),
+    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (18, 156, 2), {'avg_familiarity': 1, 'venue_distance': 185, 'venue_radius': 45}),
     (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (29, 31, 2), {'distance': 8}),
     (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (33, 35, 2), {'distance': 9}),
     (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (3, 28, 0), {'venue_distance': 74, 'venue_radius': 31}),
     (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 28, 0), {'venue_distance': 74, 'venue_radius': 31}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2, 0), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 5, 0), {'distance': 7}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (20, 185, 19), {'member_familiarity': 64, 'pool_familiarity': 2, 'venue_distance': 12, 'venue_radius': 122}),
-    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (45, 259, 25), {'avg_familiarity': 59, 'venue_distance': 10, 'venue_radius': 180}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (20, 80, 17), {'member_familiarity': 55, 'pool_familiarity': 2, 'venue_distance': 11, 'venue_radius': 27}),
+    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (25, 77, 14), {'avg_familiarity': 50, 'venue_distance': 10, 'venue_radius': 27}),
     (32, 'ssgs-avg'): (None, (8, 18, 2), {'avg_familiarity': 10}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (22, 42, 6), {'avg_familiarity': 20, 'distance': 5}),
     (33, 'sfgp'): (((4,), 'q2', 4.40651612), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 3}),
     (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 3}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1, 0), {'distance': 1}),
     (33, 'ssp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'distance': 4}),
-    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (14, 73, 6), {'member_familiarity': 8, 'venue_distance': 32, 'venue_radius': 90}),
-    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (22, 77, 7), {'avg_familiarity': 1, 'venue_distance': 34, 'venue_radius': 96}),
+    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (14, 37, 5), {'member_familiarity': 7, 'venue_distance': 27, 'venue_radius': 34}),
+    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (19, 37, 5), {'avg_familiarity': 2, 'venue_distance': 27, 'venue_radius': 34}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 4, 0), {'distance': 4}),
     (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (18, 25, 5), {'avg_familiarity': 4, 'distance': 12}),
     (35, 'sfgp'): (((26,), 'q1', 0.70613056), (1, 1, 0), {'venue_distance': 1}),
     (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (1, 1, 0), {'venue_distance': 1}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1, 0), {'distance': 1}),
     (35, 'ssp'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'distance': 2}),
-    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (18, 114, 0), {'venue_distance': 165, 'venue_radius': 7}),
-    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (18, 114, 0), {'venue_distance': 165, 'venue_radius': 7}),
+    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (18, 112, 0), {'venue_distance': 165, 'venue_radius': 5}),
+    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (18, 112, 0), {'venue_distance': 165, 'venue_radius': 5}),
     (36, 'ssgs-avg'): (((1, 6, 20), 'q0', 37.99604031), (3, 3, 0), {'distance': 3}),
     (36, 'ssp'): (((0, 10, 17), 'q1', 24.817125455), (6, 7, 0), {'distance': 7}),
     (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (37, 'ssgs-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 1}),
     (37, 'ssp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 3}),
-    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (40, 372, 8), {'member_familiarity': 21, 'venue_distance': 507, 'venue_radius': 197}),
-    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (57, 372, 8), {'avg_familiarity': 4, 'venue_distance': 507, 'venue_radius': 197}),
+    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (40, 316, 8), {'member_familiarity': 21, 'venue_distance': 497, 'venue_radius': 108}),
+    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (55, 316, 8), {'avg_familiarity': 6, 'venue_distance': 496, 'venue_radius': 108}),
     (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (50, 53, 4), {'distance': 12}),
     (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (79, 88, 5), {'distance': 27}),
     (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (2, 21, 0), {'venue_distance': 41, 'venue_radius': 37}),
