@@ -21,13 +21,17 @@ order sorts the pool by distance to it. Every pool member lies within ``t``
 of a live venue, so the pair always exists and lies in ``near``; ties break
 on exact distances and no index is read.
 
-Each adaptive (apdo) selection co-traverses the member R-tree and the venue
-ball tree on a best-first queue of (R-tree entry, ball) pairs,
-``_PairQueue``: each pair is pushed once, when the later of its two sides
-enters the frontier, and pairs with an expanded side are dropped lazily when
-popped. A selection restarts from the roots every time, but reads
-entry-to-ball lower bounds from a table kept for the whole search and the
-group's summed bound to each ball from a table kept for the search frame; the
+Adaptive (apdo) selections co-traverse the member R-tree and the venue ball
+tree on a best-first queue of (R-tree entry, ball) pairs, ``_PairQueue``:
+each pair is pushed once, when the later of its two sides enters the
+frontier, and pairs with an expanded side are dropped lazily when popped.
+Within a frame every pair key is fixed, so one queue serves all of the
+frame's selections: each selection resumes it where the last one stopped,
+dropping popped pairs whose member has been tried at the current ``theta``,
+and an admitted member leaves its frontier. Only a ``theta`` escalation,
+which offers the rejected members again, rebuilds the queue from the roots.
+Entry-to-ball lower bounds come from a table kept for the whole search and
+the group's summed bound to each ball from a table kept for the frame; the
 ball-level distance bounds take their frontier minimum from the same tables.
 
 A search keeps each alive venue's candidate order for its whole run. A search
@@ -138,8 +142,9 @@ class MagsAudit:
 
 
 class _PairQueue:
-    """Best-first queue over (R-tree entry, ball) pairs for one adaptive
-    co-traversal of the member R-tree and the venue ball tree.
+    """Best-first queue over (R-tree entry, ball) pairs: the co-traversal of
+    the member R-tree and the venue ball tree that one adaptive search frame
+    resumes for each of its selections.
 
     R-tree entries are ``("n", node)`` or ``("m", member, loc)``. A pair's key
     is ``(f + g, kind, rkey, bkey)``: ``f`` is the ball's cost, ``g`` the
@@ -147,21 +152,26 @@ class _PairQueue:
     ``rkey``/``bkey`` order members by degree then id and nodes by node id.
     Keys are unique, so pops follow the argmin of the whole live frontier
     product. Each pair is pushed once, when the later of its two sides enters
-    the frontier; a pair whose entry or ball has been expanded since is
-    dropped when popped.
+    the frontier; a pair whose entry or ball has been expanded since, or
+    whose member has joined ``skip`` since, is dropped when popped. A pair's
+    key is never below its parent pair's, so after any number of pops the
+    next live (member, leaf ball) pair is still the argmin over the members
+    outside ``skip``.
 
     ``ball_cost(node)`` gives ``f``, or None to keep the ball out of the
     frontier. Pairs with ``g > limit`` or a member in ``skip`` are never
-    pushed, but their sides stay in the frontier. ``g_memo`` maps a ball's
-    node id to ``{entry id: g}``, where an entry id is the R-tree node or the
-    member; a search shares it between all its traversals.
+    pushed, but their sides stay in the frontier: a skipped member still
+    counts for ``frontier_bound`` until ``remove_member`` takes it out.
+    ``g_memo`` maps a ball's node id to ``{entry id: g}``, where an entry id
+    is the R-tree node or the member; a search shares it between all its
+    queues.
     """
 
     def __init__(
         self,
         rtree: Rtree,
         ball_root: BalltreeNode,
-        pool: Set[MemberId],
+        pool: Sequence[MemberId],
         degree_of: Dict[MemberId, int],
         ball_cost: Callable[[BalltreeNode], Optional[float]],
         *,
@@ -169,7 +179,7 @@ class _PairQueue:
         skip: Set[MemberId],
         g_memo: Dict[int, Dict[object, float]],
     ):
-        self.pool = pool
+        self.pool = set(pool)
         self.degree_of = degree_of
         self.ball_cost = ball_cost
         self.limit = limit
@@ -228,13 +238,20 @@ class _PairQueue:
 
     def pop(self):
         """Next live pair as ``(key, entry, ball)``, or None when none is left."""
-        heap = self.heap
+        heap, live_r, live_b, skip = self.heap, self.live_r, self.live_b, self.skip
         while heap:
             item = heapq.heappop(heap)
             rentry, bnode = item[4], item[5]
-            if rentry[1] in self.live_r and bnode.node_id in self.live_b:
+            rid = rentry[1]
+            if rid in live_r and bnode.node_id in live_b and rid not in skip:
                 return item[:4], rentry, bnode
         return None
+
+    def remove_member(self, member: MemberId) -> None:
+        """Take ``member`` out of the pool and the frontier; its queued pairs
+        are dropped when popped."""
+        self.pool.discard(member)
+        del self.live_r[member]
 
     def expand(self, rentry: tuple, bnode: BalltreeNode) -> None:
         """Replace the popped pair's R-tree node and internal ball by their
@@ -380,54 +397,50 @@ class _MultiVenueSearch:
 
     # -- candidate selection -----------------------------------------------
 
-    def _select_adaptive(
-        self,
-        prefix: List[MemberId],
-        remaining: List[MemberId],
-        visited: Set[MemberId],
-        sums: Dict[VenueId, float],
-        pairwise_sum: float,
-        ball_costs: Dict[int, Optional[float]],
-    ) -> Optional[MemberId]:
-        """One co-traversal of the member R-tree and venue ball tree, returning
-        the member of the (member, venue) pair minimizing the grown group's
-        total distance to the venue. Ball-level distance bounds are evaluated
-        on every popped ball and remove hopeless venues from ``sums``.
-
-        The traversal ranges over the radius universe: the alive venues
-        within ``t`` of every prefix member. It shrinks only through the
-        radius, so extraction order is independent of the prune toggles, and
-        it holds every venue of the frame's ``sums``, so it is never empty.
-
-        ``ball_costs`` memoises, per ball, the prefix's summed distance lower
-        bound (None for a ball with no venue in the radius universe); both
-        inputs are fixed within one frame, so the caller keeps one table per
-        frame."""
-        if all(m in visited for m in remaining):
-            return None
-        universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
-        pool_set = set(remaining)
-        prefix_locs = [self.member_loc[v] for v in prefix]
+    def _ball_cost(
+        self, prefix_locs: List[Location], universe: Set[VenueId]
+    ) -> Callable[[BalltreeNode], Optional[float]]:
+        """A frame's ball cost ``f``: the prefix's summed distance lower bound
+        to the ball, or None for a ball with no venue in the radius universe.
+        Both inputs are fixed within the frame, so the costs are memoised for
+        all its queues."""
+        costs: Dict[int, Optional[float]] = {}
 
         def ball_cost(node: BalltreeNode) -> Optional[float]:
-            if node.node_id not in ball_costs:
+            if node.node_id not in costs:
                 if any(q in universe for q in node.venue_ids):
                     cost = sum(mindist_point_ball(loc, node.ball) for loc in prefix_locs)
                 else:
                     cost = None
-                ball_costs[node.node_id] = cost
-            return ball_costs[node.node_id]
+                costs[node.node_id] = cost
+            return costs[node.node_id]
 
-        queue = _PairQueue(
-            self.indexes.members,
-            self.indexes.venues.root,
-            pool_set,
-            self.degree_of,
-            ball_cost,
-            limit=self.query.t,
-            skip=visited,
-            g_memo=self.g_memo,
-        )
+        return ball_cost
+
+    def _select_adaptive(
+        self,
+        queue: _PairQueue,
+        prefix: List[MemberId],
+        prefix_locs: List[Location],
+        universe: Set[VenueId],
+        remaining: List[MemberId],
+        visited: Set[MemberId],
+        sums: Dict[VenueId, float],
+        pairwise_sum: float,
+    ) -> Optional[MemberId]:
+        """Resume the frame's co-traversal of the member R-tree and venue ball
+        tree, returning the member of the (member, venue) pair minimizing the
+        grown group's total distance to the venue, over the members of
+        ``remaining`` not in ``visited``. Ball-level distance bounds are
+        evaluated, against the current incumbent, on each ball the first time
+        this selection pops it, and remove hopeless venues from ``sums``.
+
+        The traversal ranges over the radius universe: the alive venues
+        within ``t`` of every prefix member. It shrinks only through the
+        radius, so extraction order is independent of the prune toggles, and
+        it holds every venue of the frame's ``sums``, so it is never empty."""
+        if all(m in visited for m in remaining):
+            return None
         checked_balls: Set[int] = set()
 
         while True:
@@ -448,7 +461,7 @@ class _MultiVenueSearch:
                     self.audit.selections.append(
                         SelectionRecord(
                             group=tuple(prefix),
-                            candidates=tuple(sorted(m for m in pool_set if m not in visited)),
+                            candidates=tuple(sorted(m for m in remaining if m not in visited)),
                             venues=tuple(sorted(universe)),
                             member=member,
                             venue=venue,
@@ -573,7 +586,12 @@ class _MultiVenueSearch:
         # Static order: remaining[:cursor] has been tried at this theta.
         cursor = 0
         need = admission_edges(size + 1, theta, p)
-        ball_costs: Dict[int, Optional[float]] = {}
+        if not static:
+            prefix_locs = [self.member_loc[v] for v in prefix]
+            universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
+            ball_cost = self._ball_cost(prefix_locs, universe)
+            # The frame's pair queue, built at its first selection.
+            queue: Optional[_PairQueue] = None
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
         # completion bounds: a completion at q takes only candidates of q.
@@ -599,8 +617,19 @@ class _MultiVenueSearch:
             if static:
                 u = remaining[cursor] if cursor < left else None
             else:
+                if queue is None:
+                    queue = _PairQueue(
+                        self.indexes.members,
+                        self.indexes.venues.root,
+                        remaining,
+                        self.degree_of,
+                        ball_cost,
+                        limit=self.query.t,
+                        skip=visited,
+                        g_memo=self.g_memo,
+                    )
                 u = self._select_adaptive(
-                    prefix, remaining, visited, sums, pairwise_sum, ball_costs
+                    queue, prefix, prefix_locs, universe, remaining, visited, sums, pairwise_sum
                 )
             if u is None:
                 if not visited:
@@ -609,6 +638,10 @@ class _MultiVenueSearch:
                     theta += 1
                     stats.theta_escalations += 1
                     need = admission_edges(size + 1, theta, p)
+                    # The rejected members are offered again, so the queue
+                    # restarts from the roots. At the highest theta every
+                    # tried member was admitted, so the spent queue stays.
+                    queue = None
                 visited.clear()
                 cursor = 0
                 continue
@@ -623,6 +656,7 @@ class _MultiVenueSearch:
                 del remaining[cursor]
             else:
                 remaining.remove(u)
+                queue.remove_member(u)
             left -= 1
             stats.generated_states += 1
             if pool_deg is not None:
@@ -776,9 +810,12 @@ def mags_solve(
     strategy: "srdo" fixes the reference venue from the closest pair of a
     pool member and a live venue (``srdo_seed``); "apdo" re-selects the best
     (member, venue) pair before every insertion and enables the ball-level
-    distance bounds."""
+    distance bounds. "apdo" reads the venue ball tree: ``indexes`` without
+    one raise ``ValueError``."""
     if ordering not in ("srdo", "apdo"):
         raise ValueError(f"unknown ordering {ordering!r}")
+    if ordering == "apdo" and indexes is not None and indexes.venues is None:
+        raise ValueError("ordering 'apdo' needs a venue ball tree, but indexes.venues is None")
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()

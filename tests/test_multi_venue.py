@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import math
 import os
@@ -324,20 +325,56 @@ print(calls)
 """
 
 
-def test_srdo_work_does_not_depend_on_the_hash_seed():
+def _child_output(child, hash_seed):
+    """Last stdout line of ``child`` run in a fresh interpreter under
+    ``PYTHONHASHSEED=hash_seed``."""
     here = Path(__file__).resolve().parent
-    code = HASH_SEED_CHILD.format(src=str(here.parent / "src"), tests=str(here))
+    code = child.format(src=str(here.parent / "src"), tests=str(here))
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1]
 
-    def calls(hash_seed):
-        env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-        )
-        return int(out.stdout.split()[-1])
 
-    first = calls(0)
+def test_srdo_work_does_not_depend_on_the_hash_seed():
+    first = int(_child_output(HASH_SEED_CHILD, 0))
     assert first > 0
-    assert calls(1) == first
+    assert int(_child_output(HASH_SEED_CHILD, 1)) == first
+
+
+# The full record of each apdo search over string venue ids: answer, every
+# counter and the digests of the audited selections and bounds.
+APDO_HASH_SEED_CHILD = """
+import hashlib, sys
+sys.path[:0] = [{src!r}, {tests!r}]
+from rallypoint import MagsAudit, SearchStats, mags_solve
+from conftest import make_query_instance
+def digest(records):
+    return hashlib.sha256(repr(records).encode()).hexdigest()
+runs = []
+for seed in range(10):
+    graph, data, query = make_query_instance(seed, n_range=(20, 30), p_range=(3, 5), q_range=(4, 8))
+    stats, audit = SearchStats(), MagsAudit()
+    sol = mags_solve(query, graph, data, ordering="apdo", stats=stats, audit=audit)
+    answer = None if sol is None else (sol.group, sol.venue, repr(sol.total_distance))
+    runs.append((
+        answer,
+        (stats.explored_states, stats.generated_states, stats.theta_escalations),
+        sorted(stats.pruned.items()),
+        (len(audit.selections), digest(audit.selections)),
+        (len(audit.bounds), digest(audit.bounds)),
+    ))
+print(repr(runs))
+"""
+
+
+def test_apdo_work_does_not_depend_on_the_hash_seed():
+    first = _child_output(APDO_HASH_SEED_CHILD, 0)
+    runs = ast.literal_eval(first)
+    assert sum(run[3][0] for run in runs) > 0
+    assert sum(run[4][0] for run in runs) > 0
+    assert _child_output(APDO_HASH_SEED_CHILD, 1) == first
 
 
 def test_apdo_reference_switches(srdo_instance):
@@ -349,29 +386,99 @@ def test_apdo_reference_switches(srdo_instance):
     assert sol.group == ("a", "b", "d") and sol.venue == "q3"
 
 
+def _check_selections_by_scan(graph, data, query, audit):
+    """Each audited selection is the scan argmin of ``(score, -degree,
+    member, venue)`` over its candidates and venues within ``t``."""
+    for rec in audit.selections:
+        best = None
+        for m in rec.candidates:
+            m_loc = data.member_locations[m]
+            for q in rec.venues:
+                q_loc = data.venue_locations[q]
+                d = distance(m_loc, q_loc)
+                if d > query.t:
+                    continue
+                score = d + sum(
+                    distance(data.member_locations[s], q_loc) for s in rec.group
+                )
+                key = (score, -graph.degree(m), m, q)
+                if best is None or key < best:
+                    best = key
+        assert best is not None
+        assert rec.score == pytest.approx(best[0], abs=1e-9)
+        assert (rec.member, rec.venue) == (best[2], best[3])
+
+
 def test_apdo_selection_equals_scan_argmin():
     for seed in range(25):
         graph, data, query = make_query_instance(3100 + seed, q_range=(2, 5))
         audit = MagsAudit()
         mags_solve(query, graph, data, ordering="apdo", audit=audit)
-        for rec in audit.selections:
-            best = None
-            for m in rec.candidates:
-                m_loc = data.member_locations[m]
-                for q in rec.venues:
-                    q_loc = data.venue_locations[q]
-                    d = distance(m_loc, q_loc)
-                    if d > query.t:
-                        continue
-                    score = d + sum(
-                        distance(data.member_locations[s], q_loc) for s in rec.group
-                    )
-                    key = (score, -graph.degree(m), m, q)
-                    if best is None or key < best:
-                        best = key
-            assert best is not None
-            assert rec.score == pytest.approx(best[0], abs=1e-9)
-            assert (rec.member, rec.venue) == (best[2], best[3])
+        _check_selections_by_scan(graph, data, query, audit)
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
+    # Integer grids with members at exactly t put many (member, venue) pairs
+    # at equal scores, so the tie-breaks decide; theta escalations rebuild
+    # the frame's pair queue, and both the resumed and the rebuilt queues
+    # must pop the scan argmin.
+    rng = random.Random(f"apdo-ties-{mode.value}")
+    selections = escalations = 0
+    for _ in range(300):
+        graph, data, query = _grid_instance(rng)
+        query = Query(query.p, query.k, query.t, query.venues, mode)
+        stats, audit = SearchStats(), MagsAudit()
+        mags_solve(query, graph, data, ordering="apdo", stats=stats, audit=audit)
+        _check_selections_by_scan(graph, data, query, audit)
+        selections += len(audit.selections)
+        escalations += stats.theta_escalations
+    assert selections > 1000 and escalations > 100, (selections, escalations)
+
+
+def test_apdo_resumes_one_pair_queue_per_frame(monkeypatch):
+    # A frame builds its pair queue at its first selection and again only
+    # after a theta escalation; every other selection resumes it.
+    built = []
+    frames = set()
+    queue_class = multi_venue._PairQueue
+    select = multi_venue._MultiVenueSearch._select_adaptive
+
+    def counting_queue(*args, **kwargs):
+        built.append(1)
+        return queue_class(*args, **kwargs)
+
+    def recording_select(self, queue, prefix, *args):
+        frames.add(tuple(prefix))
+        return select(self, queue, prefix, *args)
+
+    monkeypatch.setattr(multi_venue, "_PairQueue", counting_queue)
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_select_adaptive", recording_select)
+    queues = selections = escalations = 0
+    for seed in range(20):
+        graph, data, query = make_query_instance(8500 + seed, q_range=(2, 5))
+        built.clear()
+        frames.clear()
+        stats, audit = SearchStats(), MagsAudit()
+        mags_solve(query, graph, data, ordering="apdo", stats=stats, audit=audit)
+        assert len(built) <= len(frames) + stats.theta_escalations, seed
+        queues += len(built)
+        selections += len(audit.selections)
+        escalations += stats.theta_escalations
+    assert escalations > 0
+    assert 0 < queues < selections
+
+
+def test_apdo_without_a_venue_ball_tree_is_a_value_error(fig4_instance, monkeypatch):
+    graph, data, query = fig4_instance
+    full = build_indexes(data)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("search work started")
+
+    monkeypatch.setattr(multi_venue, "candidate_order", no_search)
+    with pytest.raises(ValueError, match="venue ball tree"):
+        mags_solve(query, graph, data, Indexes(members=full.members, venues=None), ordering="apdo")
 
 
 # --- search set-up ----------------------------------------------------------
@@ -756,21 +863,21 @@ PINNED_SEARCHES = {
         (102, 581, 202),
         {"member_familiarity": 469, "pool_familiarity": 10, "venue_radius": 81},
         (1927, "a59f674a9931c893"),
-        (9150, "57781adce8b864e4"),
+        (6053, "ba37b7833ed5562e"),
     ),
     (1, "apdo"): (
         None,
         (1, 4, 2),
         {"member_familiarity": 2, "pool_familiarity": 1},
         (12, "eb117390dcba51c5"),
-        (36, "f68d7ed138cd8303"),
+        (28, "7558a36bcec9f825"),
     ),
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (10, 13, 0),
-        {"ball_distance": 4, "outer_triangle": 8, "venue_distance": 17, "venue_radius": 8},
+        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 10, "venue_distance": 17, "venue_radius": 8},
         (13, "75bbcdc7a95f5da8"),
-        (148, "07af7c3e574d729c"),
+        (90, "5ae0e9a28494c8d6"),
     ),
     (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
@@ -778,29 +885,29 @@ PINNED_SEARCHES = {
         (6, 9, 0),
         {"ball_distance": 3, "outer_triangle": 1, "venue_distance": 4, "venue_radius": 1},
         (9, "2c378392a4205ca3"),
-        (48, "2ac10600acdbf339"),
+        (30, "4368ec499278a9f0"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (5, 7, 0),
         {"ball_distance": 1, "outer_triangle": 5, "venue_distance": 6, "venue_radius": 1},
         (7, "756af3fbf95bb3fd"),
-        (32, "17ef50b1aa8ab5df"),
+        (24, "876a26068eee8954"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
         (5, 9, 0),
         {"ball_distance": 3, "member_familiarity": 1, "venue_distance": 5},
         (9, "dadfb063d62c6c64"),
-        (24, "8f295df71023c02a"),
+        (16, "2b43a1b459bd108f"),
     ),
     (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (17, 35, 0),
-        {"ball_distance": 3, "inner_triangle": 3, "outer_triangle": 11, "venue_distance": 30, "venue_radius": 1},
+        {"ball_distance": 4, "inner_triangle": 3, "outer_triangle": 10, "venue_distance": 30, "venue_radius": 1},
         (35, "da0cab3813e80c16"),
-        (243, "44bafe46a9609aea"),
+        (153, "4a0ad261262a35ef"),
     ),
     (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
@@ -808,21 +915,21 @@ PINNED_SEARCHES = {
         (6, 8, 0),
         {"outer_triangle": 6, "venue_distance": 6},
         (8, "36194d23b709d546"),
-        (51, "00457bb6735a3588"),
+        (36, "929598c6881568eb"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
         (10, 15, 1),
-        {"ball_distance": 3, "member_familiarity": 1, "outer_triangle": 2, "venue_distance": 8, "venue_radius": 1},
+        {"ball_distance": 4, "member_familiarity": 1, "outer_triangle": 1, "venue_distance": 8, "venue_radius": 1},
         (15, "2fd37f6ec2cb3134"),
-        (96, "75da4fc0dbc8db16"),
+        (51, "bec4dc374e9e7628"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
         (10, 15, 0),
         {"ball_distance": 2, "inner_triangle": 1, "outer_triangle": 4, "venue_distance": 12},
         (15, "b42c1b6faa06a756"),
-        (55, "e5a318bad391ea7a"),
+        (42, "f04b3c7e5a15de00"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
@@ -836,23 +943,23 @@ PINNED_SEARCHES = {
         (3, 5, 0),
         {"ball_distance": 2, "venue_distance": 3},
         (5, "994b6ba3d9168d95"),
-        (18, "09f4f4ead75f8a23"),
+        (14, "82eb2783546bc672"),
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
         (6, 15, 6),
         {"ball_distance": 2, "member_familiarity": 7, "outer_triangle": 2, "venue_distance": 3, "venue_radius": 2},
         (22, "23b2fe0dcc70365f"),
-        (86, "53bb037b48f2b6c1"),
+        (57, "3dfd770f2577f652"),
     ),
     (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
         (6, 9, 2),
-        {"ball_distance": 1, "member_familiarity": 1, "outer_triangle": 3, "venue_distance": 4, "venue_radius": 4},
+        {"ball_distance": 2, "member_familiarity": 1, "outer_triangle": 2, "venue_distance": 4, "venue_radius": 4},
         (9, "db122fd18e024a84"),
-        (73, "5569d1228b81e325"),
+        (46, "197b15e058345e18"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
