@@ -37,7 +37,6 @@ from .multi_venue import (
     SelectionRecord,
     mags_solve,
     srdo_seed,
-    ssp_solve,
 )
 from .oracle import OracleBudgetError, OracleResult, brute_force, completion_bound_oracle
 from .pruning import (
@@ -59,6 +58,7 @@ from .single_venue import (
     minimal_order_theta,
     ssgmerge_solve,
     ssgs_solve,
+    ssp_solve,
     sso_admits,
 )
 

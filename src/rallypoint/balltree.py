@@ -62,7 +62,7 @@ class BalltreeNode:
 
 
 class Balltree:
-    """Immutable venue index; per-query prune flags live in solver scratch."""
+    """Immutable venue index."""
 
     def __init__(self, root: BalltreeNode, size: int):
         self.root = root

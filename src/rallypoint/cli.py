@@ -26,10 +26,10 @@ from .model import (
     Solution,
     SpatialDataset,
 )
-from .multi_venue import mags_solve, ssp_solve
+from .multi_venue import mags_solve
 from .oracle import OracleBudgetError, brute_force
 from .pruning import PruneConfig
-from .single_venue import ssgmerge_solve, ssgs_solve
+from .single_venue import ssgmerge_solve, ssgs_solve, ssp_solve
 
 ALGORITHMS = ("ssgs", "ssgmerge", "ssp", "mags-srdo", "mags-apdo", "oracle")
 

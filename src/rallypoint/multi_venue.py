@@ -1,19 +1,19 @@
-"""Multi-venue solvers: sequential per-venue runs, one joint search tree with a
-fixed reference venue, and index-driven search with adaptive venue selection.
+"""Joint multi-venue search: one search tree for all venues, with a fixed
+reference venue (srdo) or adaptive (member, venue) selection (apdo).
 
-All variants share one recursive engine. Candidate members are extracted
-either from a static order toward a reference venue, or adaptively by
-co-traversing the member R-tree and the venue ball tree. A search sets itself
-up from ``candidate_order``, the in-range rule of every exact solver, called
-once per venue of the query. It alone decides which venues are alive (at
-least ``p`` graph vertices within ``t``), the pool (the union of the alive
-venues' candidates) and ``near``: for each pool member, the alive venues
-within its radius and its distance to each. A search frame carries one venue
-table, ``sums``: the venues still usable for a solution, each with the
-prefix's total distance to it. The radius and the distance-bound rules
-remove venues from it. The adaptive traversal ranges over the alive venues
-within the radius of every prefix member, worked out from the prefix, so
-toggling prune rules never changes the member extraction order.
+Both orderings share one recursive engine. Candidate members are extracted
+either from a static order toward a reference venue, or adaptively from the
+(member, venue) pairs in range. A search sets itself up from
+``candidate_order``, the in-range rule of every exact solver, called once per
+venue of the query. It alone decides which venues are alive (at least ``p``
+graph vertices within ``t``), the pool (the union of the alive venues'
+candidates) and ``near``: for each pool member, the alive venues within its
+radius and its distance to each. A search frame carries one venue table,
+``sums``: the venues still usable for a solution, each with the prefix's
+total distance to it. The radius and the distance-bound rules remove venues
+from it. The adaptive selection ranges over the alive venues within the
+radius of every prefix member, worked out from the prefix, so toggling prune
+rules never changes the member extraction order.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
 between the pool and the query's live venues (``srdo_seed``), and the static
@@ -21,18 +21,19 @@ order sorts the pool by distance to it. Every pool member lies within ``t``
 of a live venue, so the pair always exists and lies in ``near``; ties break
 on exact distances and no index is read.
 
-Adaptive (apdo) selections co-traverse the member R-tree and the venue ball
-tree on a best-first queue of (R-tree entry, ball) pairs, ``_PairQueue``:
-each pair is pushed once, when the later of its two sides enters the
-frontier, and pairs with an expanded side are dropped lazily when popped.
-Within a frame every pair key is fixed, so one queue serves all of the
-frame's selections: each selection resumes it where the last one stopped,
-dropping popped pairs whose member has been tried at the current ``theta``,
-and an admitted member leaves its frontier. Only a ``theta`` escalation,
-which offers the rejected members again, rebuilds the queue from the roots.
-Entry-to-ball lower bounds come from a table kept for the whole search and
-the group's summed bound to each ball from a table kept for the frame; the
-ball-level distance bounds take their frontier minimum from the same tables.
+Each apdo search frame keeps one heap of the pairs of ``near`` whose member
+is in the frame's pool and whose venue is in its radius universe, keyed by
+``(prefix total to the venue + pair distance, -degree, member, venue)``.
+Within a frame every key is fixed, so the heap serves all of the frame's
+selections: each pops past pairs whose member has been tried at the current
+``theta``, admitted members included. Only a ``theta`` escalation, which
+offers the rejected members again, rebuilds it. The ball-level distance
+bounds run as one top-down pass over the venue ball tree, over the balls
+holding a venue of ``sums``; a ball whose bound reaches the incumbent takes
+its venues out of ``sums`` and is not descended. The pass runs at a frame's
+loop head whenever the incumbent has improved since the frame began or since
+its last pass, so no bound is checked against an infinite incumbent.
+Member-to-ball lower bounds are memoised for the whole search.
 
 A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count, so the admission test is an
@@ -65,14 +66,13 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from .balltree import BalltreeNode, mindist_mbr_ball, mindist_point_ball
+from .balltree import BalltreeNode, mindist_point_ball
 from .graph import core_decompose
 from .indexes import Indexes, build_indexes
 from .model import (
     FamiliarityMode,
-    Location,
     MemberId,
     PRUNE_BALL_DISTANCE,
     PRUNE_AVG_FAMILIARITY,
@@ -105,10 +105,9 @@ from .pruning import (
     pool_degrees,
     pool_familiarity_prune,
 )
-from .rtree import Rtree
 # ``sso_admits`` is re-exported; the engine below applies the same test
 # through ``admission_edges`` on the edge count it carries.
-from .single_venue import admission_edges, candidate_order, run_single_venue_search, sso_admits
+from .single_venue import admission_edges, candidate_order, sso_admits
 
 
 @dataclass(frozen=True)
@@ -139,150 +138,6 @@ class SelectionRecord:
 class MagsAudit:
     bounds: List[BoundRecord] = field(default_factory=list)
     selections: List[SelectionRecord] = field(default_factory=list)
-
-
-class _PairQueue:
-    """Best-first queue over (R-tree entry, ball) pairs: the co-traversal of
-    the member R-tree and the venue ball tree that one adaptive search frame
-    resumes for each of its selections.
-
-    R-tree entries are ``("n", node)`` or ``("m", member, loc)``. A pair's key
-    is ``(f + g, kind, rkey, bkey)``: ``f`` is the ball's cost, ``g`` the
-    entry-to-ball lower bound, ``kind`` is 1 for a (member, venue) pair, and
-    ``rkey``/``bkey`` order members by degree then id and nodes by node id.
-    Keys are unique, so pops follow the argmin of the whole live frontier
-    product. Each pair is pushed once, when the later of its two sides enters
-    the frontier; a pair whose entry or ball has been expanded since, or
-    whose member has joined ``skip`` since, is dropped when popped. A pair's
-    key is never below its parent pair's, so after any number of pops the
-    next live (member, leaf ball) pair is still the argmin over the members
-    outside ``skip``.
-
-    ``ball_cost(node)`` gives ``f``, or None to keep the ball out of the
-    frontier. Pairs with ``g > limit`` or a member in ``skip`` are never
-    pushed, but their sides stay in the frontier: a skipped member still
-    counts for ``frontier_bound`` until ``remove_member`` takes it out.
-    ``g_memo`` maps a ball's node id to ``{entry id: g}``, where an entry id
-    is the R-tree node or the member; a search shares it between all its
-    queues.
-    """
-
-    def __init__(
-        self,
-        rtree: Rtree,
-        ball_root: BalltreeNode,
-        pool: Sequence[MemberId],
-        degree_of: Dict[MemberId, int],
-        ball_cost: Callable[[BalltreeNode], Optional[float]],
-        *,
-        limit: float,
-        skip: Set[MemberId],
-        g_memo: Dict[int, Dict[object, float]],
-    ):
-        self.pool = set(pool)
-        self.degree_of = degree_of
-        self.ball_cost = ball_cost
-        self.limit = limit
-        self.skip = skip
-        self.g_memo = g_memo
-        # The live frontier. Entries: entry id -> (entry id, rkey, entry).
-        # Balls: node id -> (node, f, bkey, g row), in insertion order, which
-        # fixes the order of the ball checks.
-        self.live_r: Dict[object, tuple] = {}
-        self.live_b: Dict[int, tuple] = {}
-        self.heap: List[tuple] = []
-        self._add_balls([ball_root])
-        if rtree.root is not None:
-            self._add_entries([("n", rtree.root)])
-
-    def _push_pairs(self, entries, balls) -> None:
-        heap, limit, skip = self.heap, self.limit, self.skip
-        for bnode, f, bkey, row in balls:
-            for rid, rkey, rentry in entries:
-                g = row.get(rid)
-                if g is None:
-                    if rentry[0] == "m":
-                        g = mindist_point_ball(rentry[2], bnode.ball)
-                    else:
-                        g = mindist_mbr_ball(rentry[1].mbr, bnode.ball)
-                    row[rid] = g
-                if g <= limit and rid not in skip:
-                    kind = 1 if rkey[0] == 1 and bkey[0] == 1 else 0
-                    heapq.heappush(heap, (f + g, kind, rkey, bkey, rentry, bnode))
-
-    def _add_entries(self, rentries: List[tuple]) -> None:
-        added = []
-        for rentry in rentries:
-            rid = rentry[1]
-            if rentry[0] == "m":
-                rkey = (1, -self.degree_of.get(rid, 0), rid)
-            else:
-                rkey = (0, rid.node_id, 0)
-            self.live_r[rid] = (rid, rkey, rentry)
-            added.append(self.live_r[rid])
-        self._push_pairs(added, self.live_b.values())
-
-    def _add_balls(self, bnodes: List[BalltreeNode]) -> None:
-        added = []
-        for bnode in bnodes:
-            f = self.ball_cost(bnode)
-            if f is None:
-                continue
-            bkey = (1, bnode.venue) if bnode.is_leaf else (0, bnode.node_id)
-            row = self.g_memo.get(bnode.node_id)
-            if row is None:
-                row = self.g_memo[bnode.node_id] = {}
-            self.live_b[bnode.node_id] = (bnode, f, bkey, row)
-            added.append(self.live_b[bnode.node_id])
-        self._push_pairs(self.live_r.values(), added)
-
-    def pop(self):
-        """Next live pair as ``(key, entry, ball)``, or None when none is left."""
-        heap, live_r, live_b, skip = self.heap, self.live_r, self.live_b, self.skip
-        while heap:
-            item = heapq.heappop(heap)
-            rentry, bnode = item[4], item[5]
-            rid = rentry[1]
-            if rid in live_r and bnode.node_id in live_b and rid not in skip:
-                return item[:4], rentry, bnode
-        return None
-
-    def remove_member(self, member: MemberId) -> None:
-        """Take ``member`` out of the pool and the frontier; its queued pairs
-        are dropped when popped."""
-        self.pool.discard(member)
-        del self.live_r[member]
-
-    def expand(self, rentry: tuple, bnode: BalltreeNode) -> None:
-        """Replace the popped pair's R-tree node and internal ball by their
-        children; members join only if they are in the pool."""
-        new_entries: List[tuple] = []
-        if rentry[0] == "n":
-            node = rentry[1]
-            del self.live_r[node]
-            if node.is_leaf:
-                new_entries = [("m", m, loc) for m, loc in node.entries if m in self.pool]
-            else:
-                new_entries = [("n", child) for child in node.children]
-        if not bnode.is_leaf:
-            del self.live_b[bnode.node_id]
-        # New entries pair with the surviving balls, then new balls with
-        # every live entry: each new pair is pushed exactly once.
-        self._add_entries(new_entries)
-        if not bnode.is_leaf:
-            self._add_balls(bnode.children)
-
-    def frontier_bound(self, bnode: BalltreeNode) -> float:
-        """Smallest ``g`` from any live entry to the live ball ``bnode``.
-
-        Called between a pop and its expansion, when the popped entry is
-        still live, so the frontier is never empty."""
-        row = self.live_b[bnode.node_id][3]
-        return min(map(row.__getitem__, self.live_r))
-
-    def ball_cost_of(self, bnode: BalltreeNode) -> float:
-        """``f`` of the live ball ``bnode``."""
-        return self.live_b[bnode.node_id][1]
 
 
 def srdo_seed(
@@ -337,9 +192,12 @@ class _MultiVenueSearch:
         self.leaf_edges = None
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
             self.leaf_edges = average_familiarity_edges(query.p, query.k)
-        # Entry-to-ball lower bounds depend only on the indexes: one table
-        # serves every co-traversal of this search (see ``_PairQueue``).
-        self.g_memo: Dict[int, Dict[object, float]] = {}
+        # Whether apdo checks any ball rule. The member-to-ball lower bounds,
+        # keyed by (ball node id, member), depend only on the indexes.
+        self.ball_rules = not self.static and (
+            config.outer_triangle or config.inner_triangle or config.ball_distance
+        )
+        self.ball_dist: Dict[Tuple[int, MemberId], float] = {}
         # One ``candidate_order`` per venue decides every radius fact. A venue
         # is alive when at least p graph vertices lie within t of it (one
         # with fewer can never host a group). ``near[m]`` maps each pool
@@ -397,126 +255,115 @@ class _MultiVenueSearch:
 
     # -- candidate selection -----------------------------------------------
 
-    def _ball_cost(
-        self, prefix_locs: List[Location], universe: Set[VenueId]
-    ) -> Callable[[BalltreeNode], Optional[float]]:
-        """A frame's ball cost ``f``: the prefix's summed distance lower bound
-        to the ball, or None for a ball with no venue in the radius universe.
-        Both inputs are fixed within the frame, so the costs are memoised for
-        all its queues."""
-        costs: Dict[int, Optional[float]] = {}
-
-        def ball_cost(node: BalltreeNode) -> Optional[float]:
-            if node.node_id not in costs:
-                if any(q in universe for q in node.venue_ids):
-                    cost = sum(mindist_point_ball(loc, node.ball) for loc in prefix_locs)
-                else:
-                    cost = None
-                costs[node.node_id] = cost
-            return costs[node.node_id]
-
-        return ball_cost
+    def _pair_heap(
+        self, prefix: List[MemberId], universe: Set[VenueId], remaining: List[MemberId]
+    ) -> List[tuple]:
+        """A frame's pair heap: ``(base[q] + d, -degree, m, q)`` for every
+        pair ``(m, q)`` of ``near`` with ``m`` in ``remaining`` and ``q`` in
+        the radius universe, where ``base[q]`` is the prefix's total distance
+        to ``q``, summed in prefix order."""
+        near = self.near
+        base = {q: sum(near[s][q] for s in prefix) for q in universe}
+        heap = [
+            (base[q] + d, -self.degree_of[m], m, q)
+            for m in remaining
+            for q, d in near[m].items()
+            if q in base
+        ]
+        heapq.heapify(heap)
+        return heap
 
     def _select_adaptive(
         self,
-        queue: _PairQueue,
+        heap: List[tuple],
         prefix: List[MemberId],
-        prefix_locs: List[Location],
         universe: Set[VenueId],
         remaining: List[MemberId],
         visited: Set[MemberId],
-        sums: Dict[VenueId, float],
-        pairwise_sum: float,
     ) -> Optional[MemberId]:
-        """Resume the frame's co-traversal of the member R-tree and venue ball
-        tree, returning the member of the (member, venue) pair minimizing the
-        grown group's total distance to the venue, over the members of
-        ``remaining`` not in ``visited``. Ball-level distance bounds are
-        evaluated, against the current incumbent, on each ball the first time
-        this selection pops it, and remove hopeless venues from ``sums``.
+        """Pop the frame's pair heap to its first pair whose member is not in
+        ``visited`` and return that member: of the (member, venue) pairs over
+        ``remaining`` outside ``visited``, the one minimizing the grown
+        group's total distance to the venue. An admitted member stays in
+        ``visited`` until the heap is rebuilt, so its pairs are dropped too.
 
-        The traversal ranges over the radius universe: the alive venues
-        within ``t`` of every prefix member. It shrinks only through the
-        radius, so extraction order is independent of the prune toggles, and
-        it holds every venue of the frame's ``sums``, so it is never empty."""
-        if all(m in visited for m in remaining):
-            return None
-        checked_balls: Set[int] = set()
-
-        while True:
-            popped = queue.pop()
-            if popped is None:
-                return None
-            key, rentry, bnode = popped
-
-            if bnode.node_id not in checked_balls:
-                checked_balls.add(bnode.node_id)
-                self._ball_lemma_checks(
-                    bnode, prefix, prefix_locs, remaining, queue, sums, pairwise_sum
-                )
-
-            if key[1] == 1:
-                member, venue = rentry[1], bnode.venue
-                if self.audit is not None:
-                    self.audit.selections.append(
-                        SelectionRecord(
-                            group=tuple(prefix),
-                            candidates=tuple(sorted(m for m in remaining if m not in visited)),
-                            venues=tuple(sorted(universe)),
-                            member=member,
-                            venue=venue,
-                            score=key[0],
-                        )
+        The heap ranges over the radius universe: the alive venues within
+        ``t`` of every prefix member. It shrinks only through the radius, so
+        extraction order is independent of the prune toggles."""
+        while heap:
+            score, _, member, venue = heapq.heappop(heap)
+            if member in visited:
+                continue
+            if self.audit is not None:
+                self.audit.selections.append(
+                    SelectionRecord(
+                        group=tuple(prefix),
+                        candidates=tuple(sorted(m for m in remaining if m not in visited)),
+                        venues=tuple(sorted(universe)),
+                        member=member,
+                        venue=venue,
+                        score=score,
                     )
-                return member
-            queue.expand(rentry, bnode)
+                )
+            return member
+        return None
 
-    def _ball_lemma_checks(
+    def _mindist(self, node: BalltreeNode, member: MemberId) -> float:
+        """``mindist_point_ball`` from ``member`` to ``node``, memoised for the
+        whole search."""
+        key = (node.node_id, member)
+        g = self.ball_dist.get(key)
+        if g is None:
+            g = self.ball_dist[key] = mindist_point_ball(self.member_loc[member], node.ball)
+        return g
+
+    def _ball_pass(
         self,
-        bx: BalltreeNode,
         prefix: List[MemberId],
-        prefix_locs: List[Location],
-        pool: Sequence[MemberId],
-        queue: _PairQueue,
+        remaining: List[MemberId],
         sums: Dict[VenueId, float],
         pairwise_sum: float,
     ) -> None:
+        """Check the ball-level distance bounds against the incumbent, top
+        down over the balls that hold a venue of ``sums``. A ball whose bound
+        reaches the incumbent takes its venues out of ``sums`` and is not
+        descended. Completions draw on ``remaining``, so each bound's
+        completion term is the smallest member-to-ball bound over it."""
+        cfg = self.config
         p = self.query.p
         n = len(prefix)
-        cfg = self.config
-
-        if cfg.outer_triangle:
-            sums_x = [distance(loc, bx.ball.center) for loc in prefix_locs]
-            for bnode, *_ in queue.live_b.values():
-                if bnode.node_id == bx.node_id:
-                    continue
-                bound = outer_triangle_ball_bound(
-                    sums_x,
-                    distance(bx.ball.center, bnode.ball.center),
-                    bnode.ball.radius,
-                    p,
-                    queue.frontier_bound(bnode),
-                )
-                self._record_bound(PRUNE_OUTER_TRIANGLE, bound, prefix, pool, bnode.venue_ids)
-                if bound >= self.best_total:
-                    self._kill_venues(bnode.venue_ids, sums, PRUNE_OUTER_TRIANGLE)
-
-        if cfg.inner_triangle and n >= 2:
-            frontier = queue.frontier_bound(bx)
-            bound = inner_triangle_bound(pairwise_sum, n, p, bx.ball.radius, frontier)
-            self._record_bound(PRUNE_INNER_TRIANGLE, bound, prefix, pool, bx.venue_ids)
-            if bound >= self.best_total:
-                self._kill_venues(bx.venue_ids, sums, PRUNE_INNER_TRIANGLE)
-
-        if cfg.ball_distance:
-            frontier = queue.frontier_bound(bx)
-            bound = ball_distance_bound(queue.ball_cost_of(bx), n, p, frontier)
-            self._record_bound(PRUNE_BALL_DISTANCE, bound, prefix, pool, bx.venue_ids)
-            if bound >= self.best_total:
-                self._kill_venues(bx.venue_ids, sums, PRUNE_BALL_DISTANCE)
+        root = self.indexes.venues.root
+        # The outer-triangle reference point: any point gives a sound bound.
+        ref = root.ball.center
+        to_ref = [distance(self.member_loc[s], ref) for s in prefix]
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            if sums.keys().isdisjoint(node.venue_ids):
+                continue
+            ball = node.ball
+            frontier = min(self._mindist(node, m) for m in remaining)
+            bounds = []
+            if cfg.outer_triangle and node is not root:
+                d_centers = distance(ref, ball.center)
+                bound = outer_triangle_ball_bound(to_ref, d_centers, ball.radius, p, frontier)
+                bounds.append((PRUNE_OUTER_TRIANGLE, bound))
+            if cfg.inner_triangle and n >= 2:
+                bound = inner_triangle_bound(pairwise_sum, n, p, ball.radius, frontier)
+                bounds.append((PRUNE_INNER_TRIANGLE, bound))
+            if cfg.ball_distance:
+                f = sum(self._mindist(node, s) for s in prefix)
+                bounds.append((PRUNE_BALL_DISTANCE, ball_distance_bound(f, n, p, frontier)))
+            for rule, bound in bounds:
+                self._record_bound(rule, bound, prefix, remaining, node.venue_ids)
+            fired = next((rule for rule, bound in bounds if bound >= self.best_total), None)
+            if fired is not None:
+                self._kill_venues(node.venue_ids, sums, fired)
+            elif not node.is_leaf:
+                stack.extend(node.children)
 
     def _record_bound(self, rule, bound, prefix, pool, venue_ids) -> None:
-        if self.audit is not None and math.isfinite(bound):
+        if self.audit is not None:
             self.audit.bounds.append(
                 BoundRecord(
                     rule=rule,
@@ -587,11 +434,11 @@ class _MultiVenueSearch:
         cursor = 0
         need = admission_edges(size + 1, theta, p)
         if not static:
-            prefix_locs = [self.member_loc[v] for v in prefix]
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
-            ball_cost = self._ball_cost(prefix_locs, universe)
-            # The frame's pair queue, built at its first selection.
-            queue: Optional[_PairQueue] = None
+            # The frame's pair heap, built at its first selection.
+            heap: Optional[List[tuple]] = None
+        # The incumbent the ball rules were last checked against.
+        checked_at = self.best_total
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
         # completion bounds: a completion at q takes only candidates of q.
@@ -608,6 +455,11 @@ class _MultiVenueSearch:
         # not repeated.
         viable_at = None
         while size + left >= p:
+            if self.ball_rules and self.best_total < checked_at:
+                checked_at = self.best_total
+                self._ball_pass(prefix, remaining, sums, pairwise_sum)
+                if not sums:
+                    break
             if cfg.venue_distance and viable_at != (self.best_total, len(sums)):
                 if not self._any_venue_viable(size, sums, pool_dmin):
                     stats.bump(PRUNE_VENUE_DISTANCE)
@@ -617,20 +469,9 @@ class _MultiVenueSearch:
             if static:
                 u = remaining[cursor] if cursor < left else None
             else:
-                if queue is None:
-                    queue = _PairQueue(
-                        self.indexes.members,
-                        self.indexes.venues.root,
-                        remaining,
-                        self.degree_of,
-                        ball_cost,
-                        limit=self.query.t,
-                        skip=visited,
-                        g_memo=self.g_memo,
-                    )
-                u = self._select_adaptive(
-                    queue, prefix, prefix_locs, universe, remaining, visited, sums, pairwise_sum
-                )
+                if heap is None:
+                    heap = self._pair_heap(prefix, universe, remaining)
+                u = self._select_adaptive(heap, prefix, universe, remaining, visited)
             if u is None:
                 if not visited:
                     break
@@ -638,10 +479,10 @@ class _MultiVenueSearch:
                     theta += 1
                     stats.theta_escalations += 1
                     need = admission_edges(size + 1, theta, p)
-                    # The rejected members are offered again, so the queue
-                    # restarts from the roots. At the highest theta every
-                    # tried member was admitted, so the spent queue stays.
-                    queue = None
+                    # The rejected members are offered again, so the heap is
+                    # rebuilt. At the highest theta every tried member was
+                    # admitted and the heap is spent, so it stays.
+                    heap = None
                 visited.clear()
                 cursor = 0
                 continue
@@ -656,7 +497,6 @@ class _MultiVenueSearch:
                 del remaining[cursor]
             else:
                 remaining.remove(u)
-                queue.remove_member(u)
             left -= 1
             stats.generated_states += 1
             if pool_deg is not None:
@@ -760,38 +600,6 @@ class _MultiVenueSearch:
             self.best_total = total
             self.best_group = tuple(sorted(group))
             self.best_venue = best_here
-
-
-def ssp_solve(
-    query: Query,
-    graph: SocialGraph,
-    data: SpatialDataset,
-    indexes: Optional[Indexes] = None,
-    *,
-    config: Optional[PruneConfig] = None,
-    stats: Optional[SearchStats] = None,
-) -> Optional[Solution]:
-    """Solve per venue with the single-venue search, sharing the incumbent so
-    later venues start with the best bound found so far."""
-    config = config or PruneConfig()
-    stats = stats if stats is not None else SearchStats()
-    start = time.perf_counter()
-    indexes = indexes or build_indexes(data)
-    best = math.inf
-    best_group = None
-    best_venue = None
-    for venue in query.venues:
-        search = run_single_venue_search(
-            query, graph, data, venue, indexes, config, stats, initial_best=best
-        )
-        if search.best_group is not None and search.best_total < best:
-            best = search.best_total
-            best_group = search.best_group
-            best_venue = venue
-    stats.elapsed_seconds = time.perf_counter() - start
-    if best_group is None:
-        return None
-    return Solution(best_group, best_venue, total_distance(best_group, best_venue, data), stats)
 
 
 def mags_solve(

@@ -38,7 +38,7 @@ class PruneConfig:
     ball_distance: bool = True
 
     def without(self, rule: str) -> "PruneConfig":
-        return replace(self, **{rule.replace("-", "_"): False})
+        return replace(self, **{_rule_field(rule): False})
 
     @staticmethod
     def none() -> "PruneConfig":
@@ -48,11 +48,16 @@ class PruneConfig:
     def from_enabled(names: Iterable[str]) -> "PruneConfig":
         values = {f: False for f in PruneConfig.__dataclass_fields__}
         for name in names:
-            field = name.replace("-", "_")
-            if field not in values:
-                raise ValueError(f"unknown prune rule {name!r}")
-            values[field] = True
+            values[_rule_field(name)] = True
         return PruneConfig(**values)
+
+
+def _rule_field(name: str) -> str:
+    """The ``PruneConfig`` field of a rule name, which may use hyphens."""
+    field = name.replace("-", "_")
+    if field not in PruneConfig.__dataclass_fields__:
+        raise ValueError(f"unknown prune rule {name!r}")
+    return field
 
 
 def completion_term(slots: int, unit_bound: float) -> float:

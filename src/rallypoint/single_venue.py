@@ -1,4 +1,6 @@
-"""Exact branch-and-bound and the merge heuristic for single-venue queries.
+"""Exact branch-and-bound over one venue at a time, and the merge heuristic
+for single-venue queries. ``ssp_solve`` runs the search once per venue of a
+query, sharing the incumbent; ``ssgs_solve`` is that run on a one-venue query.
 
 The search keeps an ordered partial group and a pool of remaining candidates.
 Candidates are tried in nondecreasing distance to the venue, but a candidate
@@ -254,7 +256,7 @@ def candidate_order(
     graph: SocialGraph,
     data: SpatialDataset,
     venue,
-    indexes: Optional[Indexes],
+    indexes: Indexes,
 ) -> List[Tuple[float, MemberId]]:
     """In-range graph vertices sorted by (distance to venue, id): the one
     in-range rule of every exact solver.
@@ -264,8 +266,7 @@ def candidate_order(
     center = data.venue_locations.get(venue)
     if center is None:
         raise ValueError(f"venue {venue!r} has no location")
-    rtree = indexes.members if indexes is not None else build_indexes(data).members
-    in_range = rtree.range_query(center, query.t)
+    in_range = indexes.members.range_query(center, query.t)
     return sorted(
         (distance(data.member_locations[m], center), m) for m in in_range if m in graph
     )
@@ -276,7 +277,7 @@ def run_single_venue_search(
     graph: SocialGraph,
     data: SpatialDataset,
     venue,
-    indexes: Optional[Indexes],
+    indexes: Indexes,
     config: PruneConfig,
     stats: SearchStats,
     initial_best: float = math.inf,
@@ -291,6 +292,38 @@ def run_single_venue_search(
     return search
 
 
+def ssp_solve(
+    query: Query,
+    graph: SocialGraph,
+    data: SpatialDataset,
+    indexes: Optional[Indexes] = None,
+    *,
+    config: Optional[PruneConfig] = None,
+    stats: Optional[SearchStats] = None,
+) -> Optional[Solution]:
+    """Solve per venue with the single-venue search, sharing the incumbent so
+    later venues start with the best bound found so far."""
+    config = config or PruneConfig()
+    stats = stats if stats is not None else SearchStats()
+    start = time.perf_counter()
+    indexes = indexes or build_indexes(data)
+    best = math.inf
+    best_group = None
+    best_venue = None
+    for venue in query.venues:
+        search = run_single_venue_search(
+            query, graph, data, venue, indexes, config, stats, initial_best=best
+        )
+        if search.best_group is not None and search.best_total < best:
+            best = search.best_total
+            best_group = search.best_group
+            best_venue = venue
+    stats.elapsed_seconds = time.perf_counter() - start
+    if best_group is None:
+        return None
+    return Solution(best_group, best_venue, total_distance(best_group, best_venue, data), stats)
+
+
 def ssgs_solve(
     query: Query,
     graph: SocialGraph,
@@ -300,19 +333,11 @@ def ssgs_solve(
     config: Optional[PruneConfig] = None,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Solution]:
-    """Exact optimum for a single-venue query, or None when nothing qualifies."""
+    """Exact optimum for a single-venue query, or None when nothing qualifies:
+    ``ssp_solve`` on the query's one venue."""
     if not query.is_single_venue:
         raise ValueError("ssgs_solve expects a single-venue query")
-    config = config or PruneConfig()
-    stats = stats if stats is not None else SearchStats()
-    start = time.perf_counter()
-    venue = query.venues[0]
-    search = run_single_venue_search(query, graph, data, venue, indexes, config, stats)
-    stats.elapsed_seconds = time.perf_counter() - start
-    if search.best_group is None:
-        return None
-    group = search.best_group
-    return Solution(group, venue, total_distance(group, venue, data), stats)
+    return ssp_solve(query, graph, data, indexes, config=config, stats=stats)
 
 
 # ---------------------------------------------------------------------------
@@ -432,6 +457,7 @@ def ssgmerge_solve(
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
+    indexes = indexes or build_indexes(data)
     venue = query.venues[0]
     p = query.p
 

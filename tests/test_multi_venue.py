@@ -436,37 +436,19 @@ def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
     assert selections > 1000 and escalations > 100, (selections, escalations)
 
 
-def test_apdo_resumes_one_pair_queue_per_frame(monkeypatch):
-    # A frame builds its pair queue at its first selection and again only
-    # after a theta escalation; every other selection resumes it.
-    built = []
-    frames = set()
-    queue_class = multi_venue._PairQueue
-    select = multi_venue._MultiVenueSearch._select_adaptive
-
-    def counting_queue(*args, **kwargs):
-        built.append(1)
-        return queue_class(*args, **kwargs)
-
-    def recording_select(self, queue, prefix, *args):
-        frames.add(tuple(prefix))
-        return select(self, queue, prefix, *args)
-
-    monkeypatch.setattr(multi_venue, "_PairQueue", counting_queue)
-    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_select_adaptive", recording_select)
-    queues = selections = escalations = 0
-    for seed in range(20):
-        graph, data, query = make_query_instance(8500 + seed, q_range=(2, 5))
-        built.clear()
-        frames.clear()
-        stats, audit = SearchStats(), MagsAudit()
-        mags_solve(query, graph, data, ordering="apdo", stats=stats, audit=audit)
-        assert len(built) <= len(frames) + stats.theta_escalations, seed
-        queues += len(built)
-        selections += len(audit.selections)
-        escalations += stats.theta_escalations
-    assert escalations > 0
-    assert 0 < queues < selections
+def test_apdo_checks_ball_bounds_only_against_a_finite_incumbent():
+    # No lower bound reaches an infinite incumbent, so a check against one
+    # is wasted work.
+    records = 0
+    for seed in range(130):
+        graph, data, query = make_query_instance(
+            40_000 + seed, n_range=(6, 12), p_range=(2, 5), q_range=(2, 6)
+        )
+        audit = MagsAudit()
+        mags_solve(query, graph, data, ordering="apdo", audit=audit)
+        assert all(math.isfinite(rec.best_at_check) for rec in audit.bounds), seed
+        records += len(audit.bounds)
+    assert records > 0
 
 
 def test_apdo_without_a_venue_ball_tree_is_a_value_error(fig4_instance, monkeypatch):
@@ -863,110 +845,110 @@ PINNED_SEARCHES = {
         (102, 581, 202),
         {"member_familiarity": 469, "pool_familiarity": 10, "venue_radius": 81},
         (1927, "a59f674a9931c893"),
-        (6053, "ba37b7833ed5562e"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (1, "apdo"): (
         None,
         (1, 4, 2),
         {"member_familiarity": 2, "pool_familiarity": 1},
         (12, "eb117390dcba51c5"),
-        (28, "7558a36bcec9f825"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (10, 13, 0),
-        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 10, "venue_distance": 17, "venue_radius": 8},
-        (13, "75bbcdc7a95f5da8"),
-        (90, "5ae0e9a28494c8d6"),
+        (11, 16, 0),
+        {"ball_distance": 5, "inner_triangle": 1, "outer_triangle": 3, "venue_distance": 19, "venue_radius": 16},
+        (16, "5affabe8a24ff945"),
+        (60, "e401321225055681"),
     ),
     (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (6, 9, 0),
-        {"ball_distance": 3, "outer_triangle": 1, "venue_distance": 4, "venue_radius": 1},
-        (9, "2c378392a4205ca3"),
-        (30, "4368ec499278a9f0"),
+        (8, 8, 0),
+        {"ball_distance": 2, "outer_triangle": 1, "venue_distance": 4, "venue_radius": 1},
+        (8, "b74d5f4710e91356"),
+        (30, "4d9ca5455df8fcf7"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (5, 7, 0),
-        {"ball_distance": 1, "outer_triangle": 5, "venue_distance": 6, "venue_radius": 1},
-        (7, "756af3fbf95bb3fd"),
-        (24, "876a26068eee8954"),
+        (11, 14, 0),
+        {"ball_distance": 5, "outer_triangle": 2, "venue_distance": 22, "venue_radius": 1},
+        (14, "dc50bcd925c3a789"),
+        (22, "34ea9fe3957a1de2"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (5, 9, 0),
-        {"ball_distance": 3, "member_familiarity": 1, "venue_distance": 5},
-        (9, "dadfb063d62c6c64"),
-        (16, "2b43a1b459bd108f"),
+        (7, 10, 0),
+        {"ball_distance": 1, "member_familiarity": 1, "venue_distance": 6},
+        (10, "95b08e7f0030f822"),
+        (11, "44f1fbbcf4f2abec"),
     ),
     (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (17, 35, 0),
-        {"ball_distance": 4, "inner_triangle": 3, "outer_triangle": 10, "venue_distance": 30, "venue_radius": 1},
-        (35, "da0cab3813e80c16"),
-        (153, "4a0ad261262a35ef"),
+        (31, 51, 0),
+        {"ball_distance": 8, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 79, "venue_radius": 2},
+        (51, "ae33d895e98c24f0"),
+        (60, "7ddc3217c426bc8f"),
     ),
     (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
-        (6, 8, 0),
-        {"outer_triangle": 6, "venue_distance": 6},
-        (8, "36194d23b709d546"),
-        (36, "929598c6881568eb"),
+        (7, 13, 0),
+        {"ball_distance": 2, "outer_triangle": 4, "venue_distance": 14},
+        (13, "def735249022aa67"),
+        (32, "7ad6756cfeea4e7c"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (10, 15, 1),
-        {"ball_distance": 4, "member_familiarity": 1, "outer_triangle": 1, "venue_distance": 8, "venue_radius": 1},
-        (15, "2fd37f6ec2cb3134"),
-        (51, "bec4dc374e9e7628"),
+        (11, 15, 2),
+        {"ball_distance": 2, "inner_triangle": 1, "member_familiarity": 1, "outer_triangle": 1, "venue_distance": 6, "venue_radius": 2},
+        (15, "a4f10585340b349d"),
+        (47, "b46851c5588df7ab"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (10, 15, 0),
-        {"ball_distance": 2, "inner_triangle": 1, "outer_triangle": 4, "venue_distance": 12},
-        (15, "b42c1b6faa06a756"),
-        (42, "f04b3c7e5a15de00"),
+        (13, 32, 0),
+        {"ball_distance": 3, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 27},
+        (32, "30417ca28f9add83"),
+        (26, "85e9e66841732ff3"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
         (5, 5, 0),
         {},
         (5, "a9d8d3a0663a16d9"),
-        (24, "a45d2162283269c3"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (14, "apdo"): (
         ((2, 3, 12), "q2", 43.801634625),
-        (3, 5, 0),
-        {"ball_distance": 2, "venue_distance": 3},
-        (5, "994b6ba3d9168d95"),
-        (14, "82eb2783546bc672"),
+        (3, 3, 0),
+        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 1},
+        (3, "8d0b6c2e3a4283bc"),
+        (18, "fbc6e785fc37bdf0"),
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (6, 15, 6),
-        {"ball_distance": 2, "member_familiarity": 7, "outer_triangle": 2, "venue_distance": 3, "venue_radius": 2},
-        (22, "23b2fe0dcc70365f"),
-        (57, "3dfd770f2577f652"),
+        (6, 13, 6),
+        {"ball_distance": 3, "member_familiarity": 7, "outer_triangle": 2, "venue_radius": 2},
+        (20, "2947f423d2911e0d"),
+        (15, "2be556ac3cde21f9"),
     ),
     (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (6, 9, 2),
-        {"ball_distance": 2, "member_familiarity": 1, "outer_triangle": 2, "venue_distance": 4, "venue_radius": 4},
-        (9, "db122fd18e024a84"),
-        (46, "197b15e058345e18"),
+        (6, 7, 2),
+        {"ball_distance": 2, "member_familiarity": 1, "outer_triangle": 3, "venue_distance": 1, "venue_radius": 4},
+        (7, "04db2bcab6b8d5bb"),
+        (31, "1bfa510e9e325500"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
         (5, 5, 0),
         {},
         (5, "488d13b84d44f117"),
-        (32, "f7bdbffa5a7ef441"),
+        (0, "4f53cda18c2baa0c"),
     ),
 }
 

@@ -34,6 +34,11 @@ def test_prune_config_toggles():
         PruneConfig.from_enabled(["bogus"])
 
 
+def test_prune_config_without_an_unknown_rule_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown prune rule 'bogus'"):
+        PruneConfig().without("bogus")
+
+
 def test_avg_familiarity_fixture(g1):
     # (0 + 1*1 + 2*1) / 3 = 1 < 2: no completion can satisfy k=0.
     assert avg_familiarity_prune(["b", "d"], ["e", "f"], 3, 0, g1)
