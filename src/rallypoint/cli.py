@@ -72,7 +72,10 @@ def _parse_point_file(path: str, kind: str) -> Dict[str, Location]:
                 raise DatasetError(
                     f"{path}:{lineno}: coordinates must be numbers, got {line!r}"
                 ) from None
-            out[ident] = Location(x, y)
+            try:
+                out[ident] = Location(x, y)
+            except ValueError as exc:
+                raise DatasetError(f"{path}:{lineno}: {exc}") from None
     return out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from typing import List, Optional, Tuple
 
@@ -24,9 +25,14 @@ def _configuration_edges(rng: random.Random, vertices: List[MemberId], exponent:
     n = len(vertices)
     stubs: List[MemberId] = []
     for v in vertices:
-        # Degrees in [1, n-1] with P(d) ~ d^-exponent.
+        # Degrees in [1, n-1] with P(d) ~ d^-exponent. An exponent just
+        # above 1 can draw a degree beyond any float; it is capped at n.
         r = rng.random()
-        d = max(1, min(n - 1, int(round((1.0 - r) ** (-1.0 / (exponent - 1.0))))))
+        try:
+            raw = (1.0 - r) ** (-1.0 / (exponent - 1.0))
+        except OverflowError:
+            raw = math.inf
+        d = max(1, min(n - 1, int(round(min(raw, n)))))
         stubs.extend([v] * d)
     if len(stubs) % 2:
         stubs.append(vertices[0])
@@ -53,7 +59,12 @@ def random_instance(
 ) -> Tuple[SocialGraph, SpatialDataset]:
     """Uniform coordinates in a ``box``-sided square; social edges either from
     an edge-probability model or a configuration model (set ``power_exponent``
-    to use the latter)."""
+    to use the latter). Raises ``ValueError`` for ``edge_prob`` outside
+    [0, 1] or ``power_exponent`` not above 1; None is allowed for both."""
+    if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
+        raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
+    if power_exponent is not None and not power_exponent > 1.0:
+        raise ValueError(f"power_exponent must be greater than 1, got {power_exponent}")
     rng = random.Random(seed)
     members = list(range(n_members))
     venues = [f"q{i}" for i in range(n_venues)]

@@ -50,6 +50,14 @@ class Location:
             raise ValueError(f"location coordinates must be finite, got ({self.x}, {self.y})")
 
 
+def _sorted_ids(ids: Iterable, kind: str) -> list:
+    """``ids`` in sorted order; ``ValueError`` when they cannot be ordered."""
+    try:
+        return sorted(ids)
+    except TypeError as exc:
+        raise ValueError(f"{kind} ids must be mutually comparable: {exc}") from None
+
+
 def distance(a: Location, b: Location) -> float:
     """Planar Euclidean distance between two locations."""
     return math.hypot(a.x - b.x, a.y - b.y)
@@ -78,7 +86,7 @@ class SocialGraph:
         self._adjacency: Dict[MemberId, FrozenSet[MemberId]] = {
             v: frozenset(ns) for v, ns in adjacency.items()
         }
-        self._vertices: Tuple[MemberId, ...] = tuple(sorted(self._adjacency))
+        self._vertices: Tuple[MemberId, ...] = tuple(_sorted_ids(self._adjacency, "vertex"))
 
     @property
     def vertices(self) -> Tuple[MemberId, ...]:
@@ -124,7 +132,8 @@ class SocialGraph:
 
 
 class SpatialDataset:
-    """Member and venue locations. Venue ids must be disjoint from member ids."""
+    """Member and venue locations. Venue ids must be disjoint from member ids;
+    the member ids, and separately the venue ids, must be mutually comparable."""
 
     __slots__ = ("member_locations", "venue_locations")
 
@@ -136,6 +145,8 @@ class SpatialDataset:
         overlap = set(member_locations) & set(venue_locations)
         if overlap:
             raise ValueError(f"venue ids must be disjoint from member ids: {sorted(overlap)!r}")
+        _sorted_ids(member_locations, "member")
+        _sorted_ids(venue_locations, "venue")
         self.member_locations: Dict[MemberId, Location] = dict(member_locations)
         self.venue_locations: Dict[VenueId, Location] = dict(venue_locations)
 

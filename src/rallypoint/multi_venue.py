@@ -30,10 +30,11 @@ selections: each pops past pairs whose member has been tried at the current
 offers the rejected members again, rebuilds it. The ball-level distance
 bounds run as one top-down pass over the venue ball tree, over the balls
 holding a venue of ``sums``; a ball whose bound reaches the incumbent takes
-its venues out of ``sums`` and is not descended. The pass runs at a frame's
-loop head whenever the incumbent has improved since the frame began or since
-its last pass, so no bound is checked against an infinite incumbent.
-Member-to-ball lower bounds are memoised for the whole search.
+its venues out of ``sums`` and is not descended. The pass and the
+venue-distance check share one trigger at a frame's loop head: the incumbent
+has changed since they last ran. The check also runs on entry, the pass only
+after an improvement, so no ball bound is checked against an infinite
+incumbent.
 
 A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count, so the admission test is an
@@ -68,7 +69,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from .balltree import BalltreeNode, mindist_point_ball
+from .balltree import mindist_point_ball
 from .graph import core_decompose
 from .indexes import Indexes, build_indexes
 from .model import (
@@ -192,12 +193,10 @@ class _MultiVenueSearch:
         self.leaf_edges = None
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
             self.leaf_edges = average_familiarity_edges(query.p, query.k)
-        # Whether apdo checks any ball rule. The member-to-ball lower bounds,
-        # keyed by (ball node id, member), depend only on the indexes.
+        # Whether apdo checks any ball rule.
         self.ball_rules = not self.static and (
             config.outer_triangle or config.inner_triangle or config.ball_distance
         )
-        self.ball_dist: Dict[Tuple[int, MemberId], float] = {}
         # One ``candidate_order`` per venue decides every radius fact. A venue
         # is alive when at least p graph vertices lie within t of it (one
         # with fewer can never host a group). ``near[m]`` maps each pool
@@ -241,7 +240,7 @@ class _MultiVenueSearch:
             pool_deg = pool_degrees(pool, self.graph)
             degree_sum = sum(pool_deg.values())
         # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
-        self._frame([], set(), 0, pool, sums, 0.0, self.query.k, pool_deg, 0, degree_sum)
+        self._frame([], set(), 0, pool, sums, self.query.k, pool_deg, 0, degree_sum)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool counts:
@@ -308,21 +307,8 @@ class _MultiVenueSearch:
             return member
         return None
 
-    def _mindist(self, node: BalltreeNode, member: MemberId) -> float:
-        """``mindist_point_ball`` from ``member`` to ``node``, memoised for the
-        whole search."""
-        key = (node.node_id, member)
-        g = self.ball_dist.get(key)
-        if g is None:
-            g = self.ball_dist[key] = mindist_point_ball(self.member_loc[member], node.ball)
-        return g
-
     def _ball_pass(
-        self,
-        prefix: List[MemberId],
-        remaining: List[MemberId],
-        sums: Dict[VenueId, float],
-        pairwise_sum: float,
+        self, prefix: List[MemberId], remaining: List[MemberId], sums: Dict[VenueId, float]
     ) -> None:
         """Check the ball-level distance bounds against the incumbent, top
         down over the balls that hold a venue of ``sums``. A ball whose bound
@@ -332,17 +318,24 @@ class _MultiVenueSearch:
         cfg = self.config
         p = self.query.p
         n = len(prefix)
+        loc = self.member_loc
         root = self.indexes.venues.root
         # The outer-triangle reference point: any point gives a sound bound.
         ref = root.ball.center
-        to_ref = [distance(self.member_loc[s], ref) for s in prefix]
+        to_ref = [distance(loc[s], ref) for s in prefix]
+        # The prefix's pairwise distance sum, added up member by member in
+        # insertion order.
+        pairwise_sum = 0.0
+        for i in range(1, n):
+            u_loc = loc[prefix[i]]
+            pairwise_sum += sum(distance(loc[s], u_loc) for s in prefix[:i])
         stack = [root]
         while stack:
             node = stack.pop()
             if sums.keys().isdisjoint(node.venue_ids):
                 continue
             ball = node.ball
-            frontier = min(self._mindist(node, m) for m in remaining)
+            frontier = min(mindist_point_ball(loc[m], ball) for m in remaining)
             bounds = []
             if cfg.outer_triangle and node is not root:
                 d_centers = distance(ref, ball.center)
@@ -352,7 +345,7 @@ class _MultiVenueSearch:
                 bound = inner_triangle_bound(pairwise_sum, n, p, ball.radius, frontier)
                 bounds.append((PRUNE_INNER_TRIANGLE, bound))
             if cfg.ball_distance:
-                f = sum(self._mindist(node, s) for s in prefix)
+                f = sum(mindist_point_ball(loc[s], ball) for s in prefix)
                 bounds.append((PRUNE_BALL_DISTANCE, ball_distance_bound(f, n, p, frontier)))
             for rule, bound in bounds:
                 self._record_bound(rule, bound, prefix, remaining, node.venue_ids)
@@ -391,7 +384,6 @@ class _MultiVenueSearch:
         prefix_edges: int,
         pool: List[MemberId],
         sums: Dict[VenueId, float],
-        pairwise_sum: float,
         theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
         cross: int,
@@ -427,7 +419,6 @@ class _MultiVenueSearch:
                     cross -= len(neighbors(v) & prefix_set)
         else:
             remaining = list(pool)
-        left = len(remaining)
         copy_counts = self._keeps_pool_counts(size + 1)
         visited: Set[MemberId] = set()
         # Static order: remaining[:cursor] has been tried at this theta.
@@ -437,8 +428,6 @@ class _MultiVenueSearch:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
             # The frame's pair heap, built at its first selection.
             heap: Optional[List[tuple]] = None
-        # The incumbent the ball rules were last checked against.
-        checked_at = self.best_total
 
         # Smallest candidate-to-venue distance per surviving venue, used by the
         # completion bounds: a completion at q takes only candidates of q.
@@ -450,24 +439,23 @@ class _MultiVenueSearch:
             for q in sums
         }
 
-        # The venue-distance check only turns false after the incumbent
-        # improves or a venue leaves ``sums``; until then a passed check is
-        # not repeated.
-        viable_at = None
-        while size + left >= p:
-            if self.ball_rules and self.best_total < checked_at:
+        # The incumbent the venue checks last ran against. Within a frame
+        # venues leave ``sums`` only in the ball pass, so both checks can turn
+        # false only after the incumbent improves. The pass skips entry.
+        checked_at = None
+        while size + len(remaining) >= p:
+            if checked_at != self.best_total:
+                if self.ball_rules and checked_at is not None:
+                    self._ball_pass(prefix, remaining, sums)
+                    if not sums:
+                        break
                 checked_at = self.best_total
-                self._ball_pass(prefix, remaining, sums, pairwise_sum)
-                if not sums:
-                    break
-            if cfg.venue_distance and viable_at != (self.best_total, len(sums)):
-                if not self._any_venue_viable(size, sums, pool_dmin):
+                if cfg.venue_distance and not self._any_venue_viable(size, sums, pool_dmin):
                     stats.bump(PRUNE_VENUE_DISTANCE)
                     break
-                viable_at = (self.best_total, len(sums))
 
             if static:
-                u = remaining[cursor] if cursor < left else None
+                u = remaining[cursor] if cursor < len(remaining) else None
             else:
                 if heap is None:
                     heap = self._pair_heap(prefix, universe, remaining)
@@ -497,7 +485,6 @@ class _MultiVenueSearch:
                 del remaining[cursor]
             else:
                 remaining.remove(u)
-            left -= 1
             stats.generated_states += 1
             if pool_deg is not None:
                 deg_u = drop_from_pool(pool_deg, u, graph)
@@ -529,11 +516,6 @@ class _MultiVenueSearch:
                 self._evaluate_leaf(child, child_edges, child_sums)
                 continue
 
-            # Only the adaptive ball checks read the pairwise sum.
-            child_pairwise = pairwise_sum
-            if not static:
-                u_loc = self.member_loc[u]
-                child_pairwise += sum(distance(self.member_loc[s], u_loc) for s in prefix)
             stats.explored_states += 1
             child_counts = (None, 0, None)
             if copy_counts:
@@ -544,7 +526,6 @@ class _MultiVenueSearch:
                 child_edges,
                 remaining,
                 child_sums,
-                child_pairwise,
                 theta,
                 *child_counts,
             )

@@ -31,6 +31,10 @@ familiarity rule then reads the counts instead of intersecting the pool
 on; each such child frame gets its own copy of the table. The distance check
 at the head of the frame's loop is repeated only after the smallest
 remaining distance or the incumbent has changed.
+
+A state-generation budget (the merge heuristic's ``w``) is checked once, at
+the head of the frame's loop: after the state that spends it, control reaches
+a loop head before any other state is generated or harvested.
 """
 
 from __future__ import annotations
@@ -109,7 +113,8 @@ class _SingleVenueSearch:
 
     Each frame works with its own copy of ``theta`` (inherited from its
     parent at recursion time), so escalations deep in one subtree never leak
-    into sibling subtrees.
+    into sibling subtrees. ``run`` leaves the incumbent in ``best_total`` and
+    ``best_group``.
     """
 
     def __init__(
@@ -159,10 +164,6 @@ class _SingleVenueSearch:
         # every child that is not a leaf.
         return self.config.avg_familiarity and size < self.query.p - 1
 
-    def _check_budget(self) -> None:
-        if self.budget is not None and self.stats.generated_states >= self.budget:
-            raise _StopSearch
-
     def _frame(
         self,
         prefix: List[MemberId],
@@ -191,6 +192,10 @@ class _SingleVenueSearch:
         viable_at = None
 
         while size + len(remaining) >= p:
+            # A spent budget stops the search here, before the next state is
+            # generated or harvested.
+            if self.budget is not None and self.stats.generated_states >= self.budget:
+                raise _StopSearch
             if self.config.distance and viable_at != (remaining[0][0], self.best_total):
                 if distance_prune(cur_dist, size, p, remaining[0][0], self.best_total):
                     self.stats.bump(PRUNE_DISTANCE)
@@ -222,7 +227,6 @@ class _SingleVenueSearch:
                 if child_dist < self.best_total and self._leaf_feasible(child, child_edges):
                     self.best_total = child_dist
                     self.best_group = tuple(sorted(child))
-                self._check_budget()
                 continue
 
             # The table is kept exactly where the average rule runs.
@@ -232,7 +236,6 @@ class _SingleVenueSearch:
                 counts = (2 * child_edges, max(pool_deg.values(), default=0), cross + deg_u)
                 if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
                     self.stats.bump(PRUNE_AVG_FAMILIARITY)
-                    self._check_budget()
                     continue
             if self.harvest is not None:
                 self.harvest(child, child_dist)
@@ -240,11 +243,9 @@ class _SingleVenueSearch:
                 child_dist, size + 1, p, remaining[0][0], self.best_total
             ):
                 self.stats.bump(PRUNE_DISTANCE)
-                self._check_budget()
                 continue
 
             self.stats.explored_states += 1
-            self._check_budget()
             child_counts = (dict(pool_deg), cross + deg_u) if copy_counts else (None, 0)
             self._frame(
                 child, prefix_set | {u}, child_edges, child_dist, remaining, theta, *child_counts
@@ -272,26 +273,6 @@ def candidate_order(
     )
 
 
-def run_single_venue_search(
-    query: Query,
-    graph: SocialGraph,
-    data: SpatialDataset,
-    venue,
-    indexes: Indexes,
-    config: PruneConfig,
-    stats: SearchStats,
-    initial_best: float = math.inf,
-    harvest=None,
-    budget: Optional[int] = None,
-) -> _SingleVenueSearch:
-    """Run the search for one venue and return it; its incumbent is
-    ``best_total`` and ``best_group``."""
-    order = candidate_order(query, graph, data, venue, indexes)
-    search = _SingleVenueSearch(query, graph, order, config, stats, initial_best, harvest, budget)
-    search.run()
-    return search
-
-
 def ssp_solve(
     query: Query,
     graph: SocialGraph,
@@ -311,10 +292,11 @@ def ssp_solve(
     best_group = None
     best_venue = None
     for venue in query.venues:
-        search = run_single_venue_search(
-            query, graph, data, venue, indexes, config, stats, initial_best=best
-        )
-        if search.best_group is not None and search.best_total < best:
+        order = candidate_order(query, graph, data, venue, indexes)
+        search = _SingleVenueSearch(query, graph, order, config, stats, initial_best=best)
+        search.run()
+        # A search sets ``best_group`` only on a strict improvement.
+        if search.best_group is not None:
             best = search.best_total
             best_group = search.best_group
             best_venue = venue
@@ -468,12 +450,12 @@ def ssgmerge_solve(
         rank = merge_rank(members, total, query, graph)
         queues.insert(_QueueEntry(members, frozenset(members), total, rank))
 
-    search = run_single_venue_search(
-        query, graph, data, venue, indexes, config, stats, harvest=harvest, budget=w
-    )
+    order = candidate_order(query, graph, data, venue, indexes)
+    search = _SingleVenueSearch(query, graph, order, config, stats, harvest=harvest, budget=w)
+    search.run()
     best = search.best_total
     # Every harvested member is an in-range candidate of the search.
-    dist_of = {m: d for d, m in search.order}
+    dist_of = {m: d for d, m in order}
 
     for size in range(1, p):
         queues.trim(size)

@@ -62,6 +62,20 @@ def test_load_dataset_malformed_row_has_line_number(tmp_path):
         load_dataset(members, edges, venues)
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_load_dataset_non_finite_coordinate_has_line_number(tmp_path, coord):
+    members = write(tmp_path / "m.csv", f"a,0,0\nb,{coord},1\n")
+    edges = write(tmp_path / "e.csv", "")
+    venues = write(tmp_path / "v.csv", "q,0,0\n")
+    with pytest.raises(DatasetError, match=r"m\.csv:2: location coordinates must be finite"):
+        load_dataset(members, edges, venues)
+    proc = run_cli(["--members", members, "--edges", edges, "--venues", venues,
+                    "--p", "1", "--k", "0", "--t", "5"])
+    assert proc.returncode == 1
+    assert f"{members}:2:" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_run_query_json_and_exit_code(tiny_dataset):
     members, edges, venues = tiny_dataset
     proc = run_cli(
@@ -274,3 +288,19 @@ def test_bench_cli_csv(tmp_path):
         rows = list(csv.DictReader(handle))
     assert len(rows) == 3
     assert {r["algorithm"] for r in rows} == {"ssgs"}
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--power-exponent", "1", "power_exponent"),
+        ("--power-exponent", "0.5", "power_exponent"),
+        ("--edge-prob", "1.5", "edge_prob"),
+        ("--edge-prob", "-1", "edge_prob"),
+    ],
+)
+def test_bench_bad_generator_parameter_is_a_clean_error(flag, value, name):
+    proc = run_cli(["--bench", "--seeds", "1", "--p", "3", "--k", "1", flag, value])
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {name} ")
+    assert "Traceback" not in proc.stderr

@@ -1,0 +1,34 @@
+import math
+
+import pytest
+
+from rallypoint.generator import random_instance
+
+
+@pytest.mark.parametrize("exponent", [1, 1.0, 0.5, -2.0, math.nan])
+def test_power_exponent_not_above_one_is_rejected(exponent):
+    with pytest.raises(ValueError, match="power_exponent"):
+        random_instance(0, 10, 1, power_exponent=exponent)
+
+
+@pytest.mark.parametrize("prob", [1.5, -1.0, -1e-9, math.nan])
+def test_edge_prob_outside_unit_interval_is_rejected(prob):
+    with pytest.raises(ValueError, match="edge_prob"):
+        random_instance(0, 10, 1, edge_prob=prob)
+
+
+def test_boundary_and_none_parameters_are_accepted():
+    empty, _ = random_instance(0, 10, 1, edge_prob=0.0)
+    assert empty.edge_count() == 0
+    complete, _ = random_instance(0, 10, 1, edge_prob=1.0)
+    assert complete.edge_count() == 10 * 9 // 2
+    default, _ = random_instance(0, 10, 1, edge_prob=None)
+    assert default.edge_count() == random_instance(0, 10, 1)[0].edge_count()
+    random_instance(0, 10, 1, edge_prob=None, power_exponent=None)
+
+
+def test_power_exponent_just_above_one_caps_degrees():
+    # Such an exponent draws degrees far beyond any float; they are capped.
+    graph, _ = random_instance(0, 50, 1, power_exponent=1.001)
+    assert graph.edge_count() > 0
+    assert max(graph.degree(v) for v in graph.vertices) <= 49

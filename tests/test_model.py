@@ -53,6 +53,22 @@ def test_graph_rejects_self_loops_and_unknown_vertices():
         SocialGraph("ab", [("a", "z")])
 
 
+def test_graph_rejects_mixed_vertex_id_types():
+    with pytest.raises(ValueError, match="vertex ids must be mutually comparable"):
+        SocialGraph([1, "a"])
+
+
+def test_dataset_rejects_mixed_member_or_venue_id_types():
+    here = Location(0.0, 0.0)
+    with pytest.raises(ValueError, match="member ids must be mutually comparable"):
+        SpatialDataset({1: here, "a": here}, {"q": here})
+    with pytest.raises(ValueError, match="venue ids must be mutually comparable"):
+        SpatialDataset({1: here}, {"q": here, 2: here})
+    # Member ids need not be comparable with venue ids.
+    data = SpatialDataset({1: here, 2: here}, {"q": here, "r": here})
+    assert sorted(data.venue_locations) == ["q", "r"]
+
+
 def test_graph_is_symmetric(g1):
     for u in g1.vertices:
         for v in g1.neighbors(u):
