@@ -201,9 +201,10 @@ class Query:
         return len(self.venues) == 1
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchStats:
-    """Search effort counters filled in by the solvers."""
+    """Search effort counters filled in by the solvers. Callers may keep one
+    per query, so a record carries no instance dict."""
 
     explored_states: int = 0
     generated_states: int = 0

@@ -32,9 +32,20 @@ on; each such child frame gets its own copy of the table. The distance check
 at the head of the frame's loop is repeated only after the smallest
 remaining distance or the incumbent has changed.
 
-A state-generation budget (the merge heuristic's ``w``) is checked once, at
-the head of the frame's loop: after the state that spends it, control reaches
-a loop head before any other state is generated or harvested.
+A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
+above. Every group it grows is a leaf, and at ``theta = p - 1`` the admission
+test admits every candidate (``admission_edges(p, p - 1, p) <= 0``), so the
+theta loop there could only change the order in which its leaves are seen.
+Instead it reads its pool once, in (distance, id) order: the sorted-access
+stop rule of Fagin, Lotem and Naor's threshold algorithm. It stops with one
+distance prune at the first candidate that cannot beat the incumbent, which,
+with the distance rule on, is the candidate after the first improvement. On
+an exact distance tie the lower id wins; the total cannot change.
+
+A state-generation budget (the merge heuristic's ``w``) counts the states one
+search generates. It is checked at the head of each frame's loop and before
+each leaf of a leaf frame's scan, so after the state that spends it nothing
+else is generated or harvested.
 """
 
 from __future__ import annotations
@@ -136,7 +147,9 @@ class _SingleVenueSearch:
         self.best_total = initial_best
         self.best_group: Optional[Tuple[MemberId, ...]] = None
         self.harvest = harvest
-        self.budget = budget
+        # ``budget`` counts the states this search may generate, whatever
+        # ``stats`` held before it.
+        self.stop_at = None if budget is None else stats.generated_states + budget
         # Fewest internal edges a leaf group needs in average mode.
         self.leaf_edges = None
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
@@ -151,13 +164,6 @@ class _SingleVenueSearch:
             self._frame([], set(), 0, 0.0, self.order, self.query.k, pool_deg, 0)
         except _StopSearch:
             pass
-
-    def _leaf_feasible(self, group: Sequence[MemberId], edges: int) -> bool:
-        # Radius holds by construction: the pool is the in-range set. In
-        # average mode the carried edge count decides.
-        if self.leaf_edges is not None:
-            return edges >= self.leaf_edges
-        return familiarity_ok(group, self.query.k, self.query.familiarity_mode, self.graph)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         # Only the average-familiarity rule reads the counts, and it runs on
@@ -176,10 +182,12 @@ class _SingleVenueSearch:
         cross: int,
     ) -> None:
         p = self.query.p
+        size = len(prefix)
+        if size + 1 == p:
+            self._leaf_frame(prefix, prefix_set, prefix_edges, cur_dist, pool)
+            return
         graph = self.graph
         neighbors = graph.neighbors
-        size = len(prefix)
-        leaf_children = size + 1 == p
         remaining = list(pool)
         # remaining[:cursor] has been tried at this theta. The list is never
         # empty here: size < p.
@@ -194,7 +202,7 @@ class _SingleVenueSearch:
         while size + len(remaining) >= p:
             # A spent budget stops the search here, before the next state is
             # generated or harvested.
-            if self.budget is not None and self.stats.generated_states >= self.budget:
+            if self.stop_at is not None and self.stats.generated_states >= self.stop_at:
                 raise _StopSearch
             if self.config.distance and viable_at != (remaining[0][0], self.best_total):
                 if distance_prune(cur_dist, size, p, remaining[0][0], self.best_total):
@@ -220,15 +228,6 @@ class _SingleVenueSearch:
             child_dist = cur_dist + d_u
             self.stats.generated_states += 1
 
-            if leaf_children:
-                if self.harvest is not None:
-                    self.harvest(child, child_dist)
-                self.stats.explored_states += 1
-                if child_dist < self.best_total and self._leaf_feasible(child, child_edges):
-                    self.best_total = child_dist
-                    self.best_group = tuple(sorted(child))
-                continue
-
             # The table is kept exactly where the average rule runs.
             if pool_deg is not None:
                 deg_u = drop_from_pool(pool_deg, u, graph)
@@ -250,6 +249,47 @@ class _SingleVenueSearch:
             self._frame(
                 child, prefix_set | {u}, child_edges, child_dist, remaining, theta, *child_counts
             )
+
+    def _leaf_frame(
+        self,
+        prefix: List[MemberId],
+        prefix_set: set,
+        prefix_edges: int,
+        cur_dist: float,
+        pool: List[Tuple[float, MemberId]],
+    ) -> None:
+        """A frame one member short of ``p`` (a leaf frame, see the module
+        docstring): one walk over ``pool`` in (distance, id) order, up to the
+        first candidate that cannot beat the incumbent."""
+        stats = self.stats
+        graph = self.graph
+        harvest = self.harvest
+        stop_at = self.stop_at
+        prune = self.config.distance
+        leaf_edges = self.leaf_edges
+        for d_u, u in pool:
+            if stop_at is not None and stats.generated_states >= stop_at:
+                raise _StopSearch
+            child_dist = cur_dist + d_u
+            if prune and child_dist >= self.best_total:
+                stats.bump(PRUNE_DISTANCE)
+                return
+            stats.generated_states += 1
+            stats.explored_states += 1
+            child = prefix + [u]
+            if harvest is not None:
+                harvest(child, child_dist)
+            if child_dist >= self.best_total:
+                continue
+            # Radius holds by construction: the pool is the in-range set. In
+            # average mode the carried edge count decides.
+            if leaf_edges is not None:
+                feasible = prefix_edges + len(graph.neighbors(u) & prefix_set) >= leaf_edges
+            else:
+                feasible = familiarity_ok(child, self.query.k, self.query.familiarity_mode, graph)
+            if feasible:
+                self.best_total = child_dist
+                self.best_group = tuple(sorted(child))
 
 
 def candidate_order(

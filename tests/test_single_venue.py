@@ -175,6 +175,40 @@ def test_located_non_vertex_is_not_a_candidate():
         assert sol.total_distance == pytest.approx(oracle.total_distance, abs=1e-9)
 
 
+# --- leaf frames ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("solver, venues", [(ssgs_solve, (1, 1)), (ssp_solve, (2, 4))])
+def test_pairs_never_escalate_theta(solver, venues):
+    # With p = 2 every frame is the root, whose admission test admits every
+    # candidate (admission_edges(1, theta, 2) <= 0), or a leaf frame, which
+    # scans its pool without the test.
+    for seed in range(40):
+        graph, data, query = make_query_instance(seed, p_range=(2, 2), q_range=venues)
+        query = dataclasses.replace(query, k=0)
+        stats = SearchStats()
+        solver(query, graph, data, stats=stats)
+        assert stats.theta_escalations == 0
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode))
+def test_leaf_frame_stops_one_candidate_after_the_improving_leaf(mode):
+    # a..e sit 1..5 from the venue; a knows c and e only. The root admits a
+    # (the root then stops: 0 + 2 * d(b) reaches the incumbent a + c). The
+    # leaf frame under [a] reads b (no edge to a, so infeasible), c (the
+    # improving leaf, total 4) and stops at d with one distance prune; e,
+    # which a knows, is never generated.
+    graph = SocialGraph("abcde", [("a", "c"), ("a", "e")])
+    members = {m: Location(float(i + 1), 0.0) for i, m in enumerate("abcde")}
+    data = SpatialDataset(members, {"q": Location(0.0, 0.0)})
+    query = Query(p=2, k=0, t=10.0, venues=("q",), familiarity_mode=mode)
+    stats = SearchStats()
+    sol = ssgs_solve(query, graph, data, stats=stats)
+    assert (sol.group, sol.total_distance) == (("a", "c"), 4.0)
+    assert (stats.explored_states, stats.generated_states, stats.theta_escalations) == (3, 3, 0)
+    assert stats.pruned == {"distance": 2}
+
+
 # --- merge machinery ------------------------------------------------------
 
 
@@ -261,11 +295,32 @@ def test_ssgmerge_p1(g1_instance):
     assert sol.total_distance == 5.0
 
 
-def test_ssgmerge_budget_is_respected(g1_instance, g1_query):
-    graph, data = g1_instance
+@pytest.mark.parametrize("w", range(1, 31))
+def test_ssgmerge_budget_is_respected(w, g1_instance, g1_query):
+    # The budget is checked at each frame's loop head and before each leaf
+    # of a leaf frame's scan. Stats that already count states must not
+    # shrink it.
+    instances = [(*g1_instance, g1_query)]
+    instances += [make_query_instance(seed, q_range=(1, 1)) for seed in (3, 135, 2101, 2610)]
+    for graph, data, query in instances:
+        for mode in FamiliarityMode:
+            stats = SearchStats(generated_states=7)
+            query = dataclasses.replace(query, familiarity_mode=mode)
+            ssgmerge_solve(query, graph, data, w=w, lam=5, stats=stats)
+            assert stats.generated_states - 7 <= w
+
+
+def test_ssgmerge_budget_counts_only_the_call():
+    # The budget ``w`` holds for each call, whatever a shared ``stats``
+    # already counts.
+    graph, data, query = make_query_instance(135, q_range=(1, 1))
     stats = SearchStats()
-    ssgmerge_solve(g1_query, graph, data, w=3, lam=5, stats=stats)
-    assert stats.generated_states <= 3
+    for _ in range(2):
+        before = stats.generated_states
+        sol = ssgmerge_solve(query, graph, data, w=20, lam=5, stats=stats)
+        assert sol is not None
+        assert sol.total_distance == pytest.approx(85.12357963565792, abs=1e-9)
+        assert stats.generated_states - before <= 20
 
 
 # --- pinned search trees ----------------------------------------------------
@@ -314,10 +369,10 @@ def _pinned_record(seed, solver):
 PINNED_STATIC_SEARCHES = {
     (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (142, 1706, 268), {'member_familiarity': 766, 'pool_familiarity': 3, 'venue_distance': 1816, 'venue_radius': 143}),
     (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (1383, 4816, 488), {'avg_familiarity': 811, 'venue_distance': 4665, 'venue_radius': 267}),
-    (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (25, 25, 3), {'distance': 1, 'merge': 1}),
-    (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (884, 1023, 145), {'avg_familiarity': 27, 'distance': 259}),
-    (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (884, 1023, 145), {'avg_familiarity': 27, 'distance': 259}),
-    (0, 'ssp'): (((12, 16, 17, 18), 'q2', 146.838995179), (3626, 4120, 559), {'avg_familiarity': 116, 'distance': 948}),
+    (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (25, 25, 0), {'distance': 1, 'merge': 1}),
+    (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (716, 855, 46), {'avg_familiarity': 27, 'distance': 260}),
+    (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (716, 855, 46), {'avg_familiarity': 27, 'distance': 260}),
+    (0, 'ssp'): (((12, 16, 17, 18), 'q2', 146.838995179), (2892, 3386, 166), {'avg_familiarity': 116, 'distance': 958}),
     (1, 'sfgp'): (None, (0, 0, 0), {}),
     (1, 'mags-srdo-avg'): (None, (0, 0, 0), {}),
     (1, 'ssgmerge'): (None, (0, 0, 0), {}),
@@ -326,16 +381,16 @@ PINNED_STATIC_SEARCHES = {
     (1, 'ssp'): (None, (0, 0, 0), {}),
     (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (56, 370, 20), {'member_familiarity': 37, 'pool_familiarity': 1, 'venue_distance': 419, 'venue_radius': 159}),
     (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (35, 156, 7), {'avg_familiarity': 5, 'venue_distance': 211, 'venue_radius': 100}),
-    (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (25, 25, 3), {'distance': 3, 'merge': 3}),
-    (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (123, 144, 19), {'avg_familiarity': 13, 'distance': 35}),
-    (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (123, 144, 19), {'avg_familiarity': 13, 'distance': 35}),
-    (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (148, 237, 34), {'avg_familiarity': 40, 'distance': 82}),
+    (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (25, 25, 0), {'distance': 4, 'merge': 7}),
+    (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (116, 137, 6), {'avg_familiarity': 13, 'distance': 35}),
+    (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (116, 137, 6), {'avg_familiarity': 13, 'distance': 35}),
+    (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (128, 217, 18), {'avg_familiarity': 40, 'distance': 82}),
     (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (213, 3574, 283), {'member_familiarity': 582, 'venue_distance': 3547, 'venue_radius': 125}),
     (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (1137, 5518, 446), {'avg_familiarity': 177, 'venue_distance': 5224, 'venue_radius': 165}),
-    (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 1), {'distance': 1, 'merge': 1}),
-    (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (1342, 1876, 204), {'avg_familiarity': 31, 'distance': 680}),
-    (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (1342, 1876, 204), {'avg_familiarity': 31, 'distance': 680}),
-    (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (1580, 2390, 243), {'avg_familiarity': 41, 'distance': 980}),
+    (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 0), {'distance': 2, 'merge': 3}),
+    (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (538, 1072, 71), {'avg_familiarity': 31, 'distance': 687}),
+    (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (538, 1072, 71), {'avg_familiarity': 31, 'distance': 687}),
+    (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (593, 1403, 96), {'avg_familiarity': 41, 'distance': 988}),
     (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 159, 8), {'member_familiarity': 1, 'venue_distance': 538, 'venue_radius': 24}),
     (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (17, 159, 8), {'avg_familiarity': 1, 'venue_distance': 538, 'venue_radius': 24}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
@@ -353,7 +408,7 @@ PINNED_STATIC_SEARCHES = {
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9, 'merge': 15}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (9, 15, 0), {'avg_familiarity': 2, 'distance': 9}),
-    (6, 'ssp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (34, 57, 2), {'avg_familiarity': 8, 'distance': 28}),
+    (6, 'ssp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (34, 57, 0), {'avg_familiarity': 8, 'distance': 28}),
     (7, 'sfgp'): (None, (0, 0, 0), {}),
     (7, 'mags-srdo-avg'): (None, (0, 0, 0), {}),
     (7, 'ssgmerge'): (None, (0, 0, 0), {}),
@@ -374,10 +429,10 @@ PINNED_STATIC_SEARCHES = {
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (5, 7, 0), {'distance': 3}),
     (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (157, 790, 79), {'member_familiarity': 47, 'pool_familiarity': 4, 'venue_distance': 816, 'venue_radius': 29}),
     (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (130, 683, 62), {'avg_familiarity': 20, 'venue_distance': 764, 'venue_radius': 28}),
-    (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (25, 25, 1), {}),
-    (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (45, 177, 12), {'avg_familiarity': 2, 'distance': 144}),
-    (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (45, 177, 12), {'avg_familiarity': 2, 'distance': 144}),
-    (10, 'ssp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (151, 621, 38), {'avg_familiarity': 5, 'distance': 513}),
+    (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 25, 1), {'distance': 19, 'merge': 5}),
+    (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (17, 149, 10), {'avg_familiarity': 2, 'distance': 144}),
+    (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (17, 149, 10), {'avg_familiarity': 2, 'distance': 144}),
+    (10, 'ssp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (63, 533, 32), {'avg_familiarity': 5, 'distance': 513}),
     (11, 'sfgp'): (None, (0, 0, 0), {}),
     (11, 'mags-srdo-avg'): (None, (0, 0, 0), {}),
     (11, 'ssgmerge'): (None, (0, 0, 0), {}),
@@ -398,10 +453,10 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssp'): (None, (0, 0, 0), {}),
     (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (241, 969, 157), {'member_familiarity': 468, 'pool_familiarity': 23, 'venue_distance': 261, 'venue_radius': 52}),
     (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (322, 802, 107), {'avg_familiarity': 178, 'venue_distance': 373, 'venue_radius': 29}),
-    (14, 'ssgmerge'): (None, (23, 25, 3), {'avg_familiarity': 2}),
-    (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (96, 161, 35), {'avg_familiarity': 64, 'distance': 2}),
-    (14, 'ssgs-per-vertex'): (None, (101, 165, 36), {'avg_familiarity': 64}),
-    (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (1345, 1852, 341), {'avg_familiarity': 394, 'distance': 218}),
+    (14, 'ssgmerge'): (None, (23, 25, 1), {'avg_familiarity': 2}),
+    (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (96, 161, 23), {'avg_familiarity': 64, 'distance': 2}),
+    (14, 'ssgs-per-vertex'): (None, (101, 165, 23), {'avg_familiarity': 64}),
+    (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (1295, 1802, 151), {'avg_familiarity': 394, 'distance': 222}),
     (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 120, 0), {'venue_distance': 147, 'venue_radius': 45}),
     (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (43, 120, 0), {'venue_distance': 147, 'venue_radius': 45}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
@@ -413,7 +468,7 @@ PINNED_STATIC_SEARCHES = {
     (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-per-vertex'): (None, (0, 2, 0), {'avg_familiarity': 2}),
-    (16, 'ssp'): (None, (140, 213, 32), {'avg_familiarity': 73}),
+    (16, 'ssp'): (None, (140, 213, 16), {'avg_familiarity': 73}),
     (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (205, 437, 0), {'member_familiarity': 4, 'venue_distance': 586, 'venue_radius': 203}),
     (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (181, 353, 0), {'venue_distance': 508, 'venue_radius': 197}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
@@ -428,10 +483,10 @@ PINNED_STATIC_SEARCHES = {
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 6, 0), {'distance': 7}),
     (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (71, 803, 120), {'member_familiarity': 415, 'pool_familiarity': 4, 'venue_distance': 326, 'venue_radius': 14}),
     (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (782, 2050, 229), {'avg_familiarity': 375, 'venue_distance': 920, 'venue_radius': 14}),
-    (19, 'ssgmerge'): (None, (23, 25, 4), {'avg_familiarity': 2}),
-    (19, 'ssgs-avg'): (None, (240, 351, 63), {'avg_familiarity': 111}),
-    (19, 'ssgs-per-vertex'): (None, (240, 351, 63), {'avg_familiarity': 111}),
-    (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (1125, 1312, 216), {'avg_familiarity': 126, 'distance': 223}),
+    (19, 'ssgmerge'): (None, (23, 25, 2), {'avg_familiarity': 2}),
+    (19, 'ssgs-avg'): (None, (240, 351, 33), {'avg_familiarity': 111}),
+    (19, 'ssgs-per-vertex'): (None, (240, 351, 33), {'avg_familiarity': 111}),
+    (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (959, 1146, 68), {'avg_familiarity': 126, 'distance': 225}),
     (20, 'sfgp'): (((8,), 'q1', 16.175908729), (1, 1, 0), {'venue_distance': 1}),
     (20, 'mags-srdo-avg'): (((8,), 'q1', 16.175908729), (1, 1, 0), {'venue_distance': 1}),
     (20, 'ssgs-avg'): (((21,), 'q0', 16.717223358), (1, 1, 0), {'distance': 1}),
@@ -443,7 +498,7 @@ PINNED_STATIC_SEARCHES = {
     (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (8, 68, 3), {'member_familiarity': 4, 'venue_distance': 92, 'venue_radius': 25}),
     (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (12, 68, 3), {'venue_distance': 92, 'venue_radius': 25}),
     (22, 'ssgs-avg'): (((5, 8), 'q0', 25.407493745), (2, 2, 0), {'distance': 2}),
-    (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (19, 20, 2), {'distance': 7}),
+    (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (7, 8, 0), {'distance': 7}),
     (23, 'sfgp'): (((25,), 'q4', 5.405877277), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (23, 'mags-srdo-avg'): (((25,), 'q4', 5.405877277), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (23, 'ssgs-avg'): (((28,), 'q0', 6.493131993), (1, 1, 0), {'distance': 1}),
@@ -466,24 +521,24 @@ PINNED_STATIC_SEARCHES = {
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'distance': 2}),
     (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (11, 27, 3), {'member_familiarity': 1, 'venue_distance': 25, 'venue_radius': 29}),
     (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (9, 24, 1), {'avg_familiarity': 2, 'venue_distance': 23, 'venue_radius': 29}),
-    (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (24, 31, 6), {'avg_familiarity': 6, 'distance': 3}),
-    (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (33, 47, 9), {'avg_familiarity': 11, 'distance': 11}),
+    (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (23, 30, 2), {'avg_familiarity': 6, 'distance': 3}),
+    (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (32, 46, 4), {'avg_familiarity': 11, 'distance': 11}),
     (29, 'sfgp'): (((17,), 'q3', 8.350594287), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1, 0), {'distance': 1}),
     (29, 'ssp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'distance': 5}),
     (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (14, 156, 2), {'member_familiarity': 5, 'venue_distance': 185, 'venue_radius': 45}),
     (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (18, 156, 2), {'avg_familiarity': 1, 'venue_distance': 185, 'venue_radius': 45}),
-    (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (29, 31, 2), {'distance': 8}),
-    (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (33, 35, 2), {'distance': 9}),
+    (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (11, 13, 0), {'distance': 8}),
+    (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (11, 13, 0), {'distance': 9}),
     (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (3, 28, 0), {'venue_distance': 74, 'venue_radius': 31}),
     (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 28, 0), {'venue_distance': 74, 'venue_radius': 31}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2, 0), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 5, 0), {'distance': 7}),
     (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (20, 80, 17), {'member_familiarity': 55, 'pool_familiarity': 2, 'venue_distance': 11, 'venue_radius': 27}),
     (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (25, 77, 14), {'avg_familiarity': 50, 'venue_distance': 10, 'venue_radius': 27}),
-    (32, 'ssgs-avg'): (None, (8, 18, 2), {'avg_familiarity': 10}),
-    (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (22, 42, 6), {'avg_familiarity': 20, 'distance': 5}),
+    (32, 'ssgs-avg'): (None, (8, 18, 1), {'avg_familiarity': 10}),
+    (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (22, 42, 3), {'avg_familiarity': 20, 'distance': 5}),
     (33, 'sfgp'): (((4,), 'q2', 4.40651612), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 3}),
     (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 3}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1, 0), {'distance': 1}),
@@ -491,7 +546,7 @@ PINNED_STATIC_SEARCHES = {
     (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (14, 37, 5), {'member_familiarity': 7, 'venue_distance': 27, 'venue_radius': 34}),
     (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (19, 37, 5), {'avg_familiarity': 2, 'venue_distance': 27, 'venue_radius': 34}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 4, 0), {'distance': 4}),
-    (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (18, 25, 5), {'avg_familiarity': 4, 'distance': 12}),
+    (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (17, 24, 1), {'avg_familiarity': 4, 'distance': 12}),
     (35, 'sfgp'): (((26,), 'q1', 0.70613056), (1, 1, 0), {'venue_distance': 1}),
     (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (1, 1, 0), {'venue_distance': 1}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1, 0), {'distance': 1}),
@@ -506,8 +561,8 @@ PINNED_STATIC_SEARCHES = {
     (37, 'ssp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 3}),
     (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (40, 316, 8), {'member_familiarity': 21, 'venue_distance': 497, 'venue_radius': 108}),
     (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (55, 316, 8), {'avg_familiarity': 6, 'venue_distance': 496, 'venue_radius': 108}),
-    (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (50, 53, 4), {'distance': 12}),
-    (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (79, 88, 5), {'distance': 27}),
+    (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (27, 30, 0), {'distance': 12}),
+    (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (36, 45, 0), {'distance': 27}),
     (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (2, 21, 0), {'venue_distance': 41, 'venue_radius': 37}),
     (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (2, 21, 0), {'venue_distance': 41, 'venue_radius': 37}),
     (39, 'ssgs-avg'): (((7, 8), 'q0', 27.893268927), (2, 2, 0), {'distance': 2}),
