@@ -44,15 +44,21 @@ venue off the candidate orders. With a static order, a cursor into the
 frame's remaining candidates marks how far the current ``theta`` has tried
 them: it advances on a rejection, stays put on an admission and returns to
 the front when ``theta`` escalates. A static frame's venues only shrink below
-it, so on entry it drops every candidate with none of them in its radius.
-Solution venues are visited in the query's venue order, never in set order,
-so the work done does not depend on the string hash seed.
+it and its incumbent only falls, so on entry it drops every candidate with
+none of them in its radius and, while the venue-distance rule is on, every
+candidate whose child bound reaches the incumbent at all of them. The bound
+grows with the candidate's distance, so each venue's distance-sorted
+candidates are read only up to the first that fails it: the sorted-access
+stop rule of Fagin, Lotem and Naor's threshold algorithm. Solution venues
+are visited in the query's venue order, never in set order, so the work done
+does not depend on the string hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates),
 the crossing count (prefix-to-remaining edges) and the table's sum (twice
-the pool's internal edge count). They are updated as each generated or
-dropped candidate leaves the pool and copied into child frames, and the
+the pool's internal edge count). They are updated as each generated
+candidate leaves the pool, rebuilt from the survivors when a static frame
+drops candidates on entry, and copied into child frames, and the
 familiarity rules read them instead of intersecting the pool: the average
 rule reads the table and the crossing count, the per-vertex pool rule the
 sum. A frame keeps them only when a child of it can fire a rule that reads
@@ -406,17 +412,24 @@ class _MultiVenueSearch:
         # number of prefix-to-remaining edges and ``degree_sum`` the sum of
         # the table, when this frame keeps them; otherwise ``pool_deg`` and
         # ``degree_sum`` are None.
+
+        # Smallest candidate-to-venue distance per venue of ``sums``, used by
+        # the completion bounds: a completion at q takes only candidates of
+        # q. Computed once per frame, over the entry pool; the pool only
+        # shrinks afterwards, so the cached value stays a valid lower bound.
+        pool_set = set(pool)
+        pool_dmin = {
+            q: next((d for d, v in self.by_distance[q] if v in pool_set), math.inf)
+            for q in sums
+        }
         if static:
-            # A static frame's venues only shrink below it, so a candidate
-            # with none of them in its radius can join no group here: it
-            # leaves the pool as a generated candidate does.
-            remaining = []
-            for v in pool:
-                if not sums.keys().isdisjoint(self.near[v]):
-                    remaining.append(v)
-                elif pool_deg is not None:
-                    degree_sum -= 2 * drop_from_pool(pool_deg, v, graph)
-                    cross -= len(neighbors(v) & prefix_set)
+            remaining = self._static_candidates(pool, pool_set, size, sums, pool_dmin)
+            # Recounting the survivors costs less than taking each dropped
+            # candidate out of the counts: most of a child's pool can drop.
+            if pool_deg is not None and len(remaining) < len(pool):
+                pool_deg = pool_degrees(remaining, graph)
+                degree_sum = sum(pool_deg.values())
+                cross = sum(len(neighbors(v) & prefix_set) for v in remaining)
         else:
             remaining = list(pool)
         copy_counts = self._keeps_pool_counts(size + 1)
@@ -428,16 +441,6 @@ class _MultiVenueSearch:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
             # The frame's pair heap, built at its first selection.
             heap: Optional[List[tuple]] = None
-
-        # Smallest candidate-to-venue distance per surviving venue, used by the
-        # completion bounds: a completion at q takes only candidates of q.
-        # Computed once per frame; the pool only shrinks afterwards, so the
-        # cached value stays a valid lower bound.
-        remaining_set = set(remaining)
-        pool_dmin = {
-            q: next((d for d, v in self.by_distance[q] if v in remaining_set), math.inf)
-            for q in sums
-        }
 
         # The incumbent the venue checks last ran against. Within a frame
         # venues leave ``sums`` only in the ball pass, so both checks can turn
@@ -529,6 +532,38 @@ class _MultiVenueSearch:
                 theta,
                 *child_counts,
             )
+
+    def _static_candidates(
+        self,
+        pool: List[MemberId],
+        pool_set: Set[MemberId],
+        size: int,
+        sums: Dict[VenueId, float],
+        pool_dmin: Dict[VenueId, float],
+    ) -> List[MemberId]:
+        """A static frame's candidates: the members of ``pool``, in pool
+        order, that some venue of ``sums`` can still take. A static frame's
+        venues only shrink below it and its incumbent only falls, so a
+        candidate out of the radius of every venue, or, with the
+        venue-distance rule on, one whose child bound reaches the incumbent
+        at every venue (the test ``_child_sums`` applies), can join no
+        improving group here. It leaves the pool on entry, never generated.
+
+        Each venue's candidates are walked in distance order. The bound
+        grows with the distance, so a walk stops at its first pool member
+        that fails it; without the rule, it reads every candidate in range."""
+        p = self.query.p
+        best = self.best_total
+        bound = self.config.venue_distance
+        keep: Set[MemberId] = set()
+        for q, total in sums.items():
+            d_min = pool_dmin[q]
+            for d, v in self.by_distance[q]:
+                if v in pool_set:
+                    if bound and distance_prune(total + d, size + 1, p, d_min, best):
+                        break
+                    keep.add(v)
+        return [v for v in pool if v in keep]
 
     def _any_venue_viable(
         self, size: int, sums: Dict[VenueId, float], pool_dmin: Dict[VenueId, float]

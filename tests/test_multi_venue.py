@@ -31,6 +31,7 @@ from rallypoint import (
 )
 
 from rallypoint import multi_venue, single_venue
+from rallypoint.pruning import distance_prune
 from rallypoint.model import PRUNE_VENUE_RADIUS
 
 from conftest import make_query_instance
@@ -534,6 +535,23 @@ def test_search_setup_matches_the_distances():
     assert min(seen.values()) > 20, seen
 
 
+def _srdo_matches_oracle(label, make_instance, mode, first_seed):
+    """srdo equals brute force on 40 instances of ``make_instance``, with
+    ``frame_counts``' queries in ``mode``; ``label`` seeds the draws."""
+    rng = random.Random(label)
+    for seed in range(40):
+        graph, data = make_instance(rng, first_seed + seed)
+        for query in frame_counts._queries(rng, graph, data, mode):
+            oracle = brute_force(query, graph, data)
+            sol = mags_solve(query, graph, data, ordering="srdo")
+            where = f"seed {seed}, {query}"
+            if not oracle.found:
+                assert sol is None, where
+                continue
+            assert abs(sol.total_distance - oracle.total_distance) <= frame_counts.TOL, where
+            assert is_feasible(sol.group, sol.venue, query, graph, data), where
+
+
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 @pytest.mark.parametrize(
     "make_instance",
@@ -562,19 +580,67 @@ def test_static_frames_hold_only_candidates_a_frame_venue_can_take(
         return original(self, u, *args)
 
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_child_sums", checking)
-    rng = random.Random(f"static-{make_instance.__name__}-{mode.value}")
-    for seed in range(40):
-        graph, data = make_instance(rng, 5300 + seed)
-        for query in frame_counts._queries(rng, graph, data, mode):
-            oracle = brute_force(query, graph, data)
-            sol = mags_solve(query, graph, data, ordering="srdo")
-            where = f"seed {seed}, {query}"
-            if not oracle.found:
-                assert sol is None, where
-                continue
-            assert abs(sol.total_distance - oracle.total_distance) <= frame_counts.TOL, where
-            assert is_feasible(sol.group, sol.venue, query, graph, data), where
+    _srdo_matches_oracle(f"static-{make_instance.__name__}-{mode.value}", make_instance, mode, 5300)
     assert max(venue_counts) > 1
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "make_instance",
+    [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
+    ids=["gnp", "power-law", "grid"],
+)
+def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
+    monkeypatch, make_instance, mode
+):
+    # A static frame's incumbent only falls and its venues only shrink, so
+    # with the venue-distance rule on, each of its candidates must have a
+    # venue of the frame's ``sums`` within t whose child bound stays below
+    # the incumbent the frame entered with. A wrapper around ``_frame``
+    # records that incumbent; the frame's prefix, entry pool, ``sums`` and
+    # candidates are read off the calling frame whenever it builds a child
+    # venue table, and the bound's distances are recomputed from locations.
+    entry_best = []
+    checked = []
+    original_frame = multi_venue._MultiVenueSearch._frame
+    original_child_sums = multi_venue._MultiVenueSearch._child_sums
+
+    def framing(self, *args):
+        entry_best.append(self.best_total)
+        try:
+            return original_frame(self, *args)
+        finally:
+            entry_best.pop()
+
+    def checking(self, u, *args):
+        frame = sys._getframe(1).f_locals
+        best = entry_best[-1]
+        if frame["static"] and math.isfinite(best):
+            p, t = self.query.p, self.query.t
+            size = len(frame["prefix"])
+            sums = frame["sums"]
+
+            def dist(m, q):
+                return distance(self.member_loc[m], self.venue_loc[q])
+
+            d_min = {
+                q: min((dist(m, q) for m in frame["pool"] if dist(m, q) <= t), default=math.inf)
+                for q in sums
+            }
+            for m in [u, *frame["remaining"]]:
+                assert any(
+                    dist(m, q) <= t
+                    and not distance_prune(sums[q] + dist(m, q), size + 1, p, d_min[q], best)
+                    for q in sums
+                ), (m, best, sums)
+            checked.append(1 + len(frame["remaining"]))
+        return original_child_sums(self, u, *args)
+
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", framing)
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_child_sums", checking)
+    label = f"static-bound-{make_instance.__name__}-{mode.value}"
+    _srdo_matches_oracle(label, make_instance, mode, 5500)
+    assert sum(checked) > 100, sum(checked)
 
 
 # --- solver agreement -------------------------------------------------------
@@ -650,39 +716,45 @@ def test_p1_all_solvers_pick_closest_pair():
 
 # --- pruning behavior -------------------------------------------------------
 
-MAGS_RULES = (
-    "venue_distance",
-    "member_familiarity",
-    "pool_familiarity",
-    "outer_triangle",
-    "inner_triangle",
-    "ball_distance",
-)
+# The rules each ordering checks: srdo reads no ball tree.
+MAGS_RULES = {
+    "apdo": (
+        "venue_distance",
+        "member_familiarity",
+        "pool_familiarity",
+        "outer_triangle",
+        "inner_triangle",
+        "ball_distance",
+    ),
+    "srdo": ("venue_distance", "member_familiarity", "pool_familiarity"),
+}
 
 
 def test_disabling_any_rule_preserves_optimum():
     for seed in range(25):
         graph, data, query = make_query_instance(6000 + seed, q_range=(2, 5))
-        base = mags_solve(query, graph, data, ordering="apdo")
-        for rule in MAGS_RULES:
-            sol = mags_solve(
-                query, graph, data, ordering="apdo", config=PruneConfig().without(rule)
-            )
-            assert _total(sol) == _total(base), rule
+        for ordering, rules in MAGS_RULES.items():
+            base = mags_solve(query, graph, data, ordering=ordering)
+            for rule in rules:
+                sol = mags_solve(
+                    query, graph, data, ordering=ordering, config=PruneConfig().without(rule)
+                )
+                assert _total(sol) == _total(base), (ordering, rule)
 
 
 def test_enabling_rules_never_explores_more():
     for seed in range(25):
         graph, data, query = make_query_instance(6500 + seed, q_range=(2, 5))
-        on = SearchStats()
-        mags_solve(query, graph, data, ordering="apdo", config=PruneConfig(), stats=on)
-        for rule in MAGS_RULES:
-            off = SearchStats()
-            mags_solve(
-                query, graph, data, ordering="apdo",
-                config=PruneConfig().without(rule), stats=off,
-            )
-            assert on.explored_states <= off.explored_states, rule
+        for ordering, rules in MAGS_RULES.items():
+            on = SearchStats()
+            mags_solve(query, graph, data, ordering=ordering, config=PruneConfig(), stats=on)
+            for rule in rules:
+                off = SearchStats()
+                mags_solve(
+                    query, graph, data, ordering=ordering,
+                    config=PruneConfig().without(rule), stats=off,
+                )
+                assert on.explored_states <= off.explored_states, (ordering, rule)
 
 
 def test_prune_counters_populated_somewhere():
@@ -711,10 +783,15 @@ def _digest(records):
     return hashlib.sha256(repr(records).encode()).hexdigest()[:16]
 
 
-def _search_record(seed, ordering):
+def _search_record(seed, variant):
+    # A variant is an ordering, optionally followed by " without <rule>".
+    ordering, _, rule_off = variant.partition(" without ")
+    config = PruneConfig().without(rule_off) if rule_off else PruneConfig()
     graph, data, query = make_query_instance(8500 + seed, q_range=(2, 5))
     stats, audit = SearchStats(), MagsAudit()
-    sol = mags_solve(query, graph, data, ordering=ordering, stats=stats, audit=audit)
+    sol = mags_solve(
+        query, graph, data, ordering=ordering, config=config, stats=stats, audit=audit
+    )
     answer = None if sol is None else (sol.group, sol.venue, round(sol.total_distance, 9))
     return (
         answer,
@@ -746,8 +823,8 @@ PINNED_SEARCHES = {
     ),
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (22, 35, 0),
-        {"venue_distance": 62, "venue_radius": 28},
+        (14, 23, 0),
+        {"venue_distance": 43, "venue_radius": 25},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -755,29 +832,29 @@ PINNED_SEARCHES = {
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (7, 8, 0),
-        {"venue_distance": 6, "venue_radius": 1},
+        {"venue_distance": 4, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (11, 25, 0),
-        {"venue_distance": 61, "venue_radius": 7},
+        {"venue_distance": 53, "venue_radius": 7},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (6, "srdo"): (
         ((2, 5, 7), "q1", 53.458484028),
         (7, 12, 0),
-        {"member_familiarity": 1, "venue_distance": 8},
+        {"member_familiarity": 1, "venue_distance": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (7, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (41, 94, 0),
-        {"venue_distance": 178, "venue_radius": 11},
+        (29, 41, 0),
+        {"venue_distance": 61, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -785,21 +862,21 @@ PINNED_SEARCHES = {
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (8, 15, 0),
-        {"venue_distance": 32, "venue_radius": 3},
+        {"venue_distance": 28, "venue_radius": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
         (11, 15, 0),
-        {"member_familiarity": 2, "venue_distance": 4, "venue_radius": 6},
+        {"member_familiarity": 2, "venue_distance": 3, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (14, 32, 0),
-        {"venue_distance": 49},
+        (13, 25, 0),
+        {"venue_distance": 27},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -813,14 +890,14 @@ PINNED_SEARCHES = {
     (14, "srdo"): (
         ((2, 3, 12), "q2", 43.801634625),
         (6, 9, 0),
-        {"venue_distance": 7},
+        {"venue_distance": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
         (15, 30, 6),
-        {"member_familiarity": 14, "venue_distance": 5, "venue_radius": 14},
+        {"member_familiarity": 14, "venue_distance": 1, "venue_radius": 14},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -828,8 +905,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (16, 25, 0),
-        {"member_familiarity": 2, "venue_distance": 10, "venue_radius": 20},
+        (15, 22, 0),
+        {"member_familiarity": 2, "venue_distance": 5, "venue_radius": 20},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -950,9 +1027,46 @@ PINNED_SEARCHES = {
         (5, "488d13b84d44f117"),
         (0, "4f53cda18c2baa0c"),
     ),
+    # Without the venue-distance rule a static frame drops, on entry, only
+    # the candidates out of the radius of all its venues.
+    (2, "srdo without venue_distance"): (
+        ((2, 3, 4, 9), "q1", 74.224006151),
+        (244, 244, 0),
+        {"venue_radius": 243},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (5, "srdo without venue_distance"): (
+        ((2, 4, 6), "q0", 61.466951292),
+        (454, 454, 0),
+        {"venue_radius": 106},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (8, "srdo without venue_distance"): (
+        ((4, 6, 7, 9, 10), "q0", 139.787053891),
+        (1554, 1911, 1),
+        {"member_familiarity": 357, "venue_radius": 387},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (12, "srdo without venue_distance"): (
+        ((1, 5, 6, 9), "q1", 66.532390954),
+        (354, 494, 6),
+        {"member_familiarity": 140},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
+    (15, "srdo without venue_distance"): (
+        ((2, 6, 8), "q0", 91.108967891),
+        (18, 39, 11),
+        {"member_familiarity": 21, "venue_radius": 14},
+        (0, "4f53cda18c2baa0c"),
+        (0, "4f53cda18c2baa0c"),
+    ),
 }
 
 
-@pytest.mark.parametrize("seed, ordering", sorted(PINNED_SEARCHES))
-def test_search_tree_is_pinned(seed, ordering):
-    assert _search_record(seed, ordering) == PINNED_SEARCHES[(seed, ordering)]
+@pytest.mark.parametrize("seed, variant", sorted(PINNED_SEARCHES))
+def test_search_tree_is_pinned(seed, variant):
+    assert _search_record(seed, variant) == PINNED_SEARCHES[(seed, variant)]
