@@ -47,7 +47,6 @@ from .pruning import (
     inner_triangle_bound,
     member_familiarity_prune,
     outer_triangle_ball_bound,
-    outer_triangle_point_bound,
     pool_familiarity_prune,
 )
 from .rtree import Mbr, Rtree, build_rtree, mindist_point_mbr
@@ -113,7 +112,6 @@ __all__ = [
     "mindist_point_mbr",
     "minimal_order_theta",
     "outer_triangle_ball_bound",
-    "outer_triangle_point_bound",
     "pool_familiarity_prune",
     "srdo_seed",
     "ssgmerge_solve",

@@ -38,20 +38,19 @@ incumbent.
 
 A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count, so the admission test is an
-integer comparison (``admission_edges``), as is the average-mode familiarity
-test at a leaf, and reads the smallest remaining candidate distance to each
-venue off the candidate orders. With a static order, a cursor into the
-frame's remaining candidates marks how far the current ``theta`` has tried
-them: it advances on a rejection, stays put on an admission and returns to
-the front when ``theta`` escalates. A static frame's venues only shrink below
-it and its incumbent only falls, so on entry it drops every candidate with
-none of them in its radius and, while the venue-distance rule is on, every
-candidate whose child bound reaches the incumbent at all of them. The bound
-grows with the candidate's distance, so each venue's distance-sorted
-candidates are read only up to the first that fails it: the sorted-access
-stop rule of Fagin, Lotem and Naor's threshold algorithm. Solution venues
-are visited in the query's venue order, never in set order, so the work done
-does not depend on the string hash seed.
+integer comparison (``admission_edges``), and reads the smallest remaining
+candidate distance to each venue off the candidate orders. With a static
+order, a cursor into the frame's remaining candidates marks how far the
+current ``theta`` has tried them: it advances on a rejection, stays put on
+an admission and returns to the front when ``theta`` escalates. A static
+frame's venues only shrink below it and its incumbent only falls, so on
+entry it drops every candidate with none of them in its radius and, while
+the venue-distance rule is on, every candidate whose child bound reaches the
+incumbent at all of them. The bound grows with the candidate's distance, so
+each venue's distance-sorted candidates are read only up to the first that
+fails it: the sorted-access stop rule of Fagin, Lotem and Naor's threshold
+algorithm. Solution venues are visited in the query's venue order, never in
+set order, so the work done does not depend on the string hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates),
@@ -62,9 +61,19 @@ drops candidates on entry, and copied into child frames, and the
 familiarity rules read them instead of intersecting the pool: the average
 rule reads the table and the crossing count, the per-vertex pool rule the
 sum. A frame keeps them only when a child of it can fire a rule that reads
-them: in average mode, every frame while the average rule is on; in
-per-vertex mode, frames whose children leave at least ``k + 2`` slots open,
-while the pool rule is on. That depends only on ``p``, ``k`` and the depth.
+them: in average mode, frames whose prefix is shorter than ``p - 1``, while
+the average rule is on; in per-vertex mode, frames whose children leave at
+least ``k + 2`` slots open, while the pool rule is on. That depends only on
+``p``, ``k`` and the depth.
+
+A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
+above: it runs the leaf scan of ``single_venue``, shared by both engines,
+once per venue of ``sums`` in the query's venue order. Each scan walks the
+venue's candidate order over the frame's pool, from the prefix's total to
+the venue, and stops with one venue-distance prune at the first candidate
+whose total reaches the live incumbent. Each (candidate, venue) pair it
+reads counts as one generated and one explored state. On an exact tie in
+total the first venue in query order wins, then the lower (distance, id).
 """
 
 from __future__ import annotations
@@ -95,9 +104,7 @@ from .model import (
     Solution,
     SpatialDataset,
     VenueId,
-    average_familiarity_edges,
     distance,
-    familiarity_ok,
     total_distance,
 )
 from .pruning import (
@@ -114,7 +121,7 @@ from .pruning import (
 )
 # ``sso_admits`` is re-exported; the engine below applies the same test
 # through ``admission_edges`` on the edge count it carries.
-from .single_venue import admission_edges, candidate_order, sso_admits
+from .single_venue import _GroupSearch, admission_edges, candidate_order, sso_admits
 
 
 @dataclass(frozen=True)
@@ -168,8 +175,10 @@ def srdo_seed(
     return (m, q, d_min)
 
 
-class _MultiVenueSearch:
+class _MultiVenueSearch(_GroupSearch):
     """Joint member/venue branch-and-bound over a shared search tree."""
+
+    leaf_rule = PRUNE_VENUE_DISTANCE
 
     def __init__(
         self,
@@ -183,22 +192,12 @@ class _MultiVenueSearch:
         ordering: str,
         audit: Optional[MagsAudit] = None,
     ):
-        self.query = query
-        self.graph = graph
-        self.config = config
-        self.stats = stats
+        super().__init__(query, graph, config, stats)
         self.indexes = indexes
         self.static = ordering == "srdo"
         self.audit = audit
-        self.best_total = math.inf
-        self.best_group: Optional[Tuple[MemberId, ...]] = None
-        self.best_venue: Optional[VenueId] = None
         self.member_loc = data.member_locations
         self.venue_loc = data.venue_locations
-        # Fewest internal edges a leaf group needs in average mode.
-        self.leaf_edges = None
-        if query.familiarity_mode is FamiliarityMode.AVERAGE:
-            self.leaf_edges = average_familiarity_edges(query.p, query.k)
         # Whether apdo checks any ball rule.
         self.ball_rules = not self.static and (
             config.outer_triangle or config.inner_triangle or config.ball_distance
@@ -256,7 +255,8 @@ class _MultiVenueSearch:
             # The pool rule reads them only with k + 2 or more slots left
             # after the child (``pool_familiarity_prune``).
             return self.config.pool_familiarity and query.p - (size + 1) >= query.k + 2
-        return self.config.avg_familiarity
+        # The average rule runs on every child that is not a leaf.
+        return self.config.avg_familiarity and size < query.p - 1
 
     # -- candidate selection -----------------------------------------------
 
@@ -404,10 +404,18 @@ class _MultiVenueSearch:
         graph = self.graph
         neighbors = graph.neighbors
         size = len(prefix)
+        pool_set = set(pool)
         # ``sums`` maps each venue still usable for a solution to the
         # prefix's total distance to it, in the query's venue order. The
         # frame owns it: each child gets its own, so backtracking restores
         # it for free.
+        if size + 1 == p:
+            # A leaf frame: one scan per venue, over the venue's candidates
+            # in the frame's pool.
+            for q, total in sums.items():
+                candidates = ((d, v) for d, v in self.by_distance[q] if v in pool_set)
+                self._scan_leaves(prefix, prefix_set, prefix_edges, total, candidates, q)
+            return
         # ``pool_deg`` is the pool degree table of ``remaining``, ``cross`` the
         # number of prefix-to-remaining edges and ``degree_sum`` the sum of
         # the table, when this frame keeps them; otherwise ``pool_deg`` and
@@ -417,7 +425,6 @@ class _MultiVenueSearch:
         # the completion bounds: a completion at q takes only candidates of
         # q. Computed once per frame, over the entry pool; the pool only
         # shrinks afterwards, so the cached value stays a valid lower bound.
-        pool_set = set(pool)
         pool_dmin = {
             q: next((d for d, v in self.by_distance[q] if v in pool_set), math.inf)
             for q in sums
@@ -514,11 +521,6 @@ class _MultiVenueSearch:
                     stats.bump(PRUNE_AVG_FAMILIARITY)
                     continue
 
-            if size + 1 == p:
-                stats.explored_states += 1
-                self._evaluate_leaf(child, child_edges, child_sums)
-                continue
-
             stats.explored_states += 1
             child_counts = (None, 0, None)
             if copy_counts:
@@ -602,20 +604,6 @@ class _MultiVenueSearch:
         if out_of_radius:
             self.stats.bump(PRUNE_VENUE_RADIUS, out_of_radius)
         return child_sums
-
-    def _evaluate_leaf(self, group: List[MemberId], edges: int, sums: Dict[VenueId, float]) -> None:
-        best_here = min(sums, key=lambda q: (sums[q], q))
-        total = sums[best_here]
-        if total >= self.best_total:
-            return
-        if self.leaf_edges is not None:
-            feasible = edges >= self.leaf_edges
-        else:
-            feasible = familiarity_ok(group, self.query.k, self.query.familiarity_mode, self.graph)
-        if feasible:
-            self.best_total = total
-            self.best_group = tuple(sorted(group))
-            self.best_venue = best_here
 
 
 def mags_solve(

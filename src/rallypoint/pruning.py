@@ -174,23 +174,6 @@ def pool_familiarity_prune(
     return pool_degree_sum < slots * (slots - k - 1)
 
 
-def outer_triangle_point_bound(
-    dists_group_to_ref: Sequence[float],
-    d_ref_to_target: float,
-    p: int,
-    d_pool_min: float,
-) -> float:
-    """Lower bound on completing the group at a target venue, derived from
-    cached distances to a reference venue via the reverse triangle inequality.
-
-    Each per-member term is clamped at zero so the bound stays sound even when
-    the reference sits closer to a member than to the target.
-    """
-    n = len(dists_group_to_ref)
-    bound = sum(max(0.0, d_ref_to_target - d) for d in dists_group_to_ref)
-    return bound + completion_term(p - n, d_pool_min)
-
-
 def outer_triangle_ball_bound(
     dists_group_to_ref_center: Sequence[float],
     d_centers: float,

@@ -40,7 +40,9 @@ Instead it reads its pool once, in (distance, id) order: the sorted-access
 stop rule of Fagin, Lotem and Naor's threshold algorithm. It stops with one
 distance prune at the first candidate that cannot beat the incumbent, which,
 with the distance rule on, is the candidate after the first improvement. On
-an exact distance tie the lower id wins; the total cannot change.
+an exact distance tie the lower id wins; the total cannot change. The scan
+(``_GroupSearch._scan_leaves``) is shared with the joint multi-venue search,
+whose leaf frames run it once per venue.
 
 A state-generation budget (the merge heuristic's ``w``) counts the states one
 search generates. It is checked at the head of each frame's loop and before
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .indexes import Indexes, build_indexes
 from .model import (
@@ -67,6 +69,7 @@ from .model import (
     SocialGraph,
     Solution,
     SpatialDataset,
+    VenueId,
     average_familiarity_edges,
     distance,
     familiarity_ok,
@@ -119,20 +122,21 @@ class _StopSearch(Exception):
     """Raised to abort the search once a state-generation budget is spent."""
 
 
-class _SingleVenueSearch:
-    """Depth-first search over groups for one venue.
+class _GroupSearch:
+    """What both depth-first engines share: the incumbent (``best_total``,
+    ``best_group``, ``best_venue``), the leaf feasibility rule and the scan
+    of a leaf frame (see the module docstring).
 
-    Each frame works with its own copy of ``theta`` (inherited from its
-    parent at recursion time), so escalations deep in one subtree never leak
-    into sibling subtrees. ``run`` leaves the incumbent in ``best_total`` and
-    ``best_group``.
+    ``leaf_rule`` names the prune rule, a ``PruneConfig`` field, that stops
+    a leaf scan at the first candidate that cannot beat the incumbent.
     """
+
+    leaf_rule = PRUNE_DISTANCE
 
     def __init__(
         self,
         query: Query,
         graph: SocialGraph,
-        order: List[Tuple[float, MemberId]],
         config: PruneConfig,
         stats: SearchStats,
         initial_best: float = math.inf,
@@ -141,11 +145,13 @@ class _SingleVenueSearch:
     ):
         self.query = query
         self.graph = graph
-        self.order = order
         self.config = config
         self.stats = stats
+        # With its rule off, a leaf scan reads every candidate.
+        self.leaf_prune = self.leaf_rule if getattr(config, self.leaf_rule) else None
         self.best_total = initial_best
         self.best_group: Optional[Tuple[MemberId, ...]] = None
+        self.best_venue: Optional[VenueId] = None
         self.harvest = harvest
         # ``budget`` counts the states this search may generate, whatever
         # ``stats`` held before it.
@@ -155,13 +161,68 @@ class _SingleVenueSearch:
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
             self.leaf_edges = average_familiarity_edges(query.p, query.k)
 
-    def run(self) -> None:
+    def _scan_leaves(
+        self,
+        prefix: List[MemberId],
+        prefix_set: set,
+        prefix_edges: int,
+        base: float,
+        candidates: Iterable[Tuple[float, MemberId]],
+        venue: Optional[VenueId],
+    ) -> None:
+        """One walk over ``candidates``, (distance, member) pairs in
+        (distance, id) order, each of which completes ``prefix`` at ``venue``
+        with total ``base + distance``. The walk stops at the first candidate
+        that cannot beat the incumbent, and takes a leaf only on a strict
+        improvement."""
+        stats = self.stats
+        graph = self.graph
+        harvest = self.harvest
+        stop_at = self.stop_at
+        prune = self.leaf_prune
+        leaf_edges = self.leaf_edges
+        for d_u, u in candidates:
+            if stop_at is not None and stats.generated_states >= stop_at:
+                raise _StopSearch
+            child_dist = base + d_u
+            if prune is not None and child_dist >= self.best_total:
+                stats.bump(prune)
+                return
+            stats.generated_states += 1
+            stats.explored_states += 1
+            child = prefix + [u]
+            if harvest is not None:
+                harvest(child, child_dist)
+            if child_dist >= self.best_total:
+                continue
+            # Radius holds by construction: the candidates are in range. In
+            # average mode the carried edge count decides.
+            if leaf_edges is not None:
+                feasible = prefix_edges + len(graph.neighbors(u) & prefix_set) >= leaf_edges
+            else:
+                feasible = familiarity_ok(child, self.query.k, self.query.familiarity_mode, graph)
+            if feasible:
+                self.best_total = child_dist
+                self.best_group = tuple(sorted(child))
+                self.best_venue = venue
+
+
+class _SingleVenueSearch(_GroupSearch):
+    """Depth-first search over groups for one venue.
+
+    Each frame works with its own copy of ``theta`` (inherited from its
+    parent at recursion time), so escalations deep in one subtree never leak
+    into sibling subtrees. ``run`` searches the venue's candidate order and
+    leaves the incumbent in ``best_total`` and ``best_group``.
+    """
+
+    def run(self, order: List[Tuple[float, MemberId]]) -> None:
         pool_deg = None
         if self._keeps_pool_counts(0):
-            pool_deg = pool_degrees([m for _, m in self.order], self.graph)
+            pool_deg = pool_degrees([m for _, m in order], self.graph)
         # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
         try:
-            self._frame([], set(), 0, 0.0, self.order, self.query.k, pool_deg, 0)
+            self._frame([], set(), 0, 0.0, order, self.query.k, pool_deg, 0)
         except _StopSearch:
             pass
 
@@ -184,7 +245,7 @@ class _SingleVenueSearch:
         p = self.query.p
         size = len(prefix)
         if size + 1 == p:
-            self._leaf_frame(prefix, prefix_set, prefix_edges, cur_dist, pool)
+            self._scan_leaves(prefix, prefix_set, prefix_edges, cur_dist, pool, None)
             return
         graph = self.graph
         neighbors = graph.neighbors
@@ -250,47 +311,6 @@ class _SingleVenueSearch:
                 child, prefix_set | {u}, child_edges, child_dist, remaining, theta, *child_counts
             )
 
-    def _leaf_frame(
-        self,
-        prefix: List[MemberId],
-        prefix_set: set,
-        prefix_edges: int,
-        cur_dist: float,
-        pool: List[Tuple[float, MemberId]],
-    ) -> None:
-        """A frame one member short of ``p`` (a leaf frame, see the module
-        docstring): one walk over ``pool`` in (distance, id) order, up to the
-        first candidate that cannot beat the incumbent."""
-        stats = self.stats
-        graph = self.graph
-        harvest = self.harvest
-        stop_at = self.stop_at
-        prune = self.config.distance
-        leaf_edges = self.leaf_edges
-        for d_u, u in pool:
-            if stop_at is not None and stats.generated_states >= stop_at:
-                raise _StopSearch
-            child_dist = cur_dist + d_u
-            if prune and child_dist >= self.best_total:
-                stats.bump(PRUNE_DISTANCE)
-                return
-            stats.generated_states += 1
-            stats.explored_states += 1
-            child = prefix + [u]
-            if harvest is not None:
-                harvest(child, child_dist)
-            if child_dist >= self.best_total:
-                continue
-            # Radius holds by construction: the pool is the in-range set. In
-            # average mode the carried edge count decides.
-            if leaf_edges is not None:
-                feasible = prefix_edges + len(graph.neighbors(u) & prefix_set) >= leaf_edges
-            else:
-                feasible = familiarity_ok(child, self.query.k, self.query.familiarity_mode, graph)
-            if feasible:
-                self.best_total = child_dist
-                self.best_group = tuple(sorted(child))
-
 
 def candidate_order(
     query: Query,
@@ -333,8 +353,8 @@ def ssp_solve(
     best_venue = None
     for venue in query.venues:
         order = candidate_order(query, graph, data, venue, indexes)
-        search = _SingleVenueSearch(query, graph, order, config, stats, initial_best=best)
-        search.run()
+        search = _SingleVenueSearch(query, graph, config, stats, initial_best=best)
+        search.run(order)
         # A search sets ``best_group`` only on a strict improvement.
         if search.best_group is not None:
             best = search.best_total
@@ -491,8 +511,8 @@ def ssgmerge_solve(
         queues.insert(_QueueEntry(members, frozenset(members), total, rank))
 
     order = candidate_order(query, graph, data, venue, indexes)
-    search = _SingleVenueSearch(query, graph, order, config, stats, harvest=harvest, budget=w)
-    search.run()
+    search = _SingleVenueSearch(query, graph, config, stats, harvest=harvest, budget=w)
+    search.run(order)
     best = search.best_total
     # Every harvested member is an in-range candidate of the search.
     dist_of = {m: d for d, m in order}

@@ -382,8 +382,10 @@ def test_apdo_reference_switches(srdo_instance):
     graph, data, query = srdo_instance
     audit = MagsAudit()
     sol = mags_solve(query, graph, data, ordering="apdo", audit=audit)
-    picks = [(s.member, s.venue) for s in audit.selections[:3]]
-    assert picks == [("d", "q4"), ("a", "q3"), ("b", "q3")]
+    # The frame under [d, a] is a leaf frame, which scans its venues
+    # without selecting.
+    picks = [(s.member, s.venue) for s in audit.selections[:2]]
+    assert picks == [("d", "q4"), ("a", "q3")]
     assert sol.group == ("a", "b", "d") and sol.venue == "q3"
 
 
@@ -426,7 +428,7 @@ def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
     # must pop the scan argmin.
     rng = random.Random(f"apdo-ties-{mode.value}")
     selections = escalations = 0
-    for _ in range(300):
+    for _ in range(400):
         graph, data, query = _grid_instance(rng)
         query = Query(query.p, query.k, query.t, query.venues, mode)
         stats, audit = SearchStats(), MagsAudit()
@@ -824,7 +826,7 @@ PINNED_SEARCHES = {
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (14, 23, 0),
-        {"venue_distance": 43, "venue_radius": 25},
+        {"venue_distance": 44, "venue_radius": 24},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -839,21 +841,21 @@ PINNED_SEARCHES = {
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (11, 25, 0),
-        {"venue_distance": 53, "venue_radius": 7},
+        {"venue_distance": 55, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (6, "srdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (7, 12, 0),
-        {"member_familiarity": 1, "venue_distance": 4},
+        (8, 10, 0),
+        {"venue_distance": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (7, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (29, 41, 0),
+        (28, 40, 0),
         {"venue_distance": 61, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
@@ -861,22 +863,22 @@ PINNED_SEARCHES = {
     (9, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
-        (8, 15, 0),
-        {"venue_distance": 28, "venue_radius": 3},
+        (7, 13, 0),
+        {"venue_distance": 27, "venue_radius": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (11, 15, 0),
-        {"member_familiarity": 2, "venue_distance": 3, "venue_radius": 6},
+        (12, 14, 0),
+        {"venue_distance": 4, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (13, 25, 0),
-        {"venue_distance": 27},
+        (14, 26, 0),
+        {"venue_distance": 29},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -896,8 +898,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (15, 30, 6),
-        {"member_familiarity": 14, "venue_distance": 1, "venue_radius": 14},
+        (21, 29, 3),
+        {"member_familiarity": 8, "venue_distance": 3, "venue_radius": 14},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -905,8 +907,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (15, 22, 0),
-        {"member_familiarity": 2, "venue_distance": 5, "venue_radius": 20},
+        (17, 21, 0),
+        {"venue_distance": 8, "venue_radius": 20},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -934,133 +936,131 @@ PINNED_SEARCHES = {
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (11, 16, 0),
-        {"ball_distance": 5, "inner_triangle": 1, "outer_triangle": 3, "venue_distance": 19, "venue_radius": 16},
-        (16, "5affabe8a24ff945"),
-        (60, "e401321225055681"),
+        {"ball_distance": 5, "outer_triangle": 2, "venue_distance": 21, "venue_radius": 15},
+        (15, "48ee903667cce849"),
+        (46, "8d6a775a1e4da4d9"),
     ),
     (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (8, 8, 0),
-        {"ball_distance": 2, "outer_triangle": 1, "venue_distance": 4, "venue_radius": 1},
-        (8, "b74d5f4710e91356"),
-        (30, "4d9ca5455df8fcf7"),
+        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 5, "venue_radius": 1},
+        (7, "1f78bc896e57f4a6"),
+        (22, "49ff0715a6c67f0d"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (11, 14, 0),
-        {"ball_distance": 5, "outer_triangle": 2, "venue_distance": 22, "venue_radius": 1},
-        (14, "dc50bcd925c3a789"),
-        (22, "34ea9fe3957a1de2"),
+        {"ball_distance": 2, "outer_triangle": 2, "venue_distance": 25},
+        (13, "69dd074740f37237"),
+        (14, "88d0480d40dab7c7"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (7, 10, 0),
-        {"ball_distance": 1, "member_familiarity": 1, "venue_distance": 6},
-        (10, "95b08e7f0030f822"),
-        (11, "44f1fbbcf4f2abec"),
+        (8, 10, 0),
+        {"venue_distance": 7},
+        (8, "6e206e6693260b58"),
+        (6, "0b1353d9e792d96c"),
     ),
     (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (31, 51, 0),
-        {"ball_distance": 8, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 79, "venue_radius": 2},
-        (51, "ae33d895e98c24f0"),
-        (60, "7ddc3217c426bc8f"),
+        {"ball_distance": 5, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 82, "venue_radius": 2},
+        (50, "5da1504c40c1650c"),
+        (46, "19dc5072885d77ee"),
     ),
     (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (7, 13, 0),
-        {"ball_distance": 2, "outer_triangle": 4, "venue_distance": 14},
-        (13, "def735249022aa67"),
-        (32, "7ad6756cfeea4e7c"),
+        {"outer_triangle": 3, "venue_distance": 17},
+        (12, "00fefc38d27d5de6"),
+        (18, "d06c3a92d750a8eb"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (11, 15, 2),
-        {"ball_distance": 2, "inner_triangle": 1, "member_familiarity": 1, "outer_triangle": 1, "venue_distance": 6, "venue_radius": 2},
-        (15, "a4f10585340b349d"),
-        (47, "b46851c5588df7ab"),
+        (12, 15, 2),
+        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 7, "venue_radius": 2},
+        (12, "35eb853365e0a9af"),
+        (28, "ef9ae9b25b6e6e34"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (13, 32, 0),
-        {"ball_distance": 3, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 27},
-        (32, "30417ca28f9add83"),
-        (26, "85e9e66841732ff3"),
+        (14, 33, 0),
+        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 29},
+        (31, "84b31367bcd4e64a"),
+        (18, "36a2090e720543ef"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
         (5, 5, 0),
         {},
-        (5, "a9d8d3a0663a16d9"),
+        (4, "e352dd4fb3a7dd02"),
         (0, "4f53cda18c2baa0c"),
     ),
     (14, "apdo"): (
         ((2, 3, 12), "q2", 43.801634625),
         (3, 3, 0),
-        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 1},
-        (3, "8d0b6c2e3a4283bc"),
-        (18, "fbc6e785fc37bdf0"),
+        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 1},
+        (2, "110a6cc617b48a31"),
+        (10, "477e819e7db7a79e"),
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (6, 13, 6),
-        {"ball_distance": 3, "member_familiarity": 7, "outer_triangle": 2, "venue_radius": 2},
-        (20, "2947f423d2911e0d"),
-        (15, "2be556ac3cde21f9"),
+        (11, 13, 2),
+        {"ball_distance": 2, "member_familiarity": 2, "outer_triangle": 2, "venue_distance": 1, "venue_radius": 2},
+        (9, "71e5fe8cb90ece56"),
+        (10, "86289b9b5149ca84"),
     ),
     (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (6, 7, 2),
-        {"ball_distance": 2, "member_familiarity": 1, "outer_triangle": 3, "venue_distance": 1, "venue_radius": 4},
-        (7, "04db2bcab6b8d5bb"),
-        (31, "1bfa510e9e325500"),
+        (7, 7, 1),
+        {"ball_distance": 1, "outer_triangle": 3, "venue_distance": 1, "venue_radius": 4},
+        (5, "69c8a3f66cb2f733"),
+        (20, "ec4b5e53c29fb3dd"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
         (5, 5, 0),
         {},
-        (5, "488d13b84d44f117"),
+        (4, "eaecc5a95f39bb67"),
         (0, "4f53cda18c2baa0c"),
     ),
-    # Without the venue-distance rule a static frame drops, on entry, only
-    # the candidates out of the radius of all its venues.
     (2, "srdo without venue_distance"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (244, 244, 0),
-        {"venue_radius": 243},
+        (365, 365, 0),
+        {"venue_radius": 116},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo without venue_distance"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (454, 454, 0),
-        {"venue_radius": 106},
+        (960, 960, 0),
+        {"venue_radius": 24},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (8, "srdo without venue_distance"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (1554, 1911, 1),
-        {"member_familiarity": 357, "venue_radius": 387},
+        (3515, 3555, 0),
+        {"member_familiarity": 40, "venue_radius": 203},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo without venue_distance"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (354, 494, 6),
-        {"member_familiarity": 140},
+        (824, 824, 0),
+        {},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (15, "srdo without venue_distance"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (18, 39, 11),
-        {"member_familiarity": 21, "venue_radius": 14},
+        (31, 39, 3),
+        {"member_familiarity": 8, "venue_radius": 14},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),

@@ -17,7 +17,6 @@ from rallypoint import (
     member_familiarity_prune,
     mindist_point_ball,
     outer_triangle_ball_bound,
-    outer_triangle_point_bound,
     pool_familiarity_prune,
 )
 from rallypoint.pruning import PruneConfig
@@ -102,22 +101,6 @@ def test_pool_familiarity_loose_budget_never(g1):
     assert not pool_familiarity_prune(["a"], ["b", "c"], 3, 1, g1)
 
 
-def test_outer_triangle_point_no_incumbent():
-    # A finite bound never reaches an infinite incumbent.
-    assert outer_triangle_point_bound([1.0, 2.0], 50.0, 3, 5.0) < math.inf
-
-
-def test_outer_triangle_point_arithmetic():
-    bound = outer_triangle_point_bound([5.0, 5.0], 50.0, 3, 5.0)
-    assert bound == (45.0 + 45.0) + 1 * 5.0
-
-
-def test_outer_triangle_point_clamp_floor():
-    # Reference coincides with target: per-member terms clamp to zero.
-    bound = outer_triangle_point_bound([5.0, 7.0], 0.0, 3, 4.0)
-    assert bound == 4.0
-
-
 def test_inner_triangle_inapplicable_below_two():
     # -inf never reaches an incumbent, however small.
     assert inner_triangle_bound(0.0, 1, 3, 0.0, 100.0) == -math.inf
@@ -144,10 +127,10 @@ def test_outer_triangle_ball_same_ball_degenerate():
 
 
 def test_outer_triangle_ball_radius_zero_matches_point_form():
-    args = ([2.0, 9.0], 25.0, 3, 4.0)
-    assert outer_triangle_ball_bound(args[0], args[1], 0.0, args[2], args[3]) == (
-        outer_triangle_point_bound(*args)
-    )
+    # A ball of radius 0 is one venue 25 from the reference: each member
+    # contributes its clamped reverse-triangle term, plus one open slot.
+    point_form = max(0.0, 25.0 - 2.0) + max(0.0, 25.0 - 9.0) + 1 * 4.0
+    assert outer_triangle_ball_bound([2.0, 9.0], 25.0, 0.0, 3, 4.0) == point_form
 
 
 def test_ball_distance_no_incumbent():
@@ -219,14 +202,14 @@ def test_bounds_never_exceed_exact_completion_cost():
             <= oracle + 1e-9
         )
 
-        # Point form against each venue individually.
+        # A radius-0 ball around each venue individually.
         for q in target_ids:
             d_pool_min = min(distance(members[v], venues[q]) for v in pool)
             point_oracle = completion_bound_oracle(group, pool, [q], p, data)
             dists_to_ref = [distance(members[v], ref) for v in group]
             assert (
-                outer_triangle_point_bound(
-                    dists_to_ref, distance(ref, venues[q]), p, d_pool_min
+                outer_triangle_ball_bound(
+                    dists_to_ref, distance(ref, venues[q]), 0.0, p, d_pool_min
                 )
                 <= point_oracle + 1e-9
             )

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import pytest
@@ -178,11 +179,19 @@ def test_located_non_vertex_is_not_a_candidate():
 # --- leaf frames ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("solver, venues", [(ssgs_solve, (1, 1)), (ssp_solve, (2, 4))])
+@pytest.mark.parametrize(
+    "solver, venues",
+    [
+        (ssgs_solve, (1, 1)),
+        (ssp_solve, (2, 4)),
+        pytest.param(functools.partial(mags_solve, ordering="srdo"), (2, 4), id="mags-srdo"),
+        pytest.param(functools.partial(mags_solve, ordering="apdo"), (2, 4), id="mags-apdo"),
+    ],
+)
 def test_pairs_never_escalate_theta(solver, venues):
     # With p = 2 every frame is the root, whose admission test admits every
     # candidate (admission_edges(1, theta, 2) <= 0), or a leaf frame, which
-    # scans its pool without the test.
+    # scans its pool, venue by venue, without the test.
     for seed in range(40):
         graph, data, query = make_query_instance(seed, p_range=(2, 2), q_range=venues)
         query = dataclasses.replace(query, k=0)
@@ -207,6 +216,34 @@ def test_leaf_frame_stops_one_candidate_after_the_improving_leaf(mode):
     assert (sol.group, sol.total_distance) == (("a", "c"), 4.0)
     assert (stats.explored_states, stats.generated_states, stats.theta_escalations) == (3, 3, 0)
     assert stats.pruned == {"distance": 2}
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode))
+def test_multi_venue_leaf_frame_scans_each_venue_up_to_the_incumbent(mode):
+    # a and e sit 5 from r; a, b, c, d sit 6, 6.5, 7, 7.5 from q and e
+    # farther; a knows c and e only. The root admits a, the closest member
+    # to the reference venue r. The leaf frame under [a] walks q first: it
+    # reads b (infeasible), c (the improving leaf, total 13) and stops at d
+    # with one venue-distance prune. Its walk at r starts from the live
+    # incumbent: it reads e (total 10, a strict improvement) and stops at b.
+    # Back at the root, neither venue can beat 10 (2 * 6 and 2 * 5), so the
+    # root stops with a third prune: four states, each one (candidate,
+    # venue) read, and no theta escalation.
+    graph = SocialGraph("abcde", [("a", "c"), ("a", "e")])
+    members = {
+        "a": Location(3.0, 4.0),
+        "b": Location(3.0, 16.5),
+        "c": Location(3.0, 17.0),
+        "d": Location(3.0, 17.5),
+        "e": Location(-3.0, 4.0),
+    }
+    data = SpatialDataset(members, {"q": Location(3.0, 10.0), "r": Location(0.0, 0.0)})
+    query = Query(p=2, k=0, t=20.0, venues=("q", "r"), familiarity_mode=mode)
+    stats = SearchStats()
+    sol = mags_solve(query, graph, data, ordering="srdo", stats=stats)
+    assert (sol.group, sol.venue, sol.total_distance) == (("a", "e"), "r", 10.0)
+    assert (stats.explored_states, stats.generated_states, stats.theta_escalations) == (4, 4, 0)
+    assert stats.pruned == {"venue_distance": 3}
 
 
 # --- merge machinery ------------------------------------------------------
@@ -365,10 +402,10 @@ def _pinned_record(seed, solver):
 # rule that alters a search tree shows up here. The "sfgp" keys pin
 # mags-srdo in per-vertex mode: they keep the name of the former
 # `sfgp_solve`, which built the same tree (seeded on the query's live
-# venues) before it was folded into mags-srdo, and they keep its values.
+# venues) before it was folded into mags-srdo.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (140, 853, 234), {'member_familiarity': 705, 'pool_familiarity': 3, 'venue_distance': 546, 'venue_radius': 37}),
-    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (798, 1841, 373), {'avg_familiarity': 1038, 'venue_distance': 832, 'venue_radius': 48}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (333, 890, 173), {'member_familiarity': 553, 'pool_familiarity': 3, 'venue_distance': 532, 'venue_radius': 33}),
+    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (1540, 2005, 170), {'avg_familiarity': 464, 'venue_distance': 766, 'venue_radius': 33}),
     (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (25, 25, 0), {'distance': 1, 'merge': 1}),
     (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (716, 855, 46), {'avg_familiarity': 27, 'distance': 260}),
     (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (716, 855, 46), {'avg_familiarity': 27, 'distance': 260}),
@@ -379,32 +416,32 @@ PINNED_STATIC_SEARCHES = {
     (1, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (1, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (1, 'ssp'): (None, (0, 0, 0), {}),
-    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (41, 114, 11), {'member_familiarity': 31, 'pool_familiarity': 1, 'venue_distance': 109, 'venue_radius': 93}),
-    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (30, 87, 3), {'avg_familiarity': 4, 'venue_distance': 121, 'venue_radius': 92}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (78, 121, 5), {'member_familiarity': 14, 'pool_familiarity': 1, 'venue_distance': 86, 'venue_radius': 67}),
+    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (46, 84, 2), {'avg_familiarity': 1, 'venue_distance': 95, 'venue_radius': 66}),
     (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (25, 25, 0), {'distance': 4, 'merge': 7}),
     (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (116, 137, 6), {'avg_familiarity': 13, 'distance': 35}),
     (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (116, 137, 6), {'avg_familiarity': 13, 'distance': 35}),
     (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (128, 217, 18), {'avg_familiarity': 40, 'distance': 82}),
-    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (208, 780, 189), {'member_familiarity': 507, 'pool_familiarity': 1, 'venue_distance': 344, 'venue_radius': 14}),
-    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (693, 1169, 273), {'avg_familiarity': 412, 'venue_distance': 397, 'venue_radius': 14}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (464, 749, 95), {'member_familiarity': 254, 'pool_familiarity': 1, 'venue_distance': 295, 'venue_radius': 10}),
+    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (965, 1150, 95), {'avg_familiarity': 155, 'venue_distance': 393, 'venue_radius': 10}),
     (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 0), {'distance': 2, 'merge': 3}),
     (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (538, 1072, 71), {'avg_familiarity': 31, 'distance': 687}),
     (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (538, 1072, 71), {'avg_familiarity': 31, 'distance': 687}),
     (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (593, 1403, 96), {'avg_familiarity': 41, 'distance': 988}),
-    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (15, 106, 4), {'venue_distance': 477, 'venue_radius': 24}),
-    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (15, 106, 4), {'venue_distance': 477, 'venue_radius': 24}),
+    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (15, 106, 4), {'venue_distance': 481, 'venue_radius': 23}),
+    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (15, 106, 4), {'venue_distance': 481, 'venue_radius': 23}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
     (4, 'ssgs-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
     (4, 'ssgs-per-vertex'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 6, 0), {'distance': 6}),
     (4, 'ssp'): (((5, 20, 27, 35), 'q0', 23.665987049), (5, 10, 0), {'distance': 14}),
-    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (97, 124, 0), {'venue_distance': 113, 'venue_radius': 82}),
-    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (97, 124, 0), {'venue_distance': 113, 'venue_radius': 82}),
+    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (96, 123, 0), {'venue_distance': 114, 'venue_radius': 82}),
+    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (96, 123, 0), {'venue_distance': 114, 'venue_radius': 82}),
     (5, 'ssgmerge'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
     (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
     (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 7, 0), {'distance': 7}),
     (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (23, 33, 0), {'distance': 29}),
-    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (42, 56, 2), {'member_familiarity': 5, 'pool_familiarity': 2, 'venue_distance': 14, 'venue_radius': 63}),
-    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (32, 47, 2), {'avg_familiarity': 4, 'venue_distance': 21, 'venue_radius': 66}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (44, 56, 1), {'member_familiarity': 3, 'pool_familiarity': 2, 'venue_distance': 14, 'venue_radius': 63}),
+    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (33, 45, 1), {'avg_familiarity': 3, 'venue_distance': 21, 'venue_radius': 62}),
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9, 'merge': 15}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (7, 12, 0), {'avg_familiarity': 1, 'distance': 9}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (9, 15, 0), {'avg_familiarity': 2, 'distance': 9}),
@@ -415,8 +452,8 @@ PINNED_STATIC_SEARCHES = {
     (7, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (7, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (7, 'ssp'): (None, (0, 0, 0), {}),
-    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (37, 89, 0), {'venue_distance': 243, 'venue_radius': 83}),
-    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (37, 89, 0), {'venue_distance': 243, 'venue_radius': 83}),
+    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (37, 89, 0), {'venue_distance': 247, 'venue_radius': 82}),
+    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (37, 89, 0), {'venue_distance': 247, 'venue_radius': 82}),
     (8, 'ssgmerge'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
     (8, 'ssgs-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
     (8, 'ssgs-per-vertex'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 7, 0), {'distance': 7}),
@@ -427,8 +464,8 @@ PINNED_STATIC_SEARCHES = {
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 5, 0), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (5, 7, 0), {'distance': 3}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (111, 247, 27), {'member_familiarity': 23, 'pool_familiarity': 1, 'venue_distance': 256, 'venue_radius': 21}),
-    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (67, 198, 10), {'avg_familiarity': 16, 'venue_distance': 258, 'venue_radius': 21}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (117, 222, 23), {'member_familiarity': 17, 'pool_familiarity': 1, 'venue_distance': 212, 'venue_radius': 17}),
+    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (68, 173, 8), {'avg_familiarity': 15, 'venue_distance': 217, 'venue_radius': 17}),
     (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 25, 1), {'distance': 19, 'merge': 5}),
     (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (17, 149, 10), {'avg_familiarity': 2, 'distance': 144}),
     (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (17, 149, 10), {'avg_familiarity': 2, 'distance': 144}),
@@ -451,26 +488,26 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (13, 'ssp'): (None, (0, 0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (224, 639, 99), {'member_familiarity': 392, 'pool_familiarity': 23, 'venue_distance': 6, 'venue_radius': 38}),
-    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (245, 425, 61), {'avg_familiarity': 173, 'venue_distance': 12, 'venue_radius': 27}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (248, 639, 88), {'member_familiarity': 368, 'pool_familiarity': 23, 'venue_distance': 16, 'venue_radius': 38}),
+    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (323, 420, 26), {'avg_familiarity': 95, 'venue_distance': 33, 'venue_radius': 27}),
     (14, 'ssgmerge'): (None, (23, 25, 1), {'avg_familiarity': 2}),
     (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (96, 161, 23), {'avg_familiarity': 64, 'distance': 2}),
     (14, 'ssgs-per-vertex'): (None, (101, 165, 23), {'avg_familiarity': 64}),
     (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (1295, 1802, 151), {'avg_familiarity': 394, 'distance': 222}),
-    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (27, 40, 0), {'venue_distance': 45, 'venue_radius': 42}),
-    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (27, 40, 0), {'venue_distance': 45, 'venue_radius': 42}),
+    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (28, 41, 0), {'venue_distance': 46, 'venue_radius': 42}),
+    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (28, 41, 0), {'venue_distance': 46, 'venue_radius': 42}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 15, 0), {'distance': 16}),
-    (16, 'sfgp'): (None, (63, 157, 37), {'member_familiarity': 83, 'pool_familiarity': 11, 'venue_radius': 9}),
-    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (58, 119, 14), {'avg_familiarity': 56, 'venue_distance': 6, 'venue_radius': 9}),
+    (16, 'sfgp'): (None, (79, 157, 29), {'member_familiarity': 67, 'pool_familiarity': 11, 'venue_radius': 9}),
+    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (79, 117, 8), {'avg_familiarity': 35, 'venue_distance': 6, 'venue_radius': 9}),
     (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-per-vertex'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssp'): (None, (140, 213, 16), {'avg_familiarity': 73}),
-    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (122, 142, 0), {'member_familiarity': 4, 'venue_distance': 148, 'venue_radius': 90}),
-    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (109, 130, 0), {'venue_distance': 150, 'venue_radius': 86}),
+    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (127, 143, 0), {'venue_distance': 153, 'venue_radius': 90}),
+    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (109, 129, 0), {'venue_distance': 152, 'venue_radius': 86}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
     (17, 'ssgs-avg'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
     (17, 'ssgs-per-vertex'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 9, 0), {'distance': 9}),
@@ -481,90 +518,90 @@ PINNED_STATIC_SEARCHES = {
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 5, 0), {'distance': 5}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 6, 0), {'distance': 7}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (69, 469, 106), {'member_familiarity': 392, 'pool_familiarity': 4, 'venue_distance': 8, 'venue_radius': 14}),
-    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (459, 1038, 184), {'avg_familiarity': 575, 'venue_distance': 8, 'venue_radius': 14}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (210, 465, 66), {'member_familiarity': 251, 'pool_familiarity': 4, 'venue_distance': 23, 'venue_radius': 14}),
+    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (839, 1034, 62), {'avg_familiarity': 195, 'venue_distance': 84, 'venue_radius': 14}),
     (19, 'ssgmerge'): (None, (23, 25, 2), {'avg_familiarity': 2}),
     (19, 'ssgs-avg'): (None, (240, 351, 33), {'avg_familiarity': 111}),
     (19, 'ssgs-per-vertex'): (None, (240, 351, 33), {'avg_familiarity': 111}),
     (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (959, 1146, 68), {'avg_familiarity': 126, 'distance': 225}),
-    (20, 'sfgp'): (((8,), 'q1', 16.175908729), (1, 1, 0), {'venue_distance': 1}),
-    (20, 'mags-srdo-avg'): (((8,), 'q1', 16.175908729), (1, 1, 0), {'venue_distance': 1}),
+    (20, 'sfgp'): (((8,), 'q1', 16.175908729), (2, 2, 0), {'venue_distance': 3}),
+    (20, 'mags-srdo-avg'): (((8,), 'q1', 16.175908729), (2, 2, 0), {'venue_distance': 3}),
     (20, 'ssgs-avg'): (((21,), 'q0', 16.717223358), (1, 1, 0), {'distance': 1}),
     (20, 'ssp'): (((8,), 'q1', 16.175908729), (2, 2, 0), {'distance': 3}),
-    (21, 'sfgp'): (((3,), 'q1', 3.262545111), (1, 1, 0), {'venue_distance': 1}),
-    (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (1, 1, 0), {'venue_distance': 1}),
+    (21, 'sfgp'): (((3,), 'q1', 3.262545111), (2, 2, 0), {'venue_distance': 2}),
+    (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (2, 2, 0), {'venue_distance': 2}),
     (21, 'ssgs-avg'): (((34,), 'q0', 11.684118247), (1, 1, 0), {'distance': 1}),
     (21, 'ssp'): (((3,), 'q1', 3.262545111), (2, 2, 0), {'distance': 2}),
-    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (8, 43, 3), {'member_familiarity': 4, 'venue_distance': 64, 'venue_radius': 25}),
-    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (10, 43, 3), {'avg_familiarity': 2, 'venue_distance': 64, 'venue_radius': 25}),
+    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (13, 27, 0), {'venue_distance': 43, 'venue_radius': 17}),
+    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (13, 27, 0), {'venue_distance': 43, 'venue_radius': 17}),
     (22, 'ssgs-avg'): (((5, 8), 'q0', 25.407493745), (2, 2, 0), {'distance': 2}),
     (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (7, 8, 0), {'distance': 7}),
-    (23, 'sfgp'): (((25,), 'q4', 5.405877277), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
-    (23, 'mags-srdo-avg'): (((25,), 'q4', 5.405877277), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
+    (23, 'sfgp'): (((25,), 'q4', 5.405877277), (3, 3, 0), {'venue_distance': 5}),
+    (23, 'mags-srdo-avg'): (((25,), 'q4', 5.405877277), (3, 3, 0), {'venue_distance': 5}),
     (23, 'ssgs-avg'): (((28,), 'q0', 6.493131993), (1, 1, 0), {'distance': 1}),
     (23, 'ssp'): (((25,), 'q4', 5.405877277), (3, 3, 0), {'distance': 5}),
-    (24, 'sfgp'): (((16,), 'q1', 8.370518849), (1, 1, 0), {'venue_distance': 1}),
-    (24, 'mags-srdo-avg'): (((16,), 'q1', 8.370518849), (1, 1, 0), {'venue_distance': 1}),
+    (24, 'sfgp'): (((16,), 'q1', 8.370518849), (2, 2, 0), {'venue_distance': 2}),
+    (24, 'mags-srdo-avg'): (((16,), 'q1', 8.370518849), (2, 2, 0), {'venue_distance': 2}),
     (24, 'ssgs-avg'): (((22,), 'q0', 18.633951118), (1, 1, 0), {'distance': 1}),
     (24, 'ssp'): (((16,), 'q1', 8.370518849), (2, 2, 0), {'distance': 2}),
-    (25, 'sfgp'): (((0,), 'q2', 5.339915216), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
-    (25, 'mags-srdo-avg'): (((0,), 'q2', 5.339915216), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
+    (25, 'sfgp'): (((0,), 'q2', 5.339915216), (3, 3, 0), {'venue_distance': 5}),
+    (25, 'mags-srdo-avg'): (((0,), 'q2', 5.339915216), (3, 3, 0), {'venue_distance': 5}),
     (25, 'ssgs-avg'): (((16,), 'q0', 10.020581902), (1, 1, 0), {'distance': 1}),
     (25, 'ssp'): (((0,), 'q2', 5.339915216), (3, 3, 0), {'distance': 5}),
-    (26, 'sfgp'): (((7,), 'q1', 6.176773067), (1, 1, 0), {'venue_distance': 1}),
-    (26, 'mags-srdo-avg'): (((7,), 'q1', 6.176773067), (1, 1, 0), {'venue_distance': 1}),
+    (26, 'sfgp'): (((7,), 'q1', 6.176773067), (2, 2, 0), {'venue_distance': 2}),
+    (26, 'mags-srdo-avg'): (((7,), 'q1', 6.176773067), (2, 2, 0), {'venue_distance': 2}),
     (26, 'ssgs-avg'): (((1,), 'q0', 8.19347863), (1, 1, 0), {'distance': 1}),
     (26, 'ssp'): (((7,), 'q1', 6.176773067), (2, 2, 0), {'distance': 2}),
-    (27, 'sfgp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 2}),
-    (27, 'mags-srdo-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 2}),
+    (27, 'sfgp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'venue_distance': 2}),
+    (27, 'mags-srdo-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'venue_distance': 2}),
     (27, 'ssgs-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {}),
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'distance': 2}),
-    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (11, 24, 1), {'venue_distance': 17, 'venue_radius': 29}),
-    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (9, 24, 1), {'avg_familiarity': 2, 'venue_distance': 17, 'venue_radius': 29}),
+    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (11, 24, 1), {'venue_distance': 18, 'venue_radius': 29}),
+    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (9, 24, 1), {'avg_familiarity': 2, 'venue_distance': 18, 'venue_radius': 29}),
     (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (23, 30, 2), {'avg_familiarity': 6, 'distance': 3}),
     (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (32, 46, 4), {'avg_familiarity': 11, 'distance': 11}),
-    (29, 'sfgp'): (((17,), 'q3', 8.350594287), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
-    (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
+    (29, 'sfgp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'venue_distance': 5}),
+    (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'venue_distance': 5}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1, 0), {'distance': 1}),
     (29, 'ssp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'distance': 5}),
-    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (13, 90, 2), {'member_familiarity': 5, 'venue_distance': 112, 'venue_radius': 45}),
-    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (14, 89, 1), {'avg_familiarity': 3, 'venue_distance': 112, 'venue_radius': 45}),
+    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (18, 65, 0), {'venue_distance': 80, 'venue_radius': 29}),
+    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (16, 64, 0), {'avg_familiarity': 1, 'venue_distance': 80, 'venue_radius': 29}),
     (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (11, 13, 0), {'distance': 8}),
     (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (11, 13, 0), {'distance': 9}),
-    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (3, 28, 0), {'venue_distance': 73, 'venue_radius': 31}),
-    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 28, 0), {'venue_distance': 73, 'venue_radius': 31}),
+    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (4, 29, 0), {'venue_distance': 77, 'venue_radius': 31}),
+    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (4, 29, 0), {'venue_distance': 77, 'venue_radius': 31}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2, 0), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 5, 0), {'distance': 7}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (20, 78, 16), {'member_familiarity': 54, 'pool_familiarity': 2, 'venue_distance': 10, 'venue_radius': 27}),
-    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (25, 77, 14), {'avg_familiarity': 50, 'venue_distance': 10, 'venue_radius': 27}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (44, 81, 10), {'member_familiarity': 35, 'pool_familiarity': 2, 'venue_distance': 8, 'venue_radius': 25}),
+    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (43, 80, 9), {'avg_familiarity': 37, 'venue_distance': 8, 'venue_radius': 25}),
     (32, 'ssgs-avg'): (None, (8, 18, 1), {'avg_familiarity': 10}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (22, 42, 3), {'avg_familiarity': 20, 'distance': 5}),
-    (33, 'sfgp'): (((4,), 'q2', 4.40651612), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 3}),
-    (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 3}),
+    (33, 'sfgp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'venue_distance': 4}),
+    (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'venue_distance': 4}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1, 0), {'distance': 1}),
     (33, 'ssp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'distance': 4}),
-    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (12, 25, 4), {'member_familiarity': 7, 'venue_distance': 10, 'venue_radius': 29}),
-    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (16, 25, 4), {'avg_familiarity': 3, 'venue_distance': 10, 'venue_radius': 29}),
+    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (19, 24, 1), {'member_familiarity': 1, 'venue_distance': 11, 'venue_radius': 29}),
+    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (19, 24, 1), {'avg_familiarity': 1, 'venue_distance': 11, 'venue_radius': 29}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 4, 0), {'distance': 4}),
     (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (17, 24, 1), {'avg_familiarity': 4, 'distance': 12}),
-    (35, 'sfgp'): (((26,), 'q1', 0.70613056), (1, 1, 0), {'venue_distance': 1}),
-    (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (1, 1, 0), {'venue_distance': 1}),
+    (35, 'sfgp'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'venue_distance': 2}),
+    (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'venue_distance': 2}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1, 0), {'distance': 1}),
     (35, 'ssp'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'distance': 2}),
-    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (15, 56, 0), {'venue_distance': 86, 'venue_radius': 3}),
-    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (15, 56, 0), {'venue_distance': 86, 'venue_radius': 3}),
+    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (14, 55, 0), {'venue_distance': 88, 'venue_radius': 3}),
+    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (14, 55, 0), {'venue_distance': 88, 'venue_radius': 3}),
     (36, 'ssgs-avg'): (((1, 6, 20), 'q0', 37.99604031), (3, 3, 0), {'distance': 3}),
     (36, 'ssp'): (((0, 10, 17), 'q1', 24.817125455), (6, 7, 0), {'distance': 7}),
-    (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
-    (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 1, 'venue_radius': 1}),
+    (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 3}),
+    (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 3}),
     (37, 'ssgs-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 1}),
     (37, 'ssp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 3}),
-    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (33, 97, 5), {'member_familiarity': 21, 'venue_distance': 152, 'venue_radius': 51}),
-    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (37, 93, 4), {'avg_familiarity': 13, 'venue_distance': 151, 'venue_radius': 51}),
+    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (56, 82, 0), {'venue_distance': 122, 'venue_radius': 38}),
+    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (46, 77, 0), {'avg_familiarity': 5, 'venue_distance': 119, 'venue_radius': 38}),
     (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (27, 30, 0), {'distance': 12}),
     (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (36, 45, 0), {'distance': 27}),
-    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (2, 21, 0), {'venue_distance': 41, 'venue_radius': 37}),
-    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (2, 21, 0), {'venue_distance': 41, 'venue_radius': 37}),
+    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (3, 22, 0), {'venue_distance': 44, 'venue_radius': 36}),
+    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (3, 22, 0), {'venue_distance': 44, 'venue_radius': 36}),
     (39, 'ssgs-avg'): (((7, 8), 'q0', 27.893268927), (2, 2, 0), {'distance': 2}),
     (39, 'ssp'): (((12, 22), 'q1', 13.465650468), (4, 4, 0), {'distance': 6}),
 }
