@@ -38,9 +38,12 @@ class FamiliarityMode(Enum):
     AVERAGE = "average"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Location:
-    """A point in the plane; one distance unit equals one coordinate unit."""
+    """A point in the plane; one distance unit equals one coordinate unit.
+
+    A dataset holds one per member and venue, so a point carries no instance
+    dict."""
 
     x: float
     y: float
@@ -201,19 +204,62 @@ class Query:
         return len(self.venues) == 1
 
 
+# The counter slot of each prune rule in ``SearchStats``.
+_PRUNE_SLOTS = {
+    rule: "_pruned_" + rule
+    for rule in (
+        PRUNE_AVG_FAMILIARITY,
+        PRUNE_DISTANCE,
+        PRUNE_MEMBER_FAMILIARITY,
+        PRUNE_POOL_FAMILIARITY,
+        PRUNE_VENUE_DISTANCE,
+        PRUNE_VENUE_RADIUS,
+        PRUNE_OUTER_TRIANGLE,
+        PRUNE_INNER_TRIANGLE,
+        PRUNE_BALL_DISTANCE,
+        PRUNE_MERGE,
+    )
+}
+
+
 @dataclass(slots=True)
 class SearchStats:
-    """Search effort counters filled in by the solvers. Callers may keep one
-    per query, so a record carries no instance dict."""
+    """Search effort counters filled in by the solvers.
+
+    Callers may keep one record per query, so a record is small: it carries
+    no instance dict, and each prune rule (``PRUNE_*``) counts in a slot of
+    its own rather than in a dict. ``bump`` adds to a rule's count;
+    ``pruned`` reads the counts that are not zero as a dict.
+    """
 
     explored_states: int = 0
     generated_states: int = 0
     theta_escalations: int = 0
-    pruned: Dict[str, int] = field(default_factory=dict)
     elapsed_seconds: float = 0.0
+    _pruned_avg_familiarity: int = field(default=0, init=False, repr=False)
+    _pruned_distance: int = field(default=0, init=False, repr=False)
+    _pruned_member_familiarity: int = field(default=0, init=False, repr=False)
+    _pruned_pool_familiarity: int = field(default=0, init=False, repr=False)
+    _pruned_venue_distance: int = field(default=0, init=False, repr=False)
+    _pruned_venue_radius: int = field(default=0, init=False, repr=False)
+    _pruned_outer_triangle: int = field(default=0, init=False, repr=False)
+    _pruned_inner_triangle: int = field(default=0, init=False, repr=False)
+    _pruned_ball_distance: int = field(default=0, init=False, repr=False)
+    _pruned_merge: int = field(default=0, init=False, repr=False)
 
     def bump(self, rule: str, count: int = 1) -> None:
-        self.pruned[rule] = self.pruned.get(rule, 0) + count
+        slot = _PRUNE_SLOTS[rule]
+        setattr(self, slot, getattr(self, slot) + count)
+
+    @property
+    def pruned(self) -> Dict[str, int]:
+        """The count of each prune rule that fired, keyed by rule."""
+        counts = {}
+        for rule, slot in _PRUNE_SLOTS.items():
+            count = getattr(self, slot)
+            if count:
+                counts[rule] = count
+        return counts
 
     def as_dict(self) -> Dict[str, object]:
         return {

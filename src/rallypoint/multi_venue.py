@@ -53,14 +53,14 @@ algorithm. Solution venues are visited in the query's venue order, never in
 set order, so the work done does not depend on the string hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
-(each remaining candidate's acquaintances among the remaining candidates),
-the crossing count (prefix-to-remaining edges) and the table's sum (twice
-the pool's internal edge count). They are updated as each generated
+(each remaining candidate's acquaintances among the remaining candidates)
+and, in average mode, the prefix-edge table (each remaining candidate's
+acquaintances in the prefix) or, in per-vertex mode, the degree table's sum
+(twice the pool's internal edge count). They are updated as each generated
 candidate leaves the pool, rebuilt from the survivors when a static frame
 drops candidates on entry, and copied into child frames, and the
 familiarity rules read them instead of intersecting the pool: the average
-rule reads the table and the crossing count, the per-vertex pool rule the
-sum. A frame keeps them only when a child of it can fire a rule that reads
+rule reads both tables, the per-vertex pool rule the sum. A frame keeps them only when a child of it can fire a rule that reads
 them: in average mode, frames whose prefix is shorter than ``p - 1``, while
 the average rule is on; in per-vertex mode, frames whose children leave at
 least ``k + 2`` slots open, while the pool rule is on. That depends only on
@@ -109,6 +109,7 @@ from .model import (
 )
 from .pruning import (
     PruneConfig,
+    admit_from_pool,
     avg_familiarity_prune,
     ball_distance_bound,
     distance_prune,
@@ -240,12 +241,15 @@ class _MultiVenueSearch(_GroupSearch):
         # once.
         sums = {q: 0.0 for q in self.alive_venues}
         pool = list(self.pool)
-        pool_deg, degree_sum = None, None
+        pool_deg = pe = degree_sum = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
-            degree_sum = sum(pool_deg.values())
+            if self.query.familiarity_mode is FamiliarityMode.PER_VERTEX:
+                degree_sum = sum(pool_deg.values())
+            else:
+                pe = dict.fromkeys(pool_deg, 0)
         # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
-        self._frame([], set(), 0, pool, sums, self.query.k, pool_deg, 0, degree_sum)
+        self._frame([], set(), 0, pool, sums, self.query.k, pool_deg, pe, degree_sum)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool counts:
@@ -392,7 +396,7 @@ class _MultiVenueSearch(_GroupSearch):
         sums: Dict[VenueId, float],
         theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
-        cross: int,
+        pe: Optional[Dict[MemberId, int]],
         degree_sum: Optional[int],
     ) -> None:
         p = self.query.p
@@ -416,10 +420,10 @@ class _MultiVenueSearch(_GroupSearch):
                 candidates = ((d, v) for d, v in self.by_distance[q] if v in pool_set)
                 self._scan_leaves(prefix, prefix_set, prefix_edges, total, candidates, q)
             return
-        # ``pool_deg`` is the pool degree table of ``remaining``, ``cross`` the
-        # number of prefix-to-remaining edges and ``degree_sum`` the sum of
-        # the table, when this frame keeps them; otherwise ``pool_deg`` and
-        # ``degree_sum`` are None.
+        # ``pool_deg`` is the pool degree table of ``remaining`` when this
+        # frame keeps counts, with its prefix-edge table ``pe`` in average
+        # mode and its sum ``degree_sum`` in per-vertex mode; each is None
+        # otherwise.
 
         # Smallest candidate-to-venue distance per venue of ``sums``, used by
         # the completion bounds: a completion at q takes only candidates of
@@ -435,8 +439,10 @@ class _MultiVenueSearch(_GroupSearch):
             # candidate out of the counts: most of a child's pool can drop.
             if pool_deg is not None and len(remaining) < len(pool):
                 pool_deg = pool_degrees(remaining, graph)
-                degree_sum = sum(pool_deg.values())
-                cross = sum(len(neighbors(v) & prefix_set) for v in remaining)
+                if pe is None:
+                    degree_sum = sum(pool_deg.values())
+                else:
+                    pe = {v: pe[v] for v in remaining}
         else:
             remaining = list(pool)
         copy_counts = self._keeps_pool_counts(size + 1)
@@ -496,10 +502,11 @@ class _MultiVenueSearch(_GroupSearch):
             else:
                 remaining.remove(u)
             stats.generated_states += 1
-            if pool_deg is not None:
-                deg_u = drop_from_pool(pool_deg, u, graph)
-                cross -= child_edges - prefix_edges
-                degree_sum -= 2 * deg_u
+            child_pe = None
+            if pe is not None:
+                child_pe = admit_from_pool(pool_deg, pe, u, graph)
+            elif pool_deg is not None:
+                degree_sum -= 2 * drop_from_pool(pool_deg, u, graph)
 
             child_sums = self._child_sums(u, size + 1, sums, pool_dmin)
             if not child_sums:
@@ -516,15 +523,15 @@ class _MultiVenueSearch(_GroupSearch):
                     stats.bump(PRUNE_POOL_FAMILIARITY)
                     continue
             elif cfg.avg_familiarity:
-                counts = (2 * child_edges, max(pool_deg.values(), default=0), cross + deg_u)
+                counts = (2 * child_edges, pool_deg, child_pe)
                 if avg_familiarity_prune(child, pool_deg, p, k, graph, counts):
                     stats.bump(PRUNE_AVG_FAMILIARITY)
                     continue
 
             stats.explored_states += 1
-            child_counts = (None, 0, None)
+            child_counts = (None, None, None)
             if copy_counts:
-                child_counts = (dict(pool_deg), cross + deg_u, degree_sum)
+                child_counts = (dict(pool_deg), child_pe, degree_sum)
             self._frame(
                 child,
                 prefix_set | {u},

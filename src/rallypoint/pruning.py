@@ -8,18 +8,20 @@ comparisons; the distance rules compare a lower bound on completion cost
 The pool rules are defined on sets and count acquaintances from scratch. The
 depth-first engines instead carry the counts in their search frames and pass
 them in: a pool degree table ``{m: |N(m) & pool|}`` (built by
-``pool_degrees`` and kept current by ``drop_from_pool``), the number of
-prefix-to-pool edges (the crossing count) and the sum of the table's values
-(twice the pool's internal edge count). Each rule then costs integer
-arithmetic. A frame keeps these counts only when a child of it can fire a
-rule that reads them; see the engines' module docstrings.
+``pool_degrees`` and kept current by ``drop_from_pool``), a prefix-edge
+table ``pe = {m: |N(m) & prefix|}`` over the same pool (kept current, with
+the degree table, by ``admit_from_pool``) and the sum of the degree table's
+values (twice the pool's internal edge count). Each rule then costs integer
+arithmetic over the pool. A frame keeps these counts only when a child of it
+can fire a rule that reads them; see the engines' module docstrings.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass, replace
-from typing import Collection, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .model import MemberId, SocialGraph
 
@@ -82,17 +84,33 @@ def drop_from_pool(pool_deg: Dict[MemberId, int], u: MemberId, graph: SocialGrap
     return degree
 
 
+def admit_from_pool(
+    pool_deg: Dict[MemberId, int], pe: Dict[MemberId, int], u: MemberId, graph: SocialGraph
+) -> Dict[MemberId, int]:
+    """Move ``u`` from the pool to the prefix. ``u`` leaves the pool degree
+    table and the prefix-edge table ``pe`` in place, and its acquaintances
+    left in the pool lose one pool degree; returns the prefix-edge table of
+    the prefix grown by ``u``, where those acquaintances gain one edge."""
+    del pool_deg[u], pe[u]
+    child_pe = dict(pe)
+    for w in graph.neighbors(u).intersection(pool_deg):
+        pool_deg[w] -= 1
+        child_pe[w] += 1
+    return child_pe
+
+
 def familiarity_counts(
     group: Iterable[MemberId], pool: Iterable[MemberId], graph: SocialGraph
-) -> Tuple[int, int, int]:
-    """``(2 * edges inside group, largest pool degree, group-to-pool edges)``,
-    counted from sets: what ``avg_familiarity_prune`` reads."""
+) -> Tuple[int, Dict[MemberId, int], Dict[MemberId, int]]:
+    """``(2 * edges inside group, pool degree table, prefix-edge table)``,
+    counted from sets: what ``avg_familiarity_prune`` reads. The prefix-edge
+    table maps each pool member to its number of acquaintances in ``group``."""
     inside = set(group)
-    pool_set = set(pool)
+    pool_deg = pool_degrees(pool, graph)
     return (
         sum(len(graph.neighbors(v) & inside) for v in inside),
-        max((len(graph.neighbors(v) & pool_set) for v in pool_set), default=0),
-        sum(len(graph.neighbors(v) & pool_set) for v in inside),
+        pool_deg,
+        {v: len(graph.neighbors(v) & inside) for v in pool_deg},
     )
 
 
@@ -102,41 +120,79 @@ def avg_familiarity_prune(
     p: int,
     k: int,
     graph: SocialGraph,
-    counts: Optional[Tuple[int, int, int]] = None,
+    counts: Optional[Tuple[int, Dict[MemberId, int], Dict[MemberId, int]]] = None,
 ) -> bool:
     """True when no completion of ``group`` from ``pool`` can reach the required
     average acquaintance level of ``p - k - 1``.
 
-    The upper bound counts edges inside the group, an optimistic estimate of
-    edges among the picked pool members, and all group-to-pool edges.
+    With ``r = p - |group|`` open slots, a picked pool member ``v`` adds at
+    most ``2 * pe[v] + min(pool_deg[v], r - 1)`` to twice the group's edge
+    count: each of its ``pe[v]`` edges into ``group`` counts twice, and it
+    knows at most ``r - 1`` of the other picks. The rule fires when the pool
+    has fewer than ``r`` members, or when twice the edges inside ``group``
+    plus the ``r`` largest gains fall below ``p * (p - k - 1)``, the least a
+    group of ``p`` needs. This per-vertex degree bound, in the spirit of the
+    degree-based k-plex bounds of Balasundaram, Butenko and Hicks, is never
+    looser than ``2E + r * max(pool_deg) + 2 * (group-to-pool edges)``. A
+    group that keeps the stranger budget per vertex keeps it on average, so
+    the rule is sound in both familiarity modes.
 
     ``counts`` is ``familiarity_counts(group, pool, graph)`` when the caller
     already holds it; ``group`` must then have no repeated member, and
-    ``pool`` is read only for emptiness.
+    ``pool`` is not read.
     """
     if counts is None:
-        group, pool = set(group), set(pool)
-    n = len(group)
-    if n < p and not pool:
+        group = set(group)
+        counts = familiarity_counts(group, pool, graph)
+    twice_edges, pool_deg, pe = counts
+    slots = p - len(group)
+    if slots <= 0:
+        return twice_edges < p * (p - k - 1)
+    if len(pool_deg) < slots:
         return True
-    sum_internal, max_pool, crossing = counts or familiarity_counts(group, pool, graph)
-    return sum_internal + (p - n) * max_pool + 2 * crossing < p * (p - k - 1)
+    if slots == 1:
+        # Each gain is twice the member's prefix edges.
+        return twice_edges + 2 * max(pe.values()) < p * (p - k - 1)
+    # A min-heap of the ``slots`` largest gains; every gain is at least 0.
+    top = [0] * slots
+    cap = slots - 1
+    for v, d in pool_deg.items():
+        gain = 2 * pe[v] + (d if d < cap else cap)
+        if gain > top[0]:
+            heapq.heapreplace(top, gain)
+    return twice_edges + sum(top) < p * (p - k - 1)
 
 
 def distance_prune(
     sum_group: float,
     group_size: int,
     p: int,
-    d_min: float,
+    nearest: Union[float, List[Tuple[float, MemberId]]],
     best: float,
 ) -> bool:
     """True when the cheapest completion already matches or exceeds the incumbent.
 
-    ``d_min`` is the smallest member-to-venue distance available in the pool.
+    ``nearest`` is what the pool offers the ``r = p - group_size`` open
+    slots. A list holds the pool's (distance, member) pairs in nondecreasing
+    distance order: a completion then costs at least the first ``r``
+    distances, added to ``sum_group`` left to right, the sorted-access bound
+    of Fagin, Lotem and Naor's threshold algorithm (a list shorter than ``r``
+    admits no completion). A number is the smallest member-to-venue distance
+    in the pool, and each open slot costs at least that much: looser, for a
+    caller that holds only the minimum.
     """
     if group_size >= p:
         return sum_group >= best
-    return sum_group + completion_term(p - group_size, d_min) >= best
+    slots = p - group_size
+    if isinstance(nearest, list):
+        if len(nearest) < slots:
+            return True
+        total = sum_group
+        for d, _ in nearest[:slots]:
+            total += d
+        return total >= best
+    # At least one slot is open, so an infinite distance gives no NaN.
+    return sum_group + slots * nearest >= best
 
 
 def member_familiarity_prune(group: Sequence[MemberId], k: int, graph: SocialGraph) -> bool:

@@ -22,25 +22,33 @@ leaves the list) and returns to the front when ``theta`` escalates.
 
 A frame also carries its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates)
-and the crossing count (prefix-to-remaining edges). When a candidate is
-expanded it leaves the table, its acquaintances' entries drop by one and the
-crossing count drops by the candidate's edges into the prefix; the average
-familiarity rule then reads the counts instead of intersecting the pool
-(``avg_familiarity_prune``). Only frames whose children are not leaves
-(prefix shorter than ``p - 1``) keep the counts, and only while that rule is
-on; each such child frame gets its own copy of the table. The distance check
-at the head of the frame's loop is repeated only after the smallest
-remaining distance or the incumbent has changed.
+and the prefix-edge table ``pe`` (each remaining candidate's acquaintances
+in the prefix). When a candidate is expanded it leaves both tables, and each
+of its acquaintances in the pool loses one pool degree and, in the child's
+copy of ``pe``, gains one prefix edge (``admit_from_pool``). Only frames
+whose children are not leaves (prefix shorter than ``p - 1``) keep the
+tables, and only while the average familiarity rule is on; each such child
+frame gets its own copies.
+
+Both completion bounds are exact. With ``r`` slots open, the average
+familiarity rule gives each remaining candidate a gain of twice its prefix
+edges plus its pool degree capped at ``r - 1``, and prunes a child when its
+edge count plus the ``r`` largest gains falls short
+(``avg_familiarity_prune``). ``remaining`` is sorted by distance, so the
+distance rule adds its first ``r`` distances to the prefix's total
+(``distance_prune``): the sorted-access bound of Fagin, Lotem and Naor's
+threshold algorithm. The distance check at the head of the frame's loop is
+repeated only after ``remaining`` has shrunk or the incumbent has changed.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
 above. Every group it grows is a leaf, and at ``theta = p - 1`` the admission
 test admits every candidate (``admission_edges(p, p - 1, p) <= 0``), so the
 theta loop there could only change the order in which its leaves are seen.
 Instead it reads its pool once, in (distance, id) order: the sorted-access
-stop rule of Fagin, Lotem and Naor's threshold algorithm. It stops with one
-distance prune at the first candidate that cannot beat the incumbent, which,
-with the distance rule on, is the candidate after the first improvement. On
-an exact distance tie the lower id wins; the total cannot change. The scan
+stop rule of the same algorithm. It stops with one distance prune at the
+first candidate that cannot beat the incumbent, which, with the distance
+rule on, is the candidate after the first improvement. On an exact distance
+tie the lower id wins; the total cannot change. The scan
 (``_GroupSearch._scan_leaves``) is shared with the joint multi-venue search,
 whose leaf frames run it once per venue.
 
@@ -78,9 +86,9 @@ from .model import (
 )
 from .pruning import (
     PruneConfig,
+    admit_from_pool,
     avg_familiarity_prune,
     distance_prune,
-    drop_from_pool,
     pool_degrees,
 )
 
@@ -217,12 +225,13 @@ class _SingleVenueSearch(_GroupSearch):
     """
 
     def run(self, order: List[Tuple[float, MemberId]]) -> None:
-        pool_deg = None
+        pool_deg = pe = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees([m for _, m in order], self.graph)
+            pe = dict.fromkeys(pool_deg, 0)
         # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
         try:
-            self._frame([], set(), 0, 0.0, order, self.query.k, pool_deg, 0)
+            self._frame([], set(), 0, 0.0, order, self.query.k, pool_deg, pe)
         except _StopSearch:
             pass
 
@@ -240,7 +249,7 @@ class _SingleVenueSearch(_GroupSearch):
         pool: List[Tuple[float, MemberId]],
         theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
-        cross: int,
+        pe: Optional[Dict[MemberId, int]],
     ) -> None:
         p = self.query.p
         size = len(prefix)
@@ -254,10 +263,11 @@ class _SingleVenueSearch(_GroupSearch):
         # empty here: size < p.
         cursor = 0
         need = admission_edges(size + 1, theta, p)
-        # ``pool_deg`` is the pool degree table of ``remaining`` and ``cross``
-        # the number of prefix-to-remaining edges, when this frame keeps them.
+        # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe`` its
+        # prefix-edge table, when this frame keeps them.
         copy_counts = self._keeps_pool_counts(size + 1)
-        # A passed distance check is repeated only after its inputs change.
+        # A passed distance check is repeated only after its inputs change:
+        # ``remaining`` only shrinks, so its length marks its state.
         viable_at = None
 
         while size + len(remaining) >= p:
@@ -265,11 +275,11 @@ class _SingleVenueSearch(_GroupSearch):
             # generated or harvested.
             if self.stop_at is not None and self.stats.generated_states >= self.stop_at:
                 raise _StopSearch
-            if self.config.distance and viable_at != (remaining[0][0], self.best_total):
-                if distance_prune(cur_dist, size, p, remaining[0][0], self.best_total):
+            if self.config.distance and viable_at != (len(remaining), self.best_total):
+                if distance_prune(cur_dist, size, p, remaining, self.best_total):
                     self.stats.bump(PRUNE_DISTANCE)
                     break
-                viable_at = (remaining[0][0], self.best_total)
+                viable_at = (len(remaining), self.best_total)
 
             if cursor == len(remaining):
                 if theta < p - 1:
@@ -289,24 +299,23 @@ class _SingleVenueSearch(_GroupSearch):
             child_dist = cur_dist + d_u
             self.stats.generated_states += 1
 
-            # The table is kept exactly where the average rule runs.
+            # The tables are kept exactly where the average rule runs.
             if pool_deg is not None:
-                deg_u = drop_from_pool(pool_deg, u, graph)
-                cross -= child_edges - prefix_edges
-                counts = (2 * child_edges, max(pool_deg.values(), default=0), cross + deg_u)
+                child_pe = admit_from_pool(pool_deg, pe, u, graph)
+                counts = (2 * child_edges, pool_deg, child_pe)
                 if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
                     self.stats.bump(PRUNE_AVG_FAMILIARITY)
                     continue
             if self.harvest is not None:
                 self.harvest(child, child_dist)
             if self.config.distance and distance_prune(
-                child_dist, size + 1, p, remaining[0][0], self.best_total
+                child_dist, size + 1, p, remaining, self.best_total
             ):
                 self.stats.bump(PRUNE_DISTANCE)
                 continue
 
             self.stats.explored_states += 1
-            child_counts = (dict(pool_deg), cross + deg_u) if copy_counts else (None, 0)
+            child_counts = (dict(pool_deg), child_pe) if copy_counts else (None, None)
             self._frame(
                 child, prefix_set | {u}, child_edges, child_dist, remaining, theta, *child_counts
             )

@@ -2,10 +2,11 @@
 
 The familiarity predicates are patched in the engines' namespaces. Each
 patched call recounts from sets (the frame's ``remaining`` candidates are
-read off the calling frame), asserts that the carried counts match, and
-returns the set-based verdict, so the search itself never depends on the
-carried counts. Every exact solver, in both familiarity modes, must still
-equal brute force.
+read off the calling frame), asserts that the carried counts match (for the
+average rule: the prefix's edge count, the pool degree table and the
+prefix-edge table), and returns the set-based verdict, so the search itself
+never depends on the carried counts. Every exact solver, in both
+familiarity modes, must still equal brute force.
 """
 
 import random
@@ -48,7 +49,11 @@ def checked_counts(monkeypatch):
         def check(group, pool, p, k, graph, counts=None):
             remaining = _frame_remaining(ids_of)
             assert counts is not None
-            assert pool == pool_degrees(remaining, graph)
+            twice_edges, pool_deg, pe = counts
+            assert pool is pool_deg
+            assert pool_deg == pool_degrees(remaining, graph)
+            # Each remaining candidate's acquaintances in the group.
+            assert pe == {v: len(graph.neighbors(v) & set(group)) for v in remaining}
             assert counts == familiarity_counts(group, remaining, graph)
             verdict = original_avg(group, remaining, p, k, graph)
             assert original_avg(group, pool, p, k, graph, counts) == verdict

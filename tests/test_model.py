@@ -7,6 +7,7 @@ from rallypoint import (
     FamiliarityMode,
     Location,
     Query,
+    SearchStats,
     SocialGraph,
     SpatialDataset,
     avg_acquainted,
@@ -15,6 +16,7 @@ from rallypoint import (
     is_feasible,
     unfamiliar_count,
 )
+from rallypoint import model
 from rallypoint.model import average_familiarity_edges, internal_edge_count
 
 
@@ -198,3 +200,23 @@ def test_average_familiarity_edges_is_the_average_mode_inequality():
             for edges in range(n * (n - 1) // 2 + 1):
                 expected = n * (n - 1) - 2 * edges <= k * n
                 assert (edges >= average_familiarity_edges(n, k)) == expected
+
+
+def test_search_stats_counts_every_prune_rule():
+    rules = [getattr(model, name) for name in dir(model) if name.startswith("PRUNE_")]
+    stats = SearchStats()
+    assert stats.pruned == {}
+    for count, rule in enumerate(rules, 1):
+        stats.bump(rule, count)
+    stats.bump(model.PRUNE_DISTANCE)
+    expected = {rule: count for count, rule in enumerate(rules, 1)}
+    expected[model.PRUNE_DISTANCE] += 1
+    assert stats.pruned == expected
+    assert stats.as_dict()["pruned"] == dict(sorted(expected.items()))
+    # The counts live in slots: the record has no instance dict, and
+    # ``pruned`` is a view of them.
+    assert not hasattr(stats, "__dict__")
+    with pytest.raises(AttributeError):
+        stats.pruned = {}
+    with pytest.raises(KeyError):
+        stats.bump("no_such_rule")

@@ -1,10 +1,12 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from rallypoint import (
     Ball,
+    FamiliarityMode,
     Location,
     SocialGraph,
     SpatialDataset,
@@ -13,13 +15,14 @@ from rallypoint import (
     completion_bound_oracle,
     distance,
     distance_prune,
+    familiarity_ok,
     inner_triangle_bound,
     member_familiarity_prune,
     mindist_point_ball,
     outer_triangle_ball_bound,
     pool_familiarity_prune,
 )
-from rallypoint.pruning import PruneConfig
+from rallypoint.pruning import PruneConfig, familiarity_counts
 
 
 def test_prune_config_toggles():
@@ -213,3 +216,105 @@ def test_bounds_never_exceed_exact_completion_cost():
                 )
                 <= point_oracle + 1e-9
             )
+
+
+def _loose_avg_familiarity_prune(group, pool, p, k, graph):
+    """The average rule with the looser bound: every open slot gets the
+    largest pool degree, and every group-to-pool edge counts."""
+    inside, pool_set = set(group), set(pool)
+    slots = p - len(inside)
+    if slots > 0 and not pool_set:
+        return True
+    twice_edges = sum(len(graph.neighbors(v) & inside) for v in inside)
+    max_pool = max((len(graph.neighbors(v) & pool_set) for v in pool_set), default=0)
+    crossing = sum(len(graph.neighbors(v) & pool_set) for v in inside)
+    return twice_edges + slots * max_pool + 2 * crossing < p * (p - k - 1)
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_completion_bounds_are_sound_and_never_looser(mode):
+    """On small random instances, against every completion of a random
+    prefix: the familiarity rule fires only when no completion keeps the
+    stranger budget, the sorted-access distance bound is at most the
+    cheapest completion that does, and both fire wherever the looser bounds
+    (largest pool degree per slot, nearest distance per slot) do."""
+    rng = random.Random(f"completion-bounds-{mode.value}")
+    fired = {"familiarity": 0, "familiarity only": 0, "distance": 0, "distance only": 0}
+    for _ in range(400):
+        n = rng.randint(6, 10)
+        edge_prob = rng.choice([0.2, 0.5, 0.8])
+        graph = SocialGraph(
+            range(n), [(u, v) for u, v in combinations(range(n), 2) if rng.random() < edge_prob]
+        )
+        # Whole distances make ties, and exact sums, common.
+        if rng.random() < 0.5:
+            dist = {v: float(rng.randint(0, 6)) for v in range(n)}
+        else:
+            dist = {v: rng.uniform(0.0, 50.0) for v in range(n)}
+        p = rng.randint(2, min(6, n))
+        group = rng.sample(range(n), rng.randint(0, p - 1))
+        pool = [v for v in range(n) if v not in group]
+        slots = p - len(group)
+        completions = [group + list(extra) for extra in combinations(pool, slots)]
+
+        for k in range(p):
+            prune = avg_familiarity_prune(group, pool, p, k, graph)
+            counts = familiarity_counts(group, pool, graph)
+            assert avg_familiarity_prune(group, pool, p, k, graph, counts) == prune
+            feasible = [c for c in completions if familiarity_ok(c, k, mode, graph)]
+            if prune:
+                assert not feasible, (group, pool, p, k)
+                fired["familiarity"] += 1
+            if _loose_avg_familiarity_prune(group, pool, p, k, graph):
+                assert prune, (group, pool, p, k)
+            elif prune:
+                fired["familiarity only"] += 1
+
+            # The engine's inputs: the prefix total added in prefix order,
+            # the pool in (distance, id) order.
+            prefix_total = 0.0
+            for v in group:
+                prefix_total += dist[v]
+            nearest = sorted((dist[v], v) for v in pool)
+            costs = [sum(dist[v] for v in c) for c in feasible]
+            if costs:
+                # Not fired by an incumbent just above the cheapest feasible
+                # completion: the bound is at most that completion's cost.
+                best = min(costs) + 1e-9
+                assert not distance_prune(prefix_total, len(group), p, nearest, best)
+            loose = prefix_total + slots * nearest[0][0]
+            # Fired wherever the nearest-distance bound fires, up to the
+            # rounding of adding in another order.
+            assert distance_prune(prefix_total, len(group), p, nearest, loose - 1e-9)
+            assert distance_prune(prefix_total, len(group), p, nearest[0][0], loose)
+            tight = prefix_total + sum(d for d, _ in nearest[:slots])
+            if distance_prune(prefix_total, len(group), p, nearest, tight - 1e-9):
+                fired["distance"] += 1
+                if tight - 1e-9 > loose:
+                    fired["distance only"] += 1
+    # Every outcome was reached, including pruning the looser bounds miss.
+    assert all(count > 0 for count in fired.values()), fired
+
+
+def test_distance_prune_sorted_access_reads_the_first_open_slots():
+    nearest = [(1.0, "a"), (2.0, "b"), (4.0, "c"), (8.0, "d")]
+    # Two open slots: 10 + 1 + 2 = 13.
+    assert distance_prune(10.0, 2, 4, nearest, 13.0)
+    assert not distance_prune(10.0, 2, 4, nearest, 13.5)
+    # The nearest-distance form charges 2 * 1 and misses it.
+    assert not distance_prune(10.0, 2, 4, 1.0, 13.0)
+    # Fewer pairs than open slots: no completion.
+    assert distance_prune(10.0, 2, 4, nearest[:1], math.inf)
+
+
+def test_avg_familiarity_top_gains_fixture(g1):
+    # Group {a}, pool {b, c, d}, p = 3, k = 0: a group of 3 needs 6 = 2 * 3
+    # edges. Gains, twice the edges into {a} plus the pool degree capped at
+    # 1: b 0 + 0, c 2 + 1, d 2 + 1; the top two reach exactly 6.
+    assert not avg_familiarity_prune(["a"], ["b", "c", "d"], 3, 0, g1)
+    # With pool {b, c, e} the top two gains are c 2 + 1 and e 0 + 1: 4 < 6.
+    # The looser bound, 0 + 2 * 2 + 2 * 1 = 6, does not fire.
+    assert avg_familiarity_prune(["a"], ["b", "c", "e"], 3, 0, g1)
+    assert not _loose_avg_familiarity_prune(["a"], ["b", "c", "e"], 3, 0, g1)
+    # Fewer pool members than open slots.
+    assert avg_familiarity_prune(["a"], ["c"], 3, 2, g1)
