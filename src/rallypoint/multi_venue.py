@@ -29,28 +29,41 @@ selections: each pops past pairs whose member has been tried at the current
 ``theta``, admitted members included. Only a ``theta`` escalation, which
 offers the rejected members again, rebuilds it. The ball-level distance
 bounds run as one top-down pass over the venue ball tree, over the balls
-holding a venue of ``sums``; a ball whose bound reaches the incumbent takes
-its venues out of ``sums`` and is not descended. The pass and the
-venue-distance check share one trigger at a frame's loop head: the incumbent
-has changed since they last ran. The check also runs on entry, the pass only
-after an improvement, so no ball bound is checked against an infinite
+holding a venue of ``sums`` (the ball's live venues). Each open slot costs at
+least the smallest first distance of ``nearest`` (below) over the ball's
+live venues, so the pass reads no pool member's location. A ball whose bound
+reaches the incumbent takes its live venues out of ``sums`` and is not
+descended. The pass runs at a frame's loop head after the incumbent
+improves, never on entry, so no ball bound is checked against an infinite
 incumbent.
 
 A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count, so the admission test is an
-integer comparison (``admission_edges``), and reads the smallest remaining
-candidate distance to each venue off the candidate orders. With a static
-order, a cursor into the frame's remaining candidates marks how far the
-current ``theta`` has tried them: it advances on a rejection, stays put on
-an admission and returns to the front when ``theta`` escalates. A static
-frame's venues only shrink below it and its incumbent only falls, so on
-entry it drops every candidate with none of them in its radius and, while
-the venue-distance rule is on, every candidate whose child bound reaches the
-incumbent at all of them. The bound grows with the candidate's distance, so
-each venue's distance-sorted candidates are read only up to the first that
-fails it: the sorted-access stop rule of Fagin, Lotem and Naor's threshold
-algorithm. Solution venues are visited in the query's venue order, never in
-set order, so the work done does not depend on the string hash seed.
+integer comparison (``admission_edges``), and reads its completion table,
+``nearest``, off the candidate orders: for each venue of ``sums``, the first
+``p - size`` (distance, member) pairs of the venue's candidate order that lie
+in the frame's pool. A completion at a venue takes only its in-range
+candidates, so the open slots cost at least the sum of as many first
+distances: the sorted-access bound of Fagin, Lotem and Naor's threshold
+algorithm, never below the number of open slots times the first distance.
+The venue-distance rule reads it at the loop head and on each child. The
+lists are read on entry, over the entry pool, and again over the remaining
+candidates at each loop head after the incumbent improves; the pool only
+shrinks, so a re-read can only tighten them. A venue left with no candidate
+then leaves ``sums`` (a radius prune), so every ball bound the pass computes
+is finite.
+
+With a static order, a cursor into the frame's remaining candidates marks
+how far the current ``theta`` has tried them: it advances on a rejection,
+stays put on an admission and returns to the front when ``theta`` escalates.
+A static frame's venues only shrink below it and its incumbent only falls,
+so on entry it drops every candidate with none of them in its radius and,
+while the venue-distance rule is on, every candidate whose child bound
+reaches the incumbent at all of them. The bound grows with the candidate's
+distance, so each venue's distance-sorted candidates are read only up to the
+first that fails it: the threshold algorithm's sorted-access stop rule.
+Solution venues are visited in the query's venue order, never in set order,
+so the work done does not depend on the string hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates)
@@ -79,9 +92,9 @@ total the first venue in query order wins, then the lower (distance, id).
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from .balltree import mindist_point_ball
@@ -127,7 +140,13 @@ from .single_venue import _GroupSearch, admission_edges, candidate_order, sso_ad
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """One distance-bound evaluation, kept for validity auditing."""
+    """One ball-level distance-bound evaluation, kept for validity auditing.
+
+    ``venue_ids`` lists only the ball's live venues, those still in the
+    frame's venue table at the check, and ``pool`` the frame's remaining
+    candidates. Each of those venues has a candidate in ``pool`` within
+    ``t``, so the bound is at most the cheapest completion of ``group`` from
+    ``pool`` at any of them, with or without the radius."""
 
     rule: str
     bound: float
@@ -318,13 +337,20 @@ class _MultiVenueSearch(_GroupSearch):
         return None
 
     def _ball_pass(
-        self, prefix: List[MemberId], remaining: List[MemberId], sums: Dict[VenueId, float]
+        self,
+        prefix: List[MemberId],
+        remaining: List[MemberId],
+        sums: Dict[VenueId, float],
+        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
     ) -> None:
         """Check the ball-level distance bounds against the incumbent, top
-        down over the balls that hold a venue of ``sums``. A ball whose bound
-        reaches the incumbent takes its venues out of ``sums`` and is not
-        descended. Completions draw on ``remaining``, so each bound's
-        completion term is the smallest member-to-ball bound over it."""
+        down over the balls that hold a venue of ``sums`` (the ball's live
+        venues). A ball whose bound reaches the incumbent takes its live
+        venues out of ``sums`` and is not descended. A completion at a venue
+        draws only on its in-range candidates in ``remaining``, so each open
+        slot costs at least the smallest first distance of ``nearest`` over
+        the ball's live venues; the caller has re-read ``nearest`` over
+        ``remaining`` and dropped every venue it left empty."""
         cfg = self.config
         p = self.query.p
         n = len(prefix)
@@ -342,10 +368,11 @@ class _MultiVenueSearch(_GroupSearch):
         stack = [root]
         while stack:
             node = stack.pop()
-            if sums.keys().isdisjoint(node.venue_ids):
+            live = [q for q in node.venue_ids if q in sums]
+            if not live:
                 continue
             ball = node.ball
-            frontier = min(mindist_point_ball(loc[m], ball) for m in remaining)
+            frontier = min(nearest[q][0][0] for q in live)
             bounds = []
             if cfg.outer_triangle and node is not root:
                 d_centers = distance(ref, ball.center)
@@ -358,10 +385,10 @@ class _MultiVenueSearch(_GroupSearch):
                 f = sum(mindist_point_ball(loc[s], ball) for s in prefix)
                 bounds.append((PRUNE_BALL_DISTANCE, ball_distance_bound(f, n, p, frontier)))
             for rule, bound in bounds:
-                self._record_bound(rule, bound, prefix, remaining, node.venue_ids)
+                self._record_bound(rule, bound, prefix, remaining, live)
             fired = next((rule for rule, bound in bounds if bound >= self.best_total), None)
             if fired is not None:
-                self._kill_venues(node.venue_ids, sums, fired)
+                self._kill_venues(live, sums, fired)
             elif not node.is_leaf:
                 stack.extend(node.children)
 
@@ -378,12 +405,11 @@ class _MultiVenueSearch(_GroupSearch):
                 )
             )
 
-    def _kill_venues(self, venue_ids, sums: Dict[VenueId, float], rule: str) -> None:
-        doomed = [q for q in venue_ids if q in sums]
-        if doomed:
-            for q in doomed:
-                del sums[q]
-            self.stats.bump(rule, len(doomed))
+    def _kill_venues(self, venues: List[VenueId], sums: Dict[VenueId, float], rule: str) -> None:
+        """Take ``venues``, all of them in ``sums``, out of it."""
+        for q in venues:
+            del sums[q]
+        self.stats.bump(rule, len(venues))
 
     # -- search frames -------------------------------------------------------
 
@@ -425,16 +451,14 @@ class _MultiVenueSearch(_GroupSearch):
         # mode and its sum ``degree_sum`` in per-vertex mode; each is None
         # otherwise.
 
-        # Smallest candidate-to-venue distance per venue of ``sums``, used by
-        # the completion bounds: a completion at q takes only candidates of
-        # q. Computed once per frame, over the entry pool; the pool only
-        # shrinks afterwards, so the cached value stays a valid lower bound.
-        pool_dmin = {
-            q: next((d for d, v in self.by_distance[q] if v in pool_set), math.inf)
-            for q in sums
-        }
+        # The completion bounds' table: a completion at q takes only
+        # candidates of q, so the first ``p - size`` of them in the pool
+        # bound the cost of the open slots. Read on entry, over the entry
+        # pool; the pool only shrinks afterwards, so the lists stay valid
+        # lower bounds until the loop head re-reads them.
+        nearest = self._nearest(pool_set, size, sums)
         if static:
-            remaining = self._static_candidates(pool, pool_set, size, sums, pool_dmin)
+            remaining = self._static_candidates(pool, pool_set, size, sums, nearest)
             # Recounting the survivors costs less than taking each dropped
             # candidate out of the counts: most of a child's pool can drop.
             if pool_deg is not None and len(remaining) < len(pool):
@@ -456,17 +480,25 @@ class _MultiVenueSearch(_GroupSearch):
             heap: Optional[List[tuple]] = None
 
         # The incumbent the venue checks last ran against. Within a frame
-        # venues leave ``sums`` only in the ball pass, so both checks can turn
-        # false only after the incumbent improves. The pass skips entry.
+        # venues leave ``sums`` only here, so the checks can turn false only
+        # after the incumbent improves. After an improvement (never on
+        # entry) the frame re-reads ``nearest`` over ``remaining``, drops
+        # the venues left with no candidate and runs the ball pass, so no
+        # ball bound is infinite or checked against an infinite incumbent.
         checked_at = None
         while size + len(remaining) >= p:
             if checked_at != self.best_total:
-                if self.ball_rules and checked_at is not None:
-                    self._ball_pass(prefix, remaining, sums)
+                if checked_at is not None:
+                    nearest = self._nearest(set(remaining), size, sums)
+                    dead = [q for q, row in nearest.items() if not row]
+                    if dead:
+                        self._kill_venues(dead, sums, PRUNE_VENUE_RADIUS)
+                    if self.ball_rules and sums:
+                        self._ball_pass(prefix, remaining, sums, nearest)
                     if not sums:
                         break
                 checked_at = self.best_total
-                if cfg.venue_distance and not self._any_venue_viable(size, sums, pool_dmin):
+                if cfg.venue_distance and not self._any_venue_viable(size, sums, nearest):
                     stats.bump(PRUNE_VENUE_DISTANCE)
                     break
 
@@ -508,7 +540,7 @@ class _MultiVenueSearch(_GroupSearch):
             elif pool_deg is not None:
                 degree_sum -= 2 * drop_from_pool(pool_deg, u, graph)
 
-            child_sums = self._child_sums(u, size + 1, sums, pool_dmin)
+            child_sums = self._child_sums(u, size + 1, sums, nearest)
             if not child_sums:
                 continue
             child = prefix + [u]
@@ -542,13 +574,25 @@ class _MultiVenueSearch(_GroupSearch):
                 *child_counts,
             )
 
+    def _nearest(
+        self, members: Set[MemberId], size: int, sums: Dict[VenueId, float]
+    ) -> Dict[VenueId, List[Tuple[float, MemberId]]]:
+        """For each venue of ``sums``, the first ``p - size`` (distance,
+        member) pairs of its candidate order that lie in ``members``: what a
+        frame whose prefix has ``size`` members passes ``distance_prune``."""
+        slots = self.query.p - size
+        return {
+            q: list(islice(((d, v) for d, v in self.by_distance[q] if v in members), slots))
+            for q in sums
+        }
+
     def _static_candidates(
         self,
         pool: List[MemberId],
         pool_set: Set[MemberId],
         size: int,
         sums: Dict[VenueId, float],
-        pool_dmin: Dict[VenueId, float],
+        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
     ) -> List[MemberId]:
         """A static frame's candidates: the members of ``pool``, in pool
         order, that some venue of ``sums`` can still take. A static frame's
@@ -566,20 +610,23 @@ class _MultiVenueSearch(_GroupSearch):
         bound = self.config.venue_distance
         keep: Set[MemberId] = set()
         for q, total in sums.items():
-            d_min = pool_dmin[q]
+            row = nearest[q]
             for d, v in self.by_distance[q]:
                 if v in pool_set:
-                    if bound and distance_prune(total + d, size + 1, p, d_min, best):
+                    if bound and distance_prune(total + d, size + 1, p, row, best):
                         break
                     keep.add(v)
         return [v for v in pool if v in keep]
 
     def _any_venue_viable(
-        self, size: int, sums: Dict[VenueId, float], pool_dmin: Dict[VenueId, float]
+        self,
+        size: int,
+        sums: Dict[VenueId, float],
+        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
     ) -> bool:
         p = self.query.p
         for q, total in sums.items():
-            if not distance_prune(total, size, p, pool_dmin[q], self.best_total):
+            if not distance_prune(total, size, p, nearest[q], self.best_total):
                 return True
         return False
 
@@ -588,28 +635,29 @@ class _MultiVenueSearch(_GroupSearch):
         u: MemberId,
         child_size: int,
         sums: Dict[VenueId, float],
-        pool_dmin: Dict[VenueId, float],
+        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
     ) -> Dict[VenueId, float]:
         """The child's venue table: the venues of ``sums`` within the radius
         of ``u`` that survive the venue-distance check, with ``u``'s distance
-        added."""
+        added. ``near[u]`` is in the query's venue order, so the table is
+        too."""
         p = self.query.p
-        row = self.near[u]
-        out_of_radius = 0
+        best = self.best_total
+        bound = self.config.venue_distance
+        hits = pruned = 0
         child_sums: Dict[VenueId, float] = {}
-        for q, total in sums.items():
-            if q not in row:
-                out_of_radius += 1
-                continue
-            total += row[q]
-            if self.config.venue_distance and distance_prune(
-                total, child_size, p, pool_dmin[q], self.best_total
-            ):
-                self.stats.bump(PRUNE_VENUE_DISTANCE)
-                continue
-            child_sums[q] = total
-        if out_of_radius:
-            self.stats.bump(PRUNE_VENUE_RADIUS, out_of_radius)
+        for q, d in self.near[u].items():
+            if q in sums:
+                hits += 1
+                total = sums[q] + d
+                if bound and distance_prune(total, child_size, p, nearest[q], best):
+                    pruned += 1
+                else:
+                    child_sums[q] = total
+        if pruned:
+            self.stats.bump(PRUNE_VENUE_DISTANCE, pruned)
+        if hits < len(sums):
+            self.stats.bump(PRUNE_VENUE_RADIUS, len(sums) - hits)
         return child_sums
 
 

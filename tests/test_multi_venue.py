@@ -31,6 +31,8 @@ from rallypoint import (
 )
 
 from rallypoint import multi_venue, single_venue
+from rallypoint.balltree import mindist_point_ball
+from rallypoint.generator import radius_for_quantile, random_instance
 from rallypoint.pruning import distance_prune
 from rallypoint.model import PRUNE_VENUE_RADIUS
 
@@ -428,7 +430,7 @@ def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
     # must pop the scan argmin.
     rng = random.Random(f"apdo-ties-{mode.value}")
     selections = escalations = 0
-    for _ in range(400):
+    for _ in range(1000):
         graph, data, query = _grid_instance(rng)
         query = Query(query.p, query.k, query.t, query.venues, mode)
         stats, audit = SearchStats(), MagsAudit()
@@ -537,11 +539,11 @@ def test_search_setup_matches_the_distances():
     assert min(seen.values()) > 20, seen
 
 
-def _srdo_matches_oracle(label, make_instance, mode, first_seed):
-    """srdo equals brute force on 40 instances of ``make_instance``, with
-    ``frame_counts``' queries in ``mode``; ``label`` seeds the draws."""
+def _srdo_matches_oracle(label, make_instance, mode, first_seed, count=40):
+    """srdo equals brute force on ``count`` instances of ``make_instance``,
+    with ``frame_counts``' queries in ``mode``; ``label`` seeds the draws."""
     rng = random.Random(label)
-    for seed in range(40):
+    for seed in range(count):
         graph, data = make_instance(rng, first_seed + seed)
         for query in frame_counts._queries(rng, graph, data, mode):
             oracle = brute_force(query, graph, data)
@@ -641,8 +643,118 @@ def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", framing)
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_child_sums", checking)
     label = f"static-bound-{make_instance.__name__}-{mode.value}"
-    _srdo_matches_oracle(label, make_instance, mode, 5500)
+    # Tight bounds leave few candidates in a static frame, so this test
+    # draws more instances than the others to keep its floor.
+    _srdo_matches_oracle(label, make_instance, mode, 5500, count=120)
     assert sum(checked) > 100, sum(checked)
+
+
+def _in_range_completion(search, group, pool, q):
+    """The cheapest way to grow ``group`` to ``p`` members at venue ``q``
+    with members of ``pool`` within ``t`` of it, by enumeration: the
+    group's total distance to ``q`` plus its ``p - len(group)`` nearest
+    in-range pool members (inf when there are too few)."""
+    q_loc = search.venue_loc[q]
+    dist = lambda m: distance(search.member_loc[m], q_loc)  # noqa: E731
+    extras = sorted(dist(m) for m in pool if dist(m) <= search.query.t)
+    slots = search.query.p - len(group)
+    if len(extras) < slots:
+        return math.inf
+    return sum(dist(m) for m in group) + sum(extras[:slots])
+
+
+def _first_in_range(search, members, q, count):
+    """The first ``count`` (distance, member) pairs within ``t`` of ``q``
+    among ``members``, by enumeration, in (distance, id) order."""
+    q_loc = search.venue_loc[q]
+    pairs = sorted((distance(search.member_loc[m], q_loc), m) for m in members)
+    return [(d, m) for d, m in pairs if d <= search.query.t][:count]
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("ordering", ["srdo", "apdo"])
+def test_venue_completion_terms_are_sound_exact_after_a_refresh_and_never_looser(
+    monkeypatch, ordering, mode
+):
+    # A frame's ``nearest`` lists bound each venue's open slots. Checked
+    # against enumeration over the calling frame's ``remaining``, read off
+    # the frame at each call:
+    # - every venue bound ``_child_sums`` applies, and every ball bound of
+    #   the ball pass, is at most the cheapest in-range completion, and a
+    #   venue the check drops cannot beat the incumbent;
+    # - right after a refresh each list holds the first ``p - size``
+    #   in-range members of ``remaining``, and none is empty;
+    # - each term is at least the former one: ``r`` times the entry pool's
+    #   smallest in-range distance, or the smallest member-to-ball bound
+    #   over ``remaining``.
+    checked = {"venue": 0, "refresh": 0, "ball": 0}
+    cls = multi_venue._MultiVenueSearch
+    original_nearest = cls._nearest
+    original_child_sums = cls._child_sums
+    original_ball_pass = cls._ball_pass
+
+    def nearest_checking(self, members, size, sums):
+        lists = original_nearest(self, members, size, sums)
+        frame = sys._getframe(1).f_locals
+        if frame.get("checked_at") is not None:
+            assert members == set(frame["remaining"])
+            for q in sums:
+                assert lists[q] == _first_in_range(self, members, q, self.query.p - size), q
+                checked["refresh"] += 1
+        return lists
+
+    def child_sums_checking(self, u, child_size, sums, nearest):
+        child_sums = original_child_sums(self, u, child_size, sums, nearest)
+        frame = sys._getframe(1).f_locals
+        group = [*frame["prefix"], u]
+        slots = self.query.p - child_size
+        for q in self.near[u].keys() & sums.keys():
+            row = nearest[q][:slots]
+            bound = sums[q] + self.near[u][q] + sum(d for d, _ in row)
+            if len(row) < slots:
+                bound = math.inf
+            exact = _in_range_completion(self, group, frame["remaining"], q)
+            assert bound <= exact + 1e-9, (q, bound, exact)
+            if q not in child_sums:
+                assert exact >= self.best_total - 1e-9, (q, exact, self.best_total)
+            d_min = min((d for d, _ in _first_in_range(self, frame["pool"], q, 1)), default=0.0)
+            assert bound >= sums[q] + self.near[u][q] + slots * d_min - 1e-9, q
+            checked["venue"] += 1
+        return child_sums
+
+    def ball_pass_checking(self, prefix, remaining, sums, nearest):
+        size = len(prefix)
+        for q in sums:
+            assert nearest[q], q
+            assert nearest[q] == _first_in_range(self, remaining, q, self.query.p - size), q
+        for node in self.indexes.venues.nodes():
+            live = [q for q in node.venue_ids if q in sums]
+            if live:
+                former = min(mindist_point_ball(self.member_loc[m], node.ball) for m in remaining)
+                assert min(nearest[q][0][0] for q in live) >= former - 1e-9
+        live_venues = set(sums)
+        first = len(self.audit.bounds)
+        original_ball_pass(self, prefix, remaining, sums, nearest)
+        for rec in self.audit.bounds[first:]:
+            assert set(rec.venue_ids) <= live_venues
+            exact = min(_in_range_completion(self, prefix, remaining, q) for q in rec.venue_ids)
+            assert rec.bound <= exact + 1e-9, (rec, exact)
+            checked["ball"] += 1
+
+    monkeypatch.setattr(cls, "_nearest", nearest_checking)
+    monkeypatch.setattr(cls, "_child_sums", child_sums_checking)
+    monkeypatch.setattr(cls, "_ball_pass", ball_pass_checking)
+    for seed in range(150):
+        graph, data, query = make_query_instance(
+            9900 + seed, n_range=(6, 14), p_range=(2, 5), q_range=(2, 6)
+        )
+        query = Query(query.p, query.k, query.t, query.venues, mode)
+        oracle = brute_force(query, graph, data)
+        sol = mags_solve(query, graph, data, ordering=ordering, audit=MagsAudit())
+        assert _total(sol) == (round(oracle.total_distance, 9) if oracle.found else None), seed
+    assert checked["venue"] > 1000 and checked["refresh"] > 300, checked
+    if ordering == "apdo":
+        assert checked["ball"] > 1000, checked
 
 
 # --- solver agreement -------------------------------------------------------
@@ -770,6 +882,26 @@ def test_prune_counters_populated_somewhere():
     assert "member_familiarity" in fired
 
 
+def test_many_venue_apdo_stays_small_and_agrees():
+    # 400 members and 256 venues, all in the query, at a tight radius: the
+    # per-venue completion terms let apdo's ball pass and venue checks
+    # drop most venues early. Explored 206 states when the terms were
+    # ``r`` times the pool minimum and the ball term a scan of the pool;
+    # 69 with the first-``r`` sorted distances.
+    graph, data = random_instance(0, 400, 256, edge_prob=0.3)
+    t = radius_for_quantile(graph, data, 0.03)
+    venues = tuple(sorted(data.venue_locations))
+    query = Query(4, 2, t, venues, FamiliarityMode.AVERAGE)
+    indexes = build_indexes(data)
+    expected = _total(ssp_solve(query, graph, data, indexes))
+    assert expected is not None
+    assert _total(mags_solve(query, graph, data, indexes, ordering="srdo")) == expected
+    stats = SearchStats()
+    sol = mags_solve(query, graph, data, indexes, ordering="apdo", stats=stats)
+    assert _total(sol) == expected
+    assert stats.explored_states <= 80, stats.explored_states
+
+
 def test_core_preprocess_preserves_optimum():
     for seed in range(20):
         graph, data, query = make_query_instance(7700 + seed, q_range=(2, 4))
@@ -825,60 +957,60 @@ PINNED_SEARCHES = {
     ),
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (14, 23, 0),
-        {"venue_distance": 44, "venue_radius": 24},
+        (4, 4, 0),
+        {"venue_distance": 5, "venue_radius": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (3, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (7, 8, 0),
+        (4, 4, 0),
         {"venue_distance": 4, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (11, 25, 0),
-        {"venue_distance": 55, "venue_radius": 6},
+        (3, 3, 0),
+        {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (6, "srdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (8, 10, 0),
-        {"venue_distance": 4},
+        (4, 4, 0),
+        {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (7, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (28, 40, 0),
-        {"venue_distance": 61, "venue_radius": 6},
+        (5, 5, 0),
+        {"venue_distance": 7},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (9, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
-        (7, 13, 0),
-        {"venue_distance": 27, "venue_radius": 2},
+        (3, 3, 0),
+        {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (12, 14, 0),
-        {"venue_distance": 4, "venue_radius": 6},
+        (9, 12, 0),
+        {"venue_distance": 7, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (14, 26, 0),
-        {"venue_distance": 29},
+        (5, 5, 0),
+        {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -891,15 +1023,15 @@ PINNED_SEARCHES = {
     ),
     (14, "srdo"): (
         ((2, 3, 12), "q2", 43.801634625),
-        (6, 9, 0),
-        {"venue_distance": 4},
+        (3, 3, 0),
+        {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (21, 29, 3),
-        {"member_familiarity": 8, "venue_distance": 3, "venue_radius": 14},
+        (17, 25, 3),
+        {"member_familiarity": 8, "venue_distance": 4, "venue_radius": 10},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -907,8 +1039,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (17, 21, 0),
-        {"venue_distance": 8, "venue_radius": 20},
+        (15, 17, 0),
+        {"venue_distance": 8, "venue_radius": 13},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -935,62 +1067,62 @@ PINNED_SEARCHES = {
     ),
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (11, 16, 0),
-        {"ball_distance": 5, "outer_triangle": 2, "venue_distance": 21, "venue_radius": 15},
-        (15, "48ee903667cce849"),
-        (46, "8d6a775a1e4da4d9"),
+        (4, 4, 0),
+        {"ball_distance": 5, "outer_triangle": 2, "venue_distance": 4, "venue_radius": 3},
+        (3, "4cd22014eb1c5812"),
+        (44, "f1f26c9470a403c6"),
     ),
     (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (8, 8, 0),
-        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 5, "venue_radius": 1},
-        (7, "1f78bc896e57f4a6"),
-        (22, "49ff0715a6c67f0d"),
+        (4, 4, 0),
+        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 3, "venue_radius": 1},
+        (3, "136581a5ff677d77"),
+        (20, "f272f16e3cf25e83"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (11, 14, 0),
-        {"ball_distance": 2, "outer_triangle": 2, "venue_distance": 25},
-        (13, "69dd074740f37237"),
-        (14, "88d0480d40dab7c7"),
+        (3, 3, 0),
+        {"ball_distance": 2, "outer_triangle": 2, "venue_distance": 4},
+        (2, "d1e9b725e3835b12"),
+        (14, "755aca26d9b00e70"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (8, 10, 0),
-        {"venue_distance": 7},
-        (8, "6e206e6693260b58"),
-        (6, "0b1353d9e792d96c"),
+        (4, 4, 0),
+        {"venue_distance": 3},
+        (2, "13feead6177c6bf0"),
+        (6, "b7bec3c6efd2bcdb"),
     ),
     (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (31, 51, 0),
-        {"ball_distance": 5, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 82, "venue_radius": 2},
-        (50, "5da1504c40c1650c"),
-        (46, "19dc5072885d77ee"),
+        (5, 5, 0),
+        {"ball_distance": 5, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 5},
+        (4, "096358441cb53ba8"),
+        (46, "900ac7f2904a2b3e"),
     ),
     (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
-        (7, 13, 0),
-        {"outer_triangle": 3, "venue_distance": 17},
-        (12, "00fefc38d27d5de6"),
-        (18, "d06c3a92d750a8eb"),
+        (3, 3, 0),
+        {"outer_triangle": 3, "venue_distance": 5},
+        (2, "e8f07e799d7074ac"),
+        (18, "90ee226009acb05e"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (12, 15, 2),
-        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 7, "venue_radius": 2},
-        (12, "35eb853365e0a9af"),
-        (28, "ef9ae9b25b6e6e34"),
+        (7, 7, 0),
+        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 3, "venue_radius": 1},
+        (4, "50a8adef00b66e97"),
+        (24, "c8f12cfa75a0bb6c"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (14, 33, 0),
-        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 29},
-        (31, "84b31367bcd4e64a"),
-        (18, "36a2090e720543ef"),
+        (5, 5, 0),
+        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 5},
+        (3, "5ebab3400af26215"),
+        (18, "342553c31de654b8"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
@@ -1002,25 +1134,25 @@ PINNED_SEARCHES = {
     (14, "apdo"): (
         ((2, 3, 12), "q2", 43.801634625),
         (3, 3, 0),
-        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 1},
+        {"ball_distance": 2, "venue_distance": 1},
         (2, "110a6cc617b48a31"),
-        (10, "477e819e7db7a79e"),
+        (6, "ad67b1baa3715d9b"),
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
         (11, 13, 2),
-        {"ball_distance": 2, "member_familiarity": 2, "outer_triangle": 2, "venue_distance": 1, "venue_radius": 2},
+        {"ball_distance": 4, "member_familiarity": 2, "venue_distance": 1, "venue_radius": 2},
         (9, "71e5fe8cb90ece56"),
-        (10, "86289b9b5149ca84"),
+        (6, "e7b2d99ce5c467fb"),
     ),
     (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
         (7, 7, 1),
-        {"ball_distance": 1, "outer_triangle": 3, "venue_distance": 1, "venue_radius": 4},
+        {"ball_distance": 4, "venue_distance": 1, "venue_radius": 4},
         (5, "69c8a3f66cb2f733"),
-        (20, "ec4b5e53c29fb3dd"),
+        (8, "7d573594a2da86ed"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
@@ -1060,7 +1192,7 @@ PINNED_SEARCHES = {
     (15, "srdo without venue_distance"): (
         ((2, 6, 8), "q0", 91.108967891),
         (31, 39, 3),
-        {"member_familiarity": 8, "venue_radius": 14},
+        {"member_familiarity": 8, "venue_radius": 13},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),

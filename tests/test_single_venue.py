@@ -423,8 +423,8 @@ def _pinned_record(seed, solver):
 # `sfgp_solve`, which built the same tree (seeded on the query's live
 # venues) before it was folded into mags-srdo.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (333, 890, 173), {'member_familiarity': 553, 'pool_familiarity': 3, 'venue_distance': 532, 'venue_radius': 33}),
-    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (97, 419, 59), {'avg_familiarity': 321, 'venue_distance': 289, 'venue_radius': 25}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (329, 875, 172), {'member_familiarity': 541, 'pool_familiarity': 4, 'venue_distance': 492, 'venue_radius': 30}),
+    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (95, 409, 59), {'avg_familiarity': 313, 'venue_distance': 293, 'venue_radius': 23}),
     (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (21, 25, 1), {'avg_familiarity': 4, 'distance': 1}),
     (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (49, 174, 24), {'avg_familiarity': 121, 'distance': 20}),
     (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (49, 174, 24), {'avg_familiarity': 121, 'distance': 20}),
@@ -435,32 +435,32 @@ PINNED_STATIC_SEARCHES = {
     (1, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (1, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (1, 'ssp'): (None, (0, 0, 0), {}),
-    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (78, 121, 5), {'member_familiarity': 14, 'pool_familiarity': 1, 'venue_distance': 86, 'venue_radius': 67}),
-    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (33, 81, 2), {'avg_familiarity': 11, 'venue_distance': 92, 'venue_radius': 66}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (65, 117, 4), {'member_familiarity': 14, 'venue_distance': 97, 'venue_radius': 66}),
+    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (21, 41, 1), {'avg_familiarity': 4, 'venue_distance': 36, 'venue_radius': 24}),
     (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (24, 25, 0), {'avg_familiarity': 1, 'distance': 4, 'merge': 3}),
     (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (26, 40, 3), {'avg_familiarity': 11, 'distance': 12}),
     (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (26, 40, 3), {'avg_familiarity': 11, 'distance': 12}),
     (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (61, 115, 10), {'avg_familiarity': 41, 'distance': 30}),
-    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (464, 749, 95), {'member_familiarity': 254, 'pool_familiarity': 1, 'venue_distance': 295, 'venue_radius': 10}),
-    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (375, 686, 89), {'avg_familiarity': 281, 'venue_distance': 270, 'venue_radius': 10}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (439, 730, 95), {'member_familiarity': 247, 'venue_distance': 247, 'venue_radius': 7}),
+    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (351, 665, 88), {'avg_familiarity': 270, 'venue_distance': 222, 'venue_radius': 7}),
     (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 0), {'distance': 2, 'merge': 3}),
     (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (182, 560, 45), {'avg_familiarity': 182, 'distance': 272}),
     (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (182, 560, 45), {'avg_familiarity': 182, 'distance': 272}),
     (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (207, 780, 60), {'avg_familiarity': 253, 'distance': 416}),
-    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (15, 106, 4), {'venue_distance': 481, 'venue_radius': 23}),
-    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (15, 106, 4), {'venue_distance': 481, 'venue_radius': 23}),
+    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'venue_distance': 8}),
+    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'venue_distance': 8}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'distance': 4}),
     (4, 'ssgs-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'distance': 4}),
     (4, 'ssgs-per-vertex'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'distance': 4}),
     (4, 'ssp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'distance': 8}),
-    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (96, 123, 0), {'venue_distance': 114, 'venue_radius': 82}),
-    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (96, 123, 0), {'venue_distance': 114, 'venue_radius': 82}),
+    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (32, 37, 0), {'venue_distance': 31, 'venue_radius': 23}),
+    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (32, 37, 0), {'venue_distance': 31, 'venue_radius': 23}),
     (5, 'ssgmerge'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5, 0), {'distance': 5}),
     (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5, 0), {'distance': 5}),
     (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5, 0), {'distance': 5}),
     (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (20, 20, 0), {'distance': 16}),
-    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (44, 56, 1), {'member_familiarity': 3, 'pool_familiarity': 2, 'venue_distance': 14, 'venue_radius': 63}),
-    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (29, 45, 1), {'avg_familiarity': 7, 'venue_distance': 20, 'venue_radius': 62}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (8, 11, 1), {'member_familiarity': 3, 'venue_distance': 4, 'venue_radius': 5}),
+    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (7, 7, 0), {'venue_distance': 6, 'venue_radius': 2}),
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5, 0), {'distance': 5}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5, 0), {'distance': 5}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (6, 6, 0), {'distance': 5}),
@@ -471,20 +471,20 @@ PINNED_STATIC_SEARCHES = {
     (7, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (7, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (7, 'ssp'): (None, (0, 0, 0), {}),
-    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (37, 89, 0), {'venue_distance': 247, 'venue_radius': 82}),
-    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (37, 89, 0), {'venue_distance': 247, 'venue_radius': 82}),
+    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5, 0), {'venue_distance': 8, 'venue_radius': 1}),
+    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5, 0), {'venue_distance': 8, 'venue_radius': 1}),
     (8, 'ssgmerge'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5, 0), {'distance': 5}),
     (8, 'ssgs-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5, 0), {'distance': 5}),
     (8, 'ssgs-per-vertex'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5, 0), {'distance': 5}),
     (8, 'ssp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5, 0), {'distance': 9}),
-    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (8, 9, 0), {'venue_distance': 1, 'venue_radius': 6}),
-    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (8, 9, 0), {'venue_distance': 1, 'venue_radius': 6}),
+    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'venue_distance': 1, 'venue_radius': 1}),
+    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'venue_distance': 1, 'venue_radius': 1}),
     (9, 'ssgmerge'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 1}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (117, 222, 23), {'member_familiarity': 17, 'pool_familiarity': 1, 'venue_distance': 212, 'venue_radius': 17}),
-    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (53, 165, 7), {'avg_familiarity': 22, 'venue_distance': 216, 'venue_radius': 17}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (49, 106, 5), {'member_familiarity': 11, 'pool_familiarity': 2, 'venue_distance': 94, 'venue_radius': 8}),
+    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (18, 70, 1), {'avg_familiarity': 5, 'venue_distance': 101, 'venue_radius': 8}),
     (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7, 'merge': 1}),
     (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7}),
     (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7}),
@@ -507,37 +507,37 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (13, 'ssp'): (None, (0, 0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (248, 639, 88), {'member_familiarity': 368, 'pool_familiarity': 23, 'venue_distance': 16, 'venue_radius': 38}),
-    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (61, 144, 16), {'avg_familiarity': 81, 'venue_distance': 12, 'venue_radius': 27}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (190, 543, 68), {'member_familiarity': 340, 'pool_familiarity': 10, 'venue_distance': 20, 'venue_radius': 27}),
+    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (49, 114, 11), {'avg_familiarity': 57, 'venue_distance': 21, 'venue_radius': 27}),
     (14, 'ssgmerge'): (None, (7, 25, 6), {'avg_familiarity': 18, 'merge': 10}),
     (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (12, 36, 8), {'avg_familiarity': 24, 'distance': 4}),
     (14, 'ssgs-per-vertex'): (None, (13, 42, 9), {'avg_familiarity': 29}),
     (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (195, 329, 38), {'avg_familiarity': 117, 'distance': 79}),
-    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (28, 41, 0), {'venue_distance': 46, 'venue_radius': 42}),
-    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (28, 41, 0), {'venue_distance': 46, 'venue_radius': 42}),
+    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5, 0), {'venue_distance': 5, 'venue_radius': 2}),
+    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5, 0), {'venue_distance': 5, 'venue_radius': 2}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 12, 0), {'distance': 13}),
     (16, 'sfgp'): (None, (79, 157, 29), {'member_familiarity': 67, 'pool_familiarity': 11, 'venue_radius': 9}),
-    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (13, 33, 3), {'avg_familiarity': 17, 'venue_distance': 5, 'venue_radius': 9}),
+    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (12, 18, 0), {'avg_familiarity': 3, 'venue_distance': 9, 'venue_radius': 9}),
     (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-per-vertex'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssp'): (None, (22, 43, 1), {'avg_familiarity': 21}),
-    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (127, 143, 0), {'venue_distance': 153, 'venue_radius': 90}),
-    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (109, 129, 0), {'venue_distance': 152, 'venue_radius': 86}),
+    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (37, 58, 0), {'venue_distance': 92, 'venue_radius': 24}),
+    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (15, 19, 0), {'venue_distance': 28, 'venue_radius': 3}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6, 0), {'distance': 6}),
     (17, 'ssgs-avg'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6, 0), {'distance': 6}),
     (17, 'ssgs-per-vertex'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6, 0), {'distance': 6}),
     (17, 'ssp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (12, 12, 0), {'distance': 14}),
-    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (22, 36, 0), {'venue_distance': 17, 'venue_radius': 9}),
-    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (22, 36, 0), {'venue_distance': 17, 'venue_radius': 9}),
+    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'venue_distance': 4, 'venue_radius': 1}),
+    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'venue_distance': 4, 'venue_radius': 1}),
     (18, 'ssgmerge'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 5}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (210, 465, 66), {'member_familiarity': 251, 'pool_familiarity': 4, 'venue_distance': 23, 'venue_radius': 14}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (210, 464, 66), {'member_familiarity': 250, 'pool_familiarity': 4, 'venue_distance': 23, 'venue_radius': 14}),
     (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (61, 221, 24), {'avg_familiarity': 160, 'venue_distance': 8, 'venue_radius': 14}),
     (19, 'ssgmerge'): (None, (2, 25, 4), {'avg_familiarity': 23, 'merge': 1}),
     (19, 'ssgs-avg'): (None, (2, 25, 4), {'avg_familiarity': 23}),
@@ -551,8 +551,8 @@ PINNED_STATIC_SEARCHES = {
     (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (2, 2, 0), {'venue_distance': 2}),
     (21, 'ssgs-avg'): (((34,), 'q0', 11.684118247), (1, 1, 0), {'distance': 1}),
     (21, 'ssp'): (((3,), 'q1', 3.262545111), (2, 2, 0), {'distance': 2}),
-    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (13, 27, 0), {'venue_distance': 43, 'venue_radius': 17}),
-    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (13, 27, 0), {'venue_distance': 43, 'venue_radius': 17}),
+    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (12, 15, 0), {'venue_distance': 20, 'venue_radius': 5}),
+    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (12, 15, 0), {'venue_distance': 20, 'venue_radius': 5}),
     (22, 'ssgs-avg'): (((5, 8), 'q0', 25.407493745), (2, 2, 0), {'distance': 2}),
     (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (7, 7, 0), {'distance': 6}),
     (23, 'sfgp'): (((25,), 'q4', 5.405877277), (3, 3, 0), {'venue_distance': 5}),
@@ -575,52 +575,52 @@ PINNED_STATIC_SEARCHES = {
     (27, 'mags-srdo-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'venue_distance': 2}),
     (27, 'ssgs-avg'): (((9,), 'q0', 4.316065695), (1, 1, 0), {}),
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'distance': 2}),
-    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (11, 24, 1), {'venue_distance': 18, 'venue_radius': 29}),
-    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (9, 24, 1), {'avg_familiarity': 2, 'venue_distance': 18, 'venue_radius': 29}),
+    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (3, 3, 0), {'venue_distance': 3, 'venue_radius': 2}),
+    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (3, 3, 0), {'venue_distance': 3, 'venue_radius': 2}),
     (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (5, 11, 1), {'avg_familiarity': 6, 'distance': 3}),
     (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (13, 22, 2), {'avg_familiarity': 9, 'distance': 9}),
     (29, 'sfgp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'venue_distance': 5}),
     (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'venue_distance': 5}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1, 0), {'distance': 1}),
     (29, 'ssp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'distance': 5}),
-    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (18, 65, 0), {'venue_distance': 80, 'venue_radius': 29}),
-    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (16, 64, 0), {'avg_familiarity': 1, 'venue_distance': 80, 'venue_radius': 29}),
+    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (14, 65, 0), {'venue_distance': 82, 'venue_radius': 29}),
+    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (12, 64, 0), {'avg_familiarity': 1, 'venue_distance': 82, 'venue_radius': 29}),
     (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (9, 10, 0), {'avg_familiarity': 1, 'distance': 5}),
     (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (9, 10, 0), {'avg_familiarity': 1, 'distance': 6}),
-    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (4, 29, 0), {'venue_distance': 77, 'venue_radius': 31}),
-    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (4, 29, 0), {'venue_distance': 77, 'venue_radius': 31}),
+    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (3, 3, 0), {'venue_distance': 5}),
+    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 3, 0), {'venue_distance': 5}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2, 0), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 4, 0), {'distance': 6}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (44, 81, 10), {'member_familiarity': 35, 'pool_familiarity': 2, 'venue_distance': 8, 'venue_radius': 25}),
-    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (7, 31, 3), {'avg_familiarity': 24, 'venue_distance': 8, 'venue_radius': 25}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (44, 81, 10), {'member_familiarity': 35, 'pool_familiarity': 2, 'venue_distance': 8, 'venue_radius': 22}),
+    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (7, 31, 3), {'avg_familiarity': 24, 'venue_distance': 8, 'venue_radius': 22}),
     (32, 'ssgs-avg'): (None, (0, 6, 0), {'avg_familiarity': 6}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (13, 28, 2), {'avg_familiarity': 15, 'distance': 6}),
     (33, 'sfgp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'venue_distance': 4}),
     (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'venue_distance': 4}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1, 0), {'distance': 1}),
     (33, 'ssp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'distance': 4}),
-    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (19, 24, 1), {'member_familiarity': 1, 'venue_distance': 11, 'venue_radius': 29}),
-    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (12, 19, 1), {'avg_familiarity': 3, 'venue_distance': 8, 'venue_radius': 29}),
+    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (12, 14, 1), {'member_familiarity': 1, 'venue_distance': 6, 'venue_radius': 5}),
+    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (5, 9, 1), {'avg_familiarity': 3, 'venue_distance': 3, 'venue_radius': 5}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 3, 0), {'distance': 3}),
     (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (8, 13, 1), {'avg_familiarity': 5, 'distance': 7}),
     (35, 'sfgp'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'venue_distance': 2}),
     (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'venue_distance': 2}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1, 0), {'distance': 1}),
     (35, 'ssp'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'distance': 2}),
-    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (14, 55, 0), {'venue_distance': 88, 'venue_radius': 3}),
-    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (14, 55, 0), {'venue_distance': 88, 'venue_radius': 3}),
+    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (11, 13, 0), {'venue_distance': 11}),
+    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (11, 13, 0), {'venue_distance': 11}),
     (36, 'ssgs-avg'): (((1, 6, 20), 'q0', 37.99604031), (3, 3, 0), {'distance': 3}),
     (36, 'ssp'): (((0, 10, 17), 'q1', 24.817125455), (6, 6, 0), {'distance': 6}),
     (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 3}),
     (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'venue_distance': 3}),
     (37, 'ssgs-avg'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 1}),
     (37, 'ssp'): (((32,), 'q0', 2.306738546), (1, 1, 0), {'distance': 3}),
-    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (56, 82, 0), {'venue_distance': 122, 'venue_radius': 38}),
-    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (42, 75, 0), {'avg_familiarity': 7, 'venue_distance': 118, 'venue_radius': 38}),
+    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (45, 64, 0), {'venue_distance': 81, 'venue_radius': 18}),
+    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (32, 57, 0), {'avg_familiarity': 6, 'venue_distance': 77, 'venue_radius': 18}),
     (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (23, 24, 0), {'avg_familiarity': 1, 'distance': 7}),
     (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (30, 31, 0), {'avg_familiarity': 1, 'distance': 14}),
-    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (3, 22, 0), {'venue_distance': 44, 'venue_radius': 36}),
-    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (3, 22, 0), {'venue_distance': 44, 'venue_radius': 36}),
+    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (3, 3, 0), {'venue_distance': 5}),
+    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (3, 3, 0), {'venue_distance': 5}),
     (39, 'ssgs-avg'): (((7, 8), 'q0', 27.893268927), (2, 2, 0), {'distance': 2}),
     (39, 'ssp'): (((12, 22), 'q1', 13.465650468), (4, 4, 0), {'distance': 6}),
 }
