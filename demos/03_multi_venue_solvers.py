@@ -56,7 +56,7 @@ t = radius_for_quantile(graph, data, 0.6)
 query = Query(p=4, k=1, t=t, venues=tuple(sorted(data.venue_locations)))
 for label, cfg in [
     ("all rules   ", PruneConfig()),
-    ("no triangles", PruneConfig().without("outer-triangle").without("inner-triangle")),
+    ("no ball rule", PruneConfig().without("ball-distance")),
     ("no rules    ", PruneConfig.none()),
 ]:
     stats = SearchStats()

@@ -127,7 +127,10 @@ def _prune_config(spec_text: Optional[str]) -> PruneConfig:
         return PruneConfig()
     if spec_text == "none":
         return PruneConfig.none()
-    return PruneConfig.from_enabled(s for s in spec_text.split(",") if s)
+    names = [s for s in spec_text.split(",") if s]
+    if not names:
+        raise ValueError(f"--prune {spec_text!r} names no rule; use 'none' to turn every rule off")
+    return PruneConfig.from_enabled(names)
 
 
 def _mode(name: Optional[str]) -> Optional[FamiliarityMode]:
@@ -358,9 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--prune",
         default=None,
-        help="'all', 'none', or comma list of: avg-familiarity, distance, "
-        "member-familiarity, pool-familiarity, venue-distance, outer-triangle, "
-        "inner-triangle, ball-distance",
+        help="'all', 'none', or comma list of: "
+        + ", ".join(f.replace("_", "-") for f in PruneConfig.__dataclass_fields__),
     )
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--export-lp", metavar="PATH", default=None)

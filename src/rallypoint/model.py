@@ -21,8 +21,6 @@ PRUNE_MEMBER_FAMILIARITY = "member_familiarity"
 PRUNE_POOL_FAMILIARITY = "pool_familiarity"
 PRUNE_VENUE_DISTANCE = "venue_distance"
 PRUNE_VENUE_RADIUS = "venue_radius"
-PRUNE_OUTER_TRIANGLE = "outer_triangle"
-PRUNE_INNER_TRIANGLE = "inner_triangle"
 PRUNE_BALL_DISTANCE = "ball_distance"
 PRUNE_MERGE = "merge"
 
@@ -214,8 +212,6 @@ _PRUNE_SLOTS = {
         PRUNE_POOL_FAMILIARITY,
         PRUNE_VENUE_DISTANCE,
         PRUNE_VENUE_RADIUS,
-        PRUNE_OUTER_TRIANGLE,
-        PRUNE_INNER_TRIANGLE,
         PRUNE_BALL_DISTANCE,
         PRUNE_MERGE,
     )
@@ -242,8 +238,6 @@ class SearchStats:
     _pruned_pool_familiarity: int = field(default=0, init=False, repr=False)
     _pruned_venue_distance: int = field(default=0, init=False, repr=False)
     _pruned_venue_radius: int = field(default=0, init=False, repr=False)
-    _pruned_outer_triangle: int = field(default=0, init=False, repr=False)
-    _pruned_inner_triangle: int = field(default=0, init=False, repr=False)
     _pruned_ball_distance: int = field(default=0, init=False, repr=False)
     _pruned_merge: int = field(default=0, init=False, repr=False)
 

@@ -10,10 +10,11 @@ graph vertices within ``t``), the pool (the union of the alive venues'
 candidates) and ``near``: for each pool member, the alive venues within its
 radius and its distance to each. A search frame carries one venue table,
 ``sums``: the venues still usable for a solution, each with the prefix's
-total distance to it. The radius and the distance-bound rules remove venues
-from it. The adaptive selection ranges over the alive venues within the
-radius of every prefix member, worked out from the prefix, so toggling prune
-rules never changes the member extraction order.
+total distance to it. The radius, venue-distance and (apdo only)
+ball-distance rules remove venues from it. The adaptive selection ranges
+over the alive venues within the radius of every prefix member, worked out
+from the prefix, so toggling prune rules never changes the member extraction
+order.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
 between the pool and the query's live venues (``srdo_seed``), and the static
@@ -27,15 +28,17 @@ is in the frame's pool and whose venue is in its radius universe, keyed by
 Within a frame every key is fixed, so the heap serves all of the frame's
 selections: each pops past pairs whose member has been tried at the current
 ``theta``, admitted members included. Only a ``theta`` escalation, which
-offers the rejected members again, rebuilds it. The ball-level distance
-bounds run as one top-down pass over the venue ball tree, over the balls
-holding a venue of ``sums`` (the ball's live venues). Each open slot costs at
-least the smallest first distance of ``nearest`` (below) over the ball's
-live venues, so the pass reads no pool member's location. A ball whose bound
-reaches the incumbent takes its live venues out of ``sums`` and is not
-descended. The pass runs at a frame's loop head after the incumbent
-improves, never on entry, so no ball bound is checked against an infinite
-incumbent.
+offers the rejected members again, rebuilds it. The ball-distance bound
+runs as one top-down pass over the venue ball tree, over the balls holding a
+venue of ``sums`` (the ball's live venues). Each prefix member costs at least
+its ``mindist`` to the ball, and each open slot at least the smallest first
+distance of ``nearest`` (below) over the ball's live venues, so the pass
+reads no pool member's location. A ball whose bound reaches the incumbent
+takes its live venues out of ``sums`` and is not descended. The pass runs at
+a frame's loop head after the incumbent improves, never on entry, so no ball
+bound is checked against an infinite incumbent. The outer- and
+inner-triangle ball bounds of ``pruning`` are not checked: by the triangle
+inequality neither is above the ball-distance bound of the same ball.
 
 A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count, so the admission test is an
@@ -53,25 +56,27 @@ shrinks, so a re-read can only tighten them. A venue left with no candidate
 then leaves ``sums`` (a radius prune), so every ball bound the pass computes
 is finite.
 
-With a static order, a cursor into the frame's remaining candidates marks
-how far the current ``theta`` has tried them: it advances on a rejection,
-stays put on an admission and returns to the front when ``theta`` escalates.
-A static frame's venues only shrink below it and its incumbent only falls,
-so on entry it drops every candidate with none of them in its radius and,
-while the venue-distance rule is on, every candidate whose child bound
-reaches the incumbent at all of them. The bound grows with the candidate's
-distance, so each venue's distance-sorted candidates are read only up to the
-first that fails it: the threshold algorithm's sorted-access stop rule.
-Solution venues are visited in the query's venue order, never in set order,
-so the work done does not depend on the string hash seed.
+A frame's venues only shrink below it and its incumbent only falls, so in
+both orderings a frame drops, on entry, every candidate with none of them in
+its radius and, while the venue-distance rule is on, every candidate whose
+child bound reaches the incumbent at all of them. The bound grows with the
+candidate's distance, so each venue's distance-sorted candidates are read
+only up to the first that fails it: the threshold algorithm's sorted-access
+stop rule. The survivors keep their pool order, and apdo builds its pair
+heap over them. With a static order, a cursor into the frame's remaining
+candidates marks how far the current ``theta`` has tried them: it advances
+on a rejection, stays put on an admission and returns to the front when
+``theta`` escalates. Solution venues are visited in the query's venue
+order, never in set order, so the work done does not depend on the string
+hash seed.
 
 A frame may also carry its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates)
 and, in average mode, the prefix-edge table (each remaining candidate's
 acquaintances in the prefix) or, in per-vertex mode, the degree table's sum
 (twice the pool's internal edge count). They are updated as each generated
-candidate leaves the pool, rebuilt from the survivors when a static frame
-drops candidates on entry, and copied into child frames, and the
+candidate leaves the pool, rebuilt from the survivors when a frame drops
+candidates on entry, and copied into child frames, and the
 familiarity rules read them instead of intersecting the pool: the average
 rule reads both tables, the per-vertex pool rule the sum. A frame keeps them only when a child of it can fire a rule that reads
 them: in average mode, frames whose prefix is shorter than ``p - 1``, while
@@ -105,9 +110,7 @@ from .model import (
     MemberId,
     PRUNE_BALL_DISTANCE,
     PRUNE_AVG_FAMILIARITY,
-    PRUNE_INNER_TRIANGLE,
     PRUNE_MEMBER_FAMILIARITY,
-    PRUNE_OUTER_TRIANGLE,
     PRUNE_POOL_FAMILIARITY,
     PRUNE_VENUE_DISTANCE,
     PRUNE_VENUE_RADIUS,
@@ -127,9 +130,7 @@ from .pruning import (
     ball_distance_bound,
     distance_prune,
     drop_from_pool,
-    inner_triangle_bound,
     member_familiarity_prune,
-    outer_triangle_ball_bound,
     pool_degrees,
     pool_familiarity_prune,
 )
@@ -140,7 +141,7 @@ from .single_venue import _GroupSearch, admission_edges, candidate_order, sso_ad
 
 @dataclass(frozen=True)
 class BoundRecord:
-    """One ball-level distance-bound evaluation, kept for validity auditing.
+    """One ball-distance bound evaluation, kept for validity auditing.
 
     ``venue_ids`` lists only the ball's live venues, those still in the
     frame's venue table at the check, and ``pool`` the frame's remaining
@@ -148,7 +149,6 @@ class BoundRecord:
     ``t``, so the bound is at most the cheapest completion of ``group`` from
     ``pool`` at any of them, with or without the radius."""
 
-    rule: str
     bound: float
     group: Tuple[MemberId, ...]
     pool: Tuple[MemberId, ...]
@@ -218,10 +218,8 @@ class _MultiVenueSearch(_GroupSearch):
         self.audit = audit
         self.member_loc = data.member_locations
         self.venue_loc = data.venue_locations
-        # Whether apdo checks any ball rule.
-        self.ball_rules = not self.static and (
-            config.outer_triangle or config.inner_triangle or config.ball_distance
-        )
+        # Whether apdo runs the ball pass.
+        self.ball_rules = not self.static and config.ball_distance
         # One ``candidate_order`` per venue decides every radius fact. A venue
         # is alive when at least p graph vertices lie within t of it (one
         # with fewer can never host a group). ``near[m]`` maps each pool
@@ -343,60 +341,36 @@ class _MultiVenueSearch(_GroupSearch):
         sums: Dict[VenueId, float],
         nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
     ) -> None:
-        """Check the ball-level distance bounds against the incumbent, top
-        down over the balls that hold a venue of ``sums`` (the ball's live
-        venues). A ball whose bound reaches the incumbent takes its live
-        venues out of ``sums`` and is not descended. A completion at a venue
+        """Check the ball-distance bound against the incumbent, top down over
+        the balls that hold a venue of ``sums`` (the ball's live venues). A
+        ball whose bound reaches the incumbent takes its live venues out of
+        ``sums`` and is not descended. Each prefix member is at least its
+        ``mindist`` from every venue of the ball. A completion at a venue
         draws only on its in-range candidates in ``remaining``, so each open
         slot costs at least the smallest first distance of ``nearest`` over
         the ball's live venues; the caller has re-read ``nearest`` over
         ``remaining`` and dropped every venue it left empty."""
-        cfg = self.config
         p = self.query.p
-        n = len(prefix)
         loc = self.member_loc
-        root = self.indexes.venues.root
-        # The outer-triangle reference point: any point gives a sound bound.
-        ref = root.ball.center
-        to_ref = [distance(loc[s], ref) for s in prefix]
-        # The prefix's pairwise distance sum, added up member by member in
-        # insertion order.
-        pairwise_sum = 0.0
-        for i in range(1, n):
-            u_loc = loc[prefix[i]]
-            pairwise_sum += sum(distance(loc[s], u_loc) for s in prefix[:i])
-        stack = [root]
+        stack = [self.indexes.venues.root]
         while stack:
             node = stack.pop()
             live = [q for q in node.venue_ids if q in sums]
             if not live:
                 continue
-            ball = node.ball
             frontier = min(nearest[q][0][0] for q in live)
-            bounds = []
-            if cfg.outer_triangle and node is not root:
-                d_centers = distance(ref, ball.center)
-                bound = outer_triangle_ball_bound(to_ref, d_centers, ball.radius, p, frontier)
-                bounds.append((PRUNE_OUTER_TRIANGLE, bound))
-            if cfg.inner_triangle and n >= 2:
-                bound = inner_triangle_bound(pairwise_sum, n, p, ball.radius, frontier)
-                bounds.append((PRUNE_INNER_TRIANGLE, bound))
-            if cfg.ball_distance:
-                f = sum(mindist_point_ball(loc[s], ball) for s in prefix)
-                bounds.append((PRUNE_BALL_DISTANCE, ball_distance_bound(f, n, p, frontier)))
-            for rule, bound in bounds:
-                self._record_bound(rule, bound, prefix, remaining, live)
-            fired = next((rule for rule, bound in bounds if bound >= self.best_total), None)
-            if fired is not None:
-                self._kill_venues(live, sums, fired)
+            f = sum(mindist_point_ball(loc[s], node.ball) for s in prefix)
+            bound = ball_distance_bound(f, len(prefix), p, frontier)
+            self._record_bound(bound, prefix, remaining, live)
+            if bound >= self.best_total:
+                self._kill_venues(live, sums, PRUNE_BALL_DISTANCE)
             elif not node.is_leaf:
                 stack.extend(node.children)
 
-    def _record_bound(self, rule, bound, prefix, pool, venue_ids) -> None:
+    def _record_bound(self, bound, prefix, pool, venue_ids) -> None:
         if self.audit is not None:
             self.audit.bounds.append(
                 BoundRecord(
-                    rule=rule,
                     bound=bound,
                     group=tuple(prefix),
                     pool=tuple(sorted(pool)),
@@ -457,18 +431,15 @@ class _MultiVenueSearch(_GroupSearch):
         # pool; the pool only shrinks afterwards, so the lists stay valid
         # lower bounds until the loop head re-reads them.
         nearest = self._nearest(pool_set, size, sums)
-        if static:
-            remaining = self._static_candidates(pool, pool_set, size, sums, nearest)
-            # Recounting the survivors costs less than taking each dropped
-            # candidate out of the counts: most of a child's pool can drop.
-            if pool_deg is not None and len(remaining) < len(pool):
-                pool_deg = pool_degrees(remaining, graph)
-                if pe is None:
-                    degree_sum = sum(pool_deg.values())
-                else:
-                    pe = {v: pe[v] for v in remaining}
-        else:
-            remaining = list(pool)
+        remaining = self._entry_candidates(pool, pool_set, size, sums, nearest)
+        # Recounting the survivors costs less than taking each dropped
+        # candidate out of the counts: most of a child's pool can drop.
+        if pool_deg is not None and len(remaining) < len(pool):
+            pool_deg = pool_degrees(remaining, graph)
+            if pe is None:
+                degree_sum = sum(pool_deg.values())
+            else:
+                pe = {v: pe[v] for v in remaining}
         copy_counts = self._keeps_pool_counts(size + 1)
         visited: Set[MemberId] = set()
         # Static order: remaining[:cursor] has been tried at this theta.
@@ -586,7 +557,7 @@ class _MultiVenueSearch(_GroupSearch):
             for q in sums
         }
 
-    def _static_candidates(
+    def _entry_candidates(
         self,
         pool: List[MemberId],
         pool_set: Set[MemberId],
@@ -594,13 +565,13 @@ class _MultiVenueSearch(_GroupSearch):
         sums: Dict[VenueId, float],
         nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
     ) -> List[MemberId]:
-        """A static frame's candidates: the members of ``pool``, in pool
-        order, that some venue of ``sums`` can still take. A static frame's
-        venues only shrink below it and its incumbent only falls, so a
-        candidate out of the radius of every venue, or, with the
-        venue-distance rule on, one whose child bound reaches the incumbent
-        at every venue (the test ``_child_sums`` applies), can join no
-        improving group here. It leaves the pool on entry, never generated.
+        """A frame's candidates: the members of ``pool``, in pool order,
+        that some venue of ``sums`` can still take. A frame's venues only
+        shrink below it and its incumbent only falls, so a candidate out of
+        the radius of every venue, or, with the venue-distance rule on, one
+        whose child bound reaches the incumbent at every venue (the test
+        ``_child_sums`` applies), can join no improving group here. It
+        leaves the pool on entry, never generated.
 
         Each venue's candidates are walked in distance order. The bound
         grows with the distance, so a walk stops at its first pool member
@@ -676,8 +647,8 @@ def mags_solve(
     """Index-driven joint search. ``ordering`` picks the candidate extraction
     strategy: "srdo" fixes the reference venue from the closest pair of a
     pool member and a live venue (``srdo_seed``); "apdo" re-selects the best
-    (member, venue) pair before every insertion and enables the ball-level
-    distance bounds. "apdo" reads the venue ball tree: ``indexes`` without
+    (member, venue) pair before every insertion and checks the ball-distance
+    bound over the venue ball tree. "apdo" reads the venue ball tree: ``indexes`` without
     one raise ``ValueError``."""
     if ordering not in ("srdo", "apdo"):
         raise ValueError(f"unknown ordering {ordering!r}")

@@ -35,8 +35,6 @@ class PruneConfig:
     member_familiarity: bool = True
     pool_familiarity: bool = True
     venue_distance: bool = True
-    outer_triangle: bool = True
-    inner_triangle: bool = True
     ball_distance: bool = True
 
     def without(self, rule: str) -> "PruneConfig":
@@ -238,7 +236,11 @@ def outer_triangle_ball_bound(
     frontier_bound: float,
 ) -> float:
     """Ball form of the outer-triangle bound: the target is a whole ball of
-    venues and the pool term comes from the current index frontier."""
+    venues and the pool term comes from the current index frontier.
+
+    No solver calls it: by the triangle inequality it is never above
+    ``ball_distance_bound`` for the same ball and frontier. It stays for the
+    benchmark's per-layer tracing, which binds it by name."""
     n = len(dists_group_to_ref_center)
     bound = sum(max(0.0, d_centers - d - target_radius) for d in dists_group_to_ref_center)
     return bound + completion_term(p - n, frontier_bound)
@@ -253,7 +255,13 @@ def inner_triangle_bound(
 ) -> float:
     """Bound on the group's total distance to any venue in the target ball,
     using only pairwise distances inside the group. Returns -inf below two
-    members, where the rule is inapplicable."""
+    members, where the rule is inapplicable.
+
+    No solver calls it: by the triangle inequality the pairwise sum over
+    ``n - 1`` is at most the group's total distance to the ball's center,
+    so it is never above ``ball_distance_bound`` for the same ball and
+    frontier. It stays for the benchmark's
+    per-layer tracing, which binds it by name."""
     if group_size < 2:
         return -math.inf
     bound = max(0.0, pairwise_sum / (group_size - 1) - group_size * target_radius)

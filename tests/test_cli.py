@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from rallypoint.cli import DatasetError, bench_rows, load_dataset
+from rallypoint import PruneConfig
+from rallypoint.cli import DatasetError, bench_rows, build_parser, load_dataset
 
 
 def write(path, text):
@@ -127,6 +128,39 @@ def test_unknown_algo_is_a_usage_error_exit_1(tiny_dataset):
     )
     assert proc.returncode == 1
     assert "bogus" in proc.stderr and proc.stdout == ""
+
+
+def test_prune_help_names_exactly_the_config_fields():
+    (action,) = [a for a in build_parser()._actions if "--prune" in a.option_strings]
+    _, _, listed = action.help.partition("comma list of: ")
+    fields = [f.replace("_", "-") for f in PruneConfig.__dataclass_fields__]
+    assert listed.split(", ") == fields
+
+
+@pytest.mark.parametrize("spec", ["", ","])
+def test_empty_prune_list_is_a_usage_error_exit_1(tiny_dataset, spec):
+    members, edges, venues = tiny_dataset
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "ssgs", "--p", "3", "--k", "0", "--t", "100", "--prune", spec,
+        ]
+    )
+    assert proc.returncode == 1
+    assert "'none'" in proc.stderr and proc.stdout == ""
+
+
+def test_removed_prune_rule_is_a_usage_error_exit_1(tiny_dataset):
+    members, edges, venues = tiny_dataset
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "ssgs", "--p", "3", "--k", "0", "--t", "100",
+            "--prune", "distance,outer-triangle",
+        ]
+    )
+    assert proc.returncode == 1
+    assert "unknown prune rule" in proc.stderr and proc.stdout == ""
 
 
 def test_missing_required_flag_is_a_usage_error_exit_1(tiny_dataset):

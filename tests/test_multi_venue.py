@@ -427,10 +427,12 @@ def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
     # Integer grids with members at exactly t put many (member, venue) pairs
     # at equal scores, so the tie-breaks decide; theta escalations rebuild
     # the frame's pair queue, and both the resumed and the rebuilt queues
-    # must pop the scan argmin.
+    # must pop the scan argmin. Frames drop hopeless candidates on entry,
+    # which leaves few rejections to escalate on, so it draws 6,000
+    # instances per mode to keep its escalation floor.
     rng = random.Random(f"apdo-ties-{mode.value}")
     selections = escalations = 0
-    for _ in range(1000):
+    for _ in range(6000):
         graph, data, query = _grid_instance(rng)
         query = Query(query.p, query.k, query.t, query.venues, mode)
         stats, audit = SearchStats(), MagsAudit()
@@ -539,15 +541,16 @@ def test_search_setup_matches_the_distances():
     assert min(seen.values()) > 20, seen
 
 
-def _srdo_matches_oracle(label, make_instance, mode, first_seed, count=40):
-    """srdo equals brute force on ``count`` instances of ``make_instance``,
-    with ``frame_counts``' queries in ``mode``; ``label`` seeds the draws."""
+def _mags_matches_oracle(label, make_instance, mode, first_seed, ordering, count=40):
+    """``mags_solve`` with ``ordering`` equals brute force on ``count``
+    instances of ``make_instance``, with ``frame_counts``' queries in
+    ``mode``; ``label`` seeds the draws."""
     rng = random.Random(label)
     for seed in range(count):
         graph, data = make_instance(rng, first_seed + seed)
         for query in frame_counts._queries(rng, graph, data, mode):
             oracle = brute_force(query, graph, data)
-            sol = mags_solve(query, graph, data, ordering="srdo")
+            sol = mags_solve(query, graph, data, ordering=ordering)
             where = f"seed {seed}, {query}"
             if not oracle.found:
                 assert sol is None, where
@@ -556,73 +559,94 @@ def _srdo_matches_oracle(label, make_instance, mode, first_seed, count=40):
             assert is_feasible(sol.group, sol.venue, query, graph, data), where
 
 
-@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def _record_frame_entries(monkeypatch):
+    """Wrap ``_frame`` so that the returned stack holds, for each open
+    frame, the incumbent and a copy of the venue table it entered with."""
+    entries = []
+    original = multi_venue._MultiVenueSearch._frame
+
+    def framing(self, prefix, prefix_set, prefix_edges, pool, sums, *rest):
+        entries.append((self.best_total, dict(sums)))
+        try:
+            return original(self, prefix, prefix_set, prefix_edges, pool, sums, *rest)
+        finally:
+            entries.pop()
+
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", framing)
+    return entries
+
+
+# Each familiarity mode with each ordering; an srdo case is named by its
+# mode alone.
+MODE_ORDERINGS = [
+    pytest.param(mode, ordering, id=mode.value if ordering == "srdo" else f"{mode.value}-apdo")
+    for ordering in ("srdo", "apdo")
+    for mode in FamiliarityMode
+]
+
+
+@pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
 @pytest.mark.parametrize(
     "make_instance",
     [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
     ids=["gnp", "power-law", "grid"],
 )
 def test_static_frames_hold_only_candidates_a_frame_venue_can_take(
-    monkeypatch, make_instance, mode
+    monkeypatch, make_instance, mode, ordering
 ):
-    # A static frame's venues only shrink below it, so its candidates must
-    # each have a venue of the frame's ``sums`` within t. Both are read off
-    # the calling frame whenever it builds a child venue table.
+    # A frame's venues only shrink below it, so its candidates must each
+    # have a venue within t of the venue table the frame entered with (apdo's
+    # ball pass can take venues out of ``sums`` mid-frame). A wrapper around
+    # ``_frame`` records that table; the candidates are read off the calling
+    # frame whenever it builds a child venue table.
     venue_counts = []
+    entries = _record_frame_entries(monkeypatch)
     original = multi_venue._MultiVenueSearch._child_sums
 
     def checking(self, u, *args):
         frame = sys._getframe(1).f_locals
-        if frame["static"]:
-            venues = list(frame["sums"])
-            for m in [u, *frame["remaining"]]:
-                m_loc = self.member_loc[m]
-                assert any(
-                    distance(m_loc, self.venue_loc[q]) <= self.query.t for q in venues
-                ), (m, venues)
-            venue_counts.append(len(venues))
+        venues = list(entries[-1][1])
+        for m in [u, *frame["remaining"]]:
+            m_loc = self.member_loc[m]
+            assert any(
+                distance(m_loc, self.venue_loc[q]) <= self.query.t for q in venues
+            ), (m, venues)
+        venue_counts.append(len(venues))
         return original(self, u, *args)
 
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_child_sums", checking)
-    _srdo_matches_oracle(f"static-{make_instance.__name__}-{mode.value}", make_instance, mode, 5300)
+    label = f"static-{make_instance.__name__}-{mode.value}"
+    _mags_matches_oracle(label, make_instance, mode, 5300, ordering)
     assert max(venue_counts) > 1
 
 
-@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
 @pytest.mark.parametrize(
     "make_instance",
     [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
     ids=["gnp", "power-law", "grid"],
 )
 def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
-    monkeypatch, make_instance, mode
+    monkeypatch, make_instance, mode, ordering
 ):
-    # A static frame's incumbent only falls and its venues only shrink, so
-    # with the venue-distance rule on, each of its candidates must have a
-    # venue of the frame's ``sums`` within t whose child bound stays below
-    # the incumbent the frame entered with. A wrapper around ``_frame``
-    # records that incumbent; the frame's prefix, entry pool, ``sums`` and
+    # A frame's incumbent only falls and its venues only shrink, so with
+    # the venue-distance rule on, each of its candidates must have a venue
+    # of the table it entered with within t whose child bound stays below
+    # the incumbent it entered with. A wrapper around ``_frame`` records
+    # that incumbent and venue table; the frame's prefix, entry pool and
     # candidates are read off the calling frame whenever it builds a child
     # venue table, and the bound's distances are recomputed from locations.
-    entry_best = []
+    entries = _record_frame_entries(monkeypatch)
     checked = []
-    original_frame = multi_venue._MultiVenueSearch._frame
     original_child_sums = multi_venue._MultiVenueSearch._child_sums
-
-    def framing(self, *args):
-        entry_best.append(self.best_total)
-        try:
-            return original_frame(self, *args)
-        finally:
-            entry_best.pop()
 
     def checking(self, u, *args):
         frame = sys._getframe(1).f_locals
-        best = entry_best[-1]
-        if frame["static"] and math.isfinite(best):
+        best = entries[-1][0]
+        if math.isfinite(best):
             p, t = self.query.p, self.query.t
             size = len(frame["prefix"])
-            sums = frame["sums"]
+            sums = entries[-1][1]
 
             def dist(m, q):
                 return distance(self.member_loc[m], self.venue_loc[q])
@@ -640,12 +664,11 @@ def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
             checked.append(1 + len(frame["remaining"]))
         return original_child_sums(self, u, *args)
 
-    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", framing)
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_child_sums", checking)
     label = f"static-bound-{make_instance.__name__}-{mode.value}"
-    # Tight bounds leave few candidates in a static frame, so this test
-    # draws more instances than the others to keep its floor.
-    _srdo_matches_oracle(label, make_instance, mode, 5500, count=120)
+    # Tight bounds leave few candidates in a frame, so this test draws more
+    # instances than the others to keep its floor.
+    _mags_matches_oracle(label, make_instance, mode, 5500, ordering, count=120)
     assert sum(checked) > 100, sum(checked)
 
 
@@ -836,8 +859,6 @@ MAGS_RULES = {
         "venue_distance",
         "member_familiarity",
         "pool_familiarity",
-        "outer_triangle",
-        "inner_triangle",
         "ball_distance",
     ),
     "srdo": ("venue_distance", "member_familiarity", "pool_familiarity"),
@@ -1068,61 +1089,61 @@ PINNED_SEARCHES = {
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (4, 4, 0),
-        {"ball_distance": 5, "outer_triangle": 2, "venue_distance": 4, "venue_radius": 3},
+        {"ball_distance": 7, "venue_distance": 4, "venue_radius": 3},
         (3, "4cd22014eb1c5812"),
-        (44, "f1f26c9470a403c6"),
+        (21, "1a54c3896623965b"),
     ),
     (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (4, 4, 0),
-        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 3, "venue_radius": 1},
-        (3, "136581a5ff677d77"),
-        (20, "f272f16e3cf25e83"),
+        {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
+        (3, "218dc8c9ca4086e3"),
+        (10, "a97d2b3137beb11d"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (3, 3, 0),
-        {"ball_distance": 2, "outer_triangle": 2, "venue_distance": 4},
+        {"ball_distance": 4, "venue_distance": 4},
         (2, "d1e9b725e3835b12"),
-        (14, "755aca26d9b00e70"),
+        (8, "1a3c9a03e90a24db"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
         (4, 4, 0),
         {"venue_distance": 3},
         (2, "13feead6177c6bf0"),
-        (6, "b7bec3c6efd2bcdb"),
+        (4, "bb2b41f81ac9f428"),
     ),
     (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (5, 5, 0),
-        {"ball_distance": 5, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 5},
+        {"ball_distance": 7, "venue_distance": 5},
         (4, "096358441cb53ba8"),
-        (46, "900ac7f2904a2b3e"),
+        (20, "2206f6ddbb2618fa"),
     ),
     (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (3, 3, 0),
-        {"outer_triangle": 3, "venue_distance": 5},
+        {"ball_distance": 3, "venue_distance": 5},
         (2, "e8f07e799d7074ac"),
-        (18, "90ee226009acb05e"),
+        (10, "16942ae88af70236"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
         (7, 7, 0),
-        {"ball_distance": 1, "outer_triangle": 1, "venue_distance": 3, "venue_radius": 1},
-        (4, "50a8adef00b66e97"),
-        (24, "c8f12cfa75a0bb6c"),
+        {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
+        (4, "34981aade4a2b0c5"),
+        (14, "de51292eb93b2e17"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
         (5, 5, 0),
-        {"ball_distance": 1, "inner_triangle": 1, "outer_triangle": 1, "venue_distance": 5},
+        {"ball_distance": 3, "venue_distance": 5},
         (3, "5ebab3400af26215"),
-        (18, "342553c31de654b8"),
+        (9, "3a851d2cb51e7569"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
@@ -1136,23 +1157,23 @@ PINNED_SEARCHES = {
         (3, 3, 0),
         {"ball_distance": 2, "venue_distance": 1},
         (2, "110a6cc617b48a31"),
-        (6, "ad67b1baa3715d9b"),
+        (4, "0cbdcbcb1d2e3f98"),
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (11, 13, 2),
-        {"ball_distance": 4, "member_familiarity": 2, "venue_distance": 1, "venue_radius": 2},
-        (9, "71e5fe8cb90ece56"),
-        (6, "e7b2d99ce5c467fb"),
+        (11, 12, 1),
+        {"ball_distance": 4, "member_familiarity": 1, "venue_distance": 1, "venue_radius": 2},
+        (8, "be9db0af750ac1a3"),
+        (4, "91a4812a310c80c8"),
     ),
     (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (7, 7, 1),
+        (6, 6, 0),
         {"ball_distance": 4, "venue_distance": 1, "venue_radius": 4},
-        (5, "69c8a3f66cb2f733"),
-        (8, "7d573594a2da86ed"),
+        (4, "168e5ae32ee8b591"),
+        (5, "e3c4ca612218e7a9"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),

@@ -26,8 +26,8 @@ from rallypoint.pruning import PruneConfig, familiarity_counts
 
 
 def test_prune_config_toggles():
-    cfg = PruneConfig().without("outer-triangle")
-    assert not cfg.outer_triangle and cfg.inner_triangle
+    cfg = PruneConfig().without("ball-distance")
+    assert not cfg.ball_distance and cfg.venue_distance
     none = PruneConfig.none()
     assert not any(getattr(none, f) for f in PruneConfig.__dataclass_fields__)
     only = PruneConfig.from_enabled(["distance", "ball-distance"])
