@@ -18,7 +18,6 @@ VenueId = Hashable
 PRUNE_AVG_FAMILIARITY = "avg_familiarity"
 PRUNE_DISTANCE = "distance"
 PRUNE_MEMBER_FAMILIARITY = "member_familiarity"
-PRUNE_POOL_FAMILIARITY = "pool_familiarity"
 PRUNE_VENUE_DISTANCE = "venue_distance"
 PRUNE_VENUE_RADIUS = "venue_radius"
 PRUNE_BALL_DISTANCE = "ball_distance"
@@ -209,7 +208,6 @@ _PRUNE_SLOTS = {
         PRUNE_AVG_FAMILIARITY,
         PRUNE_DISTANCE,
         PRUNE_MEMBER_FAMILIARITY,
-        PRUNE_POOL_FAMILIARITY,
         PRUNE_VENUE_DISTANCE,
         PRUNE_VENUE_RADIUS,
         PRUNE_BALL_DISTANCE,
@@ -235,7 +233,6 @@ class SearchStats:
     _pruned_avg_familiarity: int = field(default=0, init=False, repr=False)
     _pruned_distance: int = field(default=0, init=False, repr=False)
     _pruned_member_familiarity: int = field(default=0, init=False, repr=False)
-    _pruned_pool_familiarity: int = field(default=0, init=False, repr=False)
     _pruned_venue_distance: int = field(default=0, init=False, repr=False)
     _pruned_venue_radius: int = field(default=0, init=False, repr=False)
     _pruned_ball_distance: int = field(default=0, init=False, repr=False)

@@ -70,19 +70,17 @@ on a rejection, stays put on an admission and returns to the front when
 order, never in set order, so the work done does not depend on the string
 hash seed.
 
-A frame may also carry its pool's acquaintance counts: the pool degree table
-(each remaining candidate's acquaintances among the remaining candidates)
-and, in average mode, the prefix-edge table (each remaining candidate's
-acquaintances in the prefix) or, in per-vertex mode, the degree table's sum
-(twice the pool's internal edge count). They are updated as each generated
-candidate leaves the pool, rebuilt from the survivors when a frame drops
-candidates on entry, and copied into child frames, and the
-familiarity rules read them instead of intersecting the pool: the average
-rule reads both tables, the per-vertex pool rule the sum. A frame keeps them only when a child of it can fire a rule that reads
-them: in average mode, frames whose prefix is shorter than ``p - 1``, while
-the average rule is on; in per-vertex mode, frames whose children leave at
-least ``k + 2`` slots open, while the pool rule is on. That depends only on
-``p``, ``k`` and the depth.
+In average mode a frame may also carry its pool's acquaintance counts: the
+pool degree table (each remaining candidate's acquaintances among the
+remaining candidates) and the prefix-edge table (each remaining candidate's
+acquaintances in the prefix). They are updated as each generated candidate
+leaves the pool, rebuilt from the survivors when a frame drops candidates on
+entry, and copied into child frames. The average rule reads them instead of
+intersecting the pool, and the admission test reads a candidate's prefix
+edges off the prefix-edge table. A frame keeps them only when a child of it
+can fire the average rule: frames whose prefix is shorter than ``p - 1``,
+while the rule is on. Per-vertex frames carry no pool counts: the one social
+rule checked there, the member rule, reads only the child group.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
 above: it runs the leaf scan of ``single_venue``, shared by both engines,
@@ -111,7 +109,6 @@ from .model import (
     PRUNE_BALL_DISTANCE,
     PRUNE_AVG_FAMILIARITY,
     PRUNE_MEMBER_FAMILIARITY,
-    PRUNE_POOL_FAMILIARITY,
     PRUNE_VENUE_DISTANCE,
     PRUNE_VENUE_RADIUS,
     Query,
@@ -129,10 +126,8 @@ from .pruning import (
     avg_familiarity_prune,
     ball_distance_bound,
     distance_prune,
-    drop_from_pool,
     member_familiarity_prune,
     pool_degrees,
-    pool_familiarity_prune,
 )
 # ``sso_admits`` is re-exported; the engine below applies the same test
 # through ``admission_edges`` on the edge count it carries.
@@ -258,26 +253,23 @@ class _MultiVenueSearch(_GroupSearch):
         # once.
         sums = {q: 0.0 for q in self.alive_venues}
         pool = list(self.pool)
-        pool_deg = pe = degree_sum = None
+        pool_deg = pe = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
-            if self.query.familiarity_mode is FamiliarityMode.PER_VERTEX:
-                degree_sum = sum(pool_deg.values())
-            else:
-                pe = dict.fromkeys(pool_deg, 0)
+            pe = dict.fromkeys(pool_deg, 0)
         # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
-        self._frame([], set(), 0, pool, sums, self.query.k, pool_deg, pe, degree_sum)
+        self._frame([], set(), 0, pool, sums, self.query.k, pool_deg, pe)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool counts:
-        only when a rule that reads them can fire on one of its children."""
+        only the average rule reads them, and in average mode it runs on
+        every child that is not a leaf."""
         query = self.query
-        if query.familiarity_mode is FamiliarityMode.PER_VERTEX:
-            # The pool rule reads them only with k + 2 or more slots left
-            # after the child (``pool_familiarity_prune``).
-            return self.config.pool_familiarity and query.p - (size + 1) >= query.k + 2
-        # The average rule runs on every child that is not a leaf.
-        return self.config.avg_familiarity and size < query.p - 1
+        return (
+            query.familiarity_mode is FamiliarityMode.AVERAGE
+            and self.config.avg_familiarity
+            and size < query.p - 1
+        )
 
     # -- candidate selection -----------------------------------------------
 
@@ -397,7 +389,6 @@ class _MultiVenueSearch(_GroupSearch):
         theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
         pe: Optional[Dict[MemberId, int]],
-        degree_sum: Optional[int],
     ) -> None:
         p = self.query.p
         k = self.query.k
@@ -420,9 +411,8 @@ class _MultiVenueSearch(_GroupSearch):
                 candidates = ((d, v) for d, v in self.by_distance[q] if v in pool_set)
                 self._scan_leaves(prefix, prefix_set, prefix_edges, total, candidates, q)
             return
-        # ``pool_deg`` is the pool degree table of ``remaining`` when this
-        # frame keeps counts, with its prefix-edge table ``pe`` in average
-        # mode and its sum ``degree_sum`` in per-vertex mode; each is None
+        # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe``
+        # its prefix-edge table when this frame keeps counts; both are None
         # otherwise.
 
         # The completion bounds' table: a completion at q takes only
@@ -434,12 +424,9 @@ class _MultiVenueSearch(_GroupSearch):
         remaining = self._entry_candidates(pool, pool_set, size, sums, nearest)
         # Recounting the survivors costs less than taking each dropped
         # candidate out of the counts: most of a child's pool can drop.
-        if pool_deg is not None and len(remaining) < len(pool):
+        if pe is not None and len(remaining) < len(pool):
             pool_deg = pool_degrees(remaining, graph)
-            if pe is None:
-                degree_sum = sum(pool_deg.values())
-            else:
-                pe = {v: pe[v] for v in remaining}
+            pe = {v: pe[v] for v in remaining}
         copy_counts = self._keeps_pool_counts(size + 1)
         visited: Set[MemberId] = set()
         # Static order: remaining[:cursor] has been tried at this theta.
@@ -495,7 +482,10 @@ class _MultiVenueSearch(_GroupSearch):
                 continue
             visited.add(u)
 
-            child_edges = prefix_edges + len(neighbors(u) & prefix_set)
+            if pe is not None:
+                child_edges = prefix_edges + pe[u]
+            else:
+                child_edges = prefix_edges + len(neighbors(u) & prefix_set)
             if child_edges < need:
                 cursor += 1
                 continue
@@ -508,8 +498,6 @@ class _MultiVenueSearch(_GroupSearch):
             child_pe = None
             if pe is not None:
                 child_pe = admit_from_pool(pool_deg, pe, u, graph)
-            elif pool_deg is not None:
-                degree_sum -= 2 * drop_from_pool(pool_deg, u, graph)
 
             child_sums = self._child_sums(u, size + 1, sums, nearest)
             if not child_sums:
@@ -520,11 +508,6 @@ class _MultiVenueSearch(_GroupSearch):
                 if cfg.member_familiarity and member_familiarity_prune(child, k, graph):
                     stats.bump(PRUNE_MEMBER_FAMILIARITY)
                     continue
-                if cfg.pool_familiarity and pool_familiarity_prune(
-                    child, remaining, p, k, graph, degree_sum
-                ):
-                    stats.bump(PRUNE_POOL_FAMILIARITY)
-                    continue
             elif cfg.avg_familiarity:
                 counts = (2 * child_edges, pool_deg, child_pe)
                 if avg_familiarity_prune(child, pool_deg, p, k, graph, counts):
@@ -532,9 +515,7 @@ class _MultiVenueSearch(_GroupSearch):
                     continue
 
             stats.explored_states += 1
-            child_counts = (None, None, None)
-            if copy_counts:
-                child_counts = (dict(pool_deg), child_pe, degree_sum)
+            child_counts = (dict(pool_deg), child_pe) if copy_counts else (None, None)
             self._frame(
                 child,
                 prefix_set | {u},

@@ -5,15 +5,14 @@ state it describes. The familiarity rules reduce to exact integer
 comparisons; the distance rules compare a lower bound on completion cost
 (exposed separately as ``*_bound`` for auditing) against the incumbent.
 
-The pool rules are defined on sets and count acquaintances from scratch. The
-depth-first engines instead carry the counts in their search frames and pass
-them in: a pool degree table ``{m: |N(m) & pool|}`` (built by
-``pool_degrees`` and kept current by ``drop_from_pool``), a prefix-edge
-table ``pe = {m: |N(m) & prefix|}`` over the same pool (kept current, with
-the degree table, by ``admit_from_pool``) and the sum of the degree table's
-values (twice the pool's internal edge count). Each rule then costs integer
-arithmetic over the pool. A frame keeps these counts only when a child of it
-can fire a rule that reads them; see the engines' module docstrings.
+The pool rules are defined on sets and count acquaintances from scratch. For
+the average rule the depth-first engines instead carry the counts in their
+search frames and pass them in: a pool degree table ``{m: |N(m) & pool|}``
+(built by ``pool_degrees``) and a prefix-edge table
+``pe = {m: |N(m) & prefix|}`` over the same pool, both kept current by
+``admit_from_pool``. The rule then costs integer arithmetic over the pool.
+A frame keeps these counts only when a child of it can fire the rule; see
+the engines' module docstrings.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ class PruneConfig:
     avg_familiarity: bool = True
     distance: bool = True
     member_familiarity: bool = True
-    pool_familiarity: bool = True
     venue_distance: bool = True
     ball_distance: bool = True
 
@@ -71,15 +69,6 @@ def pool_degrees(pool: Iterable[MemberId], graph: SocialGraph) -> Dict[MemberId,
     """Pool degree table: each pool member's number of acquaintances in the pool."""
     pool_set = set(pool)
     return {v: len(graph.neighbors(v) & pool_set) for v in pool_set}
-
-
-def drop_from_pool(pool_deg: Dict[MemberId, int], u: MemberId, graph: SocialGraph) -> int:
-    """Remove ``u`` from a pool degree table in place; returns ``u``'s entry,
-    its number of acquaintances among the members left."""
-    degree = pool_deg.pop(u)
-    for w in graph.neighbors(u).intersection(pool_deg):
-        pool_deg[w] -= 1
-    return degree
 
 
 def admit_from_pool(
@@ -212,20 +201,17 @@ def pool_familiarity_prune(
     p: int,
     k: int,
     graph: SocialGraph,
-    pool_degree_sum: Optional[int] = None,
 ) -> bool:
     """True when the pool is socially too sparse to finish the group (per-vertex mode).
 
-    ``pool_degree_sum`` is the sum of ``pool_degrees(pool, graph)`` when the
-    caller already holds it; ``pool`` is then not read.
-    """
-    n = len(set(group))
-    slots = p - n
-    if slots <= 0 or slots - k - 1 <= 0:
+    No solver calls it: in the joint search it fired on at most about one
+    generated state in a hundred, while the pool degree table it reads cost
+    every per-vertex frame a recount. It stays for the benchmark's per-layer
+    tracing, which binds it by name."""
+    slots = p - len(set(group))
+    if slots - k - 1 <= 0:
         return False
-    if pool_degree_sum is None:
-        pool_degree_sum = sum(pool_degrees(pool, graph).values())
-    return pool_degree_sum < slots * (slots - k - 1)
+    return sum(pool_degrees(pool, graph).values()) < slots * (slots - k - 1)
 
 
 def outer_triangle_ball_bound(

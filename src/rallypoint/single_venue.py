@@ -11,7 +11,7 @@ An expanded candidate is excluded from the rest of its frame, which yields
 each candidate set exactly once.
 
 Each search frame carries the state its children would otherwise recompute:
-the prefix's internal edge count, so admitting a candidate costs one
+the prefix's internal edge count, so admitting a candidate costs at most one
 neighbourhood intersection with the prefix and an integer comparison against
 the frame's edge threshold (``admission_edges``), and a cursor into the
 frame's remaining candidates. The same count decides the average-mode
@@ -28,7 +28,9 @@ of its acquaintances in the pool loses one pool degree and, in the child's
 copy of ``pe``, gains one prefix edge (``admit_from_pool``). Only frames
 whose children are not leaves (prefix shorter than ``p - 1``) keep the
 tables, and only while the average familiarity rule is on; each such child
-frame gets its own copies.
+frame gets its own copies. Where a frame keeps ``pe``, the admission test
+reads a candidate's prefix edges there instead of intersecting its
+neighbourhood with the prefix.
 
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
@@ -289,7 +291,10 @@ class _SingleVenueSearch(_GroupSearch):
                 cursor = 0
                 continue
             d_u, u = remaining[cursor]
-            child_edges = prefix_edges + len(neighbors(u) & prefix_set)
+            if pe is not None:
+                child_edges = prefix_edges + pe[u]
+            else:
+                child_edges = prefix_edges + len(neighbors(u) & prefix_set)
             if child_edges < need:
                 cursor += 1
                 continue

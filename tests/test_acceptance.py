@@ -47,7 +47,6 @@ from rallypoint.model import (
     PRUNE_BALL_DISTANCE,
     PRUNE_DISTANCE,
     PRUNE_MEMBER_FAMILIARITY,
-    PRUNE_POOL_FAMILIARITY,
     PRUNE_VENUE_DISTANCE,
 )
 from rallypoint.pruning import avg_familiarity_prune
@@ -118,6 +117,11 @@ def test_criterion_2_pruning_soundness_and_effectiveness():
         sol = ssgs_solve(query, graph, data, config=cfg, stats=stats)
         return (None if sol is None else round(sol.total_distance, 9)), stats
 
+    def run_ssp(query, graph, data, cfg):
+        stats = SearchStats()
+        sol = ssp_solve(query, graph, data, config=cfg, stats=stats)
+        return (None if sol is None else round(sol.total_distance, 9)), stats
+
     def run_srdo(query, graph, data, cfg):
         stats = SearchStats()
         sol = mags_solve(query, graph, data, ordering="srdo", config=cfg, stats=stats)
@@ -129,11 +133,10 @@ def test_criterion_2_pruning_soundness_and_effectiveness():
         return (None if sol is None else round(sol.total_distance, 9)), stats
 
     plans = {
-        PRUNE_AVG_FAMILIARITY: [run_ssgs],
-        PRUNE_DISTANCE: [run_ssgs],
+        PRUNE_AVG_FAMILIARITY: [run_ssgs, run_ssp],
+        PRUNE_DISTANCE: [run_ssgs, run_ssp],
         PRUNE_VENUE_DISTANCE: [run_srdo, run_mags],
         PRUNE_MEMBER_FAMILIARITY: [run_srdo, run_mags],
-        PRUNE_POOL_FAMILIARITY: [run_srdo, run_mags],
         PRUNE_BALL_DISTANCE: [run_mags],
     }
     checks = 0
@@ -144,6 +147,7 @@ def test_criterion_2_pruning_soundness_and_effectiveness():
         )
         baselines = {
             run_ssgs: run_ssgs(single, graph, data, PruneConfig()),
+            run_ssp: run_ssp(query, graph, data, PruneConfig()),
             run_srdo: run_srdo(query, graph, data, PruneConfig()),
             run_mags: run_mags(query, graph, data, PruneConfig()),
         }

@@ -163,6 +163,19 @@ def test_removed_prune_rule_is_a_usage_error_exit_1(tiny_dataset):
     assert "unknown prune rule" in proc.stderr and proc.stdout == ""
 
 
+def test_removed_pool_familiarity_rule_is_a_usage_error_exit_1(tiny_dataset):
+    members, edges, venues = tiny_dataset
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "mags-srdo", "--p", "3", "--k", "0", "--t", "100",
+            "--prune", "pool-familiarity",
+        ]
+    )
+    assert proc.returncode == 1
+    assert "unknown prune rule" in proc.stderr and proc.stdout == ""
+
+
 def test_missing_required_flag_is_a_usage_error_exit_1(tiny_dataset):
     members, edges, venues = tiny_dataset
     proc = run_cli(

@@ -1,12 +1,12 @@
 """The pool counts the search frames carry equal the counts taken from sets.
 
-The familiarity predicates are patched in the engines' namespaces. Each
-patched call recounts from sets (the frame's ``remaining`` candidates are
-read off the calling frame), asserts that the carried counts match (for the
-average rule: the prefix's edge count, the pool degree table and the
-prefix-edge table), and returns the set-based verdict, so the search itself
-never depends on the carried counts. Every exact solver, in both
-familiarity modes, must still equal brute force.
+The average familiarity predicate, the one rule that reads carried counts,
+is patched in the engines' namespaces. Each patched call recounts from sets
+(the frame's ``remaining`` candidates are read off the calling frame),
+asserts that the carried counts match (the prefix's edge count, the pool
+degree table and the prefix-edge table), and returns the set-based verdict,
+so the search itself never depends on the carried counts. Every exact
+solver, in both familiarity modes, must still equal brute force.
 """
 
 import random
@@ -40,10 +40,9 @@ def _frame_remaining(ids_of):
 
 @pytest.fixture
 def checked_counts(monkeypatch):
-    """Patch the pool predicates; returns how many carried counts were checked."""
-    checked = {"avg": 0, "pool": 0}
+    """Patch the average predicate; returns how many carried counts were checked."""
+    checked = {"avg": 0}
     original_avg = pruning.avg_familiarity_prune
-    original_pool = pruning.pool_familiarity_prune
 
     def avg_checker(ids_of):
         def check(group, pool, p, k, graph, counts=None):
@@ -62,20 +61,9 @@ def checked_counts(monkeypatch):
 
         return check
 
-    def pool_check(group, pool, p, k, graph, pool_degree_sum=None):
-        remaining = _frame_remaining(list)
-        slots = p - len(group)
-        if slots - k - 1 > 0:
-            assert pool_degree_sum == sum(pool_degrees(remaining, graph).values())
-            table = sys._getframe(1).f_locals["pool_deg"]
-            assert table == pool_degrees(remaining, graph)
-            checked["pool"] += 1
-        return original_pool(group, remaining, p, k, graph)
-
     ssgs_ids = lambda remaining: [m for _, m in remaining]  # noqa: E731
     monkeypatch.setattr(single_venue, "avg_familiarity_prune", avg_checker(ssgs_ids))
     monkeypatch.setattr(multi_venue, "avg_familiarity_prune", avg_checker(list))
-    monkeypatch.setattr(multi_venue, "pool_familiarity_prune", pool_check)
     return checked
 
 
@@ -143,5 +131,3 @@ def test_carried_pool_counts_match_sets(checked_counts, make_instance, mode):
                 assert abs(sol.total_distance - oracle.total_distance) <= TOL, where
                 assert is_feasible(sol.group, sol.venue, query, graph, data), where
     assert checked_counts["avg"] > 0
-    if mode is FamiliarityMode.PER_VERTEX:
-        assert checked_counts["pool"] > 0

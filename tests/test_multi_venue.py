@@ -33,7 +33,7 @@ from rallypoint import (
 from rallypoint import multi_venue, single_venue
 from rallypoint.balltree import mindist_point_ball
 from rallypoint.generator import radius_for_quantile, random_instance
-from rallypoint.pruning import distance_prune
+from rallypoint.pruning import distance_prune, pool_degrees
 from rallypoint.model import PRUNE_VENUE_RADIUS
 
 from conftest import make_query_instance
@@ -858,10 +858,9 @@ MAGS_RULES = {
     "apdo": (
         "venue_distance",
         "member_familiarity",
-        "pool_familiarity",
         "ball_distance",
     ),
-    "srdo": ("venue_distance", "member_familiarity", "pool_familiarity"),
+    "srdo": ("venue_distance", "member_familiarity"),
 }
 
 
@@ -890,6 +889,41 @@ def test_enabling_rules_never_explores_more():
                     config=PruneConfig().without(rule), stats=off,
                 )
                 assert on.explored_states <= off.explored_states, (ordering, rule)
+
+
+def _pool_degree_calls(monkeypatch, ordering, mode, refuse=False):
+    """Run 40 joint searches in ``mode`` and count the pool degree tables
+    they build; with ``refuse``, building one fails the test."""
+    calls = []
+
+    def counted(pool, graph):
+        assert not refuse, "the search built a pool degree table"
+        calls.append(1)
+        return pool_degrees(pool, graph)
+
+    monkeypatch.setattr(multi_venue, "pool_degrees", counted)
+    explored = 0
+    for seed in range(40):
+        graph, data, query = make_query_instance(7000 + seed, q_range=(2, 5))
+        query = Query(query.p, query.k, query.t, query.venues, mode)
+        stats = SearchStats()
+        mags_solve(query, graph, data, ordering=ordering, stats=stats)
+        explored += stats.explored_states
+    assert explored > 0
+    return len(calls)
+
+
+@pytest.mark.parametrize("ordering", ["srdo", "apdo"])
+def test_per_vertex_frames_carry_no_pool_counts(monkeypatch, ordering):
+    # No per-vertex rule reads pool counts, so no frame builds them.
+    _pool_degree_calls(monkeypatch, ordering, FamiliarityMode.PER_VERTEX, refuse=True)
+
+
+@pytest.mark.parametrize("ordering", ["srdo", "apdo"])
+def test_average_frames_still_build_pool_counts(monkeypatch, ordering):
+    # The average rule reads them; without this the test above could pass
+    # on a search that never reaches ``pool_degrees`` at all.
+    assert _pool_degree_calls(monkeypatch, ordering, FamiliarityMode.AVERAGE) > 0
 
 
 def test_prune_counters_populated_somewhere():
@@ -964,15 +998,15 @@ def _search_record(seed, variant):
 PINNED_SEARCHES = {
     (0, "srdo"): (
         None,
-        (100, 570, 203),
-        {"member_familiarity": 462, "pool_familiarity": 8, "venue_radius": 79},
+        (112, 587, 218),
+        {"member_familiarity": 475, "venue_distance": 1, "venue_radius": 80},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "srdo"): (
         None,
-        (1, 4, 2),
-        {"member_familiarity": 2, "pool_familiarity": 1},
+        (5, 7, 2),
+        {"member_familiarity": 2, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1074,16 +1108,16 @@ PINNED_SEARCHES = {
     ),
     (0, "apdo"): (
         None,
-        (102, 581, 202),
-        {"member_familiarity": 469, "pool_familiarity": 10, "venue_radius": 81},
-        (1927, "a59f674a9931c893"),
+        (116, 600, 220),
+        {"member_familiarity": 484, "venue_radius": 84},
+        (2033, "c49c12f64d551019"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "apdo"): (
         None,
-        (1, 4, 2),
-        {"member_familiarity": 2, "pool_familiarity": 1},
-        (12, "eb117390dcba51c5"),
+        (5, 7, 2),
+        {"member_familiarity": 2, "venue_radius": 1},
+        (14, "ce1032691b18c843"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "apdo"): (

@@ -423,7 +423,7 @@ def _pinned_record(seed, solver):
 # `sfgp_solve`, which built the same tree (seeded on the query's live
 # venues) before it was folded into mags-srdo.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (329, 875, 172), {'member_familiarity': 541, 'pool_familiarity': 4, 'venue_distance': 492, 'venue_radius': 30}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (333, 877, 173), {'member_familiarity': 543, 'venue_distance': 492, 'venue_radius': 30}),
     (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (95, 409, 59), {'avg_familiarity': 313, 'venue_distance': 293, 'venue_radius': 23}),
     (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (21, 25, 1), {'avg_familiarity': 4, 'distance': 1}),
     (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (49, 174, 24), {'avg_familiarity': 121, 'distance': 20}),
@@ -483,7 +483,7 @@ PINNED_STATIC_SEARCHES = {
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 1}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (49, 106, 5), {'member_familiarity': 11, 'pool_familiarity': 2, 'venue_distance': 94, 'venue_radius': 8}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (51, 106, 5), {'member_familiarity': 11, 'venue_distance': 94, 'venue_radius': 8}),
     (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (18, 70, 1), {'avg_familiarity': 5, 'venue_distance': 101, 'venue_radius': 8}),
     (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7, 'merge': 1}),
     (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7}),
@@ -507,7 +507,7 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (13, 'ssp'): (None, (0, 0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (190, 543, 68), {'member_familiarity': 340, 'pool_familiarity': 10, 'venue_distance': 20, 'venue_radius': 27}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (201, 547, 68), {'member_familiarity': 343, 'venue_distance': 20, 'venue_radius': 27}),
     (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (49, 114, 11), {'avg_familiarity': 57, 'venue_distance': 21, 'venue_radius': 27}),
     (14, 'ssgmerge'): (None, (7, 25, 6), {'avg_familiarity': 18, 'merge': 10}),
     (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (12, 36, 8), {'avg_familiarity': 24, 'distance': 4}),
@@ -519,7 +519,7 @@ PINNED_STATIC_SEARCHES = {
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 12, 0), {'distance': 13}),
-    (16, 'sfgp'): (None, (79, 157, 29), {'member_familiarity': 67, 'pool_familiarity': 11, 'venue_radius': 9}),
+    (16, 'sfgp'): (None, (104, 185, 36), {'member_familiarity': 81, 'venue_radius': 10}),
     (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (12, 18, 0), {'avg_familiarity': 3, 'venue_distance': 9, 'venue_radius': 9}),
     (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
@@ -537,7 +537,7 @@ PINNED_STATIC_SEARCHES = {
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 5}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (210, 464, 66), {'member_familiarity': 250, 'pool_familiarity': 4, 'venue_distance': 23, 'venue_radius': 14}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (214, 464, 66), {'member_familiarity': 250, 'venue_distance': 23, 'venue_radius': 14}),
     (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (61, 221, 24), {'avg_familiarity': 160, 'venue_distance': 8, 'venue_radius': 14}),
     (19, 'ssgmerge'): (None, (2, 25, 4), {'avg_familiarity': 23, 'merge': 1}),
     (19, 'ssgs-avg'): (None, (2, 25, 4), {'avg_familiarity': 23}),
@@ -591,7 +591,7 @@ PINNED_STATIC_SEARCHES = {
     (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 3, 0), {'venue_distance': 5}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2, 0), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 4, 0), {'distance': 6}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (44, 81, 10), {'member_familiarity': 35, 'pool_familiarity': 2, 'venue_distance': 8, 'venue_radius': 22}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (46, 81, 10), {'member_familiarity': 35, 'venue_distance': 8, 'venue_radius': 22}),
     (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (7, 31, 3), {'avg_familiarity': 24, 'venue_distance': 8, 'venue_radius': 22}),
     (32, 'ssgs-avg'): (None, (0, 6, 0), {'avg_familiarity': 6}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (13, 28, 2), {'avg_familiarity': 15, 'distance': 6}),
