@@ -1,7 +1,8 @@
 """The two spatial indexes behind the solvers.
 
 Members live in an R-tree (bulk-loaded, static): it answers the radius
-queries that gather each venue's candidates, and its node boxes bound the
+queries that gather each venue's candidates, with their distances and
+nearest first, and its node boxes bound the
 distance to every member below them. Venues live in a ball tree: every node is a ball covering its
 subtree, so center-distance-minus-radius lower-bounds the distance to any
 venue inside, letting whole venue clusters be discarded at once.
@@ -25,6 +26,10 @@ tree = build_rtree(members, max_fanout=16)
 center = Location(50, 50)
 nearby = tree.range_query(center, 10.0)
 print(f"{len(nearby)} members within 10 units of the center")
+# One walk of the tree returns (distance, id) pairs, nearest first.
+for dist, member in nearby[:5]:
+    assert dist == distance(members[member], center)
+    print(f"  member {member:3d} at distance {dist:.3f}")
 
 # The node bounds never overshoot: that is what makes pruning safe.
 worst_gap = 0.0

@@ -1,17 +1,19 @@
 """Static R-tree over member locations.
 
 Bulk-loaded with sort-tile-recursive packing, so the structure is a pure
-function of the input points. Supports radius range queries and exact
-point-to-MBR lower bounds.
+function of the input points. Supports exact point-to-MBR lower bounds and
+radius range queries; a range query walks the tree once and returns the
+``(distance, id)`` pair of every location in range, sorted, so a caller
+that orders candidates by distance computes no distance itself.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
-from .model import Location, MemberId, distance
+from .model import Location, MemberId
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,38 @@ class Rtree:
             else:
                 stack.extend(n.children)
 
-    def range_query(self, center: Location, radius: float) -> Set[MemberId]:
-        """Exactly the ids whose location is within ``radius`` of ``center``."""
-        if radius < 0:
-            raise ValueError("radius must be >= 0")
-        result: Set[MemberId] = set()
+    def range_query(self, center: Location, radius: float) -> List[Tuple[float, MemberId]]:
+        """The ``(distance, id)`` pair of every location within ``radius`` of
+        ``center``, sorted by ``(distance, id)``, from one walk of the tree.
+
+        Each distance is ``distance(loc, center)`` bit for bit, and a node is
+        entered when ``mindist_point_mbr(center, node.mbr) <= radius``; both
+        are written out here rather than called once per node and point.
+        Raises ``ValueError`` for a negative or NaN radius."""
+        if not radius >= 0:
+            raise ValueError(f"radius must be >= 0, got {radius!r}")
+        hits: List[Tuple[float, MemberId]] = []
         if self.root is None:
-            return result
+            return hits
+        cx, cy = center.x, center.y
+        hypot = math.hypot
         stack = [self.root]
         while stack:
             node = stack.pop()
-            if mindist_point_mbr(center, node.mbr) > radius:
+            m = node.mbr
+            dx = m.min_x - cx if cx < m.min_x else (cx - m.max_x if cx > m.max_x else 0.0)
+            dy = m.min_y - cy if cy < m.min_y else (cy - m.max_y if cy > m.max_y else 0.0)
+            if hypot(dx, dy) > radius:
                 continue
             if node.is_leaf:
                 for member, loc in node.entries:
-                    if distance(center, loc) <= radius:
-                        result.add(member)
+                    d = hypot(loc.x - cx, loc.y - cy)
+                    if d <= radius:
+                        hits.append((d, member))
             else:
                 stack.extend(node.children)
-        return result
+        hits.sort()
+        return hits
 
 
 def _pack_level(items: Sequence[tuple], fanout: int, key_x, key_y) -> List[List[tuple]]:

@@ -81,7 +81,6 @@ from .model import (
     SpatialDataset,
     VenueId,
     average_familiarity_edges,
-    distance,
     familiarity_ok,
     internal_edge_count,
     total_distance,
@@ -336,15 +335,16 @@ def candidate_order(
     """In-range graph vertices sorted by (distance to venue, id): the one
     in-range rule of every exact solver.
 
-    Located members that are not graph vertices are skipped. Raises
-    ``ValueError`` for a venue ``data`` does not locate."""
+    The pairs and their order come from one ``range_query`` of the member
+    R-tree, so each distance is the index's: ``build_indexes(data)`` fills it
+    from ``data``, and then each distance equals
+    ``data.member_venue_distance(m, venue)`` exactly. Located members that
+    are not graph vertices are skipped. Raises ``ValueError`` for a venue
+    ``data`` does not locate."""
     center = data.venue_locations.get(venue)
     if center is None:
         raise ValueError(f"venue {venue!r} has no location")
-    in_range = indexes.members.range_query(center, query.t)
-    return sorted(
-        (distance(data.member_locations[m], center), m) for m in in_range if m in graph
-    )
+    return [pair for pair in indexes.members.range_query(center, query.t) if pair[1] in graph]
 
 
 def ssp_solve(

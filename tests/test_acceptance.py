@@ -384,17 +384,18 @@ def test_criterion_8_index_invariants():
                     assert lb <= distance(probe, loc) + TOL
                     counts["rtree_mindist"] += 1
 
-    # Range query equals the linear scan.
+    # Range query equals the linear scan, pairs and order, bit for bit.
     for trial in range(320):
         n = rng.randint(20, 60)
         pts = {i: Location(rng.uniform(0, 100), rng.uniform(0, 100)) for i in range(n)}
         tree = build_rtree(pts, max_fanout=rng.choice([2, 4, 8]))
         center = Location(rng.uniform(-20, 120), rng.uniform(-20, 120))
         radius = rng.uniform(0, 90)
-        got = tree.range_query(center, radius)
-        for m, loc in pts.items():
-            assert (m in got) == (distance(center, loc) <= radius)
-            counts["range"] += 1
+        expected = sorted(
+            (distance(loc, center), m) for m, loc in pts.items() if distance(center, loc) <= radius
+        )
+        assert tree.range_query(center, radius) == expected
+        counts["range"] += len(pts)
 
     # BallTree point and MBR MINDIST soundness.
     for trial in range(15):

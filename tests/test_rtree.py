@@ -10,17 +10,24 @@ def random_points(rng, n, box=100.0):
     return {i: Location(rng.uniform(0, box), rng.uniform(0, box)) for i in range(n)}
 
 
+def linear_scan(pts, center, radius):
+    """The reference answer: every (distance, id) pair within ``radius``."""
+    return sorted(
+        (distance(loc, center), m) for m, loc in pts.items() if distance(center, loc) <= radius
+    )
+
+
 def test_single_point_tree():
     tree = build_rtree({7: Location(2.0, 3.0)})
     root = tree.root
     assert root.is_leaf
     assert (root.mbr.min_x, root.mbr.min_y, root.mbr.max_x, root.mbr.max_y) == (2, 3, 2, 3)
-    assert tree.range_query(Location(2, 3), 0.0) == {7}
+    assert tree.range_query(Location(2, 3), 0.0) == [(0.0, 7)]
 
 
 def test_empty_tree_queries():
     tree = build_rtree({})
-    assert tree.range_query(Location(0, 0), 10.0) == set()
+    assert tree.range_query(Location(0, 0), 10.0) == []
 
 
 def test_containment_invariant_holds():
@@ -39,23 +46,25 @@ def test_containment_invariant_holds():
 
 
 def test_duplicate_coordinates_both_retrievable():
-    tree = build_rtree({1: Location(5, 5), 2: Location(5, 5)})
-    assert tree.range_query(Location(5, 5), 0.0) == {1, 2}
+    pts = {2: Location(5, 5), 1: Location(5, 5), 3: Location(8, 9), 0: Location(8, 9)}
+    tree = build_rtree(pts)
+    assert tree.range_query(Location(5, 5), 0.0) == [(0.0, 1), (0.0, 2)]
+    # Equal distances tie by id.
+    assert tree.range_query(Location(5, 5), 5.0) == [(0.0, 1), (0.0, 2), (5.0, 0), (5.0, 3)]
+    assert tree.range_query(Location(5, 5), 5.0) == linear_scan(pts, Location(5, 5), 5.0)
 
 
 def test_range_query_zero_radius():
     rng = random.Random(2)
     pts = random_points(rng, 30)
     tree = build_rtree(pts)
-    assert tree.range_query(pts[4], 0.0) == {
-        m for m, loc in pts.items() if loc == pts[4]
-    }
+    assert tree.range_query(pts[4], 0.0) == linear_scan(pts, pts[4], 0.0) == [(0.0, 4)]
 
 
 def test_range_query_below_nearest_is_empty():
     pts = {0: Location(10, 0), 1: Location(0, 10)}
     tree = build_rtree(pts)
-    assert tree.range_query(Location(0, 0), 9.0) == set()
+    assert tree.range_query(Location(0, 0), 9.0) == []
 
 
 def test_range_query_matches_linear_scan():
@@ -66,8 +75,30 @@ def test_range_query_matches_linear_scan():
         center = Location(rng.uniform(0, 100), rng.uniform(0, 100))
         dists = sorted(distance(center, loc) for loc in pts.values())
         radius = dists[len(dists) // 2]
-        expected = {m for m, loc in pts.items() if distance(center, loc) <= radius}
-        assert tree.range_query(center, radius) == expected
+        # Float equality is bit for bit here: no distance is NaN or -0.0.
+        assert tree.range_query(center, radius) == linear_scan(pts, center, radius)
+
+
+def test_range_query_includes_a_point_exactly_on_the_radius():
+    # A 3-4-5 triangle: the distance is exactly 5.0.
+    pts = {
+        0: Location(3.0, 4.0),
+        1: Location(-3.0, -4.0),
+        2: Location(3.0, 4.5),
+        3: Location(0.0, 0.0),
+    }
+    tree = build_rtree(pts, max_fanout=2)
+    got = tree.range_query(Location(0.0, 0.0), 5.0)
+    assert got == [(0.0, 3), (5.0, 0), (5.0, 1)]
+    assert got == linear_scan(pts, Location(0.0, 0.0), 5.0)
+    assert tree.range_query(Location(0.0, 0.0), math.nextafter(5.0, 0.0)) == [(0.0, 3)]
+
+
+@pytest.mark.parametrize("radius", [-1.0, -0.5, math.nan])
+def test_range_query_rejects_negative_and_nan_radius(radius):
+    tree = build_rtree({0: Location(0.0, 0.0)})
+    with pytest.raises(ValueError, match="radius must be >= 0"):
+        tree.range_query(Location(0.0, 0.0), radius)
 
 
 def test_mindist_point_inside_mbr_is_zero():

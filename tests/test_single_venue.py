@@ -13,6 +13,7 @@ from rallypoint import (
     SocialGraph,
     SpatialDataset,
     brute_force,
+    build_indexes,
     is_feasible,
     mags_solve,
     merge_prune,
@@ -24,7 +25,7 @@ from rallypoint import (
     sso_admits,
 )
 from rallypoint.generator import radius_for_quantile, random_instance
-from rallypoint.single_venue import MergeQueues, _QueueEntry
+from rallypoint.single_venue import MergeQueues, _QueueEntry, candidate_order
 
 from conftest import make_query_instance
 
@@ -175,6 +176,50 @@ def test_located_non_vertex_is_not_a_candidate():
     for sol in solutions:
         assert (sol.group, sol.venue) == (oracle.group, oracle.venue)
         assert sol.total_distance == pytest.approx(oracle.total_distance, abs=1e-9)
+
+
+def test_candidate_order_pairs_in_range_vertices_by_distance_then_id():
+    # x is located but not a vertex; b and d tie at 2.0 and c sits exactly on
+    # the radius (a 3-4-5 triangle); e lies beyond it.
+    graph = SocialGraph("abcde", [("a", "b")])
+    members = {
+        "d": Location(0.0, 2.0),
+        "b": Location(2.0, 0.0),
+        "a": Location(1.0, 0.0),
+        "x": Location(0.5, 0.0),
+        "c": Location(3.0, 4.0),
+        "e": Location(5.0, 0.5),
+    }
+    data = SpatialDataset(members, {"q": Location(0.0, 0.0), "far": Location(90.0, 90.0)})
+    query = Query(p=2, k=0, t=5.0, venues=("q",))
+    order = candidate_order(query, graph, data, "q", build_indexes(data))
+    assert order == [(1.0, "a"), (2.0, "b"), (2.0, "d"), (5.0, "c")]
+    assert candidate_order(query, graph, data, "far", build_indexes(data)) == []
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_candidate_order_distances_are_the_datasets_exactly(seed):
+    graph, data = random_instance(seed, 60, 6, edge_prob=0.2)
+    indexes = build_indexes(data)
+    for quantile in (0.05, 0.3, 1.0):
+        t = radius_for_quantile(graph, data, quantile)
+        query = Query(p=2, k=0, t=t, venues=tuple(data.venue_locations))
+        for q in query.venues:
+            # Each distance equal, bit for bit, to the dataset's: the engines'
+            # reported totals rely on it.
+            assert candidate_order(query, graph, data, q, indexes) == sorted(
+                (data.member_venue_distance(m, q), m)
+                for m in graph.vertices
+                if data.member_venue_distance(m, q) <= t
+            )
+
+
+def test_candidate_order_rejects_an_unlocated_venue():
+    graph = SocialGraph("ab", [("a", "b")])
+    data = SpatialDataset({"a": Location(0.0, 0.0), "b": Location(1.0, 0.0)}, {"q": Location(0, 0)})
+    query = Query(p=2, k=0, t=5.0, venues=("q",))
+    with pytest.raises(ValueError, match="venue 'nowhere' has no location"):
+        candidate_order(query, graph, data, "nowhere", build_indexes(data))
 
 
 # --- leaf frames ------------------------------------------------------------
