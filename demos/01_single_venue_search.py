@@ -1,10 +1,14 @@
 """Walkthrough: exact single-venue group selection.
 
 Six friends at various distances from a cafe; we want the three closest that
-all know each other. Pure distance ordering would chase {a, b, ...} first and
-waste time, because b knows nobody near the front of the line. The search
-interleaves the social admission test with distance ordering and finds the
-triangle {a, c, d} directly, then prunes the rest of the space.
+all know each other. The search walks the candidates in distance order and
+starts from a, the closest. The familiarity bound prunes {a, b} at once: a
+and b are strangers, and no third member can make the pair a triangle. The
+next pair, {a, c}, is completed by d into the triangle {a, c, d}, and the
+distance bound prunes the rest of the space: three states explored in all.
+The paper's socially-aware admission test, shown first, would defer b
+instead; it only reorders the walk, and measured it cost more than it saved,
+so the search does not apply it.
 """
 
 from rallypoint import (

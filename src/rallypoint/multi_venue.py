@@ -25,10 +25,9 @@ on exact distances and no index is read.
 Each apdo search frame keeps one heap of the pairs of ``near`` whose member
 is in the frame's pool and whose venue is in its radius universe, keyed by
 ``(prefix total to the venue + pair distance, -degree, member, venue)``.
-Within a frame every key is fixed, so the heap serves all of the frame's
-selections: each pops past pairs whose member has been tried at the current
-``theta``, admitted members included. Only a ``theta`` escalation, which
-offers the rejected members again, rebuilds it. The ball-distance bound
+Within a frame every key is fixed, so one heap, built at the frame's first
+selection, serves all of its selections: each pops past the pairs of the
+members the frame has already generated. The ball-distance bound
 runs as one top-down pass over the venue ball tree, over the balls holding a
 venue of ``sums`` (the ball's live venues). Each prefix member costs at least
 its ``mindist`` to the ball, and each open slot at least the smallest first
@@ -41,8 +40,7 @@ inner-triangle ball bounds of ``pruning`` are not checked: by the triangle
 inequality neither is above the ball-distance bound of the same ball.
 
 A search keeps each alive venue's candidate order for its whole run. A search
-frame carries its prefix's internal edge count, so the admission test is an
-integer comparison (``admission_edges``), and reads its completion table,
+frame carries its prefix's internal edge count, and reads its completion table,
 ``nearest``, off the candidate orders: for each venue of ``sums``, the first
 ``p - size`` (distance, member) pairs of the venue's candidate order that lie
 in the frame's pool. A completion at a venue takes only its in-range
@@ -63,12 +61,13 @@ child bound reaches the incumbent at all of them. The bound grows with the
 candidate's distance, so each venue's distance-sorted candidates are read
 only up to the first that fails it: the threshold algorithm's sorted-access
 stop rule. The survivors keep their pool order, and apdo builds its pair
-heap over them. With a static order, a cursor into the frame's remaining
-candidates marks how far the current ``theta`` has tried them: it advances
-on a rejection, stays put on an admission and returns to the front when
-``theta`` escalates. Solution venues are visited in the query's venue
-order, never in set order, so the work done does not depend on the string
-hash seed.
+heap over them. A frame expands its candidates one by one, srdo in pool
+order and apdo in heap order, and each child completes only from the
+candidates the frame has not yet generated, so each candidate set is
+generated once. The paper's admission test (``sso_admits``) would only
+reorder this walk; no search applies it. Solution venues are visited in the
+query's venue order, never in set order, so the work done does not depend
+on the string hash seed.
 
 In average mode a frame may also carry its pool's acquaintance counts: the
 pool degree table (each remaining candidate's acquaintances among the
@@ -76,7 +75,7 @@ remaining candidates) and the prefix-edge table (each remaining candidate's
 acquaintances in the prefix). They are updated as each generated candidate
 leaves the pool, rebuilt from the survivors when a frame drops candidates on
 entry, and copied into child frames. The average rule reads them instead of
-intersecting the pool, and the admission test reads a candidate's prefix
+intersecting the pool, and a child's edge count reads the candidate's prefix
 edges off the prefix-edge table. A frame keeps them only when a child of it
 can fire the average rule: frames whose prefix is shorter than ``p - 1``,
 while the rule is on. Per-vertex frames carry no pool counts: the one social
@@ -129,9 +128,8 @@ from .pruning import (
     member_familiarity_prune,
     pool_degrees,
 )
-# ``sso_admits`` is re-exported; the engine below applies the same test
-# through ``admission_edges`` on the edge count it carries.
-from .single_venue import _GroupSearch, admission_edges, candidate_order, sso_admits
+# ``sso_admits``, the paper's admission test, is only re-exported.
+from .single_venue import _GroupSearch, candidate_order, sso_admits
 
 
 @dataclass(frozen=True)
@@ -257,8 +255,7 @@ class _MultiVenueSearch(_GroupSearch):
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
             pe = dict.fromkeys(pool_deg, 0)
-        # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
-        self._frame([], set(), 0, pool, sums, self.query.k, pool_deg, pe)
+        self._frame([], set(), 0, pool, sums, pool_deg, pe)
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool counts:
@@ -298,17 +295,18 @@ class _MultiVenueSearch(_GroupSearch):
         universe: Set[VenueId],
         remaining: List[MemberId],
         visited: Set[MemberId],
-    ) -> Optional[MemberId]:
+    ) -> MemberId:
         """Pop the frame's pair heap to its first pair whose member is not in
-        ``visited`` and return that member: of the (member, venue) pairs over
-        ``remaining`` outside ``visited``, the one minimizing the grown
-        group's total distance to the venue. An admitted member stays in
-        ``visited`` until the heap is rebuilt, so its pairs are dropped too.
+        ``visited``, the members the frame has generated, and return that
+        member: of the (member, venue) pairs over ``remaining``, the one
+        minimizing the grown group's total distance to the venue. Every
+        member of ``remaining`` has a pair in the heap, so the caller pops
+        only while ``remaining`` is not empty.
 
         The heap ranges over the radius universe: the alive venues within
         ``t`` of every prefix member. It shrinks only through the radius, so
         extraction order is independent of the prune toggles."""
-        while heap:
+        while True:
             score, _, member, venue = heapq.heappop(heap)
             if member in visited:
                 continue
@@ -316,7 +314,7 @@ class _MultiVenueSearch(_GroupSearch):
                 self.audit.selections.append(
                     SelectionRecord(
                         group=tuple(prefix),
-                        candidates=tuple(sorted(m for m in remaining if m not in visited)),
+                        candidates=tuple(sorted(remaining)),
                         venues=tuple(sorted(universe)),
                         member=member,
                         venue=venue,
@@ -324,7 +322,6 @@ class _MultiVenueSearch(_GroupSearch):
                     )
                 )
             return member
-        return None
 
     def _ball_pass(
         self,
@@ -386,7 +383,6 @@ class _MultiVenueSearch(_GroupSearch):
         prefix_edges: int,
         pool: List[MemberId],
         sums: Dict[VenueId, float],
-        theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
         pe: Optional[Dict[MemberId, int]],
     ) -> None:
@@ -428,14 +424,12 @@ class _MultiVenueSearch(_GroupSearch):
             pool_deg = pool_degrees(remaining, graph)
             pe = {v: pe[v] for v in remaining}
         copy_counts = self._keeps_pool_counts(size + 1)
-        visited: Set[MemberId] = set()
-        # Static order: remaining[:cursor] has been tried at this theta.
-        cursor = 0
-        need = admission_edges(size + 1, theta, p)
         if not static:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
-            # The frame's pair heap, built at its first selection.
+            # The frame's pair heap, built at its first selection, and the
+            # members it has generated.
             heap: Optional[List[tuple]] = None
+            visited: Set[MemberId] = set()
 
         # The incumbent the venue checks last ran against. Within a frame
         # venues leave ``sums`` only here, so the checks can turn false only
@@ -460,44 +454,23 @@ class _MultiVenueSearch(_GroupSearch):
                     stats.bump(PRUNE_VENUE_DISTANCE)
                     break
 
+            # Each child completes only from the candidates not yet generated
+            # here, so each candidate set is generated once.
             if static:
-                u = remaining[cursor] if cursor < len(remaining) else None
+                u = remaining.pop(0)
             else:
                 if heap is None:
                     heap = self._pair_heap(prefix, universe, remaining)
                 u = self._select_adaptive(heap, prefix, universe, remaining, visited)
-            if u is None:
-                if not visited:
-                    break
-                if theta < p - 1:
-                    theta += 1
-                    stats.theta_escalations += 1
-                    need = admission_edges(size + 1, theta, p)
-                    # The rejected members are offered again, so the heap is
-                    # rebuilt. At the highest theta every tried member was
-                    # admitted and the heap is spent, so it stays.
-                    heap = None
-                visited.clear()
-                cursor = 0
-                continue
-            visited.add(u)
-
-            if pe is not None:
-                child_edges = prefix_edges + pe[u]
-            else:
-                child_edges = prefix_edges + len(neighbors(u) & prefix_set)
-            if child_edges < need:
-                cursor += 1
-                continue
-
-            if static:
-                del remaining[cursor]
-            else:
+                visited.add(u)
                 remaining.remove(u)
             stats.generated_states += 1
             child_pe = None
             if pe is not None:
+                child_edges = prefix_edges + pe[u]
                 child_pe = admit_from_pool(pool_deg, pe, u, graph)
+            else:
+                child_edges = prefix_edges + len(neighbors(u) & prefix_set)
 
             child_sums = self._child_sums(u, size + 1, sums, nearest)
             if not child_sums:
@@ -522,7 +495,6 @@ class _MultiVenueSearch(_GroupSearch):
                 child_edges,
                 remaining,
                 child_sums,
-                theta,
                 *child_counts,
             )
 

@@ -2,23 +2,20 @@
 for single-venue queries. ``ssp_solve`` runs the search once per venue of a
 query, sharing the incumbent; ``ssgs_solve`` is that run on a one-venue query.
 
-The search keeps an ordered partial group and a pool of remaining candidates.
-Candidates are tried in nondecreasing distance to the venue, but a candidate
-is only admitted when the socially-aware admission test passes at the current
-relaxation level ``theta``; rejected candidates are merely deferred and come
-back whenever ``theta`` escalates, so no group is ever lost to the ordering.
-An expanded candidate is excluded from the rest of its frame, which yields
-each candidate set exactly once.
+The search keeps an ordered partial group and a pool of remaining candidates,
+in nondecreasing (distance to the venue, id) order. A frame expands its
+candidates in that order, and each child completes only from the candidates
+after its own, so each candidate set is generated exactly once. The paper's
+socially-aware admission test (``sso_admits``), which defers candidates that
+would loosen the group and relaxes its level ``theta`` when none is left,
+only reorders this walk, never prunes it. Measured, the reordering cost more
+than it saved, so no search applies it; the merge heuristic still ranks its
+groups by it (``minimal_order_theta``).
 
 Each search frame carries the state its children would otherwise recompute:
-the prefix's internal edge count, so admitting a candidate costs at most one
-neighbourhood intersection with the prefix and an integer comparison against
-the frame's edge threshold (``admission_edges``), and a cursor into the
-frame's remaining candidates. The same count decides the average-mode
-familiarity test at a leaf (``average_familiarity_edges``). Every candidate
-before the cursor has been tried at the current ``theta``: the cursor
-advances on a rejection, stays put on an admission (the admitted candidate
-leaves the list) and returns to the front when ``theta`` escalates.
+the prefix's internal edge count, so growing the prefix costs at most one
+neighbourhood intersection with it. The same count decides the average-mode
+familiarity test at a leaf (``average_familiarity_edges``).
 
 A frame also carries its pool's acquaintance counts: the pool degree table
 (each remaining candidate's acquaintances among the remaining candidates)
@@ -28,9 +25,9 @@ of its acquaintances in the pool loses one pool degree and, in the child's
 copy of ``pe``, gains one prefix edge (``admit_from_pool``). Only frames
 whose children are not leaves (prefix shorter than ``p - 1``) keep the
 tables, and only while the average familiarity rule is on; each such child
-frame gets its own copies. Where a frame keeps ``pe``, the admission test
-reads a candidate's prefix edges there instead of intersecting its
-neighbourhood with the prefix.
+frame gets its own copies. Where a frame keeps ``pe``, a candidate's prefix
+edges are read there instead of intersecting its neighbourhood with the
+prefix.
 
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
@@ -39,20 +36,18 @@ edge count plus the ``r`` largest gains falls short
 (``avg_familiarity_prune``). ``remaining`` is sorted by distance, so the
 distance rule adds its first ``r`` distances to the prefix's total
 (``distance_prune``): the sorted-access bound of Fagin, Lotem and Naor's
-threshold algorithm. The distance check at the head of the frame's loop is
-repeated only after ``remaining`` has shrunk or the incumbent has changed.
+threshold algorithm. The next child is the head of ``remaining``, so one
+check at the head of the frame's loop bounds that child and every later
+sibling, and a failed check ends the frame.
 
-A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
-above. Every group it grows is a leaf, and at ``theta = p - 1`` the admission
-test admits every candidate (``admission_edges(p, p - 1, p) <= 0``), so the
-theta loop there could only change the order in which its leaves are seen.
-Instead it reads its pool once, in (distance, id) order: the sorted-access
-stop rule of the same algorithm. It stops with one distance prune at the
-first candidate that cannot beat the incumbent, which, with the distance
-rule on, is the candidate after the first improvement. On an exact distance
-tie the lower id wins; the total cannot change. The scan
-(``_GroupSearch._scan_leaves``) is shared with the joint multi-venue search,
-whose leaf frames run it once per venue.
+A frame whose prefix has ``p - 1`` members (a leaf frame) reads its pool
+once, in (distance, id) order: the sorted-access stop rule of the same
+algorithm. It stops with one distance prune at the first candidate that
+cannot beat the incumbent, which, with the distance rule on, is the
+candidate after the first improvement. On an exact distance tie the lower id
+wins; the total cannot change. The scan (``_GroupSearch._scan_leaves``) is
+shared with the joint multi-venue search, whose leaf frames run it once per
+venue.
 
 A state-generation budget (the merge heuristic's ``w``) counts the states one
 search generates. It is checked at the head of each frame's loop and before
@@ -217,24 +212,22 @@ class _GroupSearch:
 
 
 class _SingleVenueSearch(_GroupSearch):
-    """Depth-first search over groups for one venue.
+    """Depth-first search over groups for one venue. ``run`` searches the
+    venue's candidate order and leaves the incumbent in ``best_total`` and
+    ``best_group``."""
 
-    Each frame works with its own copy of ``theta`` (inherited from its
-    parent at recursion time), so escalations deep in one subtree never leak
-    into sibling subtrees. ``run`` searches the venue's candidate order and
-    leaves the incumbent in ``best_total`` and ``best_group``.
-    """
-
-    def run(self, order: List[Tuple[float, MemberId]]) -> None:
+    def run(self, order: List[Tuple[float, MemberId]]) -> bool:
+        """Search ``order``; False when the state budget stopped the search
+        before it finished, so the incumbent is not proved optimal."""
         pool_deg = pe = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees([m for _, m in order], self.graph)
             pe = dict.fromkeys(pool_deg, 0)
-        # ``Query`` enforces k <= p - 1, so k is a valid relaxation level.
         try:
-            self._frame([], set(), 0, 0.0, order, self.query.k, pool_deg, pe)
+            self._frame([], set(), 0, 0.0, order, pool_deg, pe)
         except _StopSearch:
-            pass
+            return False
+        return True
 
     def _keeps_pool_counts(self, size: int) -> bool:
         # Only the average-familiarity rule reads the counts, and it runs on
@@ -248,7 +241,6 @@ class _SingleVenueSearch(_GroupSearch):
         prefix_edges: int,
         cur_dist: float,
         pool: List[Tuple[float, MemberId]],
-        theta: int,
         pool_deg: Optional[Dict[MemberId, int]],
         pe: Optional[Dict[MemberId, int]],
     ) -> None:
@@ -260,45 +252,29 @@ class _SingleVenueSearch(_GroupSearch):
         graph = self.graph
         neighbors = graph.neighbors
         remaining = list(pool)
-        # remaining[:cursor] has been tried at this theta. The list is never
-        # empty here: size < p.
-        cursor = 0
-        need = admission_edges(size + 1, theta, p)
         # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe`` its
         # prefix-edge table, when this frame keeps them.
         copy_counts = self._keeps_pool_counts(size + 1)
-        # A passed distance check is repeated only after its inputs change:
-        # ``remaining`` only shrinks, so its length marks its state.
-        viable_at = None
 
         while size + len(remaining) >= p:
             # A spent budget stops the search here, before the next state is
             # generated or harvested.
             if self.stop_at is not None and self.stats.generated_states >= self.stop_at:
                 raise _StopSearch
-            if self.config.distance and viable_at != (len(remaining), self.best_total):
-                if distance_prune(cur_dist, size, p, remaining, self.best_total):
-                    self.stats.bump(PRUNE_DISTANCE)
-                    break
-                viable_at = (len(remaining), self.best_total)
+            # The head of ``remaining`` is the next child, so this bounds the
+            # child and every later sibling: the child's own check would add
+            # the same distances in the same order.
+            if self.config.distance and distance_prune(
+                cur_dist, size, p, remaining, self.best_total
+            ):
+                self.stats.bump(PRUNE_DISTANCE)
+                break
 
-            if cursor == len(remaining):
-                if theta < p - 1:
-                    theta += 1
-                    self.stats.theta_escalations += 1
-                    need = admission_edges(size + 1, theta, p)
-                cursor = 0
-                continue
-            d_u, u = remaining[cursor]
+            d_u, u = remaining.pop(0)
             if pe is not None:
                 child_edges = prefix_edges + pe[u]
             else:
                 child_edges = prefix_edges + len(neighbors(u) & prefix_set)
-            if child_edges < need:
-                cursor += 1
-                continue
-
-            del remaining[cursor]
             child = prefix + [u]
             child_dist = cur_dist + d_u
             self.stats.generated_states += 1
@@ -312,17 +288,10 @@ class _SingleVenueSearch(_GroupSearch):
                     continue
             if self.harvest is not None:
                 self.harvest(child, child_dist)
-            if self.config.distance and distance_prune(
-                child_dist, size + 1, p, remaining, self.best_total
-            ):
-                self.stats.bump(PRUNE_DISTANCE)
-                continue
 
             self.stats.explored_states += 1
             child_counts = (dict(pool_deg), child_pe) if copy_counts else (None, None)
-            self._frame(
-                child, prefix_set | {u}, child_edges, child_dist, remaining, theta, *child_counts
-            )
+            self._frame(child, prefix_set | {u}, child_edges, child_dist, remaining, *child_counts)
 
 
 def candidate_order(
@@ -505,7 +474,9 @@ def ssgmerge_solve(
 ) -> Optional[Solution]:
     """Polynomial-time heuristic: harvest up to ``w`` generated states from the
     branch-and-bound expansion, then repeatedly merge pairs of small groups
-    into larger ones, keeping only the ``lam`` best-ranked per size."""
+    into larger ones, keeping only the ``lam`` best-ranked per size. A search
+    that finishes within ``w`` has proved its incumbent optimal, which is
+    returned with no merging."""
     if not query.is_single_venue:
         raise ValueError("ssgmerge_solve expects a single-venue query")
     if w < 1 or lam < 1:
@@ -515,7 +486,6 @@ def ssgmerge_solve(
     start = time.perf_counter()
     indexes = indexes or build_indexes(data)
     venue = query.venues[0]
-    p = query.p
 
     queues = MergeQueues(capacity=lam)
 
@@ -526,11 +496,30 @@ def ssgmerge_solve(
 
     order = candidate_order(query, graph, data, venue, indexes)
     search = _SingleVenueSearch(query, graph, config, stats, harvest=harvest, budget=w)
-    search.run(order)
-    best = search.best_total
-    # Every harvested member is an in-range candidate of the search.
-    dist_of = {m: d for d, m in order}
+    if search.run(order):
+        group = search.best_group
+    else:
+        # Every harvested member is an in-range candidate of the search.
+        dist_of = {m: d for d, m in order}
+        group = _merge(queues, dist_of, search.best_total, query, graph, stats)
+    stats.elapsed_seconds = time.perf_counter() - start
+    if group is None:
+        return None
+    return Solution(group, venue, total_distance(group, venue, data), stats)
 
+
+def _merge(
+    queues: MergeQueues,
+    dist_of: Dict[MemberId, float],
+    best: float,
+    query: Query,
+    graph: SocialGraph,
+    stats: SearchStats,
+) -> Optional[Tuple[MemberId, ...]]:
+    """The merge phase: grow the harvested groups size by size, by unions of
+    pairs, and return the closest feasible group of ``p`` left in the queues
+    (sorted), or None. ``best`` is the budgeted search's incumbent total."""
+    p = query.p
     for size in range(1, p):
         queues.trim(size)
         mu = {j: queues.min_member_distance(j, dist_of) for j in range(1, p)}
@@ -558,7 +547,6 @@ def ssgmerge_solve(
                     best = total
 
     queues.trim(p)
-    answer = None
     answer_key = None
     for entry in queues.entries(p):
         if not familiarity_ok(entry.key, query.k, query.familiarity_mode, graph):
@@ -566,9 +554,4 @@ def ssgmerge_solve(
         key = (entry.total, tuple(sorted(entry.key)))
         if answer_key is None or key < answer_key:
             answer_key = key
-            answer = entry
-    stats.elapsed_seconds = time.perf_counter() - start
-    if answer is None:
-        return None
-    group = tuple(sorted(answer.key))
-    return Solution(group, venue, total_distance(group, venue, data), stats)
+    return None if answer_key is None else answer_key[1]

@@ -283,7 +283,7 @@ def test_srdo_seed_reads_only_its_own_indexes():
 
 def test_srdo_candidates_out_of_every_live_venue_radius():
     # q1 hosts a and b, q2 hosts c and d, 10 apart; t = 1 and the graph is
-    # complete, so every candidate is admitted. Seed (a, q1), order a, b, d,
+    # complete, so no social rule fires. Seed (a, q1), order a, b, d,
     # c. Once the prefix holds a or b only q1 is live, so the frames under a
     # and b drop d and c on entry and never generate them; likewise q1 is
     # dropped after d.
@@ -425,22 +425,19 @@ def test_apdo_selection_equals_scan_argmin():
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
     # Integer grids with members at exactly t put many (member, venue) pairs
-    # at equal scores, so the tie-breaks decide; theta escalations rebuild
-    # the frame's pair queue, and both the resumed and the rebuilt queues
-    # must pop the scan argmin. Frames drop hopeless candidates on entry,
-    # which leaves few rejections to escalate on, so it draws 6,000
-    # instances per mode to keep its escalation floor.
+    # at equal scores, so the tie-breaks decide; every pop of a frame's pair
+    # queue, the first and each one after a child returns, must be the scan
+    # argmin.
     rng = random.Random(f"apdo-ties-{mode.value}")
-    selections = escalations = 0
+    selections = 0
     for _ in range(6000):
         graph, data, query = _grid_instance(rng)
         query = Query(query.p, query.k, query.t, query.venues, mode)
-        stats, audit = SearchStats(), MagsAudit()
-        mags_solve(query, graph, data, ordering="apdo", stats=stats, audit=audit)
+        audit = MagsAudit()
+        mags_solve(query, graph, data, ordering="apdo", audit=audit)
         _check_selections_by_scan(graph, data, query, audit)
         selections += len(audit.selections)
-        escalations += stats.theta_escalations
-    assert selections > 1000 and escalations > 100, (selections, escalations)
+    assert selections > 1000, selections
 
 
 def test_apdo_checks_ball_bounds_only_against_a_finite_incumbent():
@@ -998,14 +995,14 @@ def _search_record(seed, variant):
 PINNED_SEARCHES = {
     (0, "srdo"): (
         None,
-        (112, 587, 218),
-        {"member_familiarity": 475, "venue_distance": 1, "venue_radius": 80},
+        (76, 289, 0),
+        {"member_familiarity": 213, "venue_distance": 7, "venue_radius": 8},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "srdo"): (
         None,
-        (5, 7, 2),
+        (5, 7, 0),
         {"member_familiarity": 2, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
@@ -1085,8 +1082,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (17, 25, 3),
-        {"member_familiarity": 8, "venue_distance": 4, "venue_radius": 10},
+        (17, 26, 0),
+        {"member_familiarity": 8, "venue_distance": 3, "venue_radius": 10},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1108,16 +1105,16 @@ PINNED_SEARCHES = {
     ),
     (0, "apdo"): (
         None,
-        (116, 600, 220),
-        {"member_familiarity": 484, "venue_radius": 84},
-        (2033, "c49c12f64d551019"),
+        (81, 300, 0),
+        {"member_familiarity": 219, "venue_distance": 11, "venue_radius": 8},
+        (300, "c87ed274d8a39b61"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "apdo"): (
         None,
-        (5, 7, 2),
+        (5, 7, 0),
         {"member_familiarity": 2, "venue_radius": 1},
-        (14, "ce1032691b18c843"),
+        (6, "edce94effcea0ad5"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "apdo"): (
@@ -1195,9 +1192,9 @@ PINNED_SEARCHES = {
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (11, 12, 1),
+        (11, 12, 0),
         {"ball_distance": 4, "member_familiarity": 1, "venue_distance": 1, "venue_radius": 2},
-        (8, "be9db0af750ac1a3"),
+        (6, "9aa147f33a9b060d"),
         (4, "91a4812a310c80c8"),
     ),
     (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
@@ -1232,8 +1229,8 @@ PINNED_SEARCHES = {
     ),
     (8, "srdo without venue_distance"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (3515, 3555, 0),
-        {"member_familiarity": 40, "venue_radius": 203},
+        (3477, 3521, 0),
+        {"member_familiarity": 44, "venue_radius": 213},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1246,8 +1243,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo without venue_distance"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (31, 39, 3),
-        {"member_familiarity": 8, "venue_radius": 13},
+        (26, 36, 0),
+        {"member_familiarity": 10, "venue_radius": 13},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),

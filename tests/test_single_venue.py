@@ -235,9 +235,8 @@ def test_candidate_order_rejects_an_unlocated_venue():
     ],
 )
 def test_pairs_never_escalate_theta(solver, venues):
-    # With p = 2 every frame is the root, whose admission test admits every
-    # candidate (admission_edges(1, theta, 2) <= 0), or a leaf frame, which
-    # scans its pool, venue by venue, without the test.
+    # No search applies the admission test, so the counter, which the
+    # benchmark reads, stays 0.
     for seed in range(40):
         graph, data, query = make_query_instance(seed, p_range=(2, 2), q_range=venues)
         query = dataclasses.replace(query, k=0)
@@ -248,7 +247,7 @@ def test_pairs_never_escalate_theta(solver, venues):
 
 @pytest.mark.parametrize("mode", list(FamiliarityMode))
 def test_leaf_frame_stops_one_candidate_after_the_improving_leaf(mode):
-    # a..e sit 1..5 from the venue; a knows c and e only. The root admits a
+    # a..e sit 1..5 from the venue; a knows c and e only. The root expands a
     # (the root then stops: 0 + 2 * d(b) reaches the incumbent a + c). The
     # leaf frame under [a] reads b (no edge to a, so infeasible), c (the
     # improving leaf, total 4) and stops at d with one distance prune; e,
@@ -267,7 +266,7 @@ def test_leaf_frame_stops_one_candidate_after_the_improving_leaf(mode):
 @pytest.mark.parametrize("mode", list(FamiliarityMode))
 def test_multi_venue_leaf_frame_scans_each_venue_up_to_the_incumbent(mode):
     # a and e sit 5 from r; a, b, c, d sit 6, 6.5, 7, 7.5 from q and e
-    # farther; a knows c and e only. The root admits a, the closest member
+    # farther; a knows c and e only. The root expands a, the closest member
     # to the reference venue r. The leaf frame under [a] walks q first: it
     # reads b (infeasible), c (the improving leaf, total 13) and stops at d
     # with one venue-distance prune. Its walk at r starts from the live
@@ -462,36 +461,36 @@ def _pinned_record(seed, solver):
 # Answer, (explored, generated, theta escalations) and prune counters of the
 # static-order engines: ssgs, ssp and mags-srdo, each in both familiarity
 # modes, and ssgmerge with a budget small enough that its harvest order
-# matters. Any change to the candidate order, the admission test or a prune
+# matters. Any change to the candidate order or a prune
 # rule that alters a search tree shows up here. The "sfgp" keys pin
 # mags-srdo in per-vertex mode: they keep the name of the former
 # `sfgp_solve`, which built the same tree (seeded on the query's live
 # venues) before it was folded into mags-srdo.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (333, 877, 173), {'member_familiarity': 543, 'venue_distance': 492, 'venue_radius': 30}),
-    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (95, 409, 59), {'avg_familiarity': 313, 'venue_distance': 293, 'venue_radius': 23}),
-    (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (21, 25, 1), {'avg_familiarity': 4, 'distance': 1}),
-    (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (49, 174, 24), {'avg_familiarity': 121, 'distance': 20}),
-    (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (49, 174, 24), {'avg_familiarity': 121, 'distance': 20}),
-    (0, 'ssp'): (((12, 16, 17, 18), 'q2', 146.838995179), (163, 611, 79), {'avg_familiarity': 432, 'distance': 75}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (174, 552, 0), {'member_familiarity': 364, 'venue_distance': 373, 'venue_radius': 22}),
+    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (54, 324, 0), {'avg_familiarity': 256, 'venue_distance': 280, 'venue_radius': 16}),
+    (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (14, 25, 0), {'avg_familiarity': 11, 'distance': 1}),
+    (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (28, 69, 0), {'avg_familiarity': 41, 'distance': 12}),
+    (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (28, 69, 0), {'avg_familiarity': 41, 'distance': 12}),
+    (0, 'ssp'): (((12, 16, 17, 18), 'q2', 146.838995179), (94, 240, 0), {'avg_familiarity': 146, 'distance': 42}),
     (1, 'sfgp'): (None, (0, 0, 0), {}),
     (1, 'mags-srdo-avg'): (None, (0, 0, 0), {}),
     (1, 'ssgmerge'): (None, (0, 0, 0), {}),
     (1, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (1, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (1, 'ssp'): (None, (0, 0, 0), {}),
-    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (65, 117, 4), {'member_familiarity': 14, 'venue_distance': 97, 'venue_radius': 66}),
-    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (21, 41, 1), {'avg_familiarity': 4, 'venue_distance': 36, 'venue_radius': 24}),
-    (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (24, 25, 0), {'avg_familiarity': 1, 'distance': 4, 'merge': 3}),
-    (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (26, 40, 3), {'avg_familiarity': 11, 'distance': 12}),
-    (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (26, 40, 3), {'avg_familiarity': 11, 'distance': 12}),
-    (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (61, 115, 10), {'avg_familiarity': 41, 'distance': 30}),
-    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (439, 730, 95), {'member_familiarity': 247, 'venue_distance': 247, 'venue_radius': 7}),
-    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (351, 665, 88), {'avg_familiarity': 270, 'venue_distance': 222, 'venue_radius': 7}),
-    (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (25, 25, 0), {'distance': 2, 'merge': 3}),
-    (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (182, 560, 45), {'avg_familiarity': 182, 'distance': 272}),
-    (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (182, 560, 45), {'avg_familiarity': 182, 'distance': 272}),
-    (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (207, 780, 60), {'avg_familiarity': 253, 'distance': 416}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (54, 108, 0), {'member_familiarity': 16, 'venue_distance': 96, 'venue_radius': 66}),
+    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (25, 44, 0), {'avg_familiarity': 3, 'venue_distance': 37, 'venue_radius': 24}),
+    (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17, 0), {'avg_familiarity': 5, 'distance': 7}),
+    (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17, 0), {'avg_familiarity': 5, 'distance': 7}),
+    (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17, 0), {'avg_familiarity': 5, 'distance': 7}),
+    (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (49, 81, 0), {'avg_familiarity': 32, 'distance': 16}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (168, 336, 0), {'member_familiarity': 102, 'venue_distance': 217, 'venue_radius': 6}),
+    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (148, 328, 0), {'avg_familiarity': 114, 'venue_distance': 213, 'venue_radius': 6}),
+    (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (14, 25, 0), {'avg_familiarity': 11, 'distance': 3}),
+    (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (19, 39, 0), {'avg_familiarity': 20, 'distance': 11}),
+    (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (19, 39, 0), {'avg_familiarity': 20, 'distance': 11}),
+    (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (22, 45, 0), {'avg_familiarity': 23, 'distance': 15}),
     (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'venue_distance': 8}),
     (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'venue_distance': 8}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4, 0), {'distance': 4}),
@@ -504,12 +503,12 @@ PINNED_STATIC_SEARCHES = {
     (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5, 0), {'distance': 5}),
     (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5, 0), {'distance': 5}),
     (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (20, 20, 0), {'distance': 16}),
-    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (8, 11, 1), {'member_familiarity': 3, 'venue_distance': 4, 'venue_radius': 5}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (5, 8, 0), {'member_familiarity': 3, 'venue_distance': 4, 'venue_radius': 4}),
     (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (7, 7, 0), {'venue_distance': 6, 'venue_radius': 2}),
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5, 0), {'distance': 5}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5, 0), {'distance': 5}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (6, 6, 0), {'distance': 5}),
-    (6, 'ssp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (17, 19, 0), {'avg_familiarity': 2, 'distance': 10}),
+    (6, 'ssp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (16, 18, 0), {'avg_familiarity': 2, 'distance': 10}),
     (7, 'sfgp'): (None, (0, 0, 0), {}),
     (7, 'mags-srdo-avg'): (None, (0, 0, 0), {}),
     (7, 'ssgmerge'): (None, (0, 0, 0), {}),
@@ -528,12 +527,12 @@ PINNED_STATIC_SEARCHES = {
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4, 0), {'distance': 1}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (51, 106, 5), {'member_familiarity': 11, 'venue_distance': 94, 'venue_radius': 8}),
-    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (18, 70, 1), {'avg_familiarity': 5, 'venue_distance': 101, 'venue_radius': 8}),
-    (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7, 'merge': 1}),
-    (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7}),
-    (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (9, 9, 0), {'distance': 7}),
-    (10, 'ssp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (34, 48, 1), {'avg_familiarity': 3, 'distance': 34}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (35, 64, 0), {'member_familiarity': 9, 'venue_distance': 48, 'venue_radius': 4}),
+    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (15, 43, 0), {'avg_familiarity': 4, 'venue_distance': 56, 'venue_radius': 4}),
+    (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7, 0), {'avg_familiarity': 1, 'distance': 6}),
+    (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7, 0), {'avg_familiarity': 1, 'distance': 6}),
+    (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7, 0), {'avg_familiarity': 1, 'distance': 6}),
+    (10, 'ssp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (34, 35, 0), {'avg_familiarity': 1, 'distance': 23}),
     (11, 'sfgp'): (None, (0, 0, 0), {}),
     (11, 'mags-srdo-avg'): (None, (0, 0, 0), {}),
     (11, 'ssgmerge'): (None, (0, 0, 0), {}),
@@ -552,24 +551,24 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0, 0), {}),
     (13, 'ssp'): (None, (0, 0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (201, 547, 68), {'member_familiarity': 343, 'venue_distance': 20, 'venue_radius': 27}),
-    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (49, 114, 11), {'avg_familiarity': 57, 'venue_distance': 21, 'venue_radius': 27}),
-    (14, 'ssgmerge'): (None, (7, 25, 6), {'avg_familiarity': 18, 'merge': 10}),
-    (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (12, 36, 8), {'avg_familiarity': 24, 'distance': 4}),
-    (14, 'ssgs-per-vertex'): (None, (13, 42, 9), {'avg_familiarity': 29}),
-    (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (195, 329, 38), {'avg_familiarity': 117, 'distance': 79}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (111, 312, 0), {'member_familiarity': 198, 'venue_distance': 14, 'venue_radius': 27}),
+    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (34, 76, 0), {'avg_familiarity': 34, 'venue_distance': 21, 'venue_radius': 27}),
+    (14, 'ssgmerge'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (9, 24, 0), {'avg_familiarity': 15, 'distance': 6}),
+    (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (9, 24, 0), {'avg_familiarity': 15, 'distance': 6}),
+    (14, 'ssgs-per-vertex'): (None, (10, 32, 0), {'avg_familiarity': 22}),
+    (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (93, 170, 0), {'avg_familiarity': 77, 'distance': 16}),
     (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5, 0), {'venue_distance': 5, 'venue_radius': 2}),
     (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5, 0), {'venue_distance': 5, 'venue_radius': 2}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4, 0), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 12, 0), {'distance': 13}),
-    (16, 'sfgp'): (None, (104, 185, 36), {'member_familiarity': 81, 'venue_radius': 10}),
+    (16, 'sfgp'): (None, (90, 149, 0), {'member_familiarity': 59, 'venue_radius': 10}),
     (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (12, 18, 0), {'avg_familiarity': 3, 'venue_distance': 9, 'venue_radius': 9}),
     (16, 'ssgmerge'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2, 0), {'avg_familiarity': 2}),
     (16, 'ssgs-per-vertex'): (None, (0, 2, 0), {'avg_familiarity': 2}),
-    (16, 'ssp'): (None, (22, 43, 1), {'avg_familiarity': 21}),
+    (16, 'ssp'): (None, (24, 49, 0), {'avg_familiarity': 25}),
     (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (37, 58, 0), {'venue_distance': 92, 'venue_radius': 24}),
     (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (15, 19, 0), {'venue_distance': 28, 'venue_radius': 3}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6, 0), {'distance': 6}),
@@ -582,12 +581,12 @@ PINNED_STATIC_SEARCHES = {
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 4}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4, 0), {'distance': 5}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (214, 464, 66), {'member_familiarity': 250, 'venue_distance': 23, 'venue_radius': 14}),
-    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (61, 221, 24), {'avg_familiarity': 160, 'venue_distance': 8, 'venue_radius': 14}),
-    (19, 'ssgmerge'): (None, (2, 25, 4), {'avg_familiarity': 23, 'merge': 1}),
-    (19, 'ssgs-avg'): (None, (2, 25, 4), {'avg_familiarity': 23}),
-    (19, 'ssgs-per-vertex'): (None, (2, 25, 4), {'avg_familiarity': 23}),
-    (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (59, 218, 30), {'avg_familiarity': 159, 'distance': 19}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (90, 206, 0), {'member_familiarity': 106, 'venue_distance': 18, 'venue_radius': 14}),
+    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (36, 146, 0), {'avg_familiarity': 100, 'venue_distance': 16, 'venue_radius': 14}),
+    (19, 'ssgmerge'): (None, (2, 25, 0), {'avg_familiarity': 23}),
+    (19, 'ssgs-avg'): (None, (2, 25, 0), {'avg_familiarity': 23}),
+    (19, 'ssgs-per-vertex'): (None, (2, 25, 0), {'avg_familiarity': 23}),
+    (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (37, 101, 0), {'avg_familiarity': 64, 'distance': 16}),
     (20, 'sfgp'): (((8,), 'q1', 16.175908729), (2, 2, 0), {'venue_distance': 3}),
     (20, 'mags-srdo-avg'): (((8,), 'q1', 16.175908729), (2, 2, 0), {'venue_distance': 3}),
     (20, 'ssgs-avg'): (((21,), 'q0', 16.717223358), (1, 1, 0), {'distance': 1}),
@@ -622,8 +621,8 @@ PINNED_STATIC_SEARCHES = {
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1, 0), {'distance': 2}),
     (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (3, 3, 0), {'venue_distance': 3, 'venue_radius': 2}),
     (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (3, 3, 0), {'venue_distance': 3, 'venue_radius': 2}),
-    (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (5, 11, 1), {'avg_familiarity': 6, 'distance': 3}),
-    (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (13, 22, 2), {'avg_familiarity': 9, 'distance': 9}),
+    (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (5, 11, 0), {'avg_familiarity': 6, 'distance': 3}),
+    (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (12, 20, 0), {'avg_familiarity': 8, 'distance': 9}),
     (29, 'sfgp'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'venue_distance': 5}),
     (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (2, 2, 0), {'venue_distance': 5}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1, 0), {'distance': 1}),
@@ -636,18 +635,18 @@ PINNED_STATIC_SEARCHES = {
     (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 3, 0), {'venue_distance': 5}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2, 0), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 4, 0), {'distance': 6}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (46, 81, 10), {'member_familiarity': 35, 'venue_distance': 8, 'venue_radius': 22}),
-    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (7, 31, 3), {'avg_familiarity': 24, 'venue_distance': 8, 'venue_radius': 22}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (37, 72, 0), {'member_familiarity': 35, 'venue_distance': 7, 'venue_radius': 22}),
+    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (6, 30, 0), {'avg_familiarity': 24, 'venue_distance': 7, 'venue_radius': 22}),
     (32, 'ssgs-avg'): (None, (0, 6, 0), {'avg_familiarity': 6}),
-    (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (13, 28, 2), {'avg_familiarity': 15, 'distance': 6}),
+    (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (9, 22, 0), {'avg_familiarity': 13, 'distance': 6}),
     (33, 'sfgp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'venue_distance': 4}),
     (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'venue_distance': 4}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1, 0), {'distance': 1}),
     (33, 'ssp'): (((4,), 'q2', 4.40651612), (2, 2, 0), {'distance': 4}),
-    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (12, 14, 1), {'member_familiarity': 1, 'venue_distance': 6, 'venue_radius': 5}),
-    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (5, 9, 1), {'avg_familiarity': 3, 'venue_distance': 3, 'venue_radius': 5}),
+    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (3, 5, 0), {'member_familiarity': 2, 'venue_distance': 3, 'venue_radius': 3}),
+    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (3, 5, 0), {'avg_familiarity': 2, 'venue_distance': 3, 'venue_radius': 3}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 3, 0), {'distance': 3}),
-    (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (8, 13, 1), {'avg_familiarity': 5, 'distance': 7}),
+    (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (6, 9, 0), {'avg_familiarity': 3, 'distance': 8}),
     (35, 'sfgp'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'venue_distance': 2}),
     (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (2, 2, 0), {'venue_distance': 2}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1, 0), {'distance': 1}),
