@@ -69,6 +69,23 @@ reorder this walk; no search applies it. Solution venues are visited in the
 query's venue order, never in set order, so the work done does not depend
 on the string hash seed.
 
+An srdo frame left with one venue in ``sums`` runs none of this joint
+machinery: it hands the venue's candidates in its pool, in the venue's own
+(distance, id) order, to the single-venue loop that ``ssp`` runs
+(``_GroupSearch._venue_frame``), with the prefix's total to the venue and,
+in average mode, its pool counts cut down to those candidates. One venue
+needs no venue table, and walking in its own distance order rather than the
+reference venue's keeps the sorted completion bound tight. On a one-venue
+query the root frame hands off, so srdo searches as ``ssp`` does. The loop's
+head check and its leaf scan count as venue-distance prunes, and both loops
+run the same social rules.
+
+apdo frames keep the joint loop. Handed off the same way, apdo measured
+faster on the benchmark's mv-adaptive workload, but its searches then made
+no ``mindist_point_ball`` call on the small stream that the benchmark's
+tracing test requires to make some; the hand-off waits for that test to
+change.
+
 In average mode a frame may also carry its pool's acquaintance counts: the
 pool degree table (each remaining candidate's acquaintances among the
 remaining candidates) and the prefix-edge table (each remaining candidate's
@@ -107,7 +124,6 @@ from .model import (
     MemberId,
     PRUNE_BALL_DISTANCE,
     PRUNE_AVG_FAMILIARITY,
-    PRUNE_MEMBER_FAMILIARITY,
     PRUNE_VENUE_DISTANCE,
     PRUNE_VENUE_RADIUS,
     Query,
@@ -125,7 +141,6 @@ from .pruning import (
     avg_familiarity_prune,
     ball_distance_bound,
     distance_prune,
-    member_familiarity_prune,
     pool_degrees,
 )
 # ``sso_admits``, the paper's admission test, is only re-exported.
@@ -258,15 +273,10 @@ class _MultiVenueSearch(_GroupSearch):
         self._frame([], set(), 0, pool, sums, pool_deg, pe)
 
     def _keeps_pool_counts(self, size: int) -> bool:
-        """Whether a frame whose prefix has ``size`` members keeps pool counts:
-        only the average rule reads them, and in average mode it runs on
-        every child that is not a leaf."""
-        query = self.query
-        return (
-            query.familiarity_mode is FamiliarityMode.AVERAGE
-            and self.config.avg_familiarity
-            and size < query.p - 1
-        )
+        """As in the single-venue search, but in average mode only: the
+        member rule is the one social rule of per-vertex joint frames."""
+        average = self.query.familiarity_mode is FamiliarityMode.AVERAGE
+        return average and super()._keeps_pool_counts(size)
 
     # -- candidate selection -----------------------------------------------
 
@@ -387,11 +397,9 @@ class _MultiVenueSearch(_GroupSearch):
         pe: Optional[Dict[MemberId, int]],
     ) -> None:
         p = self.query.p
-        k = self.query.k
         cfg = self.config
         stats = self.stats
         static = self.static
-        per_vertex = self.query.familiarity_mode is FamiliarityMode.PER_VERTEX
         graph = self.graph
         neighbors = graph.neighbors
         size = len(prefix)
@@ -406,6 +414,16 @@ class _MultiVenueSearch(_GroupSearch):
             for q, total in sums.items():
                 candidates = ((d, v) for d, v in self.by_distance[q] if v in pool_set)
                 self._scan_leaves(prefix, prefix_set, prefix_edges, total, candidates, q)
+            return
+        if static and len(sums) == 1:
+            # One venue left: the rest is that venue's search, in its own
+            # distance order, over the frame's candidates in its range.
+            ((q, base),) = sums.items()
+            candidates = [(d, v) for d, v in self.by_distance[q] if v in pool_set]
+            if pe is not None and len(candidates) < len(pool):
+                pool_deg = pool_degrees([v for _, v in candidates], graph)
+                pe = {v: pe[v] for _, v in candidates}
+            self._venue_frame(prefix, prefix_set, prefix_edges, base, candidates, pool_deg, pe, q)
             return
         # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe``
         # its prefix-edge table when this frame keeps counts; both are None
@@ -477,13 +495,11 @@ class _MultiVenueSearch(_GroupSearch):
                 continue
             child = prefix + [u]
 
-            if per_vertex:
-                if cfg.member_familiarity and member_familiarity_prune(child, k, graph):
-                    stats.bump(PRUNE_MEMBER_FAMILIARITY)
-                    continue
-            elif cfg.avg_familiarity:
+            if self._member_prune(child):
+                continue
+            if pool_deg is not None:
                 counts = (2 * child_edges, pool_deg, child_pe)
-                if avg_familiarity_prune(child, pool_deg, p, k, graph, counts):
+                if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
                     stats.bump(PRUNE_AVG_FAMILIARITY)
                     continue
 
@@ -599,10 +615,12 @@ def mags_solve(
 ) -> Optional[Solution]:
     """Index-driven joint search. ``ordering`` picks the candidate extraction
     strategy: "srdo" fixes the reference venue from the closest pair of a
-    pool member and a live venue (``srdo_seed``); "apdo" re-selects the best
-    (member, venue) pair before every insertion and checks the ball-distance
-    bound over the venue ball tree. "apdo" reads the venue ball tree: ``indexes`` without
-    one raise ``ValueError``."""
+    pool member and a live venue (``srdo_seed``), and a search frame left
+    with one venue runs ``ssp``'s single-venue loop in that venue's distance
+    order; "apdo" re-selects the best (member, venue) pair before every
+    insertion and checks the ball-distance bound over the venue ball tree.
+    "apdo" reads the venue ball tree: ``indexes`` without one raise
+    ``ValueError``."""
     if ordering not in ("srdo", "apdo"):
         raise ValueError(f"unknown ordering {ordering!r}")
     if ordering == "apdo" and indexes is not None and indexes.venues is None:

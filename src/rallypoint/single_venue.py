@@ -1,6 +1,10 @@
 """Exact branch-and-bound over one venue at a time, and the merge heuristic
 for single-venue queries. ``ssp_solve`` runs the search once per venue of a
 query, sharing the incumbent; ``ssgs_solve`` is that run on a one-venue query.
+The search's loop (``_GroupSearch._venue_frame``) is shared by both
+depth-first engines: the single-venue solvers run it with no venue to
+record, and the joint multi-venue search hands it every srdo frame left with
+one venue.
 
 The search keeps an ordered partial group and a pool of remaining candidates,
 in nondecreasing (distance to the venue, id) order. A frame expands its
@@ -24,21 +28,25 @@ in the prefix). When a candidate is expanded it leaves both tables, and each
 of its acquaintances in the pool loses one pool degree and, in the child's
 copy of ``pe``, gains one prefix edge (``admit_from_pool``). Only frames
 whose children are not leaves (prefix shorter than ``p - 1``) keep the
-tables, and only while the average familiarity rule is on; each such child
-frame gets its own copies. Where a frame keeps ``pe``, a candidate's prefix
-edges are read there instead of intersecting its neighbourhood with the
-prefix.
+tables, and only while the average familiarity rule is on (in the joint
+search, only in average mode); each such child frame gets its own copies.
+Where a frame keeps ``pe``, a candidate's prefix edges are read there
+instead of intersecting its neighbourhood with the prefix.
 
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
 edges plus its pool degree capped at ``r - 1``, and prunes a child when its
 edge count plus the ``r`` largest gains falls short
-(``avg_familiarity_prune``). ``remaining`` is sorted by distance, so the
-distance rule adds its first ``r`` distances to the prefix's total
-(``distance_prune``): the sorted-access bound of Fagin, Lotem and Naor's
-threshold algorithm. The next child is the head of ``remaining``, so one
-check at the head of the frame's loop bounds that child and every later
-sibling, and a failed check ends the frame.
+(``avg_familiarity_prune``). In per-vertex mode the member rule
+(``member_familiarity_prune``) also runs on every child: a member already
+short of acquaintances stays short in every completion. ``remaining`` is
+sorted by distance, so the distance rule adds its first ``r`` distances to
+the prefix's total (``distance_prune``): the sorted-access bound of Fagin,
+Lotem and Naor's threshold algorithm. The next child is the head of
+``remaining``, so one check at the head of the frame's loop bounds that
+child and every later sibling, and a failed check ends the frame. In the
+joint search that check, like the leaf scan's, counts as a venue-distance
+prune.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) reads its pool
 once, in (distance, id) order: the sorted-access stop rule of the same
@@ -68,6 +76,7 @@ from .model import (
     MemberId,
     PRUNE_AVG_FAMILIARITY,
     PRUNE_DISTANCE,
+    PRUNE_MEMBER_FAMILIARITY,
     PRUNE_MERGE,
     Query,
     SearchStats,
@@ -85,6 +94,7 @@ from .pruning import (
     admit_from_pool,
     avg_familiarity_prune,
     distance_prune,
+    member_familiarity_prune,
     pool_degrees,
 )
 
@@ -128,11 +138,13 @@ class _StopSearch(Exception):
 
 class _GroupSearch:
     """What both depth-first engines share: the incumbent (``best_total``,
-    ``best_group``, ``best_venue``), the leaf feasibility rule and the scan
-    of a leaf frame (see the module docstring).
+    ``best_group``, ``best_venue``), the leaf feasibility rule, the member
+    rule, the scan of a leaf frame and the search at one venue (see the
+    module docstring).
 
     ``leaf_rule`` names the prune rule, a ``PruneConfig`` field, that stops
-    a leaf scan at the first candidate that cannot beat the incumbent.
+    a leaf scan, or ends a one-venue frame, at the first candidate that
+    cannot beat the incumbent.
     """
 
     leaf_rule = PRUNE_DISTANCE
@@ -160,10 +172,31 @@ class _GroupSearch:
         # ``budget`` counts the states this search may generate, whatever
         # ``stats`` held before it.
         self.stop_at = None if budget is None else stats.generated_states + budget
-        # Fewest internal edges a leaf group needs in average mode.
+        # Fewest internal edges a leaf group needs in average mode; in
+        # per-vertex mode the member rule runs on every child instead.
         self.leaf_edges = None
+        self.member_rule = False
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
             self.leaf_edges = average_familiarity_edges(query.p, query.k)
+        else:
+            self.member_rule = config.member_familiarity
+
+    def _keeps_pool_counts(self, size: int) -> bool:
+        """Whether a frame whose prefix has ``size`` members keeps pool
+        counts: only the average rule reads them, and it runs on every child
+        that is not a leaf."""
+        return self.config.avg_familiarity and size < self.query.p - 1
+
+    def _member_prune(self, child: List[MemberId]) -> bool:
+        """The member rule on a child of either loop, in per-vertex mode
+        while the rule is on. The average rule runs wherever a frame keeps
+        pool counts; each loop calls it itself, through its own module's
+        binding, because ``tests/test_frame_counts.py`` patches each binding
+        and reads the calling loop's ``remaining``."""
+        if self.member_rule and member_familiarity_prune(child, self.query.k, self.graph):
+            self.stats.bump(PRUNE_MEMBER_FAMILIARITY)
+            return True
+        return False
 
     def _scan_leaves(
         self,
@@ -210,44 +243,26 @@ class _GroupSearch:
                 self.best_group = tuple(sorted(child))
                 self.best_venue = venue
 
-
-class _SingleVenueSearch(_GroupSearch):
-    """Depth-first search over groups for one venue. ``run`` searches the
-    venue's candidate order and leaves the incumbent in ``best_total`` and
-    ``best_group``."""
-
-    def run(self, order: List[Tuple[float, MemberId]]) -> bool:
-        """Search ``order``; False when the state budget stopped the search
-        before it finished, so the incumbent is not proved optimal."""
-        pool_deg = pe = None
-        if self._keeps_pool_counts(0):
-            pool_deg = pool_degrees([m for _, m in order], self.graph)
-            pe = dict.fromkeys(pool_deg, 0)
-        try:
-            self._frame([], set(), 0, 0.0, order, pool_deg, pe)
-        except _StopSearch:
-            return False
-        return True
-
-    def _keeps_pool_counts(self, size: int) -> bool:
-        # Only the average-familiarity rule reads the counts, and it runs on
-        # every child that is not a leaf.
-        return self.config.avg_familiarity and size < self.query.p - 1
-
-    def _frame(
+    def _venue_frame(
         self,
         prefix: List[MemberId],
         prefix_set: set,
         prefix_edges: int,
-        cur_dist: float,
+        base: float,
         pool: List[Tuple[float, MemberId]],
         pool_deg: Optional[Dict[MemberId, int]],
         pe: Optional[Dict[MemberId, int]],
+        venue: Optional[VenueId],
     ) -> None:
+        """The search below ``prefix`` at one venue: ``pool`` holds the
+        venue's candidates as (distance, member) pairs in (distance, id)
+        order, and ``base`` is the prefix's total distance to the venue.
+        ``venue`` is None for the single-venue solvers, which record no
+        venue."""
         p = self.query.p
         size = len(prefix)
         if size + 1 == p:
-            self._scan_leaves(prefix, prefix_set, prefix_edges, cur_dist, pool, None)
+            self._scan_leaves(prefix, prefix_set, prefix_edges, base, pool, venue)
             return
         graph = self.graph
         neighbors = graph.neighbors
@@ -264,10 +279,10 @@ class _SingleVenueSearch(_GroupSearch):
             # The head of ``remaining`` is the next child, so this bounds the
             # child and every later sibling: the child's own check would add
             # the same distances in the same order.
-            if self.config.distance and distance_prune(
-                cur_dist, size, p, remaining, self.best_total
+            if self.leaf_prune is not None and distance_prune(
+                base, size, p, remaining, self.best_total
             ):
-                self.stats.bump(PRUNE_DISTANCE)
+                self.stats.bump(self.leaf_prune)
                 break
 
             d_u, u = remaining.pop(0)
@@ -276,12 +291,15 @@ class _SingleVenueSearch(_GroupSearch):
             else:
                 child_edges = prefix_edges + len(neighbors(u) & prefix_set)
             child = prefix + [u]
-            child_dist = cur_dist + d_u
+            child_dist = base + d_u
             self.stats.generated_states += 1
 
             # The tables are kept exactly where the average rule runs.
             if pool_deg is not None:
                 child_pe = admit_from_pool(pool_deg, pe, u, graph)
+            if self._member_prune(child):
+                continue
+            if pool_deg is not None:
                 counts = (2 * child_edges, pool_deg, child_pe)
                 if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
                     self.stats.bump(PRUNE_AVG_FAMILIARITY)
@@ -291,7 +309,28 @@ class _SingleVenueSearch(_GroupSearch):
 
             self.stats.explored_states += 1
             child_counts = (dict(pool_deg), child_pe) if copy_counts else (None, None)
-            self._frame(child, prefix_set | {u}, child_edges, child_dist, remaining, *child_counts)
+            self._venue_frame(
+                child, prefix_set | {u}, child_edges, child_dist, remaining, *child_counts, venue
+            )
+
+
+class _SingleVenueSearch(_GroupSearch):
+    """Depth-first search over groups for one venue. ``run`` searches the
+    venue's candidate order and leaves the incumbent in ``best_total`` and
+    ``best_group``."""
+
+    def run(self, order: List[Tuple[float, MemberId]]) -> bool:
+        """Search ``order``; False when the state budget stopped the search
+        before it finished, so the incumbent is not proved optimal."""
+        pool_deg = pe = None
+        if self._keeps_pool_counts(0):
+            pool_deg = pool_degrees([m for _, m in order], self.graph)
+            pe = dict.fromkeys(pool_deg, 0)
+        try:
+            self._venue_frame([], set(), 0, 0.0, order, pool_deg, pe, None)
+        except _StopSearch:
+            return False
+        return True
 
 
 def candidate_order(

@@ -136,7 +136,7 @@ def test_criterion_2_pruning_soundness_and_effectiveness():
         PRUNE_AVG_FAMILIARITY: [run_ssgs, run_ssp],
         PRUNE_DISTANCE: [run_ssgs, run_ssp],
         PRUNE_VENUE_DISTANCE: [run_srdo, run_mags],
-        PRUNE_MEMBER_FAMILIARITY: [run_srdo, run_mags],
+        PRUNE_MEMBER_FAMILIARITY: [run_ssp, run_srdo, run_mags],
         PRUNE_BALL_DISTANCE: [run_mags],
     }
     checks = 0

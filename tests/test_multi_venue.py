@@ -1,4 +1,5 @@
 import ast
+import functools
 import hashlib
 import math
 import os
@@ -363,7 +364,7 @@ for seed in range(10):
     answer = None if sol is None else (sol.group, sol.venue, repr(sol.total_distance))
     runs.append((
         answer,
-        (stats.explored_states, stats.generated_states, stats.theta_escalations),
+        (stats.explored_states, stats.generated_states),
         sorted(stats.pruned.items()),
         (len(audit.selections), digest(audit.selections)),
         (len(audit.bounds), digest(audit.bounds)),
@@ -829,6 +830,32 @@ def test_single_venue_mags_equals_ssgs():
             assert _total(a) == _total(b)
 
 
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_one_venue_srdo_runs_the_single_venue_search(mode):
+    # An srdo frame left with one venue runs the single-venue loop, and on a
+    # one-venue query that is the root frame. In average mode both searches
+    # keep the same pool counts, so srdo generates and explores what ssp
+    # does; per-vertex joint frames keep none, so only the answers match.
+    explored = 0
+    for seed in range(60):
+        graph, data, query = make_query_instance(
+            5400 + seed, n_range=(10, 20), p_range=(3, 6), q_range=(1, 1)
+        )
+        query = Query(query.p, query.k, query.t, query.venues, mode)
+        records = []
+        for solve in (ssp_solve, functools.partial(mags_solve, ordering="srdo")):
+            stats = SearchStats()
+            sol = solve(query, graph, data, stats=stats)
+            answer = None if sol is None else (sol.group, sol.venue, repr(sol.total_distance))
+            records.append((answer, stats.explored_states, stats.generated_states))
+        (ssp_answer, *ssp_counts), (srdo_answer, *srdo_counts) = records
+        assert srdo_answer == ssp_answer, seed
+        if mode is FamiliarityMode.AVERAGE:
+            assert srdo_counts == ssp_counts, seed
+        explored += srdo_counts[0]
+    assert explored > 200, explored
+
+
 def test_p1_all_solvers_pick_closest_pair():
     graph = SocialGraph(range(5), [])
     rng = random.Random(99)
@@ -981,269 +1008,269 @@ def _search_record(seed, variant):
     answer = None if sol is None else (sol.group, sol.venue, round(sol.total_distance, 9))
     return (
         answer,
-        (stats.explored_states, stats.generated_states, stats.theta_escalations),
+        (stats.explored_states, stats.generated_states),
         dict(sorted(stats.pruned.items())),
         (len(audit.selections), _digest(audit.selections)),
         (len(audit.bounds), _digest(audit.bounds)),
     )
 
 
-# Answer, (explored, generated, theta escalations), prune counters, and the
+# Answer, (explored, generated), prune counters, and the
 # count and digest of the audited selections and bounds. Any change to the
 # candidate selection or the ball-level bounds that alters the search tree
 # shows up here.
 PINNED_SEARCHES = {
     (0, "srdo"): (
         None,
-        (76, 289, 0),
+        (76, 289),
         {"member_familiarity": 213, "venue_distance": 7, "venue_radius": 8},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "srdo"): (
         None,
-        (5, 7, 0),
+        (5, 7),
         {"member_familiarity": 2, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (4, 4, 0),
+        (4, 4),
         {"venue_distance": 5, "venue_radius": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
-    (3, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (3, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (4, 4, 0),
+        (4, 4),
         {"venue_distance": 4, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (3, 3, 0),
+        (3, 3),
         {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (6, "srdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (4, 4, 0),
+        (4, 4),
         {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
-    (7, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (7, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (5, 5, 0),
+        (5, 5),
         {"venue_distance": 7},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
-    (9, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (9, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
-        (3, 3, 0),
+        (3, 3),
         {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (9, 12, 0),
+        (9, 12),
         {"venue_distance": 7, "venue_radius": 6},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (5, 5, 0),
+        (5, 5),
         {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (13, "srdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
-        (5, 5, 0),
+        (5, 5),
         {},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (14, "srdo"): (
         ((2, 3, 12), "q2", 43.801634625),
-        (3, 3, 0),
+        (3, 3),
         {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (17, 26, 0),
+        (17, 26),
         {"member_familiarity": 8, "venue_distance": 3, "venue_radius": 10},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
-    (16, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
-    (17, "srdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (16, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (17, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (15, 17, 0),
+        (12, 14),
         {"venue_distance": 8, "venue_radius": 13},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (19, "srdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
-        (5, 5, 0),
+        (5, 5),
         {},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (0, "apdo"): (
         None,
-        (81, 300, 0),
+        (81, 300),
         {"member_familiarity": 219, "venue_distance": 11, "venue_radius": 8},
         (300, "c87ed274d8a39b61"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "apdo"): (
         None,
-        (5, 7, 0),
+        (5, 7),
         {"member_familiarity": 2, "venue_radius": 1},
         (6, "edce94effcea0ad5"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (4, 4, 0),
+        (4, 4),
         {"ball_distance": 7, "venue_distance": 4, "venue_radius": 3},
         (3, "4cd22014eb1c5812"),
         (21, "1a54c3896623965b"),
     ),
-    (3, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (3, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
-        (4, 4, 0),
+        (4, 4),
         {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
         (3, "218dc8c9ca4086e3"),
         (10, "a97d2b3137beb11d"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (3, 3, 0),
+        (3, 3),
         {"ball_distance": 4, "venue_distance": 4},
         (2, "d1e9b725e3835b12"),
         (8, "1a3c9a03e90a24db"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
-        (4, 4, 0),
+        (4, 4),
         {"venue_distance": 3},
         (2, "13feead6177c6bf0"),
         (4, "bb2b41f81ac9f428"),
     ),
-    (7, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (7, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (5, 5, 0),
+        (5, 5),
         {"ball_distance": 7, "venue_distance": 5},
         (4, "096358441cb53ba8"),
         (20, "2206f6ddbb2618fa"),
     ),
-    (9, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (9, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
-        (3, 3, 0),
+        (3, 3),
         {"ball_distance": 3, "venue_distance": 5},
         (2, "e8f07e799d7074ac"),
         (10, "16942ae88af70236"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (7, 7, 0),
+        (7, 7),
         {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
         (4, "34981aade4a2b0c5"),
         (14, "de51292eb93b2e17"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (5, 5, 0),
+        (5, 5),
         {"ball_distance": 3, "venue_distance": 5},
         (3, "5ebab3400af26215"),
         (9, "3a851d2cb51e7569"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
-        (5, 5, 0),
+        (5, 5),
         {},
         (4, "e352dd4fb3a7dd02"),
         (0, "4f53cda18c2baa0c"),
     ),
     (14, "apdo"): (
         ((2, 3, 12), "q2", 43.801634625),
-        (3, 3, 0),
+        (3, 3),
         {"ball_distance": 2, "venue_distance": 1},
         (2, "110a6cc617b48a31"),
         (4, "0cbdcbcb1d2e3f98"),
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (11, 12, 0),
+        (11, 12),
         {"ball_distance": 4, "member_familiarity": 1, "venue_distance": 1, "venue_radius": 2},
         (6, "9aa147f33a9b060d"),
         (4, "91a4812a310c80c8"),
     ),
-    (16, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
-    (17, "apdo"): (None, (0, 0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (16, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
+    (17, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (6, 6, 0),
+        (6, 6),
         {"ball_distance": 4, "venue_distance": 1, "venue_radius": 4},
         (4, "168e5ae32ee8b591"),
         (5, "e3c4ca612218e7a9"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
-        (5, 5, 0),
+        (5, 5),
         {},
         (4, "eaecc5a95f39bb67"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "srdo without venue_distance"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
-        (365, 365, 0),
+        (365, 365),
         {"venue_radius": 116},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo without venue_distance"): (
         ((2, 4, 6), "q0", 61.466951292),
-        (960, 960, 0),
+        (960, 960),
         {"venue_radius": 24},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (8, "srdo without venue_distance"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (3477, 3521, 0),
+        (3477, 3521),
         {"member_familiarity": 44, "venue_radius": 213},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo without venue_distance"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (824, 824, 0),
+        (824, 824),
         {},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (15, "srdo without venue_distance"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (26, 36, 0),
+        (25, 35),
         {"member_familiarity": 10, "venue_radius": 13},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
