@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Digests of every exact solver's answers and search counters on the
+benchmark's query streams, to check that a change leaves both untouched.
+
+    python3 scripts/compare_streams.py --workloads mv-static --seeds 1 3 5
+    python3 scripts/compare_streams.py --seeds 1 --against ../parent-checkout
+
+For each workload, seed and solver it prints one sha256 over the answers,
+``(group, venue, repr(total))`` per query, and one over the search counters
+(explored and generated states, and each prune rule's count). With
+``--against DIR`` it computes the same digests on the checkout at ``DIR``, in
+a fresh interpreter that imports that checkout's ``bench/`` and ``src/``,
+lists each mismatch with the first queries that differ, and exits with 1
+when there is one. The script reads ``bench/`` and never writes to it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import subprocess
+import sys
+from pathlib import Path
+from typing import Dict, List, Optional, Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SOLVERS = ("ssgs", "ssp", "srdo", "apdo")
+# Query indexes listed for each mismatch.
+SHOWN = 5
+
+# (workload, seed, solver) -> (per-query answers, per-query counters)
+Records = Dict[Tuple[str, int, str], Tuple[List[str], List[str]]]
+
+
+def load_bench(root: Path):
+    """The ``run`` module of ``root``'s benchmark and the rallypoint package
+    it imports from ``root/src``."""
+    sys.path.insert(0, str(root / "bench"))
+    import run
+
+    return run, run.import_package()
+
+
+def solve(rp, solver: str, query, built, stats):
+    graph, data, indexes = built
+    if solver == "ssgs":
+        return rp.ssgs_solve(query, graph, data, indexes, stats=stats)
+    if solver == "ssp":
+        return rp.ssp_solve(query, graph, data, indexes, stats=stats)
+    return rp.mags_solve(query, graph, data, indexes, ordering=solver, stats=stats)
+
+
+def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
+                   solvers: Sequence[str]) -> Records:
+    """Each query's answer and counters, as strings, for every workload,
+    seed and solver. ``ssgs`` runs only on streams of one-venue queries."""
+    run, rp = load_bench(root)
+    records: Records = {}
+    for name in workloads:
+        workload = run.WORKLOADS[name]
+        for seed in seeds:
+            cities, raw_queries = run.make_inputs(workload, seed)
+            built = [run.build_city(rp, city) for city in cities]
+            queries = [run.make_query(rp, rq) for rq in raw_queries]
+            for solver in solvers:
+                if solver == "ssgs" and any(len(q.venues) != 1 for q in queries):
+                    continue
+                answers, counters = [], []
+                for query, rq in zip(queries, raw_queries):
+                    stats = rp.SearchStats()
+                    sol = solve(rp, solver, query, built[rq.city], stats)
+                    answer = None
+                    if sol is not None:
+                        answer = (tuple(sol.group), sol.venue, repr(sol.total_distance))
+                    answers.append(repr(answer))
+                    counters.append(repr((
+                        stats.explored_states,
+                        stats.generated_states,
+                        sorted(stats.pruned.items()),
+                    )))
+                records[(name, seed, solver)] = (answers, counters)
+    return records
+
+
+def digest(lines: List[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def report(records: Records) -> List[str]:
+    return [
+        f"{name} seed={seed} {solver} queries={len(answers)} "
+        f"answers={digest(answers)} counters={digest(counters)}"
+        for (name, seed, solver), (answers, counters) in records.items()
+    ]
+
+
+def records_of(root: Path, workloads, seeds, solvers) -> Records:
+    """``stream_records`` of the checkout at ``root``, in a fresh
+    interpreter, so two checkouts' packages never meet in one process."""
+    cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--json",
+           "--workloads", *workloads, "--seeds", *map(str, seeds), "--solvers", *solvers]
+    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
+    rows = json.loads(out.splitlines()[-1])
+    return {(name, seed, solver): (answers, counters)
+            for name, seed, solver, answers, counters in rows}
+
+
+def mismatches(ours: Records, theirs: Records) -> List[str]:
+    """One line per (workload, seed, solver) and kind whose digests differ,
+    or that only one side ran."""
+    lines = []
+    for key in sorted(set(ours) | set(theirs)):
+        label = "{} seed={} {}".format(*key)
+        if key not in ours or key not in theirs:
+            lines.append(f"{label}: only in {'this checkout' if key in ours else 'the other'}")
+            continue
+        for kind, mine, other in zip(("answers", "counters"), ours[key], theirs[key]):
+            if mine == other:
+                continue
+            differ = [i for i, (a, b) in enumerate(zip(mine, other)) if a != b]
+            if len(mine) != len(other):
+                differ.append(min(len(mine), len(other)))
+            shown = ", ".join(map(str, differ[:SHOWN]))
+            lines.append(f"{label}: {kind} differ on {len(differ)} queries, first {shown}")
+    return lines
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workloads", nargs="+",
+                        default=["sv-social", "mv-static", "mv-adaptive"])
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1])
+    parser.add_argument("--solvers", nargs="+", choices=SOLVERS, default=list(SOLVERS))
+    parser.add_argument("--against", type=Path, help="another checkout to compare with")
+    parser.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
+    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    records = stream_records(args.root.resolve(), args.workloads, args.seeds, args.solvers)
+    if args.json:
+        print(json.dumps([[*key, *value] for key, value in records.items()]))
+        return 0
+    print("\n".join(report(records)))
+    if args.against is None:
+        return 0
+    theirs = records_of(args.against.resolve(), args.workloads, args.seeds, args.solvers)
+    lines = mismatches(records, theirs)
+    print("\n".join(lines) if lines else f"no mismatch against {args.against}")
+    return 1 if lines else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,10 +17,13 @@ from the prefix, so toggling prune rules never changes the member extraction
 order.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
-between the pool and the query's live venues (``srdo_seed``), and the static
-order sorts the pool by distance to it. Every pool member lies within ``t``
-of a live venue, so the pair always exists and lies in ``near``; ties break
-on exact distances and no index is read.
+between the pool and the query's live venues (``srdo_seed``). Every pool
+member lies within ``t`` of a live venue, so the pair always exists. Each
+alive venue's candidate order is sorted by distance, so the closest pairs
+head their lists: the seed compares only the pairs at the smallest head
+distance, never the whole of ``near``. The static order sorts the pool by
+(distance to the reference venue, -degree, id), one sort of precomputed
+keys. Ties break on exact distances and no index is read.
 
 Each apdo search frame keeps one heap of the pairs of ``near`` whose member
 is in the frame's pool and whose venue is in its radius universe, keyed by
@@ -60,11 +63,14 @@ its radius and, while the venue-distance rule is on, every candidate whose
 child bound reaches the incumbent at all of them. The bound grows with the
 candidate's distance, so each venue's distance-sorted candidates are read
 only up to the first that fails it: the threshold algorithm's sorted-access
-stop rule. The survivors keep their pool order, and apdo builds its pair
-heap over them. A frame expands its candidates one by one, srdo in pool
-order and apdo in heap order, and each child completes only from the
-candidates the frame has not yet generated, so each candidate set is
-generated once. The paper's admission test (``sso_admits``) would only
+stop rule. The same monotony lets the rule accept a whole list at once: a
+venue whose farthest candidate passes the bound keeps all of its candidates
+without reading them one by one, as every venue does under the root
+frame's infinite incumbent. The survivors keep their pool order, and apdo
+builds its pair heap over them. A frame expands its candidates one by one,
+srdo in pool order and apdo in heap order, and each child completes only
+from the candidates the frame has not yet generated, so each candidate set
+is generated once. The paper's admission test (``sso_admits``) would only
 reorder this walk; no search applies it. Solution venues are visited in the
 query's venue order, never in set order, so the work done does not depend
 on the string hash seed.
@@ -95,8 +101,9 @@ entry, and copied into child frames. The average rule reads them instead of
 intersecting the pool, and a child's edge count reads the candidate's prefix
 edges off the prefix-edge table. A frame keeps them only when a child of it
 can fire the average rule: frames whose prefix is shorter than ``p - 1``,
-while the rule is on. Per-vertex frames carry no pool counts: the one social
-rule checked there, the member rule, reads only the child group.
+while the rule is on and ``k < p - 1``. Per-vertex frames carry no pool
+counts: the one social rule checked there, the member rule, reads only the
+child group.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
 above: it runs the leaf scan of ``single_venue``, shared by both engines,
@@ -111,6 +118,7 @@ total the first venue in query order wins, then the lower (distance, id).
 from __future__ import annotations
 
 import heapq
+import math
 import time
 from dataclasses import dataclass, field
 from itertools import islice
@@ -132,7 +140,6 @@ from .model import (
     Solution,
     SpatialDataset,
     VenueId,
-    distance,
     total_distance,
 )
 from .pruning import (
@@ -190,7 +197,9 @@ def srdo_seed(
     member-to-venue distance table. Returns None when the table holds no pair.
 
     Pairs order by ``(distance, -degree, member, venue)``: ties prefer higher
-    member degree, then ascending ids.
+    member degree, then ascending ids. The joint search passes only the pairs
+    at the smallest distance, read off the heads of the alive venues'
+    candidate orders; they hold every pair that can win.
     """
     rows = near.items()
     d_min = min((d for _, row in rows for d in row.values()), default=None)
@@ -243,21 +252,35 @@ class _MultiVenueSearch(_GroupSearch):
                 self.by_distance[q] = order
                 for d, m in order:
                     self.near.setdefault(m, {})[q] = d
-        pool = sorted(self.near)
         # Only pool members are ever ranked by degree.
-        self.degree_of = {v: graph.degree(v) for v in pool}
+        degree_of = self.degree_of = {v: graph.degree(v) for v in self.near}
         # The candidates in search order. srdo fixes it once, by distance to
         # the reference venue: the venue of the table's closest pair, which
         # exists whenever a venue is alive. apdo needs no seed: every pool
         # member lies within t of an alive venue, so it always has a pair to
         # start from.
-        self.pool = pool
         if self.static and self.alive_venues:
-            _, q_ref, _ = srdo_seed(self.near, self.degree_of)
-            ref_loc = self.venue_loc[q_ref]
-            self.pool = sorted(
-                pool, key=lambda v: (distance(self.member_loc[v], ref_loc), -self.degree_of[v], v)
-            )
+            # Each candidate order is sorted, so the closest pairs head their
+            # lists: the seed compares only those.
+            d_min = min(self.by_distance[q][0][0] for q in self.alive_venues)
+            heads: Dict[MemberId, Dict[VenueId, float]] = {}
+            for q in self.alive_venues:
+                for d, m in self.by_distance[q]:
+                    if d != d_min:
+                        break
+                    heads.setdefault(m, {})[q] = d
+            _, q_ref, _ = srdo_seed(heads, degree_of)
+            ref = self.venue_loc[q_ref]
+            rx, ry = ref.x, ref.y
+            loc = self.member_loc
+            # ``model.distance``'s arithmetic, in one keyed sort.
+            keyed = [
+                (math.hypot(loc[v].x - rx, loc[v].y - ry), -degree_of[v], v) for v in self.near
+            ]
+            keyed.sort()
+            self.pool = [v for _, _, v in keyed]
+        else:
+            self.pool = sorted(self.near)
 
     # -- top level ---------------------------------------------------------
 
@@ -273,8 +296,9 @@ class _MultiVenueSearch(_GroupSearch):
         self._frame([], set(), 0, pool, sums, pool_deg, pe)
 
     def _keeps_pool_counts(self, size: int) -> bool:
-        """As in the single-venue search, but in average mode only: the
-        member rule is the one social rule of per-vertex joint frames."""
+        """As in the single-venue search (rule on, ``k < p - 1``, children
+        not leaves), but in average mode only: the member rule is the one
+        social rule of per-vertex joint frames."""
         average = self.query.familiarity_mode is FamiliarityMode.AVERAGE
         return average and super()._keeps_pool_counts(size)
 
@@ -542,18 +566,26 @@ class _MultiVenueSearch(_GroupSearch):
         ``_child_sums`` applies), can join no improving group here. It
         leaves the pool on entry, never generated.
 
-        Each venue's candidates are walked in distance order. The bound
-        grows with the distance, so a walk stops at its first pool member
-        that fails it; without the rule, it reads every candidate in range."""
+        The bound grows with the distance (float addition rounds
+        monotonically), so each venue's farthest candidate is tested first:
+        when it passes, so does every candidate, and the venue's whole list
+        is taken in one step (ids out of the pool drop at the end). That
+        covers every venue without the rule and every venue under an
+        infinite incumbent. Otherwise the venue's candidates are walked in
+        distance order up to the first pool member that fails the bound."""
         p = self.query.p
         best = self.best_total
         bound = self.config.venue_distance
         keep: Set[MemberId] = set()
         for q, total in sums.items():
+            order = self.by_distance[q]
             row = nearest[q]
-            for d, v in self.by_distance[q]:
+            if not bound or not distance_prune(total + order[-1][0], size + 1, p, row, best):
+                keep.update(v for _, v in order)
+                continue
+            for d, v in order:
                 if v in pool_set:
-                    if bound and distance_prune(total + d, size + 1, p, row, best):
+                    if distance_prune(total + d, size + 1, p, row, best):
                         break
                     keep.add(v)
         return [v for v in pool if v in keep]

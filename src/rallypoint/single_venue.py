@@ -28,10 +28,11 @@ in the prefix). When a candidate is expanded it leaves both tables, and each
 of its acquaintances in the pool loses one pool degree and, in the child's
 copy of ``pe``, gains one prefix edge (``admit_from_pool``). Only frames
 whose children are not leaves (prefix shorter than ``p - 1``) keep the
-tables, and only while the average familiarity rule is on (in the joint
-search, only in average mode); each such child frame gets its own copies.
-Where a frame keeps ``pe``, a candidate's prefix edges are read there
-instead of intersecting its neighbourhood with the prefix.
+tables, and only while the average familiarity rule is on and can fire
+(``k < p - 1``; in the joint search, only in average mode); each such child
+frame gets its own copies. Where a frame keeps ``pe``, a candidate's prefix
+edges are read there instead of intersecting its neighbourhood with the
+prefix.
 
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
@@ -184,15 +185,17 @@ class _GroupSearch:
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool
         counts: only the average rule reads them, and it runs on every child
-        that is not a leaf."""
-        return self.config.avg_familiarity and size < self.query.p - 1
+        that is not a leaf. With ``k = p - 1`` the rule's target
+        ``p * (p - k - 1)`` is 0, and the loop guard leaves at least as many
+        candidates as open slots, so it can never fire and no frame keeps
+        counts."""
+        q = self.query
+        return self.config.avg_familiarity and q.k < q.p - 1 and size < q.p - 1
 
     def _member_prune(self, child: List[MemberId]) -> bool:
         """The member rule on a child of either loop, in per-vertex mode
         while the rule is on. The average rule runs wherever a frame keeps
-        pool counts; each loop calls it itself, through its own module's
-        binding, because ``tests/test_frame_counts.py`` patches each binding
-        and reads the calling loop's ``remaining``."""
+        pool counts; each loop calls it itself."""
         if self.member_rule and member_familiarity_prune(child, self.query.k, self.graph):
             self.stats.bump(PRUNE_MEMBER_FAMILIARITY)
             return True

@@ -33,9 +33,17 @@ from rallypoint.pruning import familiarity_counts, pool_degrees
 TOL = 1e-9
 
 
-def _frame_remaining(ids_of):
-    """The calling search frame's remaining candidate ids."""
-    return set(ids_of(sys._getframe(2).f_locals["remaining"]))
+def _frame_remaining():
+    """The remaining candidate ids of the nearest search frame around the
+    patched predicate's call that holds ``remaining``: (distance, id) pairs
+    in the single-venue loop, ids in the joint one."""
+    frame = sys._getframe(2)
+    while "remaining" not in frame.f_locals:
+        frame = frame.f_back
+    remaining = frame.f_locals["remaining"]
+    if frame.f_code.co_name == "_venue_frame":
+        return {m for _, m in remaining}
+    return set(remaining)
 
 
 @pytest.fixture
@@ -44,26 +52,22 @@ def checked_counts(monkeypatch):
     checked = {"avg": 0}
     original_avg = pruning.avg_familiarity_prune
 
-    def avg_checker(ids_of):
-        def check(group, pool, p, k, graph, counts=None):
-            remaining = _frame_remaining(ids_of)
-            assert counts is not None
-            twice_edges, pool_deg, pe = counts
-            assert pool is pool_deg
-            assert pool_deg == pool_degrees(remaining, graph)
-            # Each remaining candidate's acquaintances in the group.
-            assert pe == {v: len(graph.neighbors(v) & set(group)) for v in remaining}
-            assert counts == familiarity_counts(group, remaining, graph)
-            verdict = original_avg(group, remaining, p, k, graph)
-            assert original_avg(group, pool, p, k, graph, counts) == verdict
-            checked["avg"] += 1
-            return verdict
+    def check(group, pool, p, k, graph, counts=None):
+        remaining = _frame_remaining()
+        assert counts is not None
+        twice_edges, pool_deg, pe = counts
+        assert pool is pool_deg
+        assert pool_deg == pool_degrees(remaining, graph)
+        # Each remaining candidate's acquaintances in the group.
+        assert pe == {v: len(graph.neighbors(v) & set(group)) for v in remaining}
+        assert counts == familiarity_counts(group, remaining, graph)
+        verdict = original_avg(group, remaining, p, k, graph)
+        assert original_avg(group, pool, p, k, graph, counts) == verdict
+        checked["avg"] += 1
+        return verdict
 
-        return check
-
-    ssgs_ids = lambda remaining: [m for _, m in remaining]  # noqa: E731
-    monkeypatch.setattr(single_venue, "avg_familiarity_prune", avg_checker(ssgs_ids))
-    monkeypatch.setattr(multi_venue, "avg_familiarity_prune", avg_checker(list))
+    monkeypatch.setattr(single_venue, "avg_familiarity_prune", check)
+    monkeypatch.setattr(multi_venue, "avg_familiarity_prune", check)
     return checked
 
 
@@ -131,3 +135,35 @@ def test_carried_pool_counts_match_sets(checked_counts, make_instance, mode):
                 assert abs(sol.total_distance - oracle.total_distance) <= TOL, where
                 assert is_feasible(sol.group, sol.venue, query, graph, data), where
     assert checked_counts["avg"] > 0
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_no_pool_counts_when_k_is_p_minus_1(monkeypatch, mode):
+    # With k = p - 1 the average rule's target p * (p - k - 1) is 0, so it
+    # can never fire: no frame of any exact solver builds or updates pool
+    # counts, and every solver still equals brute force.
+    def refuse(*args):
+        raise AssertionError("a search kept pool counts with k = p - 1")
+
+    for module in (single_venue, multi_venue):
+        monkeypatch.setattr(module, "pool_degrees", refuse)
+        monkeypatch.setattr(module, "admit_from_pool", refuse)
+    rng = random.Random(f"k-is-p-minus-1-{mode.value}")
+    solved = 0
+    for seed in range(40):
+        make_instance = rng.choice([_gnp_instance, _power_law_instance, _grid_instance])
+        graph, data = make_instance(rng, 5700 + seed)
+        for query in _queries(rng, graph, data, mode):
+            query = Query(query.p, query.p - 1, query.t, query.venues, mode)
+            oracle = brute_force(query, graph, data)
+            for name, solver in _exact_solvers(query).items():
+                sol = solver(query, graph, data)
+                where = f"seed {seed}, {name}, {query}"
+                if not oracle.found:
+                    assert sol is None, where
+                    continue
+                assert sol is not None, where
+                assert abs(sol.total_distance - oracle.total_distance) <= TOL, where
+                solved += query.p >= 3
+    # Queries with p >= 3 have frames that would otherwise keep counts.
+    assert solved > 50, solved

@@ -153,7 +153,8 @@ def test_srdo_seed_reads_only_the_table(monkeypatch):
     def no_distance(*args):
         raise AssertionError("srdo_seed computed a distance")
 
-    monkeypatch.setattr(multi_venue, "distance", no_distance)
+    # The module's one distance computation is its ``math.hypot`` call.
+    monkeypatch.setattr(multi_venue.math, "hypot", no_distance)
     table = {"a": {"x": 3.0, "y": 0.5}, "b": {"x": 0.5, "y": 7.0}}
     assert srdo_seed(table, {}) == ("a", "y", 0.5)
     assert srdo_seed(table, {"b": 1}) == ("b", "x", 0.5)
@@ -537,6 +538,127 @@ def test_search_setup_matches_the_distances():
             assert search.near == near
             assert search.by_distance == orders
     assert min(seen.values()) > 20, seen
+
+
+def _srdo_search(graph, data, query, config=None):
+    return multi_venue._MultiVenueSearch(
+        query,
+        graph,
+        data,
+        build_indexes(data),
+        config or PruneConfig(),
+        SearchStats(),
+        ordering="srdo",
+    )
+
+
+def test_srdo_reference_order_matches_its_definition():
+    # The pool sorted by (distance to the seed's venue, -degree, id), with
+    # the seed taken from the whole member-to-venue table. Integer grids put
+    # members on shared spots, at equal distance from several venues and
+    # with equal degrees, so the tie-breaks decide.
+    rng = random.Random(19)
+    seen = {"seed_ties": 0, "key_ties": 0}
+    for trial in range(600):
+        if trial % 2:
+            graph, data, query = _grid_instance(rng)
+        else:
+            graph, data = frame_counts._grid_instance(rng, 5900 + trial)
+            t = radius_for_quantile(graph, data, rng.choice([0.3, 0.6, 1.0]))
+            venues = tuple(sorted(data.venue_locations))
+            query = Query(rng.randint(1, 4), 0, t, venues)
+        search = _srdo_search(graph, data, query)
+        assert search.degree_of == {v: graph.degree(v) for v in search.near}
+        if not search.alive_venues:
+            assert search.pool == []
+            continue
+        _, q_ref, d_min = srdo_seed(search.near, search.degree_of)
+        ref = data.venue_locations[q_ref]
+        keys = sorted(
+            (distance(data.member_locations[v], ref), -graph.degree(v), v) for v in search.near
+        )
+        assert search.pool == [v for _, _, v in keys]
+        at_d_min = sum(d == d_min for row in search.near.values() for d in row.values())
+        seen["seed_ties"] += at_d_min > 1
+        seen["key_ties"] += sum(a[:2] == b[:2] for a, b in zip(keys, keys[1:]))
+    assert min(seen.values()) > 50, seen
+
+
+def _entry_by_walk(search, pool, pool_set, size, sums, nearest):
+    """The entry filter as a walk of each venue's candidates in distance
+    order up to the first pool member that fails the bound."""
+    p = search.query.p
+    best = search.best_total
+    bound = search.config.venue_distance
+    keep = set()
+    for q, total in sums.items():
+        row = nearest[q]
+        for d, v in search.by_distance[q]:
+            if v in pool_set:
+                if bound and distance_prune(total + d, size + 1, p, row, best):
+                    break
+                keep.add(v)
+    return [v for v in pool if v in keep]
+
+
+def test_entry_filter_equals_the_walk_of_every_candidate():
+    # Random non-leaf frames over random instances: a prefix of the pool,
+    # the venues within its radius with their totals, a random entry pool,
+    # and an incumbent that is infinite, finite, or exactly one candidate's
+    # child bound; the venue-distance rule on and off.
+    rng = random.Random(23)
+    seen = {"inf": 0, "tie": 0, "off": 0, "short_row": 0, "dropped": 0}
+    makers = [
+        frame_counts._gnp_instance,
+        frame_counts._power_law_instance,
+        frame_counts._grid_instance,
+    ]
+    for trial in range(400):
+        graph, data = rng.choice(makers)(rng, 6100 + trial)
+        t = radius_for_quantile(graph, data, rng.choice([0.3, 0.6, 1.0]))
+        venues = tuple(sorted(data.venue_locations))
+        query = Query(rng.randint(2, 6), 0, t, venues)
+        on = _srdo_search(graph, data, query)
+        off = _srdo_search(graph, data, query, PruneConfig().without("venue_distance"))
+        for _ in range(10):
+            if len(on.pool) < query.p:
+                break
+            size = rng.randint(0, query.p - 2)
+            prefix = rng.sample(on.pool, size)
+            sums = {
+                q: sum(on.near[m][q] for m in prefix)
+                for q in on.alive_venues
+                if all(q in on.near[m] for m in prefix) and rng.random() < 0.8
+            }
+            if not sums:
+                continue
+            pool = [v for v in on.pool if v not in prefix and rng.random() < 0.7]
+            pool_set = set(pool)
+            nearest = on._nearest(pool_set, size, sums)
+            slots = query.p - size - 1
+            seen["short_row"] += any(len(row) < slots for row in nearest.values())
+            pairs = [(q, d, v) for q in sums for d, v in on.by_distance[q] if v in pool_set]
+            incumbents = [math.inf, rng.uniform(0, 4 * t * query.p)]
+            if pairs and all(len(nearest[q]) >= slots for q in sums):
+                q, d, _ = rng.choice(pairs)
+                tie = sums[q] + d
+                for e, _ in nearest[q][:slots]:
+                    tie += e
+                # The bound of that candidate reaches this incumbent exactly.
+                assert distance_prune(sums[q] + d, size + 1, query.p, nearest[q], tie)
+                incumbents.append(tie)
+                seen["tie"] += 1
+            for best in incumbents:
+                for search in (on, off):
+                    search.best_total = best
+                    expected = _entry_by_walk(search, pool, pool_set, size, sums, nearest)
+                    got = search._entry_candidates(pool, pool_set, size, sums, nearest)
+                    assert got == expected, (trial, size, best, search.config)
+                    seen["inf"] += best == math.inf
+                    seen["off"] += search is off
+                    in_radius = {v for q in sums for _, v in on.by_distance[q]} & pool_set
+                    seen["dropped"] += len(got) < len(in_radius)
+    assert min(seen.values()) > 50, seen
 
 
 def _mags_matches_oracle(label, make_instance, mode, first_seed, ordering, count=40):
