@@ -8,13 +8,13 @@ either from a static order toward a reference venue, or adaptively from the
 venue of the query. It alone decides which venues are alive (at least ``p``
 graph vertices within ``t``), the pool (the union of the alive venues'
 candidates) and ``near``: for each pool member, the alive venues within its
-radius and its distance to each. A search frame carries one venue table,
-``sums``: the venues still usable for a solution, each with the prefix's
-total distance to it. The radius, venue-distance and (apdo only)
-ball-distance rules remove venues from it. The adaptive selection ranges
-over the alive venues within the radius of every prefix member, worked out
-from the prefix, so toggling prune rules never changes the member extraction
-order.
+radius and its distance to each, filled in one pass over the alive venues'
+orders. A search frame carries one venue table, ``sums``: the venues still
+usable for a solution, each with the prefix's total distance to it. The
+radius, venue-distance and (apdo only) ball-distance rules remove venues
+from it. The adaptive selection ranges over the alive venues within the
+radius of every prefix member, worked out from the prefix, so toggling
+prune rules never changes the member extraction order.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
 between the pool and the query's live venues (``srdo_seed``). Every pool
@@ -23,7 +23,10 @@ alive venue's candidate order is sorted by distance, so the closest pairs
 head their lists: the seed compares only the pairs at the smallest head
 distance, never the whole of ``near``. The static order sorts the pool by
 (distance to the reference venue, -degree, id), one sort of precomputed
-keys. Ties break on exact distances and no index is read.
+keys. A member in range of the reference venue takes its distance from
+``near``; only the others are computed, with ``model.distance``'s
+arithmetic, which is the index's, so ties break on exact distances either
+way and no index is read.
 
 Each apdo search frame keeps one heap of the pairs of ``near`` whose member
 is in the frame's pool and whose venue is in its radius universe, keyed by
@@ -65,15 +68,19 @@ candidate's distance, so each venue's distance-sorted candidates are read
 only up to the first that fails it: the threshold algorithm's sorted-access
 stop rule. The same monotony lets the rule accept a whole list at once: a
 venue whose farthest candidate passes the bound keeps all of its candidates
-without reading them one by one, as every venue does under the root
-frame's infinite incumbent. The survivors keep their pool order, and apdo
+without reading them one by one. The root frame skips the filter: its pool
+is the alive venues' candidates and its incumbent is infinite, so no
+candidate can drop there. The survivors keep their pool order, and apdo
 builds its pair heap over them. A frame expands its candidates one by one,
 srdo in pool order and apdo in heap order, and each child completes only
 from the candidates the frame has not yet generated, so each candidate set
-is generated once. The paper's admission test (``sso_admits``) would only
-reorder this walk; no search applies it. Solution venues are visited in the
-query's venue order, never in set order, so the work done does not depend
-on the string hash seed.
+is generated once. The frame keeps those candidates as a set too, taking
+out each one it generates, and hands the set to each child with its pool:
+the child only reads it, so a leaf frame or a one-venue hand-off builds no
+set at all. The paper's admission test (``sso_admits``) would only reorder
+this walk; no search applies it. Solution venues are visited in the query's
+venue order, never in set order, so the work done does not depend on the
+string hash seed.
 
 An srdo frame left with one venue in ``sums`` runs none of this joint
 machinery: it hands the venue's candidates in its pool, in the venue's own
@@ -245,15 +252,20 @@ class _MultiVenueSearch(_GroupSearch):
         self.alive_venues: List[VenueId] = []
         self.by_distance: Dict[VenueId, List[Tuple[float, MemberId]]] = {}
         self.near: Dict[MemberId, Dict[VenueId, float]] = {}
+        near = self.near
         for q in query.venues:
             order = candidate_order(query, graph, data, q, indexes)
             if len(order) >= query.p:
                 self.alive_venues.append(q)
                 self.by_distance[q] = order
                 for d, m in order:
-                    self.near.setdefault(m, {})[q] = d
+                    row = near.get(m)
+                    if row is None:
+                        near[m] = {q: d}
+                    else:
+                        row[q] = d
         # Only pool members are ever ranked by degree.
-        degree_of = self.degree_of = {v: graph.degree(v) for v in self.near}
+        degree_of = self.degree_of = {v: graph.degree(v) for v in near}
         # The candidates in search order. srdo fixes it once, by distance to
         # the reference venue: the venue of the table's closest pair, which
         # exists whenever a venue is alive. apdo needs no seed: every pool
@@ -273,10 +285,16 @@ class _MultiVenueSearch(_GroupSearch):
             ref = self.venue_loc[q_ref]
             rx, ry = ref.x, ref.y
             loc = self.member_loc
-            # ``model.distance``'s arithmetic, in one keyed sort.
-            keyed = [
-                (math.hypot(loc[v].x - rx, loc[v].y - ry), -degree_of[v], v) for v in self.near
-            ]
+            hypot = math.hypot
+            # One keyed sort. A member in range of the reference venue has
+            # its distance in ``near``; the others get ``model.distance``'s
+            # arithmetic, the same as the index's, so every key is exact.
+            keyed = []
+            for v, row in near.items():
+                d = row.get(q_ref)
+                if d is None:
+                    d = hypot(loc[v].x - rx, loc[v].y - ry)
+                keyed.append((d, -degree_of[v], v))
             keyed.sort()
             self.pool = [v for _, _, v in keyed]
         else:
@@ -288,12 +306,12 @@ class _MultiVenueSearch(_GroupSearch):
         # With no alive venue the pool is empty and the root frame stops at
         # once.
         sums = {q: 0.0 for q in self.alive_venues}
-        pool = list(self.pool)
+        pool = self.pool
         pool_deg = pe = None
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
             pe = dict.fromkeys(pool_deg, 0)
-        self._frame([], set(), 0, pool, sums, pool_deg, pe)
+        self._frame([], set(), 0, pool, sums, pool_deg, pe, set(pool))
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """As in the single-venue search (rule on, ``k < p - 1``, children
@@ -328,21 +346,22 @@ class _MultiVenueSearch(_GroupSearch):
         prefix: List[MemberId],
         universe: Set[VenueId],
         remaining: List[MemberId],
-        visited: Set[MemberId],
+        remaining_set: Set[MemberId],
     ) -> MemberId:
-        """Pop the frame's pair heap to its first pair whose member is not in
-        ``visited``, the members the frame has generated, and return that
-        member: of the (member, venue) pairs over ``remaining``, the one
-        minimizing the grown group's total distance to the venue. Every
-        member of ``remaining`` has a pair in the heap, so the caller pops
-        only while ``remaining`` is not empty.
+        """Pop the frame's pair heap to its first pair whose member is in
+        ``remaining_set``, the set of ``remaining``, and return that member:
+        of the (member, venue) pairs over ``remaining``, the one minimizing
+        the grown group's total distance to the venue. The heap's other
+        members are those the frame has generated. Every member of
+        ``remaining`` has a pair in the heap, so the caller pops only while
+        ``remaining`` is not empty.
 
         The heap ranges over the radius universe: the alive venues within
         ``t`` of every prefix member. It shrinks only through the radius, so
         extraction order is independent of the prune toggles."""
         while True:
             score, _, member, venue = heapq.heappop(heap)
-            if member in visited:
+            if member not in remaining_set:
                 continue
             if self.audit is not None:
                 self.audit.selections.append(
@@ -419,7 +438,11 @@ class _MultiVenueSearch(_GroupSearch):
         sums: Dict[VenueId, float],
         pool_deg: Optional[Dict[MemberId, int]],
         pe: Optional[Dict[MemberId, int]],
+        pool_set: Set[MemberId],
     ) -> None:
+        """Search below ``prefix`` over the candidates of ``pool``.
+        ``pool_set`` is ``set(pool)``, the caller's own set: the frame only
+        reads it."""
         p = self.query.p
         cfg = self.config
         stats = self.stats
@@ -427,7 +450,6 @@ class _MultiVenueSearch(_GroupSearch):
         graph = self.graph
         neighbors = graph.neighbors
         size = len(prefix)
-        pool_set = set(pool)
         # ``sums`` maps each venue still usable for a solution to the
         # prefix's total distance to it, in the query's venue order. The
         # frame owns it: each child gets its own, so backtracking restores
@@ -459,7 +481,15 @@ class _MultiVenueSearch(_GroupSearch):
         # pool; the pool only shrinks afterwards, so the lists stay valid
         # lower bounds until the loop head re-reads them.
         nearest = self._nearest(pool_set, size, sums)
-        remaining = self._entry_candidates(pool, pool_set, size, sums, nearest)
+        if size:
+            remaining = self._entry_candidates(pool, pool_set, size, sums, nearest)
+        else:
+            # The root's pool is the alive venues' candidates, and under its
+            # infinite incumbent no bound fires: no candidate can drop.
+            remaining = list(pool)
+        # The candidates not yet generated, kept current with ``remaining``
+        # and handed to each child as its pool set.
+        remaining_set = set(remaining)
         # Recounting the survivors costs less than taking each dropped
         # candidate out of the counts: most of a child's pool can drop.
         if pe is not None and len(remaining) < len(pool):
@@ -468,10 +498,8 @@ class _MultiVenueSearch(_GroupSearch):
         copy_counts = self._keeps_pool_counts(size + 1)
         if not static:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
-            # The frame's pair heap, built at its first selection, and the
-            # members it has generated.
+            # The frame's pair heap, built at its first selection.
             heap: Optional[List[tuple]] = None
-            visited: Set[MemberId] = set()
 
         # The incumbent the venue checks last ran against. Within a frame
         # venues leave ``sums`` only here, so the checks can turn false only
@@ -483,7 +511,7 @@ class _MultiVenueSearch(_GroupSearch):
         while size + len(remaining) >= p:
             if checked_at != self.best_total:
                 if checked_at is not None:
-                    nearest = self._nearest(set(remaining), size, sums)
+                    nearest = self._nearest(remaining_set, size, sums)
                     dead = [q for q, row in nearest.items() if not row]
                     if dead:
                         self._kill_venues(dead, sums, PRUNE_VENUE_RADIUS)
@@ -503,9 +531,9 @@ class _MultiVenueSearch(_GroupSearch):
             else:
                 if heap is None:
                     heap = self._pair_heap(prefix, universe, remaining)
-                u = self._select_adaptive(heap, prefix, universe, remaining, visited)
-                visited.add(u)
+                u = self._select_adaptive(heap, prefix, universe, remaining, remaining_set)
                 remaining.remove(u)
+            remaining_set.discard(u)
             stats.generated_states += 1
             child_pe = None
             if pe is not None:
@@ -536,6 +564,7 @@ class _MultiVenueSearch(_GroupSearch):
                 remaining,
                 child_sums,
                 *child_counts,
+                remaining_set,
             )
 
     def _nearest(

@@ -5,15 +5,25 @@ function of the input points. Supports exact point-to-MBR lower bounds and
 radius range queries; a range query walks the tree once and returns the
 ``(distance, id)`` pair of every location in range, sorted, so a caller
 that orders candidates by distance computes no distance itself.
+
+The bulk load also lays out, once, the flat rows the range query reads:
+each internal node its children's boxes as ``(min_x, min_y, max_x, max_y,
+child)`` tuples, each leaf its points as ``(x, y, id)`` tuples sorted by
+``x``. They repeat what the nodes hold, so a query reads no ``Mbr`` or
+``Location`` attribute.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .model import Location, MemberId
+
+# The range query's square slack, relative to the coordinate magnitudes.
+_SLACK = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -65,7 +75,11 @@ def mindist_point_mbr(a: Location, m: Mbr) -> float:
 
 
 class RtreeNode:
-    __slots__ = ("mbr", "children", "entries", "is_leaf", "node_id")
+    """``rows`` are the range query's view of the node: its children's boxes
+    as ``(min_x, min_y, max_x, max_y, child)``, or, in a leaf, its points as
+    ``(x, y, id)`` sorted by ``x``."""
+
+    __slots__ = ("mbr", "children", "entries", "is_leaf", "node_id", "rows")
 
     def __init__(self, mbr: Mbr, *, children=None, entries=None, node_id: int = -1):
         self.mbr = mbr
@@ -73,6 +87,12 @@ class RtreeNode:
         self.entries: Optional[List[Tuple[MemberId, Location]]] = entries
         self.is_leaf = entries is not None
         self.node_id = node_id
+        if self.is_leaf:
+            rows = [(loc.x, loc.y, m) for m, loc in entries]
+            rows.sort()
+        else:
+            rows = [(c.mbr.min_x, c.mbr.min_y, c.mbr.max_x, c.mbr.max_y, c) for c in children]
+        self.rows: List[tuple] = rows
 
 
 class Rtree:
@@ -106,32 +126,46 @@ class Rtree:
         """The ``(distance, id)`` pair of every location within ``radius`` of
         ``center``, sorted by ``(distance, id)``, from one walk of the tree.
 
-        Each distance is ``distance(loc, center)`` bit for bit, and a node is
-        entered when ``mindist_point_mbr(center, node.mbr) <= radius``; both
-        are written out here rather than called once per node and point.
-        Raises ``ValueError`` for a negative or NaN radius."""
+        Each distance is ``distance(loc, center)`` bit for bit, and it alone
+        decides: a location is in range when it is ``<= radius``. The walk
+        only narrows where that test runs, to the query's bounding square:
+        an internal node skips the rows of children whose box misses it, and
+        a leaf bisects its x-sorted rows to the square's x-range and checks
+        each row's y. A rounded ``x - cx`` can put a location the distance
+        admits just outside the exact square, and the square's own bounds
+        round too, so each side is widened by ``2**-40`` times
+        ``|cx| + |cy| + radius``, far above both roundings. Raises
+        ``ValueError`` for a negative or NaN radius."""
         if not radius >= 0:
             raise ValueError(f"radius must be >= 0, got {radius!r}")
         hits: List[Tuple[float, MemberId]] = []
         if self.root is None:
             return hits
         cx, cy = center.x, center.y
+        reach = radius + (abs(cx) + abs(cy) + radius) * _SLACK
+        lo_x, hi_x = cx - reach, cx + reach
+        lo_y, hi_y = cy - reach, cy + reach
+        # Row keys: every ``(x, y, id)`` row with ``x >= lo_x`` sorts after
+        # ``lo``, and every row with ``x <= hi_x`` before ``hi``.
+        lo, hi = (lo_x,), (hi_x, math.inf)
         hypot = math.hypot
+        append = hits.append
         stack = [self.root]
+        pop = stack.pop
+        push = stack.append
         while stack:
-            node = stack.pop()
-            m = node.mbr
-            dx = m.min_x - cx if cx < m.min_x else (cx - m.max_x if cx > m.max_x else 0.0)
-            dy = m.min_y - cy if cy < m.min_y else (cy - m.max_y if cy > m.max_y else 0.0)
-            if hypot(dx, dy) > radius:
-                continue
+            node = pop()
+            rows = node.rows
             if node.is_leaf:
-                for member, loc in node.entries:
-                    d = hypot(loc.x - cx, loc.y - cy)
-                    if d <= radius:
-                        hits.append((d, member))
+                for x, y, m in rows[bisect_left(rows, lo) : bisect_right(rows, hi)]:
+                    if lo_y <= y <= hi_y:
+                        d = hypot(x - cx, y - cy)
+                        if d <= radius:
+                            append((d, m))
             else:
-                stack.extend(node.children)
+                for x0, y0, x1, y1, child in rows:
+                    if x0 <= hi_x and lo_x <= x1 and y0 <= hi_y and lo_y <= y1:
+                        push(child)
         hits.sort()
         return hits
 

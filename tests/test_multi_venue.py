@@ -494,11 +494,33 @@ def _grid_instance(rng):
     return graph, SpatialDataset(members, venues), query
 
 
+def _setup_instance(rng):
+    """Float-coordinate instance whose members often share a spot, with
+    located members that are not graph vertices, a graph vertex with no
+    location and venues with fewer than ``p`` members in range."""
+    venues = {f"q{j}": Location(rng.uniform(0, 10), rng.uniform(0, 10)) for j in range(5)}
+    members = {}
+    for i in range(rng.randint(6, 24)):
+        if members and rng.random() < 0.25:
+            members[i] = members[rng.choice(sorted(members))]
+        else:
+            members[i] = Location(rng.uniform(-1, 11), rng.uniform(-1, 11))
+    vertices = [m for m in members if rng.random() < 0.8] + [99]
+    edges = [(u, v) for u in vertices for v in vertices if u < v and rng.random() < 0.4]
+    query = Query(p=rng.randint(2, 4), k=1, t=rng.uniform(2.0, 6.0), venues=tuple(sorted(venues)))
+    return SocialGraph(vertices, edges), SpatialDataset(members, venues), query
+
+
 def test_search_setup_matches_the_distances():
+    # Alive venues, their orders, ``near`` (in each row's venue order) and
+    # the pool in each ordering's search order, bit for bit, against a
+    # reference built from the dataset's distances. srdo pools mix members
+    # in range of the reference venue, whose distance the search reuses,
+    # with members out of it, whose distance it computes.
     rng = random.Random(12)
-    seen = {"at_t": 0, "non_vertex": 0, "dead": 0}
-    for _ in range(200):
-        graph, data, query = _grid_instance(rng)
+    seen = {"at_t": 0, "non_vertex": 0, "dead": 0, "shared_spot": 0, "mixed_reference": 0}
+    for trial in range(400):
+        graph, data, query = (_grid_instance if trial % 2 else _setup_instance)(rng)
         in_range = {
             q: {
                 m
@@ -516,6 +538,15 @@ def test_search_setup_matches_the_distances():
         orders = {
             q: sorted((data.member_venue_distance(m, q), m) for m in in_range[q]) for q in alive
         }
+        pools = {"apdo": sorted(pool), "srdo": []}
+        if pool:
+            degree = {m: graph.degree(m) for m in pool}
+            _, q_ref, _ = srdo_seed(near, degree)
+            keys = sorted((data.member_venue_distance(m, q_ref), -degree[m], m) for m in pool)
+            pools["srdo"] = [m for _, _, m in keys]
+            seen["mixed_reference"] += 0 < len(in_range[q_ref]) < len(pool)
+        spots = [data.member_locations[m] for m in pool]
+        seen["shared_spot"] += len(set(spots)) < len(spots)
         for q in query.venues:
             for m in data.member_locations:
                 if data.member_venue_distance(m, q) == query.t and m in in_range[q]:
@@ -534,8 +565,9 @@ def test_search_setup_matches_the_distances():
                 ordering=ordering,
             )
             assert search.alive_venues == alive
-            assert sorted(search.pool) == sorted(pool)
+            assert search.pool == pools[ordering], ordering
             assert search.near == near
+            assert all(list(search.near[m]) == list(row) for m, row in near.items())
             assert search.by_distance == orders
     assert min(seen.values()) > 20, seen
 
@@ -694,6 +726,34 @@ def _record_frame_entries(monkeypatch):
 
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", framing)
     return entries
+
+
+@pytest.mark.parametrize("ordering", ["srdo", "apdo"])
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
+    # A frame receives its caller's set of remaining candidates as its last
+    # argument. At each entry it must equal the frame's pool, and the frame
+    # must hand it back unchanged: the caller keeps using it.
+    original = multi_venue._MultiVenueSearch._frame
+    entered = []
+
+    def guarded(self, prefix, prefix_set, prefix_edges, pool, sums, *rest):
+        pool_set = rest[-1]
+        assert isinstance(pool_set, set) and pool_set == set(pool), prefix
+        before = frozenset(pool_set)
+        original(self, prefix, prefix_set, prefix_edges, pool, sums, *rest)
+        assert pool_set == before, prefix
+        entered.append(len(prefix))
+
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", guarded)
+    label = f"pool-set-{mode.value}-{ordering}"
+    for make_instance in (
+        frame_counts._gnp_instance,
+        frame_counts._power_law_instance,
+        frame_counts._grid_instance,
+    ):
+        _mags_matches_oracle(label, make_instance, mode, 5700, ordering)
+    assert sum(size > 0 for size in entered) > 100, len(entered)
 
 
 # Each familiarity mode with each ordering; an srdo case is named by its

@@ -128,3 +128,87 @@ def test_mindist_lower_bounds_descendants():
             under = [loc for _, loc in tree.points_under(node)]
             for loc in rng.sample(under, min(5, len(under))):
                 assert lb <= distance(probe, loc) + 1e-12
+
+
+def test_range_query_keeps_a_point_the_unwidened_square_would_miss():
+    # ``x - cx`` rounds to exactly the radius, while ``cx + radius`` rounds
+    # below ``x``: a walk clipped to the exact square would drop the point.
+    # The same on the y axis.
+    center, radius = Location(-1e-16, -1e-16), 1.0
+    pts = {0: Location(1.0, -1e-16), 1: Location(-1e-16, 1.0), 2: Location(2.0, 2.0)}
+    assert center.x + radius < pts[0].x and center.y + radius < pts[1].y
+    assert distance(pts[0], center) == distance(pts[1], center) == radius
+    for fanout in (2, 16):
+        tree = build_rtree(pts, max_fanout=fanout)
+        assert tree.range_query(center, radius) == [(radius, 0), (radius, 1)]
+
+
+def _near_circle_points(rng, center, radius, scale, count):
+    """Points scattered around the circle of ``radius`` about ``center``
+    and over its bounding square, some on shared spots."""
+    pts = []
+    for _ in range(count):
+        if pts and rng.random() < 0.2:
+            pts.append(rng.choice(pts))
+            continue
+        if rng.random() < 0.3:
+            # On the bounding square's top or bottom edge: in the square,
+            # mostly out of range.
+            dx = rng.uniform(-radius, radius)
+            dy = rng.choice([-1.0, 1.0]) * radius
+        else:
+            angle = rng.uniform(0.0, 2.0 * math.pi)
+            rho = radius * rng.choice([1.0, rng.uniform(0.0, 1.5), 1.0 + rng.uniform(-1e-12, 1e-12)])
+            dx, dy = rho * math.cos(angle), rho * math.sin(angle)
+        pts.append(Location(center.x + dx, center.y + dy))
+    return pts
+
+
+def test_range_query_equals_a_linear_scan_bit_for_bit_at_every_radius():
+    # Offsets up to 1e9 and scales from 1e-3 to 1e4 make the subtractions
+    # round; points sit at the radius on both axes, and every point's own
+    # distance, one ulp below it and one above it, is a radius.
+    rng = random.Random(24)
+    compared = on_axis = 0
+    for trial in range(900):
+        offset = rng.choice([0.0, 1e3, -1e6, 1e9, -1e9]) + rng.uniform(-1.0, 1.0)
+        scale = rng.choice([1e-3, 1.0, 37.5, 1e4])
+        r = 2.0 ** math.floor(math.log2(scale * rng.uniform(0.5, 8.0)))
+        if trial % 3:
+            # A power-of-two radius and a center on its grid: ``center ± r``
+            # is exact, so the four axis points lie at exactly ``r``.
+            cx = round((offset + scale * rng.uniform(-5, 5)) / r) * r
+            cy = round((-offset + scale * rng.uniform(-5, 5)) / r) * r
+        else:
+            # A center within half an ulp of ``r`` from the origin: ``±r -
+            # cx`` rounds to ``±r``, while ``cx ± r`` rounds inward, to the
+            # finer grid below the power of two.
+            cx, cy = (rng.uniform(-0.5, 0.5) * math.ulp(r) for _ in range(2))
+        center = Location(cx, cy)
+        exact = trial % 3 != 0
+        if exact:
+            axis = [(cx + r, cy), (cx - r, cy), (cx, cy + r), (cx, cy - r)]
+        else:
+            axis = [(r, cy), (-r, cy), (cx, r), (cx, -r)]
+        axis = [Location(x, y) for x, y in axis]
+        if exact:
+            assert all(distance(loc, center) == r for loc in axis)
+        spread = _near_circle_points(rng, center, r, scale, rng.randint(0, 30))
+        for _ in range(rng.randint(0, 10)):
+            spread.append(
+                Location(offset + scale * rng.uniform(-10, 10), -offset + scale * rng.uniform(-10, 10))
+            )
+        locs = axis + spread
+        pts = {m: loc for m, loc in enumerate(rng.sample(locs, len(locs)))}
+        tree = build_rtree(pts, max_fanout=rng.randint(2, 16))
+        radii = {r, 0.0}
+        for loc in pts.values():
+            d = distance(loc, center)
+            radii.update((d, math.nextafter(d, 0.0), math.nextafter(d, math.inf)))
+        for radius in sorted(radii):
+            got = tree.range_query(center, radius)
+            assert got == linear_scan(pts, center, radius), (trial, radius)
+            compared += 1
+        if exact:
+            on_axis += sum(d == r for d, _ in tree.range_query(center, r))
+    assert compared > 40_000 and on_axis >= 4 * 600, (compared, on_axis)
