@@ -105,9 +105,6 @@ class SocialGraph:
     def degree(self, v: MemberId) -> int:
         return len(self._adjacency[v])
 
-    def has_edge(self, u: MemberId, v: MemberId) -> bool:
-        return v in self._adjacency[u]
-
     def edges(self) -> Iterable[Tuple[MemberId, MemberId]]:
         """Each undirected edge exactly once, in sorted order."""
         for u in self._vertices:

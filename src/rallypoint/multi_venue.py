@@ -28,12 +28,14 @@ keys. A member in range of the reference venue takes its distance from
 arithmetic, which is the index's, so ties break on exact distances either
 way and no index is read.
 
-Each apdo search frame keeps one heap of the pairs of ``near`` whose member
-is in the frame's pool and whose venue is in its radius universe, keyed by
-``(prefix total to the venue + pair distance, -degree, member, venue)``.
-Within a frame every key is fixed, so one heap, built at the frame's first
-selection, serves all of its selections: each pops past the pairs of the
-members the frame has already generated. The ball-distance bound
+Each apdo search frame sorts its candidates once, at its first selection,
+each by its smallest ``(prefix total to the venue + pair distance, -degree,
+member, venue)`` over its pairs of ``near`` whose venue is in the frame's
+radius universe. Within a frame every key is fixed, so that one order serves
+all of its selections: each takes the front candidate, the one whose pair
+minimizes the grown group's total over the candidates not yet generated,
+as srdo takes the front of its fixed order. A frame that stops at its loop
+head before selecting sorts nothing. The ball-distance bound
 runs as one top-down pass over the venue ball tree, over the balls holding a
 venue of ``sums`` (the ball's live venues). Each prefix member costs at least
 its ``mindist`` to the ball, and each open slot at least the smallest first
@@ -71,16 +73,16 @@ venue whose farthest candidate passes the bound keeps all of its candidates
 without reading them one by one. The root frame skips the filter: its pool
 is the alive venues' candidates and its incumbent is infinite, so no
 candidate can drop there. The survivors keep their pool order, and apdo
-builds its pair heap over them. A frame expands its candidates one by one,
-srdo in pool order and apdo in heap order, and each child completes only
-from the candidates the frame has not yet generated, so each candidate set
-is generated once. The frame keeps those candidates as a set too, taking
-out each one it generates, and hands the set to each child with its pool:
-the child only reads it, so a leaf frame or a one-venue hand-off builds no
-set at all. The paper's admission test (``sso_admits``) would only reorder
-this walk; no search applies it. Solution venues are visited in the query's
-venue order, never in set order, so the work done does not depend on the
-string hash seed.
+sorts them at its first selection. A frame expands its candidates one by
+one off the front of that list, srdo in pool order and apdo in its sorted
+order, and each child completes only from the candidates the frame has not
+yet generated, so each candidate set is generated once. The frame keeps
+those candidates as a set too, taking out each one it generates, and hands
+the set to each child with its pool: the child only reads it, so a leaf
+frame or a one-venue hand-off builds no set at all. The paper's admission
+test (``sso_admits``) would only reorder this walk; no search applies it.
+Solution venues are visited in the query's venue order, never in set
+order, so the work done does not depend on the string hash seed.
 
 An srdo frame left with one venue in ``sums`` runs none of this joint
 machinery: it hands the venue's candidates in its pool, in the venue's own
@@ -124,7 +126,6 @@ total the first venue in query order wins, then the lower (distance, id).
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -322,59 +323,44 @@ class _MultiVenueSearch(_GroupSearch):
 
     # -- candidate selection -----------------------------------------------
 
-    def _pair_heap(
+    def _selection_order(
         self, prefix: List[MemberId], universe: Set[VenueId], remaining: List[MemberId]
-    ) -> List[tuple]:
-        """A frame's pair heap: ``(base[q] + d, -degree, m, q)`` for every
-        pair ``(m, q)`` of ``near`` with ``m`` in ``remaining`` and ``q`` in
-        the radius universe, where ``base[q]`` is the prefix's total distance
-        to ``q``, summed in prefix order."""
+    ) -> Dict[MemberId, tuple]:
+        """The frame's candidates in selection order, each mapped to its
+        smallest ``(base[q] + d, -degree, m, q)`` over its pairs ``(m, q)``
+        of ``near`` with ``q`` in the radius universe, the alive venues
+        within ``t`` of every prefix member. ``base[q]`` is the prefix's
+        total distance to ``q``, summed in prefix order. No key changes
+        within a frame, and the universe shrinks only through the radius,
+        so the order is independent of the prune toggles."""
         near = self.near
+        degree_of = self.degree_of
         base = {q: sum(near[s][q] for s in prefix) for q in universe}
-        heap = [
-            (base[q] + d, -self.degree_of[m], m, q)
+        pairs = sorted(
+            (base[q] + d, -degree_of[m], m, q)
             for m in remaining
             for q, d in near[m].items()
             if q in base
-        ]
-        heapq.heapify(heap)
-        return heap
+        )
+        # A member's first pair in sorted order is its smallest.
+        order: Dict[MemberId, tuple] = {}
+        for key in pairs:
+            if key[2] not in order:
+                order[key[2]] = key
+        return order
 
-    def _select_adaptive(
-        self,
-        heap: List[tuple],
-        prefix: List[MemberId],
-        universe: Set[VenueId],
-        remaining: List[MemberId],
-        remaining_set: Set[MemberId],
-    ) -> MemberId:
-        """Pop the frame's pair heap to its first pair whose member is in
-        ``remaining_set``, the set of ``remaining``, and return that member:
-        of the (member, venue) pairs over ``remaining``, the one minimizing
-        the grown group's total distance to the venue. The heap's other
-        members are those the frame has generated. Every member of
-        ``remaining`` has a pair in the heap, so the caller pops only while
-        ``remaining`` is not empty.
-
-        The heap ranges over the radius universe: the alive venues within
-        ``t`` of every prefix member. It shrinks only through the radius, so
-        extraction order is independent of the prune toggles."""
-        while True:
-            score, _, member, venue = heapq.heappop(heap)
-            if member not in remaining_set:
-                continue
-            if self.audit is not None:
-                self.audit.selections.append(
-                    SelectionRecord(
-                        group=tuple(prefix),
-                        candidates=tuple(sorted(remaining)),
-                        venues=tuple(sorted(universe)),
-                        member=member,
-                        venue=venue,
-                        score=score,
-                    )
-                )
-            return member
+    def _record_selection(self, prefix, universe, remaining, key) -> None:
+        score, _, member, venue = key
+        self.audit.selections.append(
+            SelectionRecord(
+                group=tuple(prefix),
+                candidates=tuple(sorted(remaining)),
+                venues=tuple(sorted(universe)),
+                member=member,
+                venue=venue,
+                score=score,
+            )
+        )
 
     def _ball_pass(
         self,
@@ -498,8 +484,8 @@ class _MultiVenueSearch(_GroupSearch):
         copy_counts = self._keeps_pool_counts(size + 1)
         if not static:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
-            # The frame's pair heap, built at its first selection.
-            heap: Optional[List[tuple]] = None
+            # The frame's selection order, sorted at its first selection.
+            order: Optional[Dict[MemberId, tuple]] = None
 
         # The incumbent the venue checks last ran against. Within a frame
         # venues leave ``sums`` only here, so the checks can turn false only
@@ -526,13 +512,13 @@ class _MultiVenueSearch(_GroupSearch):
 
             # Each child completes only from the candidates not yet generated
             # here, so each candidate set is generated once.
-            if static:
-                u = remaining.pop(0)
-            else:
-                if heap is None:
-                    heap = self._pair_heap(prefix, universe, remaining)
-                u = self._select_adaptive(heap, prefix, universe, remaining, remaining_set)
-                remaining.remove(u)
+            if not static:
+                if order is None:
+                    order = self._selection_order(prefix, universe, remaining)
+                    remaining = list(order)
+                if self.audit is not None:
+                    self._record_selection(prefix, universe, remaining, order[remaining[0]])
+            u = remaining.pop(0)
             remaining_set.discard(u)
             stats.generated_states += 1
             child_pe = None
@@ -679,7 +665,9 @@ def mags_solve(
     pool member and a live venue (``srdo_seed``), and a search frame left
     with one venue runs ``ssp``'s single-venue loop in that venue's distance
     order; "apdo" re-selects the best (member, venue) pair before every
-    insertion and checks the ball-distance bound over the venue ball tree.
+    insertion, reading each search frame's selections off one sort of its
+    candidates by their best pair, and checks the ball-distance bound over
+    the venue ball tree.
     "apdo" reads the venue ball tree: ``indexes`` without one raise
     ``ValueError``."""
     if ordering not in ("srdo", "apdo"):

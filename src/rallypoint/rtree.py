@@ -9,8 +9,8 @@ that orders candidates by distance computes no distance itself.
 The bulk load also lays out, once, the flat rows the range query reads:
 each internal node its children's boxes as ``(min_x, min_y, max_x, max_y,
 child)`` tuples, each leaf its points as ``(x, y, id)`` tuples sorted by
-``x``. They repeat what the nodes hold, so a query reads no ``Mbr`` or
-``Location`` attribute.
+``x``. They are the only copy of a node's contents, so a query reads no
+``Mbr`` or ``Location`` attribute.
 """
 
 from __future__ import annotations
@@ -75,16 +75,15 @@ def mindist_point_mbr(a: Location, m: Mbr) -> float:
 
 
 class RtreeNode:
-    """``rows`` are the range query's view of the node: its children's boxes
-    as ``(min_x, min_y, max_x, max_y, child)``, or, in a leaf, its points as
-    ``(x, y, id)`` sorted by ``x``."""
+    """``rows`` hold the node's contents, laid out for the range query: its
+    children's boxes as ``(min_x, min_y, max_x, max_y, child)``, or, in a
+    leaf, its points as ``(x, y, id)`` sorted by ``x``. The node keeps no
+    other copy of them."""
 
-    __slots__ = ("mbr", "children", "entries", "is_leaf", "node_id", "rows")
+    __slots__ = ("mbr", "is_leaf", "node_id", "rows")
 
     def __init__(self, mbr: Mbr, *, children=None, entries=None, node_id: int = -1):
         self.mbr = mbr
-        self.children: Optional[List[RtreeNode]] = children
-        self.entries: Optional[List[Tuple[MemberId, Location]]] = entries
         self.is_leaf = entries is not None
         self.node_id = node_id
         if self.is_leaf:
@@ -93,6 +92,11 @@ class RtreeNode:
         else:
             rows = [(c.mbr.min_x, c.mbr.min_y, c.mbr.max_x, c.mbr.max_y, c) for c in children]
         self.rows: List[tuple] = rows
+
+    @property
+    def children(self) -> Optional[List["RtreeNode"]]:
+        """An internal node's children, read off its rows; None in a leaf."""
+        return None if self.is_leaf else [row[4] for row in self.rows]
 
 
 class Rtree:
@@ -118,7 +122,8 @@ class Rtree:
         while stack:
             n = stack.pop()
             if n.is_leaf:
-                yield from n.entries
+                for x, y, m in n.rows:
+                    yield m, Location(x, y)
             else:
                 stack.extend(n.children)
 
@@ -209,7 +214,7 @@ def build_rtree(points: Mapping[MemberId, Location], max_fanout: int = 16) -> Rt
     level: List[RtreeNode] = [
         RtreeNode(
             Mbr.around_points([loc for _, loc in group]),
-            entries=sorted(group, key=lambda kv: kv[0]),
+            entries=group,
             node_id=make_id(),
         )
         for group in leaf_groups

@@ -427,9 +427,9 @@ def test_apdo_selection_equals_scan_argmin():
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
     # Integer grids with members at exactly t put many (member, venue) pairs
-    # at equal scores, so the tie-breaks decide; every pop of a frame's pair
-    # queue, the first and each one after a child returns, must be the scan
-    # argmin.
+    # at equal scores, so the tie-breaks decide; every selection a frame
+    # reads off its sorted order, the first and each one after a child
+    # returns, must be the scan argmin.
     rng = random.Random(f"apdo-ties-{mode.value}")
     selections = 0
     for _ in range(6000):
@@ -440,6 +440,34 @@ def test_apdo_selection_equals_scan_argmin_on_tie_heavy_grids(mode):
         _check_selections_by_scan(graph, data, query, audit)
         selections += len(audit.selections)
     assert selections > 1000, selections
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_apdo_sorts_once_per_selecting_frame(mode, monkeypatch):
+    # An apdo frame sorts its candidates at its first selection and reads
+    # every later one off that order: a frame that selects nothing sorts
+    # nothing, and no frame sorts again after a child returns.
+    sorts = []
+    original = multi_venue._MultiVenueSearch._selection_order
+
+    def counting(self, prefix, universe, remaining):
+        sorts.append(tuple(prefix))
+        return original(self, prefix, universe, remaining)
+
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_selection_order", counting)
+    rng = random.Random(f"apdo-ties-{mode.value}")
+    frames = 0
+    for _ in range(6000):
+        graph, data, query = _grid_instance(rng)
+        query = Query(query.p, query.k, query.t, query.venues, mode)
+        audit = MagsAudit()
+        sorts.clear()
+        mags_solve(query, graph, data, ordering="apdo", audit=audit)
+        selecting = {rec.group for rec in audit.selections}
+        assert len(sorts) == len(selecting)
+        assert set(sorts) == selecting
+        frames += len(selecting)
+    assert frames > 1000, frames
 
 
 def test_apdo_checks_ball_bounds_only_against_a_finite_incumbent():

@@ -36,7 +36,7 @@ def test_containment_invariant_holds():
     tree = build_rtree(pts, max_fanout=8)
     for node in tree.nodes():
         if node.is_leaf:
-            for _, loc in node.entries:
+            for _, loc in tree.points_under(node):
                 assert node.mbr.contains_point(loc)
         else:
             for child in node.children:
