@@ -34,7 +34,7 @@ print(f"( p={p}, k={k} ) core keeps {core.vertex_count} of {graph.vertex_count} 
 data = unit_distance_dataset(graph.vertices, n_venues=3)
 query = Query(p=p, k=k, t=2.0, venues=tuple(sorted(data.venue_locations)))
 stats = SearchStats()
-solution = mags_solve(query, graph, data, ordering="apdo", core_preprocess=True, stats=stats)
+solution = mags_solve(query, graph, data, ordering="apdo", stats=stats)
 print("group:", solution.group)
 print("total distance:", solution.total_distance, "(one unit per member)")
 print("explored states:", stats.explored_states, "== p:", stats.explored_states == p)
@@ -47,5 +47,5 @@ for trial_p in (4, 6, 8):
         continue
     st = SearchStats()
     q = Query(p=trial_p, k=trial_k, t=2.0, venues=query.venues)
-    mags_solve(q, loose, data, ordering="apdo", core_preprocess=True, stats=st)
+    mags_solve(q, loose, data, ordering="apdo", stats=st)
     print(f"p={trial_p}: explored {st.explored_states} states")

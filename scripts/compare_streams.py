@@ -11,12 +11,15 @@ For each workload, seed and solver it prints one sha256 over the answers,
 ``--against DIR`` it computes the same digests on the checkout at ``DIR``, in
 a fresh interpreter that imports that checkout's ``bench/`` and ``src/``,
 lists each mismatch with the first queries that differ, and exits with 1
-when there is one. The script reads ``bench/`` and never writes to it.
+when there is one. A counter mismatch also gives each side's explored and
+generated states, summed over the stream. The script reads ``bench/`` and
+never writes to it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import hashlib
 import json
 import subprocess
@@ -106,9 +109,16 @@ def records_of(root: Path, workloads, seeds, solvers) -> Records:
             for name, seed, solver, answers, counters in rows}
 
 
+def summed_states(counters: List[str]) -> Tuple[int, int]:
+    """Explored and generated states summed over per-query counter lines."""
+    rows = [ast.literal_eval(line)[:2] for line in counters]
+    return sum(row[0] for row in rows), sum(row[1] for row in rows)
+
+
 def mismatches(ours: Records, theirs: Records) -> List[str]:
     """One line per (workload, seed, solver) and kind whose digests differ,
-    or that only one side ran."""
+    or that only one side ran. A counter line ends with the summed explored
+    and generated states, the other checkout's first."""
     lines = []
     for key in sorted(set(ours) | set(theirs)):
         label = "{} seed={} {}".format(*key)
@@ -122,7 +132,12 @@ def mismatches(ours: Records, theirs: Records) -> List[str]:
             if len(mine) != len(other):
                 differ.append(min(len(mine), len(other)))
             shown = ", ".join(map(str, differ[:SHOWN]))
-            lines.append(f"{label}: {kind} differ on {len(differ)} queries, first {shown}")
+            line = f"{label}: {kind} differ on {len(differ)} queries, first {shown}"
+            if kind == "counters":
+                was, now = summed_states(other), summed_states(mine)
+                line += (f"; explored {was[0]} -> {now[0]},"
+                         f" generated {was[1]} -> {now[1]} (other -> this)")
+            lines.append(line)
     return lines
 
 

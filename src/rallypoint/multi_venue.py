@@ -101,18 +101,12 @@ no ``mindist_point_ball`` call on the small stream that the benchmark's
 tracing test requires to make some; the hand-off waits for that test to
 change.
 
-In average mode a frame may also carry its pool's acquaintance counts: the
-pool degree table (each remaining candidate's acquaintances among the
-remaining candidates) and the prefix-edge table (each remaining candidate's
-acquaintances in the prefix). They are updated as each generated candidate
-leaves the pool, rebuilt from the survivors when a frame drops candidates on
-entry, and copied into child frames. The average rule reads them instead of
-intersecting the pool, and a child's edge count reads the candidate's prefix
-edges off the prefix-edge table. A frame keeps them only when a child of it
-can fire the average rule: frames whose prefix is shorter than ``p - 1``,
-while the rule is on and ``k < p - 1``. Per-vertex frames carry no pool
-counts: the one social rule checked there, the member rule, reads only the
-child group.
+In average mode a frame may also carry its pool's acquaintance counts, as
+in ``single_venue``: updated as each generated candidate leaves the pool,
+rebuilt from the survivors when a frame drops candidates on entry, and
+copied into child frames. Per-vertex frames carry none: they run the
+single-venue loop's entry test (``_GroupSearch._entry_test``) on the
+candidates that pass the radius and venue-distance filter.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
 above: it runs the leaf scan of ``single_venue``, shared by both engines,
@@ -133,13 +127,12 @@ from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from .balltree import mindist_point_ball
-from .graph import core_decompose
 from .indexes import Indexes, build_indexes
 from .model import (
-    FamiliarityMode,
     MemberId,
     PRUNE_BALL_DISTANCE,
     PRUNE_AVG_FAMILIARITY,
+    PRUNE_MEMBER_FAMILIARITY,
     PRUNE_VENUE_DISTANCE,
     PRUNE_VENUE_RADIUS,
     Query,
@@ -314,13 +307,6 @@ class _MultiVenueSearch(_GroupSearch):
             pe = dict.fromkeys(pool_deg, 0)
         self._frame([], set(), 0, pool, sums, pool_deg, pe, set(pool))
 
-    def _keeps_pool_counts(self, size: int) -> bool:
-        """As in the single-venue search (rule on, ``k < p - 1``, children
-        not leaves), but in average mode only: the member rule is the one
-        social rule of per-vertex joint frames."""
-        average = self.query.familiarity_mode is FamiliarityMode.AVERAGE
-        return average and super()._keeps_pool_counts(size)
-
     # -- candidate selection -----------------------------------------------
 
     def _selection_order(
@@ -468,7 +454,10 @@ class _MultiVenueSearch(_GroupSearch):
         # lower bounds until the loop head re-reads them.
         nearest = self._nearest(pool_set, size, sums)
         if size:
-            remaining = self._entry_candidates(pool, pool_set, size, sums, nearest)
+            entered = self._entry_candidates(pool, pool_set, size, sums, nearest)
+            admits = self._entry_test(prefix, prefix_set)
+            remaining = entered if admits is None else [v for v in entered if admits(v)]
+            stats.bump(PRUNE_MEMBER_FAMILIARITY, len(entered) - len(remaining))
         else:
             # The root's pool is the alive venues' candidates, and under its
             # infinite incumbent no bound fires: no candidate can drop.
@@ -533,8 +522,6 @@ class _MultiVenueSearch(_GroupSearch):
                 continue
             child = prefix + [u]
 
-            if self._member_prune(child):
-                continue
             if pool_deg is not None:
                 counts = (2 * child_edges, pool_deg, child_pe)
                 if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
@@ -656,7 +643,6 @@ def mags_solve(
     *,
     ordering: str = "apdo",
     config: Optional[PruneConfig] = None,
-    core_preprocess: bool = False,
     stats: Optional[SearchStats] = None,
     audit: Optional[MagsAudit] = None,
 ) -> Optional[Solution]:
@@ -677,8 +663,6 @@ def mags_solve(
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
-    if core_preprocess and query.familiarity_mode is FamiliarityMode.PER_VERTEX:
-        graph = core_decompose(graph, query.p, query.k)
     search = _MultiVenueSearch(
         query,
         graph,

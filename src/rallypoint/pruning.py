@@ -185,8 +185,8 @@ def distance_prune(
 def member_familiarity_prune(group: Sequence[MemberId], k: int, graph: SocialGraph) -> bool:
     """True when some member is already short of acquaintances beyond repair.
 
-    Sound only when every member must individually respect the stranger
-    budget (per-vertex mode): stranger counts never shrink as a group grows.
+    Sound only in per-vertex mode: stranger counts never shrink as a group
+    grows. The engines apply it before generation (``_GroupSearch._entry_test``).
     """
     inside = set(group)
     if not inside:

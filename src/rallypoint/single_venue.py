@@ -21,33 +21,40 @@ the prefix's internal edge count, so growing the prefix costs at most one
 neighbourhood intersection with it. The same count decides the average-mode
 familiarity test at a leaf (``average_familiarity_edges``).
 
-A frame also carries its pool's acquaintance counts: the pool degree table
-(each remaining candidate's acquaintances among the remaining candidates)
-and the prefix-edge table ``pe`` (each remaining candidate's acquaintances
-in the prefix). When a candidate is expanded it leaves both tables, and each
-of its acquaintances in the pool loses one pool degree and, in the child's
-copy of ``pe``, gains one prefix edge (``admit_from_pool``). Only frames
-whose children are not leaves (prefix shorter than ``p - 1``) keep the
-tables, and only while the average familiarity rule is on and can fire
-(``k < p - 1``; in the joint search, only in average mode); each such child
-frame gets its own copies. Where a frame keeps ``pe``, a candidate's prefix
-edges are read there instead of intersecting its neighbourhood with the
-prefix.
+In average mode a frame also carries its pool's acquaintance counts, which
+only the average rule reads: the pool degree table (each remaining
+candidate's acquaintances among the remaining candidates) and the
+prefix-edge table ``pe`` (each remaining candidate's acquaintances in the
+prefix). When a candidate is expanded it leaves both tables, and each of its
+acquaintances in the pool loses one pool degree and, in the child's copy of
+``pe``, gains one prefix edge (``admit_from_pool``). Only frames whose
+children are not leaves (prefix shorter than ``p - 1``) keep the tables, and
+only while the rule is on and can fire (``k < p - 1``); each such child frame
+gets its own copies, and reads a candidate's prefix edges off ``pe``.
 
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
 edges plus its pool degree capped at ``r - 1``, and prunes a child when its
 edge count plus the ``r`` largest gains falls short
-(``avg_familiarity_prune``). In per-vertex mode the member rule
-(``member_familiarity_prune``) also runs on every child: a member already
-short of acquaintances stays short in every completion. ``remaining`` is
-sorted by distance, so the distance rule adds its first ``r`` distances to
-the prefix's total (``distance_prune``): the sorted-access bound of Fagin,
-Lotem and Naor's threshold algorithm. The next child is the head of
-``remaining``, so one check at the head of the frame's loop bounds that
-child and every later sibling, and a failed check ends the frame. In the
-joint search that check, like the leaf scan's, counts as a venue-distance
-prune.
+(``avg_familiarity_prune``). ``remaining`` is sorted by distance, so the
+distance rule adds its first ``r`` distances to the prefix's total
+(``distance_prune``): the sorted-access bound of Fagin, Lotem and Naor's
+threshold algorithm. The next child is the head of ``remaining``, so one
+check at the head of the frame's loop bounds that child and every later
+sibling, and a failed check ends the frame. In the joint search that check,
+like the leaf scan's, counts as a venue-distance prune.
+
+In per-vertex mode a feasible group is a k-plex: each member has at most
+``k`` strangers, and strangers only grow with the group. So while the member
+rule is on, a non-leaf frame whose prefix has more than ``k`` members drops,
+on entry, each candidate that would break the budget, one with more than
+``k`` strangers in the prefix or a stranger to a prefix member that already
+has ``k`` (``_GroupSearch._entry_test``; the k-plex reduction of
+Balasundaram, Butenko and Hicks). A dropped candidate is never generated,
+nor handed to a child, and counts as one member-familiarity prune. Both
+engines run this one rule set in per-vertex frames, which keep no pool
+counts. A leaf is still checked in full (``familiarity_ok``): with the
+member rule off, a prefix may already break the budget.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) reads its pool
 once, in (distance, id) order: the sorted-access stop rule of the same
@@ -95,7 +102,6 @@ from .pruning import (
     admit_from_pool,
     avg_familiarity_prune,
     distance_prune,
-    member_familiarity_prune,
     pool_degrees,
 )
 
@@ -139,9 +145,9 @@ class _StopSearch(Exception):
 
 class _GroupSearch:
     """What both depth-first engines share: the incumbent (``best_total``,
-    ``best_group``, ``best_venue``), the leaf feasibility rule, the member
-    rule, the scan of a leaf frame and the search at one venue (see the
-    module docstring).
+    ``best_group``, ``best_venue``), the leaf feasibility rule, the
+    per-vertex entry test, the scan of a leaf frame and the search at one
+    venue (see the module docstring).
 
     ``leaf_rule`` names the prune rule, a ``PruneConfig`` field, that stops
     a leaf scan, or ends a one-venue frame, at the first candidate that
@@ -174,7 +180,7 @@ class _GroupSearch:
         # ``stats`` held before it.
         self.stop_at = None if budget is None else stats.generated_states + budget
         # Fewest internal edges a leaf group needs in average mode; in
-        # per-vertex mode the member rule runs on every child instead.
+        # per-vertex mode non-leaf frames run the entry test instead.
         self.leaf_edges = None
         self.member_rule = False
         if query.familiarity_mode is FamiliarityMode.AVERAGE:
@@ -184,22 +190,31 @@ class _GroupSearch:
 
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool
-        counts: only the average rule reads them, and it runs on every child
-        that is not a leaf. With ``k = p - 1`` the rule's target
-        ``p * (p - k - 1)`` is 0, and the loop guard leaves at least as many
-        candidates as open slots, so it can never fire and no frame keeps
-        counts."""
+        counts: only the average rule reads them, and it runs, in average
+        mode only, on every child that is not a leaf. With ``k = p - 1`` the
+        rule's target ``p * (p - k - 1)`` is 0, and the loop guard leaves at
+        least as many candidates as open slots, so it can never fire and no
+        frame keeps counts."""
         q = self.query
-        return self.config.avg_familiarity and q.k < q.p - 1 and size < q.p - 1
+        average = self.leaf_edges is not None
+        return average and self.config.avg_familiarity and q.k < q.p - 1 and size < q.p - 1
 
-    def _member_prune(self, child: List[MemberId]) -> bool:
-        """The member rule on a child of either loop, in per-vertex mode
-        while the rule is on. The average rule runs wherever a frame keeps
-        pool counts; each loop calls it itself."""
-        if self.member_rule and member_familiarity_prune(child, self.query.k, self.graph):
-            self.stats.bump(PRUNE_MEMBER_FAMILIARITY)
-            return True
-        return False
+    def _entry_test(
+        self, prefix: List[MemberId], prefix_set: set
+    ) -> Optional[Callable[[MemberId], bool]]:
+        """The per-vertex entry test of a non-leaf frame whose prefix keeps
+        the budget (see the module docstring): it admits ``u`` exactly when
+        ``prefix + [u]`` keeps it too. None where it cannot drop a candidate:
+        outside per-vertex mode, with the member rule off, or while the
+        prefix has at most ``k`` members."""
+        k = self.query.k
+        size = len(prefix)
+        if not self.member_rule or size <= k:
+            return None
+        neighbors = self.graph.neighbors
+        at_budget = {v for v in prefix if size - 1 - len(neighbors(v) & prefix_set) == k}
+        least_known = size - k
+        return lambda u: at_budget <= neighbors(u) and len(neighbors(u) & prefix_set) >= least_known
 
     def _scan_leaves(
         self,
@@ -269,7 +284,9 @@ class _GroupSearch:
             return
         graph = self.graph
         neighbors = graph.neighbors
-        remaining = list(pool)
+        admits = self._entry_test(prefix, prefix_set)
+        remaining = list(pool) if admits is None else [c for c in pool if admits(c[1])]
+        self.stats.bump(PRUNE_MEMBER_FAMILIARITY, len(pool) - len(remaining))
         # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe`` its
         # prefix-edge table, when this frame keeps them.
         copy_counts = self._keeps_pool_counts(size + 1)
@@ -300,9 +317,6 @@ class _GroupSearch:
             # The tables are kept exactly where the average rule runs.
             if pool_deg is not None:
                 child_pe = admit_from_pool(pool_deg, pe, u, graph)
-            if self._member_prune(child):
-                continue
-            if pool_deg is not None:
                 counts = (2 * child_edges, pool_deg, child_pe)
                 if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
                     self.stats.bump(PRUNE_AVG_FAMILIARITY)

@@ -265,9 +265,7 @@ def test_criterion_5_threshold_graph_termination():
         data = unit_distance_dataset(graph.vertices, rng.randint(1, 4))
         query = Query(p=p, k=k, t=2.0, venues=tuple(sorted(data.venue_locations)))
         stats = SearchStats()
-        sol = mags_solve(
-            query, graph, data, ordering="apdo", core_preprocess=True, stats=stats
-        )
+        sol = mags_solve(query, graph, data, ordering="apdo", stats=stats)
         assert sol is not None, f"n={n} p={p} k={k}: no solution found"
         assert abs(sol.total_distance - p) <= TOL
         assert is_feasible(sol.group, sol.venue, query, graph, data)

@@ -31,13 +31,21 @@ def test_one_stream_matches_its_own_checkout():
 
 def test_mismatches_name_the_stream_and_the_first_queries():
     compare = _module()
-    ours = {("w", 1, "srdo"): (["a", "b", "c"], ["1", "2", "3"])}
+    counters = [repr((2, 3, [])), repr((4, 6, [("distance", 1)])), repr((0, 0, []))]
+    ours = {("w", 1, "srdo"): (["a", "b", "c"], counters)}
     theirs = {
-        ("w", 1, "srdo"): (["a", "x", "c"], ["1", "2", "3"]),
+        ("w", 1, "srdo"): (["a", "x", "c"], counters),
         ("w", 1, "apdo"): (["a"], ["1"]),
     }
     assert compare.mismatches(ours, ours) == []
     assert compare.mismatches(ours, theirs) == [
         "w seed=1 apdo: only in the other",
         "w seed=1 srdo: answers differ on 1 queries, first 1",
+    ]
+    # Counter lines add each side's summed explored and generated states.
+    moved = [repr((9, 20, [])), counters[1], repr((1, 1, [("member_familiarity", 4)]))]
+    theirs = {("w", 1, "srdo"): (["a", "b", "c"], moved)}
+    assert compare.mismatches(ours, theirs) == [
+        "w seed=1 srdo: counters differ on 2 queries, first 0, 2;"
+        " explored 14 -> 6, generated 27 -> 9 (other -> this)",
     ]

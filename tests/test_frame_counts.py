@@ -6,7 +6,7 @@ is patched in the engines' namespaces. Each patched call recounts from sets
 asserts that the carried counts match (the prefix's edge count, the pool
 degree table and the prefix-edge table), and returns the set-based verdict,
 so the search itself never depends on the carried counts. Every exact
-solver, in both familiarity modes, must still equal brute force.
+solver must still equal brute force. Only average-mode frames keep counts.
 """
 
 import random
@@ -113,7 +113,7 @@ def _exact_solvers(query):
     return solvers
 
 
-@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("mode", [FamiliarityMode.AVERAGE], ids=lambda m: m.value)
 @pytest.mark.parametrize(
     "make_instance",
     [_gnp_instance, _power_law_instance, _grid_instance],
@@ -137,24 +137,35 @@ def test_carried_pool_counts_match_sets(checked_counts, make_instance, mode):
     assert checked_counts["avg"] > 0
 
 
-@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
-def test_no_pool_counts_when_k_is_p_minus_1(monkeypatch, mode):
-    # With k = p - 1 the average rule's target p * (p - k - 1) is 0, so it
-    # can never fire: no frame of any exact solver builds or updates pool
-    # counts, and every solver still equals brute force.
+@pytest.mark.parametrize(
+    "mode, any_k",
+    [
+        (FamiliarityMode.AVERAGE, False),
+        (FamiliarityMode.PER_VERTEX, False),
+        (FamiliarityMode.PER_VERTEX, True),
+    ],
+    ids=["average", "per-vertex", "per-vertex-every-k"],
+)
+def test_no_pool_counts_when_k_is_p_minus_1_or_per_vertex(monkeypatch, mode, any_k):
+    # Only the average rule reads pool counts, and only average-mode frames
+    # run it. With k = p - 1 its target p * (p - k - 1) is 0, so it can
+    # never fire. So no frame of any exact solver builds or updates pool
+    # counts in those queries, nor in a per-vertex query of any k, and every
+    # solver still equals brute force.
     def refuse(*args):
-        raise AssertionError("a search kept pool counts with k = p - 1")
+        raise AssertionError("a search kept pool counts")
 
     for module in (single_venue, multi_venue):
         monkeypatch.setattr(module, "pool_degrees", refuse)
         monkeypatch.setattr(module, "admit_from_pool", refuse)
-    rng = random.Random(f"k-is-p-minus-1-{mode.value}")
+    rng = random.Random(f"k-is-p-minus-1-{mode.value}{'-every-k' if any_k else ''}")
     solved = 0
     for seed in range(40):
         make_instance = rng.choice([_gnp_instance, _power_law_instance, _grid_instance])
         graph, data = make_instance(rng, 5700 + seed)
         for query in _queries(rng, graph, data, mode):
-            query = Query(query.p, query.p - 1, query.t, query.venues, mode)
+            if not any_k:
+                query = Query(query.p, query.p - 1, query.t, query.venues, mode)
             oracle = brute_force(query, graph, data)
             for name, solver in _exact_solvers(query).items():
                 sol = solver(query, graph, data)

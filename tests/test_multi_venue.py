@@ -1043,9 +1043,9 @@ def test_single_venue_mags_equals_ssgs():
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 def test_one_venue_srdo_runs_the_single_venue_search(mode):
     # An srdo frame left with one venue runs the single-venue loop, and on a
-    # one-venue query that is the root frame. In average mode both searches
-    # keep the same pool counts, so srdo generates and explores what ssp
-    # does; per-vertex joint frames keep none, so only the answers match.
+    # one-venue query that is the root frame. Both engines run one rule set
+    # per mode, so srdo's answers and every counter equal ssp's. The loop's
+    # distance checks count under each engine's own rule name.
     explored = 0
     for seed in range(60):
         graph, data, query = make_query_instance(
@@ -1057,12 +1057,13 @@ def test_one_venue_srdo_runs_the_single_venue_search(mode):
             stats = SearchStats()
             sol = solve(query, graph, data, stats=stats)
             answer = None if sol is None else (sol.group, sol.venue, repr(sol.total_distance))
-            records.append((answer, stats.explored_states, stats.generated_states))
-        (ssp_answer, *ssp_counts), (srdo_answer, *srdo_counts) = records
-        assert srdo_answer == ssp_answer, seed
-        if mode is FamiliarityMode.AVERAGE:
-            assert srdo_counts == ssp_counts, seed
-        explored += srdo_counts[0]
+            pruned = {
+                "distance" if rule == "venue_distance" else rule: count
+                for rule, count in stats.pruned.items()
+            }
+            records.append((answer, stats.explored_states, stats.generated_states, pruned))
+        assert records[1] == records[0], seed
+        explored += records[1][1]
     assert explored > 200, explored
 
 
@@ -1191,14 +1192,6 @@ def test_many_venue_apdo_stays_small_and_agrees():
     assert stats.explored_states <= 80, stats.explored_states
 
 
-def test_core_preprocess_preserves_optimum():
-    for seed in range(20):
-        graph, data, query = make_query_instance(7700 + seed, q_range=(2, 4))
-        plain = mags_solve(query, graph, data, ordering="apdo")
-        pre = mags_solve(query, graph, data, ordering="apdo", core_preprocess=True)
-        assert _total(plain) == _total(pre)
-
-
 # --- pinned search trees ----------------------------------------------------
 
 
@@ -1232,15 +1225,15 @@ def _search_record(seed, variant):
 PINNED_SEARCHES = {
     (0, "srdo"): (
         None,
-        (76, 289),
-        {"member_familiarity": 213, "venue_distance": 7, "venue_radius": 8},
+        (23, 23),
+        {"member_familiarity": 82},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "srdo"): (
         None,
-        (5, 7),
-        {"member_familiarity": 2, "venue_radius": 1},
+        (3, 3),
+        {"member_familiarity": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1319,8 +1312,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (17, 26),
-        {"member_familiarity": 8, "venue_distance": 3, "venue_radius": 10},
+        (12, 12),
+        {"member_familiarity": 12, "venue_distance": 1, "venue_radius": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1342,16 +1335,16 @@ PINNED_SEARCHES = {
     ),
     (0, "apdo"): (
         None,
-        (81, 300),
-        {"member_familiarity": 219, "venue_distance": 11, "venue_radius": 8},
-        (300, "c87ed274d8a39b61"),
+        (23, 23),
+        {"member_familiarity": 80},
+        (23, "f90d63166dc9085f"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "apdo"): (
         None,
-        (5, 7),
-        {"member_familiarity": 2, "venue_radius": 1},
-        (6, "edce94effcea0ad5"),
+        (3, 3),
+        {"member_familiarity": 5},
+        (3, "e5207ed84ddcb983"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "apdo"): (
@@ -1429,10 +1422,10 @@ PINNED_SEARCHES = {
     ),
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (11, 12),
-        {"ball_distance": 4, "member_familiarity": 1, "venue_distance": 1, "venue_radius": 2},
-        (6, "9aa147f33a9b060d"),
-        (4, "91a4812a310c80c8"),
+        (6, 6),
+        {"ball_distance": 4, "member_familiarity": 5, "venue_distance": 1, "venue_radius": 2},
+        (4, "160f0ed79f4233a5"),
+        (4, "4a6f92c7baba96dc"),
     ),
     (16, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
@@ -1466,8 +1459,8 @@ PINNED_SEARCHES = {
     ),
     (8, "srdo without venue_distance"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
-        (3477, 3521),
-        {"member_familiarity": 44, "venue_radius": 213},
+        (3343, 3343),
+        {"member_familiarity": 56, "venue_radius": 198},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1480,8 +1473,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo without venue_distance"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (25, 35),
-        {"member_familiarity": 10, "venue_radius": 13},
+        (17, 17),
+        {"member_familiarity": 14, "venue_radius": 8},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
