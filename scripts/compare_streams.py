@@ -4,6 +4,8 @@ benchmark's query streams, to check that a change leaves both untouched.
 
     python3 scripts/compare_streams.py --workloads mv-static --seeds 1 3 5
     python3 scripts/compare_streams.py --seeds 1 --against ../parent-checkout
+    python3 scripts/compare_streams.py --workloads mv-static --seeds 1 \
+        --solvers srdo --against ../parent-checkout --time 5
 
 For each workload, seed and solver it prints one sha256 over the answers,
 ``(group, venue, repr(total))`` per query, and one over the search counters
@@ -14,6 +16,14 @@ lists each mismatch with the first queries that differ, and exits with 1
 when there is one. A counter mismatch also gives each side's explored and
 generated states, summed over the stream. The script reads ``bench/`` and
 never writes to it.
+
+``--time R`` (with ``--against``) also times the solver calls: it runs both
+checkouts in fresh interpreters for ``R`` rounds, this checkout first in
+even rounds and the other first in odd ones, so drift in machine speed
+falls on both sides alike. For each workload, seed and solver it prints
+each side's smallest CPU time (``process_time`` summed over the stream's
+solver calls) and their ratio, this checkout over the other. The digests
+then come from the first round.
 """
 
 from __future__ import annotations
@@ -24,6 +34,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +45,8 @@ SHOWN = 5
 
 # (workload, seed, solver) -> (per-query answers, per-query counters)
 Records = Dict[Tuple[str, int, str], Tuple[List[str], List[str]]]
+# (workload, seed, solver) -> CPU seconds of the stream's solver calls
+Seconds = Dict[Tuple[str, int, str], float]
 
 
 def load_bench(root: Path):
@@ -55,11 +68,13 @@ def solve(rp, solver: str, query, built, stats):
 
 
 def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
-                   solvers: Sequence[str]) -> Records:
+                   solvers: Sequence[str]) -> Tuple[Records, Seconds]:
     """Each query's answer and counters, as strings, for every workload,
-    seed and solver. ``ssgs`` runs only on streams of one-venue queries."""
+    seed and solver, and the CPU time of each stream's solver calls.
+    ``ssgs`` runs only on streams of one-venue queries."""
     run, rp = load_bench(root)
     records: Records = {}
+    seconds: Seconds = {}
     for name in workloads:
         workload = run.WORKLOADS[name]
         for seed in seeds:
@@ -70,9 +85,12 @@ def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
                 if solver == "ssgs" and any(len(q.venues) != 1 for q in queries):
                     continue
                 answers, counters = [], []
+                cpu = 0.0
                 for query, rq in zip(queries, raw_queries):
                     stats = rp.SearchStats()
+                    start = time.process_time()
                     sol = solve(rp, solver, query, built[rq.city], stats)
+                    cpu += time.process_time() - start
                     answer = None
                     if sol is not None:
                         answer = (tuple(sol.group), sol.venue, repr(sol.total_distance))
@@ -83,7 +101,8 @@ def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
                         sorted(stats.pruned.items()),
                     )))
                 records[(name, seed, solver)] = (answers, counters)
-    return records
+                seconds[(name, seed, solver)] = cpu
+    return records, seconds
 
 
 def digest(lines: List[str]) -> str:
@@ -98,15 +117,46 @@ def report(records: Records) -> List[str]:
     ]
 
 
-def records_of(root: Path, workloads, seeds, solvers) -> Records:
+def records_of(root: Path, workloads, seeds, solvers) -> Tuple[Records, Seconds]:
     """``stream_records`` of the checkout at ``root``, in a fresh
     interpreter, so two checkouts' packages never meet in one process."""
     cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--json",
            "--workloads", *workloads, "--seeds", *map(str, seeds), "--solvers", *solvers]
     out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
     rows = json.loads(out.splitlines()[-1])
-    return {(name, seed, solver): (answers, counters)
-            for name, seed, solver, answers, counters in rows}
+    records = {(name, seed, solver): (answers, counters)
+               for name, seed, solver, answers, counters, _ in rows}
+    seconds = {(name, seed, solver): cpu for name, seed, solver, _, _, cpu in rows}
+    return records, seconds
+
+
+def timed_rounds(roots: Sequence[Path], rounds: int, workloads, seeds,
+                 solvers) -> Tuple[List[Records], List[Seconds]]:
+    """Each root's records from the first round, and its smallest CPU time
+    per stream over ``rounds`` rounds. Each round runs every root in a
+    fresh interpreter, in the given order in even rounds and reversed in
+    odd ones."""
+    records: List[Records] = [{} for _ in roots]
+    fastest: List[Seconds] = [{} for _ in roots]
+    for r in range(rounds):
+        order = range(len(roots)) if r % 2 == 0 else reversed(range(len(roots)))
+        for i in order:
+            recs, seconds = records_of(roots[i], workloads, seeds, solvers)
+            records[i] = records[i] or recs
+            for key, cpu in seconds.items():
+                fastest[i][key] = min(cpu, fastest[i].get(key, cpu))
+    return records, fastest
+
+
+def timing_lines(ours: Seconds, theirs: Seconds, rounds: int) -> List[str]:
+    """One line per stream both sides ran, in this checkout's order: each
+    side's smallest CPU time and their ratio, this checkout over the
+    other."""
+    return [
+        "{} seed={} {} cpu min of {}: this {:.3f} s, other {:.3f} s, ratio {:.3f}".format(
+            *key, rounds, ours[key], theirs[key], ours[key] / theirs[key])
+        for key in ours if key in theirs
+    ]
 
 
 def summed_states(counters: List[str]) -> Tuple[int, int]:
@@ -148,19 +198,31 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--solvers", nargs="+", choices=SOLVERS, default=list(SOLVERS))
     parser.add_argument("--against", type=Path, help="another checkout to compare with")
+    parser.add_argument("--time", type=int, default=0, metavar="R",
+                        help="time both checkouts' solver calls over R alternating rounds")
     parser.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
     parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    records = stream_records(args.root.resolve(), args.workloads, args.seeds, args.solvers)
+    if args.time and args.against is None:
+        parser.error("--time needs --against")
+    streams = (args.workloads, args.seeds, args.solvers)
+    if args.time:
+        (records, theirs), (ours_cpu, theirs_cpu) = timed_rounds(
+            [args.root.resolve(), args.against.resolve()], args.time, *streams)
+    else:
+        records, seconds = stream_records(args.root.resolve(), *streams)
     if args.json:
-        print(json.dumps([[*key, *value] for key, value in records.items()]))
+        print(json.dumps([[*key, *value, seconds[key]] for key, value in records.items()]))
         return 0
     print("\n".join(report(records)))
     if args.against is None:
         return 0
-    theirs = records_of(args.against.resolve(), args.workloads, args.seeds, args.solvers)
+    if not args.time:
+        theirs, _ = records_of(args.against.resolve(), *streams)
     lines = mismatches(records, theirs)
     print("\n".join(lines) if lines else f"no mismatch against {args.against}")
+    if args.time:
+        print("\n".join(timing_lines(ours_cpu, theirs_cpu, args.time)))
     return 1 if lines else 0
 
 

@@ -99,6 +99,11 @@ class SocialGraph:
     def __contains__(self, v: MemberId) -> bool:
         return v in self._adjacency
 
+    @property
+    def adjacency(self) -> Mapping[MemberId, FrozenSet[MemberId]]:
+        """Each vertex's neighbour set, for bulk reads. Read only."""
+        return self._adjacency
+
     def neighbors(self, v: MemberId) -> FrozenSet[MemberId]:
         return self._adjacency[v]
 

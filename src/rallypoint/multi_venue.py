@@ -51,10 +51,11 @@ A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count, and reads its completion table,
 ``nearest``, off the candidate orders: for each venue of ``sums``, the first
 ``p - size`` (distance, member) pairs of the venue's candidate order that lie
-in the frame's pool. A completion at a venue takes only its in-range
-candidates, so the open slots cost at least the sum of as many first
-distances: the sorted-access bound of Fagin, Lotem and Naor's threshold
-algorithm, never below the number of open slots times the first distance.
+in the frame's pool, each read by one walk that stops at its last slot. A
+completion at a venue takes only its in-range candidates, so the open slots
+cost at least the sum of as many first distances: the sorted-access bound of
+Fagin, Lotem and Naor's threshold algorithm, never below the number of open
+slots times the first distance.
 The venue-distance rule reads it at the loop head and on each child. The
 lists are read on entry, over the entry pool, and again over the remaining
 candidates at each loop head after the incumbent improves; the pool only
@@ -88,12 +89,13 @@ An srdo frame left with one venue in ``sums`` runs none of this joint
 machinery: it hands the venue's candidates in its pool, in the venue's own
 (distance, id) order, to the single-venue loop that ``ssp`` runs
 (``_GroupSearch._venue_frame``), with the prefix's total to the venue and,
-in average mode, its pool counts cut down to those candidates. One venue
-needs no venue table, and walking in its own distance order rather than the
-reference venue's keeps the sorted completion bound tight. On a one-venue
-query the root frame hands off, so srdo searches as ``ssp`` does. The loop's
-head check and its leaf scan count as venue-distance prunes, and both loops
-run the same social rules.
+in average mode, its pool counts cut down to those candidates, read off the
+pool instead of the venue's order when the pool is much shorter
+(``_venue_candidates``). One venue needs no venue table, and walking in its
+own distance order rather than the reference venue's keeps the sorted
+completion bound tight. On a one-venue query the root frame hands off, so
+srdo searches as ``ssp`` does. The loop's head check and its leaf scan count
+as venue-distance prunes, and both loops run the same social rules.
 
 apdo frames keep the joint loop. Handed off the same way, apdo measured
 faster on the benchmark's mv-adaptive workload, but its searches then made
@@ -123,7 +125,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from typing import Dict, List, Optional, Set, Tuple
 
 from .balltree import mindist_point_ball
@@ -259,7 +260,8 @@ class _MultiVenueSearch(_GroupSearch):
                     else:
                         row[q] = d
         # Only pool members are ever ranked by degree.
-        degree_of = self.degree_of = {v: graph.degree(v) for v in near}
+        adjacency = graph.adjacency
+        degree_of = self.degree_of = {v: len(adjacency[v]) for v in near}
         # The candidates in search order. srdo fixes it once, by distance to
         # the reference venue: the venue of the table's closest pair, which
         # exists whenever a venue is alive. apdo needs no seed: every pool
@@ -283,12 +285,11 @@ class _MultiVenueSearch(_GroupSearch):
             # One keyed sort. A member in range of the reference venue has
             # its distance in ``near``; the others get ``model.distance``'s
             # arithmetic, the same as the index's, so every key is exact.
-            keyed = []
-            for v, row in near.items():
-                d = row.get(q_ref)
-                if d is None:
-                    d = hypot(loc[v].x - rx, loc[v].y - ry)
-                keyed.append((d, -degree_of[v], v))
+            keyed = [
+                (row[q_ref] if q_ref in row else hypot(loc[v].x - rx, loc[v].y - ry),
+                 -degree_of[v], v)
+                for v, row in near.items()
+            ]
             keyed.sort()
             self.pool = [v for _, _, v in keyed]
         else:
@@ -322,12 +323,13 @@ class _MultiVenueSearch(_GroupSearch):
         near = self.near
         degree_of = self.degree_of
         base = {q: sum(near[s][q] for s in prefix) for q in universe}
-        pairs = sorted(
-            (base[q] + d, -degree_of[m], m, q)
-            for m in remaining
-            for q, d in near[m].items()
-            if q in base
-        )
+        pairs = []
+        for m in remaining:
+            rank = -degree_of[m]
+            for q, d in near[m].items():
+                if q in base:
+                    pairs.append((base[q] + d, rank, m, q))
+        pairs.sort()
         # A member's first pair in sorted order is its smallest.
         order: Dict[MemberId, tuple] = {}
         for key in pairs:
@@ -369,29 +371,26 @@ class _MultiVenueSearch(_GroupSearch):
         stack = [self.indexes.venues.root]
         while stack:
             node = stack.pop()
-            live = [q for q in node.venue_ids if q in sums]
+            live = []
+            frontier = math.inf
+            for q in node.venue_ids:
+                if q in sums:
+                    live.append(q)
+                    d = nearest[q][0][0]
+                    if d < frontier:
+                        frontier = d
             if not live:
                 continue
-            frontier = min(nearest[q][0][0] for q in live)
             f = sum(mindist_point_ball(loc[s], node.ball) for s in prefix)
             bound = ball_distance_bound(f, len(prefix), p, frontier)
-            self._record_bound(bound, prefix, remaining, live)
+            if self.audit is not None:
+                self.audit.bounds.append(BoundRecord(
+                    bound, tuple(prefix), tuple(sorted(remaining)), tuple(live), self.best_total
+                ))
             if bound >= self.best_total:
                 self._kill_venues(live, sums, PRUNE_BALL_DISTANCE)
             elif not node.is_leaf:
                 stack.extend(node.children)
-
-    def _record_bound(self, bound, prefix, pool, venue_ids) -> None:
-        if self.audit is not None:
-            self.audit.bounds.append(
-                BoundRecord(
-                    bound=bound,
-                    group=tuple(prefix),
-                    pool=tuple(sorted(pool)),
-                    venue_ids=tuple(venue_ids),
-                    best_at_check=self.best_total,
-                )
-            )
 
     def _kill_venues(self, venues: List[VenueId], sums: Dict[VenueId, float], rule: str) -> None:
         """Take ``venues``, all of them in ``sums``, out of it."""
@@ -437,7 +436,7 @@ class _MultiVenueSearch(_GroupSearch):
             # One venue left: the rest is that venue's search, in its own
             # distance order, over the frame's candidates in its range.
             ((q, base),) = sums.items()
-            candidates = [(d, v) for d, v in self.by_distance[q] if v in pool_set]
+            candidates = self._venue_candidates(q, pool, pool_set)
             if pe is not None and len(candidates) < len(pool):
                 pool_deg = pool_degrees([v for _, v in candidates], graph)
                 pe = {v: pe[v] for _, v in candidates}
@@ -547,10 +546,32 @@ class _MultiVenueSearch(_GroupSearch):
         member) pairs of its candidate order that lie in ``members``: what a
         frame whose prefix has ``size`` members passes ``distance_prune``."""
         slots = self.query.p - size
-        return {
-            q: list(islice(((d, v) for d, v in self.by_distance[q] if v in members), slots))
-            for q in sums
-        }
+        by_distance = self.by_distance
+        nearest = {}
+        for q in sums:
+            row = nearest[q] = []
+            for pair in by_distance[q]:
+                if pair[1] in members:
+                    row.append(pair)
+                    if len(row) == slots:
+                        break
+        return nearest
+
+    def _venue_candidates(
+        self, q: VenueId, pool: List[MemberId], pool_set: Set[MemberId]
+    ) -> List[Tuple[float, MemberId]]:
+        """The pairs of ``q``'s candidate order that lie in ``pool``: the
+        order filtered by ``pool_set`` or, when ``pool`` is much shorter, the
+        pool's pairs of ``near`` sorted, the same (distance, id) tuples. A
+        pool member costs the second about as much as four list entries cost
+        the first (measured)."""
+        order = self.by_distance[q]
+        if 4 * len(pool) < len(order):
+            near = self.near
+            pairs = [(row[q], v) for v in pool if q in (row := near[v])]
+            pairs.sort()
+            return pairs
+        return [pair for pair in order if pair[1] in pool_set]
 
     def _entry_candidates(
         self,

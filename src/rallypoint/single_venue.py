@@ -53,8 +53,11 @@ has ``k`` (``_GroupSearch._entry_test``; the k-plex reduction of
 Balasundaram, Butenko and Hicks). A dropped candidate is never generated,
 nor handed to a child, and counts as one member-familiarity prune. Both
 engines run this one rule set in per-vertex frames, which keep no pool
-counts. A leaf is still checked in full (``familiarity_ok``): with the
-member rule off, a prefix may already break the budget.
+counts. By induction every prefix then keeps the budget, so the same test is
+exact at a leaf: a leaf scan builds it once, at its first feasibility test,
+and checks each leaf with one subset test and one intersection. With the
+member rule off a prefix may already break the budget, and each leaf is
+checked in full (``familiarity_ok``).
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) reads its pool
 once, in (distance, id) order: the sorted-access stop rule of the same
@@ -202,8 +205,8 @@ class _GroupSearch:
     def _entry_test(
         self, prefix: List[MemberId], prefix_set: set
     ) -> Optional[Callable[[MemberId], bool]]:
-        """The per-vertex entry test of a non-leaf frame whose prefix keeps
-        the budget (see the module docstring): it admits ``u`` exactly when
+        """The per-vertex entry test of a frame whose prefix keeps the
+        budget (see the module docstring): it admits ``u`` exactly when
         ``prefix + [u]`` keeps it too. None where it cannot drop a candidate:
         outside per-vertex mode, with the member rule off, or while the
         prefix has at most ``k`` members."""
@@ -236,6 +239,9 @@ class _GroupSearch:
         stop_at = self.stop_at
         prune = self.leaf_prune
         leaf_edges = self.leaf_edges
+        # Per-vertex leaves with the member rule on: the entry test, built at
+        # the first leaf that needs it (see the module docstring).
+        admits = None
         for d_u, u in candidates:
             if stop_at is not None and stats.generated_states >= stop_at:
                 raise _StopSearch
@@ -254,6 +260,10 @@ class _GroupSearch:
             # average mode the carried edge count decides.
             if leaf_edges is not None:
                 feasible = prefix_edges + len(graph.neighbors(u) & prefix_set) >= leaf_edges
+            elif self.member_rule:
+                if admits is None:
+                    admits = self._entry_test(prefix, prefix_set) or (lambda v: True)
+                feasible = admits(u)
             else:
                 feasible = familiarity_ok(child, self.query.k, self.query.familiarity_mode, graph)
             if feasible:
@@ -369,7 +379,8 @@ def candidate_order(
     center = data.venue_locations.get(venue)
     if center is None:
         raise ValueError(f"venue {venue!r} has no location")
-    return [pair for pair in indexes.members.range_query(center, query.t) if pair[1] in graph]
+    vertices = graph.adjacency
+    return [pair for pair in indexes.members.range_query(center, query.t) if pair[1] in vertices]
 
 
 def ssp_solve(

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -718,6 +719,80 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
                     seen["off"] += search is off
                     in_radius = {v for q in sums for _, v in on.by_distance[q]} & pool_set
                     seen["dropped"] += len(got) < len(in_radius)
+    assert min(seen.values()) > 50, seen
+
+
+def _sorted_access_instances(seed):
+    """Searches of both orderings over small G(n,p), power-law and
+    tie-heavy grid instances, with ``p`` up to 6 and radii up to every
+    member."""
+    rng = random.Random(seed)
+    makers = [
+        frame_counts._gnp_instance,
+        frame_counts._power_law_instance,
+        frame_counts._grid_instance,
+    ]
+    for trial in range(120):
+        graph, data = makers[trial % 3](rng, seed + trial)
+        t = radius_for_quantile(graph, data, rng.choice([0.3, 0.6, 1.0]))
+        query = Query(rng.randint(2, 6), 0, t, tuple(sorted(data.venue_locations)))
+        search = multi_venue._MultiVenueSearch(
+            query,
+            graph,
+            data,
+            build_indexes(data),
+            PruneConfig(),
+            SearchStats(),
+            ordering=rng.choice(["srdo", "apdo"]),
+        )
+        yield rng, search
+
+
+def test_nearest_is_the_sorted_access_prefix():
+    # On random member subsets (empty ones too), venue tables and every
+    # prefix size a frame can have, each venue's list is the first
+    # ``p - size`` pairs of its candidate order that lie in the subset, tuple
+    # for tuple, in the table's venue order.
+    seen = {"empty": 0, "short": 0, "full": 0, "one_slot": 0}
+    for rng, search in _sorted_access_instances(6700):
+        p = search.query.p
+        alive = search.alive_venues
+        for _ in range(6):
+            members = set(rng.sample(search.pool, rng.randint(0, len(search.pool))))
+            sums = {q: 0.0 for q in alive if rng.random() < 0.7}
+            for size in range(p):
+                got = search._nearest(members, size, sums)
+                order = search.by_distance
+                expected = {
+                    q: list(islice(((d, v) for d, v in order[q] if v in members), p - size))
+                    for q in sums
+                }
+                assert list(got) == list(sums)
+                assert got == expected, (members, size)
+                for q, row in got.items():
+                    seen["empty"] += not members
+                    seen["one_slot"] += size == p - 1
+                    seen["short"] += 0 < len(row) < p - size
+                    seen["full"] += len(row) == p - size
+    assert min(seen.values()) > 50, seen
+
+
+def test_handoff_reads_the_same_list_from_either_side():
+    # srdo's one-venue hand-off: the pool's pairs of ``near`` sorted, read
+    # when the pool is much shorter than the venue's candidate order, equal
+    # that order filtered by the pool, tuple for tuple, distance ties
+    # included.
+    seen = {"pool_side": 0, "list_side": 0, "tie": 0}
+    for rng, search in _sorted_access_instances(6900):
+        for q in search.alive_venues:
+            order = search.by_distance[q]
+            for _ in range(6):
+                pool = [v for v in search.pool if rng.random() < rng.random()]
+                pool_set = set(pool)
+                got = search._venue_candidates(q, pool, pool_set)
+                assert got == [(d, v) for d, v in order if v in pool_set], (q, pool)
+                seen["pool_side" if 4 * len(pool) < len(order) else "list_side"] += 1
+                seen["tie"] += any(a[0] == b[0] for a, b in zip(got, got[1:]))
     assert min(seen.values()) > 50, seen
 
 

@@ -26,6 +26,7 @@ from rallypoint import (
     ssp_solve,
     sso_admits,
 )
+from rallypoint import single_venue
 from rallypoint.generator import radius_for_quantile, random_instance
 from rallypoint.model import familiarity_ok
 from rallypoint.pruning import member_familiarity_prune
@@ -262,6 +263,75 @@ def test_entry_test_admits_exactly_the_children_that_keep_the_budget(make_instan
                         admitted += keeps
                         dropped += not keeps
     assert dropped > 100 and admitted > 100, (dropped, admitted)
+
+
+@pytest.mark.parametrize("member_rule", [True, False], ids=["rule-on", "rule-off"])
+@pytest.mark.parametrize(
+    "make_instance",
+    [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
+    ids=["gnp", "power-law", "grid"],
+)
+def test_per_vertex_leaves_are_tested_by_the_entry_test(make_instance, member_rule, monkeypatch):
+    # With the member rule on, every prefix that reaches a leaf scan keeps
+    # the per-vertex budget, so the scans decide their leaves with the entry
+    # test and never call ``familiarity_ok``. With the rule off, prefixes
+    # that break the budget do reach the scans, which then test each leaf
+    # with ``familiarity_ok`` and build no entry test. Every exact answer
+    # matches the oracle either way.
+    per_vertex = FamiliarityMode.PER_VERTEX
+    original_scan = _GroupSearch._scan_leaves
+    original_entry_test = _GroupSearch._entry_test
+    original_ok = single_venue.familiarity_ok
+    seen = {"scans": 0, "broken": 0, "ok_calls": 0, "entry_tests": 0}
+    scanning = []
+
+    def scan_leaves(self, prefix, *args):
+        keeps = familiarity_ok(prefix, self.query.k, per_vertex, self.graph)
+        assert keeps or not member_rule, prefix
+        seen["scans"] += 1
+        seen["broken"] += not keeps
+        scanning.append(prefix)
+        try:
+            return original_scan(self, prefix, *args)
+        finally:
+            scanning.pop()
+
+    def entry_test(self, *args):
+        seen["entry_tests"] += bool(scanning)
+        return original_entry_test(self, *args)
+
+    def counting_ok(*args):
+        seen["ok_calls"] += bool(scanning)
+        return original_ok(*args)
+
+    monkeypatch.setattr(_GroupSearch, "_scan_leaves", scan_leaves)
+    monkeypatch.setattr(_GroupSearch, "_entry_test", entry_test)
+    monkeypatch.setattr(single_venue, "familiarity_ok", counting_ok)
+    config = PruneConfig()
+    if not member_rule:
+        config = config.without("member_familiarity")
+    exact = {
+        "ssp": ssp_solve,
+        "srdo": functools.partial(mags_solve, ordering="srdo"),
+        "apdo": functools.partial(mags_solve, ordering="apdo"),
+    }
+    rng = random.Random(f"leaf-test-{make_instance.__name__}-{member_rule}")
+    for seed in range(30):
+        graph, data = make_instance(rng, 6300 + seed)
+        for query in frame_counts._queries(rng, graph, data, per_vertex):
+            oracle = brute_force(query, graph, data)
+            for name, solver in exact.items():
+                sol = solver(query, graph, data, config=config)
+                assert (sol is None) == (oracle.group is None), (name, seed, query)
+                if sol is not None:
+                    assert sol.total_distance == pytest.approx(oracle.total_distance), name
+            if query.is_single_venue:
+                ssgmerge_solve(query, graph, data, config=config, w=rng.choice([5, 50, 20000]))
+    assert seen["scans"] > 200, seen
+    if member_rule:
+        assert seen["ok_calls"] == 0 and seen["entry_tests"] > 50, seen
+    else:
+        assert seen["entry_tests"] == 0 and seen["ok_calls"] > 50 and seen["broken"] > 10, seen
 
 
 # --- leaf frames ------------------------------------------------------------
