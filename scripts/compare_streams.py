@@ -17,6 +17,12 @@ when there is one. A counter mismatch also gives each side's explored and
 generated states, summed over the stream. The script reads ``bench/`` and
 never writes to it.
 
+Besides the benchmark's workloads, workload ``hard`` holds two per-vertex
+queries per seed ``s`` over every venue of ``random_instance(s, 300, 8,
+edge_prob=0.3)``, with ``k = 2``, ``p = 6`` and ``p = 7``, and the radius at
+the 0.3 quantile of the member-venue distances: the deeper searches that
+the benchmark's streams do not reach.
+
 ``--time R`` (with ``--against``) also times the solver calls: it runs both
 checkouts in fresh interpreters for ``R`` rounds, this checkout first in
 even rounds and the other first in odd ones, so drift in machine speed
@@ -67,6 +73,23 @@ def solve(rp, solver: str, query, built, stats):
     return rp.mags_solve(query, graph, data, indexes, ordering=solver, stats=stats)
 
 
+def stream(run, rp, name: str, seed: int) -> List[tuple]:
+    """The queries of workload ``name`` at ``seed``, each with the graph,
+    dataset and indexes it runs on."""
+    if name == "hard":
+        from rallypoint.generator import radius_for_quantile, random_instance
+
+        graph, data = random_instance(seed, 300, 8, edge_prob=0.3)
+        t = radius_for_quantile(graph, data, 0.3)
+        built = (graph, data, rp.build_indexes(data))
+        venues = tuple(sorted(data.venue_locations))
+        mode = rp.FamiliarityMode.PER_VERTEX
+        return [(rp.Query(p, 2, t, venues, mode), built) for p in (6, 7)]
+    cities, raw_queries = run.make_inputs(run.WORKLOADS[name], seed)
+    built = [run.build_city(rp, city) for city in cities]
+    return [(run.make_query(rp, rq), built[rq.city]) for rq in raw_queries]
+
+
 def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
                    solvers: Sequence[str]) -> Tuple[Records, Seconds]:
     """Each query's answer and counters, as strings, for every workload,
@@ -76,20 +99,17 @@ def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
     records: Records = {}
     seconds: Seconds = {}
     for name in workloads:
-        workload = run.WORKLOADS[name]
         for seed in seeds:
-            cities, raw_queries = run.make_inputs(workload, seed)
-            built = [run.build_city(rp, city) for city in cities]
-            queries = [run.make_query(rp, rq) for rq in raw_queries]
+            queries = stream(run, rp, name, seed)
             for solver in solvers:
-                if solver == "ssgs" and any(len(q.venues) != 1 for q in queries):
+                if solver == "ssgs" and any(len(q.venues) != 1 for q, _ in queries):
                     continue
                 answers, counters = [], []
                 cpu = 0.0
-                for query, rq in zip(queries, raw_queries):
+                for query, built in queries:
                     stats = rp.SearchStats()
                     start = time.process_time()
-                    sol = solve(rp, solver, query, built[rq.city], stats)
+                    sol = solve(rp, solver, query, built, stats)
                     cpu += time.process_time() - start
                     answer = None
                     if sol is not None:
@@ -194,7 +214,7 @@ def mismatches(ours: Records, theirs: Records) -> List[str]:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+",
-                        default=["sv-social", "mv-static", "mv-adaptive"])
+                        default=["sv-social", "mv-static", "mv-adaptive", "hard"])
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--solvers", nargs="+", choices=SOLVERS, default=list(SOLVERS))
     parser.add_argument("--against", type=Path, help="another checkout to compare with")

@@ -60,7 +60,10 @@ def random_instance(
     """Uniform coordinates in a ``box``-sided square; social edges either from
     an edge-probability model or a configuration model (set ``power_exponent``
     to use the latter). Raises ``ValueError`` for ``edge_prob`` outside
-    [0, 1] or ``power_exponent`` not above 1; None is allowed for both."""
+    [0, 1], ``power_exponent`` not above 1 (None is allowed for both), or a
+    ``box`` that is negative, infinite or NaN."""
+    if not 0.0 <= box < math.inf:
+        raise ValueError(f"box must be finite and at least 0, got {box}")
     if edge_prob is not None and not 0.0 <= edge_prob <= 1.0:
         raise ValueError(f"edge_prob must lie in [0, 1], got {edge_prob}")
     if power_exponent is not None and not power_exponent > 1.0:

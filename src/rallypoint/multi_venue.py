@@ -48,28 +48,30 @@ inner-triangle ball bounds of ``pruning`` are not checked: by the triangle
 inequality neither is above the ball-distance bound of the same ball.
 
 A search keeps each alive venue's candidate order for its whole run. A search
-frame carries its prefix's internal edge count, and reads its completion table,
-``nearest``, off the candidate orders: for each venue of ``sums``, the first
-``p - size`` (distance, member) pairs of the venue's candidate order that lie
-in the frame's pool, each read by one walk that stops at its last slot. A
-completion at a venue takes only its in-range candidates, so the open slots
-cost at least the sum of as many first distances: the sorted-access bound of
-Fagin, Lotem and Naor's threshold algorithm, never below the number of open
-slots times the first distance.
-The venue-distance rule reads it at the loop head and on each child. The
-lists are read on entry, over the entry pool, and again over the remaining
-candidates at each loop head after the incumbent improves; the pool only
-shrinks, so a re-read can only tighten them. A venue left with no candidate
-then leaves ``sums`` (a radius prune), so every ball bound the pass computes
-is finite.
+frame carries its prefix's internal edge count and, as the single-venue loop
+does for its one venue, its lists: for each venue of ``sums``, the venue's
+candidates in the frame's pool, in (distance, id) order. The root's lists are
+the candidate orders themselves, since its pool is their union; every other
+frame cuts its caller's lists down to its own pool on entry. The frame's
+completion table, ``nearest``, gives each venue's first ``p - size`` pairs in
+the pool. A completion at a venue takes only its in-range candidates, so the
+open slots cost at least the sum of as many first distances: the
+sorted-access bound of Fagin, Lotem and Naor's threshold algorithm, never
+below the number of open slots times the first distance.
+The venue-distance rule reads it at the loop head and on each child. On
+entry the table is the lists themselves, over the entry pool; it is re-read
+over the remaining candidates at each loop head after the incumbent
+improves. The pool only shrinks, so a re-read can only tighten it. A venue
+left with no candidate then leaves ``sums`` (a radius prune), so every ball
+bound the pass computes is finite.
 
 A frame's venues only shrink below it and its incumbent only falls, so in
 both orderings a frame drops, on entry, every candidate with none of them in
 its radius and, while the venue-distance rule is on, every candidate whose
 child bound reaches the incumbent at all of them. The bound grows with the
-candidate's distance, so each venue's distance-sorted candidates are read
-only up to the first that fails it: the threshold algorithm's sorted-access
-stop rule. The same monotony lets the rule accept a whole list at once: a
+candidate's distance, so each venue's list is read only up to the first
+candidate that fails it: the threshold algorithm's sorted-access stop rule.
+The same monotony lets the rule accept a whole list at once: a
 venue whose farthest candidate passes the bound keeps all of its candidates
 without reading them one by one. The root frame skips the filter: its pool
 is the alive venues' candidates and its incumbent is infinite, so no
@@ -79,23 +81,23 @@ one off the front of that list, srdo in pool order and apdo in its sorted
 order, and each child completes only from the candidates the frame has not
 yet generated, so each candidate set is generated once. The frame keeps
 those candidates as a set too, taking out each one it generates, and hands
-the set to each child with its pool: the child only reads it, so a leaf
-frame or a one-venue hand-off builds no set at all. The paper's admission
-test (``sso_admits``) would only reorder this walk; no search applies it.
+the set to each child with its pool and its lists: the child only reads
+them, so a leaf frame builds no set and no lists at all. The paper's
+admission test (``sso_admits``) would only reorder this walk; no search
+applies it.
 Solution venues are visited in the query's venue order, never in set
 order, so the work done does not depend on the string hash seed.
 
 An srdo frame left with one venue in ``sums`` runs none of this joint
-machinery: it hands the venue's candidates in its pool, in the venue's own
-(distance, id) order, to the single-venue loop that ``ssp`` runs
-(``_GroupSearch._venue_frame``), with the prefix's total to the venue and,
-in average mode, its pool counts cut down to those candidates, read off the
-pool instead of the venue's order when the pool is much shorter
-(``_venue_candidates``). One venue needs no venue table, and walking in its
-own distance order rather than the reference venue's keeps the sorted
-completion bound tight. On a one-venue query the root frame hands off, so
-srdo searches as ``ssp`` does. The loop's head check and its leaf scan count
-as venue-distance prunes, and both loops run the same social rules.
+machinery: it hands its list for the venue, the venue's candidates in its
+pool in the venue's own (distance, id) order, to the single-venue loop that
+``ssp`` runs (``_GroupSearch._venue_frame``), with the prefix's total to the
+venue and, in average mode, its pool counts cut down to those candidates.
+One venue needs no venue table, and walking in its own distance order rather
+than the reference venue's keeps the sorted completion bound tight. On a
+one-venue query the root frame hands off, so srdo searches as ``ssp`` does.
+The loop's head check and its leaf scan count as venue-distance prunes, and
+both loops run the same social rules.
 
 apdo frames keep the joint loop. Handed off the same way, apdo measured
 faster on the benchmark's mv-adaptive workload, but its searches then made
@@ -112,8 +114,8 @@ candidates that pass the radius and venue-distance filter.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
 above: it runs the leaf scan of ``single_venue``, shared by both engines,
-once per venue of ``sums`` in the query's venue order. Each scan walks the
-venue's candidate order over the frame's pool, from the prefix's total to
+once per venue of ``sums`` in the query's venue order. Each scan walks its
+caller's list for the venue over the frame's pool, from the prefix's total to
 the venue, and stops with one venue-distance prune at the first candidate
 whose total reaches the live incumbent. Each (candidate, venue) pair it
 reads counts as one generated and one explored state. On an exact tie in
@@ -154,6 +156,9 @@ from .pruning import (
 )
 # ``sso_admits``, the paper's admission test, is only re-exported.
 from .single_venue import _GroupSearch, candidate_order, sso_admits
+
+# For each venue, (distance, member) pairs in (distance, id) order.
+VenueLists = Dict[VenueId, List[Tuple[float, MemberId]]]
 
 
 @dataclass(frozen=True)
@@ -245,7 +250,7 @@ class _MultiVenueSearch(_GroupSearch):
         # member to the alive venues within its radius and its distance to
         # each.
         self.alive_venues: List[VenueId] = []
-        self.by_distance: Dict[VenueId, List[Tuple[float, MemberId]]] = {}
+        self.by_distance: VenueLists = {}
         self.near: Dict[MemberId, Dict[VenueId, float]] = {}
         near = self.near
         for q in query.venues:
@@ -306,7 +311,9 @@ class _MultiVenueSearch(_GroupSearch):
         if self._keeps_pool_counts(0):
             pool_deg = pool_degrees(pool, self.graph)
             pe = dict.fromkeys(pool_deg, 0)
-        self._frame([], set(), 0, pool, sums, pool_deg, pe, set(pool))
+        # The root's pool is the union of the alive venues' candidate
+        # orders, so they are its lists as they are.
+        self._frame([], set(), 0, pool, sums, pool_deg, pe, set(pool), self.by_distance)
 
     # -- candidate selection -----------------------------------------------
 
@@ -355,7 +362,7 @@ class _MultiVenueSearch(_GroupSearch):
         prefix: List[MemberId],
         remaining: List[MemberId],
         sums: Dict[VenueId, float],
-        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
+        nearest: VenueLists,
     ) -> None:
         """Check the ball-distance bound against the incumbent, top down over
         the balls that hold a venue of ``sums`` (the ball's live venues). A
@@ -410,10 +417,11 @@ class _MultiVenueSearch(_GroupSearch):
         pool_deg: Optional[Dict[MemberId, int]],
         pe: Optional[Dict[MemberId, int]],
         pool_set: Set[MemberId],
+        lists: VenueLists,
     ) -> None:
         """Search below ``prefix`` over the candidates of ``pool``.
-        ``pool_set`` is ``set(pool)``, the caller's own set: the frame only
-        reads it."""
+        ``pool_set`` is ``set(pool)`` and ``lists`` the caller's candidate
+        lists, both the caller's own: the frame only reads them."""
         p = self.query.p
         cfg = self.config
         stats = self.stats
@@ -429,14 +437,18 @@ class _MultiVenueSearch(_GroupSearch):
             # A leaf frame: one scan per venue, over the venue's candidates
             # in the frame's pool.
             for q, total in sums.items():
-                candidates = ((d, v) for d, v in self.by_distance[q] if v in pool_set)
+                candidates = ((d, v) for d, v in lists[q] if v in pool_set)
                 self._scan_leaves(prefix, prefix_set, prefix_edges, total, candidates, q)
             return
+        if size:
+            # The frame's lists: for each venue of ``sums``, its candidates
+            # in the pool, in (distance, id) order.
+            lists = {q: [pair for pair in lists[q] if pair[1] in pool_set] for q in sums}
         if static and len(sums) == 1:
             # One venue left: the rest is that venue's search, in its own
             # distance order, over the frame's candidates in its range.
             ((q, base),) = sums.items()
-            candidates = self._venue_candidates(q, pool, pool_set)
+            candidates = lists[q]
             if pe is not None and len(candidates) < len(pool):
                 pool_deg = pool_degrees([v for _, v in candidates], graph)
                 pe = {v: pe[v] for _, v in candidates}
@@ -447,13 +459,14 @@ class _MultiVenueSearch(_GroupSearch):
         # otherwise.
 
         # The completion bounds' table: a completion at q takes only
-        # candidates of q, so the first ``p - size`` of them in the pool
-        # bound the cost of the open slots. Read on entry, over the entry
-        # pool; the pool only shrinks afterwards, so the lists stay valid
-        # lower bounds until the loop head re-reads them.
-        nearest = self._nearest(pool_set, size, sums)
+        # candidates of q, so the first ``p - size`` of its list bound the
+        # cost of the open slots. On entry it is the lists themselves, as
+        # ``distance_prune`` reads no further; the pool only shrinks
+        # afterwards, so they stay valid lower bounds until the loop head
+        # re-reads them.
+        nearest = lists
         if size:
-            entered = self._entry_candidates(pool, pool_set, size, sums, nearest)
+            entered = self._entry_candidates(pool, size, sums, lists)
             admits = self._entry_test(prefix, prefix_set)
             remaining = entered if admits is None else [v for v in entered if admits(v)]
             stats.bump(PRUNE_MEMBER_FAMILIARITY, len(entered) - len(remaining))
@@ -485,7 +498,7 @@ class _MultiVenueSearch(_GroupSearch):
         while size + len(remaining) >= p:
             if checked_at != self.best_total:
                 if checked_at is not None:
-                    nearest = self._nearest(remaining_set, size, sums)
+                    nearest = self._nearest(lists, remaining_set, size, sums)
                     dead = [q for q, row in nearest.items() if not row]
                     if dead:
                         self._kill_venues(dead, sums, PRUNE_VENUE_RADIUS)
@@ -537,87 +550,61 @@ class _MultiVenueSearch(_GroupSearch):
                 child_sums,
                 *child_counts,
                 remaining_set,
+                lists,
             )
 
     def _nearest(
-        self, members: Set[MemberId], size: int, sums: Dict[VenueId, float]
-    ) -> Dict[VenueId, List[Tuple[float, MemberId]]]:
-        """For each venue of ``sums``, the first ``p - size`` (distance,
-        member) pairs of its candidate order that lie in ``members``: what a
-        frame whose prefix has ``size`` members passes ``distance_prune``."""
+        self, lists: VenueLists, members: Set[MemberId], size: int, sums: Dict[VenueId, float]
+    ) -> VenueLists:
+        """For each venue of ``sums``, the first ``p - size`` pairs of its
+        list in ``lists`` that lie in ``members``: what a frame whose prefix
+        has ``size`` members passes ``distance_prune``."""
         slots = self.query.p - size
-        by_distance = self.by_distance
         nearest = {}
         for q in sums:
             row = nearest[q] = []
-            for pair in by_distance[q]:
+            for pair in lists[q]:
                 if pair[1] in members:
                     row.append(pair)
                     if len(row) == slots:
                         break
         return nearest
 
-    def _venue_candidates(
-        self, q: VenueId, pool: List[MemberId], pool_set: Set[MemberId]
-    ) -> List[Tuple[float, MemberId]]:
-        """The pairs of ``q``'s candidate order that lie in ``pool``: the
-        order filtered by ``pool_set`` or, when ``pool`` is much shorter, the
-        pool's pairs of ``near`` sorted, the same (distance, id) tuples. A
-        pool member costs the second about as much as four list entries cost
-        the first (measured)."""
-        order = self.by_distance[q]
-        if 4 * len(pool) < len(order):
-            near = self.near
-            pairs = [(row[q], v) for v in pool if q in (row := near[v])]
-            pairs.sort()
-            return pairs
-        return [pair for pair in order if pair[1] in pool_set]
-
     def _entry_candidates(
-        self,
-        pool: List[MemberId],
-        pool_set: Set[MemberId],
-        size: int,
-        sums: Dict[VenueId, float],
-        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
+        self, pool: List[MemberId], size: int, sums: Dict[VenueId, float], lists: VenueLists
     ) -> List[MemberId]:
         """A frame's candidates: the members of ``pool``, in pool order,
-        that some venue of ``sums`` can still take. A frame's venues only
-        shrink below it and its incumbent only falls, so a candidate out of
-        the radius of every venue, or, with the venue-distance rule on, one
-        whose child bound reaches the incumbent at every venue (the test
-        ``_child_sums`` applies), can join no improving group here. It
-        leaves the pool on entry, never generated.
+        that some venue of ``sums`` can still take. ``lists`` holds each
+        venue's candidates in the pool and is the frame's entry ``nearest``.
+        A frame's venues only shrink below it and its incumbent only falls,
+        so a candidate out of the radius of every venue, or, with the
+        venue-distance rule on, one whose child bound reaches the incumbent
+        at every venue (the test ``_child_sums`` applies), can join no
+        improving group here. It leaves the pool on entry, never generated.
 
         The bound grows with the distance (float addition rounds
         monotonically), so each venue's farthest candidate is tested first:
         when it passes, so does every candidate, and the venue's whole list
-        is taken in one step (ids out of the pool drop at the end). That
-        covers every venue without the rule and every venue under an
-        infinite incumbent. Otherwise the venue's candidates are walked in
-        distance order up to the first pool member that fails the bound."""
+        is taken in one step. That covers every venue without the rule and
+        every venue under an infinite incumbent. Otherwise the venue's list
+        is walked up to the first candidate that fails the bound."""
         p = self.query.p
         best = self.best_total
         bound = self.config.venue_distance
         keep: Set[MemberId] = set()
         for q, total in sums.items():
-            order = self.by_distance[q]
-            row = nearest[q]
-            if not bound or not distance_prune(total + order[-1][0], size + 1, p, row, best):
-                keep.update(v for _, v in order)
-                continue
-            for d, v in order:
-                if v in pool_set:
+            row = lists[q]
+            if bound and row and distance_prune(total + row[-1][0], size + 1, p, row, best):
+                for d, v in row:
                     if distance_prune(total + d, size + 1, p, row, best):
                         break
                     keep.add(v)
+            else:
+                keep.update(v for _, v in row)
         return [v for v in pool if v in keep]
 
     def _any_venue_viable(
-        self,
-        size: int,
-        sums: Dict[VenueId, float],
-        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
+        self, size: int, sums: Dict[VenueId, float], nearest: VenueLists
     ) -> bool:
         p = self.query.p
         for q, total in sums.items():
@@ -626,11 +613,7 @@ class _MultiVenueSearch(_GroupSearch):
         return False
 
     def _child_sums(
-        self,
-        u: MemberId,
-        child_size: int,
-        sums: Dict[VenueId, float],
-        nearest: Dict[VenueId, List[Tuple[float, MemberId]]],
+        self, u: MemberId, child_size: int, sums: Dict[VenueId, float], nearest: VenueLists
     ) -> Dict[VenueId, float]:
         """The child's venue table: the venues of ``sums`` within the radius
         of ``u`` that survive the venue-distance check, with ``u``'s distance

@@ -344,10 +344,12 @@ def test_bench_cli_csv(tmp_path):
         ("--power-exponent", "0.5", "power_exponent"),
         ("--edge-prob", "1.5", "edge_prob"),
         ("--edge-prob", "-1", "edge_prob"),
+        ("--box", "-1", "box"),
+        ("--box", "nan", "box"),
     ],
 )
 def test_bench_bad_generator_parameter_is_a_clean_error(flag, value, name):
     proc = run_cli(["--bench", "--seeds", "1", "--p", "3", "--k", "1", flag, value])
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {name} ")
-    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr

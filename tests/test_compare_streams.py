@@ -32,6 +32,16 @@ def test_one_stream_matches_its_own_checkout():
     assert lines[-1] == f"no mismatch against {ROOT}"
 
 
+def test_hard_stream_holds_two_queries_per_seed():
+    args = ["--workloads", "hard", "--seeds", "1", "--solvers", "ssp"]
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("hard seed=1 ssp queries=2 answers="), lines
+
+
 def test_mismatches_name_the_stream_and_the_first_queries():
     compare = _module()
     counters = [repr((2, 3, [])), repr((4, 6, [("distance", 1)])), repr((0, 0, []))]

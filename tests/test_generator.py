@@ -17,6 +17,18 @@ def test_edge_prob_outside_unit_interval_is_rejected(prob):
         random_instance(0, 10, 1, edge_prob=prob)
 
 
+@pytest.mark.parametrize("box", [-1.0, -1e-9, math.nan, math.inf])
+def test_box_negative_or_not_finite_is_rejected(box):
+    with pytest.raises(ValueError, match="box"):
+        random_instance(0, 10, 1, box=box)
+
+
+def test_zero_box_puts_every_location_at_the_origin():
+    _, data = random_instance(0, 10, 2, box=0.0)
+    points = [*data.member_locations.values(), *data.venue_locations.values()]
+    assert {(loc.x, loc.y) for loc in points} == {(0.0, 0.0)}
+
+
 def test_boundary_and_none_parameters_are_accepted():
     empty, _ = random_instance(0, 10, 1, edge_prob=0.0)
     assert empty.edge_count() == 0

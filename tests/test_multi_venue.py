@@ -695,7 +695,10 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
                 continue
             pool = [v for v in on.pool if v not in prefix and rng.random() < 0.7]
             pool_set = set(pool)
-            nearest = on._nearest(pool_set, size, sums)
+            # The frame's lists, and for the reference walk the first
+            # ``p - size`` pairs of each, all the bound reads.
+            lists = {q: [(d, v) for d, v in on.by_distance[q] if v in pool_set] for q in sums}
+            nearest = {q: lists[q][: query.p - size] for q in sums}
             slots = query.p - size - 1
             seen["short_row"] += any(len(row) < slots for row in nearest.values())
             pairs = [(q, d, v) for q in sums for d, v in on.by_distance[q] if v in pool_set]
@@ -713,7 +716,7 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
                 for search in (on, off):
                     search.best_total = best
                     expected = _entry_by_walk(search, pool, pool_set, size, sums, nearest)
-                    got = search._entry_candidates(pool, pool_set, size, sums, nearest)
+                    got = search._entry_candidates(pool, size, sums, lists)
                     assert got == expected, (trial, size, best, search.config)
                     seen["inf"] += best == math.inf
                     seen["off"] += search is off
@@ -752,47 +755,33 @@ def test_nearest_is_the_sorted_access_prefix():
     # On random member subsets (empty ones too), venue tables and every
     # prefix size a frame can have, each venue's list is the first
     # ``p - size`` pairs of its candidate order that lie in the subset, tuple
-    # for tuple, in the table's venue order.
+    # for tuple, in the table's venue order. It is read off the candidate
+    # orders themselves, as the root frame reads it, and off those orders
+    # cut down to a random pool holding the subset, as a deeper frame does.
     seen = {"empty": 0, "short": 0, "full": 0, "one_slot": 0}
     for rng, search in _sorted_access_instances(6700):
         p = search.query.p
         alive = search.alive_venues
+        order = search.by_distance
         for _ in range(6):
             members = set(rng.sample(search.pool, rng.randint(0, len(search.pool))))
+            pool = members | {v for v in search.pool if rng.random() < 0.5}
+            cut = {q: [(d, v) for d, v in order[q] if v in pool] for q in alive}
             sums = {q: 0.0 for q in alive if rng.random() < 0.7}
             for size in range(p):
-                got = search._nearest(members, size, sums)
-                order = search.by_distance
                 expected = {
                     q: list(islice(((d, v) for d, v in order[q] if v in members), p - size))
                     for q in sums
                 }
-                assert list(got) == list(sums)
-                assert got == expected, (members, size)
+                for lists in (order, cut):
+                    got = search._nearest(lists, members, size, sums)
+                    assert list(got) == list(sums)
+                    assert got == expected, (members, size)
                 for q, row in got.items():
                     seen["empty"] += not members
                     seen["one_slot"] += size == p - 1
                     seen["short"] += 0 < len(row) < p - size
                     seen["full"] += len(row) == p - size
-    assert min(seen.values()) > 50, seen
-
-
-def test_handoff_reads_the_same_list_from_either_side():
-    # srdo's one-venue hand-off: the pool's pairs of ``near`` sorted, read
-    # when the pool is much shorter than the venue's candidate order, equal
-    # that order filtered by the pool, tuple for tuple, distance ties
-    # included.
-    seen = {"pool_side": 0, "list_side": 0, "tie": 0}
-    for rng, search in _sorted_access_instances(6900):
-        for q in search.alive_venues:
-            order = search.by_distance[q]
-            for _ in range(6):
-                pool = [v for v in search.pool if rng.random() < rng.random()]
-                pool_set = set(pool)
-                got = search._venue_candidates(q, pool, pool_set)
-                assert got == [(d, v) for d, v in order if v in pool_set], (q, pool)
-                seen["pool_side" if 4 * len(pool) < len(order) else "list_side"] += 1
-                seen["tie"] += any(a[0] == b[0] for a, b in zip(got, got[1:]))
     assert min(seen.values()) > 50, seen
 
 
@@ -835,13 +824,13 @@ def _record_frame_entries(monkeypatch):
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
     # A frame receives its caller's set of remaining candidates as its last
-    # argument. At each entry it must equal the frame's pool, and the frame
-    # must hand it back unchanged: the caller keeps using it.
+    # argument but one. At each entry it must equal the frame's pool, and
+    # the frame must hand it back unchanged: the caller keeps using it.
     original = multi_venue._MultiVenueSearch._frame
     entered = []
 
     def guarded(self, prefix, prefix_set, prefix_edges, pool, sums, *rest):
-        pool_set = rest[-1]
+        pool_set = rest[-2]
         assert isinstance(pool_set, set) and pool_set == set(pool), prefix
         before = frozenset(pool_set)
         original(self, prefix, prefix_set, prefix_edges, pool, sums, *rest)
@@ -857,6 +846,78 @@ def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
     ):
         _mags_matches_oracle(label, make_instance, mode, 5700, ordering)
     assert sum(size > 0 for size in entered) > 100, len(entered)
+
+
+@pytest.mark.parametrize("ordering", ["srdo", "apdo"])
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, ordering):
+    # Each frame receives its caller's lists as its last argument: at the
+    # root, the candidate orders themselves; below it, the calling frame's
+    # lists, which must hold, for each venue the caller entered with, that
+    # venue's candidate order filtered to the caller's pool, in order. Every
+    # non-leaf frame below the root shows its own lists too: an srdo
+    # hand-off must receive exactly its frame's list, and every other frame
+    # passes its lists to the entry filter with its pool and venues. No
+    # frame may change the candidate orders.
+    cls = multi_venue._MultiVenueSearch
+    original_frame = cls._frame
+    original_venue_frame = cls._venue_frame
+    original_entry = cls._entry_candidates
+    # (pool set, venues entered with) of each open frame.
+    open_frames = []
+    seen = {"root": 0, "child": 0, "handoff": 0, "entry": 0}
+
+    def expected_lists(self, pool_set, venues):
+        return {q: [pair for pair in self.by_distance[q] if pair[1] in pool_set] for q in venues}
+
+    def framing(self, prefix, prefix_set, prefix_edges, pool, sums, *rest):
+        lists = rest[-1]
+        root = not open_frames
+        if root:
+            # The root's lists are the candidate orders, the same objects:
+            # a frame that changed its lists would change the orders.
+            assert lists is self.by_distance
+            orders = dict(lists)
+            copies = {q: list(order) for q, order in lists.items()}
+            seen["root"] += 1
+        else:
+            assert lists == expected_lists(self, *open_frames[-1]), prefix
+            seen["child"] += 1
+        open_frames.append((set(pool), list(sums)))
+        try:
+            original_frame(self, prefix, prefix_set, prefix_edges, pool, sums, *rest)
+        finally:
+            open_frames.pop()
+        if root:
+            assert self.by_distance.keys() == orders.keys()
+            assert all(self.by_distance[q] is orders[q] for q in orders)
+            assert self.by_distance == copies
+
+    def handing_off(self, prefix, prefix_set, prefix_edges, base, pool, *rest):
+        if sys._getframe(1).f_code is original_frame.__code__:
+            pool_set, venues = open_frames[-1]
+            assert len(venues) == 1
+            assert pool == expected_lists(self, pool_set, venues)[venues[0]], prefix
+            seen["handoff"] += 1
+        return original_venue_frame(self, prefix, prefix_set, prefix_edges, base, pool, *rest)
+
+    def entering(self, pool, size, sums, lists):
+        assert lists == expected_lists(self, set(pool), sums), size
+        seen["entry"] += 1
+        return original_entry(self, pool, size, sums, lists)
+
+    monkeypatch.setattr(cls, "_frame", framing)
+    monkeypatch.setattr(cls, "_venue_frame", handing_off)
+    monkeypatch.setattr(cls, "_entry_candidates", entering)
+    label = f"frame-lists-{mode.value}-{ordering}"
+    for make_instance in (
+        frame_counts._gnp_instance,
+        frame_counts._power_law_instance,
+        frame_counts._grid_instance,
+    ):
+        _mags_matches_oracle(label, make_instance, mode, 5900, ordering)
+    assert seen["root"] > 50 and seen["child"] > 100 and seen["entry"] > 50, seen
+    assert (seen["handoff"] > 50) == (ordering == "srdo"), seen
 
 
 # Each familiarity mode with each ordering; an srdo case is named by its
@@ -999,15 +1060,16 @@ def test_venue_completion_terms_are_sound_exact_after_a_refresh_and_never_looser
     original_child_sums = cls._child_sums
     original_ball_pass = cls._ball_pass
 
-    def nearest_checking(self, members, size, sums):
-        lists = original_nearest(self, members, size, sums)
+    def nearest_checking(self, lists, members, size, sums):
+        nearest = original_nearest(self, lists, members, size, sums)
         frame = sys._getframe(1).f_locals
-        if frame.get("checked_at") is not None:
-            assert members == set(frame["remaining"])
-            for q in sums:
-                assert lists[q] == _first_in_range(self, members, q, self.query.p - size), q
-                checked["refresh"] += 1
-        return lists
+        # ``_nearest`` runs only at a refresh.
+        assert frame["checked_at"] is not None
+        assert members == set(frame["remaining"])
+        for q in sums:
+            assert nearest[q] == _first_in_range(self, members, q, self.query.p - size), q
+            checked["refresh"] += 1
+        return nearest
 
     def child_sums_checking(self, u, child_size, sums, nearest):
         child_sums = original_child_sums(self, u, child_size, sums, nearest)
