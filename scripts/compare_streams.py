@@ -10,12 +10,15 @@ benchmark's query streams, to check that a change leaves both untouched.
 For each workload, seed and solver it prints one sha256 over the answers,
 ``(group, venue, repr(total))`` per query, and one over the search counters
 (explored and generated states, and each prune rule's count). With
-``--against DIR`` it computes the same digests on the checkout at ``DIR``, in
-a fresh interpreter that imports that checkout's ``bench/`` and ``src/``,
+``--against DIR`` it also runs the checkout at ``DIR`` on the same queries,
 lists each mismatch with the first queries that differ, and exits with 1
 when there is one. A counter mismatch also gives each side's explored and
-generated states, summed over the stream. The script reads ``bench/`` and
-never writes to it.
+generated states, summed over the stream.
+
+Everything runs in one process. The queries come from this checkout's
+``bench/``, which the script reads and never writes to. Each checkout's
+``src/rallypoint`` is imported under a module name of its own, so the two
+packages share no module, and each builds its own graphs and indexes.
 
 Besides the benchmark's workloads, workload ``hard`` holds two per-vertex
 queries per seed ``s`` over every venue of ``random_instance(s, 300, 8,
@@ -23,13 +26,19 @@ edge_prob=0.3)``, with ``k = 2``, ``p = 6`` and ``p = 7``, and the radius at
 the 0.3 quantile of the member-venue distances: the deeper searches that
 the benchmark's streams do not reach.
 
-``--time R`` (with ``--against``) also times the solver calls: it runs both
-checkouts in fresh interpreters for ``R`` rounds, this checkout first in
-even rounds and the other first in odd ones, so drift in machine speed
-falls on both sides alike. For each workload, seed and solver it prints
-each side's smallest CPU time (``process_time`` summed over the stream's
-solver calls) and their ratio, this checkout over the other. The digests
-then come from the first round.
+``--time R`` (with ``--against``) also times the solver calls, in ``R``
+rounds per stream. A round runs each query of the stream on both checkouts
+in turn, and the side that goes first alternates from query to query, so
+drift in machine speed falls on both sides alike, and so does the cost of
+going first on a query: on identical code, the side that always went first
+read about 6% slow on sv-social's short queries. A round's ratio is this
+checkout's CPU time over the other's, each ``process_time`` summed over the
+round's solver calls. All rounds run twice, each time on freshly imported
+packages: once with this checkout's imported first and once with the
+other's, since the side imported first has read about 1% slow on identical
+code. For each workload, seed and solver it prints the median ratio of each
+import order and their geometric mean. The digests come from the first
+round.
 """
 
 from __future__ import annotations
@@ -37,8 +46,11 @@ from __future__ import annotations
 import argparse
 import ast
 import hashlib
-import json
-import subprocess
+import importlib
+import importlib.util
+import itertools
+import math
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -49,19 +61,37 @@ SOLVERS = ("ssgs", "ssp", "srdo", "apdo")
 # Query indexes listed for each mismatch.
 SHOWN = 5
 
+Key = Tuple[str, int, str]
 # (workload, seed, solver) -> (per-query answers, per-query counters)
-Records = Dict[Tuple[str, int, str], Tuple[List[str], List[str]]]
-# (workload, seed, solver) -> CPU seconds of the stream's solver calls
-Seconds = Dict[Tuple[str, int, str], float]
+Records = Dict[Key, Tuple[List[str], List[str]]]
+# (workload, seed, solver) -> CPU seconds of the stream's solver calls, per round
+Seconds = Dict[Key, List[float]]
 
 
-def load_bench(root: Path):
-    """The ``run`` module of ``root``'s benchmark and the rallypoint package
-    it imports from ``root/src``."""
-    sys.path.insert(0, str(root / "bench"))
+def load_bench():
+    """The ``run`` module of this checkout's benchmark."""
+    sys.path.insert(0, str(ROOT / "bench"))
     import run
 
-    return run, run.import_package()
+    return run
+
+
+def load_packages(roots: Sequence[Path]) -> list:
+    """Import each root's ``src/rallypoint``, in the given order, each under
+    a module name that no module of the process has."""
+    packages = []
+    for root in roots:
+        source = root / "src" / "rallypoint"
+        name = next(f"_rallypoint_{i}" for i in itertools.count()
+                    if f"_rallypoint_{i}" not in sys.modules)
+        spec = importlib.util.spec_from_file_location(
+            name, source / "__init__.py", submodule_search_locations=[str(source)]
+        )
+        package = importlib.util.module_from_spec(spec)
+        sys.modules[name] = package
+        spec.loader.exec_module(package)
+        packages.append(package)
+    return packages
 
 
 def solve(rp, solver: str, query, built, stats):
@@ -75,12 +105,11 @@ def solve(rp, solver: str, query, built, stats):
 
 def stream(run, rp, name: str, seed: int) -> List[tuple]:
     """The queries of workload ``name`` at ``seed``, each with the graph,
-    dataset and indexes it runs on."""
+    dataset and indexes it runs on, built by package ``rp``."""
     if name == "hard":
-        from rallypoint.generator import radius_for_quantile, random_instance
-
-        graph, data = random_instance(seed, 300, 8, edge_prob=0.3)
-        t = radius_for_quantile(graph, data, 0.3)
+        generator = importlib.import_module(f"{rp.__name__}.generator")
+        graph, data = generator.random_instance(seed, 300, 8, edge_prob=0.3)
+        t = generator.radius_for_quantile(graph, data, 0.3)
         built = (graph, data, rp.build_indexes(data))
         venues = tuple(sorted(data.venue_locations))
         mode = rp.FamiliarityMode.PER_VERTEX
@@ -90,39 +119,51 @@ def stream(run, rp, name: str, seed: int) -> List[tuple]:
     return [(run.make_query(rp, rq), built[rq.city]) for rq in raw_queries]
 
 
-def stream_records(root: Path, workloads: Sequence[str], seeds: Sequence[int],
-                   solvers: Sequence[str]) -> Tuple[Records, Seconds]:
-    """Each query's answer and counters, as strings, for every workload,
-    seed and solver, and the CPU time of each stream's solver calls.
+def run_streams(run, packages: Sequence, workloads: Sequence[str], seeds: Sequence[int],
+                solvers: Sequence[str], rounds: int = 1) -> Tuple[List[Records], List[Seconds]]:
+    """Each package's records from the first round, and its CPU seconds per
+    round, for every workload, seed and solver. Each round walks the stream
+    once and runs each query on every package in turn, in the given order or
+    reversed: the order flips from query to query and from round to round.
     ``ssgs`` runs only on streams of one-venue queries."""
-    run, rp = load_bench(root)
-    records: Records = {}
-    seconds: Seconds = {}
+    records: List[Records] = [{} for _ in packages]
+    seconds: List[Seconds] = [{} for _ in packages]
+    order = (range(len(packages)), range(len(packages) - 1, -1, -1))
     for name in workloads:
         for seed in seeds:
-            queries = stream(run, rp, name, seed)
+            streams = [stream(run, rp, name, seed) for rp in packages]
             for solver in solvers:
-                if solver == "ssgs" and any(len(q.venues) != 1 for q, _ in queries):
+                if solver == "ssgs" and any(len(q.venues) != 1 for q, _ in streams[0]):
                     continue
-                answers, counters = [], []
-                cpu = 0.0
-                for query, built in queries:
-                    stats = rp.SearchStats()
-                    start = time.process_time()
-                    sol = solve(rp, solver, query, built, stats)
-                    cpu += time.process_time() - start
-                    answer = None
-                    if sol is not None:
-                        answer = (tuple(sol.group), sol.venue, repr(sol.total_distance))
-                    answers.append(repr(answer))
-                    counters.append(repr((
-                        stats.explored_states,
-                        stats.generated_states,
-                        sorted(stats.pruned.items()),
-                    )))
-                records[(name, seed, solver)] = (answers, counters)
-                seconds[(name, seed, solver)] = cpu
+                key = (name, seed, solver)
+                for r in range(rounds):
+                    cpu = [0.0] * len(packages)
+                    for j in range(len(streams[0])):
+                        for i in order[(r + j) % 2]:
+                            rp = packages[i]
+                            query, built = streams[i][j]
+                            stats = rp.SearchStats()
+                            start = time.process_time()
+                            sol = solve(rp, solver, query, built, stats)
+                            cpu[i] += time.process_time() - start
+                            if r == 0:
+                                answers, counters = records[i].setdefault(key, ([], []))
+                                answers.append(answer_line(sol))
+                                counters.append(counter_line(stats))
+                    for i, spent in enumerate(cpu):
+                        seconds[i].setdefault(key, []).append(spent)
     return records, seconds
+
+
+def answer_line(sol) -> str:
+    answer = None
+    if sol is not None:
+        answer = (tuple(sol.group), sol.venue, repr(sol.total_distance))
+    return repr(answer)
+
+
+def counter_line(stats) -> str:
+    return repr((stats.explored_states, stats.generated_states, sorted(stats.pruned.items())))
 
 
 def digest(lines: List[str]) -> str:
@@ -137,46 +178,26 @@ def report(records: Records) -> List[str]:
     ]
 
 
-def records_of(root: Path, workloads, seeds, solvers) -> Tuple[Records, Seconds]:
-    """``stream_records`` of the checkout at ``root``, in a fresh
-    interpreter, so two checkouts' packages never meet in one process."""
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--json",
-           "--workloads", *workloads, "--seeds", *map(str, seeds), "--solvers", *solvers]
-    out = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout
-    rows = json.loads(out.splitlines()[-1])
-    records = {(name, seed, solver): (answers, counters)
-               for name, seed, solver, answers, counters, _ in rows}
-    seconds = {(name, seed, solver): cpu for name, seed, solver, _, _, cpu in rows}
-    return records, seconds
+def median_ratio(ours: List[float], theirs: List[float]) -> float:
+    """The median over rounds of this checkout's CPU time over the other's."""
+    return statistics.median(a / b for a, b in zip(ours, theirs))
 
 
-def timed_rounds(roots: Sequence[Path], rounds: int, workloads, seeds,
-                 solvers) -> Tuple[List[Records], List[Seconds]]:
-    """Each root's records from the first round, and its smallest CPU time
-    per stream over ``rounds`` rounds. Each round runs every root in a
-    fresh interpreter, in the given order in even rounds and reversed in
-    odd ones."""
-    records: List[Records] = [{} for _ in roots]
-    fastest: List[Seconds] = [{} for _ in roots]
-    for r in range(rounds):
-        order = range(len(roots)) if r % 2 == 0 else reversed(range(len(roots)))
-        for i in order:
-            recs, seconds = records_of(roots[i], workloads, seeds, solvers)
-            records[i] = records[i] or recs
-            for key, cpu in seconds.items():
-                fastest[i][key] = min(cpu, fastest[i].get(key, cpu))
-    return records, fastest
-
-
-def timing_lines(ours: Seconds, theirs: Seconds, rounds: int) -> List[str]:
-    """One line per stream both sides ran, in this checkout's order: each
-    side's smallest CPU time and their ratio, this checkout over the
-    other."""
-    return [
-        "{} seed={} {} cpu min of {}: this {:.3f} s, other {:.3f} s, ratio {:.3f}".format(
-            *key, rounds, ours[key], theirs[key], ours[key] / theirs[key])
-        for key in ours if key in theirs
-    ]
+def timing_lines(this_first: Sequence[Seconds], other_first: Sequence[Seconds],
+                 rounds: int) -> List[str]:
+    """One line per stream: the median ratio, this checkout over the other,
+    with each import order, and their geometric mean. Each argument holds
+    this checkout's seconds, then the other's."""
+    lines = []
+    for key in this_first[0]:
+        a = median_ratio(this_first[0][key], this_first[1][key])
+        b = median_ratio(other_first[0][key], other_first[1][key])
+        lines.append(
+            "{} seed={} {} cpu this/other, median of {} rounds: {:.3f} this imported first, "
+            "{:.3f} other imported first, geometric mean {:.3f}".format(
+                *key, rounds, a, b, math.sqrt(a * b))
+        )
+    return lines
 
 
 def summed_states(counters: List[str]) -> Tuple[int, int]:
@@ -220,29 +241,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--against", type=Path, help="another checkout to compare with")
     parser.add_argument("--time", type=int, default=0, metavar="R",
                         help="time both checkouts' solver calls over R alternating rounds")
-    parser.add_argument("--root", type=Path, default=ROOT, help=argparse.SUPPRESS)
-    parser.add_argument("--json", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.time and args.against is None:
         parser.error("--time needs --against")
-    streams = (args.workloads, args.seeds, args.solvers)
-    if args.time:
-        (records, theirs), (ours_cpu, theirs_cpu) = timed_rounds(
-            [args.root.resolve(), args.against.resolve()], args.time, *streams)
-    else:
-        records, seconds = stream_records(args.root.resolve(), *streams)
-    if args.json:
-        print(json.dumps([[*key, *value, seconds[key]] for key, value in records.items()]))
-        return 0
-    print("\n".join(report(records)))
+    run = load_bench()
+    roots = [ROOT] if args.against is None else [ROOT, args.against.resolve()]
+    streams = (args.workloads, args.seeds, args.solvers, max(args.time, 1))
+    records, seconds = run_streams(run, load_packages(roots), *streams)
+    print("\n".join(report(records[0])))
     if args.against is None:
         return 0
-    if not args.time:
-        theirs, _ = records_of(args.against.resolve(), *streams)
-    lines = mismatches(records, theirs)
+    lines = mismatches(*records)
     print("\n".join(lines) if lines else f"no mismatch against {args.against}")
     if args.time:
-        print("\n".join(timing_lines(ours_cpu, theirs_cpu, args.time)))
+        # The same rounds on fresh packages, the other checkout's imported first.
+        _, flipped = run_streams(run, load_packages(roots[::-1])[::-1], *streams)
+        print("\n".join(timing_lines(seconds, flipped, args.time)))
     return 1 if lines else 0
 
 

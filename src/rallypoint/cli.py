@@ -85,7 +85,9 @@ def load_dataset(
     """Read the three headerless CSV files and build a validated instance.
 
     Members/venues: ``id,x,y``. Edges: ``u,v`` (undirected; a row listed in
-    both directions still yields a single edge).
+    both directions still yields a single edge). A file that lists some
+    pairs in both directions and others in one only gets a warning on
+    stderr: it may have lost rows.
     """
     members = _parse_point_file(members_path, "member")
     venues = _parse_point_file(venues_path, "venue")
@@ -110,10 +112,11 @@ def load_dataset(
                 raise DatasetError(f"{edges_path}:{lineno}: self-loop on {u!r}")
             directed.add((u, v))
             edges.add((u, v) if u < v else (v, u))
-    if any((v, u) not in directed for (u, v) in directed):
+    one_way = sum((v, u) not in directed for (u, v) in directed)
+    if 0 < one_way < len(directed):
         print(
-            f"warning: {edges_path} lists some pairs in one direction only; "
-            "treating the edge list as undirected",
+            f"warning: {edges_path} lists some pairs in both directions and others "
+            "in one direction only; treating the edge list as undirected",
             file=sys.stderr,
         )
     graph = SocialGraph(members, edges)
@@ -253,12 +256,17 @@ def bench_rows(
     deterministic: bool,
     w: int = 20000,
     lam: int = 200,
+    mode: Optional[FamiliarityMode] = None,
 ) -> List[dict]:
     """One row per (seed, algorithm); optionally cross-checked against the
-    brute-force optimum, with a trailing median-ratio row per algorithm."""
+    brute-force optimum, with a trailing median-ratio row per algorithm.
+    Every query, the oracle's included, runs in ``mode``, or in the
+    ``Query`` default for its venue count when ``mode`` is None; the
+    ``mode`` column names the mode each row ran in."""
     config = _prune_config(prune)
     rows: List[dict] = []
     ratios: Dict[str, List[float]] = {a: [] for a in algos}
+    mode_of: Dict[str, str] = {}
     for seed in range(seeds):
         graph, data = random_instance(
             seed, n_members, n_venues, edge_prob=edge_prob,
@@ -266,19 +274,21 @@ def bench_rows(
         )
         t = radius_for_quantile(graph, data, t_quantile)
         venues = tuple(sorted(data.venue_locations))
-        query = Query(p=p, k=k, t=t, venues=venues)
+        query = Query(p=p, k=k, t=t, venues=venues, familiarity_mode=mode)
         oracle_res = brute_force(query, graph, data) if check_oracle else None
         for algo in algos:
             if algo in SINGLE_VENUE_ONLY and len(venues) > 1:
-                query_a = Query(p=p, k=k, t=t, venues=venues[:1])
+                query_a = Query(p=p, k=k, t=t, venues=venues[:1], familiarity_mode=mode)
             else:
                 query_a = query
+            mode_of[algo] = query_a.familiarity_mode.value
             stats = SearchStats()
             solution = solve_with(algo, query_a, graph, data, config, stats, w, lam)
             row = {
                 "seed": seed,
                 "algorithm": algo,
                 "prune": prune or "all",
+                "mode": mode_of[algo],
                 "n_members": n_members,
                 "n_venues": n_venues,
                 "p": p,
@@ -320,6 +330,7 @@ def bench_rows(
                         "seed": "median",
                         "algorithm": algo,
                         "prune": prune or "all",
+                        "mode": mode_of[algo],
                         "n_members": n_members,
                         "n_venues": n_venues,
                         "p": p,
@@ -415,6 +426,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 deterministic=args.deterministic,
                 w=args.w,
                 lam=args.lam,
+                mode=_mode(args.mode),
             )
             if args.out:
                 with open(args.out, "w", encoding="utf-8", newline="") as handle:

@@ -105,12 +105,21 @@ no ``mindist_point_ball`` call on the small stream that the benchmark's
 tracing test requires to make some; the hand-off waits for that test to
 change.
 
-In average mode a frame may also carry its pool's acquaintance counts, as
-in ``single_venue``: updated as each generated candidate leaves the pool,
-rebuilt from the survivors when a frame drops candidates on entry, and
-copied into child frames. Per-vertex frames carry none: they run the
-single-venue loop's entry test (``_GroupSearch._entry_test``) on the
-candidates that pass the radius and venue-distance filter.
+In average mode a frame may also carry its pool's acquaintance counts. Both
+loops keep them with the same steps of ``_GroupSearch``: the root counts its
+pool, and a frame that drops candidates on entry, like an srdo hand-off,
+cuts its caller's counts down to its own pool (``_pool_counts``); each
+generated candidate leaves the pool (``_grow``), the average rule checks
+each child (``_avg_pruned``), and each child frame gets copies. Per-vertex
+frames carry none: they run the single-venue loop's entry test
+(``_GroupSearch._entry_test``) on the candidates that pass the radius and
+venue-distance filter.
+
+The two loops stay apart. The joint loop's entry filter reads venues and
+their bounds, its loop-head check runs only after an improvement, it
+selects from a fixed or an adaptive order, and each child carries a venue
+table; the single-venue loop has none of these. One loop for both would
+branch on its caller at each of those points.
 
 A frame whose prefix has ``p - 1`` members (a leaf frame) skips all of the
 above: it runs the leaf scan of ``single_venue``, shared by both engines,
@@ -134,28 +143,18 @@ from .indexes import Indexes, build_indexes
 from .model import (
     MemberId,
     PRUNE_BALL_DISTANCE,
-    PRUNE_AVG_FAMILIARITY,
     PRUNE_MEMBER_FAMILIARITY,
     PRUNE_VENUE_DISTANCE,
     PRUNE_VENUE_RADIUS,
     Query,
     SearchStats,
     SocialGraph,
-    Solution,
     SpatialDataset,
     VenueId,
-    total_distance,
 )
-from .pruning import (
-    PruneConfig,
-    admit_from_pool,
-    avg_familiarity_prune,
-    ball_distance_bound,
-    distance_prune,
-    pool_degrees,
-)
+from .pruning import PruneConfig, ball_distance_bound, distance_prune
 # ``sso_admits``, the paper's admission test, is only re-exported.
-from .single_venue import _GroupSearch, candidate_order, sso_admits
+from .single_venue import Counts, _GroupSearch, _solution, candidate_order, sso_admits
 
 # For each venue, (distance, member) pairs in (distance, id) order.
 VenueLists = Dict[VenueId, List[Tuple[float, MemberId]]]
@@ -307,13 +306,9 @@ class _MultiVenueSearch(_GroupSearch):
         # once.
         sums = {q: 0.0 for q in self.alive_venues}
         pool = self.pool
-        pool_deg = pe = None
-        if self._keeps_pool_counts(0):
-            pool_deg = pool_degrees(pool, self.graph)
-            pe = dict.fromkeys(pool_deg, 0)
         # The root's pool is the union of the alive venues' candidate
         # orders, so they are its lists as they are.
-        self._frame([], set(), 0, pool, sums, pool_deg, pe, set(pool), self.by_distance)
+        self._frame([], set(), 0, pool, sums, None, set(pool), self.by_distance)
 
     # -- candidate selection -----------------------------------------------
 
@@ -414,20 +409,19 @@ class _MultiVenueSearch(_GroupSearch):
         prefix_edges: int,
         pool: List[MemberId],
         sums: Dict[VenueId, float],
-        pool_deg: Optional[Dict[MemberId, int]],
-        pe: Optional[Dict[MemberId, int]],
+        counts: Optional[Counts],
         pool_set: Set[MemberId],
         lists: VenueLists,
     ) -> None:
         """Search below ``prefix`` over the candidates of ``pool``.
-        ``pool_set`` is ``set(pool)`` and ``lists`` the caller's candidate
-        lists, both the caller's own: the frame only reads them."""
+        ``counts`` are the caller's pool counts, over ``pool``, or None at
+        the root and wherever the caller keeps none. ``pool_set`` is
+        ``set(pool)`` and ``lists`` the caller's candidate lists, both the
+        caller's own: the frame only reads them."""
         p = self.query.p
         cfg = self.config
         stats = self.stats
         static = self.static
-        graph = self.graph
-        neighbors = graph.neighbors
         size = len(prefix)
         # ``sums`` maps each venue still usable for a solution to the
         # prefix's total distance to it, in the query's venue order. The
@@ -449,14 +443,9 @@ class _MultiVenueSearch(_GroupSearch):
             # distance order, over the frame's candidates in its range.
             ((q, base),) = sums.items()
             candidates = lists[q]
-            if pe is not None and len(candidates) < len(pool):
-                pool_deg = pool_degrees([v for _, v in candidates], graph)
-                pe = {v: pe[v] for _, v in candidates}
-            self._venue_frame(prefix, prefix_set, prefix_edges, base, candidates, pool_deg, pe, q)
+            counts = self._pool_counts(size, (v for _, v in candidates), counts)
+            self._venue_frame(prefix, prefix_set, prefix_edges, base, candidates, counts, q)
             return
-        # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe``
-        # its prefix-edge table when this frame keeps counts; both are None
-        # otherwise.
 
         # The completion bounds' table: a completion at q takes only
         # candidates of q, so the first ``p - size`` of its list bound the
@@ -477,11 +466,8 @@ class _MultiVenueSearch(_GroupSearch):
         # The candidates not yet generated, kept current with ``remaining``
         # and handed to each child as its pool set.
         remaining_set = set(remaining)
-        # Recounting the survivors costs less than taking each dropped
-        # candidate out of the counts: most of a child's pool can drop.
-        if pe is not None and len(remaining) < len(pool):
-            pool_deg = pool_degrees(remaining, graph)
-            pe = {v: pe[v] for v in remaining}
+        # The frame's counts, over ``remaining``.
+        counts = self._pool_counts(size, remaining_set, counts)
         copy_counts = self._keeps_pool_counts(size + 1)
         if not static:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))
@@ -522,33 +508,24 @@ class _MultiVenueSearch(_GroupSearch):
             u = remaining.pop(0)
             remaining_set.discard(u)
             stats.generated_states += 1
-            child_pe = None
-            if pe is not None:
-                child_edges = prefix_edges + pe[u]
-                child_pe = admit_from_pool(pool_deg, pe, u, graph)
-            else:
-                child_edges = prefix_edges + len(neighbors(u) & prefix_set)
+            child_edges, child_pe = self._grow(prefix_set, prefix_edges, u, counts)
 
             child_sums = self._child_sums(u, size + 1, sums, nearest)
             if not child_sums:
                 continue
             child = prefix + [u]
-
-            if pool_deg is not None:
-                counts = (2 * child_edges, pool_deg, child_pe)
-                if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
-                    stats.bump(PRUNE_AVG_FAMILIARITY)
-                    continue
+            if counts is not None and self._avg_pruned(child, child_edges, counts[0], child_pe):
+                continue
 
             stats.explored_states += 1
-            child_counts = (dict(pool_deg), child_pe) if copy_counts else (None, None)
+            child_counts = (dict(counts[0]), child_pe) if copy_counts else None
             self._frame(
                 child,
                 prefix_set | {u},
                 child_edges,
                 remaining,
                 child_sums,
-                *child_counts,
+                child_counts,
                 remaining_set,
                 lists,
             )
@@ -649,8 +626,9 @@ def mags_solve(
     config: Optional[PruneConfig] = None,
     stats: Optional[SearchStats] = None,
     audit: Optional[MagsAudit] = None,
-) -> Optional[Solution]:
-    """Index-driven joint search. ``ordering`` picks the candidate extraction
+):
+    """Index-driven joint search: the optimal ``Solution``, or None when
+    nothing qualifies. ``ordering`` picks the candidate extraction
     strategy: "srdo" fixes the reference venue from the closest pair of a
     pool member and a live venue (``srdo_seed``), and a search frame left
     with one venue runs ``ssp``'s single-venue loop in that venue's distance
@@ -678,8 +656,4 @@ def mags_solve(
         audit=audit,
     )
     search.run()
-    group, venue = search.best_group, search.best_venue
-    stats.elapsed_seconds = time.perf_counter() - start
-    if group is None:
-        return None
-    return Solution(group, venue, total_distance(group, venue, data), stats)
+    return _solution(search.best_group, search.best_venue, data, stats, start)

@@ -1,10 +1,12 @@
 """Exact branch-and-bound over one venue at a time, and the merge heuristic
-for single-venue queries. ``ssp_solve`` runs the search once per venue of a
-query, sharing the incumbent; ``ssgs_solve`` is that run on a one-venue query.
-The search's loop (``_GroupSearch._venue_frame``) is shared by both
-depth-first engines: the single-venue solvers run it with no venue to
-record, and the joint multi-venue search hands it every srdo frame left with
-one venue.
+for single-venue queries. ``_GroupSearch`` is the skeleton both depth-first
+engines share: the incumbent, the pool counts and their upkeep, the search
+at one venue and its leaf scan. ``ssp_solve`` runs one such search over the
+query's venues in order, each from its root (``search_venue``), so the
+venues share the incumbent; ``ssgs_solve`` is that run on a one-venue query.
+The joint multi-venue search hands the same single-venue loop
+(``_GroupSearch._venue_frame``) every srdo frame left with one venue. Every
+exact solver and the merge heuristic end alike (``_solution``).
 
 The search keeps an ordered partial group and a pool of remaining candidates,
 in nondecreasing (distance to the venue, id) order. A frame expands its
@@ -30,7 +32,11 @@ acquaintances in the pool loses one pool degree and, in the child's copy of
 ``pe``, gains one prefix edge (``admit_from_pool``). Only frames whose
 children are not leaves (prefix shorter than ``p - 1``) keep the tables, and
 only while the rule is on and can fire (``k < p - 1``); each such child frame
-gets its own copies, and reads a candidate's prefix edges off ``pe``.
+gets its own copies, and reads a candidate's prefix edges off ``pe``. Both
+engines keep the counts through the same three steps of ``_GroupSearch``:
+``_pool_counts`` counts a root's pool afresh, or cuts a caller's counts
+down to a frame's smaller pool; ``_grow`` takes each child out of the pool
+and gives its edge count; ``_avg_pruned`` runs the average rule on it.
 
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
@@ -64,9 +70,11 @@ once, in (distance, id) order: the sorted-access stop rule of the same
 algorithm. It stops with one distance prune at the first candidate that
 cannot beat the incumbent, which, with the distance rule on, is the
 candidate after the first improvement. On an exact distance tie the lower id
-wins; the total cannot change. The scan (``_GroupSearch._scan_leaves``) is
-shared with the joint multi-venue search, whose leaf frames run it once per
-venue.
+wins; the total cannot change. A leaf is taken only on a strict
+improvement, so on an exact tie in total between venues the venue searched
+first, the first in the query's order, keeps the answer. The scan
+(``_GroupSearch._scan_leaves``) is shared with the joint multi-venue search,
+whose leaf frames run it once per venue.
 
 A state-generation budget (the merge heuristic's ``w``) counts the states one
 search generates. It is checked at the head of each frame's loop and before
@@ -107,6 +115,9 @@ from .pruning import (
     distance_prune,
     pool_degrees,
 )
+
+# A frame's pool counts: its pool degree table and its prefix-edge table.
+Counts = Tuple[Dict[MemberId, int], Dict[MemberId, int]]
 
 
 def sso_admits(
@@ -149,8 +160,10 @@ class _StopSearch(Exception):
 class _GroupSearch:
     """What both depth-first engines share: the incumbent (``best_total``,
     ``best_group``, ``best_venue``), the leaf feasibility rule, the
-    per-vertex entry test, the scan of a leaf frame and the search at one
-    venue (see the module docstring).
+    per-vertex entry test, the pool counts and their upkeep, the scan of a
+    leaf frame and the search at one venue (see the module docstring).
+    ``search_venue`` runs that search from its root; one search may run it
+    at several venues, which then share the incumbent.
 
     ``leaf_rule`` names the prune rule, a ``PruneConfig`` field, that stops
     a leaf scan, or ends a one-venue frame, at the first candidate that
@@ -165,7 +178,6 @@ class _GroupSearch:
         graph: SocialGraph,
         config: PruneConfig,
         stats: SearchStats,
-        initial_best: float = math.inf,
         harvest: Optional[Callable[[List[MemberId], float], None]] = None,
         budget: Optional[int] = None,
     ):
@@ -175,7 +187,7 @@ class _GroupSearch:
         self.stats = stats
         # With its rule off, a leaf scan reads every candidate.
         self.leaf_prune = self.leaf_rule if getattr(config, self.leaf_rule) else None
-        self.best_total = initial_best
+        self.best_total = math.inf
         self.best_group: Optional[Tuple[MemberId, ...]] = None
         self.best_venue: Optional[VenueId] = None
         self.harvest = harvest
@@ -201,6 +213,56 @@ class _GroupSearch:
         q = self.query
         average = self.leaf_edges is not None
         return average and self.config.avg_familiarity and q.k < q.p - 1 and size < q.p - 1
+
+    def _pool_counts(
+        self, size: int, members: Iterable[MemberId], counts: Optional[Counts] = None
+    ) -> Optional[Counts]:
+        """The pool counts of a frame whose prefix has ``size`` members and
+        whose pool holds ``members``, or None when the frame keeps none. A
+        root (``counts`` None) counts its pool afresh, with an empty prefix.
+        Any other frame that keeps counts has its caller's ``counts``, over a
+        pool that holds its own, and cuts them down to its pool: recounting
+        the survivors costs less than taking each dropped candidate out of
+        the counts, since most of a frame's pool can drop."""
+        if not self._keeps_pool_counts(size):
+            return None
+        if counts is None:
+            pool_deg = pool_degrees(members, self.graph)
+            return pool_deg, dict.fromkeys(pool_deg, 0)
+        pool_deg, pe = counts
+        members = set(members)
+        if len(members) == len(pool_deg):
+            return counts
+        return pool_degrees(members, self.graph), {v: pe[v] for v in members}
+
+    def _grow(
+        self, prefix_set: set, prefix_edges: int, u: MemberId, counts: Optional[Counts]
+    ) -> Tuple[int, Optional[Dict[MemberId, int]]]:
+        """Take ``u``, the frame's next child, out of its pool: the internal
+        edge count of the prefix grown by ``u`` and, when the frame keeps
+        counts, the grown prefix's prefix-edge table (``admit_from_pool``,
+        which also updates the frame's own counts)."""
+        if counts is None:
+            return prefix_edges + len(self.graph.neighbors(u) & prefix_set), None
+        pool_deg, pe = counts
+        child_edges = prefix_edges + pe[u]
+        return child_edges, admit_from_pool(pool_deg, pe, u, self.graph)
+
+    def _avg_pruned(
+        self,
+        child: List[MemberId],
+        child_edges: int,
+        pool_deg: Dict[MemberId, int],
+        child_pe: Dict[MemberId, int],
+    ) -> bool:
+        """The average familiarity rule on a child that is not a leaf, from
+        the counts ``_grow`` left; a prune is counted."""
+        q = self.query
+        counts = (2 * child_edges, pool_deg, child_pe)
+        if avg_familiarity_prune(child, pool_deg, q.p, q.k, self.graph, counts):
+            self.stats.bump(PRUNE_AVG_FAMILIARITY)
+            return True
+        return False
 
     def _entry_test(
         self, prefix: List[MemberId], prefix_set: set
@@ -271,6 +333,18 @@ class _GroupSearch:
                 self.best_group = tuple(sorted(child))
                 self.best_venue = venue
 
+    def search_venue(self, order: List[Tuple[float, MemberId]], venue: VenueId) -> bool:
+        """Search the groups at ``venue`` from the root, over ``order``, its
+        candidates as (distance, member) pairs in (distance, id) order.
+        False when the state budget stopped the search before it finished,
+        so the incumbent is not proved optimal."""
+        counts = self._pool_counts(0, (m for _, m in order))
+        try:
+            self._venue_frame([], set(), 0, 0.0, order, counts, venue)
+        except _StopSearch:
+            return False
+        return True
+
     def _venue_frame(
         self,
         prefix: List[MemberId],
@@ -278,27 +352,23 @@ class _GroupSearch:
         prefix_edges: int,
         base: float,
         pool: List[Tuple[float, MemberId]],
-        pool_deg: Optional[Dict[MemberId, int]],
-        pe: Optional[Dict[MemberId, int]],
-        venue: Optional[VenueId],
+        counts: Optional[Counts],
+        venue: VenueId,
     ) -> None:
-        """The search below ``prefix`` at one venue: ``pool`` holds the
+        """The search below ``prefix`` at ``venue``: ``pool`` holds the
         venue's candidates as (distance, member) pairs in (distance, id)
-        order, and ``base`` is the prefix's total distance to the venue.
-        ``venue`` is None for the single-venue solvers, which record no
-        venue."""
+        order, ``base`` is the prefix's total distance to the venue and
+        ``counts`` the pool counts, when the frame keeps them."""
         p = self.query.p
         size = len(prefix)
         if size + 1 == p:
             self._scan_leaves(prefix, prefix_set, prefix_edges, base, pool, venue)
             return
-        graph = self.graph
-        neighbors = graph.neighbors
         admits = self._entry_test(prefix, prefix_set)
         remaining = list(pool) if admits is None else [c for c in pool if admits(c[1])]
         self.stats.bump(PRUNE_MEMBER_FAMILIARITY, len(pool) - len(remaining))
-        # ``pool_deg`` is the pool degree table of ``remaining`` and ``pe`` its
-        # prefix-edge table, when this frame keeps them.
+        # ``counts`` cover ``remaining``: only per-vertex frames, which keep
+        # none, drop candidates on entry.
         copy_counts = self._keeps_pool_counts(size + 1)
 
         while size + len(remaining) >= p:
@@ -316,48 +386,22 @@ class _GroupSearch:
                 break
 
             d_u, u = remaining.pop(0)
-            if pe is not None:
-                child_edges = prefix_edges + pe[u]
-            else:
-                child_edges = prefix_edges + len(neighbors(u) & prefix_set)
+            child_edges, child_pe = self._grow(prefix_set, prefix_edges, u, counts)
             child = prefix + [u]
             child_dist = base + d_u
             self.stats.generated_states += 1
 
-            # The tables are kept exactly where the average rule runs.
-            if pool_deg is not None:
-                child_pe = admit_from_pool(pool_deg, pe, u, graph)
-                counts = (2 * child_edges, pool_deg, child_pe)
-                if avg_familiarity_prune(child, pool_deg, p, self.query.k, graph, counts):
-                    self.stats.bump(PRUNE_AVG_FAMILIARITY)
-                    continue
+            # The counts are kept exactly where the average rule runs.
+            if counts is not None and self._avg_pruned(child, child_edges, counts[0], child_pe):
+                continue
             if self.harvest is not None:
                 self.harvest(child, child_dist)
 
             self.stats.explored_states += 1
-            child_counts = (dict(pool_deg), child_pe) if copy_counts else (None, None)
+            child_counts = (dict(counts[0]), child_pe) if copy_counts else None
             self._venue_frame(
-                child, prefix_set | {u}, child_edges, child_dist, remaining, *child_counts, venue
+                child, prefix_set | {u}, child_edges, child_dist, remaining, child_counts, venue
             )
-
-
-class _SingleVenueSearch(_GroupSearch):
-    """Depth-first search over groups for one venue. ``run`` searches the
-    venue's candidate order and leaves the incumbent in ``best_total`` and
-    ``best_group``."""
-
-    def run(self, order: List[Tuple[float, MemberId]]) -> bool:
-        """Search ``order``; False when the state budget stopped the search
-        before it finished, so the incumbent is not proved optimal."""
-        pool_deg = pe = None
-        if self._keeps_pool_counts(0):
-            pool_deg = pool_degrees([m for _, m in order], self.graph)
-            pe = dict.fromkeys(pool_deg, 0)
-        try:
-            self._venue_frame([], set(), 0, 0.0, order, pool_deg, pe, None)
-        except _StopSearch:
-            return False
-        return True
 
 
 def candidate_order(
@@ -392,28 +436,32 @@ def ssp_solve(
     config: Optional[PruneConfig] = None,
     stats: Optional[SearchStats] = None,
 ) -> Optional[Solution]:
-    """Solve per venue with the single-venue search, sharing the incumbent so
-    later venues start with the best bound found so far."""
+    """Solve per venue with the single-venue search, in the query's venue
+    order. The runs share one incumbent, so later venues start with the best
+    bound found so far, and on an exact tie the first venue wins."""
     config = config or PruneConfig()
     stats = stats if stats is not None else SearchStats()
     start = time.perf_counter()
     indexes = indexes or build_indexes(data)
-    best = math.inf
-    best_group = None
-    best_venue = None
+    search = _GroupSearch(query, graph, config, stats)
     for venue in query.venues:
-        order = candidate_order(query, graph, data, venue, indexes)
-        search = _SingleVenueSearch(query, graph, config, stats, initial_best=best)
-        search.run(order)
-        # A search sets ``best_group`` only on a strict improvement.
-        if search.best_group is not None:
-            best = search.best_total
-            best_group = search.best_group
-            best_venue = venue
+        search.search_venue(candidate_order(query, graph, data, venue, indexes), venue)
+    return _solution(search.best_group, search.best_venue, data, stats, start)
+
+
+def _solution(
+    group: Optional[Tuple[MemberId, ...]],
+    venue: Optional[VenueId],
+    data: SpatialDataset,
+    stats: SearchStats,
+    start: float,
+) -> Optional[Solution]:
+    """A solver's answer, or None without a group; ``stats`` takes the time
+    since ``start``."""
     stats.elapsed_seconds = time.perf_counter() - start
-    if best_group is None:
+    if group is None:
         return None
-    return Solution(best_group, best_venue, total_distance(best_group, best_venue, data), stats)
+    return Solution(group, venue, total_distance(group, venue, data), stats)
 
 
 def ssgs_solve(
@@ -562,17 +610,14 @@ def ssgmerge_solve(
         queues.insert(_QueueEntry(members, frozenset(members), total, rank))
 
     order = candidate_order(query, graph, data, venue, indexes)
-    search = _SingleVenueSearch(query, graph, config, stats, harvest=harvest, budget=w)
-    if search.run(order):
+    search = _GroupSearch(query, graph, config, stats, harvest=harvest, budget=w)
+    if search.search_venue(order, venue):
         group = search.best_group
     else:
         # Every harvested member is an in-range candidate of the search.
         dist_of = {m: d for d, m in order}
         group = _merge(queues, dist_of, search.best_total, query, graph, stats)
-    stats.elapsed_seconds = time.perf_counter() - start
-    if group is None:
-        return None
-    return Solution(group, venue, total_distance(group, venue, data), stats)
+    return _solution(group, venue, data, stats, start)
 
 
 def _merge(

@@ -353,3 +353,65 @@ def test_bench_bad_generator_parameter_is_a_clean_error(flag, value, name):
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {name} ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+def _bench_csv(*extra):
+    args = [
+        "--bench", "--algos", "ssgs,ssp,mags-srdo,mags-apdo", "--seeds", "4",
+        "--gen-members", "10", "--gen-venues", "3", "--p", "4", "--k", "1",
+        "--t-quantile", "0.8", "--check-oracle", "--deterministic", *extra,
+    ]
+    proc = run_cli(args)
+    assert proc.returncode == 0, proc.stderr
+    return list(csv.DictReader(proc.stdout.splitlines()))
+
+
+@pytest.mark.parametrize("mode", ["average", "per-vertex"])
+def test_bench_runs_every_query_in_the_requested_mode(mode):
+    rows = _bench_csv("--mode", mode)
+    assert {r["mode"] for r in rows} == {mode}
+    # The oracle check runs in the same mode, so every solver matches it.
+    assert all(r["matches_oracle"] == "True" for r in rows if r["seed"] != "median")
+
+
+def test_bench_mode_changes_the_rows():
+    # Without --mode each query takes its default: one-venue queries (ssgs)
+    # average, the all-venue ones per-vertex.
+    default = _bench_csv()
+    assert {(r["algorithm"], r["mode"]) for r in default} == {
+        ("ssgs", "average"),
+        ("ssp", "per-vertex"),
+        ("mags-srdo", "per-vertex"),
+        ("mags-apdo", "per-vertex"),
+    }
+    runs = {mode: _bench_csv("--mode", mode) for mode in ("average", "per-vertex")}
+    drop_mode = lambda rows: [{**r, "mode": None} for r in rows]  # noqa: E731
+    assert drop_mode(runs["average"]) != drop_mode(runs["per-vertex"])
+
+
+@pytest.mark.parametrize(
+    "edges, warns",
+    [
+        ("a,b\nb,c\n", False),
+        ("a,b\nb,a\nb,c\nc,b\n", False),
+        ("a,b\nb,a\nb,c\n", True),
+    ],
+    ids=["one-row-per-edge", "both-directions", "mixed"],
+)
+def test_edge_list_warning_only_for_a_mixed_list(tmp_path, edges, warns):
+    # README documents one row per undirected edge; only a list that gives
+    # some pairs both ways and others one way only looks like lost rows.
+    members = write(tmp_path / "m.csv", "a,1,0\nb,2,0\nc,3,0\n")
+    venues = write(tmp_path / "v.csv", "q,0,0\n")
+    edge_file = write(tmp_path / "e.csv", edges)
+    proc = run_cli(
+        ["--members", members, "--edges", edge_file, "--venues", venues,
+         "--algo", "ssp", "--p", "2", "--k", "0", "--t", "10"]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["solution"]["group"] == ["a", "b"]
+    if warns:
+        assert proc.stderr.startswith(f"warning: {edge_file} lists some pairs in both")
+        assert proc.stderr.count("\n") == 1
+    else:
+        assert proc.stderr == ""

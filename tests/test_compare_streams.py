@@ -1,10 +1,12 @@
-"""Smoke test of ``scripts/compare_streams.py``: one benchmark stream,
-compared with the checkout it runs in, matches itself."""
+"""Tests of ``scripts/compare_streams.py``: one benchmark stream, compared
+with the checkout it runs in, matches itself; mismatches name their
+queries; timed rounds alternate the sides and report both import orders."""
 
 import importlib.util
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -64,7 +66,7 @@ def test_mismatches_name_the_stream_and_the_first_queries():
     ]
 
 
-def test_timed_run_prints_both_sides_cpu_and_their_ratio():
+def test_timed_run_prints_each_import_order_and_their_geometric_mean():
     args = ["--workloads", "mv-static", "--seeds", "1", "--solvers", "srdo",
             "--against", ROOT, "--time", "1"]
     out = subprocess.run(
@@ -76,12 +78,14 @@ def test_timed_run_prints_both_sides_cpu_and_their_ratio():
     assert lines[0].startswith("mv-static seed=1 srdo queries=320 answers=")
     assert lines[1] == f"no mismatch against {ROOT}"
     timing = re.fullmatch(
-        r"mv-static seed=1 srdo cpu min of 1: this (\S+) s, other (\S+) s, ratio (\S+)",
+        r"mv-static seed=1 srdo cpu this/other, median of 1 rounds: (\S+) this imported first,"
+        r" (\S+) other imported first, geometric mean (\S+)",
         lines[2],
     )
     assert len(lines) == 3 and timing, lines
-    this, other, ratio = map(float, timing.groups())
-    assert this > 0 and other > 0 and ratio == pytest.approx(this / other, rel=0.01)
+    this_first, other_first, mean = map(float, timing.groups())
+    assert this_first > 0 and other_first > 0
+    assert mean == pytest.approx((this_first * other_first) ** 0.5, abs=0.002)
 
 
 def test_time_needs_a_checkout_to_compare_with():
@@ -91,23 +95,56 @@ def test_time_needs_a_checkout_to_compare_with():
     assert out.returncode == 2 and "--time needs --against" in out.stderr
 
 
-def test_timed_rounds_alternate_the_sides_and_keep_each_minimum(monkeypatch):
+def test_rounds_alternate_the_sides_query_by_query(monkeypatch):
     compare = _module()
     calls = []
-    cpu = {"a": iter([3.0, 1.0, 2.0]), "b": iter([5.0, 6.0, 4.0])}
 
-    def records_of(root, workloads, seeds, solvers):
-        calls.append(root)
-        key = ("w", 1, "srdo")
-        return {key: ([f"{root}{len(calls)}"], [])}, {key: next(cpu[root])}
+    def stream(run, rp, name, seed):
+        return [(f"q{j}", None) for j in range(3)]
 
-    monkeypatch.setattr(compare, "records_of", records_of)
-    records, fastest = compare.timed_rounds(["a", "b"], 3, ["w"], [1], ["srdo"])
-    # Even rounds run this checkout first, odd rounds the other.
-    assert calls == ["a", "b", "b", "a", "a", "b"]
-    # The digests come from each side's first run.
-    assert records == [{("w", 1, "srdo"): (["a1"], [])}, {("w", 1, "srdo"): (["b2"], [])}]
-    assert fastest == [{("w", 1, "srdo"): 1.0}, {("w", 1, "srdo"): 4.0}]
-    assert compare.timing_lines(*fastest, 3) == [
-        "w seed=1 srdo cpu min of 3: this 1.000 s, other 4.000 s, ratio 0.250",
+    def solve(rp, solver, query, built, stats):
+        calls.append((rp.name, query))
+        return None
+
+    def package(name):
+        stats = lambda: types.SimpleNamespace(  # noqa: E731
+            explored_states=0, generated_states=0, pruned={}
+        )
+        return types.SimpleNamespace(name=name, SearchStats=stats)
+
+    monkeypatch.setattr(compare, "stream", stream)
+    monkeypatch.setattr(compare, "solve", solve)
+    records, seconds = compare.run_streams(None, [package("a"), package("b")],
+                                           ["w"], [1], ["srdo"], rounds=2)
+    # Each query runs on both sides in turn, and the side that goes first
+    # alternates from query to query and from round to round.
+    assert calls == [
+        ("a", "q0"), ("b", "q0"), ("b", "q1"), ("a", "q1"), ("a", "q2"), ("b", "q2"),
+        ("b", "q0"), ("a", "q0"), ("a", "q1"), ("b", "q1"), ("b", "q2"), ("a", "q2"),
     ]
+    # The records come from the first round only; the seconds from every round.
+    assert records[0] == records[1] == {("w", 1, "srdo"): (["None"] * 3, ["(0, 0, [])"] * 3)}
+    assert [len(side[("w", 1, "srdo")]) for side in seconds] == [2, 2]
+
+
+def test_timing_lines_take_each_import_order_median_and_their_geometric_mean():
+    compare = _module()
+    key = ("w", 1, "srdo")
+    # This checkout's seconds, then the other's, per round.
+    this_first = [{key: [2.0, 1.0, 3.0]}, {key: [1.0, 1.0, 1.0]}]
+    other_first = [{key: [1.0, 0.5, 2.0]}, {key: [2.0, 2.0, 2.0]}]
+    assert compare.timing_lines(this_first, other_first, 3) == [
+        "w seed=1 srdo cpu this/other, median of 3 rounds: 2.000 this imported first,"
+        " 0.500 other imported first, geometric mean 1.000",
+    ]
+
+
+def test_each_import_is_a_package_of_its_own():
+    compare = _module()
+    first, again = compare.load_packages([ROOT, ROOT])
+    assert first.__name__ != again.__name__
+    assert first.Query is not again.Query
+    # A later import, by another copy of the script, takes fresh names too.
+    (later,) = _module().load_packages([ROOT])
+    assert later.__name__ not in (first.__name__, again.__name__)
+    assert Path(later.__file__).parent == ROOT / "src" / "rallypoint"

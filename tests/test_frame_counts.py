@@ -1,12 +1,13 @@
 """The pool counts the search frames carry equal the counts taken from sets.
 
 The average familiarity predicate, the one rule that reads carried counts,
-is patched in the engines' namespaces. Each patched call recounts from sets
-(the frame's ``remaining`` candidates are read off the calling frame),
-asserts that the carried counts match (the prefix's edge count, the pool
-degree table and the prefix-edge table), and returns the set-based verdict,
-so the search itself never depends on the carried counts. Every exact
-solver must still equal brute force. Only average-mode frames keep counts.
+is patched in ``single_venue``, whose ``_GroupSearch`` calls it for both
+engines. Each patched call recounts from sets (the frame's ``remaining``
+candidates are read off the calling frame), asserts that the carried counts
+match (the prefix's edge count, the pool degree table and the prefix-edge
+table), and returns the set-based verdict, so the search itself never
+depends on the carried counts. Every exact solver must still equal brute
+force. Only average-mode frames keep counts.
 """
 
 import random
@@ -26,7 +27,7 @@ from rallypoint import (
     ssgs_solve,
     ssp_solve,
 )
-from rallypoint import multi_venue, pruning, single_venue
+from rallypoint import pruning, single_venue
 from rallypoint.generator import _configuration_edges, radius_for_quantile, random_instance
 from rallypoint.pruning import familiarity_counts, pool_degrees
 
@@ -66,8 +67,8 @@ def checked_counts(monkeypatch):
         checked["avg"] += 1
         return verdict
 
+    # Both engines run the rule through ``_GroupSearch._avg_pruned``.
     monkeypatch.setattr(single_venue, "avg_familiarity_prune", check)
-    monkeypatch.setattr(multi_venue, "avg_familiarity_prune", check)
     return checked
 
 
@@ -155,9 +156,9 @@ def test_no_pool_counts_when_k_is_p_minus_1_or_per_vertex(monkeypatch, mode, any
     def refuse(*args):
         raise AssertionError("a search kept pool counts")
 
-    for module in (single_venue, multi_venue):
-        monkeypatch.setattr(module, "pool_degrees", refuse)
-        monkeypatch.setattr(module, "admit_from_pool", refuse)
+    # Both engines build and update counts in ``_GroupSearch``.
+    monkeypatch.setattr(single_venue, "pool_degrees", refuse)
+    monkeypatch.setattr(single_venue, "admit_from_pool", refuse)
     rng = random.Random(f"k-is-p-minus-1-{mode.value}{'-every-k' if any_k else ''}")
     solved = 0
     for seed in range(40):

@@ -34,7 +34,7 @@ from rallypoint import (
 
 from rallypoint import multi_venue, single_venue
 from rallypoint.balltree import mindist_point_ball
-from rallypoint.generator import radius_for_quantile, random_instance
+from rallypoint.generator import radius_for_quantile, random_instance, unit_distance_dataset
 from rallypoint.pruning import distance_prune, pool_degrees
 from rallypoint.model import PRUNE_VENUE_RADIUS
 
@@ -1273,7 +1273,8 @@ def _pool_degree_calls(monkeypatch, ordering, mode, refuse=False):
         calls.append(1)
         return pool_degrees(pool, graph)
 
-    monkeypatch.setattr(multi_venue, "pool_degrees", counted)
+    # The joint search builds its counts with ``_GroupSearch._pool_counts``.
+    monkeypatch.setattr(single_venue, "pool_degrees", counted)
     explored = 0
     for seed in range(40):
         graph, data, query = make_query_instance(7000 + seed, q_range=(2, 5))
@@ -1621,3 +1622,35 @@ PINNED_SEARCHES = {
 @pytest.mark.parametrize("seed, variant", sorted(PINNED_SEARCHES))
 def test_search_tree_is_pinned(seed, variant):
     assert _search_record(seed, variant) == PINNED_SEARCHES[(seed, variant)]
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+def test_exact_tie_goes_to_the_first_venue_in_query_order(mode):
+    # Every member is one unit from every venue, so every feasible group
+    # ties at every venue. Each exact solver must then answer at the first
+    # venue of the query's tuple, whatever the venues' ids.
+    solvers = {
+        "ssp": ssp_solve,
+        "mags-srdo": lambda q, g, d: mags_solve(q, g, d, ordering="srdo"),
+        "mags-apdo": lambda q, g, d: mags_solve(q, g, d, ordering="apdo"),
+    }
+    found = 0
+    for seed in range(60):
+        rng = random.Random(f"venue-tie-{mode.value}-{seed}")
+        n = rng.randint(5, 10)
+        graph, _ = random_instance(seed, n, 1, edge_prob=rng.choice([0.3, 0.5, 0.7]))
+        data = unit_distance_dataset(graph.vertices, rng.randint(2, 5))
+        venues = sorted(data.venue_locations)
+        rng.shuffle(venues)
+        p = rng.randint(2, min(4, n))
+        query = Query(p, rng.randint(0, p - 1), 2.0, tuple(venues), mode)
+        oracle = brute_force(query, graph, data)
+        for name, solver in solvers.items():
+            sol = solver(query, graph, data)
+            where = f"seed {seed}, {name}, {query}"
+            assert (sol is not None) == oracle.found, where
+            if sol is not None:
+                assert sol.venue == venues[0], where
+                assert sol.total_distance == float(p), where
+                found += 1
+    assert found > 100, found
