@@ -1,6 +1,13 @@
 """Command-line harness: dataset loading, query execution, LP export, and a
 small benchmark generator with CSV output.
 
+``SOLVERS`` is the one table of algorithms: ``solve_with`` calls from it, and
+the ``--algo`` choices, the ``--algos`` check and the one-venue rule read
+their names from it. ``bench_rows`` runs the ``ssgs`` and ``ssgmerge``
+solvers on each instance's first venue and every other algorithm on all its
+venues; with the oracle check, the brute-force oracle solves each distinct
+query of a seed once. ``--seed`` only labels the report: no solver reads it.
+
 Exit codes: 0 when a solution is found (or a file was exported), 2 when the
 query has no answer, 1 on usage or data errors.
 """
@@ -12,7 +19,7 @@ import csv
 import json
 import statistics
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .generator import radius_for_quantile, random_instance
 from .ilp import export_mrgq_model, export_ssgq_model
@@ -27,13 +34,37 @@ from .model import (
     SpatialDataset,
 )
 from .multi_venue import mags_solve
-from .oracle import OracleBudgetError, brute_force
+from .oracle import OracleBudgetError, OracleResult, brute_force
 from .pruning import PruneConfig
 from .single_venue import ssgmerge_solve, ssgs_solve, ssp_solve
 
-ALGORITHMS = ("ssgs", "ssgmerge", "ssp", "mags-srdo", "mags-apdo", "oracle")
 
-SINGLE_VENUE_ONLY = ("ssgs", "ssgmerge")
+class Solver(NamedTuple):
+    """One algorithm: its solver (None for the oracle, the one algorithm
+    that needs no indexes), its extra keywords (a keyword given as None takes
+    ``solve_with``'s argument of that name) and whether it answers
+    one-venue queries only."""
+
+    solve: Optional[Callable[..., Optional[Solution]]]
+    keywords: Dict[str, Optional[str]]
+    one_venue: bool
+
+
+SOLVERS: Dict[str, Solver] = {
+    "ssgs": Solver(ssgs_solve, {}, True),
+    "ssgmerge": Solver(ssgmerge_solve, {"w": None, "lam": None}, True),
+    "ssp": Solver(ssp_solve, {}, False),
+    "mags-srdo": Solver(mags_solve, {"ordering": "srdo"}, False),
+    "mags-apdo": Solver(mags_solve, {"ordering": "apdo"}, False),
+    "oracle": Solver(None, {}, False),
+}
+
+# The bench CSV's columns, in order; the last two only with the oracle check.
+_BENCH_COLUMNS = (
+    "seed", "algorithm", "prune", "mode", "n_members", "n_venues", "p", "k", "t",
+    "total_distance", "explored_states", "elapsed_seconds", "matches_oracle",
+    "ratio_to_oracle",
+)
 
 
 class DatasetError(ValueError):
@@ -49,33 +80,37 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_point_file(path: str, kind: str) -> Dict[str, Location]:
-    out: Dict[str, Location] = {}
+def _csv_rows(path: str, expected: str) -> Iterator[Tuple[str, str, List[str]]]:
+    """Yield ``(where, line, fields)`` for each non-blank row of a headerless
+    CSV file: ``where`` is ``path:lineno``, ``line`` the stripped row and
+    ``fields`` its stripped fields. A row with another field count than the
+    ``expected`` format names is a DatasetError."""
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, start=1):
             line = raw.strip()
             if not line:
                 continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise DatasetError(
-                    f"{path}:{lineno}: expected '{kind} id,x,y', got {line!r}"
-                )
-            ident = parts[0].strip()
-            if not ident:
-                raise DatasetError(f"{path}:{lineno}: empty id")
-            if ident in out:
-                raise DatasetError(f"{path}:{lineno}: duplicate id {ident!r}")
-            try:
-                x, y = float(parts[1]), float(parts[2])
-            except ValueError:
-                raise DatasetError(
-                    f"{path}:{lineno}: coordinates must be numbers, got {line!r}"
-                ) from None
-            try:
-                out[ident] = Location(x, y)
-            except ValueError as exc:
-                raise DatasetError(f"{path}:{lineno}: {exc}") from None
+            fields = [field.strip() for field in line.split(",")]
+            if len(fields) != expected.count(",") + 1:
+                raise DatasetError(f"{path}:{lineno}: expected {expected!r}, got {line!r}")
+            yield f"{path}:{lineno}", line, fields
+
+
+def _parse_point_file(path: str, kind: str) -> Dict[str, Location]:
+    out: Dict[str, Location] = {}
+    for where, line, (ident, x, y) in _csv_rows(path, f"{kind} id,x,y"):
+        if not ident:
+            raise DatasetError(f"{where}: empty id")
+        if ident in out:
+            raise DatasetError(f"{where}: duplicate id {ident!r}")
+        try:
+            x, y = float(x), float(y)
+        except ValueError:
+            raise DatasetError(f"{where}: coordinates must be numbers, got {line!r}") from None
+        try:
+            out[ident] = Location(x, y)
+        except ValueError as exc:
+            raise DatasetError(f"{where}: {exc}") from None
     return out
 
 
@@ -94,24 +129,14 @@ def load_dataset(
 
     directed = set()
     edges = set()
-    with open(edges_path, "r", encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 2:
-                raise DatasetError(f"{edges_path}:{lineno}: expected 'u,v', got {line!r}")
-            u, v = parts[0].strip(), parts[1].strip()
-            for endpoint in (u, v):
-                if endpoint not in members:
-                    raise DatasetError(
-                        f"{edges_path}:{lineno}: vertex {endpoint!r} has no coordinate row"
-                    )
-            if u == v:
-                raise DatasetError(f"{edges_path}:{lineno}: self-loop on {u!r}")
-            directed.add((u, v))
-            edges.add((u, v) if u < v else (v, u))
+    for where, _, (u, v) in _csv_rows(edges_path, "u,v"):
+        for endpoint in (u, v):
+            if endpoint not in members:
+                raise DatasetError(f"{where}: vertex {endpoint!r} has no coordinate row")
+        if u == v:
+            raise DatasetError(f"{where}: self-loop on {u!r}")
+        directed.add((u, v))
+        edges.add((u, v) if u < v else (v, u))
     one_way = sum((v, u) not in directed for (u, v) in directed)
     if 0 < one_way < len(directed):
         print(
@@ -142,6 +167,13 @@ def _mode(name: Optional[str]) -> Optional[FamiliarityMode]:
     return FamiliarityMode(name)
 
 
+def _oracle_solution(result: OracleResult, stats: SearchStats) -> Optional[Solution]:
+    stats.explored_states = result.enumerated
+    if not result.found:
+        return None
+    return Solution(result.group, result.venue, result.total_distance, stats)
+
+
 def solve_with(
     algo: str,
     query: Query,
@@ -152,30 +184,20 @@ def solve_with(
     w: int = 20000,
     lam: int = 200,
 ) -> Optional[Solution]:
-    indexes = build_indexes(data)
-    if algo == "ssgs":
-        return ssgs_solve(query, graph, data, indexes, config=config, stats=stats)
-    if algo == "ssgmerge":
-        return ssgmerge_solve(
-            query, graph, data, indexes, w=w, lam=lam, config=config, stats=stats
-        )
-    if algo == "ssp":
-        return ssp_solve(query, graph, data, indexes, config=config, stats=stats)
-    if algo == "mags-srdo":
-        return mags_solve(
-            query, graph, data, indexes, ordering="srdo", config=config, stats=stats
-        )
-    if algo == "mags-apdo":
-        return mags_solve(
-            query, graph, data, indexes, ordering="apdo", config=config, stats=stats
-        )
-    if algo == "oracle":
-        result = brute_force(query, graph, data)
-        stats.explored_states = result.enumerated
-        if not result.found:
-            return None
-        return Solution(result.group, result.venue, result.total_distance, stats)
-    raise ValueError(f"unknown algorithm {algo!r}")
+    """Run ``algo`` from ``SOLVERS`` on ``query``, building the indexes
+    afresh for every solver but the oracle."""
+    if algo not in SOLVERS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    solver = SOLVERS[algo]
+    if solver.solve is None:
+        return _oracle_solution(brute_force(query, graph, data), stats)
+    budgets = {"w": w, "lam": lam}
+    keywords = {
+        key: budgets[key] if value is None else value for key, value in solver.keywords.items()
+    }
+    return solver.solve(
+        query, graph, data, build_indexes(data), config=config, stats=stats, **keywords
+    )
 
 
 def run_query(args: argparse.Namespace) -> Tuple[dict, int]:
@@ -185,6 +207,17 @@ def run_query(args: argparse.Namespace) -> Tuple[dict, int]:
     query = Query(
         p=args.p, k=args.k, t=args.t, venues=tuple(venues), familiarity_mode=_mode(args.mode)
     )
+    report = {
+        "schema": 1,
+        "query": {
+            "p": query.p,
+            "k": query.k,
+            "t": query.t,
+            "venues": [str(q) for q in query.venues],
+            "mode": query.familiarity_mode.value,
+        },
+        "seed": args.seed,
+    }
 
     if args.export_lp:
         model = (
@@ -194,49 +227,25 @@ def run_query(args: argparse.Namespace) -> Tuple[dict, int]:
         )
         with open(args.export_lp, "w", encoding="utf-8") as handle:
             handle.write(model.lp_text())
-        report = {
-            "schema": 1,
-            "algorithm": None,
-            "exported_lp": args.export_lp,
-            "query": _query_dict(query),
-            "seed": args.seed,
-        }
-        return report, 0
+        return {**report, "algorithm": None, "exported_lp": args.export_lp}, 0
 
-    if args.algo in SINGLE_VENUE_ONLY and not query.is_single_venue:
+    if SOLVERS[args.algo].one_venue and not query.is_single_venue:
         raise DatasetError(f"algorithm {args.algo} requires exactly one venue")
 
     stats = SearchStats()
     solution = solve_with(
         args.algo, query, graph, data, _prune_config(args.prune), stats, args.w, args.lam
     )
-    report = {
-        "schema": 1,
-        "algorithm": args.algo,
-        "query": _query_dict(query),
-        "solution": None
-        if solution is None
-        else {
-            "group": [str(m) for m in solution.group],
-            "venue": str(solution.venue),
-            "total_distance": solution.total_distance,
-        },
-        **stats.as_dict(),
-        "seed": args.seed,
+    report["algorithm"] = args.algo
+    report["solution"] = None if solution is None else {
+        "group": [str(m) for m in solution.group],
+        "venue": str(solution.venue),
+        "total_distance": solution.total_distance,
     }
+    report.update(stats.as_dict())
     if args.deterministic:
         report["elapsed_seconds"] = 0.0
     return report, (0 if solution is not None else 2)
-
-
-def _query_dict(query: Query) -> dict:
-    return {
-        "p": query.p,
-        "k": query.k,
-        "t": query.t,
-        "venues": [str(q) for q in query.venues],
-        "mode": query.familiarity_mode.value,
-    }
 
 
 def bench_rows(
@@ -260,13 +269,21 @@ def bench_rows(
 ) -> List[dict]:
     """One row per (seed, algorithm); optionally cross-checked against the
     brute-force optimum, with a trailing median-ratio row per algorithm.
-    Every query, the oracle's included, runs in ``mode``, or in the
-    ``Query`` default for its venue count when ``mode`` is None; the
-    ``mode`` column names the mode each row ran in."""
+    One-venue algorithms get each instance's first venue, the others all its
+    venues; the oracle solves each distinct query of a seed once. Every
+    query, the oracle's included, runs in ``mode``, or in the ``Query``
+    default for its venue count when ``mode`` is None; the ``mode`` column
+    names the mode each row ran in."""
     config = _prune_config(prune)
     rows: List[dict] = []
     ratios: Dict[str, List[float]] = {a: [] for a in algos}
     mode_of: Dict[str, str] = {}
+
+    def row(seed, algo: str, *values) -> dict:
+        # Without values for the oracle columns, zip leaves them out.
+        head = (seed, algo, prune or "all", mode_of[algo], n_members, n_venues, p, k)
+        return dict(zip(_BENCH_COLUMNS, head + values))
+
     for seed in range(seeds):
         graph, data = random_instance(
             seed, n_members, n_venues, edge_prob=edge_prob,
@@ -274,75 +291,41 @@ def bench_rows(
         )
         t = radius_for_quantile(graph, data, t_quantile)
         venues = tuple(sorted(data.venue_locations))
-        query = Query(p=p, k=k, t=t, venues=venues, familiarity_mode=mode)
-        oracle_res = brute_force(query, graph, data) if check_oracle else None
+        venues_of = {a: venues[:1] if SOLVERS[a].one_venue else venues for a in algos}
+        # Each distinct query once, with its optimum when checked. The
+        # all-venue query goes first: an oracle over budget fails there first.
+        asked: Dict[Tuple[str, ...], tuple] = {}
+        for its_venues in sorted(set(venues_of.values()), key=len, reverse=True):
+            query = Query(p=p, k=k, t=t, venues=its_venues, familiarity_mode=mode)
+            asked[its_venues] = query, brute_force(query, graph, data) if check_oracle else None
         for algo in algos:
-            if algo in SINGLE_VENUE_ONLY and len(venues) > 1:
-                query_a = Query(p=p, k=k, t=t, venues=venues[:1], familiarity_mode=mode)
-            else:
-                query_a = query
-            mode_of[algo] = query_a.familiarity_mode.value
+            query, oracle = asked[venues_of[algo]]
+            mode_of[algo] = query.familiarity_mode.value
             stats = SearchStats()
-            solution = solve_with(algo, query_a, graph, data, config, stats, w, lam)
-            row = {
-                "seed": seed,
-                "algorithm": algo,
-                "prune": prune or "all",
-                "mode": mode_of[algo],
-                "n_members": n_members,
-                "n_venues": n_venues,
-                "p": p,
-                "k": k,
-                "t": f"{t:.9g}",
-                "total_distance": "" if solution is None else f"{solution.total_distance:.12g}",
-                "explored_states": stats.explored_states,
-                "elapsed_seconds": 0.0 if deterministic else f"{stats.elapsed_seconds:.6f}",
-            }
-            if check_oracle:
-                oracle_for_algo = oracle_res
-                if algo in SINGLE_VENUE_ONLY and len(venues) > 1:
-                    oracle_for_algo = brute_force(query_a, graph, data)
-                if solution is None and not oracle_for_algo.found:
-                    row["matches_oracle"] = True
-                    row["ratio_to_oracle"] = 1.0
-                elif solution is not None and oracle_for_algo.found:
-                    ratio = (
-                        solution.total_distance / oracle_for_algo.total_distance
-                        if oracle_for_algo.total_distance > 0
-                        else 1.0
-                    )
-                    row["matches_oracle"] = (
-                        abs(solution.total_distance - oracle_for_algo.total_distance) <= 1e-9
-                    )
-                    row["ratio_to_oracle"] = f"{ratio:.12g}"
-                    ratios[algo].append(ratio)
-                else:
-                    # Only the heuristic can miss an answer the oracle finds;
-                    # either way the row reports the mismatch.
-                    row["matches_oracle"] = False
-                    row["ratio_to_oracle"] = ""
-            rows.append(row)
-    if check_oracle:
-        for algo in algos:
-            if ratios[algo]:
-                rows.append(
-                    {
-                        "seed": "median",
-                        "algorithm": algo,
-                        "prune": prune or "all",
-                        "mode": mode_of[algo],
-                        "n_members": n_members,
-                        "n_venues": n_venues,
-                        "p": p,
-                        "k": k,
-                        "t": "",
-                        "total_distance": "",
-                        "explored_states": "",
-                        "elapsed_seconds": "",
-                        "matches_oracle": "",
-                        "ratio_to_oracle": f"{statistics.median(ratios[algo]):.12g}",
-                    }
-                )
+            if oracle is not None and SOLVERS[algo].solve is None:
+                solution = _oracle_solution(oracle, stats)  # the checked query's optimum
+            else:
+                solution = solve_with(algo, query, graph, data, config, stats, w, lam)
+            values: tuple = (
+                f"{t:.9g}",
+                "" if solution is None else f"{solution.total_distance:.12g}",
+                stats.explored_states,
+                0.0 if deterministic else f"{stats.elapsed_seconds:.6f}",
+            )
+            if check_oracle and solution is not None and oracle.found:
+                best = oracle.total_distance
+                ratio = solution.total_distance / best if best > 0 else 1.0
+                ratios[algo].append(ratio)
+                values += (abs(solution.total_distance - best) <= 1e-9, f"{ratio:.12g}")
+            elif check_oracle:
+                # Both found nothing, or one found an answer the other did
+                # not: only the heuristic can miss one, and the row says so.
+                values += (True, 1.0) if solution is None and not oracle.found else (False, "")
+            rows.append(row(seed, algo, *values))
+    for algo in algos:
+        if ratios[algo]:
+            median = f"{statistics.median(ratios[algo]):.12g}"
+            rows.append(row("median", algo, "", "", "", "", "", median))
     return rows
 
 
@@ -352,8 +335,7 @@ def write_csv(rows: List[dict], stream) -> None:
     fields = list(rows[0].keys())
     writer = csv.DictWriter(stream, fieldnames=fields, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer.writerows(rows)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--members", help="CSV of member id,x,y")
     parser.add_argument("--edges", help="CSV of undirected edges u,v")
     parser.add_argument("--venues", help="CSV of venue id,x,y")
-    parser.add_argument("--algo", choices=ALGORITHMS, default="mags-apdo")
+    parser.add_argument("--algo", choices=list(SOLVERS), default="mags-apdo")
     parser.add_argument("--p", type=int, help="group size")
     parser.add_argument("--k", type=int, help="stranger budget per attendee")
     parser.add_argument("--t", type=float, help="spatial radius")
@@ -401,9 +383,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.bench:
             algos = [a for a in args.algos.split(",") if a]
-            for algo in algos:
-                if algo not in ALGORITHMS:
+            if not algos:
+                parser.error(f"--algos {args.algos!r} names no algorithm")
+            for i, algo in enumerate(algos):
+                if algo not in SOLVERS:
                     parser.error(f"unknown algorithm {algo!r}")
+                if algo in algos[:i]:
+                    parser.error(f"--algos lists {algo!r} more than once")
             if args.p is None or args.k is None:
                 parser.error("--bench requires --p and --k")
             if args.seeds < 1 or args.gen_members < 1 or args.gen_venues < 1:

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from rallypoint import PruneConfig
+from rallypoint import PruneConfig, cli
 from rallypoint.cli import DatasetError, bench_rows, build_parser, load_dataset
 
 
@@ -415,3 +415,48 @@ def test_edge_list_warning_only_for_a_mixed_list(tmp_path, edges, warns):
         assert proc.stderr.count("\n") == 1
     else:
         assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("algos", [",", ""])
+def test_bench_algos_naming_no_algorithm_is_a_usage_error_exit_1(algos):
+    proc = run_cli(["--bench", "--algos", algos, "--p", "3", "--k", "1"])
+    assert proc.returncode == 1
+    assert "names no algorithm" in proc.stderr and proc.stdout == ""
+
+
+def test_bench_algos_repeated_name_is_a_usage_error_exit_1():
+    proc = run_cli(["--bench", "--algos", "ssgs,ssgs", "--check-oracle", "--p", "3", "--k", "1"])
+    assert proc.returncode == 1
+    assert "'ssgs' more than once" in proc.stderr and proc.stdout == ""
+
+
+def _oracle_calls(monkeypatch, algos, seeds, n_venues):
+    calls = []
+    real = cli.brute_force
+
+    def counting(query, graph, data):
+        calls.append(query.venues)
+        return real(query, graph, data)
+
+    monkeypatch.setattr(cli, "brute_force", counting)
+    rows = bench_rows(
+        algos=algos, seeds=seeds, n_members=10, n_venues=n_venues, p=3, k=1,
+        t_quantile=0.6, edge_prob=0.5, power_exponent=None, box=50.0,
+        prune=None, check_oracle=True, deterministic=True,
+    )
+    assert all(r["matches_oracle"] is True for r in rows if r["seed"] != "median")
+    return calls
+
+
+def test_bench_oracle_solves_each_distinct_query_once(monkeypatch):
+    # Per seed, ssgs and ssgmerge ask the first venue, mags-apdo all four.
+    calls = _oracle_calls(monkeypatch, ["ssgs", "ssgmerge", "mags-apdo"], seeds=5, n_venues=4)
+    assert len(calls) == 10
+    assert sorted(map(len, calls)) == [1] * 5 + [4] * 5
+
+
+@pytest.mark.parametrize("algos", [["ssgs", "ssgmerge", "ssp"], ["ssp", "oracle"]])
+def test_bench_one_venue_oracle_runs_once_per_seed(monkeypatch, algos):
+    # With one venue every algorithm asks the same query; the oracle's own
+    # rows reuse the checked optimum.
+    assert len(_oracle_calls(monkeypatch, algos, seeds=4, n_venues=1)) == 4
