@@ -8,12 +8,13 @@ benchmark's query streams, to check that a change leaves both untouched.
         --solvers srdo --against ../parent-checkout --time 5
 
 For each workload, seed and solver it prints one sha256 over the answers,
-``(group, venue, repr(total))`` per query, and one over the search counters
-(explored and generated states, and each prune rule's count). With
-``--against DIR`` it also runs the checkout at ``DIR`` on the same queries,
-lists each mismatch with the first queries that differ, and exits with 1
-when there is one. A counter mismatch also gives each side's explored and
-generated states, summed over the stream.
+``(group, venue, repr(total))`` per query, one over the search counters
+(explored and generated states, and each prune rule's count), and the
+explored and generated states summed over the stream. With ``--against
+DIR`` it also runs the checkout at ``DIR`` on the same queries, adds that
+checkout's sums to each line, lists each mismatch with the first queries
+that differ, and exits with 1 when there is one. A counter mismatch also
+gives each side's explored and generated states, summed over the stream.
 
 Everything runs in one process. The queries come from this checkout's
 ``bench/``, which the script reads and never writes to. Each checkout's
@@ -170,12 +171,19 @@ def digest(lines: List[str]) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def report(records: Records) -> List[str]:
-    return [
-        f"{name} seed={seed} {solver} queries={len(answers)} "
-        f"answers={digest(answers)} counters={digest(counters)}"
-        for (name, seed, solver), (answers, counters) in records.items()
-    ]
+def report(ours: Records, theirs: Optional[Records] = None) -> List[str]:
+    """One line per (workload, seed, solver) of this checkout: its digests
+    and its explored and generated states summed over the stream, then the
+    other checkout's sums, when it ran the same stream."""
+    lines = []
+    for key, (answers, counters) in ours.items():
+        line = "{} seed={} {} queries={} answers={} counters={} explored={} generated={}".format(
+            *key, len(answers), digest(answers), digest(counters), *summed_states(counters)
+        )
+        if theirs is not None and key in theirs:
+            line += " other explored={} generated={}".format(*summed_states(theirs[key][1]))
+        lines.append(line)
+    return lines
 
 
 def median_ratio(ours: List[float], theirs: List[float]) -> float:
@@ -248,7 +256,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     roots = [ROOT] if args.against is None else [ROOT, args.against.resolve()]
     streams = (args.workloads, args.seeds, args.solvers, max(args.time, 1))
     records, seconds = run_streams(run, load_packages(roots), *streams)
-    print("\n".join(report(records[0])))
+    print("\n".join(report(*records)))
     if args.against is None:
         return 0
     lines = mismatches(*records)

@@ -19,6 +19,7 @@ import csv
 import json
 import statistics
 import sys
+import time
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .generator import radius_for_quantile, random_instance
@@ -167,8 +168,20 @@ def _mode(name: Optional[str]) -> Optional[FamiliarityMode]:
     return FamiliarityMode(name)
 
 
-def _oracle_solution(result: OracleResult, stats: SearchStats) -> Optional[Solution]:
+def _timed_oracle(
+    query: Query, graph: SocialGraph, data: SpatialDataset
+) -> Tuple[OracleResult, float]:
+    """The oracle's result on ``query`` and the seconds it took."""
+    start = time.perf_counter()
+    result = brute_force(query, graph, data)
+    return result, time.perf_counter() - start
+
+
+def _oracle_solution(
+    result: OracleResult, seconds: float, stats: SearchStats
+) -> Optional[Solution]:
     stats.explored_states = result.enumerated
+    stats.elapsed_seconds = seconds
     if not result.found:
         return None
     return Solution(result.group, result.venue, result.total_distance, stats)
@@ -190,7 +203,7 @@ def solve_with(
         raise ValueError(f"unknown algorithm {algo!r}")
     solver = SOLVERS[algo]
     if solver.solve is None:
-        return _oracle_solution(brute_force(query, graph, data), stats)
+        return _oracle_solution(*_timed_oracle(query, graph, data), stats)
     budgets = {"w": w, "lam": lam}
     keywords = {
         key: budgets[key] if value is None else value for key, value in solver.keywords.items()
@@ -297,13 +310,15 @@ def bench_rows(
         asked: Dict[Tuple[str, ...], tuple] = {}
         for its_venues in sorted(set(venues_of.values()), key=len, reverse=True):
             query = Query(p=p, k=k, t=t, venues=its_venues, familiarity_mode=mode)
-            asked[its_venues] = query, brute_force(query, graph, data) if check_oracle else None
+            checked = _timed_oracle(query, graph, data) if check_oracle else (None, 0.0)
+            asked[its_venues] = (query, *checked)
         for algo in algos:
-            query, oracle = asked[venues_of[algo]]
+            query, oracle, oracle_seconds = asked[venues_of[algo]]
             mode_of[algo] = query.familiarity_mode.value
             stats = SearchStats()
             if oracle is not None and SOLVERS[algo].solve is None:
-                solution = _oracle_solution(oracle, stats)  # the checked query's optimum
+                # The checked query's optimum, and the time it took.
+                solution = _oracle_solution(oracle, oracle_seconds, stats)
             else:
                 solution = solve_with(algo, query, graph, data, config, stats, w, lam)
             values: tuple = (

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .model import MemberId, Query, SocialGraph, SpatialDataset, VenueId
+from .model import FamiliarityMode, MemberId, Query, SocialGraph, SpatialDataset, VenueId
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.\-]+$")
 
@@ -88,14 +88,32 @@ class IlpModel:
         return "\n".join(lines) + "\n"
 
 
+def _budget_rows(
+    name: str, query: Query, members: List[MemberId], mu: Dict[MemberId, str]
+) -> List[Constraint]:
+    """The stranger-budget rows over ``mu``, each member's strangers in the
+    group when it is selected: one aggregate row ``name``, their sum at most
+    ``k*p``, in average mode, and one row ``mu[u] <= k`` per member in
+    per-vertex mode."""
+    k = query.k
+    if query.familiarity_mode is FamiliarityMode.PER_VERTEX:
+        return [
+            Constraint(f"{name}_u{_token(u)}", ((mu[u], 1.0),), "<=", float(k)) for u in members
+        ]
+    return [Constraint(name, tuple((mu[u], 1.0) for u in members), "<=", float(k * query.p))]
+
+
 def export_mrgq_model(query: Query, graph: SocialGraph, data: SpatialDataset) -> IlpModel:
     """Model choosing both the group and the venue.
 
     Objective: minimize the summed selected-member distances, carried by the
-    per-member helper variables. The stranger budget is aggregated as a total
-    of ``k*p`` across the group, which matches average-mode feasibility.
+    per-member helper variables. Each ``mu`` variable is at least its
+    member's strangers in the group when selected. The stranger budget
+    follows the query's familiarity mode: a total of ``k*p`` across the group
+    (row ``D``) in average mode, and ``k`` per member (rows ``D_u*``) in
+    per-vertex mode.
     """
-    p, k, t = query.p, query.k, query.t
+    p, t = query.p, query.t
     members = list(graph.vertices)
     venues = query.venues
 
@@ -116,9 +134,7 @@ def export_mrgq_model(query: Query, graph: SocialGraph, data: SpatialDataset) ->
         coeffs.extend((phi[v], -1.0) for v in sorted(graph.neighbors(u)))
         coeffs.append((mu[u], -1.0))
         constraints.append(Constraint(f"C_u{_token(u)}", tuple(coeffs), "<=", 0.0))
-    constraints.append(
-        Constraint("D", tuple((mu[u], 1.0) for u in members), "<=", float(k * p))
-    )
+    constraints.extend(_budget_rows("D", query, members, mu))
     for u in members:
         for q in venues:
             d = data.member_venue_distance(u, q)
@@ -144,10 +160,12 @@ def export_mrgq_model(query: Query, graph: SocialGraph, data: SpatialDataset) ->
 
 
 def export_ssgq_model(query: Query, graph: SocialGraph, data: SpatialDataset) -> IlpModel:
-    """Single-venue model: the venue is fixed, so distances live in the objective."""
+    """Single-venue model: the venue is fixed, so distances live in the
+    objective. The stranger budget follows the query's familiarity mode, as
+    in ``export_mrgq_model``: row ``J``, or rows ``J_u*``."""
     if not query.is_single_venue:
         raise ValueError("single-venue model requires exactly one venue")
-    p, k, t = query.p, query.k, query.t
+    p, t = query.p, query.t
     venue = query.venues[0]
     members = list(graph.vertices)
 
@@ -166,9 +184,7 @@ def export_ssgq_model(query: Query, graph: SocialGraph, data: SpatialDataset) ->
         coeffs.extend((phi[v], -1.0) for v in sorted(graph.neighbors(u)))
         coeffs.append((mu[u], -1.0))
         constraints.append(Constraint(f"I_u{_token(u)}", tuple(coeffs), "<=", 0.0))
-    constraints.append(
-        Constraint("J", tuple((mu[u], 1.0) for u in members), "<=", float(k * p))
-    )
+    constraints.extend(_budget_rows("J", query, members, mu))
 
     return IlpModel(
         objective={phi[u]: dist[u] for u in members},

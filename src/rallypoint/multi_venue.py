@@ -39,52 +39,65 @@ head before selecting sorts nothing. The ball-distance bound
 runs as one top-down pass over the venue ball tree, over the balls holding a
 venue of ``sums`` (the ball's live venues). Each prefix member costs at least
 its ``mindist`` to the ball, and each open slot at least the smallest first
-distance of ``nearest`` (below) over the ball's live venues, so the pass
-reads no pool member's location. A ball whose bound reaches the incumbent
-takes its live venues out of ``sums`` and is not descended. The pass runs at
-a frame's loop head after the incumbent improves, never on entry, so no ball
-bound is checked against an infinite incumbent. The outer- and
-inner-triangle ball bounds of ``pruning`` are not checked: by the triangle
-inequality neither is above the ball-distance bound of the same ball.
+distance of the frame's lists (below) over the ball's live venues, so the
+pass reads no pool member's location. A ball whose bound reaches the
+incumbent takes its live venues out of ``sums`` and is not descended. The
+pass runs in a frame's re-bound (below), after the incumbent improves, never
+on entry, so no ball bound is checked against an infinite incumbent. The
+outer- and inner-triangle ball bounds of ``pruning`` are not checked: by the
+triangle inequality neither is above the ball-distance bound of the same
+ball.
 
 A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count and, as the single-venue loop
 does for its one venue, its lists: for each venue of ``sums``, the venue's
 candidates in the frame's pool, in (distance, id) order. The root's lists are
 the candidate orders themselves, since its pool is their union; every other
-frame cuts its caller's lists down to its own pool on entry. The frame's
-completion table, ``nearest``, gives each venue's first ``p - size`` pairs in
-the pool. A completion at a venue takes only its in-range candidates, so the
-open slots cost at least the sum of as many first distances: the
-sorted-access bound of Fagin, Lotem and Naor's threshold algorithm, never
-below the number of open slots times the first distance.
-The venue-distance rule reads it at the loop head and on each child. On
-entry the table is the lists themselves, over the entry pool; it is re-read
-over the remaining candidates at each loop head after the incumbent
-improves. The pool only shrinks, so a re-read can only tighten it. A venue
-left with no candidate then leaves ``sums`` (a radius prune), so every ball
-bound the pass computes is finite.
+frame cuts its caller's lists down to its own pool on entry. The lists are
+the frame's completion table. A completion at a venue takes only its
+in-range candidates, so the open slots cost at least the sum of the first
+``p - size`` distances of the venue's list: the sorted-access bound of
+Fagin, Lotem and Naor's threshold algorithm, never below the number of open
+slots times the first distance. The pool only shrinks within a frame, so
+the table stays a valid lower bound while the frame generates children.
 
-A frame's venues only shrink below it and its incumbent only falls, so in
-both orderings a frame drops, on entry, every candidate with none of them in
-its radius and, while the venue-distance rule is on, every candidate whose
-child bound reaches the incumbent at all of them. The bound grows with the
-candidate's distance, so each venue's list is read only up to the first
-candidate that fails it: the threshold algorithm's sorted-access stop rule.
-The same monotony lets the rule accept a whole list at once: a
-venue whose farthest candidate passes the bound keeps all of its candidates
-without reading them one by one. The root frame skips the filter: its pool
-is the alive venues' candidates and its incumbent is infinite, so no
-candidate can drop there. The survivors keep their pool order, and apdo
-sorts them at its first selection. A frame expands its candidates one by
-one off the front of that list, srdo in pool order and apdo in its sorted
-order, and each child completes only from the candidates the frame has not
-yet generated, so each candidate set is generated once. The frame keeps
-those candidates as a set too, taking out each one it generates, and hands
-the set to each child with its pool and its lists: the child only reads
-them, so a leaf frame builds no set and no lists at all. The paper's
-admission test (``sso_admits``) would only reorder this walk; no search
-applies it.
+A frame's venues only shrink below it and its incumbent only falls. So on
+entry a frame first drops, while the venue-distance rule is on, every venue
+whose own bound (the prefix's total plus the first ``p - size`` distances
+of its list) reaches the incumbent, one venue-distance prune each. It then
+drops every candidate with none of the venues left in its radius and, while
+the rule is on, every candidate whose child bound reaches the incumbent at
+all of them (the entry filter). The bound grows with the candidate's
+distance, so each venue's list is read only up to the first candidate that
+fails it: the threshold algorithm's sorted-access stop rule. The same
+monotony lets the filter accept a whole list at once: a venue whose
+farthest candidate passes the bound keeps all of its candidates without
+reading them one by one. The root frame skips both steps: its pool is the
+alive venues' candidates and its incumbent is infinite, so nothing can drop
+there.
+
+Each time the incumbent improves, the frame re-bounds at its loop head,
+before its next child (``_rebound``). It cuts its lists down to the
+candidates it has not yet generated, which makes them its completion table,
+and drops the venues left with no candidate (a radius prune each), so every
+ball bound is finite. apdo then runs its ball pass. Last, the frame runs
+both entry steps again, over the candidates it has not yet generated, and
+cuts its pool counts down to the survivors. This is Lawler and Wood's
+best-first cut inside a frame: by the entry filter's argument, a dropped
+venue or candidate can join no improving group anywhere below the frame,
+so the answer never changes. Between re-bounds neither the venues nor the
+incumbent change, so every generated child has a venue that takes it, and
+in per-vertex mode every generated child is explored.
+
+The survivors keep their pool order, and apdo sorts them at its first
+selection. A frame expands its candidates one by one off the front of that
+list, srdo in pool order and apdo in its sorted order, and each child
+completes only from the candidates the frame has not yet generated, so each
+candidate set is generated once. The frame keeps those candidates as a set
+too, taking out each one it generates, and hands the set to each child with
+its pool and its lists: the child only reads them, so a leaf frame builds no
+set and no lists at all. The paper's admission test (``sso_admits``) would
+only reorder this walk; no search applies it.
 Solution venues are visited in the query's venue order, never in set
 order, so the work done does not depend on the string hash seed.
 
@@ -108,7 +121,8 @@ change.
 In average mode a frame may also carry its pool's acquaintance counts. Both
 loops keep them with the same steps of ``_GroupSearch``: the root counts its
 pool, and a frame that drops candidates on entry, like an srdo hand-off,
-cuts its caller's counts down to its own pool (``_pool_counts``); each
+cuts its caller's counts down to its own pool, and a re-bound cuts the
+frame's own (``_pool_counts``); each
 generated candidate leaves the pool (``_grow``), the average rule checks
 each child (``_avg_pruned``), and each child frame gets copies. Per-vertex
 frames carry none: they run the single-venue loop's entry test
@@ -116,7 +130,7 @@ frames carry none: they run the single-venue loop's entry test
 venue-distance filter.
 
 The two loops stay apart. The joint loop's entry filter reads venues and
-their bounds, its loop-head check runs only after an improvement, it
+their bounds, its re-bound runs only after an improvement, it
 selects from a fixed or an adaptive order, and each child carries a venue
 table; the single-venue loop has none of these. One loop for both would
 branch on its caller at each of those points.
@@ -357,7 +371,7 @@ class _MultiVenueSearch(_GroupSearch):
         prefix: List[MemberId],
         remaining: List[MemberId],
         sums: Dict[VenueId, float],
-        nearest: VenueLists,
+        lists: VenueLists,
     ) -> None:
         """Check the ball-distance bound against the incumbent, top down over
         the balls that hold a venue of ``sums`` (the ball's live venues). A
@@ -365,8 +379,8 @@ class _MultiVenueSearch(_GroupSearch):
         ``sums`` and is not descended. Each prefix member is at least its
         ``mindist`` from every venue of the ball. A completion at a venue
         draws only on its in-range candidates in ``remaining``, so each open
-        slot costs at least the smallest first distance of ``nearest`` over
-        the ball's live venues; the caller has re-read ``nearest`` over
+        slot costs at least the smallest first distance of ``lists`` over
+        the ball's live venues; the caller has cut ``lists`` down to
         ``remaining`` and dropped every venue it left empty."""
         p = self.query.p
         loc = self.member_loc
@@ -378,7 +392,7 @@ class _MultiVenueSearch(_GroupSearch):
             for q in node.venue_ids:
                 if q in sums:
                     live.append(q)
-                    d = nearest[q][0][0]
+                    d = lists[q][0][0]
                     if d < frontier:
                         frontier = d
             if not live:
@@ -419,7 +433,6 @@ class _MultiVenueSearch(_GroupSearch):
         ``set(pool)`` and ``lists`` the caller's candidate lists, both the
         caller's own: the frame only reads them."""
         p = self.query.p
-        cfg = self.config
         stats = self.stats
         static = self.static
         size = len(prefix)
@@ -447,15 +460,12 @@ class _MultiVenueSearch(_GroupSearch):
             self._venue_frame(prefix, prefix_set, prefix_edges, base, candidates, counts, q)
             return
 
-        # The completion bounds' table: a completion at q takes only
-        # candidates of q, so the first ``p - size`` of its list bound the
-        # cost of the open slots. On entry it is the lists themselves, as
-        # ``distance_prune`` reads no further; the pool only shrinks
-        # afterwards, so they stay valid lower bounds until the loop head
-        # re-reads them.
-        nearest = lists
+        # The lists are the frame's completion table: a completion at q takes
+        # only candidates of q, so the first ``p - size`` of its list bound
+        # the cost of the open slots. The pool only shrinks afterwards, so
+        # they stay valid lower bounds until a re-bound cuts them.
         if size:
-            entered = self._entry_candidates(pool, size, sums, lists)
+            entered = self._cut_to_incumbent(pool, size, sums, lists)
             admits = self._entry_test(prefix, prefix_set)
             remaining = entered if admits is None else [v for v in entered if admits(v)]
             stats.bump(PRUNE_MEMBER_FAMILIARITY, len(entered) - len(remaining))
@@ -474,28 +484,17 @@ class _MultiVenueSearch(_GroupSearch):
             # The frame's selection order, sorted at its first selection.
             order: Optional[Dict[MemberId, tuple]] = None
 
-        # The incumbent the venue checks last ran against. Within a frame
-        # venues leave ``sums`` only here, so the checks can turn false only
-        # after the incumbent improves. After an improvement (never on
-        # entry) the frame re-reads ``nearest`` over ``remaining``, drops
-        # the venues left with no candidate and runs the ball pass, so no
-        # ball bound is infinite or checked against an infinite incumbent.
-        checked_at = None
+        # The incumbent the frame last bounded its venues and candidates
+        # against. Within a frame they change only on entry and at a
+        # re-bound, so the frame re-bounds once after each improvement.
+        checked_at = self.best_total
         while size + len(remaining) >= p:
             if checked_at != self.best_total:
-                if checked_at is not None:
-                    nearest = self._nearest(lists, remaining_set, size, sums)
-                    dead = [q for q, row in nearest.items() if not row]
-                    if dead:
-                        self._kill_venues(dead, sums, PRUNE_VENUE_RADIUS)
-                    if self.ball_rules and sums:
-                        self._ball_pass(prefix, remaining, sums, nearest)
-                    if not sums:
-                        break
                 checked_at = self.best_total
-                if cfg.venue_distance and not self._any_venue_viable(size, sums, nearest):
-                    stats.bump(PRUNE_VENUE_DISTANCE)
-                    break
+                remaining, lists = self._rebound(prefix, remaining, sums, lists)
+                remaining_set = set(remaining)
+                counts = self._pool_counts(size, remaining, counts)
+                continue
 
             # Each child completes only from the candidates not yet generated
             # here, so each candidate set is generated once.
@@ -510,7 +509,7 @@ class _MultiVenueSearch(_GroupSearch):
             stats.generated_states += 1
             child_edges, child_pe = self._grow(prefix_set, prefix_edges, u, counts)
 
-            child_sums = self._child_sums(u, size + 1, sums, nearest)
+            child_sums = self._child_sums(u, size + 1, sums, lists)
             if not child_sums:
                 continue
             child = prefix + [u]
@@ -530,34 +529,54 @@ class _MultiVenueSearch(_GroupSearch):
                 lists,
             )
 
-    def _nearest(
-        self, lists: VenueLists, members: Set[MemberId], size: int, sums: Dict[VenueId, float]
-    ) -> VenueLists:
-        """For each venue of ``sums``, the first ``p - size`` pairs of its
-        list in ``lists`` that lie in ``members``: what a frame whose prefix
-        has ``size`` members passes ``distance_prune``."""
-        slots = self.query.p - size
-        nearest = {}
-        for q in sums:
-            row = nearest[q] = []
-            for pair in lists[q]:
-                if pair[1] in members:
-                    row.append(pair)
-                    if len(row) == slots:
-                        break
-        return nearest
+    def _rebound(
+        self,
+        prefix: List[MemberId],
+        remaining: List[MemberId],
+        sums: Dict[VenueId, float],
+        lists: VenueLists,
+    ) -> Tuple[List[MemberId], VenueLists]:
+        """Bound a frame's venues and candidates again after the incumbent
+        improved. Returns the candidates of ``remaining`` left, in order, and
+        the lists cut down to ``remaining``: the frame's new completion
+        table. A venue left with no candidate leaves ``sums`` (a radius
+        prune), so every ball bound apdo's ball pass then computes is
+        finite; ``_cut_to_incumbent`` does the rest."""
+        members = set(remaining)
+        lists = {q: [pair for pair in lists[q] if pair[1] in members] for q in sums}
+        dead = [q for q, row in lists.items() if not row]
+        if dead:
+            self._kill_venues(dead, sums, PRUNE_VENUE_RADIUS)
+        if self.ball_rules and sums:
+            self._ball_pass(prefix, remaining, sums, lists)
+        return self._cut_to_incumbent(remaining, len(prefix), sums, lists), lists
+
+    def _cut_to_incumbent(
+        self, pool: List[MemberId], size: int, sums: Dict[VenueId, float], lists: VenueLists
+    ) -> List[MemberId]:
+        """With the venue-distance rule on, take out of ``sums`` every venue
+        whose own completion bound reaches the incumbent (a venue-distance
+        prune each); then the members of ``pool`` the venues left can still
+        take (``_entry_candidates``)."""
+        if self.config.venue_distance:
+            p = self.query.p
+            best = self.best_total
+            dead = [q for q, base in sums.items() if distance_prune(base, size, p, lists[q], best)]
+            if dead:
+                self._kill_venues(dead, sums, PRUNE_VENUE_DISTANCE)
+        return self._entry_candidates(pool, size, sums, lists)
 
     def _entry_candidates(
         self, pool: List[MemberId], size: int, sums: Dict[VenueId, float], lists: VenueLists
     ) -> List[MemberId]:
         """A frame's candidates: the members of ``pool``, in pool order,
         that some venue of ``sums`` can still take. ``lists`` holds each
-        venue's candidates in the pool and is the frame's entry ``nearest``.
+        venue's candidates in the pool and is the frame's completion table.
         A frame's venues only shrink below it and its incumbent only falls,
         so a candidate out of the radius of every venue, or, with the
         venue-distance rule on, one whose child bound reaches the incumbent
         at every venue (the test ``_child_sums`` applies), can join no
-        improving group here. It leaves the pool on entry, never generated.
+        improving group here. It leaves the pool, never generated.
 
         The bound grows with the distance (float addition rounds
         monotonically), so each venue's farthest candidate is tested first:
@@ -580,17 +599,8 @@ class _MultiVenueSearch(_GroupSearch):
                 keep.update(v for _, v in row)
         return [v for v in pool if v in keep]
 
-    def _any_venue_viable(
-        self, size: int, sums: Dict[VenueId, float], nearest: VenueLists
-    ) -> bool:
-        p = self.query.p
-        for q, total in sums.items():
-            if not distance_prune(total, size, p, nearest[q], self.best_total):
-                return True
-        return False
-
     def _child_sums(
-        self, u: MemberId, child_size: int, sums: Dict[VenueId, float], nearest: VenueLists
+        self, u: MemberId, child_size: int, sums: Dict[VenueId, float], lists: VenueLists
     ) -> Dict[VenueId, float]:
         """The child's venue table: the venues of ``sums`` within the radius
         of ``u`` that survive the venue-distance check, with ``u``'s distance
@@ -605,7 +615,7 @@ class _MultiVenueSearch(_GroupSearch):
             if q in sums:
                 hits += 1
                 total = sums[q] + d
-                if bound and distance_prune(total, child_size, p, nearest[q], best):
+                if bound and distance_prune(total, child_size, p, lists[q], best):
                     pruned += 1
                 else:
                     child_sums[q] = total

@@ -230,6 +230,48 @@ def test_oracle_matches_solver_via_cli(tiny_dataset):
     assert oracle["solution"]["total_distance"] == solver["solution"]["total_distance"]
 
 
+def test_oracle_reports_its_elapsed_time(tiny_dataset):
+    # Without --deterministic the oracle is timed like every solver: in the
+    # query report and in each oracle row of a bench, checked or not.
+    members, edges, venues = tiny_dataset
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues,
+            "--algo", "oracle", "--p", "3", "--k", "0", "--t", "100",
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["elapsed_seconds"] > 0
+    for extra in ([], ["--check-oracle"]):
+        proc = run_cli(
+            ["--bench", "--algos", "oracle,ssp", "--seeds", "2", "--p", "3", "--k", "1", *extra]
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = list(csv.DictReader(proc.stdout.splitlines()))
+        oracle = [r for r in rows if r["algorithm"] == "oracle" and r["seed"] != "median"]
+        assert len(oracle) == 2, rows
+        assert all(float(r["elapsed_seconds"]) > 0 for r in oracle), oracle
+
+
+@pytest.mark.parametrize("mode, budget_rows", [("average", ["D"]), ("per-vertex", ["D_ua", "D_ub"])])
+def test_export_lp_writes_the_model_of_the_query_mode(tmp_path, mode, budget_rows):
+    # A per-vertex query's model caps each member's strangers; an average
+    # one caps their total.
+    members = write(tmp_path / "m.csv", "a,1,0\nb,2,0\n")
+    edges = write(tmp_path / "e.csv", "a,b\n")
+    venues = write(tmp_path / "v.csv", "q1,0,0\nq2,9,9\n")
+    out = tmp_path / "model.lp"
+    proc = run_cli(
+        [
+            "--members", members, "--edges", edges, "--venues", venues, "--mode", mode,
+            "--p", "2", "--k", "1", "--t", "50", "--export-lp", str(out),
+        ]
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = [line.split(":")[0].strip() for line in out.read_text().splitlines()]
+    assert [row for row in rows if row.split("_")[0] == "D"] == budget_rows
+
+
 def test_export_lp_writes_file_without_solving(tiny_dataset, tmp_path):
     members, edges, venues = tiny_dataset
     out = tmp_path / "model.lp"

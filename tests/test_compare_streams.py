@@ -1,6 +1,7 @@
 """Tests of ``scripts/compare_streams.py``: one benchmark stream, compared
-with the checkout it runs in, matches itself; mismatches name their
-queries; timed rounds alternate the sides and report both import orders."""
+with the checkout it runs in, matches itself; digest lines give each side's
+summed states; mismatches name their queries; timed rounds alternate the
+sides and report both import orders."""
 
 import importlib.util
 import re
@@ -31,6 +32,11 @@ def test_one_stream_matches_its_own_checkout():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert lines[0].startswith("mv-static seed=1 srdo queries=320 answers=")
+    # Both sides ran the same code, so they read the same sums.
+    sums = re.search(
+        r" explored=(\d+) generated=(\d+) other explored=(\d+) generated=(\d+)$", lines[0]
+    )
+    assert sums and sums.group(1, 2) == sums.group(3, 4), lines[0]
     assert lines[-1] == f"no mismatch against {ROOT}"
 
 
@@ -42,6 +48,24 @@ def test_hard_stream_holds_two_queries_per_seed():
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 1 and lines[0].startswith("hard seed=1 ssp queries=2 answers="), lines
+    # With no other checkout, only this one's sums.
+    assert re.search(r" counters=\w+ explored=\d+ generated=\d+$", lines[0]), lines
+
+
+def test_digest_lines_sum_each_sides_states():
+    compare = _module()
+    key = ("w", 1, "srdo")
+    ours = {key: (["a", "b"], [repr((2, 3, [])), repr((4, 6, [("distance", 1)]))])}
+    theirs = {key: (["a", "b"], [repr((5, 9, [])), repr((1, 1, []))])}
+    digests = "queries=2 answers={} counters={}".format(
+        compare.digest(ours[key][0]), compare.digest(ours[key][1])
+    )
+    assert compare.report(ours) == [f"w seed=1 srdo {digests} explored=6 generated=9"]
+    assert compare.report(ours, theirs) == [
+        f"w seed=1 srdo {digests} explored=6 generated=9 other explored=6 generated=10"
+    ]
+    # A stream the other side did not run gets this side's sums only.
+    assert compare.report(ours, {}) == compare.report(ours)
 
 
 def test_mismatches_name_the_stream_and_the_first_queries():

@@ -27,7 +27,9 @@ def small_instance():
 
 def test_mrgq_model_shape():
     graph, data = small_instance()
-    query = Query(p=2, k=1, t=20.0, venues=("q1", "q2"))
+    query = Query(
+        p=2, k=1, t=20.0, venues=("q1", "q2"), familiarity_mode=FamiliarityMode.AVERAGE
+    )
     model = export_mrgq_model(query, graph, data)
     v, q = 3, 2
     assert len(model.constraints) == 1 + 1 + v + 1 + v * q + v
@@ -65,7 +67,9 @@ def test_lp_text_sections():
 
 def test_relaxed_budget_admits_any_radius_group():
     graph, data = small_instance()
-    query = Query(p=2, k=1, t=20.0, venues=("q1", "q2"))
+    query = Query(
+        p=2, k=1, t=20.0, venues=("q1", "q2"), familiarity_mode=FamiliarityMode.AVERAGE
+    )
     model = export_mrgq_model(query, graph, data)
     d_con = next(c for c in model.constraints if c.name == "D")
     assert d_con.rhs == query.k * query.p
@@ -165,3 +169,47 @@ def test_enumeration_matches_solvers_random():
             assert sol1 is None
         else:
             assert best1[0] == pytest.approx(sol1.total_distance, abs=1e-6)
+
+
+def test_per_vertex_models_cap_each_members_strangers():
+    # In per-vertex mode each model replaces its aggregate budget row with
+    # one row ``mu_u <= k`` per member.
+    graph, data = small_instance()
+    mode = FamiliarityMode.PER_VERTEX
+    multi = Query(p=2, k=1, t=20.0, venues=("q1", "q2"), familiarity_mode=mode)
+    single = Query(p=2, k=1, t=20.0, venues=("q1",), familiarity_mode=mode)
+    for model, row in (
+        (export_mrgq_model(multi, graph, data), "D"),
+        (export_ssgq_model(single, graph, data), "J"),
+    ):
+        rows = {c.name: c for c in model.constraints if c.name.split("_")[0] == row}
+        assert sorted(rows) == [f"{row}_ux", f"{row}_uy", f"{row}_uz"]
+        for u in "xyz":
+            con = rows[f"{row}_u{u}"]
+            assert (con.coeffs, con.sense, con.rhs) == (((f"mu_u{u}", 1.0),), "<=", 1.0)
+
+
+def test_per_vertex_enumeration_matches_the_oracle():
+    # On instances the size of the average-mode check above, with one venue
+    # and with several, the per-vertex model's optimum is the per-vertex
+    # oracle's. Some of these queries have another optimum, or none, in
+    # average mode, where an aggregate budget row would lead.
+    differs = 0
+    for seed in range(10):
+        graph, data = random_instance(seed, 7, 3, edge_prob=0.4)
+        t = radius_for_quantile(graph, data, 0.7)
+        venues = tuple(sorted(data.venue_locations))
+        for p, k in ((3, 1), (4, 1), (4, 2)):
+            for its_venues in (venues, venues[:1]):
+                query = Query(p, k, t, its_venues, FamiliarityMode.PER_VERTEX)
+                export = export_ssgq_model if query.is_single_venue else export_mrgq_model
+                best = enumerate_binary_optimum(export(query, graph, data))
+                oracle = brute_force(query, graph, data)
+                assert (best is not None) == oracle.found, (seed, query)
+                if best is not None:
+                    assert best[0] == pytest.approx(oracle.total_distance, abs=1e-6)
+                average = brute_force(
+                    Query(p, k, t, its_venues, FamiliarityMode.AVERAGE), graph, data
+                )
+                differs += average.total_distance != oracle.total_distance
+    assert differs > 0

@@ -6,7 +6,6 @@ import os
 import random
 import subprocess
 import sys
-from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -725,66 +724,6 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
     assert min(seen.values()) > 50, seen
 
 
-def _sorted_access_instances(seed):
-    """Searches of both orderings over small G(n,p), power-law and
-    tie-heavy grid instances, with ``p`` up to 6 and radii up to every
-    member."""
-    rng = random.Random(seed)
-    makers = [
-        frame_counts._gnp_instance,
-        frame_counts._power_law_instance,
-        frame_counts._grid_instance,
-    ]
-    for trial in range(120):
-        graph, data = makers[trial % 3](rng, seed + trial)
-        t = radius_for_quantile(graph, data, rng.choice([0.3, 0.6, 1.0]))
-        query = Query(rng.randint(2, 6), 0, t, tuple(sorted(data.venue_locations)))
-        search = multi_venue._MultiVenueSearch(
-            query,
-            graph,
-            data,
-            build_indexes(data),
-            PruneConfig(),
-            SearchStats(),
-            ordering=rng.choice(["srdo", "apdo"]),
-        )
-        yield rng, search
-
-
-def test_nearest_is_the_sorted_access_prefix():
-    # On random member subsets (empty ones too), venue tables and every
-    # prefix size a frame can have, each venue's list is the first
-    # ``p - size`` pairs of its candidate order that lie in the subset, tuple
-    # for tuple, in the table's venue order. It is read off the candidate
-    # orders themselves, as the root frame reads it, and off those orders
-    # cut down to a random pool holding the subset, as a deeper frame does.
-    seen = {"empty": 0, "short": 0, "full": 0, "one_slot": 0}
-    for rng, search in _sorted_access_instances(6700):
-        p = search.query.p
-        alive = search.alive_venues
-        order = search.by_distance
-        for _ in range(6):
-            members = set(rng.sample(search.pool, rng.randint(0, len(search.pool))))
-            pool = members | {v for v in search.pool if rng.random() < 0.5}
-            cut = {q: [(d, v) for d, v in order[q] if v in pool] for q in alive}
-            sums = {q: 0.0 for q in alive if rng.random() < 0.7}
-            for size in range(p):
-                expected = {
-                    q: list(islice(((d, v) for d, v in order[q] if v in members), p - size))
-                    for q in sums
-                }
-                for lists in (order, cut):
-                    got = search._nearest(lists, members, size, sums)
-                    assert list(got) == list(sums)
-                    assert got == expected, (members, size)
-                for q, row in got.items():
-                    seen["empty"] += not members
-                    seen["one_slot"] += size == p - 1
-                    seen["short"] += 0 < len(row) < p - size
-                    seen["full"] += len(row) == p - size
-    assert min(seen.values()) > 50, seen
-
-
 def _mags_matches_oracle(label, make_instance, mode, first_seed, ordering, count=40):
     """``mags_solve`` with ``ordering`` equals brute force on ``count``
     instances of ``make_instance``, with ``frame_counts``' queries in
@@ -853,12 +792,15 @@ def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
 def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, ordering):
     # Each frame receives its caller's lists as its last argument: at the
     # root, the candidate orders themselves; below it, the calling frame's
-    # lists, which must hold, for each venue the caller entered with, that
-    # venue's candidate order filtered to the caller's pool, in order. Every
+    # lists, which a re-bound may have cut below the caller's pool. For
+    # each venue the frame enters with, the list must then hold pairs of
+    # that venue's candidate order in the caller's pool, in order, and
+    # every such pair whose member is in the frame's own pool. Every
     # non-leaf frame below the root shows its own lists too: an srdo
-    # hand-off must receive exactly its frame's list, and every other frame
-    # passes its lists to the entry filter with its pool and venues. No
-    # frame may change the candidate orders.
+    # hand-off must receive exactly its frame's list, and the entry filter
+    # must receive, for each venue left, that venue's candidate order cut
+    # to the pool it filters, on entry and at each re-bound. No frame may
+    # change the candidate orders.
     cls = multi_venue._MultiVenueSearch
     original_frame = cls._frame
     original_venue_frame = cls._venue_frame
@@ -881,7 +823,13 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
             copies = {q: list(order) for q, order in lists.items()}
             seen["root"] += 1
         else:
-            assert lists == expected_lists(self, *open_frames[-1]), prefix
+            caller_pool = open_frames[-1][0]
+            full = expected_lists(self, caller_pool, sums)
+            own = expected_lists(self, set(pool), sums)
+            for q in sums:
+                rest_of_full = iter(full[q])
+                assert all(pair in rest_of_full for pair in lists[q]), (prefix, q)
+                assert [pair for pair in lists[q] if pair[1] in set(pool)] == own[q], (prefix, q)
             seen["child"] += 1
         open_frames.append((set(pool), list(sums)))
         try:
@@ -902,7 +850,7 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
         return original_venue_frame(self, prefix, prefix_set, prefix_edges, base, pool, *rest)
 
     def entering(self, pool, size, sums, lists):
-        assert lists == expected_lists(self, set(pool), sums), size
+        assert {q: lists[q] for q in sums} == expected_lists(self, set(pool), sums), size
         seen["entry"] += 1
         return original_entry(self, pool, size, sums, lists)
 
@@ -995,14 +943,19 @@ def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
             def dist(m, q):
                 return distance(self.member_loc[m], self.venue_loc[q])
 
+            # Each open slot at the entry pool's smallest in-range distance,
+            # added one slot at a time as the engine adds its list's
+            # distances: ``slots * d`` can round one unit above that sum, and
+            # on an exact tie reach the incumbent where the sum stays below.
             d_min = {
                 q: min((dist(m, q) for m in frame["pool"] if dist(m, q) <= t), default=math.inf)
                 for q in sums
             }
+            floor = {q: [(d, None)] * (p - size - 1) for q, d in d_min.items()}
             for m in [u, *frame["remaining"]]:
                 assert any(
                     dist(m, q) <= t
-                    and not distance_prune(sums[q] + dist(m, q), size + 1, p, d_min[q], best)
+                    and not distance_prune(sums[q] + dist(m, q), size + 1, p, floor[q], best)
                     for q in sums
                 ), (m, best, sums)
             checked.append(1 + len(frame["remaining"]))
@@ -1012,7 +965,7 @@ def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
     label = f"static-bound-{make_instance.__name__}-{mode.value}"
     # Tight bounds leave few candidates in a frame, so this test draws more
     # instances than the others to keep its floor.
-    _mags_matches_oracle(label, make_instance, mode, 5500, ordering, count=120)
+    _mags_matches_oracle(label, make_instance, mode, 5500, ordering, count=200)
     assert sum(checked) > 100, sum(checked)
 
 
@@ -1038,46 +991,81 @@ def _first_in_range(search, members, q, count):
     return [(d, m) for d, m in pairs if d <= search.query.t][:count]
 
 
+def _rebound_instances(mode):
+    """Small random and tie-heavy grid instances with queries in ``mode``:
+    the first with venues that reach only some members, the second with
+    distances that tie."""
+    for seed in range(150):
+        graph, data, query = make_query_instance(
+            9900 + seed, n_range=(6, 14), p_range=(2, 5), q_range=(2, 6)
+        )
+        yield graph, data, Query(query.p, query.k, query.t, query.venues, mode)
+    rng = random.Random(f"rebound-grid-{mode.value}")
+    for seed in range(150):
+        graph, data = frame_counts._grid_instance(rng, 9700 + seed)
+        for query in frame_counts._queries(rng, graph, data, mode):
+            yield graph, data, query
+
+
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 @pytest.mark.parametrize("ordering", ["srdo", "apdo"])
 def test_venue_completion_terms_are_sound_exact_after_a_refresh_and_never_looser(
     monkeypatch, ordering, mode
 ):
-    # A frame's ``nearest`` lists bound each venue's open slots. Checked
-    # against enumeration over the calling frame's ``remaining``, read off
-    # the frame at each call:
+    # A frame's lists bound each venue's open slots. Checked against
+    # enumeration over the calling frame's ``remaining``, read off the frame
+    # at each call:
     # - every venue bound ``_child_sums`` applies, and every ball bound of
     #   the ball pass, is at most the cheapest in-range completion, and a
     #   venue the check drops cannot beat the incumbent;
-    # - right after a refresh each list holds the first ``p - size``
-    #   in-range members of ``remaining``, and none is empty;
+    # - a re-bound cuts the lists to exactly the in-range members of
+    #   ``remaining``, leaves no venue empty for the ball pass, keeps its
+    #   candidates' order, and drops only venues and candidates with no
+    #   completion below the incumbent: for a dropped candidate, none at
+    #   any venue the frame held;
     # - each term is at least the former one: ``r`` times the entry pool's
     #   smallest in-range distance, or the smallest member-to-ball bound
     #   over ``remaining``.
     checked = {"venue": 0, "refresh": 0, "ball": 0}
+    # Venues dropped, those of them left empty (radius prunes), candidates.
+    dropped = {"venue": 0, "radius": 0, "candidate": 0}
     cls = multi_venue._MultiVenueSearch
-    original_nearest = cls._nearest
+    original_rebound = cls._rebound
     original_child_sums = cls._child_sums
     original_ball_pass = cls._ball_pass
 
-    def nearest_checking(self, lists, members, size, sums):
-        nearest = original_nearest(self, lists, members, size, sums)
+    def rebound_checking(self, prefix, remaining, sums, lists):
         frame = sys._getframe(1).f_locals
-        # ``_nearest`` runs only at a refresh.
-        assert frame["checked_at"] is not None
-        assert members == set(frame["remaining"])
-        for q in sums:
-            assert nearest[q] == _first_in_range(self, members, q, self.query.p - size), q
+        assert remaining == frame["remaining"] and set(remaining) == frame["remaining_set"]
+        best, held, members = self.best_total, dict(sums), list(remaining)
+        kept, cut = original_rebound(self, prefix, remaining, sums, lists)
+        kept_set = set(kept)
+        assert kept == [v for v in members if v in kept_set]
+        for q in held:
+            assert cut[q] == _first_in_range(self, members, q, len(members)), q
             checked["refresh"] += 1
-        return nearest
+        for q in held.keys() - sums.keys():
+            assert _in_range_completion(self, prefix, members, q) >= best - 1e-9, q
+            dropped["venue"] += 1
+            dropped["radius"] += not cut[q]
+        for q in sums:
+            assert cut[q], q
+        for v in set(members) - kept_set:
+            others = [m for m in members if m != v]
+            for q in held:
+                if q in self.near[v]:
+                    exact = _in_range_completion(self, [*prefix, v], others, q)
+                    assert exact >= best - 1e-9, (v, q, exact, best)
+            dropped["candidate"] += 1
+        return kept, cut
 
-    def child_sums_checking(self, u, child_size, sums, nearest):
-        child_sums = original_child_sums(self, u, child_size, sums, nearest)
+    def child_sums_checking(self, u, child_size, sums, lists):
+        child_sums = original_child_sums(self, u, child_size, sums, lists)
         frame = sys._getframe(1).f_locals
         group = [*frame["prefix"], u]
         slots = self.query.p - child_size
         for q in self.near[u].keys() & sums.keys():
-            row = nearest[q][:slots]
+            row = lists[q][:slots]
             bound = sums[q] + self.near[u][q] + sum(d for d, _ in row)
             if len(row) < slots:
                 bound = math.inf
@@ -1090,39 +1078,67 @@ def test_venue_completion_terms_are_sound_exact_after_a_refresh_and_never_looser
             checked["venue"] += 1
         return child_sums
 
-    def ball_pass_checking(self, prefix, remaining, sums, nearest):
-        size = len(prefix)
+    def ball_pass_checking(self, prefix, remaining, sums, lists):
         for q in sums:
-            assert nearest[q], q
-            assert nearest[q] == _first_in_range(self, remaining, q, self.query.p - size), q
+            assert lists[q], q
+            assert lists[q] == _first_in_range(self, remaining, q, len(remaining)), q
         for node in self.indexes.venues.nodes():
             live = [q for q in node.venue_ids if q in sums]
             if live:
                 former = min(mindist_point_ball(self.member_loc[m], node.ball) for m in remaining)
-                assert min(nearest[q][0][0] for q in live) >= former - 1e-9
+                assert min(lists[q][0][0] for q in live) >= former - 1e-9
         live_venues = set(sums)
         first = len(self.audit.bounds)
-        original_ball_pass(self, prefix, remaining, sums, nearest)
+        original_ball_pass(self, prefix, remaining, sums, lists)
         for rec in self.audit.bounds[first:]:
             assert set(rec.venue_ids) <= live_venues
             exact = min(_in_range_completion(self, prefix, remaining, q) for q in rec.venue_ids)
             assert rec.bound <= exact + 1e-9, (rec, exact)
             checked["ball"] += 1
 
-    monkeypatch.setattr(cls, "_nearest", nearest_checking)
+    monkeypatch.setattr(cls, "_rebound", rebound_checking)
     monkeypatch.setattr(cls, "_child_sums", child_sums_checking)
     monkeypatch.setattr(cls, "_ball_pass", ball_pass_checking)
-    for seed in range(150):
-        graph, data, query = make_query_instance(
-            9900 + seed, n_range=(6, 14), p_range=(2, 5), q_range=(2, 6)
-        )
-        query = Query(query.p, query.k, query.t, query.venues, mode)
+    # Without the venue-distance rule a re-bound drops no venue by its
+    # bound, and the venues it leaves empty drop by the radius.
+    configs = (PruneConfig(), PruneConfig().without("venue_distance"))
+    for graph, data, query in _rebound_instances(mode):
         oracle = brute_force(query, graph, data)
-        sol = mags_solve(query, graph, data, ordering=ordering, audit=MagsAudit())
-        assert _total(sol) == (round(oracle.total_distance, 9) if oracle.found else None), seed
+        expected = round(oracle.total_distance, 9) if oracle.found else None
+        for config in configs:
+            sol = mags_solve(
+                query, graph, data, ordering=ordering, config=config, audit=MagsAudit()
+            )
+            assert _total(sol) == expected, (query, config)
     assert checked["venue"] > 1000 and checked["refresh"] > 300, checked
+    assert dropped["venue"] >= 100 and dropped["candidate"] >= 100, dropped
+    assert dropped["radius"] >= 5, dropped
     if ordering == "apdo":
         assert checked["ball"] > 1000, checked
+
+
+@pytest.mark.parametrize("ordering", ["srdo", "apdo"])
+def test_per_vertex_joint_search_explores_every_state_it_generates(ordering):
+    # Between re-bounds a frame's venues and incumbent stay as they were
+    # when it last bounded its candidates, so some venue takes every child
+    # it generates, and per-vertex frames run no average rule: with the
+    # default rules no generated state goes unexplored.
+    rng = random.Random(f"generated-explored-{ordering}")
+    makers = (
+        frame_counts._gnp_instance,
+        frame_counts._power_law_instance,
+        frame_counts._grid_instance,
+    )
+    explored = 0
+    for seed in range(60):
+        for make_instance in makers:
+            graph, data = make_instance(rng, 6100 + seed)
+            for query in frame_counts._queries(rng, graph, data, FamiliarityMode.PER_VERTEX):
+                stats = SearchStats()
+                mags_solve(query, graph, data, ordering=ordering, stats=stats)
+                assert stats.generated_states == stats.explored_states, (seed, query)
+                explored += stats.explored_states
+    assert explored > 1000, explored
 
 
 # --- solver agreement -------------------------------------------------------
@@ -1364,21 +1380,21 @@ PINNED_SEARCHES = {
     (0, "srdo"): (
         None,
         (23, 23),
-        {"member_familiarity": 82},
+        {"member_familiarity": 82, "venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "srdo"): (
         None,
         (3, 3),
-        {"member_familiarity": 5},
+        {"member_familiarity": 5, "venue_distance": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (4, 4),
-        {"venue_distance": 5, "venue_radius": 3},
+        {"venue_distance": 15, "venue_radius": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1386,14 +1402,14 @@ PINNED_SEARCHES = {
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (4, 4),
-        {"venue_distance": 4, "venue_radius": 1},
+        {"venue_distance": 5, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (3, 3),
-        {"venue_distance": 5},
+        {"venue_distance": 9},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1408,7 +1424,7 @@ PINNED_SEARCHES = {
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (5, 5),
-        {"venue_distance": 7},
+        {"venue_distance": 15},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1416,21 +1432,21 @@ PINNED_SEARCHES = {
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (3, 3),
-        {"venue_distance": 5},
+        {"venue_distance": 9},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (9, 12),
-        {"venue_distance": 7, "venue_radius": 6},
+        (9, 9),
+        {"venue_distance": 5, "venue_radius": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
         (5, 5),
-        {"venue_distance": 5},
+        {"venue_distance": 8},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1450,8 +1466,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (12, 12),
-        {"member_familiarity": 12, "venue_distance": 1, "venue_radius": 5},
+        (11, 11),
+        {"member_familiarity": 12, "venue_distance": 3, "venue_radius": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1459,8 +1475,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (12, 14),
-        {"venue_distance": 8, "venue_radius": 13},
+        (11, 11),
+        {"venue_distance": 6, "venue_radius": 9},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1474,21 +1490,21 @@ PINNED_SEARCHES = {
     (0, "apdo"): (
         None,
         (23, 23),
-        {"member_familiarity": 80},
+        {"member_familiarity": 80, "venue_distance": 5},
         (23, "f90d63166dc9085f"),
         (0, "4f53cda18c2baa0c"),
     ),
     (1, "apdo"): (
         None,
         (3, 3),
-        {"member_familiarity": 5},
+        {"member_familiarity": 5, "venue_distance": 1},
         (3, "e5207ed84ddcb983"),
         (0, "4f53cda18c2baa0c"),
     ),
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (4, 4),
-        {"ball_distance": 7, "venue_distance": 4, "venue_radius": 3},
+        {"ball_distance": 7, "venue_distance": 8, "venue_radius": 3},
         (3, "4cd22014eb1c5812"),
         (21, "1a54c3896623965b"),
     ),
@@ -1503,7 +1519,7 @@ PINNED_SEARCHES = {
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (3, 3),
-        {"ball_distance": 4, "venue_distance": 4},
+        {"ball_distance": 4, "venue_distance": 5},
         (2, "d1e9b725e3835b12"),
         (8, "1a3c9a03e90a24db"),
     ),
@@ -1518,7 +1534,7 @@ PINNED_SEARCHES = {
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (5, 5),
-        {"ball_distance": 7, "venue_distance": 5},
+        {"ball_distance": 7, "venue_distance": 8},
         (4, "096358441cb53ba8"),
         (20, "2206f6ddbb2618fa"),
     ),
@@ -1526,7 +1542,7 @@ PINNED_SEARCHES = {
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (3, 3),
-        {"ball_distance": 3, "venue_distance": 5},
+        {"ball_distance": 3, "venue_distance": 6},
         (2, "e8f07e799d7074ac"),
         (10, "16942ae88af70236"),
     ),
@@ -1534,8 +1550,8 @@ PINNED_SEARCHES = {
         ((2, 6, 10), "q1", 49.379992693),
         (7, 7),
         {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
-        (4, "34981aade4a2b0c5"),
-        (14, "de51292eb93b2e17"),
+        (4, "0ad9f63810673552"),
+        (14, "c9ac689c5536b768"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),

@@ -383,9 +383,10 @@ def test_multi_venue_leaf_frame_scans_each_venue_up_to_the_incumbent(mode):
     # reads b (infeasible), c (the improving leaf, total 13) and stops at d
     # with one venue-distance prune. Its walk at r starts from the live
     # incumbent: it reads e (total 10, a strict improvement) and stops at b.
-    # Back at the root, neither venue can beat 10 (2 * 6 and 2 * 5), so the
-    # root stops with a third prune: four states, each one (candidate,
-    # venue) read, and no theta escalation.
+    # Back at the root, the re-bound drops both venues, neither of which can
+    # beat 10 with the candidates left (6.5 + 7 at q, 5 + about 16.8 at r),
+    # with a prune each: four states, each one (candidate, venue) read, and
+    # no theta escalation.
     graph = SocialGraph("abcde", [("a", "c"), ("a", "e")])
     members = {
         "a": Location(3.0, 4.0),
@@ -400,7 +401,7 @@ def test_multi_venue_leaf_frame_scans_each_venue_up_to_the_incumbent(mode):
     sol = mags_solve(query, graph, data, ordering="srdo", stats=stats)
     assert (sol.group, sol.venue, sol.total_distance) == (("a", "e"), "r", 10.0)
     assert (stats.explored_states, stats.generated_states, stats.theta_escalations) == (4, 4, 0)
-    assert stats.pruned == {"venue_distance": 3}
+    assert stats.pruned == {"venue_distance": 4}
 
 
 # --- merge machinery ------------------------------------------------------
@@ -579,8 +580,8 @@ def _pinned_record(seed, solver):
 # `sfgp_solve`, which built the same tree (seeded on the query's live
 # venues) before it was folded into mags-srdo.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (73, 73), {'member_familiarity': 237, 'venue_distance': 68, 'venue_radius': 2}),
-    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (54, 298), {'avg_familiarity': 230, 'venue_distance': 291, 'venue_radius': 16}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (73, 73), {'member_familiarity': 232, 'venue_distance': 108, 'venue_radius': 2}),
+    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (52, 280), {'avg_familiarity': 228, 'venue_distance': 155, 'venue_radius': 2}),
     (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (14, 25), {'avg_familiarity': 11, 'distance': 1}),
     (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (28, 69), {'avg_familiarity': 41, 'distance': 12}),
     (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (12, 12), {'distance': 9, 'member_familiarity': 91}),
@@ -591,32 +592,32 @@ PINNED_STATIC_SEARCHES = {
     (1, 'ssgs-avg'): (None, (0, 0), {}),
     (1, 'ssgs-per-vertex'): (None, (0, 0), {}),
     (1, 'ssp'): (None, (0, 0), {}),
-    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (30, 55), {'member_familiarity': 121, 'venue_distance': 77, 'venue_radius': 42}),
-    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (25, 44), {'avg_familiarity': 3, 'venue_distance': 37, 'venue_radius': 24}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (23, 23), {'member_familiarity': 32, 'venue_distance': 13}),
+    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (21, 24), {'avg_familiarity': 3, 'venue_distance': 10}),
     (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17), {'avg_familiarity': 5, 'distance': 7}),
     (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17), {'avg_familiarity': 5, 'distance': 7}),
     (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (13, 13), {'distance': 7, 'member_familiarity': 49}),
     (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (54, 54), {'distance': 12, 'member_familiarity': 141}),
-    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (65, 84), {'member_familiarity': 212, 'venue_distance': 126, 'venue_radius': 1}),
-    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (97, 210), {'avg_familiarity': 58, 'venue_distance': 228, 'venue_radius': 6}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (50, 50), {'member_familiarity': 130, 'venue_distance': 41}),
+    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (71, 127), {'avg_familiarity': 56, 'venue_distance': 45}),
     (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (14, 25), {'avg_familiarity': 11, 'distance': 3}),
     (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (19, 39), {'avg_familiarity': 20, 'distance': 11}),
     (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (10, 10), {'distance': 9, 'member_familiarity': 52}),
     (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (12, 12), {'distance': 12, 'member_familiarity': 71}),
-    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'member_familiarity': 17, 'venue_distance': 8}),
-    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'venue_distance': 8}),
+    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'member_familiarity': 17, 'venue_distance': 20}),
+    (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'venue_distance': 20}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 4}),
     (4, 'ssgs-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 4}),
     (4, 'ssgs-per-vertex'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 4, 'member_familiarity': 15}),
     (4, 'ssp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 8, 'member_familiarity': 14}),
-    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (32, 37), {'venue_distance': 49, 'venue_radius': 23}),
-    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (32, 37), {'venue_distance': 49, 'venue_radius': 23}),
+    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (30, 30), {'venue_distance': 25, 'venue_radius': 5}),
+    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (30, 30), {'venue_distance': 25, 'venue_radius': 5}),
     (5, 'ssgmerge'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5), {'distance': 5}),
     (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5), {'distance': 5}),
     (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5), {'distance': 5}),
     (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (20, 20), {'distance': 16}),
-    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (5, 5), {'member_familiarity': 4, 'venue_distance': 2, 'venue_radius': 3}),
-    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (7, 7), {'venue_distance': 6, 'venue_radius': 2}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (5, 5), {'member_familiarity': 4, 'venue_distance': 7, 'venue_radius': 2}),
+    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (7, 7), {'venue_distance': 12, 'venue_radius': 2}),
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5), {'distance': 5}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5), {'distance': 5}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (5, 5), {'distance': 5, 'member_familiarity': 2}),
@@ -627,20 +628,20 @@ PINNED_STATIC_SEARCHES = {
     (7, 'ssgs-avg'): (None, (0, 0), {}),
     (7, 'ssgs-per-vertex'): (None, (0, 0), {}),
     (7, 'ssp'): (None, (0, 0), {}),
-    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 8, 'venue_radius': 1}),
-    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 8, 'venue_radius': 1}),
+    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 21, 'venue_radius': 1}),
+    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 21, 'venue_radius': 1}),
     (8, 'ssgmerge'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 5}),
     (8, 'ssgs-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 5}),
     (8, 'ssgs-per-vertex'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 5}),
     (8, 'ssp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 9}),
-    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'venue_distance': 1, 'venue_radius': 1}),
-    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'venue_distance': 1, 'venue_radius': 1}),
+    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'venue_distance': 2, 'venue_radius': 1}),
+    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'venue_distance': 2, 'venue_radius': 1}),
     (9, 'ssgmerge'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 4}),
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 1}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (24, 44), {'member_familiarity': 34, 'venue_distance': 64, 'venue_radius': 4}),
-    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (20, 44), {'avg_familiarity': 2, 'venue_distance': 61, 'venue_radius': 4}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (22, 22), {'member_familiarity': 25, 'venue_distance': 17}),
+    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (13, 15), {'avg_familiarity': 2, 'venue_distance': 16}),
     (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7), {'avg_familiarity': 1, 'distance': 6}),
     (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7), {'avg_familiarity': 1, 'distance': 6}),
     (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 6), {'distance': 6, 'member_familiarity': 15}),
@@ -663,38 +664,38 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0), {}),
     (13, 'ssp'): (None, (0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (56, 59), {'member_familiarity': 127, 'venue_distance': 23, 'venue_radius': 27}),
-    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (30, 46), {'avg_familiarity': 11, 'venue_distance': 33, 'venue_radius': 27}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (51, 51), {'member_familiarity': 127, 'venue_distance': 15, 'venue_radius': 4}),
+    (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (22, 36), {'avg_familiarity': 14, 'venue_distance': 18, 'venue_radius': 2}),
     (14, 'ssgmerge'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (9, 24), {'avg_familiarity': 15, 'distance': 6}),
     (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (9, 24), {'avg_familiarity': 15, 'distance': 6}),
     (14, 'ssgs-per-vertex'): (None, (27, 27), {'member_familiarity': 58}),
     (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (45, 45), {'distance': 10, 'member_familiarity': 127}),
-    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5), {'venue_distance': 5, 'venue_radius': 2}),
-    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5), {'venue_distance': 5, 'venue_radius': 2}),
+    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5), {'venue_distance': 10, 'venue_radius': 2}),
+    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (5, 5), {'venue_distance': 10, 'venue_radius': 2}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4), {'distance': 4}),
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 12), {'distance': 13}),
-    (16, 'sfgp'): (None, (55, 55), {'member_familiarity': 71, 'venue_radius': 10}),
-    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (12, 18), {'avg_familiarity': 3, 'venue_distance': 13, 'venue_radius': 9}),
+    (16, 'sfgp'): (None, (55, 55), {'member_familiarity': 71, 'venue_distance': 1, 'venue_radius': 9}),
+    (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (7, 9), {'avg_familiarity': 2, 'venue_distance': 6, 'venue_radius': 1}),
     (16, 'ssgmerge'): (None, (0, 2), {'avg_familiarity': 2}),
     (16, 'ssgs-avg'): (None, (0, 2), {'avg_familiarity': 2}),
     (16, 'ssgs-per-vertex'): (None, (5, 5), {'member_familiarity': 12}),
     (16, 'ssp'): (None, (51, 51), {'member_familiarity': 72}),
-    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (37, 58), {'venue_distance': 111, 'venue_radius': 24}),
-    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (15, 19), {'venue_distance': 33, 'venue_radius': 3}),
+    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (33, 33), {'venue_distance': 23, 'venue_radius': 1}),
+    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (15, 15), {'venue_distance': 22, 'venue_radius': 1}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6), {'distance': 6}),
     (17, 'ssgs-avg'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6), {'distance': 6}),
     (17, 'ssgs-per-vertex'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6), {'distance': 6}),
     (17, 'ssp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (12, 12), {'distance': 14}),
-    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 4, 'venue_radius': 1}),
-    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 4, 'venue_radius': 1}),
+    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 5, 'venue_radius': 1}),
+    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 5, 'venue_radius': 1}),
     (18, 'ssgmerge'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 4}),
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 4}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 4}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 5}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (40, 40), {'member_familiarity': 170, 'venue_distance': 19, 'venue_radius': 14}),
-    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (42, 112), {'avg_familiarity': 70, 'venue_distance': 24, 'venue_radius': 14}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (37, 37), {'member_familiarity': 140, 'venue_distance': 13, 'venue_radius': 1}),
+    (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (37, 104), {'avg_familiarity': 67, 'venue_distance': 16, 'venue_radius': 1}),
     (19, 'ssgmerge'): (None, (2, 25), {'avg_familiarity': 23}),
     (19, 'ssgs-avg'): (None, (2, 25), {'avg_familiarity': 23}),
     (19, 'ssgs-per-vertex'): (None, (15, 15), {'member_familiarity': 65}),
@@ -707,8 +708,8 @@ PINNED_STATIC_SEARCHES = {
     (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (2, 2), {'venue_distance': 2}),
     (21, 'ssgs-avg'): (((34,), 'q0', 11.684118247), (1, 1), {'distance': 1}),
     (21, 'ssp'): (((3,), 'q1', 3.262545111), (2, 2), {'distance': 2}),
-    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (12, 15), {'venue_distance': 20, 'venue_radius': 5}),
-    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (12, 15), {'venue_distance': 20, 'venue_radius': 5}),
+    (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (12, 12), {'venue_distance': 12, 'venue_radius': 2}),
+    (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (11, 12), {'avg_familiarity': 1, 'venue_distance': 11, 'venue_radius': 2}),
     (22, 'ssgs-avg'): (((5, 8), 'q0', 25.407493745), (2, 2), {'distance': 2}),
     (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (7, 7), {'distance': 6}),
     (23, 'sfgp'): (((25,), 'q4', 5.405877277), (3, 3), {'venue_distance': 5}),
@@ -731,52 +732,52 @@ PINNED_STATIC_SEARCHES = {
     (27, 'mags-srdo-avg'): (((9,), 'q0', 4.316065695), (1, 1), {'venue_distance': 2}),
     (27, 'ssgs-avg'): (((9,), 'q0', 4.316065695), (1, 1), {}),
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1), {'distance': 2}),
-    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'member_familiarity': 5, 'venue_distance': 3, 'venue_radius': 2}),
-    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'venue_distance': 3, 'venue_radius': 2}),
+    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'member_familiarity': 5, 'venue_distance': 5, 'venue_radius': 2}),
+    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'venue_distance': 5, 'venue_radius': 2}),
     (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (5, 11), {'avg_familiarity': 6, 'distance': 3}),
     (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (16, 16), {'distance': 8, 'member_familiarity': 16}),
     (29, 'sfgp'): (((17,), 'q3', 8.350594287), (2, 2), {'venue_distance': 5}),
     (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (2, 2), {'venue_distance': 5}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1), {'distance': 1}),
     (29, 'ssp'): (((17,), 'q3', 8.350594287), (2, 2), {'distance': 5}),
-    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (14, 65), {'venue_distance': 86, 'venue_radius': 29}),
-    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (12, 64), {'avg_familiarity': 1, 'venue_distance': 85, 'venue_radius': 29}),
+    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (11, 11), {'venue_distance': 4}),
+    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (6, 8), {'avg_familiarity': 2, 'venue_distance': 4}),
     (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (9, 10), {'avg_familiarity': 1, 'distance': 5}),
     (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (11, 11), {'distance': 7}),
-    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (3, 3), {'venue_distance': 5}),
-    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 3), {'venue_distance': 5}),
+    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (3, 3), {'venue_distance': 8}),
+    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (3, 3), {'venue_distance': 8}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 4), {'distance': 6}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (23, 23), {'member_familiarity': 51, 'venue_distance': 3, 'venue_radius': 22}),
-    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (6, 30), {'avg_familiarity': 24, 'venue_distance': 7, 'venue_radius': 22}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (22, 22), {'member_familiarity': 50, 'venue_distance': 1, 'venue_radius': 22}),
+    (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (6, 28), {'avg_familiarity': 22, 'venue_distance': 4, 'venue_radius': 22}),
     (32, 'ssgs-avg'): (None, (0, 6), {'avg_familiarity': 6}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (17, 17), {'distance': 2, 'member_familiarity': 44}),
     (33, 'sfgp'): (((4,), 'q2', 4.40651612), (2, 2), {'venue_distance': 4}),
     (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (2, 2), {'venue_distance': 4}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1), {'distance': 1}),
     (33, 'ssp'): (((4,), 'q2', 4.40651612), (2, 2), {'distance': 4}),
-    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (3, 3), {'member_familiarity': 2, 'venue_distance': 3, 'venue_radius': 3}),
-    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (3, 5), {'avg_familiarity': 2, 'venue_distance': 3, 'venue_radius': 3}),
+    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (3, 3), {'member_familiarity': 2, 'venue_distance': 7, 'venue_radius': 3}),
+    (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (3, 5), {'avg_familiarity': 2, 'venue_distance': 7, 'venue_radius': 3}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 3), {'distance': 3}),
     (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (9, 9), {'distance': 10, 'member_familiarity': 2}),
     (35, 'sfgp'): (((26,), 'q1', 0.70613056), (2, 2), {'venue_distance': 2}),
     (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (2, 2), {'venue_distance': 2}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1), {'distance': 1}),
     (35, 'ssp'): (((26,), 'q1', 0.70613056), (2, 2), {'distance': 2}),
-    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (9, 11), {'venue_distance': 14}),
-    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (9, 11), {'venue_distance': 14}),
+    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (9, 9), {'venue_distance': 7}),
+    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (9, 9), {'venue_distance': 7}),
     (36, 'ssgs-avg'): (((1, 6, 20), 'q0', 37.99604031), (3, 3), {'distance': 3}),
     (36, 'ssp'): (((0, 10, 17), 'q1', 24.817125455), (6, 6), {'distance': 6}),
     (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1), {'venue_distance': 3}),
     (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1), {'venue_distance': 3}),
     (37, 'ssgs-avg'): (((32,), 'q0', 2.306738546), (1, 1), {'distance': 1}),
     (37, 'ssp'): (((32,), 'q0', 2.306738546), (1, 1), {'distance': 3}),
-    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (45, 64), {'venue_distance': 83, 'venue_radius': 18}),
-    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (32, 57), {'avg_familiarity': 6, 'venue_distance': 79, 'venue_radius': 18}),
+    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (43, 43), {'venue_distance': 29, 'venue_radius': 1}),
+    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (24, 29), {'avg_familiarity': 5, 'venue_distance': 22, 'venue_radius': 1}),
     (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (23, 24), {'avg_familiarity': 1, 'distance': 7}),
     (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (33, 33), {'distance': 15}),
-    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (3, 3), {'venue_distance': 5}),
-    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (3, 3), {'venue_distance': 5}),
+    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (3, 3), {'venue_distance': 8}),
+    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (3, 3), {'venue_distance': 8}),
     (39, 'ssgs-avg'): (((7, 8), 'q0', 27.893268927), (2, 2), {'distance': 2}),
     (39, 'ssp'): (((12, 22), 'q1', 13.465650468), (4, 4), {'distance': 6}),
 }
