@@ -12,9 +12,11 @@ For each workload, seed and solver it prints one sha256 over the answers,
 (explored and generated states, and each prune rule's count), and the
 explored and generated states summed over the stream. With ``--against
 DIR`` it also runs the checkout at ``DIR`` on the same queries, adds that
-checkout's sums to each line, lists each mismatch with the first queries
-that differ, and exits with 1 when there is one. A counter mismatch also
-gives each side's explored and generated states, summed over the stream.
+checkout's sums to each line and lists each mismatch with the first queries
+that differ. A counter mismatch also gives each side's explored and
+generated states, summed over the stream. It exits with 3 when an answer
+differs or a stream ran on one side only, and with 0 when only counters
+differ, since a change that re-records pins moves counters on purpose.
 
 Everything runs in one process. The queries come from this checkout's
 ``bench/``, which the script reads and never writes to. Each checkout's
@@ -61,6 +63,9 @@ ROOT = Path(__file__).resolve().parent.parent
 SOLVERS = ("ssgs", "ssp", "srdo", "apdo")
 # Query indexes listed for each mismatch.
 SHOWN = 5
+# The exit status of a comparison in which an answer differs or a stream
+# ran on one side only; a crash exits with 1 and a usage error with 2.
+ANSWER_MISMATCH = 3
 
 Key = Tuple[str, int, str]
 # (workload, seed, solver) -> (per-query answers, per-query counters)
@@ -240,6 +245,14 @@ def mismatches(ours: Records, theirs: Records) -> List[str]:
     return lines
 
 
+def answers_differ(ours: Records, theirs: Records) -> bool:
+    """Whether a stream's answers differ, or a stream ran on one side only."""
+    return any(
+        key not in ours or key not in theirs or ours[key][0] != theirs[key][0]
+        for key in set(ours) | set(theirs)
+    )
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+",
@@ -265,7 +278,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # The same rounds on fresh packages, the other checkout's imported first.
         _, flipped = run_streams(run, load_packages(roots[::-1])[::-1], *streams)
         print("\n".join(timing_lines(seconds, flipped, args.time)))
-    return 1 if lines else 0
+    return ANSWER_MISMATCH if answers_differ(*records) else 0
 
 
 if __name__ == "__main__":

@@ -124,7 +124,12 @@ pool, and a frame that drops candidates on entry, like an srdo hand-off,
 cuts its caller's counts down to its own pool, and a re-bound cuts the
 frame's own (``_pool_counts``); each
 generated candidate leaves the pool (``_grow``), the average rule checks
-each child (``_avg_pruned``), and each child frame gets copies. Per-vertex
+each child (``_avg_pruned``), and each child frame gets copies. Before its
+first child the root runs the average rule on its own pool, with an empty
+prefix (``_root_refuted``): a feasible group at any venue lies in that
+pool, so when the rule fires no venue has a group, and the search generates
+nothing. An srdo root that hands off runs the same check in the
+single-venue loop, as ``ssp`` does. Per-vertex
 frames carry none: they run the single-venue loop's entry test
 (``_GroupSearch._entry_test``) on the candidates that pass the radius and
 venue-distance filter.
@@ -478,6 +483,9 @@ class _MultiVenueSearch(_GroupSearch):
         remaining_set = set(remaining)
         # The frame's counts, over ``remaining``.
         counts = self._pool_counts(size, remaining_set, counts)
+        # A feasible group at any venue lies in the root's pool.
+        if not size and self._root_refuted(counts):
+            return
         copy_counts = self._keeps_pool_counts(size + 1)
         if not static:
             universe = set(self.alive_venues).intersection(*map(self.near.__getitem__, prefix))

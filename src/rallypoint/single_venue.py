@@ -38,6 +38,14 @@ engines keep the counts through the same three steps of ``_GroupSearch``:
 down to a frame's smaller pool; ``_grow`` takes each child out of the pool
 and gives its edge count; ``_avg_pruned`` runs the average rule on it.
 
+The average rule runs on every child that is not a leaf, and once on each
+root that keeps counts, before its first child: on the empty prefix, from
+the root's fresh counts (``_root_refuted``). Every group at the venue lies
+in the root's pool, so when the rule fires there no group exists, and the
+root counts one average-familiarity prune and generates nothing. The
+joint multi-venue root runs the same check over its pool, the union of its
+venues' candidates.
+
 Both completion bounds are exact. With ``r`` slots open, the average
 familiarity rule gives each remaining candidate a gain of twice its prefix
 edges plus its pool degree capped at ``r - 1``, and prunes a child when its
@@ -206,7 +214,8 @@ class _GroupSearch:
     def _keeps_pool_counts(self, size: int) -> bool:
         """Whether a frame whose prefix has ``size`` members keeps pool
         counts: only the average rule reads them, and it runs, in average
-        mode only, on every child that is not a leaf. With ``k = p - 1`` the
+        mode only, on every child that is not a leaf and on the root itself
+        (``_root_refuted``). With ``k = p - 1`` the
         rule's target ``p * (p - k - 1)`` is 0, and the loop guard leaves at
         least as many candidates as open slots, so it can never fire and no
         frame keeps counts."""
@@ -263,6 +272,16 @@ class _GroupSearch:
             self.stats.bump(PRUNE_AVG_FAMILIARITY)
             return True
         return False
+
+    def _root_refuted(self, counts: Optional[Counts]) -> bool:
+        """The average rule on a root's empty prefix, from the root's fresh
+        ``counts`` (None where the root keeps none): True, with one prune
+        counted, when no group of ``p`` from the root's pool can reach the
+        average level, so the root generates nothing. A pool of fewer than
+        ``p`` is left to the loop guard, which generates nothing either."""
+        if counts is None or len(counts[0]) < self.query.p:
+            return False
+        return self._avg_pruned([], 0, *counts)
 
     def _entry_test(
         self, prefix: List[MemberId], prefix_set: set
@@ -336,8 +355,10 @@ class _GroupSearch:
     def search_venue(self, order: List[Tuple[float, MemberId]], venue: VenueId) -> bool:
         """Search the groups at ``venue`` from the root, over ``order``, its
         candidates as (distance, member) pairs in (distance, id) order.
-        False when the state budget stopped the search before it finished,
-        so the incumbent is not proved optimal."""
+        In average mode the root first runs the average rule on its pool
+        (``_root_refuted``); a refuted venue is proved empty, with nothing
+        generated. False when the state budget stopped the search before it
+        finished, so the incumbent is not proved optimal."""
         counts = self._pool_counts(0, (m for _, m in order))
         try:
             self._venue_frame([], set(), 0, 0.0, order, counts, venue)
@@ -367,6 +388,8 @@ class _GroupSearch:
         admits = self._entry_test(prefix, prefix_set)
         remaining = list(pool) if admits is None else [c for c in pool if admits(c[1])]
         self.stats.bump(PRUNE_MEMBER_FAMILIARITY, len(pool) - len(remaining))
+        if not size and self._root_refuted(counts):
+            return
         # ``counts`` cover ``remaining``: only per-vertex frames, which keep
         # none, drop candidates on entry.
         copy_counts = self._keeps_pool_counts(size + 1)

@@ -1,7 +1,8 @@
 """Tests of ``scripts/compare_streams.py``: one benchmark stream, compared
 with the checkout it runs in, matches itself; digest lines give each side's
-summed states; mismatches name their queries; timed rounds alternate the
-sides and report both import orders."""
+summed states; mismatches name their queries; only an answer mismatch or a
+one-sided stream exits 3; timed rounds alternate the sides and report both
+import orders."""
 
 import importlib.util
 import re
@@ -88,6 +89,40 @@ def test_mismatches_name_the_stream_and_the_first_queries():
         "w seed=1 srdo: counters differ on 2 queries, first 0, 2;"
         " explored 14 -> 6, generated 27 -> 9 (other -> this)",
     ]
+
+
+# One stream's records: per-query answers, then per-query counters.
+KEY = ("w", 1, "srdo")
+RECORDS = {KEY: (["a", "b"], [repr((2, 3, [])), repr((0, 0, []))])}
+
+
+@pytest.mark.parametrize(
+    "theirs, code, listed",
+    [
+        (RECORDS, 0, None),
+        ({KEY: (["a", "b"], [repr((9, 20, [])), repr((0, 0, []))])}, 0, "counters differ"),
+        ({KEY: (["a", "x"], RECORDS[KEY][1])}, 3, "answers differ"),
+        ({**RECORDS, ("w", 1, "apdo"): (["a"], [repr((0, 0, []))])}, 3, "only in the other"),
+        ({}, 3, "only in this checkout"),
+    ],
+    ids=["same", "counters", "answers", "only-other", "only-this"],
+)
+def test_exit_code_3_marks_an_answer_mismatch_or_a_one_sided_stream(
+    monkeypatch, capsys, theirs, code, listed
+):
+    # Counters alone may move, when pins are re-recorded: that mismatch is
+    # listed but exits 0. A differing answer, or a stream that ran on one
+    # side only, exits 3, which no crash (1) or usage error (2) gives.
+    compare = _module()
+    monkeypatch.setattr(compare, "load_bench", lambda: None)
+    monkeypatch.setattr(compare, "load_packages", lambda roots: [None] * len(roots))
+    monkeypatch.setattr(compare, "run_streams", lambda *args: ([RECORDS, theirs], [{}, {}]))
+    assert compare.main(["--against", str(ROOT)]) == code
+    last = capsys.readouterr().out.splitlines()[-1]
+    if listed is None:
+        assert last == f"no mismatch against {ROOT}"
+    else:
+        assert listed in last, last
 
 
 def test_timed_run_prints_each_import_order_and_their_geometric_mean():

@@ -6,8 +6,10 @@ engines. Each patched call recounts from sets (the frame's ``remaining``
 candidates are read off the calling frame), asserts that the carried counts
 match (the prefix's edge count, the pool degree table and the prefix-edge
 table), and returns the set-based verdict, so the search itself never
-depends on the carried counts. Every exact solver must still equal brute
-force. Only average-mode frames keep counts.
+depends on the carried counts. The root check runs the rule on the empty
+prefix, where ``remaining`` holds the root's pool, so the root's fresh
+counts are checked too. Every exact solver must still equal brute force.
+Only average-mode frames keep counts.
 """
 
 import random
@@ -49,8 +51,9 @@ def _frame_remaining():
 
 @pytest.fixture
 def checked_counts(monkeypatch):
-    """Patch the average predicate; returns how many carried counts were checked."""
-    checked = {"avg": 0}
+    """Patch the average predicate; returns how many carried counts were
+    checked, and how many of them were a root's."""
+    checked = {"avg": 0, "root": 0}
     original_avg = pruning.avg_familiarity_prune
 
     def check(group, pool, p, k, graph, counts=None):
@@ -65,6 +68,7 @@ def checked_counts(monkeypatch):
         verdict = original_avg(group, remaining, p, k, graph)
         assert original_avg(group, pool, p, k, graph, counts) == verdict
         checked["avg"] += 1
+        checked["root"] += not group
         return verdict
 
     # Both engines run the rule through ``_GroupSearch._avg_pruned``.
@@ -136,6 +140,7 @@ def test_carried_pool_counts_match_sets(checked_counts, make_instance, mode):
                 assert abs(sol.total_distance - oracle.total_distance) <= TOL, where
                 assert is_feasible(sol.group, sol.venue, query, graph, data), where
     assert checked_counts["avg"] > 0
+    assert checked_counts["root"] > 0
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from rallypoint import (
@@ -213,3 +215,62 @@ def test_per_vertex_enumeration_matches_the_oracle():
                 )
                 differs += average.total_distance != oracle.total_distance
     assert differs > 0
+
+
+def _highs_optimum(model):
+    """``scipy.optimize.milp`` (HiGHS) on ``model`` with no optimality gap:
+    the solver's status and objective value."""
+    from scipy.optimize import Bounds, LinearConstraint, milp
+    from scipy.sparse import coo_array
+
+    column = {var: j for j, var in enumerate(model.variables)}
+    rows, cols, coeffs = [], [], []
+    lower, upper = [], []
+    for i, con in enumerate(model.constraints):
+        for var, coeff in con.coeffs:
+            rows.append(i)
+            cols.append(column[var])
+            coeffs.append(coeff)
+        lower.append(con.rhs if con.sense == "=" else -math.inf)
+        upper.append(con.rhs)
+    shape = (len(model.constraints), len(column))
+    matrix = coo_array((coeffs, (rows, cols)), shape=shape).tocsr()
+    c = [model.objective.get(var, 0.0) for var in model.variables]
+    binary = len(model.binaries)
+    result = milp(
+        c,
+        integrality=[1] * binary + [0] * len(model.continuous),
+        bounds=Bounds([0.0] * len(column), [1.0] * binary + [math.inf] * len(model.continuous)),
+        constraints=LinearConstraint(matrix, lower, upper),
+        options={"mip_rel_gap": 0},
+    )
+    return result.status, result.fun
+
+
+def test_exported_models_solved_by_highs_match_the_oracle():
+    # HiGHS solves each exported model exactly: both exporters, the
+    # single-venue one on one venue and the joint one on three, in both
+    # familiarity modes. A feasible model's optimum is the oracle's total;
+    # a query with no group gives an infeasible model (status 2).
+    pytest.importorskip("scipy")
+    solved = infeasible = 0
+    for seed in range(40):
+        graph, data = random_instance(seed, 12, 3, 0.4)
+        t = radius_for_quantile(graph, data, 0.8)
+        venues = tuple(sorted(data.venue_locations))
+        p = 3 + seed % 3
+        k = 1 + seed // 3 % 2
+        for mode in FamiliarityMode:
+            for export, its_venues in ((export_ssgq_model, venues[:1]), (export_mrgq_model, venues)):
+                query = Query(p, k, t, its_venues, mode)
+                status, total = _highs_optimum(export(query, graph, data))
+                oracle = brute_force(query, graph, data)
+                where = (seed, export.__name__, query)
+                if oracle.found:
+                    assert status == 0, where
+                    assert total == pytest.approx(oracle.total_distance, rel=1e-6), where
+                    solved += 1
+                else:
+                    assert status == 2, where
+                    infeasible += 1
+    assert solved > 100 and infeasible > 10, (solved, infeasible)

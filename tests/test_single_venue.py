@@ -337,6 +337,101 @@ def test_per_vertex_leaves_are_tested_by_the_entry_test(make_instance, member_ru
 # --- leaf frames ------------------------------------------------------------
 
 
+# --- root check ------------------------------------------------------------
+
+ROOT_SEARCHES = {
+    "ssgs": ssgs_solve,
+    "ssgmerge": ssgmerge_solve,
+    "ssp": ssp_solve,
+    "mags-srdo": functools.partial(mags_solve, ordering="srdo"),
+    "mags-apdo": functools.partial(mags_solve, ordering="apdo"),
+}
+
+
+@pytest.mark.parametrize("solver", sorted(ROOT_SEARCHES))
+def test_a_refuted_root_generates_nothing(solver):
+    # a..d sit 1..4 from q and e sits 10 from it; a, b and e form the one
+    # triangle, and c knows d. With p = 3 and k = 0 a group needs all three
+    # of its edges, 6 in twice the edge count. Within t = 5 each candidate
+    # knows one other, so the three largest gains sum to 3: the root check
+    # refutes the pool with one average prune and no state generated. The
+    # joint root of two venues does the same over its union pool; ssp
+    # refutes each venue's root. Within t = 10 the pool holds the triangle
+    # and the check lets the search run.
+    graph = SocialGraph("abcde", [("a", "b"), ("c", "d"), ("a", "e"), ("b", "e")])
+    members = {m: Location(x, 0.0) for m, x in zip("abcde", (1.0, 2.0, 3.0, 4.0, 10.0))}
+    data = SpatialDataset(members, {"q": Location(0.0, 0.0), "r": Location(0.0, 1.0)})
+    solve = ROOT_SEARCHES[solver]
+    one_venue_only = solver in ("ssgs", "ssgmerge")
+    for venues in [("q",)] if one_venue_only else [("q",), ("q", "r")]:
+        query = Query(3, 0, 5.0, venues, FamiliarityMode.AVERAGE)
+        assert not brute_force(query, graph, data).found
+        stats = SearchStats()
+        assert solve(query, graph, data, stats=stats) is None
+        roots = len(venues) if solver == "ssp" else 1
+        assert (stats.explored_states, stats.generated_states) == (0, 0)
+        assert stats.pruned == {"avg_familiarity": roots}
+    stats = SearchStats()
+    sol = solve(Query(3, 0, 10.0, ("q",), FamiliarityMode.AVERAGE), graph, data, stats=stats)
+    assert (sol.group, sol.total_distance) == (("a", "b", "e"), 13.0)
+    assert stats.explored_states > 0
+
+
+@pytest.mark.parametrize(
+    "make_instance",
+    [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
+    ids=["gnp", "power-law", "grid"],
+)
+def test_root_check_fires_only_where_no_group_exists(make_instance, monkeypatch):
+    # Each average-mode exact search runs the average rule on its root's
+    # pool before its first child: the single-venue root of ssgs, ssgmerge
+    # and srdo's one-venue hand-off, and the joint root of srdo and apdo.
+    # Wherever the check fires, the query has no group, and the search
+    # generates nothing and counts that one prune. Each query is run on
+    # each venue alone and, for the joint roots, on all of them.
+    fired = []
+    original = _GroupSearch._root_refuted
+
+    def spy(self, counts):
+        verdict = original(self, counts)
+        fired.append(verdict)
+        return verdict
+
+    monkeypatch.setattr(_GroupSearch, "_root_refuted", spy)
+    rng = random.Random(f"root-check-{make_instance.__name__}")
+    fires = passes = 0
+    for seed in range(12):
+        graph, data = make_instance(rng, 6100 + seed)
+        venues = tuple(sorted(data.venue_locations))
+        t = radius_for_quantile(graph, data, rng.choice([0.3, 0.6, 1.0]))
+        queries = [(q,) for q in venues] + ([venues] if len(venues) > 1 else [])
+        for p in range(2, 7):
+            for k in range(p - 1):
+                for its_venues in queries:
+                    query = Query(p, k, t, its_venues, FamiliarityMode.AVERAGE)
+                    found = None
+                    # On one venue ssp is ssgs.
+                    names = ["mags-srdo", "mags-apdo"]
+                    if len(its_venues) == 1:
+                        names += ["ssgs", "ssgmerge"]
+                    for name in names:
+                        fired.clear()
+                        stats = SearchStats()
+                        sol = ROOT_SEARCHES[name](query, graph, data, stats=stats)
+                        assert len(fired) <= 1, (name, query)
+                        if not any(fired):
+                            passes += len(fired)
+                            continue
+                        if found is None:
+                            found = brute_force(query, graph, data).found
+                        where = (seed, name, query)
+                        assert not found and sol is None, where
+                        assert (stats.explored_states, stats.generated_states) == (0, 0), where
+                        assert stats.pruned == {"avg_familiarity": 1}, where
+                        fires += 1
+    assert fires >= 100 and passes >= 100, (fires, passes)
+
+
 @pytest.mark.parametrize(
     "solver, venues",
     [
@@ -678,8 +773,8 @@ PINNED_STATIC_SEARCHES = {
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 12), {'distance': 13}),
     (16, 'sfgp'): (None, (55, 55), {'member_familiarity': 71, 'venue_distance': 1, 'venue_radius': 9}),
     (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (7, 9), {'avg_familiarity': 2, 'venue_distance': 6, 'venue_radius': 1}),
-    (16, 'ssgmerge'): (None, (0, 2), {'avg_familiarity': 2}),
-    (16, 'ssgs-avg'): (None, (0, 2), {'avg_familiarity': 2}),
+    (16, 'ssgmerge'): (None, (0, 0), {'avg_familiarity': 1}),
+    (16, 'ssgs-avg'): (None, (0, 0), {'avg_familiarity': 1}),
     (16, 'ssgs-per-vertex'): (None, (5, 5), {'member_familiarity': 12}),
     (16, 'ssp'): (None, (51, 51), {'member_familiarity': 72}),
     (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (33, 33), {'venue_distance': 23, 'venue_radius': 1}),
@@ -750,7 +845,7 @@ PINNED_STATIC_SEARCHES = {
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 4), {'distance': 6}),
     (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (22, 22), {'member_familiarity': 50, 'venue_distance': 1, 'venue_radius': 22}),
     (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (6, 28), {'avg_familiarity': 22, 'venue_distance': 4, 'venue_radius': 22}),
-    (32, 'ssgs-avg'): (None, (0, 6), {'avg_familiarity': 6}),
+    (32, 'ssgs-avg'): (None, (0, 0), {'avg_familiarity': 1}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (17, 17), {'distance': 2, 'member_familiarity': 44}),
     (33, 'sfgp'): (((4,), 'q2', 4.40651612), (2, 2), {'venue_distance': 4}),
     (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (2, 2), {'venue_distance': 4}),
