@@ -23,11 +23,16 @@ Everything runs in one process. The queries come from this checkout's
 ``src/rallypoint`` is imported under a module name of its own, so the two
 packages share no module, and each builds its own graphs and indexes.
 
-Besides the benchmark's workloads, workload ``hard`` holds two per-vertex
-queries per seed ``s`` over every venue of ``random_instance(s, 300, 8,
-edge_prob=0.3)``, with ``k = 2``, ``p = 6`` and ``p = 7``, and the radius at
-the 0.3 quantile of the member-venue distances: the deeper searches that
-the benchmark's streams do not reach.
+Besides the benchmark's workloads, two workloads hold two queries per seed
+``s`` over every venue of one generated instance, with the radius at a
+quantile of the member-venue distances (``GENERATED``):
+
+- ``hard``: per-vertex queries over ``random_instance(s, 300, 8,
+  edge_prob=0.3)`` at the 0.3 quantile, with ``k = 2``, ``p = 6`` and
+  ``p = 7``: the deeper searches that the benchmark's streams do not reach.
+- ``many-venue``: average-mode queries over ``random_instance(s, 400, 256,
+  edge_prob=0.3)`` at the 0.03 quantile, with ``(p, k)`` of ``(3, 1)`` and
+  ``(4, 2)``: many venues, few of which can hold the optimum.
 
 ``--time R`` (with ``--against``) also times the solver calls, in ``R``
 rounds per stream. A round runs each query of the stream on both checkouts
@@ -40,7 +45,9 @@ round's solver calls. All rounds run twice, each time on freshly imported
 packages: once with this checkout's imported first and once with the
 other's, since the side imported first has read about 1% slow on identical
 code. For each workload, seed and solver it prints the median ratio of each
-import order and their geometric mean. The digests come from the first
+import order and their geometric mean, then each side's median CPU seconds
+over all rounds and its microseconds per explored state: those seconds over
+the explored states summed over the stream. The digests come from the first
 round.
 """
 
@@ -66,6 +73,13 @@ SHOWN = 5
 # The exit status of a comparison in which an answer differs or a stream
 # ran on one side only; a crash exits with 1 and a usage error with 2.
 ANSWER_MISMATCH = 3
+# Workloads over one generated instance per seed, with every venue in each
+# query: (members, venues, edge probability, radius quantile, familiarity
+# mode, (p, k) of each query).
+GENERATED = {
+    "hard": (300, 8, 0.3, 0.3, "PER_VERTEX", ((6, 2), (7, 2))),
+    "many-venue": (400, 256, 0.3, 0.03, "AVERAGE", ((3, 1), (4, 2))),
+}
 
 Key = Tuple[str, int, str]
 # (workload, seed, solver) -> (per-query answers, per-query counters)
@@ -112,14 +126,15 @@ def solve(rp, solver: str, query, built, stats):
 def stream(run, rp, name: str, seed: int) -> List[tuple]:
     """The queries of workload ``name`` at ``seed``, each with the graph,
     dataset and indexes it runs on, built by package ``rp``."""
-    if name == "hard":
+    if name in GENERATED:
+        members, venue_count, edge_prob, quantile, mode, pairs = GENERATED[name]
         generator = importlib.import_module(f"{rp.__name__}.generator")
-        graph, data = generator.random_instance(seed, 300, 8, edge_prob=0.3)
-        t = generator.radius_for_quantile(graph, data, 0.3)
+        graph, data = generator.random_instance(seed, members, venue_count, edge_prob=edge_prob)
+        t = generator.radius_for_quantile(graph, data, quantile)
         built = (graph, data, rp.build_indexes(data))
         venues = tuple(sorted(data.venue_locations))
-        mode = rp.FamiliarityMode.PER_VERTEX
-        return [(rp.Query(p, 2, t, venues, mode), built) for p in (6, 7)]
+        mode = rp.FamiliarityMode[mode]
+        return [(rp.Query(p, k, t, venues, mode), built) for p, k in pairs]
     cities, raw_queries = run.make_inputs(run.WORKLOADS[name], seed)
     built = [run.build_city(rp, city) for city in cities]
     return [(run.make_query(rp, rq), built[rq.city]) for rq in raw_queries]
@@ -197,19 +212,28 @@ def median_ratio(ours: List[float], theirs: List[float]) -> float:
 
 
 def timing_lines(this_first: Sequence[Seconds], other_first: Sequence[Seconds],
-                 rounds: int) -> List[str]:
+                 rounds: int, records: Sequence[Records]) -> List[str]:
     """One line per stream: the median ratio, this checkout over the other,
-    with each import order, and their geometric mean. Each argument holds
-    this checkout's seconds, then the other's."""
+    with each import order, and their geometric mean; then each side's
+    median CPU seconds over the rounds of both orders, and those seconds in
+    microseconds per explored state, summed over the stream (``-`` where
+    the stream explores none). Each sequence holds this checkout's seconds
+    or records, then the other's."""
     lines = []
     for key in this_first[0]:
         a = median_ratio(this_first[0][key], this_first[1][key])
         b = median_ratio(other_first[0][key], other_first[1][key])
-        lines.append(
+        line = (
             "{} seed={} {} cpu this/other, median of {} rounds: {:.3f} this imported first, "
             "{:.3f} other imported first, geometric mean {:.3f}".format(
                 *key, rounds, a, b, math.sqrt(a * b))
         )
+        for side, i in (("this", 0), ("other", 1)):
+            cpu = statistics.median(this_first[i][key] + other_first[i][key])
+            explored = summed_states(records[i][key][1])[0]
+            per_state = f"{cpu * 1e6 / explored:.2f}" if explored else "-"
+            line += f"; {side} cpu_s {cpu:.4f} us_per_explored {per_state}"
+        lines.append(line)
     return lines
 
 
@@ -256,7 +280,7 @@ def answers_differ(ours: Records, theirs: Records) -> bool:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workloads", nargs="+",
-                        default=["sv-social", "mv-static", "mv-adaptive", "hard"])
+                        default=["sv-social", "mv-static", "mv-adaptive", *GENERATED])
     parser.add_argument("--seeds", nargs="+", type=int, default=[1])
     parser.add_argument("--solvers", nargs="+", choices=SOLVERS, default=list(SOLVERS))
     parser.add_argument("--against", type=Path, help="another checkout to compare with")
@@ -277,7 +301,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.time:
         # The same rounds on fresh packages, the other checkout's imported first.
         _, flipped = run_streams(run, load_packages(roots[::-1])[::-1], *streams)
-        print("\n".join(timing_lines(seconds, flipped, args.time)))
+        print("\n".join(timing_lines(seconds, flipped, args.time, records)))
     return ANSWER_MISMATCH if answers_differ(*records) else 0
 
 

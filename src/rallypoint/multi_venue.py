@@ -6,27 +6,53 @@ either from a static order toward a reference venue, or adaptively from the
 (member, venue) pairs in range. A search sets itself up from
 ``candidate_order``, the in-range rule of every exact solver, called once per
 venue of the query. It alone decides which venues are alive (at least ``p``
-graph vertices within ``t``), the pool (the union of the alive venues'
-candidates) and ``near``: for each pool member, the alive venues within its
-radius and its distance to each, filled in one pass over the alive venues'
-orders. A search frame carries one venue table, ``sums``: the venues still
-usable for a solution, each with the prefix's total distance to it. The
-radius, venue-distance and (apdo only) ball-distance rules remove venues
+graph vertices within ``t``). A greedy seed (below) then sets the incumbent
+the search starts from, and the search prepares its venues: every alive
+venue, or for srdo only those the seed leaves. They decide the pool (the
+union of their candidates) and ``near``: for each pool member, the prepared
+venues within its radius and its distance to each, filled in one pass over
+their orders. A search frame carries one venue table, ``sums``: the venues
+still usable for a solution, each with the prefix's total distance to it.
+The radius, venue-distance and (apdo only) ball-distance rules remove venues
 from it. The adaptive selection ranges over the alive venues within the
 radius of every prefix member, worked out from the prefix, so toggling
 prune rules never changes the member extraction order.
 
+A search with more than one alive venue starts from a greedy incumbent
+(``_greedy_seed``), Lawler and Wood's cheap feasible start for
+branch-and-bound; with one, no venue is left to cut. The alive venues are
+walked in order of their first-``p`` bound, the sum of the first ``p``
+distances of the venue's candidate order, ties in query order. At each
+venue a greedy group takes the venue's candidates in (distance, id) order
+and keeps each one that leaves every kept member with at most ``k``
+strangers, until ``p`` are kept; such a group is within the average budget
+too, so it is feasible in both modes. The walk stops at the first venue
+whose bound reaches the best greedy total, the threshold algorithm's stop
+rule. The incumbent is that total widened by a relative ``2**-40`` and one
+unit in the last place, so the search still takes its own optimum leaf,
+whatever order it sums the leaf's distances in: the seed cuts states, never
+the optimum, and a search with a finite seed always answers. Only between
+groups that tie exactly can the answer change: a lower incumbent may leave
+an srdo frame with one venue sooner, and the single-venue loop it hands
+off to walks that venue's own order. The walk is not a search state and
+counts nothing.
+
+srdo prepares only the venues whose first-``p`` bound stays below that
+incumbent, those the root's cut keeps: no other venue enters ``near``, the
+degree table or the keyed pool. apdo prepares every alive venue, since its
+radius universe reads ``near`` for venues the root drops too.
+
 The srdo reference venue is the venue of the closest (member, venue) pair
-between the pool and the query's live venues (``srdo_seed``). Every pool
-member lies within ``t`` of a live venue, so the pair always exists. Each
-alive venue's candidate order is sorted by distance, so the closest pairs
-head their lists: the seed compares only the pairs at the smallest head
-distance, never the whole of ``near``. The static order sorts the pool by
-(distance to the reference venue, -degree, id), one sort of precomputed
-keys. A member in range of the reference venue takes its distance from
-``near``; only the others are computed, with ``model.distance``'s
-arithmetic, which is the index's, so ties break on exact distances either
-way and no index is read.
+over every alive venue and its candidates (``srdo_seed``), prepared or not,
+with graph degrees, so the pool keeps the order it has under an infinite
+incumbent, with members left out. The pair exists whenever a venue is
+alive. Each alive venue's candidate order is sorted by distance, so the
+closest pairs head their lists: the seed compares only the pairs at the
+smallest head distance. The static order sorts the pool by (distance to the
+reference venue, -degree, id), one sort of precomputed keys. A member in
+range of the reference venue takes its distance from ``near``; only the
+others are computed, with ``model.distance``'s arithmetic, which is the
+index's, so ties break on exact distances either way and no index is read.
 
 Each apdo search frame sorts its candidates once, at its first selection,
 each by its smallest ``(prefix total to the venue + pair distance, -degree,
@@ -52,8 +78,9 @@ A search keeps each alive venue's candidate order for its whole run. A search
 frame carries its prefix's internal edge count and, as the single-venue loop
 does for its one venue, its lists: for each venue of ``sums``, the venue's
 candidates in the frame's pool, in (distance, id) order. The root's lists are
-the candidate orders themselves, since its pool is their union; every other
-frame cuts its caller's lists down to its own pool on entry. The lists are
+the candidate orders themselves, since its pool holds each prepared venue's
+whole order and its cut drops every other venue; every other frame cuts its
+caller's lists down to its own pool on entry. The lists are
 the frame's completion table. A completion at a venue takes only its
 in-range candidates, so the open slots cost at least the sum of the first
 ``p - size`` distances of the venue's list: the sorted-access bound of
@@ -72,9 +99,9 @@ distance, so each venue's list is read only up to the first candidate that
 fails it: the threshold algorithm's sorted-access stop rule. The same
 monotony lets the filter accept a whole list at once: a venue whose
 farthest candidate passes the bound keeps all of its candidates without
-reading them one by one. The root frame skips both steps: its pool is the
-alive venues' candidates and its incumbent is infinite, so nothing can drop
-there.
+reading them one by one. The root frame runs both steps under the greedy
+seed's incumbent, and skips them only under an infinite one: its pool is
+then the alive venues' candidates, so nothing can drop there.
 
 Each time the incumbent improves, the frame re-bounds at its loop head,
 before its next child (``_rebound``). It cuts its lists down to the
@@ -264,35 +291,56 @@ class _MultiVenueSearch(_GroupSearch):
         self.ball_rules = not self.static and config.ball_distance
         # One ``candidate_order`` per venue decides every radius fact. A venue
         # is alive when at least p graph vertices lie within t of it (one
-        # with fewer can never host a group). ``near[m]`` maps each pool
-        # member to the alive venues within its radius and its distance to
-        # each.
+        # with fewer can never host a group).
         self.alive_venues: List[VenueId] = []
         self.by_distance: VenueLists = {}
-        self.near: Dict[MemberId, Dict[VenueId, float]] = {}
-        near = self.near
         for q in query.venues:
             order = candidate_order(query, graph, data, q, indexes)
             if len(order) >= query.p:
                 self.alive_venues.append(q)
                 self.by_distance[q] = order
-                for d, m in order:
-                    row = near.get(m)
-                    if row is None:
-                        near[m] = {q: d}
-                    else:
-                        row[q] = d
+        # With one alive venue no venue is left to cut: srdo's root hands
+        # off to the single-venue loop at once, and a seed there saves less
+        # than it costs.
+        seed = self._greedy_seed() if len(self.alive_venues) > 1 else None
+        # The venues the search prepares: all alive venues, except that under
+        # a seed srdo leaves out those the root's cut drops
+        # (``_cut_to_incumbent``).
+        prepared = self.alive_venues
+        if seed is not None:
+            # Widened so that the search still takes its own optimum leaf,
+            # whatever order it sums that leaf's distances in.
+            total = seed[0]
+            best = self.best_total = math.nextafter(total + total * 2**-40, math.inf)
+            if self.static and config.venue_distance:
+                p = query.p
+                prepared = [
+                    q for q in prepared if not distance_prune(0.0, 0, p, self.by_distance[q], best)
+                ]
+        # ``near[m]`` maps each pool member to the prepared venues within its
+        # radius and its distance to each.
+        self.near: Dict[MemberId, Dict[VenueId, float]] = {}
+        near = self.near
+        for q in prepared:
+            for d, m in self.by_distance[q]:
+                row = near.get(m)
+                if row is None:
+                    near[m] = {q: d}
+                else:
+                    row[q] = d
         # Only pool members are ever ranked by degree.
         adjacency = graph.adjacency
         degree_of = self.degree_of = {v: len(adjacency[v]) for v in near}
         # The candidates in search order. srdo fixes it once, by distance to
-        # the reference venue: the venue of the table's closest pair, which
-        # exists whenever a venue is alive. apdo needs no seed: every pool
-        # member lies within t of an alive venue, so it always has a pair to
-        # start from.
+        # the reference venue: the venue of the closest pair of an alive
+        # venue, which exists whenever a venue is alive. apdo needs no seed:
+        # every pool member lies within t of an alive venue, so it always
+        # has a pair to start from.
         if self.static and self.alive_venues:
             # Each candidate order is sorted, so the closest pairs head their
-            # lists: the seed compares only those.
+            # lists: the seed compares only those. It reads every alive
+            # venue, prepared or not, so the pool keeps the order it has
+            # under an infinite incumbent.
             d_min = min(self.by_distance[q][0][0] for q in self.alive_venues)
             heads: Dict[MemberId, Dict[VenueId, float]] = {}
             for q in self.alive_venues:
@@ -300,7 +348,7 @@ class _MultiVenueSearch(_GroupSearch):
                     if d != d_min:
                         break
                     heads.setdefault(m, {})[q] = d
-            _, q_ref, _ = srdo_seed(heads, degree_of)
+            _, q_ref, _ = srdo_seed(heads, {m: len(adjacency[m]) for m in heads})
             ref = self.venue_loc[q_ref]
             rx, ry = ref.x, ref.y
             loc = self.member_loc
@@ -318,6 +366,66 @@ class _MultiVenueSearch(_GroupSearch):
         else:
             self.pool = sorted(self.near)
 
+    # -- greedy seed ---------------------------------------------------------
+
+    def _greedy_seed(self) -> Optional[Tuple[float, Tuple[MemberId, ...], VenueId]]:
+        """The closest greedy group (``_greedy_group``) over the alive
+        venues, as ``(total, group, venue)``, or None when no venue yields
+        one. The venues are walked in order of their first-``p`` bound, the
+        sum of the first ``p`` distances of the venue's candidate order added
+        as ``distance_prune`` adds them, ties in query order; the walk stops
+        at the first venue whose bound reaches the best total found."""
+        p = self.query.p
+        ranked = []
+        for i, q in enumerate(self.alive_venues):
+            bound = 0.0
+            for d, _ in self.by_distance[q][:p]:
+                bound += d
+            ranked.append((bound, i, q))
+        ranked.sort()
+        best = None
+        for bound, _, q in ranked:
+            if best is not None and bound >= best[0]:
+                break
+            found = self._greedy_group(self.by_distance[q])
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (*found, q)
+        return best
+
+    def _greedy_group(
+        self, order: List[Tuple[float, MemberId]]
+    ) -> Optional[Tuple[float, Tuple[MemberId, ...]]]:
+        """One feasible group from ``order``, a venue's candidate order, as
+        ``(total, sorted group)``, or None: each candidate in turn is kept
+        when it leaves every kept member, itself included, with at most
+        ``k`` strangers, until ``p`` are kept. Such a group is also within
+        the average budget, so it is feasible in both modes. The total adds
+        the kept distances in order."""
+        p, k = self.query.p, self.query.k
+        neighbors = self.graph.neighbors
+        group: Set[MemberId] = set()
+        strangers: Dict[MemberId, int] = {}
+        # The kept members with ``k`` strangers: a newcomer must know each.
+        full: Set[MemberId] = set()
+        total = 0.0
+        for d, u in order:
+            known = neighbors(u) & group
+            count = len(group) - len(known)
+            if count > k or not full <= known:
+                continue
+            for v in group - known:
+                strangers[v] += 1
+                if strangers[v] == k:
+                    full.add(v)
+            strangers[u] = count
+            if count == k:
+                full.add(u)
+            group.add(u)
+            total += d
+            if len(group) == p:
+                return total, tuple(sorted(group))
+        return None
+
     # -- top level ---------------------------------------------------------
 
     def run(self) -> None:
@@ -325,8 +433,9 @@ class _MultiVenueSearch(_GroupSearch):
         # once.
         sums = {q: 0.0 for q in self.alive_venues}
         pool = self.pool
-        # The root's pool is the union of the alive venues' candidate
-        # orders, so they are its lists as they are.
+        # The root's pool is the union of the prepared venues' candidate
+        # orders, and its cut drops every other venue, so the orders are
+        # its lists as they are.
         self._frame([], set(), 0, pool, sums, None, set(pool), self.by_distance)
 
     # -- candidate selection -----------------------------------------------
@@ -469,13 +578,13 @@ class _MultiVenueSearch(_GroupSearch):
         # only candidates of q, so the first ``p - size`` of its list bound
         # the cost of the open slots. The pool only shrinks afterwards, so
         # they stay valid lower bounds until a re-bound cuts them.
-        if size:
+        if size or self.best_total < math.inf:
             entered = self._cut_to_incumbent(pool, size, sums, lists)
             admits = self._entry_test(prefix, prefix_set)
             remaining = entered if admits is None else [v for v in entered if admits(v)]
             stats.bump(PRUNE_MEMBER_FAMILIARITY, len(entered) - len(remaining))
         else:
-            # The root's pool is the alive venues' candidates, and under its
+            # The root's pool is the alive venues' candidates, and under an
             # infinite incumbent no bound fires: no candidate can drop.
             remaining = list(pool)
         # The candidates not yet generated, kept current with ``remaining``
@@ -646,14 +755,19 @@ def mags_solve(
     audit: Optional[MagsAudit] = None,
 ):
     """Index-driven joint search: the optimal ``Solution``, or None when
-    nothing qualifies. ``ordering`` picks the candidate extraction
-    strategy: "srdo" fixes the reference venue from the closest pair of a
-    pool member and a live venue (``srdo_seed``), and a search frame left
-    with one venue runs ``ssp``'s single-venue loop in that venue's distance
-    order; "apdo" re-selects the best (member, venue) pair before every
-    insertion, reading each search frame's selections off one sort of its
-    candidates by their best pair, and checks the ball-distance bound over
-    the venue ball tree.
+    nothing qualifies. With more than one live venue, both orderings start
+    from the incumbent of a greedy group, built at the venues in order of
+    their sorted-distance bound up to the first that cannot beat it, and
+    widened just enough that the search still finds its own optimum.
+    ``ordering`` picks the candidate
+    extraction strategy: "srdo" fixes the reference venue from the closest
+    pair of an alive venue and one of its candidates (``srdo_seed``),
+    prepares only the venues whose bound can beat the greedy incumbent, and
+    a search frame left with one venue runs ``ssp``'s single-venue loop in
+    that venue's distance order; "apdo" re-selects the best (member, venue)
+    pair before every insertion, reading each search frame's selections off
+    one sort of its candidates by their best pair, and checks the
+    ball-distance bound over the venue ball tree.
     "apdo" reads the venue ball tree: ``indexes`` without one raise
     ``ValueError``."""
     if ordering not in ("srdo", "apdo"):

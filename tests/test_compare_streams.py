@@ -1,8 +1,9 @@
 """Tests of ``scripts/compare_streams.py``: one benchmark stream, compared
-with the checkout it runs in, matches itself; digest lines give each side's
-summed states; mismatches name their queries; only an answer mismatch or a
-one-sided stream exits 3; timed rounds alternate the sides and report both
-import orders."""
+with the checkout it runs in, matches itself; the generated streams hold
+their queries; digest lines give each side's summed states; mismatches name
+their queries; only an answer mismatch or a one-sided stream exits 3; timed
+rounds alternate the sides and report both import orders, and each side's
+CPU seconds and time per explored state."""
 
 import importlib.util
 import re
@@ -51,6 +52,39 @@ def test_hard_stream_holds_two_queries_per_seed():
     assert len(lines) == 1 and lines[0].startswith("hard seed=1 ssp queries=2 answers="), lines
     # With no other checkout, only this one's sums.
     assert re.search(r" counters=\w+ explored=\d+ generated=\d+$", lines[0]), lines
+
+
+def test_many_venue_stream_holds_two_queries_per_seed():
+    args = ["--workloads", "many-venue", "--seeds", "1", "--solvers", "srdo"]
+    out = subprocess.run(
+        [sys.executable, str(SCRIPT), *args], capture_output=True, text=True, timeout=300
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("many-venue seed=1 srdo queries=2 answers="), lines
+    assert re.search(r" counters=\w+ explored=\d+ generated=\d+$", lines[0]), lines
+
+
+def test_generated_streams_query_every_venue_of_their_instance():
+    # Each generated workload's (p, k) pairs and familiarity mode, over all
+    # of the instance's venues, at the workload's radius quantile.
+    compare = _module()
+    (rp,) = compare.load_packages([ROOT])
+    for name, expected in [
+        ("hard", ([(6, 2), (7, 2)], "PER_VERTEX", 8, 0.3)),
+        ("many-venue", ([(3, 1), (4, 2)], "AVERAGE", 256, 0.03)),
+    ]:
+        queries = compare.stream(None, rp, name, 1)
+        pairs, mode, venue_count, quantile = expected
+        assert [(q.p, q.k) for q, _ in queries] == pairs
+        graph, data, _ = queries[0][1]
+        assert len(data.venue_locations) == venue_count
+        t = rp.generator.radius_for_quantile(graph, data, quantile)
+        for query, _ in queries:
+            assert query.familiarity_mode is rp.FamiliarityMode[mode]
+            assert query.venues == tuple(sorted(data.venue_locations))
+            assert query.t == t
 
 
 def test_digest_lines_sum_each_sides_states():
@@ -138,13 +172,20 @@ def test_timed_run_prints_each_import_order_and_their_geometric_mean():
     assert lines[1] == f"no mismatch against {ROOT}"
     timing = re.fullmatch(
         r"mv-static seed=1 srdo cpu this/other, median of 1 rounds: (\S+) this imported first,"
-        r" (\S+) other imported first, geometric mean (\S+)",
+        r" (\S+) other imported first, geometric mean (\S+);"
+        r" this cpu_s (\S+) us_per_explored (\S+); other cpu_s (\S+) us_per_explored (\S+)",
         lines[2],
     )
     assert len(lines) == 3 and timing, lines
-    this_first, other_first, mean = map(float, timing.groups())
+    this_first, other_first, mean, *sides = map(float, timing.groups())
     assert this_first > 0 and other_first > 0
     assert mean == pytest.approx((this_first * other_first) ** 0.5, abs=0.002)
+    # Each side's CPU seconds, and those seconds over the stream's explored
+    # states, which both sides share.
+    explored = int(re.search(r" explored=(\d+) ", lines[0]).group(1))
+    for cpu, per_state in (sides[:2], sides[2:]):
+        assert cpu > 0
+        assert per_state == pytest.approx(cpu * 1e6 / explored, rel=0.01, abs=0.01)
 
 
 def test_time_needs_a_checkout_to_compare_with():
@@ -192,9 +233,16 @@ def test_timing_lines_take_each_import_order_median_and_their_geometric_mean():
     # This checkout's seconds, then the other's, per round.
     this_first = [{key: [2.0, 1.0, 3.0]}, {key: [1.0, 1.0, 1.0]}]
     other_first = [{key: [1.0, 0.5, 2.0]}, {key: [2.0, 2.0, 2.0]}]
-    assert compare.timing_lines(this_first, other_first, 3) == [
+    # Each side's records: 4 + 6 explored states here, none on the other.
+    records = [
+        {key: (["a", "b"], [repr((4, 5, [])), repr((6, 9, []))])},
+        {key: (["a", "b"], [repr((0, 0, [])), repr((0, 3, []))])},
+    ]
+    assert compare.timing_lines(this_first, other_first, 3, records) == [
         "w seed=1 srdo cpu this/other, median of 3 rounds: 2.000 this imported first,"
-        " 0.500 other imported first, geometric mean 1.000",
+        " 0.500 other imported first, geometric mean 1.000;"
+        # Medians of each side's six rounds: 1.5 s over 10 states, and 1.5 s.
+        " this cpu_s 1.5000 us_per_explored 150000.00; other cpu_s 1.5000 us_per_explored -",
     ]
 
 

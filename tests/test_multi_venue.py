@@ -29,6 +29,7 @@ from rallypoint import (
     ssgmerge_solve,
     ssgs_solve,
     ssp_solve,
+    total_distance,
 )
 
 from rallypoint import multi_venue, single_venue
@@ -542,11 +543,16 @@ def _setup_instance(rng):
 def test_search_setup_matches_the_distances():
     # Alive venues, their orders, ``near`` (in each row's venue order) and
     # the pool in each ordering's search order, bit for bit, against a
-    # reference built from the dataset's distances. srdo pools mix members
-    # in range of the reference venue, whose distance the search reuses,
-    # with members out of it, whose distance it computes.
+    # reference built from the dataset's distances. apdo prepares every
+    # alive venue; srdo only those whose first-``p`` bound stays below the
+    # incumbent the greedy seed sets, but takes its reference venue from
+    # the whole alive table. srdo pools mix members in range of the
+    # reference venue, whose distance the search reuses, with members out
+    # of it, whose distance it computes.
     rng = random.Random(12)
-    seen = {"at_t": 0, "non_vertex": 0, "dead": 0, "shared_spot": 0, "mixed_reference": 0}
+    seen = {
+        "at_t": 0, "non_vertex": 0, "dead": 0, "shared_spot": 0, "mixed_reference": 0, "cut": 0,
+    }
     for trial in range(400):
         graph, data, query = (_grid_instance if trial % 2 else _setup_instance)(rng)
         in_range = {
@@ -558,23 +564,19 @@ def test_search_setup_matches_the_distances():
             for q in query.venues
         }
         alive = [q for q in query.venues if len(in_range[q]) >= query.p]
-        pool = set().union(*(in_range[q] for q in alive))
-        near = {
-            m: {q: data.member_venue_distance(m, q) for q in alive if m in in_range[q]}
-            for m in pool
-        }
         orders = {
             q: sorted((data.member_venue_distance(m, q), m) for m in in_range[q]) for q in alive
         }
-        pools = {"apdo": sorted(pool), "srdo": []}
-        if pool:
-            degree = {m: graph.degree(m) for m in pool}
-            _, q_ref, _ = srdo_seed(near, degree)
-            keys = sorted((data.member_venue_distance(m, q_ref), -degree[m], m) for m in pool)
-            pools["srdo"] = [m for _, _, m in keys]
-            seen["mixed_reference"] += 0 < len(in_range[q_ref]) < len(pool)
-        spots = [data.member_locations[m] for m in pool]
-        seen["shared_spot"] += len(set(spots)) < len(spots)
+
+        def table(venues):
+            pool = set().union(*(in_range[q] for q in venues))
+            return {
+                m: {q: data.member_venue_distance(m, q) for q in venues if m in in_range[q]}
+                for m in pool
+            }
+
+        degree = {m: graph.degree(m) for m in graph.vertices}
+        q_ref = srdo_seed(table(alive), degree)[1] if alive else None
         for q in query.venues:
             for m in data.member_locations:
                 if data.member_venue_distance(m, q) == query.t and m in in_range[q]:
@@ -583,24 +585,34 @@ def test_search_setup_matches_the_distances():
                     seen["non_vertex"] += 1
             seen["dead"] += 0 < len(in_range[q]) < query.p
         for ordering in ("srdo", "apdo"):
-            search = multi_venue._MultiVenueSearch(
-                query,
-                graph,
-                data,
-                build_indexes(data),
-                PruneConfig(),
-                SearchStats(),
-                ordering=ordering,
-            )
+            search = _joint_search(graph, data, query, ordering)
+            prepared = [
+                q for q in alive
+                if ordering == "apdo"
+                or not distance_prune(0.0, 0, query.p, orders[q], search.best_total)
+            ]
+            near = table(prepared)
+            if ordering == "apdo":
+                pool = sorted(near)
+            else:
+                keys = sorted(
+                    (data.member_venue_distance(m, q_ref), -degree[m], m) for m in near
+                )
+                pool = [m for _, _, m in keys]
+                if pool:
+                    seen["mixed_reference"] += 0 < len(in_range[q_ref] & set(pool)) < len(pool)
+                seen["cut"] += len(prepared) < len(alive)
+                spots = [data.member_locations[m] for m in pool]
+                seen["shared_spot"] += len(set(spots)) < len(spots)
             assert search.alive_venues == alive
-            assert search.pool == pools[ordering], ordering
+            assert search.pool == pool, ordering
             assert search.near == near
             assert all(list(search.near[m]) == list(row) for m, row in near.items())
             assert search.by_distance == orders
     assert min(seen.values()) > 20, seen
 
 
-def _srdo_search(graph, data, query, config=None):
+def _joint_search(graph, data, query, ordering, config=None):
     return multi_venue._MultiVenueSearch(
         query,
         graph,
@@ -608,15 +620,20 @@ def _srdo_search(graph, data, query, config=None):
         build_indexes(data),
         config or PruneConfig(),
         SearchStats(),
-        ordering="srdo",
+        ordering=ordering,
     )
+
+
+def _srdo_search(graph, data, query, config=None):
+    return _joint_search(graph, data, query, "srdo", config)
 
 
 def test_srdo_reference_order_matches_its_definition():
     # The pool sorted by (distance to the seed's venue, -degree, id), with
-    # the seed taken from the whole member-to-venue table. Integer grids put
-    # members on shared spots, at equal distance from several venues and
-    # with equal degrees, so the tie-breaks decide.
+    # the seed taken from the whole member-to-venue table of the alive
+    # venues, those the search prepares or not. Integer grids put members on
+    # shared spots, at equal distance from several venues and with equal
+    # degrees, so the tie-breaks decide.
     rng = random.Random(19)
     seen = {"seed_ties": 0, "key_ties": 0}
     for trial in range(600):
@@ -632,13 +649,18 @@ def test_srdo_reference_order_matches_its_definition():
         if not search.alive_venues:
             assert search.pool == []
             continue
-        _, q_ref, d_min = srdo_seed(search.near, search.degree_of)
+        alive_table = {}
+        for q in search.alive_venues:
+            for d, m in search.by_distance[q]:
+                alive_table.setdefault(m, {})[q] = d
+        degree = {m: graph.degree(m) for m in alive_table}
+        _, q_ref, d_min = srdo_seed(alive_table, degree)
         ref = data.venue_locations[q_ref]
         keys = sorted(
             (distance(data.member_locations[v], ref), -graph.degree(v), v) for v in search.near
         )
         assert search.pool == [v for _, _, v in keys]
-        at_d_min = sum(d == d_min for row in search.near.values() for d in row.values())
+        at_d_min = sum(d == d_min for row in alive_table.values() for d in row.values())
         seen["seed_ties"] += at_d_min > 1
         seen["key_ties"] += sum(a[:2] == b[:2] for a, b in zip(keys, keys[1:]))
     assert min(seen.values()) > 50, seen
@@ -778,12 +800,15 @@ def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
 
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", guarded)
     label = f"pool-set-{mode.value}-{ordering}"
+    # The greedy seed's incumbent leaves few average-mode srdo frames below
+    # the root, so this test draws more instances than the oracle check's
+    # default to keep its floor.
     for make_instance in (
         frame_counts._gnp_instance,
         frame_counts._power_law_instance,
         frame_counts._grid_instance,
     ):
-        _mags_matches_oracle(label, make_instance, mode, 5700, ordering)
+        _mags_matches_oracle(label, make_instance, mode, 5700, ordering, count=80)
     assert sum(size > 0 for size in entered) > 100, len(entered)
 
 
@@ -858,12 +883,13 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
     monkeypatch.setattr(cls, "_venue_frame", handing_off)
     monkeypatch.setattr(cls, "_entry_candidates", entering)
     label = f"frame-lists-{mode.value}-{ordering}"
+    # As above, more instances than the default keep the floors.
     for make_instance in (
         frame_counts._gnp_instance,
         frame_counts._power_law_instance,
         frame_counts._grid_instance,
     ):
-        _mags_matches_oracle(label, make_instance, mode, 5900, ordering)
+        _mags_matches_oracle(label, make_instance, mode, 5900, ordering, count=80)
     assert seen["root"] > 50 and seen["child"] > 100 and seen["entry"] > 50, seen
     assert (seen["handoff"] > 50) == (ordering == "srdo"), seen
 
@@ -1346,6 +1372,145 @@ def test_many_venue_apdo_stays_small_and_agrees():
     assert stats.explored_states <= 80, stats.explored_states
 
 
+# --- greedy seed --------------------------------------------------------------
+
+
+def _unit_instance(rng, seed):
+    """Every member one unit from every venue: every group of a venue ties
+    with the same group at every other venue."""
+    graph, _ = random_instance(seed, rng.randint(5, 12), 1, edge_prob=rng.choice([0.3, 0.5, 0.7]))
+    return graph, unit_distance_dataset(graph.vertices, rng.randint(1, 4))
+
+
+SEED_MAKERS = [
+    frame_counts._gnp_instance,
+    frame_counts._power_law_instance,
+    _unit_instance,
+    frame_counts._grid_instance,
+]
+SEED_INSTANCES = pytest.mark.parametrize(
+    "make_instance", SEED_MAKERS, ids=["gnp", "power-law", "unit", "grid"]
+)
+
+
+def _seed_queries(label, make_instance, mode, count=60):
+    """``count`` instances of ``make_instance``, each with ``frame_counts``'
+    queries in ``mode``, drawn from ``label``."""
+    rng = random.Random(f"{label}-{make_instance.__name__}-{mode.value}")
+    for seed in range(count):
+        graph, data = make_instance(rng, 7700 + seed)
+        for query in frame_counts._queries(rng, graph, data, mode):
+            yield graph, data, query
+
+
+def _unseeded(monkeypatch):
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_greedy_seed", lambda self: None)
+
+
+@SEED_INSTANCES
+@pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
+def test_greedy_seed_is_feasible_and_never_below_the_optimum(make_instance, mode, ordering):
+    # The seed's group is a feasible answer at its venue, so its total is
+    # at least the optimum; the incumbent a search with more than one alive
+    # venue starts from lies just above that total.
+    seeded = 0
+    for graph, data, query in _seed_queries("seed-feasible", make_instance, mode):
+        search = _joint_search(graph, data, query, ordering)
+        seed = search._greedy_seed()
+        if seed is None or len(search.alive_venues) < 2:
+            assert search.best_total == math.inf
+        if seed is None:
+            continue
+        total, group, venue = seed
+        assert is_feasible(group, venue, query, graph, data), (query, seed)
+        assert total == pytest.approx(total_distance(group, venue, data), abs=frame_counts.TOL)
+        if len(search.alive_venues) > 1:
+            assert total < search.best_total <= math.nextafter(total * (1 + 2**-39), math.inf)
+        oracle = brute_force(query, graph, data)
+        assert total >= oracle.total_distance - frame_counts.TOL, (query, seed)
+        seeded += 1
+    assert seeded > 40, seeded
+
+
+@SEED_INSTANCES
+@pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
+def test_greedy_seed_changes_no_answer(monkeypatch, make_instance, mode, ordering):
+    # The seeded incumbent lies above the optimum, so the search still finds
+    # an optimum: the same group, venue and total, to the last bit, as from
+    # an infinite incumbent. Only where two groups tie exactly may the
+    # answer change: a lower incumbent leaves an srdo frame with one venue
+    # sooner, and the single-venue loop it hands off to walks the venue's
+    # own distance order, so it can meet the other group first. Only the
+    # grid's integer distances tie.
+    def answer(sol):
+        return None if sol is None else (sol.group, sol.venue, repr(sol.total_distance))
+
+    queries = list(_seed_queries("seed-answers", make_instance, mode))
+    seeded = [answer(mags_solve(q, g, d, ordering=ordering)) for g, d, q in queries]
+    _unseeded(monkeypatch)
+    unseeded = [answer(mags_solve(q, g, d, ordering=ordering)) for g, d, q in queries]
+    ties = 0
+    for (graph, data, query), a, b in zip(queries, seeded, unseeded):
+        if a != b:
+            assert a is not None and b is not None, query
+            assert float(a[2]) == pytest.approx(float(b[2]), abs=frame_counts.TOL), query
+            assert is_feasible(a[0], a[1], query, graph, data), query
+            assert is_feasible(b[0], b[1], query, graph, data), query
+            ties += 1
+    assert sum(a is not None for a in seeded) > 40
+    assert ties <= (len(queries) // 20 if make_instance is frame_counts._grid_instance else 0)
+
+
+@SEED_INSTANCES
+@pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
+def test_a_finite_seed_never_ends_without_an_answer(monkeypatch, make_instance, mode, ordering):
+    # The seed's group, or a closer one, is always left for the search.
+    found = []
+    original = multi_venue._MultiVenueSearch._greedy_seed
+
+    def seeding(self):
+        seed = original(self)
+        found.append(seed is not None)
+        return seed
+
+    monkeypatch.setattr(multi_venue._MultiVenueSearch, "_greedy_seed", seeding)
+    seeded = 0
+    # Only queries with more than one alive venue are seeded, so this test
+    # draws more instances than the others.
+    for graph, data, query in _seed_queries("seed-kept", make_instance, mode, count=200):
+        sol = mags_solve(query, graph, data, ordering=ordering)
+        assert sol is not None or not any(found), query
+        seeded += any(found)
+        found.clear()
+    assert seeded > 40, seeded
+
+
+@pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
+def test_a_seeded_pool_keeps_the_unseeded_pool_order(monkeypatch, mode, ordering):
+    # srdo prepares only the venues the seed leaves, but picks its reference
+    # venue from every alive venue: its pool is the unseeded pool with
+    # members left out, in the same order. apdo prepares every alive venue.
+    # On unit distances every venue has the same bound, so none is left out.
+    queries = [
+        (make_instance, *instance)
+        for make_instance in SEED_MAKERS
+        for instance in _seed_queries("seed-pool", make_instance, mode)
+    ]
+    seeded = [_joint_search(g, d, q, ordering).pool for _, g, d, q in queries]
+    _unseeded(monkeypatch)
+    shrunk = dict.fromkeys(SEED_MAKERS, 0)
+    for (make_instance, graph, data, query), pool in zip(queries, seeded):
+        unseeded = _joint_search(graph, data, query, ordering).pool
+        rest = iter(unseeded)
+        assert all(v in rest for v in pool), query
+        shrunk[make_instance] += len(pool) < len(unseeded)
+    if ordering == "apdo":
+        assert not any(shrunk.values()), shrunk
+    else:
+        assert shrunk.pop(_unit_instance) == 0
+        assert min(shrunk.values()) > 5, shrunk
+
+
 # --- pinned search trees ----------------------------------------------------
 
 
@@ -1394,7 +1559,7 @@ PINNED_SEARCHES = {
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (4, 4),
-        {"venue_distance": 15, "venue_radius": 3},
+        {"venue_distance": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1402,14 +1567,14 @@ PINNED_SEARCHES = {
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (4, 4),
-        {"venue_distance": 5, "venue_radius": 1},
+        {"venue_distance": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (3, 3),
-        {"venue_distance": 9},
+        {"venue_distance": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1424,7 +1589,7 @@ PINNED_SEARCHES = {
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (5, 5),
-        {"venue_distance": 15},
+        {"venue_distance": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1432,21 +1597,21 @@ PINNED_SEARCHES = {
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (3, 3),
-        {"venue_distance": 9},
+        {"venue_distance": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (9, 9),
-        {"venue_distance": 5, "venue_radius": 1},
+        (6, 6),
+        {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (5, 5),
-        {"venue_distance": 8},
+        (4, 4),
+        {"venue_distance": 1},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1466,8 +1631,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (11, 11),
-        {"member_familiarity": 12, "venue_distance": 3, "venue_radius": 2},
+        (8, 8),
+        {"member_familiarity": 4, "venue_distance": 2, "venue_radius": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1475,8 +1640,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (11, 11),
-        {"venue_distance": 6, "venue_radius": 9},
+        (8, 8),
+        {"venue_distance": 1, "venue_radius": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1504,24 +1669,24 @@ PINNED_SEARCHES = {
     (2, "apdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (4, 4),
-        {"ball_distance": 7, "venue_distance": 8, "venue_radius": 3},
-        (3, "4cd22014eb1c5812"),
-        (21, "1a54c3896623965b"),
+        {"venue_distance": 4},
+        (3, "3549787bf07406e3"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (3, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (4, "apdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (4, 4),
-        {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
-        (3, "218dc8c9ca4086e3"),
-        (10, "a97d2b3137beb11d"),
+        {"venue_distance": 1},
+        (3, "c7d16897d2b3c06a"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (5, "apdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (3, 3),
-        {"ball_distance": 4, "venue_distance": 5},
-        (2, "d1e9b725e3835b12"),
-        (8, "1a3c9a03e90a24db"),
+        {"venue_distance": 2},
+        (2, "594d42cc1f0d2468"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (6, "apdo"): (
         ((2, 5, 7), "q1", 53.458484028),
@@ -1534,31 +1699,31 @@ PINNED_SEARCHES = {
     (8, "apdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (5, 5),
-        {"ball_distance": 7, "venue_distance": 8},
-        (4, "096358441cb53ba8"),
-        (20, "2206f6ddbb2618fa"),
+        {"venue_distance": 2},
+        (4, "48fc825ee1a2ad8b"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (9, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (10, "apdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (3, 3),
-        {"ball_distance": 3, "venue_distance": 6},
-        (2, "e8f07e799d7074ac"),
-        (10, "16942ae88af70236"),
+        {"venue_distance": 2},
+        (2, "5a606f5abfe4deeb"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (11, "apdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (7, 7),
-        {"ball_distance": 2, "venue_distance": 3, "venue_radius": 1},
-        (4, "0ad9f63810673552"),
-        (14, "c9ac689c5536b768"),
+        (4, 4),
+        {"venue_distance": 3},
+        (2, "9f10fdf3aa5cee45"),
+        (6, "e7a3105e2d88c773"),
     ),
     (12, "apdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
-        (5, 5),
-        {"ball_distance": 3, "venue_distance": 5},
-        (3, "5ebab3400af26215"),
-        (9, "3a851d2cb51e7569"),
+        (4, 4),
+        {"venue_distance": 1},
+        (3, "8bec9854da70db65"),
+        (0, "4f53cda18c2baa0c"),
     ),
     (13, "apdo"): (
         ((0, 1, 2, 5, 6), "q1", 159.804164319),
@@ -1577,18 +1742,18 @@ PINNED_SEARCHES = {
     (15, "apdo"): (
         ((2, 6, 8), "q0", 91.108967891),
         (6, 6),
-        {"ball_distance": 4, "member_familiarity": 5, "venue_distance": 1, "venue_radius": 2},
-        (4, "160f0ed79f4233a5"),
-        (4, "4a6f92c7baba96dc"),
+        {"ball_distance": 2, "venue_distance": 1, "venue_radius": 1},
+        (4, "fe4687806c36ddb0"),
+        (1, "28b4ab8a70ee9cbb"),
     ),
     (16, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (17, "apdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "apdo"): (
         ((1, 3, 13), "q2", 61.69316095),
         (6, 6),
-        {"ball_distance": 4, "venue_distance": 1, "venue_radius": 4},
-        (4, "168e5ae32ee8b591"),
-        (5, "e3c4ca612218e7a9"),
+        {"ball_distance": 2, "venue_distance": 1, "venue_radius": 2},
+        (4, "2fb7cee492682668"),
+        (1, "d0dd411d4c770cfa"),
     ),
     (19, "apdo"): (
         ((1, 4, 5, 6, 7), "q3", 115.976489005),
