@@ -5,54 +5,75 @@ Both orderings share one recursive engine. Candidate members are extracted
 either from a static order toward a reference venue, or adaptively from the
 (member, venue) pairs in range. A search sets itself up from
 ``candidate_order``, the in-range rule of every exact solver, called once per
-venue of the query. It alone decides which venues are alive (at least ``p``
-graph vertices within ``t``). A greedy seed (below) then sets the incumbent
-the search starts from, and the search prepares its venues: every alive
-venue, or for srdo only those the seed leaves. They decide the pool (the
-union of their candidates) and ``near``: for each pool member, the prepared
-venues within its radius and its distance to each, filled in one pass over
-their orders. A search frame carries one venue table, ``sums``: the venues
-still usable for a solution, each with the prefix's total distance to it.
-The radius, venue-distance and (apdo only) ball-distance rules remove venues
-from it. The adaptive selection ranges over the alive venues within the
-radius of every prefix member, worked out from the prefix, so toggling
-prune rules never changes the member extraction order.
+venue of the query. A venue with fewer than ``p`` graph vertices within
+``t`` is dead; the others are alive, and each has a list: its candidate
+order, or for srdo, once peeled (below), its in-range core in that order.
+A greedy seed (below) then sets the incumbent the search starts from, and
+the search prepares its venues: every alive venue, or for srdo only those
+the seed leaves. They decide the pool (the union of their lists) and
+``near``: for each pool member, the prepared venues within its radius and
+its distance to each, filled in one pass over their lists. A search frame
+carries one venue table, ``sums``: the venues still usable for a solution,
+each with the prefix's total distance to it. The radius, venue-distance and
+(apdo only) ball-distance rules remove venues from it. The adaptive
+selection ranges over the alive venues within the radius of every prefix
+member, worked out from the prefix, so toggling prune rules never changes
+the member extraction order.
 
 A search with more than one alive venue starts from a greedy incumbent
 (``_greedy_seed``), Lawler and Wood's cheap feasible start for
 branch-and-bound; with one, no venue is left to cut. The alive venues are
-walked in order of their first-``p`` bound, the sum of the first ``p``
-distances of the venue's candidate order, ties in query order. At each
-venue a greedy group takes the venue's candidates in (distance, id) order
-and keeps each one that leaves every kept member with at most ``k``
-strangers, until ``p`` are kept; such a group is within the average budget
-too, so it is feasible in both modes. The walk stops at the first venue
-whose bound reaches the best greedy total, the threshold algorithm's stop
-rule. The incumbent is that total widened by a relative ``2**-40`` and one
-unit in the last place, so the search still takes its own optimum leaf,
-whatever order it sums the leaf's distances in: the seed cuts states, never
-the optimum, and a search with a finite seed always answers. Only between
-groups that tie exactly can the answer change: a lower incumbent may leave
-an srdo frame with one venue sooner, and the single-venue loop it hands
-off to walks that venue's own order. The walk is not a search state and
-counts nothing.
+walked best first by their first-``p`` bound, the sum of the first ``p``
+distances of the venue's list, ties in query order. At each venue a greedy
+group takes the venue's candidates in (distance, id) order and keeps each
+one that leaves every kept member with at most ``k`` strangers, until ``p``
+are kept; such a group is within the average budget too, so it is feasible
+in both modes. The walk stops at the first venue whose bound reaches the
+best greedy total, the threshold algorithm's stop rule. The incumbent is
+that total widened by a relative ``2**-40`` and one unit in the last place,
+so the search still takes its own optimum leaf, whatever order it sums the
+leaf's distances in: the seed cuts states, never the optimum, and a search
+with a finite seed always answers. Only between groups that tie exactly can
+the answer change: a lower incumbent may leave an srdo frame with one venue
+sooner, and the single-venue loop it hands off to walks that venue's own
+order. The walk is not a search state and counts nothing.
+
+In per-vertex mode, with the member rule on and ``p - 1 - k > 0``, srdo's
+walk also peels each venue on its first visit (``_peel``). A feasible group
+is a k-plex: each member has at most ``k`` strangers among the other
+``p - 1``, all within ``t`` of the venue, so it knows at least
+``p - 1 - k`` of the venue's candidates. The peel drops every candidate
+with fewer acquaintances left in the list, until none is left to drop: the
+degree reduction of Balasundaram, Butenko and Hicks, which leaves the
+venue's in-range core, the largest subset in which every member keeps that
+many. Every feasible group at the venue lies in it. The walk then ranks the
+venue again by its peeled bound, never lower than the unpeeled one, so the
+walk stays best first; a venue whose core holds fewer than ``p`` is no
+longer alive. Only venues whose unpeeled bound beats the incumbent are
+peeled, and a query with one alive venue runs no walk and no peel.
 
 srdo prepares only the venues whose first-``p`` bound stays below that
-incumbent, those the root's cut keeps: no other venue enters ``near``, the
-degree table or the keyed pool. apdo prepares every alive venue, since its
-radius universe reads ``near`` for venues the root drops too.
+incumbent, those the root's cut keeps, and peels each one it prepares that
+the walk left unpeeled: every prepared venue is peeled, also with the
+venue-distance rule off. No other venue enters ``near``, the degree table
+or the keyed pool. When it prepares one venue, srdo runs that venue's
+search from the root, as ``ssp`` does (``_GroupSearch.search_venue``),
+over its list, and builds no ``near``, degree table or pool at all. apdo
+prepares every alive venue, since its radius universe reads ``near`` for
+venues the root drops too, and peels none.
 
 The srdo reference venue is the venue of the closest (member, venue) pair
-over every alive venue and its candidates (``srdo_seed``), prepared or not,
-with graph degrees, so the pool keeps the order it has under an infinite
-incumbent, with members left out. The pair exists whenever a venue is
-alive. Each alive venue's candidate order is sorted by distance, so the
-closest pairs head their lists: the seed compares only the pairs at the
-smallest head distance. The static order sorts the pool by (distance to the
-reference venue, -degree, id), one sort of precomputed keys. A member in
-range of the reference venue takes its distance from ``near``; only the
-others are computed, with ``model.distance``'s arithmetic, which is the
-index's, so ties break on exact distances either way and no index is read.
+over every venue with ``p`` graph vertices in range and its candidate order
+before any peel (``srdo_seed``), prepared or not, with graph degrees, so
+the pool keeps the order it has under an infinite incumbent, with members
+left out. The pair exists whenever a venue is alive. Each candidate order
+is sorted by distance, so the closest pairs head their lists: the seed
+compares only the pairs at the smallest head distance. The static order
+sorts the pool by (distance to the reference venue, -degree, id), one sort
+of precomputed keys. A member in range of the reference venue takes its
+distance from ``near``; only the others are computed, with
+``model.distance``'s arithmetic, which is the index's, so ties break on
+exact distances either way and no index is read.
 
 Each apdo search frame sorts its candidates once, at its first selection,
 each by its smallest ``(prefix total to the venue + pair distance, -degree,
@@ -74,12 +95,12 @@ outer- and inner-triangle ball bounds of ``pruning`` are not checked: by the
 triangle inequality neither is above the ball-distance bound of the same
 ball.
 
-A search keeps each alive venue's candidate order for its whole run. A search
-frame carries its prefix's internal edge count and, as the single-venue loop
+A search keeps each alive venue's list for its whole run. A search frame
+carries its prefix's internal edge count and, as the single-venue loop
 does for its one venue, its lists: for each venue of ``sums``, the venue's
-candidates in the frame's pool, in (distance, id) order. The root's lists are
-the candidate orders themselves, since its pool holds each prepared venue's
-whole order and its cut drops every other venue; every other frame cuts its
+list cut to the frame's pool, in (distance, id) order. The root's lists are
+the search's lists themselves, since its pool holds each prepared venue's
+whole list and its cut drops every other venue; every other frame cuts its
 caller's lists down to its own pool on entry. The lists are
 the frame's completion table. A completion at a venue takes only its
 in-range candidates, so the open slots cost at least the sum of the first
@@ -101,7 +122,7 @@ monotony lets the filter accept a whole list at once: a venue whose
 farthest candidate passes the bound keeps all of its candidates without
 reading them one by one. The root frame runs both steps under the greedy
 seed's incumbent, and skips them only under an infinite one: its pool is
-then the alive venues' candidates, so nothing can drop there.
+then the union of the alive venues' lists, so nothing can drop there.
 
 Each time the incumbent improves, the frame re-bounds at its loop head,
 before its next child (``_rebound``). It cuts its lists down to the
@@ -128,16 +149,17 @@ only reorder this walk; no search applies it.
 Solution venues are visited in the query's venue order, never in set
 order, so the work done does not depend on the string hash seed.
 
-An srdo frame left with one venue in ``sums`` runs none of this joint
-machinery: it hands its list for the venue, the venue's candidates in its
-pool in the venue's own (distance, id) order, to the single-venue loop that
-``ssp`` runs (``_GroupSearch._venue_frame``), with the prefix's total to the
-venue and, in average mode, its pool counts cut down to those candidates.
-One venue needs no venue table, and walking in its own distance order rather
-than the reference venue's keeps the sorted completion bound tight. On a
-one-venue query the root frame hands off, so srdo searches as ``ssp`` does.
-The loop's head check and its leaf scan count as venue-distance prunes, and
-both loops run the same social rules.
+An srdo frame whose entry cut leaves one venue in ``sums`` runs none of
+this joint machinery: it hands that venue's candidates the cut kept, the
+head of its list, in the venue's own (distance, id) order, to the
+single-venue loop that ``ssp`` runs (``_GroupSearch._venue_frame``), with
+the prefix's total to the venue and, in average mode, its pool counts cut
+down to those candidates. One venue needs no venue table, and walking in
+its own distance order rather than the reference venue's keeps the sorted
+completion bound tight. The root of a search that prepares one venue hands
+off the same way before any joint frame, so on a one-venue query srdo
+searches as ``ssp`` does. The loop's head check and its leaf scan count as
+venue-distance prunes, and both loops run the same social rules.
 
 apdo frames keep the joint loop. Handed off the same way, apdo measured
 faster on the benchmark's mv-adaptive workload, but its searches then made
@@ -179,6 +201,7 @@ total the first venue in query order wins, then the lower (distance, id).
 
 from __future__ import annotations
 
+import heapq
 import math
 import time
 from dataclasses import dataclass, field
@@ -291,60 +314,74 @@ class _MultiVenueSearch(_GroupSearch):
         self.ball_rules = not self.static and config.ball_distance
         # One ``candidate_order`` per venue decides every radius fact. A venue
         # is alive when at least p graph vertices lie within t of it (one
-        # with fewer can never host a group).
-        self.alive_venues: List[VenueId] = []
-        self.by_distance: VenueLists = {}
+        # with fewer can never host a group), and for srdo while its core,
+        # once peeled, holds at least p.
+        p = query.p
+        orders: VenueLists = {}
         for q in query.venues:
             order = candidate_order(query, graph, data, q, indexes)
-            if len(order) >= query.p:
-                self.alive_venues.append(q)
-                self.by_distance[q] = order
+            if len(order) >= p:
+                orders[q] = order
+        # Each alive venue's list: its candidate order, or its core once
+        # peeled (``_peel``).
+        self.by_distance: VenueLists = dict(orders)
         # With one alive venue no venue is left to cut: srdo's root hands
-        # off to the single-venue loop at once, and a seed there saves less
-        # than it costs.
-        seed = self._greedy_seed() if len(self.alive_venues) > 1 else None
+        # off to the single-venue loop at once, and a seed or a peel there
+        # saves less than it costs.
+        peels = self.static and self.member_rule and p - 1 - query.k > 0 and len(orders) > 1
+        # The venues srdo has yet to peel.
+        self.unpeeled: Set[VenueId] = set(orders) if peels else set()
+        seed = self._greedy_seed() if len(orders) > 1 else None
         # The venues the search prepares: all alive venues, except that under
         # a seed srdo leaves out those the root's cut drops
-        # (``_cut_to_incumbent``).
-        prepared = self.alive_venues
+        # (``_cut_to_incumbent``). srdo peels each venue it prepares: a venue
+        # is peeled only when its unpeeled bound beats the incumbent, and
+        # kept when its peeled bound still does.
+        prepared = list(self.by_distance)
         if seed is not None:
             # Widened so that the search still takes its own optimum leaf,
             # whatever order it sums that leaf's distances in.
             total = seed[0]
-            best = self.best_total = math.nextafter(total + total * 2**-40, math.inf)
-            if self.static and config.venue_distance:
-                p = query.p
-                prepared = [
-                    q for q in prepared if not distance_prune(0.0, 0, p, self.by_distance[q], best)
-                ]
+            self.best_total = math.nextafter(total + total * 2**-40, math.inf)
+        if self.static:
+            cut = seed is not None and config.venue_distance
+
+            def beats(q: VenueId) -> bool:
+                return not (cut and distance_prune(0.0, 0, p, self.by_distance[q], self.best_total))
+
+            prepared = [q for q in prepared if beats(q) and self._peel(q) and beats(q)]
+        self.alive_venues: List[VenueId] = list(self.by_distance)
+        self.prepared = prepared
         # ``near[m]`` maps each pool member to the prepared venues within its
-        # radius and its distance to each.
+        # radius and its distance to each. srdo with one prepared venue hands
+        # its root to the single-venue loop (``run``) and builds no pool.
         self.near: Dict[MemberId, Dict[VenueId, float]] = {}
         near = self.near
-        for q in prepared:
-            for d, m in self.by_distance[q]:
-                row = near.get(m)
-                if row is None:
-                    near[m] = {q: d}
-                else:
-                    row[q] = d
+        if not self.static or len(prepared) > 1:
+            for q in prepared:
+                for d, m in self.by_distance[q]:
+                    row = near.get(m)
+                    if row is None:
+                        near[m] = {q: d}
+                    else:
+                        row[q] = d
         # Only pool members are ever ranked by degree.
         adjacency = graph.adjacency
         degree_of = self.degree_of = {v: len(adjacency[v]) for v in near}
         # The candidates in search order. srdo fixes it once, by distance to
-        # the reference venue: the venue of the closest pair of an alive
-        # venue, which exists whenever a venue is alive. apdo needs no seed:
-        # every pool member lies within t of an alive venue, so it always
-        # has a pair to start from.
-        if self.static and self.alive_venues:
+        # the reference venue: the venue of the closest pair of a venue with
+        # at least p graph vertices in range, which exists whenever a venue
+        # is alive. apdo needs no seed: every pool member lies within t of an
+        # alive venue, so it always has a pair to start from.
+        if self.static and len(prepared) > 1:
             # Each candidate order is sorted, so the closest pairs head their
-            # lists: the seed compares only those. It reads every alive
-            # venue, prepared or not, so the pool keeps the order it has
-            # under an infinite incumbent.
-            d_min = min(self.by_distance[q][0][0] for q in self.alive_venues)
+            # lists: the seed compares only those. It reads the orders before
+            # any peel and every venue, prepared or not, so the pool keeps
+            # the order it has under an infinite incumbent.
+            d_min = min(order[0][0] for order in orders.values())
             heads: Dict[MemberId, Dict[VenueId, float]] = {}
-            for q in self.alive_venues:
-                for d, m in self.by_distance[q]:
+            for q, order in orders.items():
+                for d, m in order:
                     if d != d_min:
                         break
                     heads.setdefault(m, {})[q] = d
@@ -366,31 +403,71 @@ class _MultiVenueSearch(_GroupSearch):
         else:
             self.pool = sorted(self.near)
 
-    # -- greedy seed ---------------------------------------------------------
+    # -- greedy seed and in-range cores ----------------------------------------
 
     def _greedy_seed(self) -> Optional[Tuple[float, Tuple[MemberId, ...], VenueId]]:
         """The closest greedy group (``_greedy_group``) over the alive
         venues, as ``(total, group, venue)``, or None when no venue yields
-        one. The venues are walked in order of their first-``p`` bound, the
-        sum of the first ``p`` distances of the venue's candidate order added
-        as ``distance_prune`` adds them, ties in query order; the walk stops
-        at the first venue whose bound reaches the best total found."""
+        one. The venues are walked best first by their first-``p`` bound,
+        the sum of the first ``p`` distances of the venue's list added as
+        ``distance_prune`` adds them, ties in query order; the walk stops at
+        the first venue whose bound reaches the best total found. A venue
+        srdo has yet to peel is peeled on its first visit (``_peel``) and,
+        while still alive, ranked again by its peeled bound, which is never
+        lower."""
         p = self.query.p
-        ranked = []
-        for i, q in enumerate(self.alive_venues):
+        lists = self.by_distance
+
+        def first_p(q: VenueId) -> float:
             bound = 0.0
-            for d, _ in self.by_distance[q][:p]:
+            for d, _ in lists[q][:p]:
                 bound += d
-            ranked.append((bound, i, q))
-        ranked.sort()
+            return bound
+
+        heap = [(first_p(q), i, q) for i, q in enumerate(lists)]
+        heapq.heapify(heap)
         best = None
-        for bound, _, q in ranked:
+        while heap:
+            bound, i, q = heapq.heappop(heap)
             if best is not None and bound >= best[0]:
                 break
-            found = self._greedy_group(self.by_distance[q])
+            if q in self.unpeeled:
+                if self._peel(q):
+                    heapq.heappush(heap, (first_p(q), i, q))
+                continue
+            found = self._greedy_group(lists[q])
             if found is not None and (best is None or found[0] < best[0]):
                 best = (*found, q)
         return best
+
+    def _peel(self, q: VenueId) -> bool:
+        """Peel alive venue ``q`` if srdo has yet to: its list keeps, in
+        order, its in-range core, the candidates left by repeatedly dropping
+        each one with fewer than ``p - 1 - k`` acquaintances among those
+        left; the core does not depend on the order of the drops. A member
+        of a feasible per-vertex group at ``q`` has at most ``k`` strangers
+        among its ``p - 1`` fellows, all within ``t`` of ``q``, so every
+        such group lies in the core. False, and ``q`` leaves
+        ``by_distance``, when the core holds fewer than ``p``.
+        ``graph.core_decompose`` peels a whole graph; a venue holds a few
+        candidates, so each round here recounts them all
+        (``SocialGraph._known_within``)."""
+        if q not in self.unpeeled:
+            return True
+        self.unpeeled.discard(q)
+        query = self.query
+        need = query.p - 1 - query.k
+        known_within = self.graph._known_within
+        core = self.by_distance[q]
+        while len(core) >= query.p:
+            known = known_within([v for _, v in core])
+            kept = [pair for pair, n in zip(core, known) if n >= need]
+            if len(kept) == len(core):
+                self.by_distance[q] = core
+                return True
+            core = kept
+        del self.by_distance[q]
+        return False
 
     def _greedy_group(
         self, order: List[Tuple[float, MemberId]]
@@ -429,6 +506,13 @@ class _MultiVenueSearch(_GroupSearch):
     # -- top level ---------------------------------------------------------
 
     def run(self) -> None:
+        if self.static and len(self.prepared) == 1:
+            # One venue to search: the query has one alive venue, or the
+            # seed's cut and the peel leave one. Its search runs as ``ssp``
+            # runs it.
+            (q,) = self.prepared
+            self.search_venue(self.by_distance[q], q)
+            return
         # With no alive venue the pool is empty and the root frame stops at
         # once.
         sums = {q: 0.0 for q in self.alive_venues}
@@ -565,14 +649,6 @@ class _MultiVenueSearch(_GroupSearch):
             # The frame's lists: for each venue of ``sums``, its candidates
             # in the pool, in (distance, id) order.
             lists = {q: [pair for pair in lists[q] if pair[1] in pool_set] for q in sums}
-        if static and len(sums) == 1:
-            # One venue left: the rest is that venue's search, in its own
-            # distance order, over the frame's candidates in its range.
-            ((q, base),) = sums.items()
-            candidates = lists[q]
-            counts = self._pool_counts(size, (v for _, v in candidates), counts)
-            self._venue_frame(prefix, prefix_set, prefix_edges, base, candidates, counts, q)
-            return
 
         # The lists are the frame's completion table: a completion at q takes
         # only candidates of q, so the first ``p - size`` of its list bound
@@ -580,6 +656,16 @@ class _MultiVenueSearch(_GroupSearch):
         # they stay valid lower bounds until a re-bound cuts them.
         if size or self.best_total < math.inf:
             entered = self._cut_to_incumbent(pool, size, sums, lists)
+            if static and len(sums) == 1:
+                # One venue left: the rest is that venue's search, in its
+                # own distance order, over the candidates the cut left. They
+                # head the venue's list, which holds only pool members: the
+                # cut reads it up to the first candidate that fails.
+                ((q, base),) = sums.items()
+                candidates = lists[q][: len(entered)]
+                counts = self._pool_counts(size, (v for _, v in candidates), counts)
+                self._venue_frame(prefix, prefix_set, prefix_edges, base, candidates, counts, q)
+                return
             admits = self._entry_test(prefix, prefix_set)
             remaining = entered if admits is None else [v for v in entered if admits(v)]
             stats.bump(PRUNE_MEMBER_FAMILIARITY, len(entered) - len(remaining))
@@ -756,18 +842,22 @@ def mags_solve(
 ):
     """Index-driven joint search: the optimal ``Solution``, or None when
     nothing qualifies. With more than one live venue, both orderings start
-    from the incumbent of a greedy group, built at the venues in order of
+    from the incumbent of a greedy group, built at the venues best first by
     their sorted-distance bound up to the first that cannot beat it, and
     widened just enough that the search still finds its own optimum.
-    ``ordering`` picks the candidate
-    extraction strategy: "srdo" fixes the reference venue from the closest
-    pair of an alive venue and one of its candidates (``srdo_seed``),
-    prepares only the venues whose bound can beat the greedy incumbent, and
-    a search frame left with one venue runs ``ssp``'s single-venue loop in
-    that venue's distance order; "apdo" re-selects the best (member, venue)
+    ``ordering`` picks the candidate extraction strategy. "srdo" fixes the
+    reference venue from the closest pair of a venue and one of its
+    candidates (``srdo_seed``). In per-vertex mode with the member rule on
+    and ``p - 1 - k > 0`` its greedy walk peels each venue it visits to the
+    in-range core that holds every feasible group there, ranks it again by
+    its peeled bound, and drops it when the core holds fewer than ``p``. It
+    prepares only the venues whose bound can beat the greedy incumbent,
+    each peeled; with one left it runs ``ssp``'s single-venue search there,
+    and a search frame whose entry cut leaves one venue runs that loop in
+    the venue's distance order. "apdo" re-selects the best (member, venue)
     pair before every insertion, reading each search frame's selections off
     one sort of its candidates by their best pair, and checks the
-    ball-distance bound over the venue ball tree.
+    ball-distance bound over the venue ball tree; it peels nothing.
     "apdo" reads the venue ball tree: ``indexes`` without one raise
     ``ValueError``."""
     if ordering not in ("srdo", "apdo"):

@@ -5,7 +5,8 @@ at one venue and its leaf scan. ``ssp_solve`` runs one such search over the
 query's venues in order, each from its root (``search_venue``), so the
 venues share the incumbent; ``ssgs_solve`` is that run on a one-venue query.
 The joint multi-venue search hands the same single-venue loop
-(``_GroupSearch._venue_frame``) every srdo frame left with one venue. Every
+(``_GroupSearch._venue_frame``) every srdo frame whose entry cut leaves one
+venue, and runs ``search_venue`` itself when srdo prepares one venue. Every
 exact solver and the merge heuristic end alike (``_solution``).
 
 The search keeps an ordered partial group and a pool of remaining candidates,

@@ -1,6 +1,7 @@
 import ast
 import functools
 import hashlib
+import itertools
 import math
 import os
 import random
@@ -540,18 +541,53 @@ def _setup_instance(rng):
     return SocialGraph(vertices, edges), SpatialDataset(members, venues), query
 
 
+def _core_by_definition(members, graph, need):
+    """The largest subset of ``members`` in which each member knows at
+    least ``need`` of the others: each round recounts every member's
+    acquaintances among those left and drops every member short of
+    ``need``."""
+    core = set(members)
+    while True:
+        short = {v for v in core if len(graph.neighbors(v) & core) < need}
+        if not short:
+            return core
+        core -= short
+
+
+def _peeled_order(graph, query, order):
+    """A venue's candidate order cut to its in-range core, in order."""
+    core = _core_by_definition([m for _, m in order], graph, query.p - 1 - query.k)
+    return [pair for pair in order if pair[1] in core]
+
+
+def _srdo_peels(query, config, orders):
+    """Whether srdo peels on ``query``: per-vertex with the member rule on,
+    ``p - 1 - k > 0``, and more than one venue with ``p`` graph vertices
+    in range (``orders`` holds their candidate orders)."""
+    per_vertex = query.familiarity_mode is FamiliarityMode.PER_VERTEX
+    return (
+        per_vertex and config.member_familiarity and query.p - 1 - query.k > 0 and len(orders) > 1
+    )
+
+
 def test_search_setup_matches_the_distances():
-    # Alive venues, their orders, ``near`` (in each row's venue order) and
+    # Alive venues, their lists, ``near`` (in each row's venue order) and
     # the pool in each ordering's search order, bit for bit, against a
     # reference built from the dataset's distances. apdo prepares every
-    # alive venue; srdo only those whose first-``p`` bound stays below the
-    # incumbent the greedy seed sets, but takes its reference venue from
-    # the whole alive table. srdo pools mix members in range of the
-    # reference venue, whose distance the search reuses, with members out
-    # of it, whose distance it computes.
+    # venue with at least ``p`` graph vertices in range, with its whole
+    # candidate order. Where srdo peels, each list it peels is the venue's
+    # candidate order cut to its core (``_core_by_definition``), a venue
+    # whose core holds fewer than ``p`` leaves the alive venues, and every
+    # venue it prepares is peeled. srdo prepares only the venues whose
+    # first-``p`` bound stays below the incumbent the greedy seed sets, and
+    # builds no pool when it prepares one; its reference venue comes from
+    # the unpeeled orders of every venue with ``p`` in range. srdo pools mix
+    # members in range of the reference venue, whose distance the search
+    # reuses, with members out of it, whose distance it computes.
     rng = random.Random(12)
     seen = {
         "at_t": 0, "non_vertex": 0, "dead": 0, "shared_spot": 0, "mixed_reference": 0, "cut": 0,
+        "peeled": 0, "dead_core": 0, "handoff": 0,
     }
     for trial in range(400):
         graph, data, query = (_grid_instance if trial % 2 else _setup_instance)(rng)
@@ -568,15 +604,15 @@ def test_search_setup_matches_the_distances():
             q: sorted((data.member_venue_distance(m, q), m) for m in in_range[q]) for q in alive
         }
 
-        def table(venues):
-            pool = set().union(*(in_range[q] for q in venues))
-            return {
-                m: {q: data.member_venue_distance(m, q) for q in venues if m in in_range[q]}
-                for m in pool
-            }
+        def table(venues, lists):
+            rows = {}
+            for q in venues:
+                for d, m in lists[q]:
+                    rows.setdefault(m, {})[q] = d
+            return rows
 
         degree = {m: graph.degree(m) for m in graph.vertices}
-        q_ref = srdo_seed(table(alive), degree)[1] if alive else None
+        q_ref = srdo_seed(table(alive, orders), degree)[1] if alive else None
         for q in query.venues:
             for m in data.member_locations:
                 if data.member_venue_distance(m, q) == query.t and m in in_range[q]:
@@ -586,12 +622,35 @@ def test_search_setup_matches_the_distances():
             seen["dead"] += 0 < len(in_range[q]) < query.p
         for ordering in ("srdo", "apdo"):
             search = _joint_search(graph, data, query, ordering)
+            lists = orders
+            if ordering == "srdo" and _srdo_peels(query, PruneConfig(), orders):
+                lists = {q: _peeled_order(graph, query, orders[q]) for q in alive}
+                # A venue leaves the alive venues only for a core below p;
+                # an alive venue's list is its order, peeled or not.
+                assert search.alive_venues == [q for q in alive if q in search.by_distance]
+                for q in alive:
+                    if q in search.alive_venues:
+                        assert search.by_distance[q] in (orders[q], lists[q]), q
+                    else:
+                        assert len(lists[q]) < query.p, q
+                        seen["dead_core"] += 1
+            else:
+                assert search.alive_venues == alive
+                assert search.by_distance == orders
             prepared = [
-                q for q in alive
+                q for q in search.alive_venues
                 if ordering == "apdo"
-                or not distance_prune(0.0, 0, query.p, orders[q], search.best_total)
+                or not distance_prune(0.0, 0, query.p, lists[q], search.best_total)
             ]
-            near = table(prepared)
+            assert search.prepared == prepared, ordering
+            for q in prepared:
+                assert search.by_distance[q] == lists[q], (ordering, q)
+                seen["peeled"] += len(lists[q]) < len(orders[q])
+            if ordering == "srdo" and len(prepared) == 1:
+                assert search.near == {} and search.pool == []
+                seen["handoff"] += 1
+                continue
+            near = table(prepared, lists)
             if ordering == "apdo":
                 pool = sorted(near)
             else:
@@ -604,12 +663,122 @@ def test_search_setup_matches_the_distances():
                 seen["cut"] += len(prepared) < len(alive)
                 spots = [data.member_locations[m] for m in pool]
                 seen["shared_spot"] += len(set(spots)) < len(spots)
-            assert search.alive_venues == alive
             assert search.pool == pool, ordering
             assert search.near == near
             assert all(list(search.near[m]) == list(row) for m, row in near.items())
-            assert search.by_distance == orders
     assert min(seen.values()) > 20, seen
+
+
+CORE_MAKERS = [
+    frame_counts._gnp_instance,
+    frame_counts._power_law_instance,
+    frame_counts._grid_instance,
+]
+
+
+def _peel_queries(label, make_instance, count=80):
+    """Per-vertex queries over ``count`` instances of ``make_instance``,
+    each with every venue of its instance: ``frame_counts``' queries, and
+    the same query at ``k = 0`` to peel deeper."""
+    rng = random.Random(f"{label}-{make_instance.__name__}")
+    for seed in range(count):
+        graph, data = make_instance(rng, 8300 + seed)
+        query = next(frame_counts._queries(rng, graph, data, FamiliarityMode.PER_VERTEX))
+        yield graph, data, query
+        yield graph, data, Query(query.p, 0, query.t, query.venues, query.familiarity_mode)
+
+
+@pytest.mark.parametrize("masks", ["masks", "sets"])
+@pytest.mark.parametrize("make_instance", CORE_MAKERS, ids=["gnp", "power-law", "grid"])
+def test_in_range_cores_keep_every_feasible_group(monkeypatch, make_instance, masks):
+    # Where srdo peels, a venue's peeled list is an in-order subsequence of
+    # its candidate order in which every member has at least ``p - 1 - k``
+    # acquaintances, the largest such (``_core_by_definition``), and every
+    # feasible group at the venue lies inside it: the venue's best group
+    # (``brute_force`` on the venue alone) and, where they are few enough to
+    # enumerate, all of them. A venue peeled below ``p`` has none. Each
+    # alive venue is peeled here, also those the search leaves unpeeled.
+    # The small graphs here keep vertex masks; "sets" makes every graph
+    # count with its neighbour sets, as a graph whose masks would outweigh
+    # them does.
+    if masks == "sets":
+        monkeypatch.setattr(SocialGraph, "_neighbor_masks", lambda self: ())
+    seen = {"peeled": 0, "dead": 0, "groups": 0, "kept_whole": 0}
+    for graph, data, query in _peel_queries("core-sound", make_instance):
+        search = _srdo_search(graph, data, query)
+        orders = {}
+        for q in query.venues:
+            order = single_venue.candidate_order(query, graph, data, q, search.indexes)
+            if len(order) >= query.p:
+                orders[q] = order
+        if not _srdo_peels(query, PruneConfig(), orders):
+            assert not search.unpeeled and search.by_distance == orders, query
+            continue
+        for q in list(search.by_distance):
+            search._peel(q)
+        need = query.p - 1 - query.k
+        for q, order in orders.items():
+            members = [m for _, m in order]
+            core = _core_by_definition(members, graph, need)
+            by_venue = brute_force(Query(query.p, query.k, query.t, (q,), query.familiarity_mode),
+                                   graph, data)
+            feasible = []
+            if math.comb(len(members), query.p) <= 2000:
+                feasible = [
+                    c for c in itertools.combinations(members, query.p)
+                    if is_feasible(c, q, query, graph, data)
+                ]
+            if q not in search.by_distance:
+                assert len(core) < query.p and not by_venue.found and not feasible, (query, q)
+                seen["dead"] += 1
+                continue
+            listed = search.by_distance[q]
+            rest = iter(order)
+            assert all(pair in rest for pair in listed), (query, q)
+            inside = {m for _, m in listed}
+            assert inside == core, (query, q)
+            for m in inside:
+                assert len(graph.neighbors(m) & inside) >= need, (query, q, m)
+            if by_venue.found:
+                assert set(by_venue.group) <= inside, (query, q)
+            for group in feasible:
+                assert set(group) <= inside, (query, q, group)
+            seen["groups"] += len(feasible)
+            seen["peeled"] += len(listed) < len(order)
+            seen["kept_whole"] += len(listed) == len(order)
+    assert min(seen.values()) > 20, seen
+
+
+@pytest.mark.parametrize("make_instance", CORE_MAKERS, ids=["gnp", "power-law", "grid"])
+def test_srdo_peels_only_per_vertex_with_the_member_rule_and_a_positive_need(make_instance):
+    # With the member rule off, in average mode, at ``p - 1 - k <= 0``, or
+    # with one venue of ``p`` graph vertices in range, srdo peels nothing:
+    # every such venue stays alive with its whole candidate order. apdo
+    # never peels.
+    checked = 0
+    for graph, data, query in _peel_queries("core-off", make_instance):
+        average = Query(query.p, query.k, query.t, query.venues, FamiliarityMode.AVERAGE)
+        loose = Query(query.p, query.p - 1, query.t, query.venues, query.familiarity_mode)
+        one = Query(query.p, query.k, query.t, query.venues[:1], query.familiarity_mode)
+        cases = [
+            (query, PruneConfig().without("member_familiarity"), "srdo"),
+            (average, PruneConfig(), "srdo"),
+            (loose, PruneConfig(), "srdo"),
+            (one, PruneConfig(), "srdo"),
+            (query, PruneConfig(), "apdo"),
+        ]
+        for case, config, ordering in cases:
+            search = _joint_search(graph, data, case, ordering, config)
+            orders = {}
+            for q in case.venues:
+                order = single_venue.candidate_order(case, graph, data, q, search.indexes)
+                if len(order) >= case.p:
+                    orders[q] = order
+            assert not search.unpeeled, (case, config, ordering)
+            assert search.alive_venues == list(orders), (case, config, ordering)
+            assert search.by_distance == orders, (case, config, ordering)
+            checked += len(orders) > 1
+    assert checked > 100, checked
 
 
 def _joint_search(graph, data, query, ordering, config=None):
@@ -630,10 +799,12 @@ def _srdo_search(graph, data, query, config=None):
 
 def test_srdo_reference_order_matches_its_definition():
     # The pool sorted by (distance to the seed's venue, -degree, id), with
-    # the seed taken from the whole member-to-venue table of the alive
-    # venues, those the search prepares or not. Integer grids put members on
-    # shared spots, at equal distance from several venues and with equal
-    # degrees, so the tie-breaks decide.
+    # the seed taken from the whole member-to-venue table of the venues
+    # with at least ``p`` graph vertices in range, unpeeled, those the
+    # search prepares or not. A search that prepares at most one venue
+    # builds no pool. Integer grids put members on shared spots, at equal
+    # distance from several venues and with equal degrees, so the
+    # tie-breaks decide.
     rng = random.Random(19)
     seen = {"seed_ties": 0, "key_ties": 0}
     for trial in range(600):
@@ -646,13 +817,15 @@ def test_srdo_reference_order_matches_its_definition():
             query = Query(rng.randint(1, 4), 0, t, venues)
         search = _srdo_search(graph, data, query)
         assert search.degree_of == {v: graph.degree(v) for v in search.near}
-        if not search.alive_venues:
+        if len(search.prepared) < 2:
             assert search.pool == []
             continue
         alive_table = {}
-        for q in search.alive_venues:
-            for d, m in search.by_distance[q]:
-                alive_table.setdefault(m, {})[q] = d
+        for q in query.venues:
+            order = single_venue.candidate_order(query, graph, data, q, search.indexes)
+            if len(order) >= query.p:
+                for d, m in order:
+                    alive_table.setdefault(m, {})[q] = d
         degree = {m: graph.degree(m) for m in alive_table}
         _, q_ref, d_min = srdo_seed(alive_table, degree)
         ref = data.venue_locations[q_ref]
@@ -666,16 +839,16 @@ def test_srdo_reference_order_matches_its_definition():
     assert min(seen.values()) > 50, seen
 
 
-def _entry_by_walk(search, pool, pool_set, size, sums, nearest):
-    """The entry filter as a walk of each venue's candidates in distance
-    order up to the first pool member that fails the bound."""
+def _entry_by_walk(search, pool, pool_set, size, sums, nearest, orders):
+    """The entry filter as a walk of each venue's list in ``orders``, in
+    distance order, up to the first pool member that fails the bound."""
     p = search.query.p
     best = search.best_total
     bound = search.config.venue_distance
     keep = set()
     for q, total in sums.items():
         row = nearest[q]
-        for d, v in search.by_distance[q]:
+        for d, v in orders[q]:
             if v in pool_set:
                 if bound and distance_prune(total + d, size + 1, p, row, best):
                     break
@@ -687,7 +860,8 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
     # Random non-leaf frames over random instances: a prefix of the pool,
     # the venues within its radius with their totals, a random entry pool,
     # and an incumbent that is infinite, finite, or exactly one candidate's
-    # child bound; the venue-distance rule on and off.
+    # child bound; the venue-distance rule on and off. The lists are those
+    # of the search with the rule on, peeled where it peels.
     rng = random.Random(23)
     seen = {"inf": 0, "tie": 0, "off": 0, "short_row": 0, "dropped": 0}
     makers = [
@@ -695,7 +869,9 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
         frame_counts._power_law_instance,
         frame_counts._grid_instance,
     ]
-    for trial in range(400):
+    # Many srdo searches prepare one venue and build no pool, so the test
+    # draws enough instances to keep its floors.
+    for trial in range(1200):
         graph, data = rng.choice(makers)(rng, 6100 + trial)
         t = radius_for_quantile(graph, data, rng.choice([0.3, 0.6, 1.0]))
         venues = tuple(sorted(data.venue_locations))
@@ -736,7 +912,9 @@ def test_entry_filter_equals_the_walk_of_every_candidate():
             for best in incumbents:
                 for search in (on, off):
                     search.best_total = best
-                    expected = _entry_by_walk(search, pool, pool_set, size, sums, nearest)
+                    expected = _entry_by_walk(
+                        search, pool, pool_set, size, sums, nearest, on.by_distance
+                    )
                     got = search._entry_candidates(pool, size, sums, lists)
                     assert got == expected, (trial, size, best, search.config)
                     seen["inf"] += best == math.inf
@@ -801,14 +979,15 @@ def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_frame", guarded)
     label = f"pool-set-{mode.value}-{ordering}"
     # The greedy seed's incumbent leaves few average-mode srdo frames below
-    # the root, so this test draws more instances than the oracle check's
-    # default to keep its floor.
+    # the root, and a search whose seed leaves one venue enters none, so
+    # this test draws more instances than the oracle check's default to
+    # keep its floor.
     for make_instance in (
         frame_counts._gnp_instance,
         frame_counts._power_law_instance,
         frame_counts._grid_instance,
     ):
-        _mags_matches_oracle(label, make_instance, mode, 5700, ordering, count=80)
+        _mags_matches_oracle(label, make_instance, mode, 5700, ordering, count=120)
     assert sum(size > 0 for size in entered) > 100, len(entered)
 
 
@@ -816,16 +995,17 @@ def test_frames_only_read_the_pool_set_they_share(monkeypatch, mode, ordering):
 @pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
 def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, ordering):
     # Each frame receives its caller's lists as its last argument: at the
-    # root, the candidate orders themselves; below it, the calling frame's
-    # lists, which a re-bound may have cut below the caller's pool. For
-    # each venue the frame enters with, the list must then hold pairs of
-    # that venue's candidate order in the caller's pool, in order, and
-    # every such pair whose member is in the frame's own pool. Every
-    # non-leaf frame below the root shows its own lists too: an srdo
-    # hand-off must receive exactly its frame's list, and the entry filter
-    # must receive, for each venue left, that venue's candidate order cut
-    # to the pool it filters, on entry and at each re-bound. No frame may
-    # change the candidate orders.
+    # root, the search's lists themselves (candidate orders, peeled where
+    # srdo peels); below it, the calling frame's lists, which a re-bound
+    # may have cut below the caller's pool. For each venue the frame enters
+    # with, the list must then hold pairs of that venue's list in the
+    # caller's pool, in order, and every such pair whose member is in the
+    # frame's own pool. Every non-leaf frame below the root shows its own
+    # lists too: an srdo hand-off must receive, for the one venue its
+    # frame's entry cut leaves, that venue's list cut to the candidates the
+    # cut keeps, and the entry filter must receive, for each venue left,
+    # that venue's list cut to the pool it filters, on entry and at each
+    # re-bound. No frame may change the search's lists.
     cls = multi_venue._MultiVenueSearch
     original_frame = cls._frame
     original_venue_frame = cls._venue_frame
@@ -867,10 +1047,13 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
             assert self.by_distance == copies
 
     def handing_off(self, prefix, prefix_set, prefix_edges, base, pool, *rest):
-        if sys._getframe(1).f_code is original_frame.__code__:
-            pool_set, venues = open_frames[-1]
-            assert len(venues) == 1
-            assert pool == expected_lists(self, pool_set, venues)[venues[0]], prefix
+        caller = sys._getframe(1)
+        if caller.f_code is original_frame.__code__:
+            _, venues = open_frames[-1]
+            left = list(caller.f_locals["sums"])
+            assert len(left) == 1 and left[0] in venues, (prefix, left)
+            kept = set(caller.f_locals["entered"])
+            assert pool == expected_lists(self, kept, left)[left[0]], prefix
             seen["handoff"] += 1
         return original_venue_frame(self, prefix, prefix_set, prefix_edges, base, pool, *rest)
 
@@ -883,13 +1066,14 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
     monkeypatch.setattr(cls, "_venue_frame", handing_off)
     monkeypatch.setattr(cls, "_entry_candidates", entering)
     label = f"frame-lists-{mode.value}-{ordering}"
-    # As above, more instances than the default keep the floors.
+    # As above, more instances than the default keep the floors: many srdo
+    # searches prepare one venue and enter no joint frame at all.
     for make_instance in (
         frame_counts._gnp_instance,
         frame_counts._power_law_instance,
         frame_counts._grid_instance,
     ):
-        _mags_matches_oracle(label, make_instance, mode, 5900, ordering, count=80)
+        _mags_matches_oracle(label, make_instance, mode, 5900, ordering, count=200)
     assert seen["root"] > 50 and seen["child"] > 100 and seen["entry"] > 50, seen
     assert (seen["handoff"] > 50) == (ordering == "srdo"), seen
 
@@ -995,14 +1179,23 @@ def test_static_frames_hold_only_candidates_that_can_beat_the_entry_incumbent(
     assert sum(checked) > 100, sum(checked)
 
 
+def _in_range(search, m, q):
+    """Whether member ``m`` can join a group at venue ``q``: within ``t``
+    of it, by its location, and in its core where srdo peeled it, since
+    every feasible group at ``q`` lies in the core."""
+    d = distance(search.member_loc[m], search.venue_loc[q])
+    return d <= search.query.t and any(v == m for _, v in search.by_distance[q])
+
+
 def _in_range_completion(search, group, pool, q):
     """The cheapest way to grow ``group`` to ``p`` members at venue ``q``
-    with members of ``pool`` within ``t`` of it, by enumeration: the
-    group's total distance to ``q`` plus its ``p - len(group)`` nearest
-    in-range pool members (inf when there are too few)."""
+    with members of ``pool`` in range of it (``_in_range``), by
+    enumeration: the group's total distance to ``q`` plus its
+    ``p - len(group)`` nearest in-range pool members (inf when there are
+    too few)."""
     q_loc = search.venue_loc[q]
     dist = lambda m: distance(search.member_loc[m], q_loc)  # noqa: E731
-    extras = sorted(dist(m) for m in pool if dist(m) <= search.query.t)
+    extras = sorted(dist(m) for m in pool if _in_range(search, m, q))
     slots = search.query.p - len(group)
     if len(extras) < slots:
         return math.inf
@@ -1010,11 +1203,12 @@ def _in_range_completion(search, group, pool, q):
 
 
 def _first_in_range(search, members, q, count):
-    """The first ``count`` (distance, member) pairs within ``t`` of ``q``
-    among ``members``, by enumeration, in (distance, id) order."""
+    """The first ``count`` (distance, member) pairs in range of ``q``
+    (``_in_range``) among ``members``, by enumeration, in (distance, id)
+    order."""
     q_loc = search.venue_loc[q]
     pairs = sorted((distance(search.member_loc[m], q_loc), m) for m in members)
-    return [(d, m) for d, m in pairs if d <= search.query.t][:count]
+    return [(d, m) for d, m in pairs if _in_range(search, m, q)][:count]
 
 
 def _rebound_instances(mode):
@@ -1164,7 +1358,33 @@ def test_per_vertex_joint_search_explores_every_state_it_generates(ordering):
                 mags_solve(query, graph, data, ordering=ordering, stats=stats)
                 assert stats.generated_states == stats.explored_states, (seed, query)
                 explored += stats.explored_states
+    # Sparse graphs at k = 2: the greedy walk often finds no group, so the
+    # root searches from an infinite incumbent, while srdo peels the cores
+    # of some venues below p. Such a venue must not stay alive: its short
+    # list would pass the root, whose pool holds its members, and leave
+    # children no venue to take them.
+    unseeded_with_dead_core = 0
+    for seed in range(400):
+        graph, data = random_instance(
+            6300 + seed, rng.randint(8, 16), rng.randint(2, 4), rng.choice([0.1, 0.2, 0.3])
+        )
+        t = radius_for_quantile(graph, data, rng.choice([0.3, 0.5, 0.8]))
+        venues = tuple(sorted(data.venue_locations))
+        query = Query(rng.randint(4, 5), 2, t, venues, FamiliarityMode.PER_VERTEX)
+        stats = SearchStats()
+        mags_solve(query, graph, data, ordering=ordering, stats=stats)
+        assert stats.generated_states == stats.explored_states, (seed, query)
+        explored += stats.explored_states
+        search = _srdo_search(graph, data, query)
+        reached = sum(
+            len(single_venue.candidate_order(query, graph, data, q, search.indexes)) >= query.p
+            for q in venues
+        )
+        unseeded_with_dead_core += (
+            search.best_total == math.inf and len(search.alive_venues) < reached
+        )
     assert explored > 1000, explored
+    assert unseeded_with_dead_core > 20, unseeded_with_dead_core
 
 
 # --- solver agreement -------------------------------------------------------
@@ -1244,6 +1464,62 @@ def test_one_venue_srdo_runs_the_single_venue_search(mode):
         assert records[1] == records[0], seed
         explored += records[1][1]
     assert explored > 200, explored
+
+
+@pytest.mark.parametrize("mode", list(FamiliarityMode), ids=lambda m: m.value)
+@pytest.mark.parametrize(
+    "make_instance",
+    [frame_counts._gnp_instance, frame_counts._power_law_instance, frame_counts._grid_instance],
+    ids=["gnp", "power-law", "grid"],
+)
+def test_a_seed_that_leaves_one_venue_hands_the_root_to_the_single_venue_search(
+    monkeypatch, make_instance, mode
+):
+    # When srdo prepares one venue of several alive ones, its root runs that
+    # venue's search from the root (``search_venue``), once, over the
+    # venue's list: its candidate order, cut to its core where srdo peels.
+    # It builds no pool, enters no joint frame, and still answers with the
+    # optimum.
+    cls = multi_venue._MultiVenueSearch
+    original_search_venue = cls.search_venue
+    original_frame = cls._frame
+    calls, frames = [], []
+
+    def searching(self, order, venue):
+        calls.append((list(order), venue))
+        return original_search_venue(self, order, venue)
+
+    def framing(self, *args):
+        frames.append(len(args[0]))
+        return original_frame(self, *args)
+
+    monkeypatch.setattr(cls, "search_venue", searching)
+    monkeypatch.setattr(cls, "_frame", framing)
+    handed = 0
+    for graph, data, query in _seed_queries("root-hand-off", make_instance, mode, count=200):
+        search = _srdo_search(graph, data, query)
+        if len(search.prepared) != 1 or len(search.alive_venues) < 2:
+            continue
+        assert search.pool == [] and search.near == {} and search.degree_of == {}
+        (q,) = search.prepared
+        orders = {}
+        for venue in query.venues:
+            order = single_venue.candidate_order(query, graph, data, venue, search.indexes)
+            if len(order) >= query.p:
+                orders[venue] = order
+        expected = orders[q]
+        if _srdo_peels(query, PruneConfig(), orders):
+            expected = _peeled_order(graph, query, expected)
+        calls.clear()
+        frames.clear()
+        sol = mags_solve(query, graph, data, ordering="srdo")
+        assert calls == [(expected, q)], query
+        assert frames == [], query
+        oracle = brute_force(query, graph, data)
+        assert sol is not None and oracle.found, query
+        assert sol.total_distance == pytest.approx(oracle.total_distance, abs=frame_counts.TOL)
+        handed += 1
+    assert handed > 20, handed
 
 
 def test_p1_all_solvers_pick_closest_pair():
@@ -1411,20 +1687,26 @@ def _unseeded(monkeypatch):
 @pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
 def test_greedy_seed_is_feasible_and_never_below_the_optimum(make_instance, mode, ordering):
     # The seed's group is a feasible answer at its venue, so its total is
-    # at least the optimum; the incumbent a search with more than one alive
-    # venue starts from lies just above that total.
+    # at least the optimum; the incumbent a search with more than one venue
+    # of ``p`` graph vertices in range starts from lies just above that
+    # total. The count is taken before any peel: a venue the walk peels
+    # below ``p`` was still walked.
     seeded = 0
     for graph, data, query in _seed_queries("seed-feasible", make_instance, mode):
         search = _joint_search(graph, data, query, ordering)
+        walked = sum(
+            len(single_venue.candidate_order(query, graph, data, q, search.indexes)) >= query.p
+            for q in query.venues
+        )
         seed = search._greedy_seed()
-        if seed is None or len(search.alive_venues) < 2:
+        if seed is None or walked < 2:
             assert search.best_total == math.inf
         if seed is None:
             continue
         total, group, venue = seed
         assert is_feasible(group, venue, query, graph, data), (query, seed)
         assert total == pytest.approx(total_distance(group, venue, data), abs=frame_counts.TOL)
-        if len(search.alive_venues) > 1:
+        if walked > 1:
             assert total < search.best_total <= math.nextafter(total * (1 + 2**-39), math.inf)
         oracle = brute_force(query, graph, data)
         assert total >= oracle.total_distance - frame_counts.TOL, (query, seed)
@@ -1488,18 +1770,27 @@ def test_a_finite_seed_never_ends_without_an_answer(monkeypatch, make_instance, 
 @pytest.mark.parametrize("mode, ordering", MODE_ORDERINGS)
 def test_a_seeded_pool_keeps_the_unseeded_pool_order(monkeypatch, mode, ordering):
     # srdo prepares only the venues the seed leaves, but picks its reference
-    # venue from every alive venue: its pool is the unseeded pool with
-    # members left out, in the same order. apdo prepares every alive venue.
-    # On unit distances every venue has the same bound, so none is left out.
+    # venue from the unpeeled orders of every venue with ``p`` in range:
+    # its pool is the unseeded pool with members left out, in the same
+    # order. A seeded srdo search that prepares one venue builds no pool
+    # and is skipped. Few of the others prepare fewer venues than the
+    # unseeded search, so srdo draws many more instances than apdo. apdo
+    # prepares every alive venue.
+    # On unit distances every venue has the same bound and the same core,
+    # so none is left out.
+    count = 2000 if ordering == "srdo" else 60
     queries = [
         (make_instance, *instance)
         for make_instance in SEED_MAKERS
-        for instance in _seed_queries("seed-pool", make_instance, mode)
+        for instance in _seed_queries("seed-pool", make_instance, mode, count)
     ]
-    seeded = [_joint_search(g, d, q, ordering).pool for _, g, d, q in queries]
+    searches = [_joint_search(g, d, q, ordering) for _, g, d, q in queries]
+    seeded = [None if len(s.prepared) == 1 and s.static else s.pool for s in searches]
     _unseeded(monkeypatch)
     shrunk = dict.fromkeys(SEED_MAKERS, 0)
     for (make_instance, graph, data, query), pool in zip(queries, seeded):
+        if pool is None:
+            continue
         unseeded = _joint_search(graph, data, query, ordering).pool
         rest = iter(unseeded)
         assert all(v in rest for v in pool), query
@@ -1549,13 +1840,7 @@ PINNED_SEARCHES = {
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
-    (1, "srdo"): (
-        None,
-        (3, 3),
-        {"member_familiarity": 5, "venue_distance": 1},
-        (0, "4f53cda18c2baa0c"),
-        (0, "4f53cda18c2baa0c"),
-    ),
+    (1, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (2, "srdo"): (
         ((2, 3, 4, 9), "q1", 74.224006151),
         (4, 4),
@@ -1567,14 +1852,14 @@ PINNED_SEARCHES = {
     (4, "srdo"): (
         ((1, 2, 3, 4), "q2", 76.678454048),
         (4, 4),
-        {"venue_distance": 1},
+        {"venue_distance": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (5, "srdo"): (
         ((2, 4, 6), "q0", 61.466951292),
         (3, 3),
-        {"venue_distance": 2},
+        {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1589,7 +1874,7 @@ PINNED_SEARCHES = {
     (8, "srdo"): (
         ((4, 6, 7, 9, 10), "q0", 139.787053891),
         (5, 5),
-        {"venue_distance": 2},
+        {"venue_distance": 5},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1597,21 +1882,21 @@ PINNED_SEARCHES = {
     (10, "srdo"): (
         ((0, 1, 5), "q0", 41.560999576),
         (3, 3),
-        {"venue_distance": 2},
+        {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (11, "srdo"): (
         ((2, 6, 10), "q1", 49.379992693),
-        (6, 6),
-        {"venue_distance": 3},
+        (4, 4),
+        {"venue_distance": 2},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
     (12, "srdo"): (
         ((1, 5, 6, 9), "q1", 66.532390954),
         (4, 4),
-        {"venue_distance": 1},
+        {"venue_distance": 4},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1631,8 +1916,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (8, 8),
-        {"member_familiarity": 4, "venue_distance": 2, "venue_radius": 2},
+        (3, 3),
+        {"member_familiarity": 1, "venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1640,8 +1925,8 @@ PINNED_SEARCHES = {
     (17, "srdo"): (None, (0, 0), {}, (0, "4f53cda18c2baa0c"), (0, "4f53cda18c2baa0c")),
     (18, "srdo"): (
         ((1, 3, 13), "q2", 61.69316095),
-        (8, 8),
-        {"venue_distance": 1, "venue_radius": 4},
+        (3, 3),
+        {"venue_distance": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),
@@ -1792,8 +2077,8 @@ PINNED_SEARCHES = {
     ),
     (15, "srdo without venue_distance"): (
         ((2, 6, 8), "q0", 91.108967891),
-        (17, 17),
-        {"member_familiarity": 14, "venue_radius": 8},
+        (10, 10),
+        {"member_familiarity": 3},
         (0, "4f53cda18c2baa0c"),
         (0, "4f53cda18c2baa0c"),
     ),

@@ -494,21 +494,27 @@ def test_multi_venue_leaf_frame_scans_each_venue_up_to_the_incumbent(mode, monke
         return stats.explored_states, stats.generated_states, stats.theta_escalations, stats.pruned
 
     # The greedy seed keeps a and e at r, total 10, and stops before q,
-    # whose bound 6 + 6.5 reaches 10. The root's cut drops q (a prune) and
-    # keeps a and e, the only candidates that can reach 10 at r. The root
-    # expands a; the leaf frame under [a] reads e, the leaf the search takes:
-    # two states, no candidate left to re-bound, and no theta escalation.
-    assert search() == (2, 2, 0, {"venue_distance": 1})
+    # whose bound 6 + 6.5 reaches 10. That leaves r the one venue to
+    # prepare, so the root runs r's single-venue search over r's list: it
+    # expands a, whose leaf frame reads e, the leaf the search takes, and
+    # stops at the next candidate with a prune; the root's next head then
+    # cannot beat 10, another prune. Two states, no theta escalation.
+    assert search() == (2, 2, 0, {"venue_distance": 2})
     # From an infinite incumbent the root expands a, the closest member to
-    # the reference venue r. The leaf frame under [a] walks q first: it
-    # reads b (infeasible), c (the improving leaf, total 13) and stops at d
-    # with one venue-distance prune. Its walk at r starts from the live
-    # incumbent: it reads e (total 10, a strict improvement) and stops at b.
-    # Back at the root, the re-bound drops both venues, neither of which can
-    # beat 10 with the candidates left (6.5 + 7 at q, 5 + about 16.8 at r),
-    # with a prune each: four states, each one (candidate, venue) read.
+    # the reference venue r. The leaf frame under [a] walks q first: in
+    # average mode it reads b (infeasible), c (the improving leaf, total
+    # 13) and stops at d with one venue-distance prune. In per-vertex mode
+    # b and d, who know no one, are peeled from both lists (with k = 0 each
+    # member of a pair must know the other), so the walk reads c and stops
+    # at e. The leaf frame's walk at r starts from the live incumbent: it
+    # reads e (total 10, a strict improvement) and stops at the next
+    # candidate. Back at the root, the re-bound drops both venues, neither
+    # of which can beat 10 with the candidates left, with a prune each:
+    # four states in average mode and three in per-vertex mode, each one
+    # (candidate, venue) read.
     monkeypatch.setattr(multi_venue._MultiVenueSearch, "_greedy_seed", lambda self: None)
-    assert search() == (4, 4, 0, {"venue_distance": 4})
+    states = 3 if mode is FamiliarityMode.PER_VERTEX else 4
+    assert search() == (states, states, 0, {"venue_distance": 4})
 
 
 # --- merge machinery ------------------------------------------------------
@@ -687,8 +693,8 @@ def _pinned_record(seed, solver):
 # `sfgp_solve`, which built the same tree (seeded on the query's live
 # venues) before it was folded into mags-srdo.
 PINNED_STATIC_SEARCHES = {
-    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (70, 70), {'member_familiarity': 230, 'venue_distance': 106, 'venue_radius': 2}),
-    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (41, 252), {'avg_familiarity': 211, 'venue_distance': 153, 'venue_radius': 2}),
+    (0, 'sfgp'): (((12, 16, 17, 18), 'q2', 146.838995179), (70, 70), {'member_familiarity': 200, 'venue_distance': 108, 'venue_radius': 2}),
+    (0, 'mags-srdo-avg'): (((12, 16, 17, 18), 'q2', 146.838995179), (41, 252), {'avg_familiarity': 211, 'venue_distance': 151, 'venue_radius': 2}),
     (0, 'ssgmerge'): (((6, 16, 17, 22), 'q0', 162.434731204), (14, 25), {'avg_familiarity': 11, 'distance': 1}),
     (0, 'ssgs-avg'): (((6, 16, 17, 22), 'q0', 162.434731204), (28, 69), {'avg_familiarity': 41, 'distance': 12}),
     (0, 'ssgs-per-vertex'): (((6, 16, 17, 22), 'q0', 162.434731204), (12, 12), {'distance': 9, 'member_familiarity': 91}),
@@ -699,32 +705,32 @@ PINNED_STATIC_SEARCHES = {
     (1, 'ssgs-avg'): (None, (0, 0), {}),
     (1, 'ssgs-per-vertex'): (None, (0, 0), {}),
     (1, 'ssp'): (None, (0, 0), {}),
-    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (14, 14), {'member_familiarity': 24, 'venue_distance': 9}),
-    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (12, 12), {'venue_distance': 7}),
+    (2, 'sfgp'): (((1, 17, 21, 32), 'q2', 61.862614784), (8, 8), {'member_familiarity': 32, 'venue_distance': 6}),
+    (2, 'mags-srdo-avg'): (((1, 9, 17, 32), 'q2', 49.911977278), (12, 12), {'venue_distance': 5}),
     (2, 'ssgmerge'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17), {'avg_familiarity': 5, 'distance': 7}),
     (2, 'ssgs-avg'): (((1, 8, 9, 32), 'q0', 153.011938007), (12, 17), {'avg_familiarity': 5, 'distance': 7}),
     (2, 'ssgs-per-vertex'): (((1, 8, 9, 32), 'q0', 153.011938007), (13, 13), {'distance': 7, 'member_familiarity': 49}),
     (2, 'ssp'): (((1, 17, 21, 32), 'q2', 61.862614784), (54, 54), {'distance': 12, 'member_familiarity': 141}),
-    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (54, 54), {'member_familiarity': 131, 'venue_distance': 57}),
-    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (62, 112), {'avg_familiarity': 50, 'venue_distance': 62}),
+    (3, 'sfgp'): (((13, 14, 19, 31), 'q0', 95.924272109), (38, 38), {'member_familiarity': 52, 'venue_distance': 43}),
+    (3, 'mags-srdo-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (40, 76), {'avg_familiarity': 36, 'venue_distance': 44}),
     (3, 'ssgmerge'): (((13, 14, 19, 31), 'q0', 95.924272109), (14, 25), {'avg_familiarity': 11, 'distance': 3}),
     (3, 'ssgs-avg'): (((13, 14, 19, 31), 'q0', 95.924272109), (19, 39), {'avg_familiarity': 20, 'distance': 11}),
     (3, 'ssgs-per-vertex'): (((13, 14, 19, 31), 'q0', 95.924272109), (10, 10), {'distance': 9, 'member_familiarity': 52}),
     (3, 'ssp'): (((13, 14, 19, 31), 'q0', 95.924272109), (12, 12), {'distance': 12, 'member_familiarity': 71}),
-    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'venue_distance': 4}),
+    (4, 'sfgp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'member_familiarity': 14, 'venue_distance': 4}),
     (4, 'mags-srdo-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'venue_distance': 4}),
     (4, 'ssgmerge'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 4}),
     (4, 'ssgs-avg'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 4}),
     (4, 'ssgs-per-vertex'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 4, 'member_familiarity': 15}),
     (4, 'ssp'): (((5, 20, 27, 35), 'q0', 23.665987049), (4, 4), {'distance': 8, 'member_familiarity': 14}),
-    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (5, 5), {'venue_distance': 4}),
-    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (5, 5), {'venue_distance': 4}),
+    (5, 'sfgp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (5, 5), {'venue_distance': 5}),
+    (5, 'mags-srdo-avg'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (5, 5), {'venue_distance': 5}),
     (5, 'ssgmerge'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5), {'distance': 5}),
     (5, 'ssgs-avg'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5), {'distance': 5}),
     (5, 'ssgs-per-vertex'): (((0, 2, 15, 16, 19), 'q0', 143.595055695), (5, 5), {'distance': 5}),
     (5, 'ssp'): (((1, 3, 12, 18, 20), 'q3', 74.219417905), (20, 20), {'distance': 16}),
-    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (5, 5), {'member_familiarity': 3, 'venue_distance': 5}),
-    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (7, 7), {'venue_distance': 8}),
+    (6, 'sfgp'): (((7, 8, 9, 18, 35), 'q1', 59.033132348), (5, 5), {'member_familiarity': 3, 'venue_distance': 2}),
+    (6, 'mags-srdo-avg'): (((7, 8, 12, 18, 35), 'q1', 48.318177), (7, 7), {'venue_distance': 5}),
     (6, 'ssgmerge'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5), {'distance': 5}),
     (6, 'ssgs-avg'): (((22, 25, 27, 28, 30), 'q0', 79.179869095), (5, 5), {'distance': 5}),
     (6, 'ssgs-per-vertex'): (((6, 22, 25, 28, 30), 'q0', 81.221176784), (5, 5), {'distance': 5, 'member_familiarity': 2}),
@@ -735,20 +741,20 @@ PINNED_STATIC_SEARCHES = {
     (7, 'ssgs-avg'): (None, (0, 0), {}),
     (7, 'ssgs-per-vertex'): (None, (0, 0), {}),
     (7, 'ssp'): (None, (0, 0), {}),
-    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 4}),
-    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 4}),
+    (8, 'sfgp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 5}),
+    (8, 'mags-srdo-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'venue_distance': 5}),
     (8, 'ssgmerge'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 5}),
     (8, 'ssgs-avg'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 5}),
     (8, 'ssgs-per-vertex'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 5}),
     (8, 'ssp'): (((5, 9, 12, 16, 22), 'q0', 68.096883419), (5, 5), {'distance': 9}),
-    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'venue_distance': 1}),
-    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'venue_distance': 1}),
+    (9, 'sfgp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {}),
+    (9, 'mags-srdo-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {}),
     (9, 'ssgmerge'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 4}),
     (9, 'ssgs-avg'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 4}),
     (9, 'ssgs-per-vertex'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 4}),
     (9, 'ssp'): (((2, 6, 9, 20), 'q0', 61.759824872), (4, 4), {'distance': 1}),
-    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (22, 22), {'member_familiarity': 14, 'venue_distance': 13}),
-    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (13, 15), {'avg_familiarity': 2, 'venue_distance': 12}),
+    (10, 'sfgp'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (22, 22), {'member_familiarity': 11, 'venue_distance': 8}),
+    (10, 'mags-srdo-avg'): (((1, 2, 7, 10, 18, 26), 'q1', 92.016890413), (13, 15), {'avg_familiarity': 2, 'venue_distance': 10}),
     (10, 'ssgmerge'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7), {'avg_familiarity': 1, 'distance': 6}),
     (10, 'ssgs-avg'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 7), {'avg_familiarity': 1, 'distance': 6}),
     (10, 'ssgs-per-vertex'): (((8, 11, 12, 14, 24, 27), 'q0', 101.655934538), (6, 6), {'distance': 6, 'member_familiarity': 15}),
@@ -771,120 +777,120 @@ PINNED_STATIC_SEARCHES = {
     (13, 'ssgs-avg'): (None, (0, 0), {}),
     (13, 'ssgs-per-vertex'): (None, (0, 0), {}),
     (13, 'ssp'): (None, (0, 0), {}),
-    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (51, 51), {'member_familiarity': 127, 'venue_distance': 15, 'venue_radius': 4}),
+    (14, 'sfgp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (37, 37), {'member_familiarity': 79, 'venue_distance': 7}),
     (14, 'mags-srdo-avg'): (((1, 3, 7, 9, 16, 19), 'q0', 129.481323171), (22, 36), {'avg_familiarity': 14, 'venue_distance': 18, 'venue_radius': 2}),
     (14, 'ssgmerge'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (9, 24), {'avg_familiarity': 15, 'distance': 6}),
     (14, 'ssgs-avg'): (((1, 3, 7, 16, 17, 18), 'q0', 155.507962595), (9, 24), {'avg_familiarity': 15, 'distance': 6}),
     (14, 'ssgs-per-vertex'): (None, (27, 27), {'member_familiarity': 58}),
     (14, 'ssp'): (((1, 7, 8, 9, 16, 21), 'q0', 161.445110893), (45, 45), {'distance': 10, 'member_familiarity': 127}),
-    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (4, 4), {'venue_distance': 3}),
-    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (4, 4), {'venue_distance': 3}),
+    (15, 'sfgp'): (((3, 8, 12, 26), 'q2', 47.513548511), (4, 4), {'venue_distance': 4}),
+    (15, 'mags-srdo-avg'): (((3, 8, 12, 26), 'q2', 47.513548511), (4, 4), {'venue_distance': 4}),
     (15, 'ssgmerge'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4), {'distance': 4}),
     (15, 'ssgs-avg'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4), {'distance': 4}),
     (15, 'ssgs-per-vertex'): (((3, 12, 19, 24), 'q0', 84.470982141), (4, 4), {'distance': 4}),
     (15, 'ssp'): (((3, 8, 12, 26), 'q2', 47.513548511), (12, 12), {'distance': 13}),
-    (16, 'sfgp'): (None, (55, 55), {'member_familiarity': 71, 'venue_distance': 1, 'venue_radius': 9}),
+    (16, 'sfgp'): (None, (13, 13), {'member_familiarity': 2}),
     (16, 'mags-srdo-avg'): (((4, 9, 11, 13, 22, 27), 'q3', 103.407003109), (7, 9), {'avg_familiarity': 2, 'venue_distance': 6, 'venue_radius': 1}),
     (16, 'ssgmerge'): (None, (0, 0), {'avg_familiarity': 1}),
     (16, 'ssgs-avg'): (None, (0, 0), {'avg_familiarity': 1}),
     (16, 'ssgs-per-vertex'): (None, (5, 5), {'member_familiarity': 12}),
     (16, 'ssp'): (None, (51, 51), {'member_familiarity': 72}),
-    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (6, 6), {'venue_distance': 3}),
-    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (6, 6), {'venue_distance': 3}),
+    (17, 'sfgp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (6, 6), {'venue_distance': 6}),
+    (17, 'mags-srdo-avg'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (6, 6), {'venue_distance': 6}),
     (17, 'ssgmerge'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6), {'distance': 6}),
     (17, 'ssgs-avg'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6), {'distance': 6}),
     (17, 'ssgs-per-vertex'): (((0, 4, 7, 10, 11, 22), 'q0', 107.58196521), (6, 6), {'distance': 6}),
     (17, 'ssp'): (((9, 12, 17, 22, 25, 28), 'q1', 92.26972258), (12, 12), {'distance': 14}),
-    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 1}),
-    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 1}),
+    (18, 'sfgp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 4}),
+    (18, 'mags-srdo-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'venue_distance': 4}),
     (18, 'ssgmerge'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 4}),
     (18, 'ssgs-avg'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 4}),
     (18, 'ssgs-per-vertex'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 4}),
     (18, 'ssp'): (((0, 9, 22, 24), 'q0', 66.141768787), (4, 4), {'distance': 5}),
-    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (37, 37), {'member_familiarity': 140, 'venue_distance': 13, 'venue_radius': 1}),
+    (19, 'sfgp'): (((11, 15, 17, 19), 'q1', 99.991611964), (27, 27), {'member_familiarity': 93, 'venue_distance': 11}),
     (19, 'mags-srdo-avg'): (((11, 15, 17, 19), 'q1', 99.991611964), (37, 104), {'avg_familiarity': 67, 'venue_distance': 16, 'venue_radius': 1}),
     (19, 'ssgmerge'): (None, (2, 25), {'avg_familiarity': 23}),
     (19, 'ssgs-avg'): (None, (2, 25), {'avg_familiarity': 23}),
     (19, 'ssgs-per-vertex'): (None, (15, 15), {'member_familiarity': 65}),
     (19, 'ssp'): (((11, 15, 17, 19), 'q1', 99.991611964), (29, 29), {'distance': 11, 'member_familiarity': 100}),
-    (20, 'sfgp'): (((8,), 'q1', 16.175908729), (1, 1), {'venue_distance': 3}),
-    (20, 'mags-srdo-avg'): (((8,), 'q1', 16.175908729), (1, 1), {'venue_distance': 3}),
+    (20, 'sfgp'): (((8,), 'q1', 16.175908729), (1, 1), {'venue_distance': 1}),
+    (20, 'mags-srdo-avg'): (((8,), 'q1', 16.175908729), (1, 1), {'venue_distance': 1}),
     (20, 'ssgs-avg'): (((21,), 'q0', 16.717223358), (1, 1), {'distance': 1}),
     (20, 'ssp'): (((8,), 'q1', 16.175908729), (2, 2), {'distance': 3}),
-    (21, 'sfgp'): (((3,), 'q1', 3.262545111), (1, 1), {'venue_distance': 2}),
-    (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (1, 1), {'venue_distance': 2}),
+    (21, 'sfgp'): (((3,), 'q1', 3.262545111), (1, 1), {'venue_distance': 1}),
+    (21, 'mags-srdo-avg'): (((3,), 'q1', 3.262545111), (1, 1), {'venue_distance': 1}),
     (21, 'ssgs-avg'): (((34,), 'q0', 11.684118247), (1, 1), {'distance': 1}),
     (21, 'ssp'): (((3,), 'q1', 3.262545111), (2, 2), {'distance': 2}),
     (22, 'sfgp'): (((5, 8), 'q0', 25.407493745), (8, 8), {'venue_distance': 7, 'venue_radius': 1}),
     (22, 'mags-srdo-avg'): (((5, 8), 'q0', 25.407493745), (7, 8), {'avg_familiarity': 1, 'venue_distance': 6, 'venue_radius': 1}),
     (22, 'ssgs-avg'): (((5, 8), 'q0', 25.407493745), (2, 2), {'distance': 2}),
     (22, 'ssp'): (((5, 8), 'q0', 25.407493745), (7, 7), {'distance': 6}),
-    (23, 'sfgp'): (((25,), 'q4', 5.405877277), (1, 1), {'venue_distance': 5}),
-    (23, 'mags-srdo-avg'): (((25,), 'q4', 5.405877277), (1, 1), {'venue_distance': 5}),
+    (23, 'sfgp'): (((25,), 'q4', 5.405877277), (1, 1), {'venue_distance': 1}),
+    (23, 'mags-srdo-avg'): (((25,), 'q4', 5.405877277), (1, 1), {'venue_distance': 1}),
     (23, 'ssgs-avg'): (((28,), 'q0', 6.493131993), (1, 1), {'distance': 1}),
     (23, 'ssp'): (((25,), 'q4', 5.405877277), (3, 3), {'distance': 5}),
-    (24, 'sfgp'): (((16,), 'q1', 8.370518849), (1, 1), {'venue_distance': 2}),
-    (24, 'mags-srdo-avg'): (((16,), 'q1', 8.370518849), (1, 1), {'venue_distance': 2}),
+    (24, 'sfgp'): (((16,), 'q1', 8.370518849), (1, 1), {'venue_distance': 1}),
+    (24, 'mags-srdo-avg'): (((16,), 'q1', 8.370518849), (1, 1), {'venue_distance': 1}),
     (24, 'ssgs-avg'): (((22,), 'q0', 18.633951118), (1, 1), {'distance': 1}),
     (24, 'ssp'): (((16,), 'q1', 8.370518849), (2, 2), {'distance': 2}),
-    (25, 'sfgp'): (((0,), 'q2', 5.339915216), (1, 1), {'venue_distance': 5}),
-    (25, 'mags-srdo-avg'): (((0,), 'q2', 5.339915216), (1, 1), {'venue_distance': 5}),
+    (25, 'sfgp'): (((0,), 'q2', 5.339915216), (1, 1), {'venue_distance': 1}),
+    (25, 'mags-srdo-avg'): (((0,), 'q2', 5.339915216), (1, 1), {'venue_distance': 1}),
     (25, 'ssgs-avg'): (((16,), 'q0', 10.020581902), (1, 1), {'distance': 1}),
     (25, 'ssp'): (((0,), 'q2', 5.339915216), (3, 3), {'distance': 5}),
-    (26, 'sfgp'): (((7,), 'q1', 6.176773067), (1, 1), {'venue_distance': 2}),
-    (26, 'mags-srdo-avg'): (((7,), 'q1', 6.176773067), (1, 1), {'venue_distance': 2}),
+    (26, 'sfgp'): (((7,), 'q1', 6.176773067), (1, 1), {'venue_distance': 1}),
+    (26, 'mags-srdo-avg'): (((7,), 'q1', 6.176773067), (1, 1), {'venue_distance': 1}),
     (26, 'ssgs-avg'): (((1,), 'q0', 8.19347863), (1, 1), {'distance': 1}),
     (26, 'ssp'): (((7,), 'q1', 6.176773067), (2, 2), {'distance': 2}),
     (27, 'sfgp'): (((9,), 'q0', 4.316065695), (1, 1), {}),
     (27, 'mags-srdo-avg'): (((9,), 'q0', 4.316065695), (1, 1), {}),
     (27, 'ssgs-avg'): (((9,), 'q0', 4.316065695), (1, 1), {}),
     (27, 'ssp'): (((9,), 'q0', 4.316065695), (1, 1), {'distance': 2}),
-    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'venue_distance': 2}),
-    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'venue_distance': 2}),
+    (28, 'sfgp'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'member_familiarity': 5, 'venue_distance': 3}),
+    (28, 'mags-srdo-avg'): (((0, 2, 28), 'q2', 32.299237237), (3, 3), {'venue_distance': 3}),
     (28, 'ssgs-avg'): (((10, 19, 34), 'q0', 59.505612319), (5, 11), {'avg_familiarity': 6, 'distance': 3}),
     (28, 'ssp'): (((0, 2, 28), 'q2', 32.299237237), (16, 16), {'distance': 8, 'member_familiarity': 16}),
-    (29, 'sfgp'): (((17,), 'q3', 8.350594287), (1, 1), {'venue_distance': 5}),
-    (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (1, 1), {'venue_distance': 5}),
+    (29, 'sfgp'): (((17,), 'q3', 8.350594287), (1, 1), {'venue_distance': 1}),
+    (29, 'mags-srdo-avg'): (((17,), 'q3', 8.350594287), (1, 1), {'venue_distance': 1}),
     (29, 'ssgs-avg'): (((22,), 'q0', 8.710353491), (1, 1), {'distance': 1}),
     (29, 'ssp'): (((17,), 'q3', 8.350594287), (2, 2), {'distance': 5}),
-    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (11, 11), {'venue_distance': 3}),
-    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (8, 9), {'avg_familiarity': 1, 'venue_distance': 3}),
+    (30, 'sfgp'): (((14, 18, 29), 'q0', 42.966906376), (11, 11), {'venue_distance': 6}),
+    (30, 'mags-srdo-avg'): (((14, 18, 29), 'q0', 42.966906376), (9, 10), {'avg_familiarity': 1, 'venue_distance': 5}),
     (30, 'ssgs-avg'): (((14, 18, 29), 'q0', 42.966906376), (9, 10), {'avg_familiarity': 1, 'distance': 5}),
     (30, 'ssp'): (((14, 18, 29), 'q0', 42.966906376), (11, 11), {'distance': 7}),
-    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (2, 2), {'venue_distance': 3}),
-    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (2, 2), {'venue_distance': 3}),
+    (31, 'sfgp'): (((8, 17), 'q1', 10.11784153), (2, 2), {'venue_distance': 2}),
+    (31, 'mags-srdo-avg'): (((8, 17), 'q1', 10.11784153), (2, 2), {'venue_distance': 2}),
     (31, 'ssgs-avg'): (((2, 12), 'q0', 13.242927674), (2, 2), {'distance': 2}),
     (31, 'ssp'): (((8, 17), 'q1', 10.11784153), (4, 4), {'distance': 6}),
-    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (21, 21), {'member_familiarity': 49, 'venue_distance': 2, 'venue_radius': 22}),
+    (32, 'sfgp'): (((1, 8, 20), 'q2', 51.629094197), (3, 3), {}),
     (32, 'mags-srdo-avg'): (((1, 8, 20), 'q2', 51.629094197), (6, 28), {'avg_familiarity': 22, 'venue_distance': 4, 'venue_radius': 22}),
     (32, 'ssgs-avg'): (None, (0, 0), {'avg_familiarity': 1}),
     (32, 'ssp'): (((1, 8, 20), 'q2', 51.629094197), (17, 17), {'distance': 2, 'member_familiarity': 44}),
-    (33, 'sfgp'): (((4,), 'q2', 4.40651612), (1, 1), {'venue_distance': 4}),
-    (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (1, 1), {'venue_distance': 4}),
+    (33, 'sfgp'): (((4,), 'q2', 4.40651612), (1, 1), {'venue_distance': 1}),
+    (33, 'mags-srdo-avg'): (((4,), 'q2', 4.40651612), (1, 1), {'venue_distance': 1}),
     (33, 'ssgs-avg'): (((1,), 'q0', 9.870779188), (1, 1), {'distance': 1}),
     (33, 'ssp'): (((4,), 'q2', 4.40651612), (2, 2), {'distance': 4}),
-    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (3, 3), {'member_familiarity': 2, 'venue_distance': 7, 'venue_radius': 1}),
+    (34, 'sfgp'): (((11, 15, 16), 'q2', 45.008963241), (3, 3), {'member_familiarity': 2, 'venue_distance': 3}),
     (34, 'mags-srdo-avg'): (((11, 15, 16), 'q2', 45.008963241), (3, 5), {'avg_familiarity': 2, 'venue_distance': 8, 'venue_radius': 1}),
     (34, 'ssgs-avg'): (((3, 17, 19), 'q0', 47.036367447), (3, 3), {'distance': 3}),
     (34, 'ssp'): (((11, 15, 16), 'q2', 45.008963241), (9, 9), {'distance': 10, 'member_familiarity': 2}),
-    (35, 'sfgp'): (((26,), 'q1', 0.70613056), (1, 1), {'venue_distance': 2}),
-    (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (1, 1), {'venue_distance': 2}),
+    (35, 'sfgp'): (((26,), 'q1', 0.70613056), (1, 1), {'venue_distance': 1}),
+    (35, 'mags-srdo-avg'): (((26,), 'q1', 0.70613056), (1, 1), {'venue_distance': 1}),
     (35, 'ssgs-avg'): (((26,), 'q0', 8.787019051), (1, 1), {'distance': 1}),
     (35, 'ssp'): (((26,), 'q1', 0.70613056), (2, 2), {'distance': 2}),
-    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (3, 3), {'venue_distance': 1}),
-    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (3, 3), {'venue_distance': 1}),
+    (36, 'sfgp'): (((0, 10, 17), 'q1', 24.817125455), (3, 3), {'venue_distance': 3}),
+    (36, 'mags-srdo-avg'): (((0, 10, 17), 'q1', 24.817125455), (3, 3), {'venue_distance': 3}),
     (36, 'ssgs-avg'): (((1, 6, 20), 'q0', 37.99604031), (3, 3), {'distance': 3}),
     (36, 'ssp'): (((0, 10, 17), 'q1', 24.817125455), (6, 6), {'distance': 6}),
-    (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1), {'venue_distance': 3}),
-    (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1), {'venue_distance': 3}),
+    (37, 'sfgp'): (((32,), 'q0', 2.306738546), (1, 1), {'venue_distance': 1}),
+    (37, 'mags-srdo-avg'): (((32,), 'q0', 2.306738546), (1, 1), {'venue_distance': 1}),
     (37, 'ssgs-avg'): (((32,), 'q0', 2.306738546), (1, 1), {'distance': 1}),
     (37, 'ssp'): (((32,), 'q0', 2.306738546), (1, 1), {'distance': 3}),
-    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (27, 27), {'venue_distance': 28}),
-    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (11, 17), {'avg_familiarity': 6, 'venue_distance': 23}),
+    (38, 'sfgp'): (((17, 23, 26), 'q1', 40.991392142), (26, 26), {'venue_distance': 22, 'venue_radius': 1}),
+    (38, 'mags-srdo-avg'): (((17, 23, 26), 'q1', 40.991392142), (8, 14), {'avg_familiarity': 6, 'venue_distance': 21}),
     (38, 'ssgs-avg'): (((19, 25, 26), 'q0', 44.698804555), (23, 24), {'avg_familiarity': 1, 'distance': 7}),
     (38, 'ssp'): (((17, 23, 26), 'q1', 40.991392142), (33, 33), {'distance': 15}),
-    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (2, 2), {'venue_distance': 3}),
-    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (2, 2), {'venue_distance': 3}),
+    (39, 'sfgp'): (((12, 22), 'q1', 13.465650468), (2, 2), {'venue_distance': 2}),
+    (39, 'mags-srdo-avg'): (((12, 22), 'q1', 13.465650468), (2, 2), {'venue_distance': 2}),
     (39, 'ssgs-avg'): (((7, 8), 'q0', 27.893268927), (2, 2), {'distance': 2}),
     (39, 'ssp'): (((12, 22), 'q1', 13.465650468), (4, 4), {'distance': 6}),
 }
