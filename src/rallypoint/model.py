@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
 
 MemberId = Hashable
 VenueId = Hashable
@@ -70,7 +70,7 @@ class SocialGraph:
     rejected; edges are stored symmetrically.
     """
 
-    __slots__ = ("_adjacency", "_vertices", "_masks")
+    __slots__ = ("_adjacency", "_vertices")
 
     def __init__(self, vertices: Iterable[MemberId], edges: Iterable[Tuple[MemberId, MemberId]] = ()):
         adjacency: Dict[MemberId, set] = {v: set() for v in vertices}
@@ -87,8 +87,6 @@ class SocialGraph:
             v: frozenset(ns) for v, ns in adjacency.items()
         }
         self._vertices: Tuple[MemberId, ...] = tuple(_sorted_ids(self._adjacency, "vertex"))
-        # Built by ``_neighbor_masks`` at its first call.
-        self._masks: Optional[Tuple[Dict[MemberId, int], ...]] = None
 
     @property
     def vertices(self) -> Tuple[MemberId, ...]:
@@ -108,42 +106,6 @@ class SocialGraph:
 
     def neighbors(self, v: MemberId) -> FrozenSet[MemberId]:
         return self._adjacency[v]
-
-    def _known_within(self, members: Sequence[MemberId]) -> List[int]:
-        """For each of ``members``, in order, how many of the others it
-        knows. Counted with one bit operation per member on the vertex
-        masks (``_neighbor_masks``) where the graph keeps them, else with
-        one neighbour-set intersection per member."""
-        masks = self._neighbor_masks()
-        if not masks:
-            within = set(members)
-            return [len(self._adjacency[v] & within) for v in members]
-        bit, neighbor_bits = masks
-        inside = 0
-        for v in members:
-            inside |= bit[v]
-        return [(neighbor_bits[v] & inside).bit_count() for v in members]
-
-    def _neighbor_masks(self) -> Tuple[Dict[MemberId, int], ...]:
-        """Each vertex's bit, one bit per vertex in id order, and the bits of
-        its neighbours, built at the first call and kept; empty when they
-        would take more memory than the neighbour sets. A vertex's mask
-        takes one bit per vertex where its neighbour set takes at least 16
-        bytes per neighbour, so a few hundred vertices' masks stay in the
-        processor's caches when their sets, read across many graphs, do
-        not: over the in-range cores of the benchmark's seed-1 mv-static
-        stream (``multi_venue``, 80 graphs of 200 vertices), a count took
-        3.2 µs with the masks and 11.7 µs with the sets on a 2-CPU Xeon
-        container."""
-        if self._masks is None:
-            n = len(self._vertices)
-            if n * n > 128 * sum(len(ns) for ns in self._adjacency.values()):
-                self._masks = ()
-            else:
-                bit = {v: 1 << i for i, v in enumerate(self._vertices)}
-                masks = {v: sum(bit[u] for u in ns) for v, ns in self._adjacency.items()}
-                self._masks = (bit, masks)
-        return self._masks
 
     def degree(self, v: MemberId) -> int:
         return len(self._adjacency[v])

@@ -201,7 +201,7 @@ total the first venue in query order wins, then the lower (distance, id).
 
 from __future__ import annotations
 
-import heapq
+import bisect
 import math
 import time
 from dataclasses import dataclass, field
@@ -317,18 +317,21 @@ class _MultiVenueSearch(_GroupSearch):
         # with fewer can never host a group), and for srdo while its core,
         # once peeled, holds at least p.
         p = query.p
-        orders: VenueLists = {}
+        # Each alive venue's list: its candidate order, or its core once
+        # peeled (``_peel``).
+        self.by_distance: VenueLists = {}
         for q in query.venues:
             order = candidate_order(query, graph, data, q, indexes)
             if len(order) >= p:
-                orders[q] = order
-        # Each alive venue's list: its candidate order, or its core once
-        # peeled (``_peel``).
-        self.by_distance: VenueLists = dict(orders)
+                self.by_distance[q] = order
         # With one alive venue no venue is left to cut: srdo's root hands
         # off to the single-venue loop at once, and a seed or a peel there
         # saves less than it costs.
-        peels = self.static and self.member_rule and p - 1 - query.k > 0 and len(orders) > 1
+        peels = (
+            self.static and self.member_rule and p - 1 - query.k > 0 and len(self.by_distance) > 1
+        )
+        # The candidate orders, kept apart from the lists where srdo peels.
+        orders = dict(self.by_distance) if peels else self.by_distance
         # The venues srdo has yet to peel.
         self.unpeeled: Set[VenueId] = set(orders) if peels else set()
         seed = self._greedy_seed() if len(orders) > 1 else None
@@ -417,23 +420,31 @@ class _MultiVenueSearch(_GroupSearch):
         lower."""
         p = self.query.p
         lists = self.by_distance
-
-        def first_p(q: VenueId) -> float:
+        # The bounds are summed inline: a helper call per venue measurably
+        # slowed apdo, whose walk peels nothing.
+        ranked = []
+        for i, q in enumerate(lists):
             bound = 0.0
             for d, _ in lists[q][:p]:
                 bound += d
-            return bound
-
-        heap = [(first_p(q), i, q) for i, q in enumerate(lists)]
-        heapq.heapify(heap)
+            ranked.append((bound, i, q))
+        ranked.sort()
+        unpeeled = self.unpeeled
         best = None
-        while heap:
-            bound, i, q = heapq.heappop(heap)
+        at = 0
+        while at < len(ranked):
+            bound, i, q = ranked[at]
+            at += 1
             if best is not None and bound >= best[0]:
                 break
-            if q in self.unpeeled:
+            if q in unpeeled:
+                # Its peeled bound is never lower, so it goes back in
+                # among the venues not yet walked.
                 if self._peel(q):
-                    heapq.heappush(heap, (first_p(q), i, q))
+                    bound = 0.0
+                    for d, _ in lists[q][:p]:
+                        bound += d
+                    bisect.insort(ranked, (bound, i, q), lo=at)
                 continue
             found = self._greedy_group(lists[q])
             if found is not None and (best is None or found[0] < best[0]):
@@ -450,18 +461,17 @@ class _MultiVenueSearch(_GroupSearch):
         such group lies in the core. False, and ``q`` leaves
         ``by_distance``, when the core holds fewer than ``p``.
         ``graph.core_decompose`` peels a whole graph; a venue holds a few
-        candidates, so each round here recounts them all
-        (``SocialGraph._known_within``)."""
+        candidates, so each round here recounts them all."""
         if q not in self.unpeeled:
             return True
         self.unpeeled.discard(q)
         query = self.query
         need = query.p - 1 - query.k
-        known_within = self.graph._known_within
+        neighbors = self.graph.neighbors
         core = self.by_distance[q]
         while len(core) >= query.p:
-            known = known_within([v for _, v in core])
-            kept = [pair for pair, n in zip(core, known) if n >= need]
+            within = {v for _, v in core}
+            kept = [pair for pair in core if len(neighbors(pair[1]) & within) >= need]
             if len(kept) == len(core):
                 self.by_distance[q] = core
                 return True

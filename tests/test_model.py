@@ -112,31 +112,6 @@ def test_avg_acquainted_matches_edge_count(g1):
         assert avg_acquainted(subset, g1) == pytest.approx(expected, abs=0)
 
 
-def test_known_within_counts_the_acquaintances_among_the_members():
-    # Each member's acquaintances among the others, in member order, against
-    # a count by pairs: on dense graphs, which keep vertex masks, and on
-    # sparse ones, whose masks would outweigh their neighbour sets. Graphs
-    # with string ids and with integer ids both count.
-    rng = random.Random(5)
-    kept = declined = 0
-    for trial in range(200):
-        n = rng.randint(2, 300)
-        edge_prob = rng.choice([0.001, 0.01, 0.3]) if n > 40 else rng.random()
-        vertices = [f"v{i}" for i in range(n)] if trial % 2 else list(range(n))
-        edges = [
-            (u, v) for i, u in enumerate(vertices) for v in vertices[:i] if rng.random() < edge_prob
-        ]
-        graph = SocialGraph(vertices, edges)
-        members = rng.sample(vertices, rng.randint(0, min(n, 20)))
-        expected = [sum(graph.neighbors(v).__contains__(u) for u in members) for v in members]
-        assert graph._known_within(members) == expected
-        if graph._neighbor_masks():
-            kept += 1
-        else:
-            declined += 1
-    assert kept > 20 and declined > 20, (kept, declined)
-
-
 def test_query_validation():
     with pytest.raises(ValueError):
         Query(p=0, k=0, t=1.0, venues=("q",))

@@ -688,9 +688,8 @@ def _peel_queries(label, make_instance, count=80):
         yield graph, data, Query(query.p, 0, query.t, query.venues, query.familiarity_mode)
 
 
-@pytest.mark.parametrize("masks", ["masks", "sets"])
 @pytest.mark.parametrize("make_instance", CORE_MAKERS, ids=["gnp", "power-law", "grid"])
-def test_in_range_cores_keep_every_feasible_group(monkeypatch, make_instance, masks):
+def test_in_range_cores_keep_every_feasible_group(make_instance):
     # Where srdo peels, a venue's peeled list is an in-order subsequence of
     # its candidate order in which every member has at least ``p - 1 - k``
     # acquaintances, the largest such (``_core_by_definition``), and every
@@ -698,11 +697,6 @@ def test_in_range_cores_keep_every_feasible_group(monkeypatch, make_instance, ma
     # (``brute_force`` on the venue alone) and, where they are few enough to
     # enumerate, all of them. A venue peeled below ``p`` has none. Each
     # alive venue is peeled here, also those the search leaves unpeeled.
-    # The small graphs here keep vertex masks; "sets" makes every graph
-    # count with its neighbour sets, as a graph whose masks would outweigh
-    # them does.
-    if masks == "sets":
-        monkeypatch.setattr(SocialGraph, "_neighbor_masks", lambda self: ())
     seen = {"peeled": 0, "dead": 0, "groups": 0, "kept_whole": 0}
     for graph, data, query in _peel_queries("core-sound", make_instance):
         search = _srdo_search(graph, data, query)
@@ -1012,6 +1006,9 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
     original_entry = cls._entry_candidates
     # (pool set, venues entered with) of each open frame.
     open_frames = []
+    # The venues left and the candidates kept at the last entry filter,
+    # recomputed by a walk of each venue's list (``_entry_by_walk``).
+    last_entry = []
     seen = {"root": 0, "child": 0, "handoff": 0, "entry": 0}
 
     def expected_lists(self, pool_set, venues):
@@ -1046,20 +1043,23 @@ def test_frames_read_the_candidate_orders_cut_to_their_pool(monkeypatch, mode, o
             assert all(self.by_distance[q] is orders[q] for q in orders)
             assert self.by_distance == copies
 
-    def handing_off(self, prefix, prefix_set, prefix_edges, base, pool, *rest):
-        caller = sys._getframe(1)
-        if caller.f_code is original_frame.__code__:
+    def handing_off(self, prefix, prefix_set, prefix_edges, base, pool, counts, q):
+        if sys._getframe(1).f_code is original_frame.__code__:
+            # A joint frame hands off right after its entry cut: the cut
+            # must have left q alone, one of the frame's venues, and the
+            # hand-off receives q's list cut to the candidates it kept.
             _, venues = open_frames[-1]
-            left = list(caller.f_locals["sums"])
-            assert len(left) == 1 and left[0] in venues, (prefix, left)
-            kept = set(caller.f_locals["entered"])
-            assert pool == expected_lists(self, kept, left)[left[0]], prefix
+            left, kept = last_entry.pop()
+            assert left == [q] and q in venues, (prefix, left, q)
+            assert pool == expected_lists(self, set(kept), left)[q], prefix
             seen["handoff"] += 1
-        return original_venue_frame(self, prefix, prefix_set, prefix_edges, base, pool, *rest)
+        return original_venue_frame(self, prefix, prefix_set, prefix_edges, base, pool, counts, q)
 
     def entering(self, pool, size, sums, lists):
         assert {q: lists[q] for q in sums} == expected_lists(self, set(pool), sums), size
         seen["entry"] += 1
+        kept = _entry_by_walk(self, pool, set(pool), size, sums, lists, lists)
+        last_entry[:] = [(list(sums), kept)]
         return original_entry(self, pool, size, sums, lists)
 
     monkeypatch.setattr(cls, "_frame", framing)
